@@ -7,6 +7,14 @@ a bracketing step, then safeguarded damped Newton with bisection fallback).
 Diagonally rescaled second-order cones reduce to a scalar root in the KKT
 multiplier mu.  Dual/polar projections come from the Moreau identity
 proj_{K*}(v) = v + proj_K(-v).
+
+The whole-vector set projections run a `ConeLayout`, built once per
+ConicProblem instance and cached on it: for each of the four block
+sequences (primal cone, its dual, dual iterate, constraint residual) a
+tuple of (kernel, start, stop, scale) operations in which the dual-kind
+mapping, the uniform-scale test and the 1/scale inversion are already
+decided.  One kernel per cone kind serves both the layout and
+`project_cone`.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .linalg import NumericalError
-from .model import Cone, ConicProblem, block_slices
+from .model import Cone, ConeSpec, ConicProblem, block_slices
 
 
 @dataclass(frozen=True)
@@ -53,18 +61,25 @@ def project_box(v: np.ndarray, l: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def project_soc(v: np.ndarray) -> np.ndarray:
     """Project (t, xbar) onto {t >= ||xbar||}."""
+    out = np.empty_like(v)
+    _soc(v, out)
+    return out
+
+
+def _soc(v, out, scale=None, settings=None):
+    # np.linalg.norm evaluates a contiguous 1-d float64 vector as sqrt(x.x),
+    # so this is bit-identical to it without its per-call overhead.
     t = v[0]
     x = v[1:]
-    nx = float(np.linalg.norm(x))
+    nx = math.sqrt(x.dot(x))
     if nx <= t:
-        return v.copy()
-    if nx <= -t:
-        return np.zeros_like(v)
-    coef = 0.5 * (t + nx)
-    out = np.empty_like(v)
-    out[0] = coef
-    out[1:] = (coef / nx) * x
-    return out
+        out[:] = v
+    elif nx <= -t:
+        out[:] = 0.0
+    else:
+        coef = 0.5 * (t + nx)
+        out[0] = coef
+        np.multiply(coef / nx, x, out=out[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +445,38 @@ def project_rescaled_soc(
 
 
 # ---------------------------------------------------------------------------
-# Block dispatch
+# Block kernels
 # ---------------------------------------------------------------------------
+#
+# A kernel writes the projection of one block v into `out`, an array of the
+# same length.  All kernels take (v, out, scale, settings) so that one loop
+# can run any mix of them; only the rescaled-soc, exp and dual-exp kernels
+# use the last two.
+
+
+def _free(v, out, scale, settings):
+    out[:] = v
+
+
+def _zero(v, out, scale, settings):
+    out[:] = 0.0
+
+
+def _nonneg(v, out, scale, settings):
+    np.maximum(v, 0.0, out=out)
+
+
+def _rescaled_soc(v, out, scale, settings):
+    out[:] = project_rescaled_soc(v, scale, settings)
+
+
+def _exp(v, out, scale, settings):
+    out[:] = project_exp(v, settings)
+
+
+def _dual_exp(v, out, scale, settings):
+    out[:] = project_dual_exp(v, settings)
+
 
 _DUAL_KIND = {
     Cone.ZERO: Cone.FREE,
@@ -449,6 +494,28 @@ def dual_cone_kind(kind: Cone) -> Cone:
     return _DUAL_KIND[kind]
 
 
+def _kernel(kind: Cone, scale: np.ndarray | None):
+    """The block kernel for (kind, scale), as `project_cone` defines them."""
+    uniform = scale is None or np.all(scale == scale[0])
+    if kind is Cone.FREE:
+        return _free
+    if kind is Cone.ZERO:
+        return _zero
+    if kind is Cone.NONNEG:
+        return _nonneg
+    if kind is Cone.SOC:
+        return _soc if uniform else _rescaled_soc
+    if kind is Cone.EXP or kind is Cone.DUAL_EXP:
+        if not uniform:
+            raise ValueError(
+                f"{kind.value} blocks support only block-uniform scaling; rebuild the scaling"
+            )
+        return _exp if kind is Cone.EXP else _dual_exp
+    if kind is Cone.RSOC:
+        raise ValueError("rotated blocks must be reformulated (rsoc_to_soc) before projection")
+    raise ValueError(f"unknown cone kind {kind}")
+
+
 def project_cone(
     v: np.ndarray,
     kind: Cone,
@@ -456,26 +523,9 @@ def project_cone(
     settings: ProjectionSettings = DEFAULT_SETTINGS,
 ) -> np.ndarray:
     """Project onto {z : diag(scale) z in K(kind)} (scale None or uniform = plain cone)."""
-    uniform = scale is None or np.all(scale == scale[0])
-    if kind is Cone.FREE:
-        return v.copy()
-    if kind is Cone.ZERO:
-        return np.zeros_like(v)
-    if kind is Cone.NONNEG:
-        return np.maximum(v, 0.0)
-    if kind is Cone.SOC:
-        if uniform:
-            return project_soc(v)
-        return project_rescaled_soc(v, scale, settings)
-    if kind is Cone.EXP or kind is Cone.DUAL_EXP:
-        if not uniform:
-            raise ValueError(
-                f"{kind.value} blocks support only block-uniform scaling; rebuild the scaling"
-            )
-        return project_exp(v, settings) if kind is Cone.EXP else project_dual_exp(v, settings)
-    if kind is Cone.RSOC:
-        raise ValueError("rotated blocks must be reformulated (rsoc_to_soc) before projection")
-    raise ValueError(f"unknown cone kind {kind}")
+    out = np.empty_like(v)
+    _kernel(kind, scale)(v, out, scale, settings)
+    return out
 
 
 def project_cone_dual(
@@ -491,18 +541,64 @@ def project_cone_dual(
 
 
 # ---------------------------------------------------------------------------
-# Whole-vector set projections
+# Cone layout and the whole-vector set projections
 # ---------------------------------------------------------------------------
+
+
+def _plan(specs: tuple[ConeSpec, ...], dual: bool, inverse: bool) -> tuple:
+    """One (kernel, start, stop, scale) operation per block of `specs`.
+
+    `dual` swaps each kind for its dual; `inverse` rescales by 1/scale."""
+    ops = []
+    for spec, sl in block_slices(specs):
+        kind = dual_cone_kind(spec.kind) if dual else spec.kind
+        scale = spec.scale
+        if inverse:
+            scale = None if np.all(scale == 1.0) else 1.0 / scale
+        ops.append((_kernel(kind, scale), sl.start, sl.stop, scale))
+    return tuple(ops)
+
+
+class ConeLayout:
+    """The per-block projection plans of one ConicProblem.
+
+    A block of kind K with stored scale d constrains the iterates through
+    diag(d): diag(d) x_2 in K_p, and diag(d) y in the dual of the residual
+    block.  The residual Gx - h and the multiplier lambda_2 live in the dual
+    sets, which are rescaled by 1/d.  So each set projection is one of four
+    plans, fixed when the layout is built.
+    """
+
+    def __init__(self, problem: ConicProblem) -> None:
+        self.primal = _plan(problem.primal_cones, dual=False, inverse=False)
+        self.primal_dual = _plan(problem.primal_cones, dual=True, inverse=True)
+        self.dual = _plan(problem.dual_cones, dual=True, inverse=False)
+        self.dual_residual = _plan(problem.dual_cones, dual=False, inverse=True)
+
+
+def cone_layout(problem: ConicProblem) -> ConeLayout:
+    """The problem's layout, built on first use and cached on the instance."""
+    layout = problem._cone_layout
+    if layout is None:
+        layout = ConeLayout(problem)
+        object.__setattr__(problem, "_cone_layout", layout)
+    return layout
+
+
+def _project(ops: tuple, v: np.ndarray, out: np.ndarray,
+             settings: ProjectionSettings) -> np.ndarray:
+    for kernel, start, stop, scale in ops:
+        kernel(v[start:stop], out[start:stop], scale, settings)
+    return out
 
 
 def project_primal_set(x: np.ndarray, problem: ConicProblem,
                        settings: ProjectionSettings = DEFAULT_SETTINGS) -> np.ndarray:
     """Projection onto [l, u] x K_p (with any stored block scalings)."""
-    out = np.empty_like(x)
     n1 = problem.num_box
+    out = np.empty_like(x)
     out[:n1] = project_box(x[:n1], problem.l, problem.u)
-    for spec, sl in block_slices(problem.primal_cones, n1):
-        out[sl] = project_cone(x[sl], spec.kind, spec.scale, settings)
+    _project(cone_layout(problem).primal, x[n1:], out[n1:], settings)
     return out
 
 
@@ -511,39 +607,25 @@ def project_dual_set(y: np.ndarray, problem: ConicProblem,
     """Projection of the dual iterate onto K_d.
 
     Stored block kinds describe the residual cone K_d*, so each y-block is
-    projected onto the dual of its (scaled) stored block; zero-tagged blocks
+    projected onto the dual kind of its stored block; zero-tagged blocks
     leave y free because equality-row multipliers are sign-free.
     """
-    out = np.empty_like(y)
-    for spec, sl in block_slices(problem.dual_cones):
-        out[sl] = project_cone(y[sl], dual_cone_kind(spec.kind), spec.scale, settings)
-    return out
+    return _project(cone_layout(problem).dual, y, np.empty_like(y), settings)
 
 
 def project_dual_residual_set(r: np.ndarray, problem: ConicProblem,
                               settings: ProjectionSettings = DEFAULT_SETTINGS) -> np.ndarray:
     """Projection of the constraint residual Gx - h onto K_d*."""
-    out = np.empty_like(r)
-    for spec, sl in block_slices(problem.dual_cones):
-        scale = None if np.all(spec.scale == 1.0) else 1.0 / spec.scale
-        out[sl] = project_cone(r[sl], spec.kind, scale, settings)
-    return out
+    return _project(cone_layout(problem).dual_residual, r, np.empty_like(r), settings)
 
 
 def project_primal_cone_part(v: np.ndarray, problem: ConicProblem,
                              settings: ProjectionSettings = DEFAULT_SETTINGS) -> np.ndarray:
     """Projection of a length n - num_box vector onto K_p alone."""
-    out = np.empty_like(v)
-    for spec, sl in block_slices(problem.primal_cones):
-        out[sl] = project_cone(v[sl], spec.kind, spec.scale, settings)
-    return out
+    return _project(cone_layout(problem).primal, v, np.empty_like(v), settings)
 
 
 def project_primal_cone_dual(lam: np.ndarray, problem: ConicProblem,
                              settings: ProjectionSettings = DEFAULT_SETTINGS) -> np.ndarray:
     """Projection of the cone part of the multiplier lambda_2 onto K_p*."""
-    out = np.empty_like(lam)
-    for spec, sl in block_slices(problem.primal_cones):
-        scale = None if np.all(spec.scale == 1.0) else 1.0 / spec.scale
-        out[sl] = project_cone(lam[sl], dual_cone_kind(spec.kind), scale, settings)
-    return out
+    return _project(cone_layout(problem).primal_dual, lam, np.empty_like(lam), settings)

@@ -37,6 +37,7 @@ class SparseMatrix:
         csr.sum_duplicates()
         self._csr = csr
         self._csc = csr.tocsc()
+        self._csc_t = self._csc.T  # CSR view of G^T sharing the CSC arrays
         self.shape = csr.shape
         self.n_matvec = 0
         self.n_rmatvec = 0
@@ -70,7 +71,7 @@ class SparseMatrix:
         if y.shape != (self.m,):
             raise ValueError(f"rmatvec expects a vector of length {self.m}, got {y.shape}")
         self.n_rmatvec += 1
-        return self._csc.T @ y
+        return self._csc_t @ y
 
     def max_abs(self) -> float:
         """Largest absolute entry; errors on an all-zero matrix because the
@@ -118,18 +119,6 @@ class SparseMatrix:
     def reset_counters(self) -> None:
         self.n_matvec = 0
         self.n_rmatvec = 0
-
-
-def matvec(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    return a.matvec(x)
-
-
-def matvec_transpose(a: SparseMatrix, y: np.ndarray) -> np.ndarray:
-    return a.rmatvec(y)
-
-
-def matrix_max_abs(a: SparseMatrix) -> float:
-    return a.max_abs()
 
 
 @dataclass(frozen=True)

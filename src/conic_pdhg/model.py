@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,6 +101,9 @@ class ConicProblem:
     num_box: int
     primal_cones: tuple[ConeSpec, ...] = ()
     dual_cones: tuple[ConeSpec, ...] = ()
+    # Cache of the cones.ConeLayout, set by cones.cone_layout on first use.
+    # It is derived from the fields above, so init, repr and == ignore it.
+    _cone_layout: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.c, dtype=np.float64)
@@ -242,6 +245,19 @@ def _rotation_blocks(specs, offset):
     return [sl for spec, sl in block_slices(specs, offset) if spec.kind is Cone.RSOC]
 
 
+def _promoted_order(specs: tuple[ConeSpec, ...]) -> tuple[list[int], np.ndarray] | None:
+    """Block order, and the row order it induces, that moves rotated blocks,
+    once promoted to soc, into the soc group ahead of any exp and dual-exp
+    blocks; None when nothing moves."""
+    rank = [_DUAL_GROUP_ORDER.index(Cone.SOC if s.kind is Cone.RSOC else s.kind) for s in specs]
+    if rank == sorted(rank):
+        return None
+    blocks = sorted(range(len(specs)), key=rank.__getitem__)
+    slices = block_slices(specs)
+    rows = np.concatenate([np.arange(slices[i][1].start, slices[i][1].stop) for i in blocks])
+    return blocks, rows
+
+
 def rotate_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The symmetric involutive map (p, q) -> ((p+q)/sqrt(2), (p-q)/sqrt(2))."""
     return (a + b) / _SQRT2, (a - b) / _SQRT2
@@ -266,7 +282,9 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
     (t, s, w) in K_soc via t = (p+q)/sqrt(2), s = (p-q)/sqrt(2); the map is
     orthogonal and involutive, so rows of G and h (dual blocks) or columns
     of G and entries of c (primal blocks) transform by the same matrix.
-    The inverse map is applied to solutions by `apply_rsoc_inverse`.
+    Promoted dual blocks then move into the soc group, so the rows follow
+    the order zero, nonneg, soc, exp, dual-exp.  `apply_rsoc_inverse` maps
+    solutions back to the original blocks and row order.
     """
     if not problem.has_rsoc_blocks():
         return problem
@@ -292,6 +310,14 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
             ConeSpec(Cone.SOC, s.dim, s.scale) if s.kind is Cone.RSOC else s for s in specs
         )
 
+    dual_cones = promote(problem.dual_cones)
+    order = _promoted_order(problem.dual_cones)
+    if order is not None:
+        blocks, rows = order
+        g = g[rows]
+        h = h[rows]
+        dual_cones = tuple(dual_cones[i] for i in blocks)
+
     return ConicProblem(
         c=c,
         G=SparseMatrix(g),
@@ -300,18 +326,25 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
         u=problem.u,
         num_box=problem.num_box,
         primal_cones=promote(problem.primal_cones),
-        dual_cones=promote(problem.dual_cones),
+        dual_cones=dual_cones,
     )
 
 
 def apply_rsoc_inverse(original: ConicProblem, x: np.ndarray, y: np.ndarray,
                        slack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map a solution of the reformulated problem back to the original blocks."""
+    """Map a solution of the reformulated problem back to the original blocks
+    and the original row order."""
     if not original.has_rsoc_blocks():
         return x, y, slack
     x = x.copy()
-    y = y.copy()
-    slack = slack.copy()
+    order = _promoted_order(original.dual_cones)
+    if order is None:
+        y = y.copy()
+        slack = slack.copy()
+    else:
+        back = np.argsort(order[1])
+        y = y[back]
+        slack = slack[back]
     for sl in _rotation_blocks(original.primal_cones, original.num_box):
         i, j = sl.start, sl.start + 1
         x[i], x[j] = rotate_pair(x[i], x[j])

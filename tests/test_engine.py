@@ -278,6 +278,34 @@ class TestSolve:
         # slack is reported in the original rotated coordinates
         assert 2.0 * r.slack[0] * r.slack[1] >= np.dot(r.slack[2:], r.slack[2:]) - 1e-6
 
+    def test_rsoc_with_exp_instance_end_to_end(self):
+        # Rows in file order: nonneg a >= 0, exp (s, 1, b), rotated (a, b, 1).
+        # b >= e^s and 2ab >= 1 make min a + b - s equal to
+        # min_b 1/(2b) + b - ln b, attained at b = (1 + sqrt 3)/2.
+        G = np.zeros((7, 3))
+        G[0, 0] = G[1, 2] = G[3, 1] = G[4, 0] = G[5, 1] = 1.0
+        h = np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0])
+        p = ConicProblem(
+            c=np.array([1.0, 1.0, -1.0]),
+            G=SparseMatrix(G),
+            h=h,
+            l=np.full(3, -10.0),
+            u=np.full(3, 10.0),
+            num_box=3,
+            dual_cones=(ConeSpec(Cone.NONNEG, 1), ConeSpec(Cone.EXP, 3), ConeSpec(Cone.RSOC, 3)),
+        )
+        r = solve(p)
+        assert r.exit_status == ":optimal"
+        b = (1.0 + math.sqrt(3.0)) / 2.0
+        assert r.p_obj == pytest.approx(math.sqrt(3.0) - math.log(b), abs=1e-4)
+        np.testing.assert_allclose(r.x, [1.0 / (2.0 * b), b, math.log(b)], atol=1e-3)
+        # slack and y come back in the input's row order and blocks
+        np.testing.assert_allclose(r.slack, G @ r.x - h, atol=1e-12)
+        u, v, w = r.y[1:4]
+        assert u < 0.0 < w and u * math.log(-u / w) - u + v >= -1e-4
+        assert min(r.y[4], r.y[5]) >= 0.0
+        assert 2.0 * r.y[4] * r.y[5] >= r.y[6] ** 2 - 1e-4
+
     def test_fixed_point_entry(self):
         # optimum at the initial iterate z0 = 0: exits without iterating
         p = box_lp([1.0], np.zeros((0, 1)), [], [0.0], [1.0])

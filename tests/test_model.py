@@ -244,6 +244,35 @@ class TestRsocToSoc:
         x_back, _, _ = apply_rsoc_inverse(p, x_tilde, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(x_back, x, atol=1e-12)
 
+    def test_promoted_blocks_join_the_soc_group(self):
+        # Rotated rows follow exp rows in the input; after promotion they
+        # must precede them, and the inverse map restores the input order.
+        rng = np.random.default_rng(11)
+        dual = (ConeSpec(Cone.NONNEG, 2), ConeSpec(Cone.SOC, 3), ConeSpec(Cone.EXP, 3),
+                ConeSpec(Cone.DUAL_EXP, 3), ConeSpec(Cone.RSOC, 4), ConeSpec(Cone.RSOC, 3))
+        m, n = sum(s.dim for s in dual), 5
+        p = ConicProblem(
+            c=rng.standard_normal(n),
+            G=SparseMatrix(rng.standard_normal((m, n))),
+            h=rng.standard_normal(m),
+            l=-np.ones(n),
+            u=np.ones(n),
+            num_box=n,
+            dual_cones=dual,
+        )
+        q = rsoc_to_soc(p)
+        assert [(s.kind, s.dim) for s in q.dual_cones] == [
+            (Cone.NONNEG, 2), (Cone.SOC, 3), (Cone.SOC, 4), (Cone.SOC, 3),
+            (Cone.EXP, 3), (Cone.DUAL_EXP, 3),
+        ]
+        for _ in range(20):
+            x = rng.standard_normal(n)
+            r_orig = p.G.matvec(x) - p.h
+            r_new = q.G.matvec(x) - q.h
+            _, y_back, slack_back = apply_rsoc_inverse(p, x, r_new, r_new)
+            np.testing.assert_allclose(slack_back, r_orig, atol=1e-12)
+            np.testing.assert_allclose(y_back, r_orig, atol=1e-12)
+
     def test_rotated_dim_validation(self):
         with pytest.raises(ValueError):
             ConeSpec(Cone.RSOC, 2)
