@@ -40,10 +40,22 @@ class ProjectionSettings:
 DEFAULT_SETTINGS = ProjectionSettings()
 
 
+_EXP_UNSCALED_MIN = 2.0 ** -500
+_EXP_UNSCALED_MAX = 2.0 ** 500
+
+
 def _safe_exp(x: float) -> float:
     if x >= 709.0:
         return math.inf
     return math.exp(x)
+
+
+def _log_ratio(a: float, b: float) -> float:
+    """log(a / b) for positive a and b, also where a / b leaves the float range."""
+    q = a / b
+    if 0.0 < q < math.inf:
+        return math.log(q)
+    return math.log(a) - math.log(b)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +123,7 @@ def in_dual_exp(v, atol: float = 0.0) -> bool:
         return vv >= -atol and w >= -atol
     if w <= 0.0:
         return False
-    return u * math.log(-u / w) - u + vv >= -atol
+    return u * _log_ratio(-u, w) - u + vv >= -atol
 
 
 def _exp_heuristic_primal(r0, s0, t0):
@@ -204,9 +216,9 @@ def _exp_bracket(r0, s0, t0, pdist, ddist):
     dd = math.sqrt(max(ddist * ddist - r0m * r0m, 0.0))
 
     if t0 > 0.0:
-        low = max(low, math.log(t0 / _ppsi(r0, s0)))
+        low = max(low, _log_ratio(t0, _ppsi(r0, s0)))
     elif t0 < 0.0:
-        upr = min(upr, -math.log(-t0 / _dpsi(r0, s0)))
+        upr = min(upr, -_log_ratio(-t0, _dpsi(r0, s0)))
 
     if r0 > 0.0:
         baselow = 1.0 - s0 / r0
@@ -311,10 +323,20 @@ def _exp_primal_from_rho(r0, s0, t0, rho):
 
 
 def project_exp(v: np.ndarray, settings: ProjectionSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    """Exact Euclidean projection onto the exponential cone."""
+    """Exact Euclidean projection onto the exponential cone.
+
+    The projection is positively homogeneous, so a point whose largest
+    magnitude lies outside [2^-500, 2^500] is projected after an exact
+    power-of-two rescaling to magnitude one, where the squares and ratios
+    below stay within floating-point range.
+    """
     r0, s0, t0 = float(v[0]), float(v[1]), float(v[2])
     if not (math.isfinite(r0) and math.isfinite(s0) and math.isfinite(t0)):
         raise NumericalError("exponential-cone projection of a non-finite point")
+    big = max(abs(r0), abs(s0), abs(t0))
+    if big > _EXP_UNSCALED_MAX or 0.0 < big < _EXP_UNSCALED_MIN:
+        e = math.frexp(big)[1]
+        return np.ldexp(project_exp(np.ldexp([r0, s0, t0], -e), settings), e)
     if in_exp((r0, s0, t0)):
         return np.asarray(v, dtype=np.float64).copy()
     if in_dual_exp((-r0, -s0, -t0)):

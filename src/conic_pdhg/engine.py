@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -343,22 +343,23 @@ class _Loop:
             mode=self.base_mode,
         )
         self.omega_init = omega0
-        self.gx = self.scaled.G.matvec(z0.x)
-        self.gty = self.scaled.G.rmatvec(z0.y)
-        self.gx_anchor = self.gx.copy()
-        self.gty_anchor = self.gty.copy()
+        # (G x, G^T y) of the iterate and of the anchor, paired like the
+        # iterate so that the Halpern step updates them by the same formula
+        self._refresh_products(state)
+        self.anchor_products = self.products.copy()
         return state
 
     # -- scaled-problem helpers ---------------------------------------------
 
     def _refresh_products(self, state: SolverState) -> None:
-        self.gx = self.scaled.G.matvec(state.z.x)
-        self.gty = self.scaled.G.rmatvec(state.z.y)
+        self.products = IterateZ(self.scaled.G.matvec(state.z.x), self.scaled.G.rmatvec(state.z.y))
 
-    def _gap_query(self, z: IterateZ, radius: float, ctx: WeightedNormContext) -> restarts.GapQuery:
+    def _gap_metric(self, z: IterateZ, anchor: IterateZ, ctx: WeightedNormContext) -> float:
+        """Normalized gap of z over the ball through `anchor`."""
+        radius = n_norm(z.x - anchor.x, z.y - anchor.y, ctx)
         gx = self.scaled.G.matvec(z.x)
         gty = self.scaled.G.rmatvec(z.y)
-        return restarts.GapQuery(
+        return restarts.normalized_gap(restarts.GapQuery(
             x=z.x,
             y=z.y,
             b1=gty - self.scaled.c,
@@ -367,11 +368,7 @@ class _Loop:
             ctx=ctx,
             proj_x=lambda v: cones.project_primal_set(v, self.scaled),
             proj_y=lambda v: cones.project_dual_set(v, self.scaled),
-        )
-
-    def _gap_metric(self, z: IterateZ, anchor: IterateZ, ctx: WeightedNormContext) -> float:
-        radius = n_norm(z.x - anchor.x, z.y - anchor.y, ctx)
-        return restarts.normalized_gap(self._gap_query(z, radius, ctx))
+        ))
 
     def _kkt_metric(self, z: IterateZ, omega: float) -> float:
         report = term.compute_errors(self.scaled, z.x, z.y)
@@ -382,22 +379,16 @@ class _Loop:
         radius of one plain PDHG step from z0."""
         ctx = WeightedNormContext(state.omega, state.eta_hat)
         z_ref = one_pdhg(self.scaled, state.z, ctx.tau, ctx.sigma)
-        radius = n_norm(state.z.x - z_ref.x, state.z.y - z_ref.y, ctx)
         try:
-            query = self._gap_query(state.z, radius, ctx)
-            state.last_restart_gap = restarts.normalized_gap(query)
+            state.last_restart_gap = self._gap_metric(state.z, z_ref, ctx)
         except restarts.GapEvaluationError:
             state.mode = "kkt"
             state.last_restart_kkt = self._kkt_metric(state.z, state.omega)
 
     # -- original-problem report --------------------------------------------
 
-    def _original_point(self, z: IterateZ):
-        x_w, y_w = scalings.unscale_solution(z.x, z.y, self.scaling)
-        return x_w, y_w
-
     def _original_report(self, z: IterateZ):
-        x, y = self._original_point(z)
+        x, y = scalings.unscale_solution(z.x, z.y, self.scaling)
         gx = self.work.G.matvec(x)
         gty = self.work.G.rmatvec(y)
         report = term.compute_errors(self.work, x, y, gx=gx, gty=gty)
@@ -440,7 +431,7 @@ class _Loop:
 
     def _termination_scan(self, state: SolverState, with_infeasibility: bool) -> term.ExitInfo | None:
         """Evaluate the original-problem report at the current iterate and run
-        the exit tests; also emits the periodic log line."""
+        the exit tests; a non-finite iterate or report raises NumericalError."""
         report, x, y, gx, gty = self._original_report(state.z)
         self._last_report = report
         if not (
@@ -448,13 +439,7 @@ class _Loop:
             and np.all(np.isfinite(state.z.y))
             and report.is_finite()
         ):
-            ctx = self._check_ctx(state)
-            return term.ExitInfo(
-                code=term.EXIT_NUMERICAL_ERROR,
-                status=term.EXIT_STATUS[term.EXIT_NUMERICAL_ERROR],
-                iterations=ctx.iterations,
-                wall_time_s=ctx.elapsed,
-            )
+            raise NumericalError("non-finite iterate or optimality report")
         ctx = self._check_ctx(state)
         info = term.check_termination(report, self.options, ctx)
         if info is None and with_infeasibility:
@@ -468,46 +453,31 @@ class _Loop:
         """Evaluate the restart metric for both candidates and restart if any
         trigger fires.  Gap-mode numerical trouble flips the rest of this
         inner loop to the weighted-KKT metric."""
-        ctx = WeightedNormContext(state.omega, state.eta)
-        candidates_gap = None
+
+        def candidate(metric):
+            if self.options.method == "average":
+                return state.z_bar, metric(state.z_bar)
+            return restarts.get_restart_candidate(state.z, state.z_bar, metric)[:2]
+
         if state.mode == "gap":
+            ctx = WeightedNormContext(state.omega, state.eta)
             try:
                 if state.last_restart_gap is None:
-                    prev = state.z_prev_anchor
-                    radius = n_norm(
-                        state.z_anchor.x - prev.x, state.z_anchor.y - prev.y, ctx
+                    state.last_restart_gap = self._gap_metric(
+                        state.z_anchor, state.z_prev_anchor, ctx
                     )
-                    state.last_restart_gap = restarts.normalized_gap(
-                        self._gap_query(state.z_anchor, radius, ctx)
-                    )
-                metric = lambda z: self._gap_metric(z, state.z_anchor, ctx)  # noqa: E731
-                if self.options.method == "average":
-                    cand, cand_val, chose_last = state.z_bar, metric(state.z_bar), False
-                else:
-                    cand, cand_val, chose_last = restarts.get_restart_candidate(
-                        state.z, state.z_bar, metric
-                    )
-                if cand_val < -1e-12 or state.last_restart_gap < -1e-12:
+                cand, cand_val = candidate(lambda z: self._gap_metric(z, state.z_anchor, ctx))
+                baseline = state.last_restart_gap
+                if cand_val < -1e-12 or baseline < -1e-12:
                     state.mode = "kkt"
-                else:
-                    candidates_gap = (cand, cand_val, state.last_restart_gap)
             except restarts.GapEvaluationError:
                 state.mode = "kkt"
-
-        if candidates_gap is None:
+        if state.mode == "kkt":
             # KKT fallback (or configured KKT restarts)
             if state.last_restart_kkt is None:
                 state.last_restart_kkt = self._kkt_metric(state.z_anchor, state.omega)
-            metric = lambda z: self._kkt_metric(z, state.omega)  # noqa: E731
-            if self.options.method == "average":
-                cand, cand_val, chose_last = state.z_bar, metric(state.z_bar), False
-            else:
-                cand, cand_val, chose_last = restarts.get_restart_candidate(
-                    state.z, state.z_bar, metric
-                )
+            cand, cand_val = candidate(lambda z: self._kkt_metric(z, state.omega))
             baseline = state.last_restart_kkt
-        else:
-            cand, cand_val, baseline = candidates_gap
 
         if restarts.should_restart(
             cand_val, state.prev_candidate_gap, baseline, state.k, state.k_bar, self.consts
@@ -540,12 +510,27 @@ class _Loop:
             state.last_restart_gap = None
         state.mode = self.base_mode
         self._refresh_products(state)
-        self.gx_anchor = self.gx.copy()
-        self.gty_anchor = self.gty.copy()
+        self.anchor_products = self.products.copy()
 
     def _run(self) -> SolveResult:
-        options = self.options
         state = self._init_state()
+        try:
+            exit_info = self._iterate(state)
+        except NumericalError:
+            # the one numerical-failure exit, wherever after set-up it arises
+            exit_info = term.make_exit(term.EXIT_NUMERICAL_ERROR, self._check_ctx(state))
+
+        if self.options.verbose >= 1 or self.logfile is not None:
+            self._log_line(state, self._last_report)
+            if self.options.verbose >= 1:
+                print(f"status {exit_info.status} code {exit_info.code} "
+                      f"iters {exit_info.iterations} time {exit_info.wall_time_s:.3f}s")
+
+        return self._build_result(state, exit_info)
+
+    def _iterate(self, state: SolverState) -> term.ExitInfo:
+        """Run the loop from the initial state until an exit test fires."""
+        options = self.options
         if self.restarts_enabled and state.mode == "gap":
             self._baseline_gap(state)
 
@@ -557,67 +542,54 @@ class _Loop:
 
         # Entry check: a solve started at an optimum must return immediately.
         exit_info = self._termination_scan(state, with_infeasibility=False)
-        if exit_info is None:
-            self._log_line(state, self._last_report)
+        if exit_info is not None:
+            return exit_info
+        self._log_line(state, self._last_report)
         adaptive = options.use_adaptive_step_size_weight
 
-        while exit_info is None:
-            try:
-                # k_bar counts every PDHG computation, including the one about
-                # to happen, so the line-search factors never see the
-                # degenerate value 0 after the solve starts.
-                state.k_bar += 1
-                if adaptive:
-                    step = adaptive_step_pdhg(
-                        self.scaled, state.z, state.omega, state.eta_hat, state.k_bar,
-                        gty=self.gty, gx=self.gx,
-                    )
-                else:
-                    ctx = WeightedNormContext(state.omega, state.eta_hat)
-                    grad_x = self.scaled.c - self.gty
-                    x_hat, y_hat, w = _pdhg_candidate(
-                        self.scaled, state.z.x, state.z.y, ctx.tau, ctx.sigma, grad_x
-                    )
-                    step = StepResult(
-                        IterateZ(x_hat, y_hat), state.eta_hat, state.eta_hat,
-                        state.k_bar, 1, 0.5 * (w + self.gx), self.gty,
-                    )
-                z_hat = step.z_hat
-                state.eta = step.eta_used
-                state.eta_hat = step.eta_next
-                state.k_bar = step.k_bar  # rejected trials also advance the count
-
-                gty_hat = self.scaled.G.rmatvec(z_hat.y)
-                gx_hat = step.gx_hat
-                if options.fixed_reflection_beta is not None:
-                    beta = options.fixed_reflection_beta
-                else:
-                    rep_hat = term.compute_errors(
-                        self.scaled, z_hat.x, z_hat.y, gx=gx_hat, gty=gty_hat
-                    )
-                    beta = term.adaptive_reflection_parameter(rep_hat)
-                state.beta = beta
-
-                k = state.k
-                z_new = reflected_halpern_step(z_hat, state.z, state.z_anchor, k, beta)
-                a = (k + 1.0) / (k + 2.0)
-                b = 1.0 / (k + 2.0)
-                self.gx = a * ((1.0 + beta) * gx_hat - beta * self.gx) + b * self.gx_anchor
-                self.gty = a * ((1.0 + beta) * gty_hat - beta * self.gty) + b * self.gty_anchor
-                state.z = z_new
-                state.z_bar, state.avg_weight = update_weighted_average(
-                    state.z_bar, state.avg_weight, state.z, state.eta
+        while True:
+            # k_bar counts every PDHG computation, including the one about
+            # to happen, so the line-search factors never see the
+            # degenerate value 0 after the solve starts.
+            state.k_bar += 1
+            gx, gty = self.products
+            if adaptive:
+                step = adaptive_step_pdhg(
+                    self.scaled, state.z, state.omega, state.eta_hat, state.k_bar,
+                    gty=gty, gx=gx,
                 )
-                state.k += 1
-            except NumericalError:
-                ctx = self._check_ctx(state)
-                exit_info = term.ExitInfo(
-                    code=term.EXIT_NUMERICAL_ERROR,
-                    status=term.EXIT_STATUS[term.EXIT_NUMERICAL_ERROR],
-                    iterations=ctx.iterations,
-                    wall_time_s=ctx.elapsed,
+            else:
+                ctx = WeightedNormContext(state.omega, state.eta_hat)
+                x_hat, y_hat, w = _pdhg_candidate(
+                    self.scaled, state.z.x, state.z.y, ctx.tau, ctx.sigma, self.scaled.c - gty
                 )
-                break
+                step = StepResult(
+                    IterateZ(x_hat, y_hat), state.eta_hat, state.eta_hat,
+                    state.k_bar, 1, 0.5 * (w + gx), gty,
+                )
+            z_hat = step.z_hat
+            state.eta = step.eta_used
+            state.eta_hat = step.eta_next
+            state.k_bar = step.k_bar  # rejected trials also advance the count
+
+            products_hat = IterateZ(step.gx_hat, self.scaled.G.rmatvec(z_hat.y))
+            if options.fixed_reflection_beta is not None:
+                beta = options.fixed_reflection_beta
+            else:
+                rep_hat = term.compute_errors(
+                    self.scaled, z_hat.x, z_hat.y, gx=products_hat.x, gty=products_hat.y
+                )
+                beta = term.adaptive_reflection_parameter(rep_hat)
+            state.beta = beta
+
+            state.z = reflected_halpern_step(z_hat, state.z, state.z_anchor, state.k, beta)
+            self.products = reflected_halpern_step(
+                products_hat, self.products, self.anchor_products, state.k, beta
+            )
+            state.z_bar, state.avg_weight = update_weighted_average(
+                state.z_bar, state.avg_weight, state.z, state.eta
+            )
+            state.k += 1
 
             if options.iteration_callback is not None:
                 options.iteration_callback(state)
@@ -630,50 +602,32 @@ class _Loop:
             if at_check:
                 self._refresh_products(state)
                 exit_info = self._termination_scan(state, with_infeasibility=True)
-                if exit_info is None and at_print:
+                if exit_info is not None:
+                    return exit_info
+                if at_print:
                     self._log_line(state, self._last_report)
-                if exit_info is None and self.restarts_enabled and state.k >= 1:
-                    try:
-                        before = state.t
-                        self._restart_check(state)
-                        if state.t != before:
-                            # Restart boundary: re-test termination at the new anchor.
-                            exit_info = self._termination_scan(state, with_infeasibility=False)
-                    except NumericalError:
-                        ctx = self._check_ctx(state)
-                        exit_info = term.ExitInfo(
-                            code=term.EXIT_NUMERICAL_ERROR,
-                            status=term.EXIT_STATUS[term.EXIT_NUMERICAL_ERROR],
-                            iterations=ctx.iterations,
-                            wall_time_s=ctx.elapsed,
-                        )
+                if self.restarts_enabled and state.k >= 1:
+                    before = state.t
+                    self._restart_check(state)
+                    if state.t != before:
+                        # Restart boundary: re-test termination at the new anchor.
+                        exit_info = self._termination_scan(state, with_infeasibility=False)
+                        if exit_info is not None:
+                            return exit_info
             elif at_print and (options.verbose >= 1 or self.logfile is not None):
-                report, *_ = self._original_report(state.z)
-                self._last_report = report
-                self._log_line(state, report)
-
-        if options.verbose >= 1 or self.logfile is not None:
-            self._log_line(state, self._last_report)
-            if options.verbose >= 1:
-                print(f"status {exit_info.status} code {exit_info.code} "
-                      f"iters {exit_info.iterations} time {exit_info.wall_time_s:.3f}s")
-
-        return self._build_result(state, exit_info)
+                self._last_report = self._original_report(state.z)[0]
+                self._log_line(state, self._last_report)
 
     def _build_result(self, state: SolverState, exit_info: term.ExitInfo) -> SolveResult:
-        x_w, y_w = self._original_point(state.z)
+        x_w, y_w = scalings.unscale_solution(state.z.x, state.z.y, self.scaling)
         slack_w = self.work.G.matvec(x_w) - self.work.h
         x, y, slack = apply_rsoc_inverse(self.original, x_w, y_w, slack_w)
         rec = recover_dual(self.original, y)
-        p_obj = float(np.dot(self.original.c, x))
-        d_obj = dual_objective(self.original, rec)
-        final = term.ExitInfo(
-            code=exit_info.code,
-            status=exit_info.status,
-            iterations=exit_info.iterations,
+        final = replace(
+            exit_info,
             wall_time_s=time.monotonic() - self.t_start,
-            p_obj=p_obj,
-            d_obj=d_obj,
+            p_obj=float(np.dot(self.original.c, x)),
+            d_obj=dual_objective(self.original, rec),
         )
         return SolveResult(
             x=x, y=y, lam=rec.lam, slack=slack, exit=final, restarts=self.n_restarts

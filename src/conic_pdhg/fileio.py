@@ -10,6 +10,7 @@ The format only expresses box variables, so nb must equal n.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -31,10 +32,25 @@ class ProblemFormatError(ValueError):
     """Raised when a problem file violates the format."""
 
 
-def _encode_bound(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(x)
+def _encode_float(x: float):
+    if math.isfinite(x):
+        return float(x)
+    if math.isnan(x):
+        return "nan"
+    return "inf" if x > 0 else "-inf"
+
+
+def _encode_vector(v: np.ndarray) -> list:
+    return [_encode_float(e) for e in v]
+
+
+def _encode_option(value):
+    """An option value as JSON; dataclass-valued options become nested dicts."""
+    if isinstance(value, float):
+        return _encode_float(value)
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode_option(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
 
 
 def _decode_bound(v, key: str) -> float:
@@ -93,8 +109,8 @@ def problem_to_document(problem: ConicProblem) -> dict:
         "nb": problem.num_box,
         "c": [float(v) for v in problem.c],
         "h": [float(v) for v in problem.h],
-        "bl": [_encode_bound(v) for v in problem.l],
-        "bu": [_encode_bound(v) for v in problem.u],
+        "bl": _encode_vector(problem.l),
+        "bu": _encode_vector(problem.u),
         "G": {
             "rows": [int(i) for i in coo.row],
             "cols": [int(j) for j in coo.col],
@@ -199,44 +215,31 @@ def serialize_problem(problem: ConicProblem, path: str) -> None:
 
 
 def result_to_document(result, options) -> dict:
-    echo = {
-        "rel_tol": options.rel_tol,
-        "abs_tol": options.abs_tol,
-        "time_limit": options.time_limit,
-        "max_iter": options.max_iter,
-        "method": options.method,
-        "use_preconditioner": options.use_preconditioner,
-        "use_adaptive_restart": options.use_adaptive_restart,
-        "use_adaptive_step_size_weight": options.use_adaptive_step_size_weight,
-        "use_kkt_restart": options.use_kkt_restart,
-        "kkt_restart_freq": options.kkt_restart_freq,
-        "use_duality_gap_restart": options.use_duality_gap_restart,
-        "duality_gap_restart_freq": options.duality_gap_restart_freq,
-        "eps_primal_infeasible_low_acc": options.eps_primal_infeasible_low_acc,
-        "eps_dual_infeasible_low_acc": options.eps_dual_infeasible_low_acc,
-        "eps_primal_infeasible_high_acc": options.eps_primal_infeasible_high_acc,
-        "eps_dual_infeasible_high_acc": options.eps_dual_infeasible_high_acc,
-        "print_freq": options.print_freq,
-        "verbose": options.verbose,
-    }
+    """The result file's document.  Non-finite numbers are written as the
+    strings "inf", "-inf" and "nan", as in problem files, so the document is
+    strict JSON; every solver option except the callback is echoed."""
     return {
         "format_version": FORMAT_VERSION,
         "exit_code": result.exit_code,
         "exit_status": result.exit_status,
-        "pObj": result.p_obj,
-        "dObj": result.d_obj,
+        "pObj": _encode_float(result.p_obj),
+        "dObj": _encode_float(result.d_obj),
         "iterations": result.iterations,
         "solve_time_sec": result.solve_time_s,
-        "primal": [float(v) for v in result.x],
-        "dual": [float(v) for v in result.y],
-        "slack": [float(v) for v in result.slack],
-        "options": echo,
+        "primal": _encode_vector(result.x),
+        "dual": _encode_vector(result.y),
+        "slack": _encode_vector(result.slack),
+        "options": {
+            f.name: _encode_option(getattr(options, f.name))
+            for f in dataclasses.fields(options)
+            if f.name != "iteration_callback"
+        },
     }
 
 
 def write_result(result, options, path: str) -> None:
     with open(path, "w") as f:
-        json.dump(result_to_document(result, options), f, indent=1, sort_keys=True)
+        json.dump(result_to_document(result, options), f, indent=1, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

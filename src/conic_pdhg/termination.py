@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones
-from .linalg import inf_norm, one_norm, two_norm
+from .linalg import NumericalError, inf_norm, one_norm, two_norm
 from .model import ConicProblem, LambdaSet, dual_objective, recover_dual
 
 EXIT_OPTIMAL = 0
@@ -153,8 +153,13 @@ def max_err(report: ErrorReport) -> float:
 
 
 def adaptive_reflection_parameter(report: ErrorReport) -> float:
-    """clamp(-0.1*log10(maxErr) + 0.2, 0, 1); an exact optimum gets the clamp limit 1."""
+    """clamp(-0.1*log10(maxErr) + 0.2, 0, 1); an exact optimum gets the clamp limit 1.
+
+    A NaN error (a non-finite iterate) raises NumericalError.
+    """
     err = max_err(report)
+    if math.isnan(err):
+        raise NumericalError("optimality error is NaN")
     if err <= 0.0:
         return 1.0
     return min(max(-0.1 * math.log10(err) + 0.2, 0.0), 1.0)
@@ -170,28 +175,30 @@ class CheckContext:
     time_limit: float
 
 
+def make_exit(code: int, ctx: CheckContext, report: ErrorReport | None = None) -> ExitInfo:
+    """The exit record for `code` at the check `ctx` describes, with the
+    objectives of `report` when there is one."""
+    return ExitInfo(
+        code=code,
+        status=EXIT_STATUS[code],
+        iterations=ctx.iterations,
+        wall_time_s=ctx.elapsed,
+        p_obj=math.nan if report is None else report.primal_obj,
+        d_obj=math.nan if report is None else report.dual_obj,
+    )
+
+
 def check_termination(report: ErrorReport, options, ctx: CheckContext) -> ExitInfo | None:
     """Optimal iff every inf-norm absolute <= abs_tol AND every inf-norm
     relative <= rel_tol; otherwise map resource limits to their codes."""
-
-    def make(code):
-        return ExitInfo(
-            code=code,
-            status=EXIT_STATUS[code],
-            iterations=ctx.iterations,
-            wall_time_s=ctx.elapsed,
-            p_obj=report.primal_obj,
-            d_obj=report.dual_obj,
-        )
-
     abs_ok = max(report.abs_p_inf, report.abs_d_inf, report.abs_gap_term) <= options.abs_tol
     rel_ok = max(report.rel_p_inf, report.rel_d_inf, report.rel_gap_term) <= options.rel_tol
     if abs_ok and rel_ok:
-        return make(EXIT_OPTIMAL)
+        return make_exit(EXIT_OPTIMAL, ctx, report)
     if ctx.elapsed > ctx.time_limit:
-        return make(EXIT_TIME_LIMIT)
+        return make_exit(EXIT_TIME_LIMIT, ctx, report)
     if ctx.iterations >= ctx.max_iter:
-        return make(EXIT_MAX_ITER)
+        return make_exit(EXIT_MAX_ITER, ctx, report)
     return None
 
 
@@ -294,30 +301,19 @@ def check_infeasibility(
     have increased strictly over the last three checks; high-accuracy codes
     fire on the ratio alone.  Nonpositive ray objectives are skipped.
     """
-
-    def make(code):
-        return ExitInfo(
-            code=code,
-            status=EXIT_STATUS[code],
-            iterations=ctx.iterations,
-            wall_time_s=ctx.elapsed,
-            p_obj=report.primal_obj,
-            d_obj=report.dual_obj,
-        )
-
     dual_ray = dual_ray_quality(problem, y, gty)
     if dual_ray is not None and dual_ray[1] > 0.0:
         ratio = dual_ray[0] / dual_ray[1]
         if _strictly_increasing(history.dual_objs) and ratio < options.eps_primal_infeasible_low_acc:
-            return make(EXIT_PRIMAL_INFEASIBLE_LOW)
+            return make_exit(EXIT_PRIMAL_INFEASIBLE_LOW, ctx, report)
         if ratio < options.eps_primal_infeasible_high_acc:
-            return make(EXIT_PRIMAL_INFEASIBLE_HIGH)
+            return make_exit(EXIT_PRIMAL_INFEASIBLE_HIGH, ctx, report)
 
     primal_ray = primal_ray_quality(problem, x, gx)
     if primal_ray is not None and primal_ray[1] > 0.0:
         ratio = primal_ray[0] / primal_ray[1]
         if _strictly_increasing(history.neg_primal_objs) and ratio < options.eps_dual_infeasible_low_acc:
-            return make(EXIT_DUAL_INFEASIBLE_LOW)
+            return make_exit(EXIT_DUAL_INFEASIBLE_LOW, ctx, report)
         if ratio < options.eps_dual_infeasible_high_acc:
-            return make(EXIT_DUAL_INFEASIBLE_HIGH)
+            return make_exit(EXIT_DUAL_INFEASIBLE_HIGH, ctx, report)
     return None

@@ -143,3 +143,28 @@ class TestCli:
             doc["solve_time_sec"] = 0.0
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_benchmark_seams_are_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        # perfbench/worker.py stamps set-up and loop time by replacing
+        # engine.adaptive_step_pdhg and cli.solve on their modules
+        import conic_pdhg.cli as cli
+        import conic_pdhg.engine as engine
+
+        counts = {"solve": 0, "step": 0, "accepted": 0}
+        step, solve = engine.adaptive_step_pdhg, cli.solve
+
+        def counted_step(*args, **kwargs):
+            counts["step"] += 1
+            return step(*args, **kwargs)
+
+        def counted_solve(problem, options):
+            counts["solve"] += 1
+            options.iteration_callback = lambda _: counts.update(accepted=counts["accepted"] + 1)
+            return solve(problem, options)
+
+        monkeypatch.setattr(engine, "adaptive_step_pdhg", counted_step)
+        monkeypatch.setattr(cli, "solve", counted_solve)
+        inp = write_doc(tmp_path, random_lp_doc(np.random.default_rng(3)))
+        assert main(["--input", inp, "--max-iter", "50"]) in (0, 1)
+        assert counts["solve"] == 1
+        assert counts["step"] >= counts["accepted"] > 0

@@ -29,7 +29,7 @@ from conic_pdhg.cones import (
     project_rescaled_soc,
     project_soc,
 )
-from conic_pdhg.linalg import SparseMatrix
+from conic_pdhg.linalg import NumericalError, SparseMatrix
 from conic_pdhg.model import Cone, ConeSpec, ConicProblem
 
 
@@ -155,6 +155,31 @@ class TestExp:
             assert in_exp(p, atol=1e-9)
             assert near_dual_exp_cone(p - v, 1e-9)
             assert abs(np.dot(p, v - p)) <= 1e-9 * max(1.0, float(np.dot(v, v)))
+
+    def test_extreme_magnitudes_finite_or_numerical_error(self):
+        # magnitudes 1e-300..1e300, shared by a point's components or drawn
+        # per component, some components zero
+        rng = np.random.default_rng(18)
+        for i in range(3000):
+            v = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-300, 300, 1 + 2 * (i % 2))
+            if i % 5 == 0:
+                v[rng.integers(3)] = 0.0
+            for project in (project_exp, project_dual_exp):
+                try:
+                    out = project(v)
+                except NumericalError:
+                    continue
+                assert out.shape == (3,) and np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_homogeneous_beyond_the_rescaling_bounds(self, power):
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            v = rng.uniform(-5, 5, 3)
+            scale = 2.0 ** power
+            np.testing.assert_allclose(
+                project_exp(v * scale) / scale, project_exp(v), rtol=0, atol=1e-9
+            )
 
     def test_distance_oracle(self):
         rng = np.random.default_rng(17)

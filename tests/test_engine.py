@@ -344,6 +344,56 @@ class TestSolve:
         r = solve(p, SolverOptions(use_preconditioner=False))
         assert r.exit_code == 8 and r.exit_status == ":numerical_error"
 
+    def test_numerical_error_on_injected_nan_without_line_search(self, monkeypatch):
+        # Without the line search no non-finite test runs before the
+        # reflection parameter, whose NaN error must also end with code 8.
+        import conic_pdhg.engine as eng
+
+        calls = {"n": 0}
+        orig = eng.cones.project_primal_set
+
+        def poisoned(x, problem, settings=None):
+            calls["n"] += 1
+            out = orig(x, problem)
+            if calls["n"] > 10:
+                out[0] = math.nan
+            return out
+
+        monkeypatch.setattr(eng.cones, "project_primal_set", poisoned)
+        opts = SolverOptions(use_preconditioner=False, use_adaptive_step_size_weight=False)
+        r = solve(tiny_lp(), opts)
+        assert r.exit_code == 8 and r.exit_status == ":numerical_error"
+
+    def test_reflection_parameter_rejects_nan_error(self):
+        import conic_pdhg.termination as term
+
+        rep = term.ErrorReport(*([math.nan] * 14))
+        with pytest.raises(NumericalError):
+            term.adaptive_reflection_parameter(rep)
+
+    @pytest.mark.parametrize("verbose, print_freq", [(0, 2000), (1, 10)], ids=["check", "print"])
+    def test_numerical_error_in_original_report(self, monkeypatch, verbose, print_freq):
+        # After the entry check, the next report on the unscaled problem is
+        # the first periodic scan or, with print_freq below the check
+        # cadence, a print-only report; both must end with code 8.
+        import conic_pdhg.engine as eng
+
+        loop = eng._Loop(tiny_lp(), SolverOptions(verbose=verbose, print_freq=print_freq))
+        calls = {"n": 0}
+        orig = eng.term.compute_errors
+
+        def failing(problem, *args, **kwargs):
+            if problem is loop.work:
+                calls["n"] += 1
+                if calls["n"] > 1:
+                    raise NumericalError("injected")
+            return orig(problem, *args, **kwargs)
+
+        monkeypatch.setattr(eng.term, "compute_errors", failing)
+        r = loop.run()
+        assert calls["n"] == 2
+        assert r.exit_code == 8 and r.exit_status == ":numerical_error"
+
     def test_deterministic_iterates(self):
         p = tiny_lp()
         runs = []

@@ -189,6 +189,42 @@ class TestResultFile:
         assert doc["exit_status"] == ":optimal"
         assert doc["pObj"] == pytest.approx(-1.0, abs=1e-5)
 
+    def test_non_finite_values_written_as_strict_json(self, tmp_path):
+        from conic_pdhg.engine import SolveResult
+        from conic_pdhg.termination import ExitInfo
+
+        r = SolveResult(
+            x=np.array([1.0, math.inf, -math.inf]),
+            y=np.array([0.5]),
+            lam=np.zeros(3),
+            slack=np.array([math.nan]),
+            exit=ExitInfo(code=8, status=":numerical_error", iterations=3, p_obj=math.nan, d_obj=2.0),
+            restarts=0,
+        )
+        path = tmp_path / "r.json"
+        write_result(r, SolverOptions(time_limit=math.inf), str(path))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with open(path) as f:
+            doc = json.load(f, parse_constant=reject)
+        assert doc["pObj"] == "nan" and doc["dObj"] == 2.0
+        assert doc["primal"] == [1.0, "inf", "-inf"]
+        assert doc["dual"] == [0.5] and doc["slack"] == ["nan"]
+        assert doc["options"]["time_limit"] == "inf"
+
+    def test_options_echo_is_complete(self):
+        import dataclasses
+
+        opts = SolverOptions(fixed_reflection_beta=0.5)
+        r = solve(document_to_problem(minimal_doc()), opts)
+        echo = result_to_document(r, opts)["options"]
+        names = {f.name for f in dataclasses.fields(SolverOptions)} - {"iteration_callback"}
+        assert set(echo) == names
+        assert echo["fixed_reflection_beta"] == 0.5
+        assert echo["restart_constants"] == dataclasses.asdict(opts.restart_constants)
+
     def test_problem_with_primal_cones_not_serializable(self):
         p = ConicProblem(
             c=np.zeros(3),
