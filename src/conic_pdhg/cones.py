@@ -14,31 +14,26 @@ sequences (primal cone, its dual, dual iterate, constraint residual) a
 tuple of (kernel, start, stop, scale) operations in which the dual-kind
 mapping, the uniform-scale test and the 1/scale inversion are already
 decided.  One kernel per cone kind serves both the layout and
-`project_cone`.
+`project_cone`.  The box part of the primal set is one clamp onto the
+problem's bounds, which ConicProblem has already checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .linalg import NumericalError
-from .model import Cone, ConeSpec, ConicProblem, block_slices
+from .model import Cone, ConeSpec, ConicProblem, block_slices, finite_bounds
 
-
-@dataclass(frozen=True)
-class ProjectionSettings:
-    """Root-finding controls shared by the iterative projections."""
-
-    root_tol: float = 1e-12
-    max_root_iters: int = 100
-
-
-DEFAULT_SETTINGS = ProjectionSettings()
-
+# Root finding in the exp and rescaled-soc projections: relative bracket
+# width at which exp bisection stops, and the iteration cap of each root
+# finder (the first _NEWTON_ITERS exp iterations are Newton steps).
+_ROOT_TOL = 1e-12
+_MAX_ROOT_ITERS = 100
+_NEWTON_ITERS = 20
 
 _EXP_UNSCALED_MIN = 2.0 ** -500
 _EXP_UNSCALED_MAX = 2.0 ** 500
@@ -65,9 +60,7 @@ def _log_ratio(a: float, b: float) -> float:
 
 def project_box(v: np.ndarray, l: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Componentwise clamp onto [l, u]; bounds may be infinite."""
-    both = np.isfinite(l) & np.isfinite(u)
-    if np.any(l[both] > u[both]):
-        raise ValueError("box projection requires l <= u componentwise")
+    finite_bounds(l, u)
     return np.clip(v, l, u)
 
 
@@ -78,7 +71,7 @@ def project_soc(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _soc(v, out, scale=None, settings=None):
+def _soc(v, out, scale=None):
     # np.linalg.norm evaluates a contiguous 1-d float64 vector as sqrt(x.x),
     # so this is bit-identical to it without its per-call overhead.
     t = v[0]
@@ -249,12 +242,11 @@ def _exp_bracket(r0, s0, t0, pdist, ddist):
     return low, upr
 
 
-def _exp_root(r0, s0, t0, xl, xu, settings: ProjectionSettings):
+def _exp_root(r0, s0, t0, xl, xu):
     """Damped Newton on h within [xl, xu], bisection fallback."""
-    newton_iters = min(20, settings.max_root_iters)
     x = 0.5 * (xl + xu)
     converged = False
-    for _ in range(newton_iters):
+    for _ in range(_NEWTON_ITERS):
         f, df = _hfun_grad(r0, s0, t0, x)
         if abs(f) <= 1e-15:
             converged = True
@@ -280,14 +272,14 @@ def _exp_root(r0, s0, t0, xl, xu, settings: ProjectionSettings):
             x = x_new
     if converged:
         return min(max(x, xl), xu)
-    for _ in range(settings.max_root_iters - newton_iters):
+    for _ in range(_MAX_ROOT_ITERS - _NEWTON_ITERS):
         x = 0.5 * (xl + xu)
         f = _hfun(r0, s0, t0, x)
         if f < 0.0:
             xl = x
         else:
             xu = x
-        if xu - xl <= settings.root_tol * max(1.0, abs(xu)):
+        if xu - xl <= _ROOT_TOL * max(1.0, abs(xu)):
             break
     return 0.5 * (xl + xu)
 
@@ -322,7 +314,7 @@ def _exp_primal_from_rho(r0, s0, t0, rho):
     return vp, dist
 
 
-def project_exp(v: np.ndarray, settings: ProjectionSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def project_exp(v: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection onto the exponential cone.
 
     The projection is positively homogeneous, so a point whose largest
@@ -336,7 +328,7 @@ def project_exp(v: np.ndarray, settings: ProjectionSettings = DEFAULT_SETTINGS) 
     big = max(abs(r0), abs(s0), abs(t0))
     if big > _EXP_UNSCALED_MAX or 0.0 < big < _EXP_UNSCALED_MIN:
         e = math.frexp(big)[1]
-        return np.ldexp(project_exp(np.ldexp([r0, s0, t0], -e), settings), e)
+        return np.ldexp(project_exp(np.ldexp([r0, s0, t0], -e)), e)
     if in_exp((r0, s0, t0)):
         return np.asarray(v, dtype=np.float64).copy()
     if in_dual_exp((-r0, -s0, -t0)):
@@ -356,16 +348,16 @@ def project_exp(v: np.ndarray, settings: ProjectionSettings = DEFAULT_SETTINGS) 
         return np.array(vp)
 
     xl, xu = _exp_bracket(r0, s0, t0, pdist, ddist)
-    rho = _exp_root(r0, s0, t0, xl, xu, settings)
+    rho = _exp_root(r0, s0, t0, xl, xu)
     vp_root, dist_root = _exp_primal_from_rho(r0, s0, t0, rho)
     if vp_root is not None and dist_root <= pdist:
         return np.array(vp_root)
     return np.array(vp)
 
 
-def project_dual_exp(v: np.ndarray, settings: ProjectionSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def project_dual_exp(v: np.ndarray) -> np.ndarray:
     """Moreau identity: proj_{K*}(v) = v + proj_K(-v)."""
-    return v + project_exp(-np.asarray(v, dtype=np.float64), settings)
+    return v + project_exp(-np.asarray(v, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +379,7 @@ def _rescaled_soc_residual(mu, t0, ay2_over, a2):
     return float(np.sum(z) - t * t)
 
 
-def project_rescaled_soc(
-    v: np.ndarray, d: np.ndarray, settings: ProjectionSettings = DEFAULT_SETTINGS
-) -> np.ndarray:
+def project_rescaled_soc(v: np.ndarray, d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=np.float64)
     if d.shape != v.shape:
         raise ValueError("scale vector must match the block dimension")
@@ -455,7 +445,7 @@ def project_rescaled_soc(
             hi,
             xtol=1e-16,
             rtol=8.9e-16,
-            maxiter=settings.max_root_iters,
+            maxiter=_MAX_ROOT_ITERS,
         )
     except (ValueError, RuntimeError) as exc:  # pragma: no cover - defensive
         raise NumericalError(f"rescaled-soc root finding failed: {exc}") from exc
@@ -471,33 +461,32 @@ def project_rescaled_soc(
 # ---------------------------------------------------------------------------
 #
 # A kernel writes the projection of one block v into `out`, an array of the
-# same length.  All kernels take (v, out, scale, settings) so that one loop
-# can run any mix of them; only the rescaled-soc, exp and dual-exp kernels
-# use the last two.
+# same length.  All kernels take (v, out, scale) so that one loop can run
+# any mix of them; only the rescaled-soc kernel uses the scale.
 
 
-def _free(v, out, scale, settings):
+def _free(v, out, scale):
     out[:] = v
 
 
-def _zero(v, out, scale, settings):
+def _zero(v, out, scale):
     out[:] = 0.0
 
 
-def _nonneg(v, out, scale, settings):
+def _nonneg(v, out, scale):
     np.maximum(v, 0.0, out=out)
 
 
-def _rescaled_soc(v, out, scale, settings):
-    out[:] = project_rescaled_soc(v, scale, settings)
+def _rescaled_soc(v, out, scale):
+    out[:] = project_rescaled_soc(v, scale)
 
 
-def _exp(v, out, scale, settings):
-    out[:] = project_exp(v, settings)
+def _exp(v, out, scale):
+    out[:] = project_exp(v)
 
 
-def _dual_exp(v, out, scale, settings):
-    out[:] = project_dual_exp(v, settings)
+def _dual_exp(v, out, scale):
+    out[:] = project_dual_exp(v)
 
 
 _DUAL_KIND = {
@@ -538,28 +527,18 @@ def _kernel(kind: Cone, scale: np.ndarray | None):
     raise ValueError(f"unknown cone kind {kind}")
 
 
-def project_cone(
-    v: np.ndarray,
-    kind: Cone,
-    scale: np.ndarray | None = None,
-    settings: ProjectionSettings = DEFAULT_SETTINGS,
-) -> np.ndarray:
+def project_cone(v: np.ndarray, kind: Cone, scale: np.ndarray | None = None) -> np.ndarray:
     """Project onto {z : diag(scale) z in K(kind)} (scale None or uniform = plain cone)."""
     out = np.empty_like(v)
-    _kernel(kind, scale)(v, out, scale, settings)
+    _kernel(kind, scale)(v, out, scale)
     return out
 
 
-def project_cone_dual(
-    v: np.ndarray,
-    kind: Cone,
-    scale: np.ndarray | None = None,
-    settings: ProjectionSettings = DEFAULT_SETTINGS,
-) -> np.ndarray:
+def project_cone_dual(v: np.ndarray, kind: Cone, scale: np.ndarray | None = None) -> np.ndarray:
     """Project onto the dual of {z : diag(scale) z in K(kind)}, i.e.
     {w : diag(1/scale) w in K(kind)*}."""
     inv = None if scale is None else 1.0 / scale
-    return project_cone(v, dual_cone_kind(kind), inv, settings)
+    return project_cone(v, dual_cone_kind(kind), inv)
 
 
 # ---------------------------------------------------------------------------
@@ -607,47 +586,41 @@ def cone_layout(problem: ConicProblem) -> ConeLayout:
     return layout
 
 
-def _project(ops: tuple, v: np.ndarray, out: np.ndarray,
-             settings: ProjectionSettings) -> np.ndarray:
+def _project(ops: tuple, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     for kernel, start, stop, scale in ops:
-        kernel(v[start:stop], out[start:stop], scale, settings)
+        kernel(v[start:stop], out[start:stop], scale)
     return out
 
 
-def project_primal_set(x: np.ndarray, problem: ConicProblem,
-                       settings: ProjectionSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def project_primal_set(x: np.ndarray, problem: ConicProblem) -> np.ndarray:
     """Projection onto [l, u] x K_p (with any stored block scalings)."""
     n1 = problem.num_box
     out = np.empty_like(x)
-    out[:n1] = project_box(x[:n1], problem.l, problem.u)
-    _project(cone_layout(problem).primal, x[n1:], out[n1:], settings)
+    np.clip(x[:n1], problem.l, problem.u, out=out[:n1])
+    _project(cone_layout(problem).primal, x[n1:], out[n1:])
     return out
 
 
-def project_dual_set(y: np.ndarray, problem: ConicProblem,
-                     settings: ProjectionSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def project_dual_set(y: np.ndarray, problem: ConicProblem) -> np.ndarray:
     """Projection of the dual iterate onto K_d.
 
     Stored block kinds describe the residual cone K_d*, so each y-block is
     projected onto the dual kind of its stored block; zero-tagged blocks
     leave y free because equality-row multipliers are sign-free.
     """
-    return _project(cone_layout(problem).dual, y, np.empty_like(y), settings)
+    return _project(cone_layout(problem).dual, y, np.empty_like(y))
 
 
-def project_dual_residual_set(r: np.ndarray, problem: ConicProblem,
-                              settings: ProjectionSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def project_dual_residual_set(r: np.ndarray, problem: ConicProblem) -> np.ndarray:
     """Projection of the constraint residual Gx - h onto K_d*."""
-    return _project(cone_layout(problem).dual_residual, r, np.empty_like(r), settings)
+    return _project(cone_layout(problem).dual_residual, r, np.empty_like(r))
 
 
-def project_primal_cone_part(v: np.ndarray, problem: ConicProblem,
-                             settings: ProjectionSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def project_primal_cone_part(v: np.ndarray, problem: ConicProblem) -> np.ndarray:
     """Projection of a length n - num_box vector onto K_p alone."""
-    return _project(cone_layout(problem).primal, v, np.empty_like(v), settings)
+    return _project(cone_layout(problem).primal, v, np.empty_like(v))
 
 
-def project_primal_cone_dual(lam: np.ndarray, problem: ConicProblem,
-                             settings: ProjectionSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def project_primal_cone_dual(lam: np.ndarray, problem: ConicProblem) -> np.ndarray:
     """Projection of the cone part of the multiplier lambda_2 onto K_p*."""
-    return _project(cone_layout(problem).primal_dual, lam, np.empty_like(lam), settings)
+    return _project(cone_layout(problem).primal_dual, lam, np.empty_like(lam))

@@ -85,7 +85,7 @@ class SolverOptions:
             raise ValueError(
                 f"initial_step_norm must be 'max_abs' or 'induced_inf', got {self.initial_step_norm!r}"
             )
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
         if self.fixed_reflection_beta is not None and not 0 <= self.fixed_reflection_beta <= 1:
             raise ValueError("fixed_reflection_beta must lie in [0, 1]")

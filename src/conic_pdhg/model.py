@@ -9,6 +9,10 @@ variables.  `dual_cones` describes the constraint-residual cone K_d* block
 by block in the fixed layout zero -> nonneg -> soc -> exp -> dual-exp
 (-> rsoc, transient until presolve); the dual iterate y lives in K_d, the
 blockwise dual of that product, so equality-row duals are sign-free.
+
+Which of l_i and u_i are finite fixes the box, the multiplier set Lambda and
+the box's recession cone as intervals; each ConicProblem builds them once,
+as its `box` (BoxFacts), and no other module reads l and u for that.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, one_norm
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -101,15 +105,18 @@ class ConicProblem:
     num_box: int
     primal_cones: tuple[ConeSpec, ...] = ()
     dual_cones: tuple[ConeSpec, ...] = ()
-    # Cache of the cones.ConeLayout, set by cones.cone_layout on first use.
-    # It is derived from the fields above, so init, repr and == ignore it.
+    # Derived from the fields above, so init, repr and == ignore them: the
+    # box facts, built in __post_init__, and the cones.ConeLayout, set by
+    # cones.cone_layout on first use.
+    box: BoxFacts = field(default=None, init=False, repr=False, compare=False)
     _cone_layout: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=np.float64)
-        h = np.asarray(self.h, dtype=np.float64)
-        l = np.asarray(self.l, dtype=np.float64)
-        u = np.asarray(self.u, dtype=np.float64)
+        # Copies, so the caller's arrays cannot change what `box` was built from.
+        c = np.array(self.c, dtype=np.float64)
+        h = np.array(self.h, dtype=np.float64)
+        l = np.array(self.l, dtype=np.float64)
+        u = np.array(self.u, dtype=np.float64)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "l", l)
@@ -126,9 +133,7 @@ class ConicProblem:
             raise ValueError(f"l and u must have length num_box={n1}")
         if np.any(np.isnan(l)) or np.any(np.isnan(u)):
             raise ValueError("bounds must not contain NaN")
-        finite = np.isfinite(l) & np.isfinite(u)
-        if np.any(l[finite] > u[finite]):
-            raise ValueError("componentwise l <= u violated")
+        object.__setattr__(self, "box", BoxFacts(l, u, c, h))
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(h))):
             raise ValueError("c and h must be finite")
 
@@ -167,30 +172,68 @@ def block_slices(specs: tuple[ConeSpec, ...], offset: int = 0) -> list[tuple[Con
     return out
 
 
+def finite_bounds(l: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The finiteness masks of l and u, checking l_i <= u_i where both are finite."""
+    lower_finite = np.isfinite(l)
+    upper_finite = np.isfinite(u)
+    both = lower_finite & upper_finite
+    if np.any(l[both] > u[both]):
+        raise ValueError("componentwise l <= u violated")
+    return lower_finite, upper_finite
+
+
 @dataclass(frozen=True)
 class LambdaSet:
     """Per-coordinate sign set for the box multipliers lambda_1.
 
     Tags follow the finiteness of (l_i, u_i): both infinite -> {0},
     l only infinite -> R-, u only infinite -> R+, both finite -> R.
+    The set is the interval [lo, hi]: lo = -inf where u is finite, else 0;
+    hi = +inf where l is finite, else 0.
     """
 
     lower_finite: np.ndarray
     upper_finite: np.ndarray
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lo", np.where(self.upper_finite, -np.inf, 0.0))
+        object.__setattr__(self, "hi", np.where(self.lower_finite, np.inf, 0.0))
 
     @classmethod
     def from_bounds(cls, l: np.ndarray, u: np.ndarray) -> "LambdaSet":
         return cls(np.isfinite(l), np.isfinite(u))
 
     def project(self, lam: np.ndarray) -> np.ndarray:
-        out = lam.copy()
-        zero = ~self.lower_finite & ~self.upper_finite
-        nonpos = ~self.lower_finite & self.upper_finite
-        nonneg = self.lower_finite & ~self.upper_finite
-        out[zero] = 0.0
-        out[nonpos] = np.minimum(lam[nonpos], 0.0)
-        out[nonneg] = np.maximum(lam[nonneg], 0.0)
-        return out
+        return np.clip(lam, self.lo, self.hi)
+
+
+class BoxFacts:
+    """What the bounds of one ConicProblem fix, computed once: the multiplier
+    set Lambda; the recession cone [rec_lo, rec_hi] of [l, u] (lo = 0 where l
+    is finite, else -inf; hi = 0 where u is finite, else +inf); positions and
+    values of the finite l and u; and h_denom, c_denom = 1 + ||h||_1, 1 + ||c||_1.
+    """
+
+    def __init__(self, l: np.ndarray, u: np.ndarray, c: np.ndarray, h: np.ndarray) -> None:
+        lower_finite, upper_finite = finite_bounds(l, u)
+        self.multipliers = LambdaSet(lower_finite, upper_finite)
+        self.rec_lo = np.where(lower_finite, 0.0, -np.inf)
+        self.rec_hi = np.where(upper_finite, 0.0, np.inf)
+        self.l_idx = np.flatnonzero(lower_finite)
+        self.l_val = l[self.l_idx]
+        self.u_idx = np.flatnonzero(upper_finite)
+        self.u_val = u[self.u_idx]
+        self.h_denom = 1.0 + one_norm(h)
+        self.c_denom = 1.0 + one_norm(c)
+
+    def support(self, lam1: np.ndarray, start: float) -> float:
+        """start + l' lam1^+ - u' lam1^-, over the finite bounds only, summed
+        in that order."""
+        start += float(np.dot(self.l_val, np.maximum(lam1[self.l_idx], 0.0)))
+        start -= float(np.dot(self.u_val, np.maximum(-lam1[self.u_idx], 0.0)))
+        return start
 
 
 @dataclass(frozen=True)
@@ -204,10 +247,6 @@ class DualRecovery:
     @property
     def lam_box(self) -> np.ndarray:
         return self.lam[: self.num_box]
-
-    @property
-    def lam_cone(self) -> np.ndarray:
-        return self.lam[self.num_box:]
 
 
 def recover_dual(problem: ConicProblem, y: np.ndarray, gty: np.ndarray | None = None) -> DualRecovery:
@@ -230,14 +269,7 @@ def dual_objective(problem: ConicProblem, rec: DualRecovery) -> float:
     lam1 = rec.lam_box
     if lam1.shape != (problem.num_box,):
         raise ValueError("dual recovery does not match problem")
-    val = float(np.dot(rec.y, problem.h))
-    lo_fin = np.isfinite(problem.l)
-    up_fin = np.isfinite(problem.u)
-    pos = np.maximum(lam1, 0.0)
-    neg = np.maximum(-lam1, 0.0)
-    val += float(np.dot(problem.l[lo_fin], pos[lo_fin]))
-    val -= float(np.dot(problem.u[up_fin], neg[up_fin]))
-    return val
+    return problem.box.support(lam1, float(np.dot(rec.y, problem.h)))
 
 
 def _rotation_blocks(specs, offset):

@@ -5,6 +5,10 @@ Three metric families share the same residual vectors:
 * 2-norm absolutes feeding the weighted KKT restart metric,
 * their 1-norm-denominator relatives feeding maxErr and the reflection rule,
 * infinity-norm absolutes/relatives feeding the termination test.
+
+The metrics and the infeasibility certificates read the problem's box facts
+(`ConicProblem.box`, built once per instance): the multiplier set Lambda,
+the recession cone of the box, the finite bounds and the 1-norm denominators.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones
-from .linalg import NumericalError, inf_norm, one_norm, two_norm
-from .model import ConicProblem, LambdaSet, dual_objective, recover_dual
+from .linalg import NumericalError, inf_norm, two_norm
+from .model import ConicProblem, dual_objective, recover_dual
 
 EXIT_OPTIMAL = 0
 EXIT_MAX_ITER = 1
@@ -88,6 +92,15 @@ class ErrorReport:
         )
 
 
+def _multiplier_violation(problem: ConicProblem,
+                          lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lam minus its projection onto Lambda x K_p*, as its box and cone parts."""
+    lam1 = lam[: problem.num_box]
+    lam2 = lam[problem.num_box:]
+    return (lam1 - problem.box.multipliers.project(lam1),
+            lam2 - cones.project_primal_cone_dual(lam2, problem))
+
+
 def compute_errors(
     problem: ConicProblem,
     x: np.ndarray,
@@ -110,10 +123,7 @@ def compute_errors(
     res_proj = cones.project_dual_residual_set(residual, problem)
     res_viol = residual - res_proj
 
-    lam1 = rec.lam_box
-    lam2 = rec.lam_cone
-    lam1_viol = lam1 - LambdaSet.from_bounds(problem.l, problem.u).project(lam1)
-    lam2_viol = lam2 - cones.project_primal_cone_dual(lam2, problem)
+    lam1_viol, lam2_viol = _multiplier_violation(problem, rec.lam)
 
     p_obj = float(np.dot(problem.c, x))
     d_obj = dual_objective(problem, rec)
@@ -133,8 +143,8 @@ def compute_errors(
         abs_p=abs_p,
         abs_d=abs_d,
         abs_gap=gap,
-        rel_p1=abs_p / (1.0 + one_norm(problem.h)),
-        rel_d1=abs_d / (1.0 + one_norm(problem.c)),
+        rel_p1=abs_p / problem.box.h_denom,
+        rel_d1=abs_d / problem.box.c_denom,
         rel_gap1=gap / (1.0 + abs(p_obj) + abs(d_obj)),
         abs_p_inf=abs_p_inf,
         abs_d_inf=abs_d_inf,
@@ -220,20 +230,6 @@ def _strictly_increasing(values: deque) -> bool:
     return all(b > a for a, b in zip(values, list(values)[1:]))
 
 
-def _project_box_recession(d: np.ndarray, l: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Projection onto the recession cone of [l, u]: {0} where both bounds are
-    finite, half-lines where one is, all of R where neither is."""
-    out = d.copy()
-    lo_fin = np.isfinite(l)
-    up_fin = np.isfinite(u)
-    out[lo_fin & up_fin] = 0.0
-    only_lo = lo_fin & ~up_fin
-    only_up = up_fin & ~lo_fin
-    out[only_lo] = np.maximum(d[only_lo], 0.0)
-    out[only_up] = np.minimum(d[only_up], 0.0)
-    return out
-
-
 def dual_ray_quality(problem: ConicProblem, y: np.ndarray,
                      gty: np.ndarray) -> tuple[float, float] | None:
     """(error, objective) of the normalized dual ray y/||y||.
@@ -246,15 +242,8 @@ def dual_ray_quality(problem: ConicProblem, y: np.ndarray,
     if ynorm <= 1e-12:
         return None
     lam = -gty / ynorm
-    lam1 = lam[: problem.num_box]
-    lam2 = lam[problem.num_box:]
-    lo_fin = np.isfinite(problem.l)
-    up_fin = np.isfinite(problem.u)
-    obj = float(np.dot(y, problem.h)) / ynorm
-    obj += float(np.dot(problem.l[lo_fin], np.maximum(lam1, 0.0)[lo_fin]))
-    obj -= float(np.dot(problem.u[up_fin], np.maximum(-lam1, 0.0)[up_fin]))
-    lam1_viol = lam1 - LambdaSet.from_bounds(problem.l, problem.u).project(lam1)
-    lam2_viol = lam2 - cones.project_primal_cone_dual(lam2, problem)
+    obj = problem.box.support(lam[: problem.num_box], float(np.dot(y, problem.h)) / ynorm)
+    lam1_viol, lam2_viol = _multiplier_violation(problem, lam)
     err = max(inf_norm(lam1_viol), inf_norm(lam2_viol))
     return err, obj
 
@@ -272,7 +261,7 @@ def primal_ray_quality(problem: ConicProblem, x: np.ndarray,
     ghat = gx / xnorm
     res_viol = ghat - cones.project_dual_residual_set(ghat, problem)
     box = xhat[: problem.num_box]
-    box_viol = box - _project_box_recession(box, problem.l, problem.u)
+    box_viol = box - np.clip(box, problem.box.rec_lo, problem.box.rec_hi)
     cone_part = xhat[problem.num_box:]
     cone_viol = cone_part - cones.project_primal_cone_part(cone_part, problem)
     err = max(inf_norm(res_viol), inf_norm(box_viol), inf_norm(cone_viol))

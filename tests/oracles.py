@@ -167,3 +167,51 @@ def dual_exp_membership_by_sampling(v, rng, samples=4000):
     rays = np.stack([-rng.uniform(0, 6, 200), np.zeros(200), rng.uniform(0, 6, 200)], axis=1)
     pts = np.vstack([pts, rays])
     return bool(np.all(pts @ v >= -1e-9 * np.maximum(1.0, np.linalg.norm(pts, axis=1))))
+
+
+# ---------------------------------------------------------------------------
+# Box bounds: the boolean-mask forms the solver used before it classified the
+# bounds once per problem as intervals and index arrays
+# ---------------------------------------------------------------------------
+
+
+def lambda_projection_masks(lam, l, u):
+    """Projection onto the multiplier set Lambda, one boolean mask per tag:
+    both bounds infinite -> {0}, only l infinite -> R-, only u infinite -> R+,
+    both finite -> R."""
+    lower_finite = np.isfinite(l)
+    upper_finite = np.isfinite(u)
+    out = lam.copy()
+    zero = ~lower_finite & ~upper_finite
+    nonpos = ~lower_finite & upper_finite
+    nonneg = lower_finite & ~upper_finite
+    out[zero] = 0.0
+    out[nonpos] = np.minimum(lam[nonpos], 0.0)
+    out[nonneg] = np.maximum(lam[nonneg], 0.0)
+    return out
+
+
+def box_recession_projection_masks(d, l, u):
+    """Projection onto the recession cone of [l, u]: {0} where both bounds are
+    finite, half-lines where one is, all of R where neither is."""
+    out = d.copy()
+    lo_fin = np.isfinite(l)
+    up_fin = np.isfinite(u)
+    out[lo_fin & up_fin] = 0.0
+    only_lo = lo_fin & ~up_fin
+    only_up = up_fin & ~lo_fin
+    out[only_lo] = np.maximum(d[only_lo], 0.0)
+    out[only_up] = np.minimum(d[only_up], 0.0)
+    return out
+
+
+def bound_support_masks(lam1, l, u, start=0.0):
+    """start + l' lam1^+ - u' lam1^- over the finite bounds, selected by
+    boolean masks and summed in that order."""
+    lo_fin = np.isfinite(l)
+    up_fin = np.isfinite(u)
+    pos = np.maximum(lam1, 0.0)
+    neg = np.maximum(-lam1, 0.0)
+    start += float(np.dot(l[lo_fin], pos[lo_fin]))
+    start -= float(np.dot(u[up_fin], neg[up_fin]))
+    return start

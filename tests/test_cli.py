@@ -85,6 +85,10 @@ class TestCli:
         assert main(["--no-such-flag"]) == USAGE_EXIT
         assert main([]) == USAGE_EXIT  # --input is required
 
+    def test_nan_time_limit_exit_64(self, tmp_path):
+        inp = write_doc(tmp_path, one_dim_lp_doc())
+        assert main(["--input", inp, "--time-limit", "nan"]) == USAGE_EXIT
+
     def test_missing_file_exit_64(self, tmp_path):
         assert main(["--input", str(tmp_path / "nope.json")]) == USAGE_EXIT
 

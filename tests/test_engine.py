@@ -500,6 +500,10 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(p, SolverOptions(initial_step_norm="spectral"))
 
+    def test_nan_time_limit_rejected(self):
+        with pytest.raises(ValueError, match="time_limit"):
+            SolverOptions(time_limit=math.nan).validate()
+
     def test_induced_inf_initial_step(self):
         p = tiny_lp()
         r = solve(p, SolverOptions(initial_step_norm="induced_inf"))
