@@ -93,7 +93,12 @@ class SolverOptions:
 
 @dataclass
 class SolverState:
-    """Mutable per-solve bookkeeping, exposed to iteration callbacks."""
+    """Mutable per-solve bookkeeping, exposed to iteration callbacks.
+
+    `z`, `z_anchor` and `z_bar` are views into buffers that the loop
+    overwrites in place every iteration and at every restart; a callback
+    must `.copy()` any vector it keeps.
+    """
 
     z: IterateZ
     z_anchor: IterateZ
@@ -243,38 +248,67 @@ def adaptive_step_pdhg(
     raise NumericalError(f"step-size line search exceeded {max_trials} trials")
 
 
-def reflected_halpern_step(
-    z_hat: IterateZ, z_old: IterateZ, z_anchor: IterateZ, k: int, beta: float
-) -> IterateZ:
-    """(k+1)/(k+2) ((1+beta) z_hat - beta z_old) + 1/(k+2) z_anchor."""
+def _flat(z):
+    """A flat operand for the vector updates; an IterateZ pair is joined."""
+    return np.concatenate(z) if isinstance(z, IterateZ) else z
+
+
+def _like(z, flat: np.ndarray):
+    """`flat` in the form of operand `z`: split into a pair if z is one."""
+    return IterateZ(flat[: z.x.size], flat[z.x.size:]) if isinstance(z, IterateZ) else flat
+
+
+def reflected_halpern_step(z_hat, z_old, z_anchor, k: int, beta: float,
+                           out: np.ndarray | None = None, scratch: np.ndarray | None = None):
+    """(k+1)/(k+2) ((1+beta) z_hat - beta z_old) + 1/(k+2) z_anchor.
+
+    The operands are flat arrays or IterateZ pairs.  Flat operands are
+    updated with `out` (which may be z_old) and `scratch` as the only
+    buffers, in six ufunc calls; the result is bitwise that of the
+    allocating formula.
+    """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"reflection parameter must lie in [0, 1], got {beta}")
     if k < 0:
         raise ValueError("k must be nonnegative")
     a = (k + 1.0) / (k + 2.0)
     b = 1.0 / (k + 2.0)
-    return IterateZ(
-        a * ((1.0 + beta) * z_hat.x - beta * z_old.x) + b * z_anchor.x,
-        a * ((1.0 + beta) * z_hat.y - beta * z_old.y) + b * z_anchor.y,
-    )
+    zh, zo = _flat(z_hat), _flat(z_old)
+    if out is None:
+        out = np.empty_like(zh)
+    if scratch is None:
+        scratch = np.empty_like(zh)
+    np.multiply(zo, beta, out=out)
+    np.multiply(zh, 1.0 + beta, out=scratch)
+    np.subtract(scratch, out, out=out)
+    np.multiply(out, a, out=out)
+    np.multiply(_flat(z_anchor), b, out=scratch)
+    np.add(out, scratch, out=out)
+    return _like(z_hat, out)
 
 
-def update_weighted_average(
-    z_bar: IterateZ | None, weight: float, z_new: IterateZ, eta_new: float
-) -> tuple[IterateZ, float]:
-    """Streaming step-size-weighted average of the inner-loop iterates."""
+def update_weighted_average(z_bar, weight: float, z_new, eta_new: float,
+                            out: np.ndarray | None = None, scratch: np.ndarray | None = None):
+    """Streaming step-size-weighted average of the inner-loop iterates:
+    (weight z_bar + eta_new z_new) / (weight + eta_new), or z_new when the
+    average is empty.  Operands and buffers are as in `reflected_halpern_step`;
+    `out` may be z_bar."""
     if eta_new <= 0:
         raise ValueError("averaging weight must be positive")
+    zn = _flat(z_new)
+    if out is None:
+        out = np.empty_like(zn)
     if z_bar is None or weight == 0.0:
-        return z_new.copy(), eta_new
+        np.copyto(out, zn)
+        return _like(z_new, out), eta_new
     total = weight + eta_new
-    return (
-        IterateZ(
-            (weight * z_bar.x + eta_new * z_new.x) / total,
-            (weight * z_bar.y + eta_new * z_new.y) / total,
-        ),
-        total,
-    )
+    if scratch is None:
+        scratch = np.empty_like(zn)
+    np.multiply(_flat(z_bar), weight, out=out)
+    np.multiply(zn, eta_new, out=scratch)
+    np.add(out, scratch, out=out)
+    np.divide(out, total, out=out)
+    return _like(z_new, out), total
 
 
 # ---------------------------------------------------------------------------
@@ -329,30 +363,44 @@ class _Loop:
             return 1.0 / g.induced_inf_norm()
         return 1.0 / g.max_abs()
 
+    def _split(self, buf: np.ndarray) -> tuple[IterateZ, IterateZ]:
+        """Views of a flat [x; y; G x; G^T y] buffer as (x, y) and (G x, G^T y)."""
+        n, m = self.scaled.n, self.scaled.m
+        return (IterateZ(buf[:n], buf[n:n + m]),
+                IterateZ(buf[n + m:n + 2 * m], buf[n + 2 * m:]))
+
     def _init_state(self) -> SolverState:
         n, m = self.scaled.n, self.scaled.m
-        z0 = IterateZ(np.zeros(n), np.zeros(m))
+        # Flat [x; y; G x; G^T y] buffers for the iterate, the anchor and the
+        # Halpern candidate, and one scratch; the products follow the iterate
+        # so that one in-place Halpern update covers both.  The average keeps
+        # [x; y] only.  Every state vector is a view into these buffers.
+        self.iterate, self.anchor, self.candidate, self.scratch = (
+            np.zeros(2 * (n + m)) for _ in range(4)
+        )
+        self.average = np.zeros(n + m)
         eta0 = self._initial_eta()
         omega0 = restarts.initialize_primal_weight(self.scaled.c, self.scaled.h)
+        z, self.products = self._split(self.iterate)
         state = SolverState(
-            z=z0,
-            z_anchor=z0.copy(),
+            z=z,
+            z_anchor=self._split(self.anchor)[0],
+            z_bar=IterateZ(self.average[:n], self.average[n:]),
             eta=eta0,
             eta_hat=eta0,
             omega=omega0,
             mode=self.base_mode,
         )
         self.omega_init = omega0
-        # (G x, G^T y) of the iterate and of the anchor, paired like the
-        # iterate so that the Halpern step updates them by the same formula
         self._refresh_products(state)
-        self.anchor_products = self.products.copy()
+        self.anchor[n + m:] = self.iterate[n + m:]
         return state
 
     # -- scaled-problem helpers ---------------------------------------------
 
     def _refresh_products(self, state: SolverState) -> None:
-        self.products = IterateZ(self.scaled.G.matvec(state.z.x), self.scaled.G.rmatvec(state.z.y))
+        self.products.x[:] = self.scaled.G.matvec(state.z.x)
+        self.products.y[:] = self.scaled.G.rmatvec(state.z.y)
 
     def _gap_metric(self, z: IterateZ, anchor: IterateZ, ctx: WeightedNormContext) -> float:
         """Normalized gap of z over the ball through `anchor`."""
@@ -482,14 +530,20 @@ class _Loop:
         if restarts.should_restart(
             cand_val, state.prev_candidate_gap, baseline, state.k, state.k_bar, self.consts
         ):
-            self._do_restart(state, cand.copy(), cand_val)
+            self._do_restart(state, cand, cand_val)
         else:
             state.prev_candidate_gap = cand_val
 
     def _do_restart(self, state: SolverState, candidate: IterateZ, cand_val: float) -> None:
-        state.z_prev_anchor = state.z_anchor
-        state.z_anchor = candidate.copy()
-        state.z = candidate
+        """Make `candidate` (views of the iterate or the average) the new
+        anchor and iterate.  The anchor buffer is overwritten, so the old
+        anchor is kept as a copy for the primal-weight update below, which
+        must read the new anchor."""
+        n, m = self.scaled.n, self.scaled.m
+        state.z_prev_anchor = state.z_anchor.copy()
+        state.z_anchor.x[:] = candidate.x
+        state.z_anchor.y[:] = candidate.y
+        self.iterate[:n + m] = self.anchor[:n + m]
         if self.options.use_adaptive_step_size_weight:
             dx = float(np.linalg.norm(state.z_anchor.x - state.z_prev_anchor.x))
             dy = float(np.linalg.norm(state.z_anchor.y - state.z_prev_anchor.y))
@@ -499,7 +553,6 @@ class _Loop:
         state.t += 1
         self.n_restarts += 1
         state.k = 0
-        state.z_bar = None
         state.avg_weight = 0.0
         state.prev_candidate_gap = math.inf
         if state.mode == "gap":
@@ -510,7 +563,7 @@ class _Loop:
             state.last_restart_gap = None
         state.mode = self.base_mode
         self._refresh_products(state)
-        self.anchor_products = self.products.copy()
+        self.anchor[n + m:] = self.iterate[n + m:]
 
     def _run(self) -> SolveResult:
         state = self._init_state()
@@ -546,6 +599,8 @@ class _Loop:
             return exit_info
         self._log_line(state, self._last_report)
         adaptive = options.use_adaptive_step_size_weight
+        z_hat, products_hat = self._split(self.candidate)
+        z_part = slice(0, self.scaled.n + self.scaled.m)
 
         while True:
             # k_bar counts every PDHG computation, including the one about
@@ -567,27 +622,27 @@ class _Loop:
                     IterateZ(x_hat, y_hat), state.eta_hat, state.eta_hat,
                     state.k_bar, 1, 0.5 * (w + gx), gty,
                 )
-            z_hat = step.z_hat
             state.eta = step.eta_used
             state.eta_hat = step.eta_next
             state.k_bar = step.k_bar  # rejected trials also advance the count
 
-            products_hat = IterateZ(step.gx_hat, self.scaled.G.rmatvec(z_hat.y))
+            z_hat.x[:] = step.z_hat.x
+            z_hat.y[:] = step.z_hat.y
+            products_hat.x[:] = step.gx_hat
+            products_hat.y[:] = self.scaled.G.rmatvec(z_hat.y)
             if options.fixed_reflection_beta is not None:
                 beta = options.fixed_reflection_beta
             else:
-                rep_hat = term.compute_errors(
-                    self.scaled, z_hat.x, z_hat.y, gx=products_hat.x, gty=products_hat.y
-                )
-                beta = term.adaptive_reflection_parameter(rep_hat)
+                beta = term.adaptive_reflection_parameter(term.relative_errors(
+                    self.scaled, z_hat.x, z_hat.y, products_hat.x, products_hat.y
+                ))
             state.beta = beta
 
-            state.z = reflected_halpern_step(z_hat, state.z, state.z_anchor, state.k, beta)
-            self.products = reflected_halpern_step(
-                products_hat, self.products, self.anchor_products, state.k, beta
-            )
-            state.z_bar, state.avg_weight = update_weighted_average(
-                state.z_bar, state.avg_weight, state.z, state.eta
+            reflected_halpern_step(self.candidate, self.iterate, self.anchor, state.k, beta,
+                                   out=self.iterate, scratch=self.scratch)
+            _, state.avg_weight = update_weighted_average(
+                self.average, state.avg_weight, self.iterate[z_part], state.eta,
+                out=self.average, scratch=self.scratch[z_part],
             )
             state.k += 1
 

@@ -173,13 +173,22 @@ def block_slices(specs: tuple[ConeSpec, ...], offset: int = 0) -> list[tuple[Con
 
 
 def finite_bounds(l: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The finiteness masks of l and u, checking l_i <= u_i where both are finite."""
+    """The finiteness masks of l and u, checking that every [l_i, u_i] is
+    nonempty: l_i <= u_i where both are finite, and no l_i = +inf or u_i = -inf."""
     lower_finite = np.isfinite(l)
     upper_finite = np.isfinite(u)
     both = lower_finite & upper_finite
     if np.any(l[both] > u[both]):
         raise ValueError("componentwise l <= u violated")
+    if np.any(l == np.inf) or np.any(u == -np.inf):
+        raise ValueError("empty box: a lower bound is +inf or an upper bound is -inf")
     return lower_finite, upper_finite
+
+
+def _positions(mask: np.ndarray) -> slice | np.ndarray:
+    """Where `mask` holds: a slice when it holds everywhere, so that indexing
+    with it is a view, not a gather."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
 @dataclass(frozen=True)
@@ -212,7 +221,8 @@ class LambdaSet:
 class BoxFacts:
     """What the bounds of one ConicProblem fix, computed once: the multiplier
     set Lambda; the recession cone [rec_lo, rec_hi] of [l, u] (lo = 0 where l
-    is finite, else -inf; hi = 0 where u is finite, else +inf); positions and
+    is finite, else -inf; hi = 0 where u is finite, else +inf); positions
+    (index arrays, or a full slice when a side is finite throughout) and
     values of the finite l and u; and h_denom, c_denom = 1 + ||h||_1, 1 + ||c||_1.
     """
 
@@ -221,9 +231,9 @@ class BoxFacts:
         self.multipliers = LambdaSet(lower_finite, upper_finite)
         self.rec_lo = np.where(lower_finite, 0.0, -np.inf)
         self.rec_hi = np.where(upper_finite, 0.0, np.inf)
-        self.l_idx = np.flatnonzero(lower_finite)
+        self.l_idx = _positions(lower_finite)
         self.l_val = l[self.l_idx]
-        self.u_idx = np.flatnonzero(upper_finite)
+        self.u_idx = _positions(upper_finite)
         self.u_val = u[self.u_idx]
         self.h_denom = 1.0 + one_norm(h)
         self.c_denom = 1.0 + one_norm(c)

@@ -215,3 +215,27 @@ def bound_support_masks(lam1, l, u, start=0.0):
     start += float(np.dot(l[lo_fin], pos[lo_fin]))
     start -= float(np.dot(u[up_fin], neg[up_fin]))
     return start
+
+
+# ---------------------------------------------------------------------------
+# Halpern and averaging updates: the allocating (x, y)-pair formulas the
+# solve loop used before it updated flat buffers in place
+# ---------------------------------------------------------------------------
+
+
+def halpern_step_allocating(z_hat, z_old, z_anchor, k, beta):
+    """(k+1)/(k+2) ((1+beta) z_hat - beta z_old) + 1/(k+2) z_anchor on
+    (x, y) pairs, one temporary per operation."""
+    a = (k + 1.0) / (k + 2.0)
+    b = 1.0 / (k + 2.0)
+    return tuple(a * ((1.0 + beta) * zh - beta * zo) + b * za
+                 for zh, zo, za in zip(z_hat, z_old, z_anchor))
+
+
+def weighted_average_allocating(z_bar, weight, z_new, eta_new):
+    """(weight z_bar + eta_new z_new) / (weight + eta_new) on (x, y) pairs,
+    or a copy of z_new when the average is empty."""
+    if z_bar is None or weight == 0.0:
+        return tuple(v.copy() for v in z_new), eta_new
+    total = weight + eta_new
+    return tuple((weight * zb + eta_new * zn) / total for zb, zn in zip(z_bar, z_new)), total

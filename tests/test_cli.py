@@ -89,6 +89,12 @@ class TestCli:
         inp = write_doc(tmp_path, one_dim_lp_doc())
         assert main(["--input", inp, "--time-limit", "nan"]) == USAGE_EXIT
 
+    def test_empty_box_exit_64(self, tmp_path, capsys):
+        doc = one_dim_lp_doc()
+        doc["bl"], doc["bu"] = ["inf"], [5.0]
+        assert main(["--input", write_doc(tmp_path, doc)]) == USAGE_EXIT
+        assert "empty box" in capsys.readouterr().err
+
     def test_missing_file_exit_64(self, tmp_path):
         assert main(["--input", str(tmp_path / "nope.json")]) == USAGE_EXIT
 

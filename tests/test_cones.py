@@ -48,6 +48,12 @@ class TestBox:
         with pytest.raises(ValueError):
             project_box(np.zeros(1), np.array([1.0]), np.array([0.0]))
 
+    def test_empty_box_rejected(self):
+        with pytest.raises(ValueError, match="empty box"):
+            project_box(np.zeros(2), np.array([0.0, math.inf]), np.array([1.0, 5.0]))
+        with pytest.raises(ValueError, match="empty box"):
+            project_box(np.zeros(1), np.array([-math.inf]), np.array([-math.inf]))
+
     def test_grid_oracle(self):
         rng = np.random.default_rng(11)
         l = np.array([-1.0, 0.5])

@@ -38,6 +38,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="l <= u"):
             box_lp([1.0], np.zeros((1, 1)), [0.0], [2.0], [1.0], (ConeSpec(Cone.NONNEG, 1),))
 
+    @pytest.mark.parametrize("l, u", [(math.inf, 5.0), (0.0, -math.inf), (math.inf, math.inf),
+                                      (-math.inf, -math.inf), (math.inf, -math.inf)])
+    def test_empty_box_rejected(self, l, u):
+        # +inf lower or -inf upper bounds leave [l_i, u_i] empty even though
+        # the finite-pair comparison has nothing to compare
+        with pytest.raises(ValueError, match="empty box"):
+            box_lp([1.0], np.zeros((0, 1)), [], [l], [u], ())
+
     def test_cone_sum_checks(self):
         with pytest.raises(ValueError, match="dual cone dims"):
             box_lp([1.0], np.zeros((2, 1)), [0.0, 0.0], [0.0], [1.0], (ConeSpec(Cone.NONNEG, 1),))
