@@ -157,12 +157,15 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _pdhg_candidate(problem, x, y, tau, sigma, grad_x):
-    """One PDHG update given grad_x = c - G^T y; returns the extrapolated
-    product G(2 x_hat - x) alongside the candidate."""
-    x_hat = cones.project_primal_set(x - tau * grad_x, problem)
-    w = problem.G.matvec(2.0 * x_hat - x)
-    y_hat = cones.project_dual_set(y + sigma * (problem.h - w), problem)
+def _pdhg_candidate(problem, x, y, tau, sigma, grad_x, out):
+    """One PDHG update given grad_x = c - G^T y, written into the flat buffer
+    `out` as [x_hat; y_hat; w] with the extrapolated product w = G(2 x_hat - x);
+    returns views of the three parts."""
+    n, m = x.size, y.size
+    x_hat, y_hat, w = out[:n], out[n:n + m], out[n + m:n + 2 * m]
+    x_hat[:] = cones.project_primal_set(x - tau * grad_x, problem)
+    w[:] = problem.G.matvec(2.0 * x_hat - x)
+    y_hat[:] = cones.project_dual_set(y + sigma * (problem.h - w), problem)
     return x_hat, y_hat, w
 
 
@@ -171,7 +174,9 @@ def one_pdhg(problem: ConicProblem, z: IterateZ, tau: float, sigma: float) -> It
     if tau <= 0 or sigma <= 0:
         raise ValueError("step sizes must be positive")
     grad_x = problem.c - problem.G.rmatvec(z.y)
-    x_hat, y_hat, _ = _pdhg_candidate(problem, z.x, z.y, tau, sigma, grad_x)
+    x_hat, y_hat, _ = _pdhg_candidate(
+        problem, z.x, z.y, tau, sigma, grad_x, np.empty(problem.n + 2 * problem.m)
+    )
     return IterateZ(x_hat, y_hat)
 
 
@@ -181,8 +186,6 @@ class StepResult(NamedTuple):
     eta_next: float
     k_bar: int
     trials: int
-    gx_hat: np.ndarray
-    gty: np.ndarray
 
 
 def adaptive_step_pdhg(
@@ -194,14 +197,17 @@ def adaptive_step_pdhg(
     gty: np.ndarray | None = None,
     gx: np.ndarray | None = None,
     max_trials: int = _MAX_LINE_SEARCH_TRIALS,
+    out: np.ndarray | None = None,
 ) -> StepResult:
     """Line search accepting the first candidate with eta < eta_bar, where
     eta_bar = ||dz||_w^2 / (2 |dy' G dx|).
 
-    A zero interaction term makes the curvature condition vacuous, so the
-    candidate is accepted with eta_bar = +inf.  Rejections shrink/grow eta by
-    the (k_bar+1)^-0.3 / (k_bar+1)^-0.6 factors and advance k_bar; the
-    returned proposal is floored at 1e-12.
+    Every trial writes [x_hat; y_hat; G(2 x_hat - x)] into `out` (a fresh
+    buffer when None), so on return it holds the accepted candidate and
+    `z_hat` views it.  A zero interaction term makes the curvature condition
+    vacuous, so the candidate is accepted with eta_bar = +inf.  Rejections
+    shrink/grow eta by the (k_bar+1)^-0.3 / (k_bar+1)^-0.6 factors and
+    advance k_bar; the returned proposal is floored at 1e-12.
     """
     if omega <= 0 or eta <= 0:
         raise ValueError("omega and eta must be positive")
@@ -209,6 +215,8 @@ def adaptive_step_pdhg(
         gty = problem.G.rmatvec(z.y)
     if gx is None:
         gx = problem.G.matvec(z.x)
+    if out is None:
+        out = np.empty(problem.n + 2 * problem.m)
     grad_x = problem.c - gty
     # below this movement the candidate is a numerical fixed point and the
     # curvature quotient is quantization noise
@@ -217,7 +225,7 @@ def adaptive_step_pdhg(
     for trial in range(max_trials):
         tau = eta / omega
         sigma = eta * omega
-        x_hat, y_hat, w = _pdhg_candidate(problem, z.x, z.y, tau, sigma, grad_x)
+        x_hat, y_hat, w = _pdhg_candidate(problem, z.x, z.y, tau, sigma, grad_x, out)
         dx = x_hat - z.x
         dy = y_hat - z.y
         movement = omega * float(np.dot(dx, dx)) + float(np.dot(dy, dy)) / omega
@@ -241,31 +249,20 @@ def adaptive_step_pdhg(
         eta_next = min(max(_ETA_FLOOR, min(cand, fac_grow * eta)), _ETA_CEIL)
 
         if eta < eta_bar:
-            gx_hat = 0.5 * (w + gx)
-            return StepResult(IterateZ(x_hat, y_hat), eta, eta_next, k_bar, trial + 1, gx_hat, gty)
+            return StepResult(IterateZ(x_hat, y_hat), eta, eta_next, k_bar, trial + 1)
         eta = eta_next
         k_bar += 1
     raise NumericalError(f"step-size line search exceeded {max_trials} trials")
 
 
-def _flat(z):
-    """A flat operand for the vector updates; an IterateZ pair is joined."""
-    return np.concatenate(z) if isinstance(z, IterateZ) else z
+def reflected_halpern_step(z_hat: np.ndarray, z_old: np.ndarray, z_anchor: np.ndarray,
+                           k: int, beta: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(k+1)/(k+2) ((1+beta) z_hat - beta z_old) + 1/(k+2) z_anchor into `out`.
 
-
-def _like(z, flat: np.ndarray):
-    """`flat` in the form of operand `z`: split into a pair if z is one."""
-    return IterateZ(flat[: z.x.size], flat[z.x.size:]) if isinstance(z, IterateZ) else flat
-
-
-def reflected_halpern_step(z_hat, z_old, z_anchor, k: int, beta: float,
-                           out: np.ndarray | None = None, scratch: np.ndarray | None = None):
-    """(k+1)/(k+2) ((1+beta) z_hat - beta z_old) + 1/(k+2) z_anchor.
-
-    The operands are flat arrays or IterateZ pairs.  Flat operands are
-    updated with `out` (which may be z_old) and `scratch` as the only
-    buffers, in six ufunc calls; the result is bitwise that of the
-    allocating formula.
+    The operands are flat arrays of one length.  `out` may be z_old;
+    `scratch` is the only other buffer written.  Six ufunc calls in the
+    order of the formula, so the result is bitwise that of the allocating
+    expression.  Returns `out`.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"reflection parameter must lie in [0, 1], got {beta}")
@@ -273,42 +270,33 @@ def reflected_halpern_step(z_hat, z_old, z_anchor, k: int, beta: float,
         raise ValueError("k must be nonnegative")
     a = (k + 1.0) / (k + 2.0)
     b = 1.0 / (k + 2.0)
-    zh, zo = _flat(z_hat), _flat(z_old)
-    if out is None:
-        out = np.empty_like(zh)
-    if scratch is None:
-        scratch = np.empty_like(zh)
-    np.multiply(zo, beta, out=out)
-    np.multiply(zh, 1.0 + beta, out=scratch)
+    np.multiply(z_old, beta, out=out)
+    np.multiply(z_hat, 1.0 + beta, out=scratch)
     np.subtract(scratch, out, out=out)
     np.multiply(out, a, out=out)
-    np.multiply(_flat(z_anchor), b, out=scratch)
+    np.multiply(z_anchor, b, out=scratch)
     np.add(out, scratch, out=out)
-    return _like(z_hat, out)
+    return out
 
 
-def update_weighted_average(z_bar, weight: float, z_new, eta_new: float,
-                            out: np.ndarray | None = None, scratch: np.ndarray | None = None):
+def update_weighted_average(z_bar: np.ndarray, weight: float, z_new: np.ndarray, eta_new: float,
+                            out: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, float]:
     """Streaming step-size-weighted average of the inner-loop iterates:
-    (weight z_bar + eta_new z_new) / (weight + eta_new), or z_new when the
-    average is empty.  Operands and buffers are as in `reflected_halpern_step`;
-    `out` may be z_bar."""
+    (weight z_bar + eta_new z_new) / (weight + eta_new) into `out`, or z_new
+    when the average is empty (weight 0).  The operands are flat arrays of
+    one length; `out` may be z_bar and `scratch` is the only other buffer
+    written.  Returns `out` and the new weight."""
     if eta_new <= 0:
         raise ValueError("averaging weight must be positive")
-    zn = _flat(z_new)
-    if out is None:
-        out = np.empty_like(zn)
-    if z_bar is None or weight == 0.0:
-        np.copyto(out, zn)
-        return _like(z_new, out), eta_new
+    if weight == 0.0:
+        np.copyto(out, z_new)
+        return out, eta_new
     total = weight + eta_new
-    if scratch is None:
-        scratch = np.empty_like(zn)
-    np.multiply(_flat(z_bar), weight, out=out)
-    np.multiply(zn, eta_new, out=scratch)
+    np.multiply(z_bar, weight, out=out)
+    np.multiply(z_new, eta_new, out=scratch)
     np.add(out, scratch, out=out)
     np.divide(out, total, out=out)
-    return _like(z_new, out), total
+    return out, total
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +322,6 @@ class _Loop:
         self.scaled = scalings.rescale_problem(self.work, self.scaling)
         self.consts = options.restart_constants
         self.history = term.InfeasibilityHistory()
-        self.n_restarts = 0
         self.logfile = None
         self._last_report: term.ErrorReport | None = None
 
@@ -551,7 +538,6 @@ class _Loop:
                 dx, dy, state.omega, self.omega_init, self.consts
             )
         state.t += 1
-        self.n_restarts += 1
         state.k = 0
         state.avg_weight = 0.0
         state.prev_candidate_gap = math.inf
@@ -608,27 +594,24 @@ class _Loop:
             # degenerate value 0 after the solve starts.
             state.k_bar += 1
             gx, gty = self.products
+            # Both modes write [x_hat; y_hat; G(2 x_hat - x)] into the candidate.
             if adaptive:
                 step = adaptive_step_pdhg(
                     self.scaled, state.z, state.omega, state.eta_hat, state.k_bar,
-                    gty=gty, gx=gx,
+                    gty=gty, gx=gx, out=self.candidate,
                 )
+                state.eta = step.eta_used
+                state.eta_hat = step.eta_next
+                state.k_bar = step.k_bar  # rejected trials also advance the count
             else:
                 ctx = WeightedNormContext(state.omega, state.eta_hat)
-                x_hat, y_hat, w = _pdhg_candidate(
-                    self.scaled, state.z.x, state.z.y, ctx.tau, ctx.sigma, self.scaled.c - gty
-                )
-                step = StepResult(
-                    IterateZ(x_hat, y_hat), state.eta_hat, state.eta_hat,
-                    state.k_bar, 1, 0.5 * (w + gx), gty,
-                )
-            state.eta = step.eta_used
-            state.eta_hat = step.eta_next
-            state.k_bar = step.k_bar  # rejected trials also advance the count
+                _pdhg_candidate(self.scaled, state.z.x, state.z.y, ctx.tau, ctx.sigma,
+                                self.scaled.c - gty, self.candidate)
+                state.eta = state.eta_hat
 
-            z_hat.x[:] = step.z_hat.x
-            z_hat.y[:] = step.z_hat.y
-            products_hat.x[:] = step.gx_hat
+            # G x_hat = (G(2 x_hat - x) + G x) / 2, in place
+            np.add(products_hat.x, gx, out=products_hat.x)
+            np.multiply(products_hat.x, 0.5, out=products_hat.x)
             products_hat.y[:] = self.scaled.G.rmatvec(z_hat.y)
             if options.fixed_reflection_beta is not None:
                 beta = options.fixed_reflection_beta
@@ -685,7 +668,7 @@ class _Loop:
             d_obj=dual_objective(self.original, rec),
         )
         return SolveResult(
-            x=x, y=y, lam=rec.lam, slack=slack, exit=final, restarts=self.n_restarts
+            x=x, y=y, lam=rec.lam, slack=slack, exit=final, restarts=state.t
         )
 
 

@@ -60,7 +60,12 @@ def _decode_bound(v, key: str) -> float:
         if v == "-inf":
             return -math.inf
         raise ProblemFormatError(f"{key}: infinite bounds must be 'inf' or '-inf', got {v!r}")
-    x = float(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ProblemFormatError(f"{key}: entries must be numbers or 'inf'/'-inf', got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
     if math.isinf(x) or math.isnan(x):
         raise ProblemFormatError(f"{key}: numeric entries must be finite (use 'inf'/'-inf' strings)")
     return x
@@ -72,11 +77,44 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ProblemFormatError(f"{key} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _count(value, key: str) -> int:
+    """A nonnegative integer; an integral float such as 3.0 is accepted."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ProblemFormatError(f"{key} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _number_array(values, key: str) -> np.ndarray:
+    """A JSON list of numbers as a flat array of integer or float dtype."""
+    try:
+        arr = np.asarray(_list(values, key))
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuf"):
+        raise ProblemFormatError(f"{key} must be a flat list of numbers")
+    return arr
+
+
 def _finite_array(values, key: str) -> np.ndarray:
-    arr = np.asarray([float(v) for v in values], dtype=np.float64)
+    arr = _number_array(values, key).astype(np.float64)
     if arr.size and not np.all(np.isfinite(arr)):
         raise ProblemFormatError(f"{key}: entries must be finite")
     return arr
+
+
+def _index_array(values, key: str) -> np.ndarray:
+    arr = _number_array(values, key)
+    if arr.dtype.kind == "f" and not np.array_equal(arr, np.trunc(arr)):
+        raise ProblemFormatError(f"{key} entries must be integers")
+    return arr.astype(np.int64)
 
 
 def problem_to_document(problem: ConicProblem) -> dict:
@@ -128,6 +166,8 @@ def problem_to_document(problem: ConicProblem) -> dict:
 
 
 def document_to_problem(doc: dict) -> ConicProblem:
+    if not isinstance(doc, dict):
+        raise ProblemFormatError("a problem file must hold a JSON object")
     unknown = set(doc) - _KNOWN_KEYS
     if unknown:
         warnings.warn(f"ignoring unknown problem-file keys: {sorted(unknown)}", stacklevel=2)
@@ -135,9 +175,7 @@ def document_to_problem(doc: dict) -> ConicProblem:
     if version != FORMAT_VERSION:
         raise ProblemFormatError(f"unsupported format_version {version}")
 
-    n = int(_require(doc, "n"))
-    m = int(_require(doc, "m"))
-    nb = int(_require(doc, "nb"))
+    n, m, nb = (_count(_require(doc, key), key) for key in ("n", "m", "nb"))
     if nb != n:
         raise ProblemFormatError(f"nb must equal n (box variables only), got nb={nb}, n={n}")
 
@@ -148,14 +186,16 @@ def document_to_problem(doc: dict) -> ConicProblem:
     if h.shape != (m,):
         raise ProblemFormatError(f"h must have length m={m}, got {h.shape[0]}")
 
-    bl = np.array([_decode_bound(v, "bl") for v in _require(doc, "bl")])
-    bu = np.array([_decode_bound(v, "bu") for v in _require(doc, "bu")])
+    bl = np.array([_decode_bound(v, "bl") for v in _list(_require(doc, "bl"), "bl")])
+    bu = np.array([_decode_bound(v, "bu") for v in _list(_require(doc, "bu"), "bu")])
     if bl.shape != (nb,) or bu.shape != (nb,):
         raise ProblemFormatError(f"bl and bu must have length nb={nb}")
 
     g = _require(doc, "G")
-    rows = np.asarray(g.get("rows", []), dtype=np.int64)
-    cols = np.asarray(g.get("cols", []), dtype=np.int64)
+    if not isinstance(g, dict):
+        raise ProblemFormatError("G must be an object with rows, cols and vals")
+    rows = _index_array(g.get("rows", []), "G.rows")
+    cols = _index_array(g.get("cols", []), "G.cols")
     vals = _finite_array(g.get("vals", []), "G.vals")
     if not (rows.shape == cols.shape == vals.shape):
         raise ProblemFormatError("G.rows, G.cols, G.vals must have equal lengths")
@@ -164,12 +204,12 @@ def document_to_problem(doc: dict) -> ConicProblem:
     if cols.size and (cols.min() < 0 or cols.max() >= n):
         raise ProblemFormatError("G.cols entries must lie in [0, n)")
 
-    m_zero = int(doc.get("mGzero", 0))
-    m_nonneg = int(doc.get("mGnonnegative", 0))
-    soc = [int(d) for d in doc.get("socG", [])]
-    exp = int(doc.get("expG", 0))
-    dexp = int(doc.get("dual_expG", 0))
-    rsoc = [int(d) for d in doc.get("rsocG", [])]
+    m_zero = _count(doc.get("mGzero", 0), "mGzero")
+    m_nonneg = _count(doc.get("mGnonnegative", 0), "mGnonnegative")
+    soc = [_count(d, "socG") for d in _list(doc.get("socG", []), "socG")]
+    exp = _count(doc.get("expG", 0), "expG")
+    dexp = _count(doc.get("dual_expG", 0), "dual_expG")
+    rsoc = [_count(d, "rsocG") for d in _list(doc.get("rsocG", []), "rsocG")]
     total = m_zero + m_nonneg + sum(soc) + 3 * exp + 3 * dexp + sum(rsoc)
     if total != m:
         raise ProblemFormatError(

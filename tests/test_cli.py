@@ -107,6 +107,19 @@ class TestCli:
         path2 = write_doc(tmp_path, doc, "bad2.json")
         assert main(["--input", path2]) == USAGE_EXIT
 
+    @pytest.mark.parametrize("key, value", [
+        ("G", [1, 2]), ("G", None), ("c", None), ("c", 3.0), ("bl", None), ("socG", 3),
+        ("bl", [[0.0]]),
+        ("G", {"rows": [[0], [1]], "cols": [0, 0], "vals": [1.0, 1.0]}),
+        ("G", {"rows": [[0], 1], "cols": [0, 0], "vals": [1.0, 1.0]}),
+        ("G", {"rows": [1.5, 2], "cols": [0, 0], "vals": [1.0, 1.0]}),
+    ], ids=lambda v: repr(v)[:24])
+    def test_malformed_entries_exit_64(self, tmp_path, capsys, key, value):
+        doc = random_lp_doc(np.random.default_rng(0), n=1, m=3)
+        doc[key] = value
+        assert main(["--input", write_doc(tmp_path, doc), "--max-iter", "10"]) == USAGE_EXIT
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_logfile_written(self, tmp_path):
         inp = write_doc(tmp_path, one_dim_lp_doc())
         log = tmp_path / "run.log"

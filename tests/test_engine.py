@@ -140,64 +140,74 @@ class TestAdaptiveStep:
             adaptive_step_pdhg(p, z, 1.0, 1.0, 0)
 
 
+def halpern(z_hat, z_old, anchor, k, beta):
+    """The flat update into fresh buffers."""
+    return reflected_halpern_step(z_hat, z_old, anchor, k, beta,
+                                  out=np.empty_like(z_hat), scratch=np.empty_like(z_hat))
+
+
+def average(z_bar, weight, z_new, eta):
+    """The flat update into fresh buffers."""
+    return update_weighted_average(z_bar, weight, z_new, eta,
+                                   out=np.empty_like(z_new), scratch=np.empty_like(z_new))
+
+
 class TestHalpernStep:
+    # flat [x; y] operands
     def test_beta_zero_k_zero_is_midpoint(self):
-        z_hat = IterateZ(np.array([2.0]), np.array([0.0]))
-        z_old = IterateZ(np.array([-1.0]), np.array([1.0]))
-        anchor = IterateZ(np.array([0.0]), np.array([4.0]))
-        out = reflected_halpern_step(z_hat, z_old, anchor, k=0, beta=0.0)
-        np.testing.assert_allclose(out.x, [1.0])
-        np.testing.assert_allclose(out.y, [2.0])
+        z_hat = np.array([2.0, 0.0])
+        z_old = np.array([-1.0, 1.0])
+        anchor = np.array([0.0, 4.0])
+        out = halpern(z_hat, z_old, anchor, k=0, beta=0.0)
+        np.testing.assert_allclose(out, [1.0, 2.0])
 
     def test_coincident_points_fixed(self):
-        p = IterateZ(np.array([0.3, -0.7]), np.array([1.5]))
+        p = np.array([0.3, -0.7, 1.5])
         for beta in (0.0, 0.5, 1.0):
             for k in (0, 1, 7):
-                out = reflected_halpern_step(p, p, p, k, beta)
-                np.testing.assert_allclose(out.x, p.x, atol=1e-15)
-                np.testing.assert_allclose(out.y, p.y, atol=1e-15)
+                out = halpern(p, p, p, k, beta)
+                np.testing.assert_allclose(out, p, atol=1e-15)
 
     def test_beta_one_k_one_hand_arithmetic(self):
         rng = np.random.default_rng(61)
-        z_hat = IterateZ(rng.standard_normal(3), rng.standard_normal(2))
-        z_old = IterateZ(rng.standard_normal(3), rng.standard_normal(2))
-        anchor = IterateZ(rng.standard_normal(3), rng.standard_normal(2))
-        out = reflected_halpern_step(z_hat, z_old, anchor, k=1, beta=1.0)
-        expect_x = (2.0 / 3.0) * (2.0 * z_hat.x - z_old.x) + (1.0 / 3.0) * anchor.x
-        np.testing.assert_allclose(out.x, expect_x, atol=1e-14)
+        z_hat = np.concatenate([rng.standard_normal(3), rng.standard_normal(2)])
+        z_old = np.concatenate([rng.standard_normal(3), rng.standard_normal(2)])
+        anchor = np.concatenate([rng.standard_normal(3), rng.standard_normal(2)])
+        out = halpern(z_hat, z_old, anchor, k=1, beta=1.0)
+        expect = (2.0 / 3.0) * (2.0 * z_hat - z_old) + (1.0 / 3.0) * anchor
+        np.testing.assert_allclose(out[:3], expect[:3], atol=1e-14)
 
     def test_beta_range_enforced(self):
-        p = IterateZ(np.zeros(1), np.zeros(1))
+        p = np.zeros(2)
         with pytest.raises(ValueError):
-            reflected_halpern_step(p, p, p, 0, 1.5)
+            halpern(p, p, p, 0, 1.5)
 
 
 class TestWeightedAverage:
+    # flat [x; y] operands; weight 0 marks the empty average
     def test_first_update_returns_point(self):
-        z = IterateZ(np.array([2.0]), np.array([3.0]))
-        z_bar, w = update_weighted_average(None, 0.0, z, 0.5)
-        np.testing.assert_array_equal(z_bar.x, z.x)
+        z = np.array([2.0, 3.0])
+        z_bar, w = average(np.full(2, np.nan), 0.0, z, 0.5)
+        np.testing.assert_array_equal(z_bar[:1], z[:1])
         assert w == 0.5
 
     def test_equal_weights_midpoint(self):
-        a = IterateZ(np.array([0.0]), np.array([0.0]))
-        b = IterateZ(np.array([1.0]), np.array([2.0]))
-        z_bar, w = update_weighted_average(None, 0.0, a, 1.0)
-        z_bar, w = update_weighted_average(z_bar, w, b, 1.0)
-        np.testing.assert_allclose(z_bar.x, [0.5])
-        np.testing.assert_allclose(z_bar.y, [1.0])
+        a = np.array([0.0, 0.0])
+        b = np.array([1.0, 2.0])
+        z_bar, w = average(np.full(2, np.nan), 0.0, a, 1.0)
+        z_bar, w = average(z_bar, w, b, 1.0)
+        np.testing.assert_allclose(z_bar, [0.5, 1.0])
 
     def test_streaming_matches_batch(self):
         rng = np.random.default_rng(62)
         etas = rng.uniform(0.1, 2.0, 10)
-        zs = [IterateZ(rng.standard_normal(3), rng.standard_normal(2)) for _ in range(10)]
-        z_bar, w = None, 0.0
+        zs = [np.concatenate([rng.standard_normal(3), rng.standard_normal(2)]) for _ in range(10)]
+        z_bar, w = np.full(5, np.nan), 0.0
         for eta, z in zip(etas, zs):
-            z_bar, w = update_weighted_average(z_bar, w, z, float(eta))
-        batch_x = sum(e * z.x for e, z in zip(etas, zs)) / etas.sum()
-        batch_y = sum(e * z.y for e, z in zip(etas, zs)) / etas.sum()
-        np.testing.assert_allclose(z_bar.x, batch_x, atol=1e-12)
-        np.testing.assert_allclose(z_bar.y, batch_y, atol=1e-12)
+            z_bar, w = average(z_bar, w, z, float(eta))
+        batch = sum(e * z for e, z in zip(etas, zs)) / etas.sum()
+        np.testing.assert_allclose(z_bar[:3], batch[:3], atol=1e-12)
+        np.testing.assert_allclose(z_bar[3:], batch[3:], atol=1e-12)
 
 
 class TestSolve:

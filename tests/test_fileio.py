@@ -115,6 +115,55 @@ class TestParse:
         with pytest.raises(ProblemFormatError):
             document_to_problem(doc)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("G", [1, 2], "G must be an object"),
+        ("G", None, "G must be an object"),
+        ("c", None, "c must be a flat list"),
+        ("c", 3.0, "c must be a flat list"),
+        ("c", ["-1.0"], "c must be a flat list"),
+        ("c", [10**400], "c must be a flat list"),
+        ("h", [[0.5]], "h must be a flat list"),
+        ("bl", None, "bl must be a list"),
+        ("bl", [[0.0]], "bl: entries must be numbers"),
+        ("bl", [10**400], "bl: numeric entries must be finite"),
+        ("socG", 3, "socG must be a list"),
+        ("socG", [2.5], "socG must be a nonnegative integer"),
+        ("n", None, "n must be a nonnegative integer"),
+        ("n", 1.5, "n must be a nonnegative integer"),
+        ("m", -1, "m must be a nonnegative integer"),
+        ("expG", [1], "expG must be a nonnegative integer"),
+    ], ids=lambda v: repr(v)[:20])
+    def test_malformed_entries_raise_format_error(self, key, value, match):
+        doc = mixed_doc()
+        doc[key] = value
+        with pytest.raises(ProblemFormatError, match=match):
+            document_to_problem(doc)
+
+    @pytest.mark.parametrize("rows, match", [
+        ([[0]] * 16, "G.rows must be a flat list"),
+        ([[0], 1] + list(range(2, 16)), "G.rows must be a flat list"),
+        ([1.5] + list(range(1, 16)), "G.rows entries must be integers"),
+        (["0"] + list(range(1, 16)), "G.rows must be a flat list"),
+    ])
+    def test_malformed_row_indices_raise_format_error(self, rows, match):
+        doc = mixed_doc()
+        doc["G"]["rows"] = rows
+        with pytest.raises(ProblemFormatError, match=match):
+            document_to_problem(doc)
+
+    def test_integral_float_counts_and_indices_accepted(self):
+        doc = mixed_doc()
+        ref = document_to_problem(mixed_doc())
+        doc["n"], doc["nb"] = 3.0, 3.0
+        doc["G"]["rows"] = [float(i) for i in doc["G"]["rows"]]
+        p = document_to_problem(doc)
+        assert p.n == 3
+        np.testing.assert_array_equal(p.G.toarray(), ref.G.toarray())
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ProblemFormatError, match="JSON object"):
+            document_to_problem([1, 2])
+
     def test_rsoc_extension_rows(self):
         doc = {
             "format_version": 1,
