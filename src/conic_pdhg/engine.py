@@ -6,6 +6,16 @@ combinations of the products already computed (the Halpern step is affine),
 so each accepted iteration costs one G product and one G^T product; the
 caches are refreshed from scratch at every check and restart to stop
 round-off drift.
+
+Two cadences drive the exit tests.  A termination scan runs the optimality
+and resource-limit tests at the first iteration at or past each multiple of
+`termination_check_freq`.  A restart check, every `duality_gap_restart_freq`
+(or `kkt_restart_freq`) iterations, runs the same tests plus the
+infeasibility certificates, whose history reads a trend over three checks,
+then refreshes the product caches and evaluates the restart metric.  A scan
+forms its own G x and G^T y from the unscaled iterate and writes no loop
+state, so the iterates do not depend on the scan cadence; a cadence at or
+above the restart cadence leaves the tests at restart checks only.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ class SolverOptions:
     kkt_restart_freq: int = 2000
     use_duality_gap_restart: bool = True
     duality_gap_restart_freq: int = 2000
+    termination_check_freq: int = 64
     eps_primal_infeasible_low_acc: float = 1e-12
     eps_dual_infeasible_low_acc: float = 1e-12
     eps_primal_infeasible_high_acc: float = 1e-16
@@ -76,7 +87,8 @@ class SolverOptions:
                      "eps_dual_infeasible_high_acc"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("print_freq", "kkt_restart_freq", "duality_gap_restart_freq", "max_iter"):
+        for name in ("print_freq", "kkt_restart_freq", "duality_gap_restart_freq",
+                     "termination_check_freq", "max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.method not in ("halpern", "average"):
@@ -466,7 +478,10 @@ class _Loop:
 
     def _termination_scan(self, state: SolverState, with_infeasibility: bool) -> term.ExitInfo | None:
         """Evaluate the original-problem report at the current iterate and run
-        the exit tests; a non-finite iterate or report raises NumericalError."""
+        the exit tests; a non-finite iterate or report raises NumericalError.
+        Apart from `_last_report` and, at checks, the infeasibility history,
+        it writes no loop state, so scans between checks leave the iterates
+        unchanged."""
         report, x, y, gx, gty = self._original_report(state.z)
         self._last_report = report
         if not (
@@ -587,6 +602,12 @@ class _Loop:
         adaptive = options.use_adaptive_step_size_weight
         z_hat, products_hat = self._split(self.candidate)
         z_part = slice(0, self.scaled.n + self.scaled.m)
+        log_rows = options.verbose >= 1 or self.logfile is not None
+        # Scans between checks run at the first k_bar at or past each multiple
+        # of the scan cadence, since a line-search rejection can step over
+        # one.  A cadence at or above the check cadence adds no scans.
+        scan_freq = options.termination_check_freq
+        next_scan = scan_freq if scan_freq < self.check_freq else math.inf
 
         while True:
             # k_bar counts every PDHG computation, including the one about
@@ -635,26 +656,29 @@ class _Loop:
             elapsed = time.monotonic() - self.t_start
             out_of_budget = state.k_bar >= options.max_iter or elapsed > options.time_limit
             at_check = state.k_bar % self.check_freq == 0 or out_of_budget
+            at_scan = at_check or state.k_bar >= next_scan
             at_print = state.k_bar % options.print_freq == 0
 
             if at_check:
                 self._refresh_products(state)
-                exit_info = self._termination_scan(state, with_infeasibility=True)
+            if at_scan:
+                if state.k_bar >= next_scan:
+                    next_scan = (state.k_bar // scan_freq + 1) * scan_freq
+                exit_info = self._termination_scan(state, with_infeasibility=at_check)
                 if exit_info is not None:
                     return exit_info
-                if at_print:
-                    self._log_line(state, self._last_report)
-                if self.restarts_enabled and state.k >= 1:
-                    before = state.t
-                    self._restart_check(state)
-                    if state.t != before:
-                        # Restart boundary: re-test termination at the new anchor.
-                        exit_info = self._termination_scan(state, with_infeasibility=False)
-                        if exit_info is not None:
-                            return exit_info
-            elif at_print and (options.verbose >= 1 or self.logfile is not None):
-                self._last_report = self._original_report(state.z)[0]
+            if at_print and log_rows:
+                if not at_scan:
+                    self._last_report = self._original_report(state.z)[0]
                 self._log_line(state, self._last_report)
+            if at_check and self.restarts_enabled and state.k >= 1:
+                before = state.t
+                self._restart_check(state)
+                if state.t != before:
+                    # Restart boundary: re-test termination at the new anchor.
+                    exit_info = self._termination_scan(state, with_infeasibility=False)
+                    if exit_info is not None:
+                        return exit_info
 
     def _build_result(self, state: SolverState, exit_info: term.ExitInfo) -> SolveResult:
         x_w, y_w = scalings.unscale_solution(state.z.x, state.z.y, self.scaling)
