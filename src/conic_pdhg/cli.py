@@ -37,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kkt-restart", action="store_true")
     p.add_argument("--kkt-restart-freq", type=int, default=2000)
     p.add_argument("--gap-restart-freq", type=int, default=2000)
-    p.add_argument("--termination-check-freq", type=int, default=64,
-                   help="iterations between optimality and limit tests")
     p.add_argument("--print-freq", type=int, default=2000)
     p.add_argument("--verbose", type=int, choices=(0, 1, 2), default=0)
     p.add_argument("--logfile", help="write iteration log lines to this file")
@@ -59,7 +57,6 @@ def options_from_args(args) -> SolverOptions:
         use_kkt_restart=args.kkt_restart,
         kkt_restart_freq=args.kkt_restart_freq,
         duality_gap_restart_freq=args.gap_restart_freq,
-        termination_check_freq=args.termination_check_freq,
         print_freq=args.print_freq,
         verbose=args.verbose,
         logfile=args.logfile,

@@ -7,15 +7,9 @@ so each accepted iteration costs one G product and one G^T product; the
 caches are refreshed from scratch at every check and restart to stop
 round-off drift.
 
-Two cadences drive the exit tests.  A termination scan runs the optimality
-and resource-limit tests at the first iteration at or past each multiple of
-`termination_check_freq`.  A restart check, every `duality_gap_restart_freq`
-(or `kkt_restart_freq`) iterations, runs the same tests plus the
-infeasibility certificates, whose history reads a trend over three checks,
-then refreshes the product caches and evaluates the restart metric.  A scan
-forms its own G x and G^T y from the unscaled iterate and writes no loop
-state, so the iterates do not depend on the scan cadence; a cadence at or
-above the restart cadence leaves the tests at restart checks only.
+Termination scans between restart checks run the optimality and limit
+tests on their own G x and G^T y from the unscaled iterate and write no
+loop state, so the iterates do not depend on the scan cadence.
 """
 
 from __future__ import annotations
@@ -37,6 +31,8 @@ from .model import ConicProblem, apply_rsoc_inverse, dual_objective, recover_dua
 _ETA_FLOOR = 1e-12
 _ETA_CEIL = 1e14
 _MAX_LINE_SEARCH_TRIALS = 60
+# Iterations between termination scans (README, "Termination").
+_TERMINATION_SCAN_FREQ = 64
 
 
 class IterateZ(NamedTuple):
@@ -66,7 +62,6 @@ class SolverOptions:
     kkt_restart_freq: int = 2000
     use_duality_gap_restart: bool = True
     duality_gap_restart_freq: int = 2000
-    termination_check_freq: int = 64
     eps_primal_infeasible_low_acc: float = 1e-12
     eps_dual_infeasible_low_acc: float = 1e-12
     eps_primal_infeasible_high_acc: float = 1e-16
@@ -87,8 +82,7 @@ class SolverOptions:
                      "eps_dual_infeasible_high_acc"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("print_freq", "kkt_restart_freq", "duality_gap_restart_freq",
-                     "termination_check_freq", "max_iter"):
+        for name in ("print_freq", "kkt_restart_freq", "duality_gap_restart_freq", "max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.method not in ("halpern", "average"):
@@ -603,11 +597,9 @@ class _Loop:
         z_hat, products_hat = self._split(self.candidate)
         z_part = slice(0, self.scaled.n + self.scaled.m)
         log_rows = options.verbose >= 1 or self.logfile is not None
-        # Scans between checks run at the first k_bar at or past each multiple
-        # of the scan cadence, since a line-search rejection can step over
-        # one.  A cadence at or above the check cadence adds no scans.
-        scan_freq = options.termination_check_freq
-        next_scan = scan_freq if scan_freq < self.check_freq else math.inf
+        # Scans run at the first k_bar at or past each multiple of the scan
+        # cadence, since a line-search rejection can step over one.
+        next_scan = _TERMINATION_SCAN_FREQ
 
         while True:
             # k_bar counts every PDHG computation, including the one about
@@ -663,7 +655,7 @@ class _Loop:
                 self._refresh_products(state)
             if at_scan:
                 if state.k_bar >= next_scan:
-                    next_scan = (state.k_bar // scan_freq + 1) * scan_freq
+                    next_scan = (state.k_bar // _TERMINATION_SCAN_FREQ + 1) * _TERMINATION_SCAN_FREQ
                 exit_info = self._termination_scan(state, with_infeasibility=at_check)
                 if exit_info is not None:
                     return exit_info

@@ -133,7 +133,7 @@ class TestCli:
             "--input", "x.json", "--method", "average", "--no-preconditioner",
             "--no-adaptive-restart", "--kkt-restart", "--kkt-restart-freq", "77",
             "--gap-restart-freq", "88", "--print-freq", "99", "--max-iter", "123",
-            "--termination-check-freq", "33", "--seed", "5",
+            "--seed", "5",
         ])
         from conic_pdhg.cli import options_from_args
 
@@ -146,20 +146,6 @@ class TestCli:
         assert opts.duality_gap_restart_freq == 88
         assert opts.print_freq == 99
         assert opts.max_iter == 123
-        assert opts.termination_check_freq == 33
-        assert options_from_args(parser.parse_args(["--input", "x.json"])).termination_check_freq == 64
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_termination_check_freq_below_one_exit_64(self, tmp_path, capsys, value):
-        inp = write_doc(tmp_path, one_dim_lp_doc())
-        assert main(["--input", inp, "--termination-check-freq", value]) == USAGE_EXIT
-        assert "termination_check_freq" in capsys.readouterr().err
-
-    def test_termination_check_freq_in_result_options(self, tmp_path):
-        inp = write_doc(tmp_path, random_lp_doc(np.random.default_rng(2)))
-        out = str(tmp_path / "r.json")
-        assert main(["--input", inp, "--output", out, "--termination-check-freq", "32"]) == 0
-        assert load_result(out)["options"]["termination_check_freq"] == 32
 
     def test_threads_env_validation(self, monkeypatch, tmp_path):
         inp = write_doc(tmp_path, one_dim_lp_doc())

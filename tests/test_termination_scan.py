@@ -1,13 +1,13 @@
 """Termination scans between restart checks.
 
-`SolverOptions.termination_check_freq` runs the optimality and limit tests
-at the first iteration at or past each multiple of its value, besides every
-restart check.  A scan forms its own products on the unscaled problem and
-writes no loop state, so a run with scans follows the run without them bit
-for bit and can only stop sooner.  A cadence at or above the restart
-cadence adds no scans.  These tests compare runs with and without scans:
-callback traces, exits, infeasibility certificates, product counters,
-error-report counts and log rows.
+The loop runs the optimality and limit tests at the first iteration at or
+past each multiple of `engine._TERMINATION_SCAN_FREQ`, besides every restart
+check.  A scan forms its own products on the unscaled problem and writes no
+loop state, so a run with scans follows the run without them bit for bit
+and can only stop sooner.  These tests compare runs with scans against runs
+with the cadence patched to 10**9, which scan only at checks as the loop did
+before scans existed: callback traces, exits, infeasibility certificates,
+product counters, error-report counts and log rows.
 """
 
 import hashlib
@@ -83,10 +83,11 @@ def digest(state):
     return state.k_bar, h.digest()
 
 
-def traced_solve(problem, monkeypatch, **kw):
-    """Solve, returning the result, the loop, the (k_bar, with_infeasibility)
-    of every termination scan and, per iteration, k_bar, a digest of the
-    state and the scaled matrix's product counters."""
+def traced_solve(problem, monkeypatch, scan_freq, **kw):
+    """Solve with scans every `scan_freq` iterations, returning the result,
+    the loop, the (k_bar, with_infeasibility) of every termination scan and,
+    per iteration, k_bar, a digest of the state and the scaled matrix's
+    product counters."""
     trace, scans = [], []
     real = eng._Loop._termination_scan
 
@@ -104,15 +105,16 @@ def traced_solve(problem, monkeypatch, **kw):
     loop.work.G.reset_counters()
     with monkeypatch.context() as mp:
         mp.setattr(eng._Loop, "_termination_scan", spy)
+        mp.setattr(eng, "_TERMINATION_SCAN_FREQ", scan_freq)
         r = loop.run()
     return r, loop, scans, trace
 
 
 def assert_scan_schedule(r, trace, scans, scan_freq, check_freq, max_iter):
     """Scans run at entry, at every restart check, after every restart, and
-    at the first k_bar at or past each multiple of a scan cadence below the
-    check cadence; only checks test infeasibility."""
-    checks, between, next_scan = [], [], scan_freq if scan_freq < check_freq else math.inf
+    at the first k_bar at or past each multiple of the scan cadence; only
+    checks test infeasibility."""
+    checks, between, next_scan = [], [], scan_freq
     for k, *_ in trace:
         if k % check_freq == 0 or k >= max_iter:
             checks.append(k)
@@ -132,20 +134,10 @@ def assert_scan_schedule(r, trace, scans, scan_freq, check_freq, max_iter):
 def test_scans_stop_sooner_on_the_same_trace(name, mode, monkeypatch):
     kw = dict(rel_tol=1e-4, abs_tol=1e-4, max_iter=1000, duality_gap_restart_freq=CHECK_FREQ,
               kkt_restart_freq=CHECK_FREQ, **MODES[mode])
-    runs = {
-        freq: traced_solve(PROBLEMS[name](), monkeypatch, termination_check_freq=freq, **kw)
-        for freq in (64, CHECK_FREQ, NO_SCANS)
-    }
-    r_off, _, scans_off, trace_off = runs[NO_SCANS]
-    r64, _, scans64, trace64 = runs[64]
+    r_off, _, scans_off, trace_off = traced_solve(PROBLEMS[name](), monkeypatch, NO_SCANS, **kw)
+    r64, _, scans64, trace64 = traced_solve(PROBLEMS[name](), monkeypatch, 64, **kw)
 
-    # a cadence at the restart cadence is the run without scans
-    r_at, _, scans_at, trace_at = runs[CHECK_FREQ]
-    assert trace_at == trace_off and scans_at == scans_off
-    for field in ("x", "y", "lam", "slack"):
-        np.testing.assert_array_equal(getattr(r_at, field), getattr(r_off, field))
-    assert (r_at.exit_status, r_at.iterations, r_at.restarts, r_at.p_obj) == \
-        (r_off.exit_status, r_off.iterations, r_off.restarts, r_off.p_obj)
+    # the reference run scans only at checks
     assert assert_scan_schedule(r_off, trace_off, scans_off, NO_SCANS, CHECK_FREQ, 1000) == []
 
     # scans leave the iterates alone and can only move the exit forward
@@ -158,13 +150,12 @@ def test_scans_stop_sooner_on_the_same_trace(name, mode, monkeypatch):
         assert r64.iterations < r_off.iterations
 
 
-@pytest.mark.parametrize("check_freq, scanned", [(CHECK_FREQ, [65, 128]), (64, [])],
+@pytest.mark.parametrize("check_freq, scanned", [(CHECK_FREQ, [65, 128]), (64, [65])],
                          ids=["scan cadence below check cadence", "equal cadences"])
 def test_scan_runs_after_a_line_search_jump_over_a_multiple(check_freq, scanned, monkeypatch):
     # A rejected trial advances k_bar by one more.  Make the step that would
     # end at k_bar = 63 end at 65, so that no iteration carries 64.  At equal
-    # cadences the run is the run without scans, which also skips the
-    # restart check at 64.
+    # cadences the restart check at 64 is skipped, but the scan at 65 runs.
     real = eng.adaptive_step_pdhg
 
     def jump(*args, **kwargs):
@@ -172,12 +163,12 @@ def test_scan_runs_after_a_line_search_jump_over_a_multiple(check_freq, scanned,
         return step._replace(k_bar=65) if step.k_bar == 63 else step
 
     monkeypatch.setattr(eng, "adaptive_step_pdhg", jump)
-    r, _, scans, trace = traced_solve(random_lp(7), monkeypatch, termination_check_freq=64,
+    r, _, scans, trace = traced_solve(random_lp(7), monkeypatch, 64,
                                    rel_tol=1e-14, abs_tol=1e-14, max_iter=150,
                                    duality_gap_restart_freq=check_freq)
     k_bars = [k for k, *_ in trace]
     assert r.exit_status == ":max_iter" and 64 not in k_bars and 65 in k_bars
-    assert (65 in [k for k, _ in scans]) == bool(scanned)
+    assert (65, False) in scans
     assert assert_scan_schedule(r, trace, scans, 64, check_freq, 150) == scanned
 
 
@@ -248,8 +239,7 @@ def test_infeasible_lps_certify_at_the_same_check(name, monkeypatch):
 
         with monkeypatch.context() as mp:
             mp.setattr(term.InfeasibilityHistory, "push", spy)
-            r, _, scans, trace = traced_solve(make(), monkeypatch, termination_check_freq=freq,
-                                           max_iter=3000, **kw)
+            r, _, scans, trace = traced_solve(make(), monkeypatch, freq, max_iter=3000, **kw)
         runs[freq] = (r, trace, pushed, scans)
     (r16, trace16, pushed16, scans16), (r_off, trace_off, pushed_off, _) = runs[16], runs[NO_SCANS]
     assert r16.exit_status == r_off.exit_status == status
@@ -274,8 +264,9 @@ def test_error_reports_at_entry_scans_checks_and_restarts(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(term, "compute_errors", counting)
-    r = solve(tiny_lp(), SolverOptions(duality_gap_restart_freq=20, termination_check_freq=8,
-                                       max_iter=100, rel_tol=1e-14, abs_tol=1e-14))
+    monkeypatch.setattr(eng, "_TERMINATION_SCAN_FREQ", 8)
+    r = solve(tiny_lp(), SolverOptions(duality_gap_restart_freq=20, max_iter=100,
+                                       rel_tol=1e-14, abs_tol=1e-14))
     assert r.exit_status == ":max_iter" and r.iterations == 100 and r.restarts == 4
     # the entry scan, scans at the ten multiples of 8 up to 100 that are not
     # checks (all but 40 and 80), the checks at 20, 40, 60, 80 and 100, and
@@ -285,10 +276,8 @@ def test_error_reports_at_entry_scans_checks_and_restarts(monkeypatch):
 
 def test_scan_products_land_on_the_unscaled_matrix(monkeypatch):
     kw = dict(duality_gap_restart_freq=CHECK_FREQ, rel_tol=1e-4, abs_tol=1e-4)
-    r64, loop64, scans64, trace64 = traced_solve(random_lp(7), monkeypatch,
-                                                 termination_check_freq=64, **kw)
-    r_off, loop_off, scans_off, trace_off = traced_solve(random_lp(7), monkeypatch,
-                                                         termination_check_freq=NO_SCANS, **kw)
+    r64, loop64, scans64, trace64 = traced_solve(random_lp(7), monkeypatch, 64, **kw)
+    r_off, loop_off, scans_off, trace_off = traced_solve(random_lp(7), monkeypatch, NO_SCANS, **kw)
     assert r64.exit_status == r_off.exit_status == ":optimal"
     assert r64.iterations < r_off.iterations and len(scans64) > len(scans_off)
     # the scaled products match the run without scans iteration by
@@ -311,7 +300,7 @@ def test_scan_products_land_on_the_unscaled_matrix(monkeypatch):
 def test_log_rows_match_the_run_without_scans(tmp_path, monkeypatch):
     inp = write_doc(tmp_path, random_lp_doc(np.random.default_rng(0), n=8, m=8))
     runs = {}
-    for freq in ("64", "2000"):  # 2000 is the default restart cadence: no scans
+    for freq in (64, NO_SCANS):
         calls = {"scan": 0, "report": 0}
         real_scan, real_report = eng._Loop._termination_scan, eng._Loop._original_report
 
@@ -327,10 +316,11 @@ def test_log_rows_match_the_run_without_scans(tmp_path, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(eng._Loop, "_termination_scan", scan)
             mp.setattr(eng._Loop, "_original_report", report)
+            mp.setattr(eng, "_TERMINATION_SCAN_FREQ", freq)
             assert main(["--input", inp, "--output", out, "--print-freq", "128",
-                         "--logfile", str(log), "--termination-check-freq", freq]) == 0
+                         "--logfile", str(log)]) == 0
         runs[freq] = (log.read_text().splitlines(), load_result(out), calls)
-    (rows64, doc64, calls64), (rows_off, doc_off, calls_off) = runs["64"], runs["2000"]
+    (rows64, doc64, calls64), (rows_off, doc_off, calls_off) = runs[64], runs[NO_SCANS]
     assert doc64["exit_status"] == doc_off["exit_status"] == ":optimal"
     assert doc64["iterations"] < doc_off["iterations"]
     assert len(rows64) > 10
