@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .engine import SolverOptions, solve
@@ -40,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--print-freq", type=int, default=2000)
     p.add_argument("--verbose", type=int, choices=(0, 1, 2), default=0)
     p.add_argument("--logfile", help="write iteration log lines to this file")
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved for future randomized features; currently unused")
     return p
 
 
@@ -63,28 +60,12 @@ def options_from_args(args) -> SolverOptions:
     )
 
 
-def _parse_workers_env() -> int | None:
-    """CONIC_PDHG_THREADS caps internal data-parallel workers.  The current
-    kernels are sequential, so the value is validated and recorded only."""
-    raw = os.environ.get("CONIC_PDHG_THREADS")
-    if raw is None:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"CONIC_PDHG_THREADS must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise SystemExit("CONIC_PDHG_THREADS must be at least 1")
-    return workers
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
-    _parse_workers_env()
 
     try:
         problem = parse_problem(args.input)

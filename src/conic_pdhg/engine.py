@@ -310,6 +310,12 @@ def update_weighted_average(z_bar: np.ndarray, weight: float, z_new: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def _reached(k_prev: int, k_bar: int, period: int) -> bool:
+    """Whether the step from k_prev to k_bar reached or passed a multiple of
+    `period`; a line-search rejection can step over one."""
+    return k_bar // period > k_prev // period
+
+
 class _Loop:
     def __init__(self, original: ConicProblem, options: SolverOptions):
         self.original = original
@@ -331,15 +337,10 @@ class _Loop:
         self.logfile = None
         self._last_report: term.ErrorReport | None = None
 
-        if options.use_adaptive_restart and options.use_duality_gap_restart:
-            self.check_freq = options.duality_gap_restart_freq
-            self.base_mode = "gap"
-        elif options.use_adaptive_restart and options.use_kkt_restart:
-            self.check_freq = options.kkt_restart_freq
-            self.base_mode = "kkt"
-        else:
-            self.check_freq = options.duality_gap_restart_freq
-            self.base_mode = "gap"
+        kkt = (options.use_adaptive_restart and options.use_kkt_restart
+               and not options.use_duality_gap_restart)
+        self.check_freq = options.kkt_restart_freq if kkt else options.duality_gap_restart_freq
+        self.base_mode = "kkt" if kkt else "gap"
         self.restarts_enabled = options.use_adaptive_restart and (
             options.use_duality_gap_restart or options.use_kkt_restart
         )
@@ -597,11 +598,9 @@ class _Loop:
         z_hat, products_hat = self._split(self.candidate)
         z_part = slice(0, self.scaled.n + self.scaled.m)
         log_rows = options.verbose >= 1 or self.logfile is not None
-        # Scans run at the first k_bar at or past each multiple of the scan
-        # cadence, since a line-search rejection can step over one.
-        next_scan = _TERMINATION_SCAN_FREQ
 
         while True:
+            k_prev = state.k_bar
             # k_bar counts every PDHG computation, including the one about
             # to happen, so the line-search factors never see the
             # degenerate value 0 after the solve starts.
@@ -648,14 +647,12 @@ class _Loop:
             elapsed = time.monotonic() - self.t_start
             out_of_budget = state.k_bar >= options.max_iter or elapsed > options.time_limit
             at_check = state.k_bar % self.check_freq == 0 or out_of_budget
-            at_scan = at_check or state.k_bar >= next_scan
-            at_print = state.k_bar % options.print_freq == 0
+            at_scan = at_check or _reached(k_prev, state.k_bar, _TERMINATION_SCAN_FREQ)
+            at_print = _reached(k_prev, state.k_bar, options.print_freq)
 
             if at_check:
                 self._refresh_products(state)
             if at_scan:
-                if state.k_bar >= next_scan:
-                    next_scan = (state.k_bar // _TERMINATION_SCAN_FREQ + 1) * _TERMINATION_SCAN_FREQ
                 exit_info = self._termination_scan(state, with_infeasibility=at_check)
                 if exit_info is not None:
                     return exit_info

@@ -36,8 +36,7 @@ class SparseMatrix:
         csr = sp.csr_matrix(matrix)
         csr.sum_duplicates()
         self._csr = csr
-        self._csc = csr.tocsc()
-        self._csc_t = self._csc.T  # CSR view of G^T sharing the CSC arrays
+        self._csc_t = csr.tocsc().T  # CSR view of G^T on the CSC arrays
         self.shape = csr.shape
         self.n_matvec = 0
         self.n_rmatvec = 0
@@ -85,26 +84,6 @@ class SparseMatrix:
         if self.nnz == 0:
             raise NumericalError("induced infinity norm undefined for an all-zero matrix")
         return float(np.max(np.abs(self._csr).sum(axis=1)))
-
-    def row_max_abs(self) -> np.ndarray:
-        out = np.zeros(self.m)
-        a = self._csr
-        if a.nnz:
-            np.maximum.at(out, np.repeat(np.arange(self.m), np.diff(a.indptr)), np.abs(a.data))
-        return out
-
-    def col_max_abs(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        a = self._csc
-        if a.nnz:
-            np.maximum.at(out, np.repeat(np.arange(self.n), np.diff(a.indptr)), np.abs(a.data))
-        return out
-
-    def row_abs_sums(self) -> np.ndarray:
-        return np.asarray(np.abs(self._csr).sum(axis=1)).ravel()
-
-    def col_abs_sums(self) -> np.ndarray:
-        return np.asarray(np.abs(self._csc).sum(axis=0)).ravel()
 
     def scaled(self, d_row: np.ndarray, d_col: np.ndarray) -> "SparseMatrix":
         """Return diag(d_row) @ A @ diag(d_col) as a new matrix."""

@@ -120,15 +120,19 @@ def normalized_gap(q: GapQuery, t0: float = 1.0, eps_rel: float = 1e-8) -> float
                 f"gap search did not bracket after {_MAX_DOUBLINGS} doublings"
             )
 
+    # The value is taken at the last midpoint evaluated.
     eps = eps_rel * max(1.0, t_right)
-    zx, zy = z_of_t(q, 0.5 * (t_left + t_right))
+    t_mid = 0.5 * (t_left + t_right)
+    zx, zy = z_of_t(q, t_mid)
     while t_right - t_left > eps:
-        t_mid = 0.5 * (t_left + t_right)
-        zx, zy = z_of_t(q, t_mid)
         if _distance(q, zx, zy) < q.r:
             t_left = t_mid
         else:
             t_right = t_mid
+        if t_right - t_left <= eps:
+            break
+        t_mid = 0.5 * (t_left + t_right)
+        zx, zy = z_of_t(q, t_mid)
     return _gap_value(q, zx, zy)
 
 

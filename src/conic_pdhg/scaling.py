@@ -6,6 +6,21 @@ l_hat = D2^-1 l, u_hat = D2^-1 u.  Cone blocks pick up their diagonal slice
 rescaled block is diag(slice) z in K.  Exponential blocks only admit
 block-uniform scaling, enforced here by a geometric mean, as are dual-side
 second-order blocks unless `allow_nonuniform_dual_soc` is set.
+
+The scales come from one array of entry magnitudes |G_ij|, read once in CSR
+order (by row, then column).  Each Ruiz round takes its row and column
+maxima and rescales it, instead of rebuilding the matrix.  Two orders are
+fixed so that the scales equal, bit for bit, those of the matrix
+formulation diag(r) @ A @ diag(c) reduced by scipy:
+
+* a round multiplies each magnitude as (r_i a_ij) c_j, the order of the two
+  sparse products; maxima are exact, so their order is free;
+* the Pock-Chambolle sums reduce each row in CSR order and each column in
+  CSC order with `np.add.reduceat`, as scipy's `sum(axis=...)` does; a
+  reordered or differently blocked float sum can change the last bit.
+
+Sparse products drop entries that round to zero, so after any Ruiz round
+the sums skip zero magnitudes; with no rounds they run over G as stored.
 """
 
 from __future__ import annotations
@@ -62,6 +77,17 @@ def _enforce_block_uniformity(
     return out
 
 
+def _run_sums(values: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
+    """Sums of `values` over the runs of equal ascending `keys`, by
+    np.add.reduceat as scipy sums a compressed matrix along its major axis;
+    0 where a key has no entry."""
+    out = np.zeros(size)
+    if keys.size:
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        out[keys[starts]] = np.add.reduceat(values, starts)
+    return out
+
+
 def build_scaling(
     problem: ConicProblem,
     iterations: int = 10,
@@ -79,21 +105,29 @@ def build_scaling(
     if problem.G.nnz == 0:
         raise ValueError("build_scaling needs a nonzero constraint matrix")
 
-    d1 = np.ones(problem.m)
-    d2 = np.ones(problem.n)
-    g = problem.G
+    m, n = problem.m, problem.n
+    g = problem.G.tocoo()  # CSR order
+    rows, cols, a = g.row, g.col, np.abs(g.data)
+    d1 = np.ones(m)
+    d2 = np.ones(n)
     for _ in range(iterations):
-        r = _safe_inv_sqrt(g.row_max_abs())
-        c = _safe_inv_sqrt(g.col_max_abs())
+        row_max, col_max = np.zeros(m), np.zeros(n)
+        np.maximum.at(row_max, rows, a)
+        np.maximum.at(col_max, cols, a)
+        r = _safe_inv_sqrt(row_max)
+        c = _safe_inv_sqrt(col_max)
         d1 *= r
         d2 *= c
-        g = g.scaled(r, c)
+        a = r[rows] * a * c[cols]
 
     if use_pock_chambolle:
-        r = _safe_inv_sqrt(g.row_abs_sums())
-        c = _safe_inv_sqrt(g.col_abs_sums())
-        d1 *= r
-        d2 *= c
+        if iterations:
+            kept = a > 0
+            rows, cols, a = rows[kept], cols[kept], a[kept]
+        # CSC order: by column, then row (the pairs are unique)
+        csc = np.argsort(cols.astype(np.int64) * m + rows)
+        d1 *= _safe_inv_sqrt(_run_sums(a, rows, m))
+        d2 *= _safe_inv_sqrt(_run_sums(a[csc], cols[csc], n))
 
     # Primal cone blocks sit after the box variables in the columns; exp and
     # (by default) dual soc blocks must stay projectable in closed/1-d form.

@@ -239,3 +239,48 @@ def weighted_average_allocating(z_bar, weight, z_new, eta_new):
         return tuple(v.copy() for v in z_new), eta_new
     total = weight + eta_new
     return tuple((weight * zb + eta_new * zn) / total for zb, zn in zip(z_bar, z_new)), total
+
+
+# ---------------------------------------------------------------------------
+# Preconditioner: the Ruiz rounds and the Pock-Chambolle pass as sparse
+# matrix algebra, one rebuilt matrix per round
+# ---------------------------------------------------------------------------
+
+
+def build_scaling_matrix_algebra(problem, iterations=10, use_pock_chambolle=True,
+                                 allow_nonuniform_dual_soc=False):
+    """d1, d2 of the diagonal preconditioner, each round rebuilding
+    diag(r) |A| diag(c) with scipy and reducing it with scipy's own `max`
+    and `sum` (row sums on the CSR matrix, column sums on its CSC copy).
+    Then the exp, rsoc and (unless allowed) dual soc blocks take the
+    geometric mean of their slice, and the scales are clipped to
+    [1e-8, 1e8]."""
+    import scipy.sparse as sp
+
+    from conic_pdhg.model import Cone, block_slices
+
+    def inv_sqrt(v):
+        v = np.asarray(v.todense() if sp.issparse(v) else v, dtype=float).ravel()
+        return np.array([1.0 / math.sqrt(e) if e > 0 else 1.0 for e in v])
+
+    a = abs(sp.csr_matrix(problem.G.tocoo()))
+    d1, d2 = np.ones(problem.m), np.ones(problem.n)
+    for _ in range(iterations):
+        r, c = inv_sqrt(a.max(axis=1)), inv_sqrt(a.max(axis=0))
+        d1 *= r
+        d2 *= c
+        a = sp.diags(r) @ a @ sp.diags(c)
+    if use_pock_chambolle:
+        d1 *= inv_sqrt(a.sum(axis=1))
+        d2 *= inv_sqrt(a.tocsc().sum(axis=0))
+
+    def uniform(d, specs, offset, soc):
+        d = d.copy()
+        for spec, sl in block_slices(specs, offset):
+            if spec.kind in (Cone.EXP, Cone.DUAL_EXP, Cone.RSOC) or (spec.kind is Cone.SOC and soc):
+                d[sl] = float(np.exp(np.mean(np.log(d[sl]))))
+        return d
+
+    d2 = uniform(d2, problem.primal_cones, problem.num_box, False)
+    d1 = uniform(d1, problem.dual_cones, 0, not allow_nonuniform_dual_soc)
+    return np.clip(d1, 1e-8, 1e8), np.clip(d2, 1e-8, 1e8)

@@ -133,7 +133,6 @@ class TestCli:
             "--input", "x.json", "--method", "average", "--no-preconditioner",
             "--no-adaptive-restart", "--kkt-restart", "--kkt-restart-freq", "77",
             "--gap-restart-freq", "88", "--print-freq", "99", "--max-iter", "123",
-            "--seed", "5",
         ])
         from conic_pdhg.cli import options_from_args
 
@@ -146,14 +145,6 @@ class TestCli:
         assert opts.duality_gap_restart_freq == 88
         assert opts.print_freq == 99
         assert opts.max_iter == 123
-
-    def test_threads_env_validation(self, monkeypatch, tmp_path):
-        inp = write_doc(tmp_path, one_dim_lp_doc())
-        monkeypatch.setenv("CONIC_PDHG_THREADS", "2")
-        assert main(["--input", inp]) == 0
-        monkeypatch.setenv("CONIC_PDHG_THREADS", "zero")
-        with pytest.raises(SystemExit):
-            main(["--input", inp])
 
     def test_deterministic_result_files_modulo_time(self, tmp_path):
         rng = np.random.default_rng(71)

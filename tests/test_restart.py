@@ -120,6 +120,24 @@ class TestNormalizedGap:
             oracle = np.max(b1[0] * (feas - x[0])) / r
             assert normalized_gap(q) == pytest.approx(oracle, abs=1e-4)
 
+    def test_bisection_evaluates_each_point_once(self, monkeypatch):
+        import conic_pdhg.restart as rs
+
+        points, real = [], rs.z_of_t
+
+        def spy(q, t):
+            points.append(t)
+            return real(q, t)
+
+        monkeypatch.setattr(rs, "z_of_t", spy)
+        x = np.array([0.3, -0.2])
+        q = box_query(x, np.zeros(0), np.array([1.0, -0.5]), np.zeros(0), 0.7, -1.0, 1.0)
+        value = normalized_gap(q)
+        # doublings from t = 1 until the distance passes r, then one call per
+        # bisection step; the value is that of the last point evaluated
+        assert len(points) > 10 and len(set(points)) == len(points)
+        assert value == (float(np.dot(q.b1, real(q, points[-1])[0] - x))) / q.r
+
     def test_tiny_radius_returns_zero(self):
         q = free_query(np.zeros(1), np.zeros(0), np.ones(1), np.zeros(0), 1e-15)
         assert normalized_gap(q) == 0.0

@@ -1,10 +1,18 @@
 """Unit tests for diagonal preconditioning."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles import build_scaling_matrix_algebra
+from test_lean_iteration import random_lp
+from test_termination_scan import planted_conic, primal_infeasible_lp
+from traces import traced_solve
+
+from conic_pdhg import scaling
+from conic_pdhg.engine import SolverOptions, solve
 from conic_pdhg.linalg import SparseMatrix
 from conic_pdhg.model import Cone, ConeSpec, ConicProblem
 from conic_pdhg.scaling import ScalingPair, build_scaling, rescale_problem, unscale_solution
@@ -238,3 +246,116 @@ class TestUnscale:
     def test_validation(self):
         with pytest.raises(ValueError):
             ScalingPair(np.array([0.0]), np.array([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# Against the matrix-algebra reference: the same bits, no rebuilt matrices
+# ---------------------------------------------------------------------------
+
+
+def reference_scaling(problem, iterations=10, use_pock_chambolle=True,
+                      allow_nonuniform_dual_soc=False):
+    return ScalingPair(*build_scaling_matrix_algebra(
+        problem, iterations, use_pock_chambolle, allow_nonuniform_dual_soc))
+
+
+def random_block_problem(rng, decades):
+    """Box columns, then soc, exp and dual-exp primal blocks; zero, nonneg,
+    soc, exp and dual-exp dual blocks.  G has duplicate triplets, explicit
+    zeros, an empty row and an empty column, and magnitudes spread over
+    `decades` decades either side of 1."""
+    nb = int(rng.integers(1, 6))
+    primal = (ConeSpec(Cone.SOC, 3), ConeSpec(Cone.EXP, 3), ConeSpec(Cone.DUAL_EXP, 3))
+    dual = (ConeSpec(Cone.ZERO, int(rng.integers(1, 4))), ConeSpec(Cone.NONNEG, int(rng.integers(1, 12))),
+            ConeSpec(Cone.SOC, 4), ConeSpec(Cone.EXP, 3), ConeSpec(Cone.DUAL_EXP, 3))
+    n, m = nb + 9, sum(spec.dim for spec in dual)
+    k = int(rng.integers(n, 4 * n * m // 5))
+    rows, cols = rng.integers(0, m, k), rng.integers(0, n, k)
+    vals = rng.standard_normal(k) * 10.0 ** rng.uniform(-decades, decades, k)
+    vals[rng.random(k) < 0.15] = 0.0
+    keep = (rows != rng.integers(0, m)) & (cols != rng.integers(0, n))
+    return ConicProblem(
+        c=rng.standard_normal(n), G=SparseMatrix.from_coo(rows[keep], cols[keep], vals[keep], (m, n)),
+        h=rng.standard_normal(m), l=-np.ones(nb), u=np.ones(nb), num_box=nb,
+        primal_cones=primal, dual_cones=dual,
+    )
+
+
+@pytest.mark.parametrize("decades", [0, 6, 200])
+def test_scales_equal_the_matrix_algebra_bit_for_bit(decades):
+    rng = np.random.default_rng(decades)
+    for _ in range(25):
+        p = random_block_problem(rng, decades)
+        for iterations in (0, 1, 10):
+            for pock_chambolle in (True, False):
+                for nonuniform in (True, False):
+                    args = (p, iterations, pock_chambolle, nonuniform)
+                    got, want = build_scaling(*args), reference_scaling(*args)
+                    assert np.array_equal(got.d1, want.d1), args[1:]
+                    assert np.array_equal(got.d2, want.d2), args[1:]
+
+
+def rsoc_problem():
+    # min x1 + x2 s.t. x1 >= 0 and 2 x1 x2 >= 1
+    g = np.zeros((4, 2))
+    g[0, 0] = g[1, 0] = g[2, 1] = 1.0
+    return ConicProblem(c=np.ones(2), G=SparseMatrix(g), h=np.array([0.0, 0.0, 0.0, -1.0]),
+                        l=np.full(2, -10.0), u=np.full(2, 10.0), num_box=2,
+                        dual_cones=(ConeSpec(Cone.NONNEG, 1), ConeSpec(Cone.RSOC, 3)))
+
+
+def test_matrices_built_per_solve(monkeypatch):
+    built = []
+    real = SparseMatrix.__init__
+
+    def counting(self, matrix):
+        built.append(matrix)
+        real(self, matrix)
+
+    lp, rsoc = random_lp(3), rsoc_problem()
+    monkeypatch.setattr(SparseMatrix, "__init__", counting)
+    build_scaling(lp)
+    assert len(built) == 0
+    solve(lp, SolverOptions(max_iter=10))
+    assert len(built) == 1  # the scaled matrix
+    built.clear()
+    solve(rsoc, SolverOptions(max_iter=10))
+    assert len(built) == 2  # the rotated blocks' matrix and its scaled copy
+
+
+TRACED_PROBLEMS = {
+    "feasible lp": lambda: random_lp(5, n=6, m=4),
+    "primal-infeasible lp": primal_infeasible_lp,
+    "soc-exp-dual-exp": lambda: planted_conic(1),
+}
+
+TRACED_MODES = {
+    "default": {},
+    "average": dict(method="average"),
+    "kkt": dict(use_kkt_restart=True, use_duality_gap_restart=False),
+    "fixed step": dict(use_adaptive_step_size_weight=False, fixed_reflection_beta=0.5),
+    "no restarts": dict(use_adaptive_restart=False),
+}
+
+
+@pytest.mark.parametrize("mode", TRACED_MODES)
+@pytest.mark.parametrize("name", TRACED_PROBLEMS)
+def test_solves_follow_the_reference_scales(name, mode, monkeypatch):
+    kw = dict(rel_tol=1e-4, abs_tol=1e-4, max_iter=1000, duality_gap_restart_freq=200,
+              kkt_restart_freq=200, **TRACED_MODES[mode])
+    r, _, _, trace = traced_solve(TRACED_PROBLEMS[name](), monkeypatch, **kw)
+    calls = []
+
+    def reference(*args, **kwargs):
+        calls.append(args)
+        return reference_scaling(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(scaling, "build_scaling", reference)
+        r_ref, _, _, trace_ref = traced_solve(TRACED_PROBLEMS[name](), monkeypatch, **kw)
+    assert len(calls) == 1
+    assert trace == trace_ref
+    assert repr(replace(r.exit, wall_time_s=0.0)) == repr(replace(r_ref.exit, wall_time_s=0.0))
+    for field in ("x", "y", "lam", "slack"):
+        assert np.array_equal(getattr(r, field), getattr(r_ref, field)), field
+    assert r.restarts == r_ref.restarts

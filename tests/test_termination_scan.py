@@ -10,7 +10,6 @@ before scans existed: callback traces, exits, infeasibility certificates,
 product counters, error-report counts and log rows.
 """
 
-import hashlib
 import math
 
 import numpy as np
@@ -19,6 +18,7 @@ import pytest
 from test_cli import random_lp_doc, write_doc
 from test_engine import tiny_lp
 from test_lean_iteration import random_lp
+from traces import traced_solve
 
 import conic_pdhg.engine as eng
 from conic_pdhg import termination as term
@@ -70,44 +70,6 @@ MODES = {
     "no preconditioner": dict(use_preconditioner=False),
     "no restarts": dict(use_adaptive_restart=False),
 }
-
-
-def digest(state):
-    h = hashlib.sha1()
-    for v in (state.z.x, state.z.y, state.z_anchor.x, state.z_anchor.y,
-              state.z_bar.x, state.z_bar.y,
-              [state.eta, state.eta_hat, state.omega, state.beta, state.avg_weight,
-               state.k, state.k_bar, state.t]):
-        h.update(np.asarray(v, dtype=np.float64).tobytes())
-    h.update(state.mode.encode())
-    return state.k_bar, h.digest()
-
-
-def traced_solve(problem, monkeypatch, scan_freq, **kw):
-    """Solve with scans every `scan_freq` iterations, returning the result,
-    the loop, the (k_bar, with_infeasibility) of every termination scan and,
-    per iteration, k_bar, a digest of the state and the scaled matrix's
-    product counters."""
-    trace, scans = [], []
-    real = eng._Loop._termination_scan
-
-    def spy(self, state, with_infeasibility):
-        scans.append((state.k_bar, with_infeasibility))
-        return real(self, state, with_infeasibility)
-
-    def record(state):
-        trace.append((*digest(state), (loop.scaled.G.n_matvec, loop.scaled.G.n_rmatvec)))
-
-    opts = SolverOptions(iteration_callback=record, **kw)
-    opts.validate()
-    loop = eng._Loop(problem, opts)
-    loop.scaled.G.reset_counters()
-    loop.work.G.reset_counters()
-    with monkeypatch.context() as mp:
-        mp.setattr(eng._Loop, "_termination_scan", spy)
-        mp.setattr(eng, "_TERMINATION_SCAN_FREQ", scan_freq)
-        r = loop.run()
-    return r, loop, scans, trace
 
 
 def assert_scan_schedule(r, trace, scans, scan_freq, check_freq, max_iter):
@@ -330,3 +292,16 @@ def test_log_rows_match_the_run_without_scans(tmp_path, monkeypatch):
     # every print row falls on a scan and reuses its report
     assert calls64["report"] == calls64["scan"]
     assert calls_off["report"] > calls_off["scan"]
+
+
+def test_log_rows_at_or_past_every_multiple(tmp_path):
+    # a line-search rejection steps over 3200 in this run; the row comes at
+    # the first iteration past it
+    inp = write_doc(tmp_path, random_lp_doc(np.random.default_rng(0), n=8, m=8))
+    log, out = tmp_path / "run.log", str(tmp_path / "run.json")
+    assert main(["--input", inp, "--output", out, "--print-freq", "128", "--logfile", str(log)]) == 0
+    k_bars = [int(row.split("\t")[0]) for row in log.read_text().splitlines()]
+    iterations = load_result(out)["iterations"]
+    assert k_bars[0] == 0 and k_bars[-1] == iterations
+    assert any(k % 128 for k in k_bars[1:-1])
+    assert sorted({k // 128 for k in k_bars}) == list(range(iterations // 128 + 1))
