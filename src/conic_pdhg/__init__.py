@@ -10,7 +10,7 @@ from .engine import (
 )
 from .fileio import parse_problem, serialize_problem, write_result
 from .linalg import NumericalError, SparseMatrix, WeightedNormContext
-from .model import Cone, ConeSpec, ConicProblem, DualRecovery, LambdaSet
+from .model import Cone, ConeSpec, ConicProblem, LambdaSet
 from .termination import EXIT_STATUS, ErrorReport, ExitInfo
 
 __version__ = "0.1.0"
@@ -19,7 +19,6 @@ __all__ = [
     "Cone",
     "ConeSpec",
     "ConicProblem",
-    "DualRecovery",
     "ErrorReport",
     "ExitInfo",
     "EXIT_STATUS",

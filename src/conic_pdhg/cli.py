@@ -23,21 +23,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = SolverOptions()
     p = _Parser(prog="conic-pdhg", description=__doc__)
     p.add_argument("--input", required=True, help="problem file (JSON)")
     p.add_argument("--output", help="result file to write (JSON)")
-    p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--abs-tol", type=float, default=1e-6)
-    p.add_argument("--time-limit", type=float, default=1000.0, help="seconds")
-    p.add_argument("--max-iter", type=int, default=1_000_000)
-    p.add_argument("--method", choices=("average", "halpern"), default="halpern")
+    p.add_argument("--rel-tol", type=float, default=defaults.rel_tol)
+    p.add_argument("--abs-tol", type=float, default=defaults.abs_tol)
+    p.add_argument("--time-limit", type=float, default=defaults.time_limit, help="seconds")
+    p.add_argument("--max-iter", type=int, default=defaults.max_iter)
+    p.add_argument("--method", choices=("average", "halpern"), default=defaults.method)
     p.add_argument("--no-preconditioner", action="store_true")
     p.add_argument("--no-adaptive-restart", action="store_true")
-    p.add_argument("--kkt-restart", action="store_true")
-    p.add_argument("--kkt-restart-freq", type=int, default=2000)
-    p.add_argument("--gap-restart-freq", type=int, default=2000)
-    p.add_argument("--print-freq", type=int, default=2000)
-    p.add_argument("--verbose", type=int, choices=(0, 1, 2), default=0)
+    p.add_argument("--kkt-restart", action="store_true",
+                   help="restart on the weighted KKT error instead of the duality gap")
+    p.add_argument("--kkt-restart-freq", type=int, default=defaults.kkt_restart_freq)
+    p.add_argument("--gap-restart-freq", type=int, default=defaults.duality_gap_restart_freq)
+    p.add_argument("--print-freq", type=int, default=defaults.print_freq)
+    p.add_argument("--verbose", type=int, choices=(0, 1, 2), default=defaults.verbose)
     p.add_argument("--logfile", help="write iteration log lines to this file")
     return p
 
@@ -52,6 +54,7 @@ def options_from_args(args) -> SolverOptions:
         use_preconditioner=not args.no_preconditioner,
         use_adaptive_restart=not args.no_adaptive_restart,
         use_kkt_restart=args.kkt_restart,
+        use_duality_gap_restart=not args.kkt_restart,
         kkt_restart_freq=args.kkt_restart_freq,
         duality_gap_restart_freq=args.gap_restart_freq,
         print_freq=args.print_freq,

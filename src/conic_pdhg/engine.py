@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -202,7 +202,6 @@ def adaptive_step_pdhg(
     k_bar: int,
     gty: np.ndarray | None = None,
     gx: np.ndarray | None = None,
-    max_trials: int = _MAX_LINE_SEARCH_TRIALS,
     out: np.ndarray | None = None,
 ) -> StepResult:
     """Line search accepting the first candidate with eta < eta_bar, where
@@ -228,7 +227,7 @@ def adaptive_step_pdhg(
     # curvature quotient is quantization noise
     noise_floor = 1e-14 * (1.0 + omega_norm(z.x, z.y, omega))
 
-    for trial in range(max_trials):
+    for trial in range(_MAX_LINE_SEARCH_TRIALS):
         tau = eta / omega
         sigma = eta * omega
         x_hat, y_hat, w = _pdhg_candidate(problem, z.x, z.y, tau, sigma, grad_x, out)
@@ -258,7 +257,7 @@ def adaptive_step_pdhg(
             return StepResult(IterateZ(x_hat, y_hat), eta, eta_next, k_bar, trial + 1)
         eta = eta_next
         k_bar += 1
-    raise NumericalError(f"step-size line search exceeded {max_trials} trials")
+    raise NumericalError(f"step-size line search exceeded {_MAX_LINE_SEARCH_TRIALS} trials")
 
 
 def reflected_halpern_step(z_hat: np.ndarray, z_old: np.ndarray, z_anchor: np.ndarray,
@@ -463,17 +462,10 @@ class _Loop:
             if self.logfile is not None:
                 self.logfile.close()
 
-    def _check_ctx(self, state: SolverState) -> term.CheckContext:
-        return term.CheckContext(
-            iterations=state.k_bar,
-            elapsed=time.monotonic() - self.t_start,
-            max_iter=self.options.max_iter,
-            time_limit=self.options.time_limit,
-        )
-
-    def _termination_scan(self, state: SolverState, with_infeasibility: bool) -> term.ExitInfo | None:
+    def _termination_scan(self, state: SolverState, with_infeasibility: bool) -> int | None:
         """Evaluate the original-problem report at the current iterate and run
-        the exit tests; a non-finite iterate or report raises NumericalError.
+        the exit tests, returning the exit code of the first that fires; a
+        non-finite iterate or report raises NumericalError.
         Apart from `_last_report` and, at checks, the infeasibility history,
         it writes no loop state, so scans between checks leave the iterates
         unchanged."""
@@ -485,14 +477,13 @@ class _Loop:
             and report.is_finite()
         ):
             raise NumericalError("non-finite iterate or optimality report")
-        ctx = self._check_ctx(state)
-        info = term.check_termination(report, self.options, ctx)
-        if info is None and with_infeasibility:
+        code = term.check_termination(
+            report, self.options, state.k_bar, time.monotonic() - self.t_start
+        )
+        if code is None and with_infeasibility:
             self.history.push(report)
-            info = term.check_infeasibility(
-                self.work, x, y, gx, gty, report, self.history, self.options, ctx
-            )
-        return info
+            code = term.check_infeasibility(self.work, x, y, gx, gty, self.history, self.options)
+        return code
 
     def _restart_check(self, state: SolverState) -> None:
         """Evaluate the restart metric for both candidates and restart if any
@@ -564,21 +555,22 @@ class _Loop:
     def _run(self) -> SolveResult:
         state = self._init_state()
         try:
-            exit_info = self._iterate(state)
+            code = self._iterate(state)
         except NumericalError:
             # the one numerical-failure exit, wherever after set-up it arises
-            exit_info = term.make_exit(term.EXIT_NUMERICAL_ERROR, self._check_ctx(state))
+            code = term.EXIT_NUMERICAL_ERROR
 
         if self.options.verbose >= 1 or self.logfile is not None:
             self._log_line(state, self._last_report)
             if self.options.verbose >= 1:
-                print(f"status {exit_info.status} code {exit_info.code} "
-                      f"iters {exit_info.iterations} time {exit_info.wall_time_s:.3f}s")
+                print(f"status {term.EXIT_STATUS[code]} code {code} iters {state.k_bar} "
+                      f"time {time.monotonic() - self.t_start:.3f}s")
 
-        return self._build_result(state, exit_info)
+        return self._build_result(state, code)
 
-    def _iterate(self, state: SolverState) -> term.ExitInfo:
-        """Run the loop from the initial state until an exit test fires."""
+    def _iterate(self, state: SolverState) -> int:
+        """Run the loop from the initial state until an exit test fires, and
+        return its exit code."""
         options = self.options
         if self.restarts_enabled and state.mode == "gap":
             self._baseline_gap(state)
@@ -590,9 +582,9 @@ class _Loop:
             )
 
         # Entry check: a solve started at an optimum must return immediately.
-        exit_info = self._termination_scan(state, with_infeasibility=False)
-        if exit_info is not None:
-            return exit_info
+        code = self._termination_scan(state, with_infeasibility=False)
+        if code is not None:
+            return code
         self._log_line(state, self._last_report)
         adaptive = options.use_adaptive_step_size_weight
         z_hat, products_hat = self._split(self.candidate)
@@ -653,9 +645,9 @@ class _Loop:
             if at_check:
                 self._refresh_products(state)
             if at_scan:
-                exit_info = self._termination_scan(state, with_infeasibility=at_check)
-                if exit_info is not None:
-                    return exit_info
+                code = self._termination_scan(state, with_infeasibility=at_check)
+                if code is not None:
+                    return code
             if at_print and log_rows:
                 if not at_scan:
                     self._last_report = self._original_report(state.z)[0]
@@ -665,24 +657,26 @@ class _Loop:
                 self._restart_check(state)
                 if state.t != before:
                     # Restart boundary: re-test termination at the new anchor.
-                    exit_info = self._termination_scan(state, with_infeasibility=False)
-                    if exit_info is not None:
-                        return exit_info
+                    code = self._termination_scan(state, with_infeasibility=False)
+                    if code is not None:
+                        return code
 
-    def _build_result(self, state: SolverState, exit_info: term.ExitInfo) -> SolveResult:
+    def _build_result(self, state: SolverState, code: int) -> SolveResult:
+        """Map the iterate back to the original problem and build the one
+        exit record for `code`."""
         x_w, y_w = scalings.unscale_solution(state.z.x, state.z.y, self.scaling)
         slack_w = self.work.G.matvec(x_w) - self.work.h
         x, y, slack = apply_rsoc_inverse(self.original, x_w, y_w, slack_w)
-        rec = recover_dual(self.original, y)
-        final = replace(
-            exit_info,
+        lam = recover_dual(self.original, y)
+        exit_info = term.ExitInfo(
+            code=code,
+            status=term.EXIT_STATUS[code],
+            iterations=state.k_bar,
             wall_time_s=time.monotonic() - self.t_start,
             p_obj=float(np.dot(self.original.c, x)),
-            d_obj=dual_objective(self.original, rec),
+            d_obj=dual_objective(self.original, y, lam),
         )
-        return SolveResult(
-            x=x, y=y, lam=rec.lam, slack=slack, exit=final, restarts=state.t
-        )
+        return SolveResult(x=x, y=y, lam=lam, slack=slack, exit=exit_info, restarts=state.t)
 
 
 def solve(problem: ConicProblem, options: SolverOptions | None = None) -> SolveResult:

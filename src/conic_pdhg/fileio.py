@@ -93,12 +93,16 @@ def _count(value, key: str) -> int:
 
 
 def _number_array(values, key: str) -> np.ndarray:
-    """A JSON list of numbers as a flat array of integer or float dtype."""
+    """A JSON list of numbers as a flat array of integer or float dtype.
+
+    JSON booleans are rejected: NumPy reads a list mixing them with numbers
+    as 0 and 1."""
     try:
         arr = np.asarray(_list(values, key))
     except ValueError:  # ragged nesting
         arr = None
-    if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuf"):
+    if (arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuf")
+            or bool in set(map(type, values))):
         raise ProblemFormatError(f"{key} must be a flat list of numbers")
     return arr
 

@@ -34,7 +34,10 @@ class SparseMatrix:
 
     def __init__(self, matrix) -> None:
         csr = sp.csr_matrix(matrix)
-        csr.sum_duplicates()
+        if not csr.has_canonical_format:
+            # sum_duplicates sorts in place, and a CSR `matrix` shares these arrays
+            csr = csr.copy()
+            csr.sum_duplicates()
         self._csr = csr
         self._csc_t = csr.tocsc().T  # CSR view of G^T on the CSC arrays
         self.shape = csr.shape

@@ -246,40 +246,25 @@ class BoxFacts:
         return start
 
 
-@dataclass(frozen=True)
-class DualRecovery:
-    """Dual multipliers recovered from y via lambda = c - G^T y."""
-
-    y: np.ndarray
-    lam: np.ndarray
-    num_box: int
-
-    @property
-    def lam_box(self) -> np.ndarray:
-        return self.lam[: self.num_box]
-
-
-def recover_dual(problem: ConicProblem, y: np.ndarray, gty: np.ndarray | None = None) -> DualRecovery:
-    """lambda = c - G^T y, split at num_box.  `gty` may carry a precomputed G^T y."""
+def recover_dual(problem: ConicProblem, y: np.ndarray, gty: np.ndarray | None = None) -> np.ndarray:
+    """lambda = c - G^T y.  `gty` may carry a precomputed G^T y."""
     if y.shape != (problem.m,):
         raise ValueError(f"y must have length {problem.m}, got {y.shape}")
     if gty is None:
         gty = problem.G.rmatvec(y)
-    return DualRecovery(y=y, lam=problem.c - gty, num_box=problem.num_box)
+    return problem.c - gty
 
 
-def dual_objective(problem: ConicProblem, rec: DualRecovery) -> float:
-    """<y, h> + l' lambda_1^+ - u' lambda_1^-.
+def dual_objective(problem: ConicProblem, y: np.ndarray, lam: np.ndarray) -> float:
+    """<y, h> + l' lambda_1^+ - u' lambda_1^-, with lambda_1 the first num_box
+    entries of `lam`.
 
     Terms with an infinite bound contribute 0 regardless of the multiplier;
     a nonzero multiplier against an infinite bound is dual infeasibility and
     is captured by the Lambda projection in the error metrics, so the
     objective stays finite.
     """
-    lam1 = rec.lam_box
-    if lam1.shape != (problem.num_box,):
-        raise ValueError("dual recovery does not match problem")
-    return problem.box.support(lam1, float(np.dot(rec.y, problem.h)))
+    return problem.box.support(lam[: problem.num_box], float(np.dot(y, problem.h)))
 
 
 def _rotation_blocks(specs, offset):

@@ -133,16 +133,16 @@ def _residuals(problem: ConicProblem, x: np.ndarray, y: np.ndarray,
                gx: np.ndarray, gty: np.ndarray) -> _Residuals:
     """The residual and multiplier violations at (x, y) with lambda = c - G^T y,
     both objectives, and the 2-norm absolutes with their 1-norm relatives."""
-    rec = recover_dual(problem, y, gty=gty)
+    lam = recover_dual(problem, y, gty=gty)
 
     residual = gx - problem.h
     res_proj = cones.project_dual_residual_set(residual, problem)
     res_viol = residual - res_proj
 
-    lam1_viol, lam2_viol = _multiplier_violation(problem, rec.lam)
+    lam1_viol, lam2_viol = _multiplier_violation(problem, lam)
 
     p_obj = float(np.dot(problem.c, x))
-    d_obj = dual_objective(problem, rec)
+    d_obj = dual_objective(problem, y, lam)
     gap = abs(p_obj - d_obj)
 
     abs_p = two_norm(res_viol)
@@ -224,40 +224,18 @@ def adaptive_reflection_parameter(report: ErrorReport | RelativeErrors) -> float
     return min(max(-0.1 * math.log10(err) + 0.2, 0.0), 1.0)
 
 
-@dataclass
-class CheckContext:
-    """The slice of solver state the termination checks need."""
-
-    iterations: int
-    elapsed: float
-    max_iter: int
-    time_limit: float
-
-
-def make_exit(code: int, ctx: CheckContext, report: ErrorReport | None = None) -> ExitInfo:
-    """The exit record for `code` at the check `ctx` describes, with the
-    objectives of `report` when there is one."""
-    return ExitInfo(
-        code=code,
-        status=EXIT_STATUS[code],
-        iterations=ctx.iterations,
-        wall_time_s=ctx.elapsed,
-        p_obj=math.nan if report is None else report.primal_obj,
-        d_obj=math.nan if report is None else report.dual_obj,
-    )
-
-
-def check_termination(report: ErrorReport, options, ctx: CheckContext) -> ExitInfo | None:
+def check_termination(report: ErrorReport, options, iterations: int,
+                      elapsed: float) -> int | None:
     """Optimal iff every inf-norm absolute <= abs_tol AND every inf-norm
     relative <= rel_tol; otherwise map resource limits to their codes."""
     abs_ok = max(report.abs_p_inf, report.abs_d_inf, report.abs_gap_term) <= options.abs_tol
     rel_ok = max(report.rel_p_inf, report.rel_d_inf, report.rel_gap_term) <= options.rel_tol
     if abs_ok and rel_ok:
-        return make_exit(EXIT_OPTIMAL, ctx, report)
-    if ctx.elapsed > ctx.time_limit:
-        return make_exit(EXIT_TIME_LIMIT, ctx, report)
-    if ctx.iterations >= ctx.max_iter:
-        return make_exit(EXIT_MAX_ITER, ctx, report)
+        return EXIT_OPTIMAL
+    if elapsed > options.time_limit:
+        return EXIT_TIME_LIMIT
+    if iterations >= options.max_iter:
+        return EXIT_MAX_ITER
     return None
 
 
@@ -324,11 +302,9 @@ def check_infeasibility(
     y: np.ndarray,
     gx: np.ndarray,
     gty: np.ndarray,
-    report: ErrorReport,
     history: InfeasibilityHistory,
     options,
-    ctx: CheckContext,
-) -> ExitInfo | None:
+) -> int | None:
     """Ratio tests for the four infeasibility codes.
 
     Primal infeasibility divides the dual-side certificate error by the ray
@@ -343,15 +319,15 @@ def check_infeasibility(
     if dual_ray is not None and dual_ray[1] > 0.0:
         ratio = dual_ray[0] / dual_ray[1]
         if _strictly_increasing(history.dual_objs) and ratio < options.eps_primal_infeasible_low_acc:
-            return make_exit(EXIT_PRIMAL_INFEASIBLE_LOW, ctx, report)
+            return EXIT_PRIMAL_INFEASIBLE_LOW
         if ratio < options.eps_primal_infeasible_high_acc:
-            return make_exit(EXIT_PRIMAL_INFEASIBLE_HIGH, ctx, report)
+            return EXIT_PRIMAL_INFEASIBLE_HIGH
 
     primal_ray = primal_ray_quality(problem, x, gx)
     if primal_ray is not None and primal_ray[1] > 0.0:
         ratio = primal_ray[0] / primal_ray[1]
         if _strictly_increasing(history.neg_primal_objs) and ratio < options.eps_dual_infeasible_low_acc:
-            return make_exit(EXIT_DUAL_INFEASIBLE_LOW, ctx, report)
+            return EXIT_DUAL_INFEASIBLE_LOW
         if ratio < options.eps_dual_infeasible_high_acc:
-            return make_exit(EXIT_DUAL_INFEASIBLE_HIGH, ctx, report)
+            return EXIT_DUAL_INFEASIBLE_HIGH
     return None

@@ -22,7 +22,7 @@ from oracles import bound_support_masks, box_recession_projection_masks, lambda_
 import conic_pdhg.model as model
 from conic_pdhg import cones
 from conic_pdhg.linalg import SparseMatrix
-from conic_pdhg.model import Cone, ConeSpec, ConicProblem, DualRecovery, LambdaSet, dual_objective
+from conic_pdhg.model import Cone, ConeSpec, ConicProblem, LambdaSet, dual_objective
 from conic_pdhg.termination import compute_errors, dual_ray_quality, primal_ray_quality
 
 pytestmark = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -100,7 +100,7 @@ def test_dual_objective_bitwise():
         lam = extreme(rng, 16)
         if seed % 2:
             lam = with_nans(rng, lam)
-        got = dual_objective(p, DualRecovery(y=y, lam=lam, num_box=16))
+        got = dual_objective(p, y, lam)
         ref = bound_support_masks(lam, p.l, p.u, float(np.dot(y, p.h)))
         assert same_bits(got, ref), seed
 

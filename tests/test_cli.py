@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from conic_pdhg.cli import USAGE_EXIT, build_parser, main
-from conic_pdhg.fileio import load_result
+from conic_pdhg.cli import USAGE_EXIT, build_parser, main, options_from_args
+from conic_pdhg.engine import SolverOptions, solve
+from conic_pdhg.fileio import load_result, parse_problem, write_result
 
 
 def one_dim_lp_doc():
@@ -120,6 +121,15 @@ class TestCli:
         assert main(["--input", write_doc(tmp_path, doc), "--max-iter", "10"]) == USAGE_EXIT
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("key", ["c", "h", "G.rows", "G.cols", "G.vals"])
+    def test_boolean_entries_exit_64(self, tmp_path, capsys, key):
+        # NumPy reads true mixed with numbers as 1, a valid index or value
+        doc = random_lp_doc(np.random.default_rng(0), n=8, m=8)
+        entries = doc["G"][key[2:]] if key.startswith("G.") else doc[key]
+        entries[0] = True
+        assert main(["--input", write_doc(tmp_path, doc), "--max-iter", "10"]) == USAGE_EXIT
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+
     def test_logfile_written(self, tmp_path):
         inp = write_doc(tmp_path, one_dim_lp_doc())
         log = tmp_path / "run.log"
@@ -134,17 +144,32 @@ class TestCli:
             "--no-adaptive-restart", "--kkt-restart", "--kkt-restart-freq", "77",
             "--gap-restart-freq", "88", "--print-freq", "99", "--max-iter", "123",
         ])
-        from conic_pdhg.cli import options_from_args
-
         opts = options_from_args(args)
         assert opts.method == "average"
         assert not opts.use_preconditioner
         assert not opts.use_adaptive_restart
         assert opts.use_kkt_restart
+        assert not opts.use_duality_gap_restart
         assert opts.kkt_restart_freq == 77
         assert opts.duality_gap_restart_freq == 88
         assert opts.print_freq == 99
         assert opts.max_iter == 123
+
+    def test_defaults_are_the_solver_defaults(self):
+        assert options_from_args(build_parser().parse_args(["--input", "x.json"])) == SolverOptions()
+
+    def test_kkt_restart_flags_match_library(self, tmp_path):
+        # --kkt-restart selects weighted-KKT restarts at --kkt-restart-freq
+        inp = write_doc(tmp_path, random_lp_doc(np.random.default_rng(0), n=8, m=8))
+        cli_out, lib_out = str(tmp_path / "cli.json"), str(tmp_path / "lib.json")
+        main(["--input", inp, "--output", cli_out, "--kkt-restart", "--kkt-restart-freq", "50"])
+        opts = SolverOptions(use_kkt_restart=True, use_duality_gap_restart=False,
+                             kkt_restart_freq=50)
+        write_result(solve(parse_problem(inp), opts), opts, lib_out)
+        docs = [load_result(cli_out), load_result(lib_out)]
+        for doc in docs:
+            doc["solve_time_sec"] = 0.0
+        assert docs[0] == docs[1]
 
     def test_deterministic_result_files_modulo_time(self, tmp_path):
         rng = np.random.default_rng(71)

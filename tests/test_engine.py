@@ -595,6 +595,84 @@ class TestSolve:
         assert r.p_obj == pytest.approx(-2.0, abs=1e-2)
 
 
+# One instance per exit code the solve loop reaches, from criterion 9 of the
+# acceptance tests: (code, problem, options, where a numerical failure is
+# injected).
+EXIT_CASES = {
+    "optimal at entry": (0, lambda: box_lp([1.0], np.zeros((0, 1)), [], [0.0], [1.0]), {}, None),
+    "optimal": (0, lambda: box_lp([-1.0], np.zeros((0, 1)), [], [0.0], [1.0]), {}, None),
+    "max_iter": (1, tiny_lp, dict(max_iter=5, rel_tol=1e-12, abs_tol=1e-12), None),
+    "primal infeasible low": (
+        2,
+        lambda: box_lp([0.0], [[1.0], [-1.0]], [1.0, 0.0], [-math.inf], [math.inf]),
+        dict(duality_gap_restart_freq=10, use_preconditioner=False, use_adaptive_restart=False,
+             eps_primal_infeasible_low_acc=1e-2, eps_primal_infeasible_high_acc=1e-300),
+        None,
+    ),
+    "primal infeasible high": (
+        3,
+        lambda: box_lp([0.0], [[-1.0]], [1.0], [0.0], [math.inf], (ConeSpec(Cone.ZERO, 1),)),
+        dict(duality_gap_restart_freq=50, use_preconditioner=False),
+        None,
+    ),
+    "dual infeasible low": (
+        4,
+        lambda: box_lp([-1.0, 0.0], [[1.0, -1.0]], [0.0], [-math.inf, 0.0],
+                       [math.inf, math.inf], (ConeSpec(Cone.ZERO, 1),)),
+        dict(duality_gap_restart_freq=10, use_preconditioner=False, use_adaptive_restart=False,
+             eps_dual_infeasible_low_acc=1e-1, eps_dual_infeasible_high_acc=1e-300),
+        None,
+    ),
+    "dual infeasible high": (
+        5,
+        lambda: box_lp([-1.0], [[1.0]], [-1.0], [0.0], [math.inf]),
+        dict(duality_gap_restart_freq=50, use_preconditioner=False),
+        None,
+    ),
+    "time_limit at entry": (6, tiny_lp, dict(time_limit=1e-9, rel_tol=1e-12, abs_tol=1e-12), None),
+    "numerical_error in a step": (8, tiny_lp, dict(use_preconditioner=False), "step"),
+    "numerical_error in a scan": (8, tiny_lp, {}, "scan"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_exit_record(case, monkeypatch):
+    """Every exit's record: the status of its code, the iterations counted at
+    the last callback (0 when the entry scan exits, one more when a PDHG
+    computation fails) and both objectives of the returned point, bit for bit."""
+    import itertools
+
+    import conic_pdhg.engine as eng
+    from conic_pdhg.model import dual_objective
+    from conic_pdhg.termination import EXIT_STATUS, ErrorReport
+
+    code, make, kw, failure = EXIT_CASES[case]
+    k_bars = []
+    if failure == "scan":
+        # the report of the first scan after the entry scan reads non-finite
+        scans = itertools.count()
+        monkeypatch.setattr(ErrorReport, "is_finite", lambda self: next(scans) == 0)
+    if failure == "step":
+        # primal projections turn NaN once five iterations were accepted
+        orig = eng.cones.project_primal_set
+
+        def poisoned(x, problem):
+            out = orig(x, problem)
+            if len(k_bars) >= 5:
+                out[0] = math.nan
+            return out
+
+        monkeypatch.setattr(eng.cones, "project_primal_set", poisoned)
+    p = make()
+    r = solve(p, SolverOptions(iteration_callback=lambda state: k_bars.append(state.k_bar), **kw))
+    assert r.exit_code == code
+    assert r.exit.status == EXIT_STATUS[code]
+    assert (not k_bars) == case.endswith("at entry")
+    assert r.iterations == (k_bars[-1] if k_bars else 0) + (failure == "step")
+    assert r.p_obj.hex() == float(np.dot(p.c, r.x)).hex()
+    assert r.d_obj.hex() == dual_objective(p, r.y, r.lam).hex()
+
+
 class TestGapAlongSolve:
     def test_gap_positive_far_from_optimum_small_at_optimum(self):
         from conic_pdhg.linalg import WeightedNormContext, n_norm

@@ -48,6 +48,18 @@ def test_csr_csc_views_agree():
     np.testing.assert_allclose(a.matvec(x), a.tocoo().tocsr() @ x, atol=1e-12)
 
 
+def test_callers_csr_left_unchanged():
+    # sum_duplicates sorts column indices in place
+    import scipy.sparse as sp
+
+    csr = sp.csr_matrix((np.array([3.0, 1.0, 2.0]), np.array([2, 0, 1]), np.array([0, 3])),
+                        shape=(1, 3))
+    a = SparseMatrix(csr)
+    np.testing.assert_array_equal(csr.indices, [2, 0, 1])
+    np.testing.assert_array_equal(csr.data, [3.0, 1.0, 2.0])
+    np.testing.assert_array_equal(a.toarray(), [[1.0, 2.0, 3.0]])
+
+
 def test_adjoint_identity():
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -91,14 +91,14 @@ class TestRecoverDual:
     def test_zero_y(self):
         p = box_lp([3.0, 1.0], np.eye(2), [0.0, 0.0], [0.0, 0.0], [1.0, 1.0],
                    (ConeSpec(Cone.NONNEG, 2),))
-        rec = recover_dual(p, np.zeros(2))
-        np.testing.assert_array_equal(rec.lam, p.c)
+        lam = recover_dual(p, np.zeros(2))
+        np.testing.assert_array_equal(lam, p.c)
 
     def test_identity_example(self):
         p = box_lp([3.0, 1.0], np.eye(2), [0.0, 0.0], [0.0, 0.0], [1.0, 1.0],
                    (ConeSpec(Cone.NONNEG, 2),))
-        rec = recover_dual(p, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(rec.lam, [2.0, 0.0])
+        lam = recover_dual(p, np.array([1.0, 1.0]))
+        np.testing.assert_allclose(lam, [2.0, 0.0])
 
     def test_against_dense_oracle(self):
         rng = np.random.default_rng(7)
@@ -106,8 +106,8 @@ class TestRecoverDual:
         p = box_lp(rng.standard_normal(4), dense, rng.standard_normal(5),
                    -np.ones(4), np.ones(4), (ConeSpec(Cone.NONNEG, 5),))
         y = rng.standard_normal(5)
-        rec = recover_dual(p, y)
-        assert np.max(np.abs(rec.lam - (p.c - dense.T @ y))) <= 1e-12
+        lam = recover_dual(p, y)
+        assert np.max(np.abs(lam - (p.c - dense.T @ y))) <= 1e-12
 
     def test_dimension_error(self):
         p = box_lp([1.0], np.zeros((1, 1)), [0.0], [0.0], [1.0], (ConeSpec(Cone.NONNEG, 1),))
@@ -118,8 +118,9 @@ class TestRecoverDual:
 class TestDualObjective:
     def test_zero(self):
         p = box_lp([0.0], np.zeros((1, 1)), [0.0], [0.0], [1.0], (ConeSpec(Cone.NONNEG, 1),))
-        rec = recover_dual(p, np.zeros(1))
-        assert dual_objective(p, rec) == 0.0
+        y = np.zeros(1)
+        lam = recover_dual(p, y)
+        assert dual_objective(p, y, lam) == 0.0
 
     def test_hand_arithmetic(self):
         # h=(1,2), y=(1,1), l=(0), u=(+inf), lam1=(0.5) -> 3 + 0*0.5 = 3
@@ -132,9 +133,10 @@ class TestDualObjective:
             num_box=1,
             dual_cones=(ConeSpec(Cone.NONNEG, 2),),
         )
-        rec = recover_dual(p, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(rec.lam, [0.5])
-        assert dual_objective(p, rec) == pytest.approx(3.0)
+        y = np.array([1.0, 1.0])
+        lam = recover_dual(p, y)
+        np.testing.assert_allclose(lam, [0.5])
+        assert dual_objective(p, y, lam) == pytest.approx(3.0)
 
     def test_one_dim_lp_duality(self):
         # min -x s.t. x <= 1, x >= 0 (as the box), no rows: optimum -1.
@@ -147,8 +149,9 @@ class TestDualObjective:
             u=np.array([1.0]),
             num_box=1,
         )
-        rec = recover_dual(p, np.zeros(0))
-        assert dual_objective(p, rec) == pytest.approx(-1.0)
+        y = np.zeros(0)
+        lam = recover_dual(p, y)
+        assert dual_objective(p, y, lam) == pytest.approx(-1.0)
 
     def test_infinite_bound_skip(self):
         # A nonzero multiplier against an infinite bound contributes 0.
@@ -160,9 +163,10 @@ class TestDualObjective:
             u=np.array([1.0]),
             num_box=1,
         )
-        rec = recover_dual(p, np.zeros(0))
-        assert math.isfinite(dual_objective(p, rec))
-        assert dual_objective(p, rec) == 0.0
+        y = np.zeros(0)
+        lam = recover_dual(p, y)
+        assert math.isfinite(dual_objective(p, y, lam))
+        assert dual_objective(p, y, lam) == 0.0
 
 
 def rsoc_member(p, q, w):

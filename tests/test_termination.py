@@ -10,7 +10,6 @@ from conic_pdhg.model import Cone, ConeSpec, ConicProblem
 from conic_pdhg.termination import (
     EXIT_CODE_FOR_STATUS,
     EXIT_STATUS,
-    CheckContext,
     ErrorReport,
     ExitInfo,
     InfeasibilityHistory,
@@ -165,33 +164,26 @@ class TestExitTable:
 
 
 class TestCheckTermination:
-    def _ctx(self, iters=10, elapsed=0.0):
-        return CheckContext(iterations=iters, elapsed=elapsed, max_iter=1000, time_limit=100.0)
+    OPTS = SolverOptions(max_iter=1000, time_limit=100.0)
 
     def test_optimal_requires_both_families(self):
-        opts = SolverOptions()
         r = dummy_report(abs_p_inf=1e-7, rel_p_inf=1e-7)
-        info = check_termination(r, opts, self._ctx())
-        assert info is not None and info.code == 0 and info.status == ":optimal"
+        code = check_termination(r, self.OPTS, 10, 0.0)
+        assert code == 0 and EXIT_STATUS[code] == ":optimal"
 
     def test_rel_violation_blocks_exit(self):
-        opts = SolverOptions()
         r = dummy_report(rel_gap_term=1e-5)
-        assert check_termination(r, opts, self._ctx()) is None
+        assert check_termination(r, self.OPTS, 10, 0.0) is None
         r2 = dummy_report(abs_gap_term=1e-5)
-        assert check_termination(r2, opts, self._ctx()) is None
+        assert check_termination(r2, self.OPTS, 10, 0.0) is None
 
     def test_time_limit(self):
-        opts = SolverOptions()
         r = dummy_report(rel_gap_term=1.0)
-        info = check_termination(r, opts, CheckContext(10, 200.0, 1000, 100.0))
-        assert info is not None and info.code == 6
+        assert check_termination(r, self.OPTS, 10, 200.0) == 6
 
     def test_max_iter(self):
-        opts = SolverOptions()
         r = dummy_report(rel_gap_term=1.0)
-        info = check_termination(r, opts, CheckContext(1000, 0.0, 1000, 100.0))
-        assert info is not None and info.code == 1
+        assert check_termination(r, self.OPTS, 1000, 0.0) == 1
 
 
 class TestCheckInfeasibility:
@@ -213,7 +205,6 @@ class TestCheckInfeasibility:
         opts = SolverOptions()
         hist = InfeasibilityHistory()
         rng = np.random.default_rng(43)
-        ctx = CheckContext(10, 0.0, 10**6, 100.0)
         for _ in range(300):
             x = rng.uniform(-2, 2, 1)
             y = rng.uniform(0, 50, 1)
@@ -221,20 +212,17 @@ class TestCheckInfeasibility:
             gty = p.G.rmatvec(y)
             r = compute_errors(p, x, y, gx=gx, gty=gty)
             hist.push(r)
-            assert check_infeasibility(p, x, y, gx, gty, r, hist, opts, ctx) is None
+            assert check_infeasibility(p, x, y, gx, gty, hist, opts) is None
 
     def test_primal_infeasible_high_acc(self):
         p = self._setup_infeasible()
         opts = SolverOptions()
         hist = InfeasibilityHistory()
-        ctx = CheckContext(10, 0.0, 10**6, 100.0)
         x = np.array([0.0])
         y = np.array([50.0])  # exact certificate direction
         gx = p.G.matvec(x)
         gty = p.G.rmatvec(y)
-        r = compute_errors(p, x, y, gx=gx, gty=gty)
-        info = check_infeasibility(p, x, y, gx, gty, r, hist, opts, ctx)
-        assert info is not None and info.code == 3
+        assert check_infeasibility(p, x, y, gx, gty, hist, opts) == 3
 
     def test_primal_infeasible_low_acc_needs_trend(self):
         p = self._setup_infeasible()
@@ -243,9 +231,8 @@ class TestCheckInfeasibility:
             eps_primal_infeasible_high_acc=1e-300,
         )
         hist = InfeasibilityHistory()
-        ctx = CheckContext(10, 0.0, 10**6, 100.0)
         x = np.array([0.0])
-        infos = []
+        codes = []
         # off-ray duals with growing magnitude: a persistent relative
         # certificate error of 1e-3, increasing dual objective
         for scale in (1.0, 2.0, 4.0):
@@ -254,9 +241,9 @@ class TestCheckInfeasibility:
             gx = p.G.matvec(x)
             r = compute_errors(p, x, y, gx=gx, gty=gty)
             hist.push(r)
-            infos.append(check_infeasibility(p, x, y, gx, gty, r, hist, opts, ctx))
-        assert infos[0] is None and infos[1] is None  # trend not established
-        assert infos[2] is not None and infos[2].code == 2
+            codes.append(check_infeasibility(p, x, y, gx, gty, hist, opts))
+        assert codes[0] is None and codes[1] is None  # trend not established
+        assert codes[2] == 2
 
     def test_dual_infeasible_high_acc(self):
         # min -x, x >= 0 box, benign row x >= -1: unbounded below in c'x
@@ -271,11 +258,8 @@ class TestCheckInfeasibility:
         )
         opts = SolverOptions()
         hist = InfeasibilityHistory()
-        ctx = CheckContext(10, 0.0, 10**6, 100.0)
         x = np.array([40.0])
         y = np.array([0.0])
         gx = p.G.matvec(x)
         gty = p.G.rmatvec(y)
-        r = compute_errors(p, x, y, gx=gx, gty=gty)
-        info = check_infeasibility(p, x, y, gx, gty, r, hist, opts, ctx)
-        assert info is not None and info.code == 5
+        assert check_infeasibility(p, x, y, gx, gty, hist, opts) == 5
