@@ -10,8 +10,8 @@ from .engine import (
 )
 from .fileio import parse_problem, serialize_problem, write_result
 from .linalg import NumericalError, SparseMatrix, WeightedNormContext
-from .model import Cone, ConeSpec, ConicProblem, LambdaSet
-from .termination import EXIT_STATUS, ErrorReport, ExitInfo
+from .model import Cone, ConeSpec, ConicProblem
+from .termination import EXIT_STATUS, ErrorReport
 
 __version__ = "0.1.0"
 
@@ -20,10 +20,8 @@ __all__ = [
     "ConeSpec",
     "ConicProblem",
     "ErrorReport",
-    "ExitInfo",
     "EXIT_STATUS",
     "IterateZ",
-    "LambdaSet",
     "NumericalError",
     "SolveResult",
     "SolverOptions",

@@ -35,14 +35,24 @@ _ROOT_TOL = 1e-12
 _MAX_ROOT_ITERS = 100
 _NEWTON_ITERS = 20
 
-_EXP_UNSCALED_MIN = 2.0 ** -500
-_EXP_UNSCALED_MAX = 2.0 ** 500
+_UNSCALED_MIN = 2.0 ** -500
+_UNSCALED_MAX = 2.0 ** 500
 
 
 def _safe_exp(x: float) -> float:
     if x >= 709.0:
         return math.inf
     return math.exp(x)
+
+
+def _rescale_exponent(big: float) -> int | None:
+    """The e with big / 2^e in [0.5, 1) when a block's largest magnitude
+    `big` is finite, nonzero and outside [2^-500, 2^500], else None.  The
+    projections are positively homogeneous, so such a block is projected as
+    v / 2^e, where squares stay in range, and scaled back by 2^e exactly."""
+    if _UNSCALED_MAX < big < math.inf or 0.0 < big < _UNSCALED_MIN:
+        return math.frexp(big)[1]
+    return None
 
 
 def _log_ratio(a: float, b: float) -> float:
@@ -73,10 +83,17 @@ def project_soc(v: np.ndarray) -> np.ndarray:
 
 def _soc(v, out, scale=None):
     # np.linalg.norm evaluates a contiguous 1-d float64 vector as sqrt(x.x),
-    # so this is bit-identical to it without its per-call overhead.
+    # so this is bit-identical to it without its per-call overhead.  An nx
+    # in range is accurate, and then a large |t| takes an exact branch.
     t = v[0]
     x = v[1:]
     nx = math.sqrt(x.dot(x))
+    if not _UNSCALED_MIN <= nx <= _UNSCALED_MAX:
+        e = _rescale_exponent(float(np.max(np.abs(v))))
+        if e is not None:
+            _soc(np.ldexp(v, -e), out)
+            np.ldexp(out, e, out=out)
+            return
     if nx <= t:
         out[:] = v
     elif nx <= -t:
@@ -317,17 +334,14 @@ def _exp_primal_from_rho(r0, s0, t0, rho):
 def project_exp(v: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection onto the exponential cone.
 
-    The projection is positively homogeneous, so a point whose largest
-    magnitude lies outside [2^-500, 2^500] is projected after an exact
-    power-of-two rescaling to magnitude one, where the squares and ratios
-    below stay within floating-point range.
+    A point whose largest magnitude lies outside [2^-500, 2^500] is
+    projected after an exact power-of-two rescaling (`_rescale_exponent`).
     """
     r0, s0, t0 = float(v[0]), float(v[1]), float(v[2])
     if not (math.isfinite(r0) and math.isfinite(s0) and math.isfinite(t0)):
         raise NumericalError("exponential-cone projection of a non-finite point")
-    big = max(abs(r0), abs(s0), abs(t0))
-    if big > _EXP_UNSCALED_MAX or 0.0 < big < _EXP_UNSCALED_MIN:
-        e = math.frexp(big)[1]
+    e = _rescale_exponent(max(abs(r0), abs(s0), abs(t0)))
+    if e is not None:
         return np.ldexp(project_exp(np.ldexp([r0, s0, t0], -e)), e)
     if in_exp((r0, s0, t0)):
         return np.asarray(v, dtype=np.float64).copy()
@@ -388,6 +402,9 @@ def project_rescaled_soc(v: np.ndarray, d: np.ndarray) -> np.ndarray:
     if np.all(d == d[0]):
         # A uniform positive scaling leaves the cone unchanged.
         return project_soc(v)
+    e = _rescale_exponent(float(np.max(np.abs(v))))
+    if e is not None:
+        return np.ldexp(project_rescaled_soc(np.ldexp(v, -e), d), e)
 
     a = d[1:] / d[0]
     t0 = float(v[0])

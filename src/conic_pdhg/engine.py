@@ -126,36 +126,25 @@ class SolverState:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The point on the original problem (lam = c - G^T y, slack = G x - h)
+    and how the solve ended.  `iterations` counts accepted PDHG steps plus
+    rejected line-search trials up to the last completed iteration (0 when
+    the entry scan exits); `p_obj` and `d_obj` are the returned point's."""
+
     x: np.ndarray
     y: np.ndarray
     lam: np.ndarray
     slack: np.ndarray
-    exit: term.ExitInfo
+    exit_code: int
+    iterations: int
+    solve_time_s: float
+    p_obj: float
+    d_obj: float
     restarts: int
 
     @property
-    def exit_code(self) -> int:
-        return self.exit.code
-
-    @property
     def exit_status(self) -> str:
-        return self.exit.status
-
-    @property
-    def p_obj(self) -> float:
-        return self.exit.p_obj
-
-    @property
-    def d_obj(self) -> float:
-        return self.exit.d_obj
-
-    @property
-    def iterations(self) -> int:
-        return self.exit.iterations
-
-    @property
-    def solve_time_s(self) -> float:
-        return self.exit.wall_time_s
+        return term.EXIT_STATUS[self.exit_code]
 
 
 # ---------------------------------------------------------------------------
@@ -595,18 +584,19 @@ class _Loop:
             k_prev = state.k_bar
             # k_bar counts every PDHG computation, including the one about
             # to happen, so the line-search factors never see the
-            # degenerate value 0 after the solve starts.
-            state.k_bar += 1
+            # degenerate value 0 after the solve starts.  It reaches `state`
+            # only once the iteration completes.
+            k_bar = k_prev + 1
             gx, gty = self.products
             # Both modes write [x_hat; y_hat; G(2 x_hat - x)] into the candidate.
             if adaptive:
                 step = adaptive_step_pdhg(
-                    self.scaled, state.z, state.omega, state.eta_hat, state.k_bar,
+                    self.scaled, state.z, state.omega, state.eta_hat, k_bar,
                     gty=gty, gx=gx, out=self.candidate,
                 )
                 state.eta = step.eta_used
                 state.eta_hat = step.eta_next
-                state.k_bar = step.k_bar  # rejected trials also advance the count
+                k_bar = step.k_bar  # rejected trials also advance the count
             else:
                 ctx = WeightedNormContext(state.omega, state.eta_hat)
                 _pdhg_candidate(self.scaled, state.z.x, state.z.y, ctx.tau, ctx.sigma,
@@ -632,6 +622,7 @@ class _Loop:
                 out=self.average, scratch=self.scratch[z_part],
             )
             state.k += 1
+            state.k_bar = k_bar
 
             if options.iteration_callback is not None:
                 options.iteration_callback(state)
@@ -662,21 +653,18 @@ class _Loop:
                         return code
 
     def _build_result(self, state: SolverState, code: int) -> SolveResult:
-        """Map the iterate back to the original problem and build the one
-        exit record for `code`."""
+        """Map the iterate back to the original problem and build the result
+        for exit `code`."""
         x_w, y_w = scalings.unscale_solution(state.z.x, state.z.y, self.scaling)
         slack_w = self.work.G.matvec(x_w) - self.work.h
         x, y, slack = apply_rsoc_inverse(self.original, x_w, y_w, slack_w)
         lam = recover_dual(self.original, y)
-        exit_info = term.ExitInfo(
-            code=code,
-            status=term.EXIT_STATUS[code],
-            iterations=state.k_bar,
-            wall_time_s=time.monotonic() - self.t_start,
+        return SolveResult(
+            x=x, y=y, lam=lam, slack=slack, exit_code=code, iterations=state.k_bar,
+            solve_time_s=time.monotonic() - self.t_start,
             p_obj=float(np.dot(self.original.c, x)),
-            d_obj=dual_objective(self.original, y, lam),
+            d_obj=dual_objective(self.original, y, lam), restarts=state.t,
         )
-        return SolveResult(x=x, y=y, lam=lam, slack=slack, exit=exit_info, restarts=state.t)
 
 
 def solve(problem: ConicProblem, options: SolverOptions | None = None) -> SolveResult:

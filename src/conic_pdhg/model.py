@@ -191,44 +191,22 @@ def _positions(mask: np.ndarray) -> slice | np.ndarray:
     return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
-@dataclass(frozen=True)
-class LambdaSet:
-    """Per-coordinate sign set for the box multipliers lambda_1.
-
-    Tags follow the finiteness of (l_i, u_i): both infinite -> {0},
-    l only infinite -> R-, u only infinite -> R+, both finite -> R.
-    The set is the interval [lo, hi]: lo = -inf where u is finite, else 0;
-    hi = +inf where l is finite, else 0.
-    """
-
-    lower_finite: np.ndarray
-    upper_finite: np.ndarray
-    lo: np.ndarray = field(init=False, repr=False, compare=False)
-    hi: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", np.where(self.upper_finite, -np.inf, 0.0))
-        object.__setattr__(self, "hi", np.where(self.lower_finite, np.inf, 0.0))
-
-    @classmethod
-    def from_bounds(cls, l: np.ndarray, u: np.ndarray) -> "LambdaSet":
-        return cls(np.isfinite(l), np.isfinite(u))
-
-    def project(self, lam: np.ndarray) -> np.ndarray:
-        return np.clip(lam, self.lo, self.hi)
-
-
 class BoxFacts:
-    """What the bounds of one ConicProblem fix, computed once: the multiplier
-    set Lambda; the recession cone [rec_lo, rec_hi] of [l, u] (lo = 0 where l
-    is finite, else -inf; hi = 0 where u is finite, else +inf); positions
-    (index arrays, or a full slice when a side is finite throughout) and
-    values of the finite l and u; and h_denom, c_denom = 1 + ||h||_1, 1 + ||c||_1.
+    """What the bounds of one ConicProblem fix, computed once.
+
+    The multiplier set Lambda of lambda_1 is the interval [lam_lo, lam_hi].
+    By the finiteness of (l_i, u_i) it is {0} when both are infinite, R- when
+    only l is, R+ when only u is, and R when both are finite.  The recession
+    cone of [l, u] is [rec_lo, rec_hi]: 0 on a finite side, else infinite.
+    Then the positions (index arrays, or a full slice when a side is finite
+    throughout) and values of the finite l and u, and h_denom, c_denom =
+    1 + ||h||_1, 1 + ||c||_1.
     """
 
     def __init__(self, l: np.ndarray, u: np.ndarray, c: np.ndarray, h: np.ndarray) -> None:
         lower_finite, upper_finite = finite_bounds(l, u)
-        self.multipliers = LambdaSet(lower_finite, upper_finite)
+        self.lam_lo = np.where(upper_finite, -np.inf, 0.0)
+        self.lam_hi = np.where(lower_finite, np.inf, 0.0)
         self.rec_lo = np.where(lower_finite, 0.0, -np.inf)
         self.rec_hi = np.where(upper_finite, 0.0, np.inf)
         self.l_idx = _positions(lower_finite)

@@ -55,20 +55,6 @@ EXIT_CODE_FOR_STATUS = {status: code for code, status in EXIT_STATUS.items()}
 
 
 @dataclass(frozen=True)
-class ExitInfo:
-    code: int
-    status: str
-    iterations: int = 0
-    wall_time_s: float = 0.0
-    p_obj: float = math.nan
-    d_obj: float = math.nan
-
-    def __post_init__(self) -> None:
-        if EXIT_STATUS.get(self.code) != self.status:
-            raise ValueError(f"exit code {self.code} does not map to status {self.status}")
-
-
-@dataclass(frozen=True)
 class ErrorReport:
     """All twelve optimality metrics plus the two objectives."""
 
@@ -103,7 +89,7 @@ def _multiplier_violation(problem: ConicProblem,
     """lam minus its projection onto Lambda x K_p*, as its box and cone parts."""
     lam1 = lam[: problem.num_box]
     lam2 = lam[problem.num_box:]
-    return (lam1 - problem.box.multipliers.project(lam1),
+    return (lam1 - np.clip(lam1, problem.box.lam_lo, problem.box.lam_hi),
             lam2 - cones.project_primal_cone_dual(lam2, problem))
 
 

@@ -22,7 +22,7 @@ from oracles import bound_support_masks, box_recession_projection_masks, lambda_
 import conic_pdhg.model as model
 from conic_pdhg import cones
 from conic_pdhg.linalg import SparseMatrix
-from conic_pdhg.model import Cone, ConeSpec, ConicProblem, LambdaSet, dual_objective
+from conic_pdhg.model import Cone, ConeSpec, ConicProblem, dual_objective
 from conic_pdhg.termination import compute_errors, dual_ray_quality, primal_ray_quality
 
 pytestmark = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -79,8 +79,7 @@ def test_multiplier_projection_matches_masks():
         p = problem(rng, 16)
         lam = with_nans(rng, extreme(rng, 16))
         ref = lambda_projection_masks(lam, p.l, p.u)
-        assert_same_violation(lam, p.box.multipliers.project(lam), ref)
-        assert_same_violation(lam, LambdaSet.from_bounds(p.l, p.u).project(lam), ref)
+        assert_same_violation(lam, np.clip(lam, p.box.lam_lo, p.box.lam_hi), ref)
 
 
 def test_recession_projection_matches_masks():

@@ -205,12 +205,21 @@ def test_set_projections_match_per_block_reference_bitwise(uniform):
 
 
 def test_soc_kernel_matches_linalg_norm_bitwise():
+    # The np.linalg.norm formula is the reference only where the squares stay
+    # in the float range: blocks whose largest magnitude lies in
+    # [2^-500, 2^500], or that are not finite.  Beyond that range the kernel
+    # rescales (test_cones.py checks the contracts there).
     rng = np.random.default_rng(43)
-    for _ in range(3000):
+    compared = 0
+    while compared < 3000:
         dim = int(rng.integers(2, 16))
         v = rng.standard_normal(dim) * 10.0 ** rng.uniform(-300.0, 300.0)
         if rng.random() < 0.3:
             v = _boundary_block(rng, Cone.SOC, dim, 10.0 ** rng.integers(-300, 301))
+        big = float(np.max(np.abs(v)))
+        if math.isfinite(big) and not 2.0 ** -500 <= big <= 2.0 ** 500:
+            continue
+        compared += 1
         with np.errstate(all="ignore"):
             assert project_soc(v).tobytes() == soc_with_linalg_norm(v).tobytes()
 

@@ -293,6 +293,33 @@ class TestRescaledSoc:
             project_rescaled_soc(np.zeros(3), np.ones(2))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.parametrize("scaled", [False, True], ids=["project_soc", "project_rescaled_soc"])
+def test_soc_contracts_from_1e_minus_300_to_1e300(scaled):
+    """Membership, idempotence and Moreau (v = P_K(v) - P_K*(-v) with
+    orthogonal parts), relative to the block's magnitude, in bands from
+    1e-300 to 1e300: squares leave the float range below about 1e-154 and
+    above 1e154, the norms must not."""
+
+    def project(w, d):
+        return project_rescaled_soc(w, d) if scaled else project_soc(w)
+
+    rng = np.random.default_rng(25)
+    for exponent in range(-300, 301, 20):
+        for _ in range(20):
+            dim = int(rng.integers(2, 8))
+            d = rng.uniform(0.5, 2.0, dim) if scaled else np.ones(dim)
+            v = rng.standard_normal(dim) * 10.0 ** exponent
+            s = float(np.max(np.abs(v)))
+            p = project(v, d)
+            polar = -project(-v, 1.0 / d)
+            w = d * p / s
+            assert w[0] >= np.linalg.norm(w[1:]) - 1e-9, (exponent, v)
+            assert np.linalg.norm((project(p, d) - p) / s) <= 1e-9, (exponent, v)
+            assert np.linalg.norm((p + polar - v) / s) <= 1e-9, (exponent, v)
+            assert abs(np.dot(p / s, polar / s)) <= 1e-9, (exponent, v)
+
+
 class TestDispatch:
     def test_dual_kind_mapping(self):
         assert dual_cone_kind(Cone.ZERO) is Cone.FREE

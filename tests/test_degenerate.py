@@ -61,6 +61,17 @@ INSTANCES = {
     ),
     # no variables: the rows 0 >= -1 and 0 >= 0 hold
     "n = 0": (problem([], np.zeros((2, 0)), [-1, 0], [], [], NONNEG2), 0.0),
+    # min x1 + x2 s.t. x1 + x2 >= 1 twice
+    "duplicate inequality rows": (problem([1, 1], [[1, 1], [1, 1]], [1, 1], [0, 0], [5, 5], NONNEG2), 1.0),
+    # min x1 + 2 x2 s.t. x1 + x2 = 1 twice: x = (1, 0)
+    "duplicate equality rows": (
+        problem([1, 2], [[1, 1], [1, 1]], [1, 1], [0, 0], [5, 5], (ConeSpec(Cone.ZERO, 2),)), 1.0
+    ),
+    # costs spread over 1e18: x = (0, 0, 1) on x1 + x2 + x3 >= 1 in [0, 5]^3
+    "cost range 1e18": (
+        problem([1e12, 1, 1e-6], [[1, 1, 1]], [1], [0, 0, 0], [5, 5, 5], (ConeSpec(Cone.NONNEG, 1),)),
+        1e-6,
+    ),
 }
 
 MODES = {

@@ -240,14 +240,17 @@ class TestResultFile:
 
     def test_non_finite_values_written_as_strict_json(self, tmp_path):
         from conic_pdhg.engine import SolveResult
-        from conic_pdhg.termination import ExitInfo
 
         r = SolveResult(
             x=np.array([1.0, math.inf, -math.inf]),
             y=np.array([0.5]),
             lam=np.zeros(3),
             slack=np.array([math.nan]),
-            exit=ExitInfo(code=8, status=":numerical_error", iterations=3, p_obj=math.nan, d_obj=2.0),
+            exit_code=8,
+            iterations=3,
+            solve_time_s=0.0,
+            p_obj=math.nan,
+            d_obj=2.0,
             restarts=0,
         )
         path = tmp_path / "r.json"

@@ -355,7 +355,6 @@ def test_solves_follow_the_reference_scales(name, mode, monkeypatch):
         r_ref, _, _, trace_ref = traced_solve(TRACED_PROBLEMS[name](), monkeypatch, **kw)
     assert len(calls) == 1
     assert trace == trace_ref
-    assert repr(replace(r.exit, wall_time_s=0.0)) == repr(replace(r_ref.exit, wall_time_s=0.0))
+    assert repr(replace(r, solve_time_s=0.0)) == repr(replace(r_ref, solve_time_s=0.0))
     for field in ("x", "y", "lam", "slack"):
         assert np.array_equal(getattr(r, field), getattr(r_ref, field)), field
-    assert r.restarts == r_ref.restarts

@@ -11,7 +11,6 @@ from conic_pdhg.termination import (
     EXIT_CODE_FOR_STATUS,
     EXIT_STATUS,
     ErrorReport,
-    ExitInfo,
     InfeasibilityHistory,
     adaptive_reflection_parameter,
     check_infeasibility,
@@ -157,10 +156,6 @@ class TestExitTable:
         assert EXIT_STATUS[6] == ":time_limit"
         assert EXIT_STATUS[7] == ":continue"
         assert EXIT_STATUS[8] == ":numerical_error"
-
-    def test_exit_info_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            ExitInfo(code=0, status=":max_iter")
 
 
 class TestCheckTermination:
