@@ -33,6 +33,9 @@ _ETA_CEIL = 1e14
 _MAX_LINE_SEARCH_TRIALS = 60
 # Iterations between termination scans (README, "Termination").
 _TERMINATION_SCAN_FREQ = 64
+# Bisection tolerance of the restart checks' gap evaluations
+# (restart.normalized_gap explains why it is looser than the default).
+_RESTART_GAP_TOL = 1e-4
 
 
 class IterateZ(NamedTuple):
@@ -101,9 +104,9 @@ class SolverOptions:
 class SolverState:
     """Mutable per-solve bookkeeping, exposed to iteration callbacks.
 
-    `z`, `z_anchor` and `z_bar` are views into buffers that the loop
-    overwrites in place every iteration and at every restart; a callback
-    must `.copy()` any vector it keeps.
+    `z`, `z_anchor`, `z_prev_anchor` and `z_bar` are views into buffers
+    that the loop overwrites in place every iteration and at every restart;
+    a callback must `.copy()` any vector it keeps.
     """
 
     z: IterateZ
@@ -361,12 +364,19 @@ class _Loop:
             np.zeros(2 * (n + m)) for _ in range(4)
         )
         self.average = np.zeros(n + m)
+        # [x; y] of the anchor before the last restart, and the restart
+        # checks' gap workspace: [b1; b2] and the GapQuery work buffer.
+        self.prev_anchor = np.zeros(n + m)
+        gap_work = np.empty(3 * (n + m))
+        self.gap_b = IterateZ(gap_work[:n], gap_work[n:n + m])
+        self.gap_query_work = gap_work[n + m:]
         eta0 = self._initial_eta()
         omega0 = restarts.initialize_primal_weight(self.scaled.c, self.scaled.h)
         z, self.products = self._split(self.iterate)
+        z_anchor, self.anchor_products = self._split(self.anchor)
         state = SolverState(
             z=z,
-            z_anchor=self._split(self.anchor)[0],
+            z_anchor=z_anchor,
             z_bar=IterateZ(self.average[:n], self.average[n:]),
             eta=eta0,
             eta_hat=eta0,
@@ -384,21 +394,40 @@ class _Loop:
         self.products.x[:] = self.scaled.G.matvec(state.z.x)
         self.products.y[:] = self.scaled.G.rmatvec(state.z.y)
 
-    def _gap_metric(self, z: IterateZ, anchor: IterateZ, ctx: WeightedNormContext) -> float:
-        """Normalized gap of z over the ball through `anchor`."""
-        radius = n_norm(z.x - anchor.x, z.y - anchor.y, ctx)
-        gx = self.scaled.G.matvec(z.x)
-        gty = self.scaled.G.rmatvec(z.y)
+    def _products_of(self, state: SolverState, z: IterateZ) -> IterateZ | None:
+        """(G x, G^T y) of the iterate or the anchor, as the loop holds them;
+        None for any other point.  The iterate's are exact only right after
+        `_refresh_products`, as at every restart check."""
+        if z is state.z:
+            return self.products
+        if z is state.z_anchor:
+            return self.anchor_products
+        return None
+
+    def _gap_metric(self, z: IterateZ, anchor: IterateZ, ctx: WeightedNormContext,
+                    products: IterateZ | None = None) -> float:
+        """Normalized gap of z over the ball through `anchor`, from z's
+        products (G x, G^T y), formed here when None."""
+        b, work = self.gap_b, self.gap_query_work
+        n, m = z.x.size, z.y.size
+        np.subtract(z.x, anchor.x, out=work[:n])
+        np.subtract(z.y, anchor.y, out=work[n:n + m])
+        radius = n_norm(work[:n], work[n:n + m], ctx)
+        if products is None:
+            products = IterateZ(self.scaled.G.matvec(z.x), self.scaled.G.rmatvec(z.y))
+        np.subtract(products.y, self.scaled.c, out=b.x)
+        np.subtract(self.scaled.h, products.x, out=b.y)
         return restarts.normalized_gap(restarts.GapQuery(
             x=z.x,
             y=z.y,
-            b1=gty - self.scaled.c,
-            b2=self.scaled.h - gx,
+            b1=b.x,
+            b2=b.y,
             r=radius,
             ctx=ctx,
             proj_x=lambda v: cones.project_primal_set(v, self.scaled),
             proj_y=lambda v: cones.project_dual_set(v, self.scaled),
-        ))
+            work=work,
+        ), eps_rel=_RESTART_GAP_TOL)
 
     def _kkt_metric(self, z: IterateZ, omega: float) -> float:
         report = term.compute_errors(self.scaled, z.x, z.y)
@@ -410,7 +439,7 @@ class _Loop:
         ctx = WeightedNormContext(state.omega, state.eta_hat)
         z_ref = one_pdhg(self.scaled, state.z, ctx.tau, ctx.sigma)
         try:
-            state.last_restart_gap = self._gap_metric(state.z, z_ref, ctx)
+            state.last_restart_gap = self._gap_metric(state.z, z_ref, ctx, self.products)
         except restarts.GapEvaluationError:
             state.mode = "kkt"
             state.last_restart_kkt = self._kkt_metric(state.z, state.omega)
@@ -477,7 +506,9 @@ class _Loop:
     def _restart_check(self, state: SolverState) -> None:
         """Evaluate the restart metric for both candidates and restart if any
         trigger fires.  Gap-mode numerical trouble flips the rest of this
-        inner loop to the weighted-KKT metric."""
+        inner loop to the weighted-KKT metric.  The gap takes the iterate's
+        and the anchor's products from the loop; only the average's are
+        formed."""
 
         def candidate(metric):
             if self.options.method == "average":
@@ -489,9 +520,10 @@ class _Loop:
             try:
                 if state.last_restart_gap is None:
                     state.last_restart_gap = self._gap_metric(
-                        state.z_anchor, state.z_prev_anchor, ctx
+                        state.z_anchor, state.z_prev_anchor, ctx, self.anchor_products
                     )
-                cand, cand_val = candidate(lambda z: self._gap_metric(z, state.z_anchor, ctx))
+                cand, cand_val = candidate(lambda z: self._gap_metric(
+                    z, state.z_anchor, ctx, self._products_of(state, z)))
                 baseline = state.last_restart_gap
                 if cand_val < -1e-12 or baseline < -1e-12:
                     state.mode = "kkt"
@@ -514,10 +546,11 @@ class _Loop:
     def _do_restart(self, state: SolverState, candidate: IterateZ, cand_val: float) -> None:
         """Make `candidate` (views of the iterate or the average) the new
         anchor and iterate.  The anchor buffer is overwritten, so the old
-        anchor is kept as a copy for the primal-weight update below, which
-        must read the new anchor."""
+        anchor is first copied into the previous-anchor buffer for the
+        primal-weight update below, which must read the new anchor."""
         n, m = self.scaled.n, self.scaled.m
-        state.z_prev_anchor = state.z_anchor.copy()
+        self.prev_anchor[:] = self.anchor[:n + m]
+        state.z_prev_anchor = IterateZ(self.prev_anchor[:n], self.prev_anchor[n:])
         state.z_anchor.x[:] = candidate.x
         state.z_anchor.y[:] = candidate.y
         self.iterate[:n + m] = self.anchor[:n + m]
