@@ -7,6 +7,14 @@ so each accepted iteration costs one G product and one G^T product; the
 caches are refreshed from scratch at every check and restart to stop
 round-off drift.
 
+Restart checks, termination scans and log rows each run at the first
+iteration at or past every multiple of their period (`_reached`), since a
+rejected line-search trial can step over one.  At the default restart
+cadence of 64, the scan cadence, every scan is also a check.  A check's gap
+evaluations take the iterate's freshly refreshed products and the anchor's
+stored ones, form only the average's, bisect to `_RESTART_GAP_TOL`, and
+work in one preallocated workspace.
+
 Termination scans between restart checks run the optimality and limit
 tests on their own G x and G^T y from the unscaled iterate and write no
 loop state, so the iterates do not depend on the scan cadence.
@@ -64,7 +72,7 @@ class SolverOptions:
     use_kkt_restart: bool = False
     kkt_restart_freq: int = 2000
     use_duality_gap_restart: bool = True
-    duality_gap_restart_freq: int = 2000
+    duality_gap_restart_freq: int = 64
     eps_primal_infeasible_low_acc: float = 1e-12
     eps_dual_infeasible_low_acc: float = 1e-12
     eps_primal_infeasible_high_acc: float = 1e-16
@@ -662,7 +670,7 @@ class _Loop:
 
             elapsed = time.monotonic() - self.t_start
             out_of_budget = state.k_bar >= options.max_iter or elapsed > options.time_limit
-            at_check = state.k_bar % self.check_freq == 0 or out_of_budget
+            at_check = _reached(k_prev, state.k_bar, self.check_freq) or out_of_budget
             at_scan = at_check or _reached(k_prev, state.k_bar, _TERMINATION_SCAN_FREQ)
             at_print = _reached(k_prev, state.k_bar, options.print_freq)
 

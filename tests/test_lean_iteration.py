@@ -5,8 +5,9 @@ Each accepted iteration evaluates only the three 1-norm relative metrics
 flat [x; y; G x; G^T y] buffers in place.  These tests compare the relative
 metrics with `compute_errors` and the in-place updates with the allocating
 formulas in `oracles`, bit for bit; check that a restart reads the new and
-the previous anchor in the right order; and count the full error reports a
-solve makes.
+the previous anchor in the right order and that the restart checks' gap
+from the loop's products is the gap from fresh ones; and count the full
+error reports a solve makes.
 """
 
 import math
@@ -22,7 +23,7 @@ import conic_pdhg.engine as eng
 from conic_pdhg import restart as restarts
 from conic_pdhg import termination as term
 from conic_pdhg.engine import IterateZ, SolverOptions, reflected_halpern_step, update_weighted_average
-from conic_pdhg.linalg import SparseMatrix
+from conic_pdhg.linalg import SparseMatrix, WeightedNormContext
 from conic_pdhg.model import Cone, ConeSpec, ConicProblem
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -232,6 +233,36 @@ def test_restart_updates_primal_weight_from_new_and_previous_anchor(method):
         assert omega1 == restarts.update_primal_weight(dx, dy, omega0, loop.omega_init, loop.consts)
         moved += dx > 1e-10 and dy > 1e-10 and omega1 != omega0
     assert moved >= 3
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkeypatch):
+    # At every restart check the iterate's products were just refreshed and
+    # the anchor's were refreshed at the last restart, so the gap the loop
+    # computes from them must be the gap from freshly formed products, bit
+    # for bit, for the iterate against the anchor and the anchor against
+    # the previous anchor.
+    checked = {"iterate": 0, "anchor": 0}
+    real = eng._Loop._restart_check
+
+    def spy(self, state):
+        ctx = WeightedNormContext(state.omega, state.eta)
+        points = [("iterate", state.z, self.products, state.z_anchor)]
+        if state.z_prev_anchor is not None:
+            points.append(("anchor", state.z_anchor, self.anchor_products, state.z_prev_anchor))
+        for name, z, products, ref in points:
+            assert_same_bits(products.x, self.scaled.G.matvec(z.x))
+            assert_same_bits(products.y, self.scaled.G.rmatvec(z.y))
+            cached = self._gap_metric(z, ref, ctx, products)
+            assert cached != 0.0 and same_float(cached, self._gap_metric(z, ref, ctx))
+            checked[name] += 1
+        return real(self, state)
+
+    monkeypatch.setattr(eng._Loop, "_restart_check", spy)
+    r = eng.solve(random_lp(seed), SolverOptions(duality_gap_restart_freq=40, max_iter=2000,
+                                                 rel_tol=1e-12, abs_tol=1e-12))
+    assert r.restarts >= 3
+    assert checked["iterate"] >= 10 and checked["anchor"] >= 3
 
 
 def test_full_error_reports_only_at_entry_and_checks(monkeypatch):

@@ -74,16 +74,16 @@ MODES = {
 
 def assert_scan_schedule(r, trace, scans, scan_freq, check_freq, max_iter):
     """Scans run at entry, at every restart check, after every restart, and
-    at the first k_bar at or past each multiple of the scan cadence; only
-    checks test infeasibility."""
-    checks, between, next_scan = [], [], scan_freq
+    at the first k_bar at or past each multiple of the scan cadence; checks
+    run at the first k_bar at or past each multiple of the check cadence
+    and at the last iteration, and only checks test infeasibility."""
+    checks, between, k_prev = [], [], 0
     for k, *_ in trace:
-        if k % check_freq == 0 or k >= max_iter:
+        if k // check_freq > k_prev // check_freq or k >= max_iter:
             checks.append(k)
-        elif k >= next_scan:
+        elif k // scan_freq > k_prev // scan_freq:
             between.append(k)
-        if k >= next_scan:
-            next_scan = (k // scan_freq + 1) * scan_freq
+        k_prev = k
     assert scans[0] == (0, False)
     assert sorted({k for k, _ in scans[1:]}) == sorted(checks + between)
     assert [k for k, infeasibility in scans if infeasibility] == checks
@@ -112,12 +112,9 @@ def test_scans_stop_sooner_on_the_same_trace(name, mode, monkeypatch):
         assert r64.iterations < r_off.iterations
 
 
-@pytest.mark.parametrize("check_freq, scanned", [(CHECK_FREQ, [65, 128]), (64, [65])],
-                         ids=["scan cadence below check cadence", "equal cadences"])
-def test_scan_runs_after_a_line_search_jump_over_a_multiple(check_freq, scanned, monkeypatch):
-    # A rejected trial advances k_bar by one more.  Make the step that would
-    # end at k_bar = 63 end at 65, so that no iteration carries 64.  At equal
-    # cadences the restart check at 64 is skipped, but the scan at 65 runs.
+def jump_over_64(monkeypatch):
+    """Patch the line search so that the step that would end at k_bar = 63
+    ends at 65, as a rejected trial would, and no iteration carries 64."""
     real = eng.adaptive_step_pdhg
 
     def jump(*args, **kwargs):
@@ -125,13 +122,61 @@ def test_scan_runs_after_a_line_search_jump_over_a_multiple(check_freq, scanned,
         return step._replace(k_bar=65) if step.k_bar == 63 else step
 
     monkeypatch.setattr(eng, "adaptive_step_pdhg", jump)
+
+
+@pytest.mark.parametrize("check_freq, scanned, at_65", [(CHECK_FREQ, [65, 128], (65, False)),
+                                                        (64, [], (65, True))],
+                         ids=["scan cadence below check cadence", "equal cadences"])
+def test_scan_runs_after_a_line_search_jump_over_a_multiple(check_freq, scanned, at_65,
+                                                            monkeypatch):
+    # At equal cadences the scan at 65 is the restart check, with its
+    # infeasibility test.
+    jump_over_64(monkeypatch)
     r, _, scans, trace = traced_solve(random_lp(7), monkeypatch, 64,
                                    rel_tol=1e-14, abs_tol=1e-14, max_iter=150,
                                    duality_gap_restart_freq=check_freq)
     k_bars = [k for k, *_ in trace]
     assert r.exit_status == ":max_iter" and 64 not in k_bars and 65 in k_bars
-    assert (65, False) in scans
+    assert at_65 in scans
     assert assert_scan_schedule(r, trace, scans, 64, check_freq, 150) == scanned
+
+
+def test_restart_check_runs_after_a_line_search_jump_over_a_multiple(monkeypatch):
+    # The restart check due at 64 runs at 65: the product refresh, the scan
+    # with the infeasibility test and the restart test, in that order.
+    jump_over_64(monkeypatch)
+    events = []
+    for name in ("_refresh_products", "_restart_check"):
+        real = getattr(eng._Loop, name)
+
+        def spy(self, state, _name=name, _real=real):
+            events.append((_name, state.k_bar))
+            return _real(self, state)
+
+        monkeypatch.setattr(eng._Loop, name, spy)
+    real_push = term.InfeasibilityHistory.push
+    k_bar = {"now": 0}
+
+    def push(self, report):
+        events.append(("infeasibility", k_bar["now"]))
+        real_push(self, report)
+
+    monkeypatch.setattr(term.InfeasibilityHistory, "push", push)
+
+    def record(state):
+        k_bar["now"] = state.k_bar
+
+    r = solve(random_lp(7), SolverOptions(rel_tol=1e-14, abs_tol=1e-14, max_iter=150,
+                                          duality_gap_restart_freq=64, iteration_callback=record))
+    assert r.exit_status == ":max_iter"
+    at = {k for _, k in events}
+    assert 64 not in at and 65 in at
+    first = [e for e in events if e[1] == 65][:3]
+    assert first == [("_refresh_products", 65), ("infeasibility", 65), ("_restart_check", 65)]
+    # the next check comes at 128; at 150 the iteration limit ends the run
+    # before the infeasibility test
+    assert [k for name, k in events if name == "infeasibility"] == [65, 128]
+    assert ("_refresh_products", 150) in events
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +324,9 @@ def test_log_rows_match_the_run_without_scans(tmp_path, monkeypatch):
             mp.setattr(eng._Loop, "_termination_scan", scan)
             mp.setattr(eng._Loop, "_original_report", report)
             mp.setattr(eng, "_TERMINATION_SCAN_FREQ", freq)
+            # checks sparser than the scans, so that scans stop the run sooner
             assert main(["--input", inp, "--output", out, "--print-freq", "128",
-                         "--logfile", str(log)]) == 0
+                         "--gap-restart-freq", "2000", "--logfile", str(log)]) == 0
         runs[freq] = (log.read_text().splitlines(), load_result(out), calls)
     (rows64, doc64, calls64), (rows_off, doc_off, calls_off) = runs[64], runs[NO_SCANS]
     assert doc64["exit_status"] == doc_off["exit_status"] == ":optimal"
@@ -295,11 +341,12 @@ def test_log_rows_match_the_run_without_scans(tmp_path, monkeypatch):
 
 
 def test_log_rows_at_or_past_every_multiple(tmp_path):
-    # a line-search rejection steps over 3200 in this run; the row comes at
-    # the first iteration past it
+    # at restart cadence 2000 a line-search rejection steps over 3200 in this
+    # run; the row comes at the first iteration past it
     inp = write_doc(tmp_path, random_lp_doc(np.random.default_rng(0), n=8, m=8))
     log, out = tmp_path / "run.log", str(tmp_path / "run.json")
-    assert main(["--input", inp, "--output", out, "--print-freq", "128", "--logfile", str(log)]) == 0
+    assert main(["--input", inp, "--output", out, "--print-freq", "128",
+                 "--gap-restart-freq", "2000", "--logfile", str(log)]) == 0
     k_bars = [int(row.split("\t")[0]) for row in log.read_text().splitlines()]
     iterations = load_result(out)["iterations"]
     assert k_bars[0] == 0 and k_bars[-1] == iterations
