@@ -402,16 +402,6 @@ class _Loop:
         self.products.x[:] = self.scaled.G.matvec(state.z.x)
         self.products.y[:] = self.scaled.G.rmatvec(state.z.y)
 
-    def _products_of(self, state: SolverState, z: IterateZ) -> IterateZ | None:
-        """(G x, G^T y) of the iterate or the anchor, as the loop holds them;
-        None for any other point.  The iterate's are exact only right after
-        `_refresh_products`, as at every restart check."""
-        if z is state.z:
-            return self.products
-        if z is state.z_anchor:
-            return self.anchor_products
-        return None
-
     def _gap_metric(self, z: IterateZ, anchor: IterateZ, ctx: WeightedNormContext,
                     products: IterateZ | None = None) -> float:
         """Normalized gap of z over the ball through `anchor`, from z's
@@ -515,8 +505,8 @@ class _Loop:
         """Evaluate the restart metric for both candidates and restart if any
         trigger fires.  Gap-mode numerical trouble flips the rest of this
         inner loop to the weighted-KKT metric.  The gap takes the iterate's
-        and the anchor's products from the loop; only the average's are
-        formed."""
+        products, refreshed for this check, and the anchor's from the loop;
+        only the average's are formed."""
 
         def candidate(metric):
             if self.options.method == "average":
@@ -531,7 +521,7 @@ class _Loop:
                         state.z_anchor, state.z_prev_anchor, ctx, self.anchor_products
                     )
                 cand, cand_val = candidate(lambda z: self._gap_metric(
-                    z, state.z_anchor, ctx, self._products_of(state, z)))
+                    z, state.z_anchor, ctx, self.products if z is state.z else None))
                 baseline = state.last_restart_gap
                 if cand_val < -1e-12 or baseline < -1e-12:
                     state.mode = "kkt"
