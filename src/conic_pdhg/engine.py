@@ -10,10 +10,9 @@ round-off drift.
 Restart checks, termination scans and log rows each run at the first
 iteration at or past every multiple of their period (`_reached`), since a
 rejected line-search trial can step over one.  At the default restart
-cadence of 64, the scan cadence, every scan is also a check.  A check's gap
+cadence of 512 every eighth scan is also a check.  A check's gap
 evaluations take the iterate's freshly refreshed products and the anchor's
-stored ones, form only the average's, bisect to `_RESTART_GAP_TOL`, and
-work in one preallocated workspace.
+stored ones, form only the average's, and bisect to `_RESTART_GAP_TOL`.
 
 Termination scans between restart checks run the optimality and limit
 tests on their own G x and G^T y from the unscaled iterate and write no
@@ -72,7 +71,9 @@ class SolverOptions:
     use_kkt_restart: bool = False
     kkt_restart_freq: int = 2000
     use_duality_gap_restart: bool = True
-    duality_gap_restart_freq: int = 64
+    # Not PDLP's 64: with these restart constants, checks that often restart
+    # slowly converging LPs too early (README, "Termination").
+    duality_gap_restart_freq: int = 512
     eps_primal_infeasible_low_acc: float = 1e-12
     eps_dual_infeasible_low_acc: float = 1e-12
     eps_primal_infeasible_high_acc: float = 1e-16
@@ -112,9 +113,9 @@ class SolverOptions:
 class SolverState:
     """Mutable per-solve bookkeeping, exposed to iteration callbacks.
 
-    `z`, `z_anchor`, `z_prev_anchor` and `z_bar` are views into buffers
-    that the loop overwrites in place every iteration and at every restart;
-    a callback must `.copy()` any vector it keeps.
+    `z`, `z_anchor` and `z_bar` are views into buffers that the loop
+    overwrites in place every iteration and at every restart; a callback
+    must `.copy()` any vector it keeps.
     """
 
     z: IterateZ
@@ -372,12 +373,6 @@ class _Loop:
             np.zeros(2 * (n + m)) for _ in range(4)
         )
         self.average = np.zeros(n + m)
-        # [x; y] of the anchor before the last restart, and the restart
-        # checks' gap workspace: [b1; b2] and the GapQuery work buffer.
-        self.prev_anchor = np.zeros(n + m)
-        gap_work = np.empty(3 * (n + m))
-        self.gap_b = IterateZ(gap_work[:n], gap_work[n:n + m])
-        self.gap_query_work = gap_work[n + m:]
         eta0 = self._initial_eta()
         omega0 = restarts.initialize_primal_weight(self.scaled.c, self.scaled.h)
         z, self.products = self._split(self.iterate)
@@ -406,25 +401,18 @@ class _Loop:
                     products: IterateZ | None = None) -> float:
         """Normalized gap of z over the ball through `anchor`, from z's
         products (G x, G^T y), formed here when None."""
-        b, work = self.gap_b, self.gap_query_work
-        n, m = z.x.size, z.y.size
-        np.subtract(z.x, anchor.x, out=work[:n])
-        np.subtract(z.y, anchor.y, out=work[n:n + m])
-        radius = n_norm(work[:n], work[n:n + m], ctx)
+        radius = n_norm(z.x - anchor.x, z.y - anchor.y, ctx)
         if products is None:
             products = IterateZ(self.scaled.G.matvec(z.x), self.scaled.G.rmatvec(z.y))
-        np.subtract(products.y, self.scaled.c, out=b.x)
-        np.subtract(self.scaled.h, products.x, out=b.y)
         return restarts.normalized_gap(restarts.GapQuery(
             x=z.x,
             y=z.y,
-            b1=b.x,
-            b2=b.y,
+            b1=products.y - self.scaled.c,
+            b2=self.scaled.h - products.x,
             r=radius,
             ctx=ctx,
             proj_x=lambda v: cones.project_primal_set(v, self.scaled),
             proj_y=lambda v: cones.project_dual_set(v, self.scaled),
-            work=work,
         ), eps_rel=_RESTART_GAP_TOL)
 
     def _kkt_metric(self, z: IterateZ, omega: float) -> float:
@@ -544,11 +532,10 @@ class _Loop:
     def _do_restart(self, state: SolverState, candidate: IterateZ, cand_val: float) -> None:
         """Make `candidate` (views of the iterate or the average) the new
         anchor and iterate.  The anchor buffer is overwritten, so the old
-        anchor is first copied into the previous-anchor buffer for the
-        primal-weight update below, which must read the new anchor."""
+        anchor is kept as a copy for the primal-weight update below, which
+        must read the new anchor."""
         n, m = self.scaled.n, self.scaled.m
-        self.prev_anchor[:] = self.anchor[:n + m]
-        state.z_prev_anchor = IterateZ(self.prev_anchor[:n], self.prev_anchor[n:])
+        state.z_prev_anchor = state.z_anchor.copy()
         state.z_anchor.x[:] = candidate.x
         state.z_anchor.y[:] = candidate.y
         self.iterate[:n + m] = self.anchor[:n + m]

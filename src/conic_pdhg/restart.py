@@ -45,11 +45,11 @@ class RestartConstants:
 class GapQuery:
     """One normalized-gap evaluation: iterate, radius, step sizes, gradient b.
 
-    `work` is a flat scratch buffer of length 2 (x.size + y.size), allocated
-    when None.  Its first half holds the projection arguments of `z_of_t`,
-    its second half the differences behind the distance and the gap value,
-    so an evaluation allocates only what the projections return.  A
-    projection may return its argument.
+    The query owns one scratch buffer of length 2 (x.size + y.size).  Its
+    first half holds the projection arguments of `z_of_t`, its second half
+    the differences behind the distance and the gap value, so an evaluation
+    allocates only what the projections return.  A projection may return
+    its argument.
     """
 
     x: np.ndarray
@@ -60,22 +60,19 @@ class GapQuery:
     ctx: WeightedNormContext
     proj_x: Callable[[np.ndarray], np.ndarray]
     proj_y: Callable[[np.ndarray], np.ndarray]
-    work: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.r < 0:
             raise ValueError(f"gap radius must be nonnegative, got {self.r}")
         n, nm = self.x.size, self.x.size + self.y.size
-        if self.work is None:
-            self.work = np.empty(2 * nm)
-        w = self.work
+        w = np.empty(2 * nm)
         self.arg_x, self.arg_y = w[:n], w[n:nm]
-        self.diff_x, self.diff_y = w[nm:nm + n], w[nm + n:2 * nm]
+        self.diff_x, self.diff_y = w[nm:nm + n], w[nm + n:]
 
 
 def z_of_t(q: GapQuery, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Maximizer of t*b'(z~ - z) - 0.5*||z~ - z||_N^2 over X x Y.  The
-    result may view `q.work`, so the next call can overwrite it."""
+    result may view the query's buffer, so the next call can overwrite it."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     np.multiply(q.b1, t * q.ctx.tau, out=q.arg_x)

@@ -227,7 +227,13 @@ def check_termination(report: ErrorReport, options, iterations: int,
 
 @dataclass
 class InfeasibilityHistory:
-    """Objective trajectories sampled at check cadence (3-check trend window)."""
+    """Objective trajectories sampled at check cadence (3-check trend window).
+
+    The window spans three restart checks: 3 x 512 iterations at the default
+    gap cadence, 3 x 64 at cadence 64.  It only filters the ratio test
+    of `check_infeasibility` (below 1e-12 by default, on a normalized ray),
+    which is what keeps feasible problems, whose iterates carry no improving
+    ray, from a certificate."""
 
     dual_objs: deque = field(default_factory=lambda: deque(maxlen=3))
     neg_primal_objs: deque = field(default_factory=lambda: deque(maxlen=3))

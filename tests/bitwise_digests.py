@@ -3,7 +3,7 @@
 The set is six problems (a feasible, a primal-infeasible and a
 dual-infeasible LP, and three planted soc/exp/dual-exp problems) under six
 modes (default, average, KKT, fixed step with beta 0.5, no preconditioner,
-no restarts) at restart cadences 64 (the default), 200 and 2000.  Each
+no restarts) at restart cadences 200, 512 (the default) and 2000.  Each
 solve prints one tab-separated line:
 
     cadence  problem  mode  status  iterations  digest
@@ -46,7 +46,7 @@ PROBLEMS = {
     **{f"planted conic {seed}": (lambda seed=seed: planted_conic(seed)) for seed in (1, 2, 3)},
 }
 
-CADENCES = (64, 200, 2000)
+CADENCES = (200, 512, 2000)
 
 
 def solve_digest(problem, max_iter, cadence, mode):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from test_cli import random_lp_doc, write_doc
+from test_degenerate import INSTANCES as DEGENERATE
 from test_engine import tiny_lp
 from test_lean_iteration import random_lp
 from traces import traced_solve
@@ -255,6 +256,36 @@ def test_infeasible_lps_certify_at_the_same_check(name, monkeypatch):
     checks = [k for k, infeasibility in scans16 if infeasibility]
     assert len(checks) < len(scans16) - 1
     assert len(pushed16) == len(checks) and pushed16 == pushed_off
+
+
+FEASIBLE = {
+    **{f"lp {seed}": (lambda seed=seed: random_lp(seed)) for seed in range(6)},
+    **{f"planted conic {seed}": (lambda seed=seed: planted_conic(seed)) for seed in (1, 2, 3)},
+    **{f"degenerate: {name}": (lambda p=p: p)
+       for name, (p, optimum) in DEGENERATE.items() if optimum is not None},
+}
+
+
+@pytest.mark.parametrize("cadence", [None, 64], ids=["default cadence", "cadence 64"])
+@pytest.mark.parametrize("name", FEASIBLE)
+def test_feasible_problems_get_no_infeasibility_certificate(name, cadence, monkeypatch):
+    """The low-accuracy trend window spans three checks, 3 x 512 iterations
+    at the default gap cadence and 3 x 64 at cadence 64, so the ratio tests
+    alone must keep feasible problems from a certificate at every check."""
+    cadence = cadence or SolverOptions().duality_gap_restart_freq
+    codes = []
+    real_check = term.check_infeasibility
+
+    def spy(*args):
+        codes.append(real_check(*args))
+        return codes[-1]
+
+    monkeypatch.setattr(term, "check_infeasibility", spy)
+    r = solve(FEASIBLE[name](), SolverOptions(max_iter=10000, duality_gap_restart_freq=cadence))
+    # every check but an optimal last one runs the infeasibility test
+    assert len(codes) >= r.iterations // cadence - 1 and set(codes) <= {None}
+    if name != "degenerate: cost range 1e18":  # never converges (CHANGES.md FOUND:)
+        assert r.exit_status == ":optimal"
 
 
 # ---------------------------------------------------------------------------
