@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import termination as term
 from .engine import SolverOptions, solve
 from .fileio import ProblemFormatError, parse_problem, write_result
 
@@ -12,7 +13,9 @@ USAGE_EXIT = 64
 
 # A definitive answer (optimal or a certified infeasibility) exits 0; hitting
 # a resource limit or a numerical failure exits 1.
-_DEFINITIVE_CODES = {0, 2, 3, 4, 5}
+_DEFINITIVE_CODES = {term.EXIT_OPTIMAL, term.EXIT_PRIMAL_INFEASIBLE_LOW,
+                     term.EXIT_PRIMAL_INFEASIBLE_HIGH, term.EXIT_DUAL_INFEASIBLE_LOW,
+                     term.EXIT_DUAL_INFEASIBLE_HIGH}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +57,6 @@ def options_from_args(args) -> SolverOptions:
         use_preconditioner=not args.no_preconditioner,
         use_adaptive_restart=not args.no_adaptive_restart,
         use_kkt_restart=args.kkt_restart,
-        use_duality_gap_restart=not args.kkt_restart,
         kkt_restart_freq=args.kkt_restart_freq,
         duality_gap_restart_freq=args.gap_restart_freq,
         print_freq=args.print_freq,
@@ -86,9 +88,14 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
 
-    result = solve(problem, options)
-    if args.output:
-        write_result(result, options, args.output)
+    try:
+        # an unwritable --logfile fails as the solve starts, --output after it
+        result = solve(problem, options)
+        if args.output:
+            write_result(result, options, args.output)
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return USAGE_EXIT
     if args.verbose >= 1:
         print(f"exit_status {result.exit_status} pObj {result.p_obj:.9e} dObj {result.d_obj:.9e}")
     return 0 if result.exit_code in _DEFINITIVE_CODES else 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -68,9 +68,8 @@ class SolverOptions:
     use_preconditioner: bool = True
     use_adaptive_restart: bool = True
     use_adaptive_step_size_weight: bool = True
-    use_kkt_restart: bool = False
+    use_kkt_restart: bool = False  # restart on the weighted KKT error, not the gap
     kkt_restart_freq: int = 2000
-    use_duality_gap_restart: bool = True
     # Not PDLP's 64: with these restart constants, checks that often restart
     # slowly converging LPs too early (README, "Termination").
     duality_gap_restart_freq: int = 512
@@ -81,10 +80,6 @@ class SolverOptions:
     verbose: int = 0
     logfile: str | None = None
     initial_step_norm: str = "max_abs"  # or "induced_inf"
-    ruiz_iterations: int = 10
-    use_pock_chambolle: bool = True
-    allow_nonuniform_dual_soc: bool = False
-    restart_constants: restarts.RestartConstants = field(default_factory=restarts.RestartConstants)
     fixed_reflection_beta: float | None = None
     iteration_callback: Callable | None = None
 
@@ -115,12 +110,14 @@ class SolverState:
 
     `z`, `z_anchor` and `z_bar` are views into buffers that the loop
     overwrites in place every iteration and at every restart; a callback
-    must `.copy()` any vector it keeps.
+    must `.copy()` any vector it keeps.  `last_restart_metric` is the
+    metric `mode` names at the last restart, or None until a check forms it
+    at the anchor; a change of mode clears it.  `anchor_move` holds the
+    squared primal and dual distances the anchor moved at the last restart.
     """
 
     z: IterateZ
     z_anchor: IterateZ
-    z_prev_anchor: IterateZ | None = None
     z_bar: IterateZ | None = None
     avg_weight: float = 0.0
     t: int = 0
@@ -131,8 +128,8 @@ class SolverState:
     omega: float = 1.0
     beta: float = 0.0
     mode: str = "gap"
-    last_restart_gap: float | None = None
-    last_restart_kkt: float | None = None
+    last_restart_metric: float | None = None
+    anchor_move: tuple[float, float] | None = None
     prev_candidate_gap: float = math.inf
 
 
@@ -323,27 +320,17 @@ class _Loop:
         self.t_start = time.monotonic()
         self.work = rsoc_to_soc(original)
         if options.use_preconditioner and self.work.G.nnz > 0:
-            self.scaling = scalings.build_scaling(
-                self.work,
-                iterations=options.ruiz_iterations,
-                use_pock_chambolle=options.use_pock_chambolle,
-                allow_nonuniform_dual_soc=options.allow_nonuniform_dual_soc,
-            )
+            self.scaling = scalings.build_scaling(self.work)
         else:
             self.scaling = scalings.ScalingPair.identity(self.work.m, self.work.n)
         self.scaled = scalings.rescale_problem(self.work, self.scaling)
-        self.consts = options.restart_constants
         self.history = term.InfeasibilityHistory()
         self.logfile = None
         self._last_report: term.ErrorReport | None = None
 
-        kkt = (options.use_adaptive_restart and options.use_kkt_restart
-               and not options.use_duality_gap_restart)
+        kkt = options.use_adaptive_restart and options.use_kkt_restart
         self.check_freq = options.kkt_restart_freq if kkt else options.duality_gap_restart_freq
         self.base_mode = "kkt" if kkt else "gap"
-        self.restarts_enabled = options.use_adaptive_restart and (
-            options.use_duality_gap_restart or options.use_kkt_restart
-        )
 
     # -- initialization ----------------------------------------------------
 
@@ -397,11 +384,10 @@ class _Loop:
         self.products.x[:] = self.scaled.G.matvec(state.z.x)
         self.products.y[:] = self.scaled.G.rmatvec(state.z.y)
 
-    def _gap_metric(self, z: IterateZ, anchor: IterateZ, ctx: WeightedNormContext,
+    def _gap_metric(self, z: IterateZ, radius: float, ctx: WeightedNormContext,
                     products: IterateZ | None = None) -> float:
-        """Normalized gap of z over the ball through `anchor`, from z's
-        products (G x, G^T y), formed here when None."""
-        radius = n_norm(z.x - anchor.x, z.y - anchor.y, ctx)
+        """Normalized gap of z over the ball of `radius`, from z's products
+        (G x, G^T y), formed here when None."""
         if products is None:
             products = IterateZ(self.scaled.G.matvec(z.x), self.scaled.G.rmatvec(z.y))
         return restarts.normalized_gap(restarts.GapQuery(
@@ -424,11 +410,12 @@ class _Loop:
         radius of one plain PDHG step from z0."""
         ctx = WeightedNormContext(state.omega, state.eta_hat)
         z_ref = one_pdhg(self.scaled, state.z, ctx.tau, ctx.sigma)
+        radius = n_norm(state.z.x - z_ref.x, state.z.y - z_ref.y, ctx)
         try:
-            state.last_restart_gap = self._gap_metric(state.z, z_ref, ctx, self.products)
+            state.last_restart_metric = self._gap_metric(state.z, radius, ctx, self.products)
         except restarts.GapEvaluationError:
             state.mode = "kkt"
-            state.last_restart_kkt = self._kkt_metric(state.z, state.omega)
+            state.last_restart_metric = self._kkt_metric(state.z, state.omega)
 
     # -- original-problem report --------------------------------------------
 
@@ -503,27 +490,31 @@ class _Loop:
 
         if state.mode == "gap":
             ctx = WeightedNormContext(state.omega, state.eta)
+            anchor = state.z_anchor
             try:
-                if state.last_restart_gap is None:
-                    state.last_restart_gap = self._gap_metric(
-                        state.z_anchor, state.z_prev_anchor, ctx, self.anchor_products
-                    )
+                if state.last_restart_metric is None:
+                    # after a KKT-mode restart: the anchor's gap over the
+                    # ball through the previous anchor
+                    dx2, dy2 = state.anchor_move
+                    radius = math.sqrt(dx2 / ctx.tau + dy2 / ctx.sigma)
+                    state.last_restart_metric = self._gap_metric(
+                        anchor, radius, ctx, self.anchor_products)
                 cand, cand_val = candidate(lambda z: self._gap_metric(
-                    z, state.z_anchor, ctx, self.products if z is state.z else None))
-                baseline = state.last_restart_gap
-                if cand_val < -1e-12 or baseline < -1e-12:
-                    state.mode = "kkt"
+                    z, n_norm(z.x - anchor.x, z.y - anchor.y, ctx), ctx,
+                    self.products if z is state.z else None))
+                if cand_val < -1e-12 or state.last_restart_metric < -1e-12:
+                    raise restarts.GapEvaluationError("negative normalized gap")
             except restarts.GapEvaluationError:
                 state.mode = "kkt"
+                state.last_restart_metric = None
         if state.mode == "kkt":
             # KKT fallback (or configured KKT restarts)
-            if state.last_restart_kkt is None:
-                state.last_restart_kkt = self._kkt_metric(state.z_anchor, state.omega)
+            if state.last_restart_metric is None:
+                state.last_restart_metric = self._kkt_metric(state.z_anchor, state.omega)
             cand, cand_val = candidate(lambda z: self._kkt_metric(z, state.omega))
-            baseline = state.last_restart_kkt
 
         if restarts.should_restart(
-            cand_val, state.prev_candidate_gap, baseline, state.k, state.k_bar, self.consts
+            cand_val, state.prev_candidate_gap, state.last_restart_metric, state.k, state.k_bar
         ):
             self._do_restart(state, cand, cand_val)
         else:
@@ -531,30 +522,25 @@ class _Loop:
 
     def _do_restart(self, state: SolverState, candidate: IterateZ, cand_val: float) -> None:
         """Make `candidate` (views of the iterate or the average) the new
-        anchor and iterate.  The anchor buffer is overwritten, so the old
-        anchor is kept as a copy for the primal-weight update below, which
-        must read the new anchor."""
+        anchor and iterate.  `cand_val` is the next baseline unless the
+        inner loop fell back to KKT mode; then the next check forms a gap
+        baseline from `state.anchor_move`, the squared distances the anchor
+        moves, taken before the anchor buffer is overwritten.  The
+        primal-weight update takes their square roots."""
         n, m = self.scaled.n, self.scaled.m
-        state.z_prev_anchor = state.z_anchor.copy()
+        dx, dy = candidate.x - state.z_anchor.x, candidate.y - state.z_anchor.y
+        state.anchor_move = (float(np.dot(dx, dx)), float(np.dot(dy, dy)))
         state.z_anchor.x[:] = candidate.x
         state.z_anchor.y[:] = candidate.y
         self.iterate[:n + m] = self.anchor[:n + m]
         if self.options.use_adaptive_step_size_weight:
-            dx = float(np.linalg.norm(state.z_anchor.x - state.z_prev_anchor.x))
-            dy = float(np.linalg.norm(state.z_anchor.y - state.z_prev_anchor.y))
             state.omega = restarts.update_primal_weight(
-                dx, dy, state.omega, self.omega_init, self.consts
-            )
+                *map(math.sqrt, state.anchor_move), state.omega, self.omega_init)
         state.t += 1
         state.k = 0
         state.avg_weight = 0.0
         state.prev_candidate_gap = math.inf
-        if state.mode == "gap":
-            state.last_restart_gap = cand_val
-            state.last_restart_kkt = None
-        else:
-            state.last_restart_kkt = cand_val
-            state.last_restart_gap = None
+        state.last_restart_metric = cand_val if state.mode == self.base_mode else None
         state.mode = self.base_mode
         self._refresh_products(state)
         self.anchor[n + m:] = self.iterate[n + m:]
@@ -579,7 +565,7 @@ class _Loop:
         """Run the loop from the initial state until an exit test fires, and
         return its exit code."""
         options = self.options
-        if self.restarts_enabled and state.mode == "gap":
+        if options.use_adaptive_restart and state.mode == "gap":
             self._baseline_gap(state)
 
         if options.verbose >= 2:
@@ -661,7 +647,7 @@ class _Loop:
                 if not at_scan:
                     self._last_report = self._original_report(state.z)[0]
                 self._log_line(state, self._last_report)
-            if at_check and self.restarts_enabled and state.k >= 1:
+            if at_check and options.use_adaptive_restart:
                 before = state.t
                 self._restart_check(state)
                 if state.t != before:

@@ -45,11 +45,9 @@ def _encode_vector(v: np.ndarray) -> list:
 
 
 def _encode_option(value):
-    """An option value as JSON; dataclass-valued options become nested dicts."""
+    """An option value as JSON."""
     if isinstance(value, float):
         return _encode_float(value)
-    if dataclasses.is_dataclass(value):
-        return {f.name: _encode_option(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return value
 
 

@@ -15,6 +15,10 @@ last line gives the total iteration count.  Run it from the root of each
 tree and diff the outputs:
 
     python tests/bitwise_digests.py --max-iter 3000 > digests.txt
+
+`--fail-gap-every N` makes every N-th gap evaluation of each solve raise
+`GapEvaluationError`, so the solves also cover the loop's fall-back to
+KKT-mode checks and the restarts and baselines that follow one.
 """
 
 import argparse
@@ -37,6 +41,7 @@ from test_termination_scan import (  # noqa: E402
 )
 from traces import digest  # noqa: E402
 
+from conic_pdhg import restart  # noqa: E402
 from conic_pdhg.engine import SolverOptions, solve  # noqa: E402
 
 PROBLEMS = {
@@ -49,7 +54,22 @@ PROBLEMS = {
 CADENCES = (200, 512, 2000)
 
 
-def solve_digest(problem, max_iter, cadence, mode):
+def failing_every(n):
+    """`restart.normalized_gap` with every n-th call raising GapEvaluationError."""
+    real = restart.normalized_gap
+    calls = 0
+
+    def normalized_gap(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls % n == 0:
+            raise restart.GapEvaluationError(f"forced failure of gap evaluation {calls}")
+        return real(*args, **kwargs)
+
+    return normalized_gap
+
+
+def solve_digest(problem, max_iter, cadence, mode, fail_gap_every=None):
     """(status, iterations, hex digest) of one solve."""
     h = hashlib.sha1()
 
@@ -58,9 +78,15 @@ def solve_digest(problem, max_iter, cadence, mode):
         h.update(np.int64(k_bar).tobytes())
         h.update(state_digest)
 
-    r = solve(problem, SolverOptions(max_iter=max_iter, duality_gap_restart_freq=cadence,
-                                     kkt_restart_freq=cadence, iteration_callback=record,
-                                     **MODES[mode]))
+    options = SolverOptions(max_iter=max_iter, duality_gap_restart_freq=cadence,
+                            kkt_restart_freq=cadence, iteration_callback=record, **MODES[mode])
+    real = restart.normalized_gap
+    if fail_gap_every is not None:
+        restart.normalized_gap = failing_every(fail_gap_every)
+    try:
+        r = solve(problem, options)
+    finally:
+        restart.normalized_gap = real
     for v in (r.x, r.y, r.lam, r.slack, [r.p_obj, r.d_obj, r.exit_code, r.restarts]):
         h.update(np.asarray(v, dtype=np.float64).tobytes())
     h.update(r.exit_status.encode())
@@ -70,13 +96,18 @@ def solve_digest(problem, max_iter, cadence, mode):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-iter", type=int, default=3000)
+    parser.add_argument("--fail-gap-every", type=int, metavar="N",
+                        help="make every N-th gap evaluation of each solve raise")
     args = parser.parse_args(argv)
+    if args.fail_gap_every is not None and args.fail_gap_every < 1:
+        parser.error("--fail-gap-every must be at least 1")
     warnings.simplefilter("ignore", RuntimeWarning)
     total = 0
     for cadence in CADENCES:
         for name, make in PROBLEMS.items():
             for mode in MODES:
-                status, iterations, hexdigest = solve_digest(make(), args.max_iter, cadence, mode)
+                status, iterations, hexdigest = solve_digest(
+                    make(), args.max_iter, cadence, mode, args.fail_gap_every)
                 total += iterations
                 print(f"{cadence}\t{name}\t{mode}\t{status}\t{iterations}\t{hexdigest}", flush=True)
     print(f"total iterations\t{total}")

@@ -99,6 +99,15 @@ class TestCli:
     def test_missing_file_exit_64(self, tmp_path):
         assert main(["--input", str(tmp_path / "nope.json")]) == USAGE_EXIT
 
+    @pytest.mark.parametrize("flag", ["--output", "--logfile"])
+    def test_unwritable_output_or_logfile_exit_64(self, tmp_path, capsys, flag):
+        target = tmp_path / "no-such-dir" / "out"
+        inp = write_doc(tmp_path, one_dim_lp_doc())
+        assert main(["--input", inp, flag, str(target)]) == USAGE_EXIT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.parent.exists()
+
     def test_malformed_file_exit_64(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -149,7 +158,6 @@ class TestCli:
         assert not opts.use_preconditioner
         assert not opts.use_adaptive_restart
         assert opts.use_kkt_restart
-        assert not opts.use_duality_gap_restart
         assert opts.kkt_restart_freq == 77
         assert opts.duality_gap_restart_freq == 88
         assert opts.print_freq == 99
@@ -163,8 +171,7 @@ class TestCli:
         inp = write_doc(tmp_path, random_lp_doc(np.random.default_rng(0), n=8, m=8))
         cli_out, lib_out = str(tmp_path / "cli.json"), str(tmp_path / "lib.json")
         main(["--input", inp, "--output", cli_out, "--kkt-restart", "--kkt-restart-freq", "50"])
-        opts = SolverOptions(use_kkt_restart=True, use_duality_gap_restart=False,
-                             kkt_restart_freq=50)
+        opts = SolverOptions(use_kkt_restart=True, kkt_restart_freq=50)
         write_result(solve(parse_problem(inp), opts), opts, lib_out)
         docs = [load_result(cli_out), load_result(lib_out)]
         for doc in docs:

@@ -77,7 +77,7 @@ INSTANCES = {
 MODES = {
     "default": {},
     "fixed step": dict(use_adaptive_step_size_weight=False),
-    "kkt": dict(use_kkt_restart=True, use_duality_gap_restart=False),
+    "kkt": dict(use_kkt_restart=True),
     "average": dict(method="average"),
 }
 

@@ -275,7 +275,6 @@ class TestResultFile:
         names = {f.name for f in dataclasses.fields(SolverOptions)} - {"iteration_callback"}
         assert set(echo) == names
         assert echo["fixed_reflection_beta"] == 0.5
-        assert echo["restart_constants"] == dataclasses.asdict(opts.restart_constants)
 
     def test_problem_with_primal_cones_not_serializable(self):
         p = ConicProblem(

@@ -4,9 +4,10 @@ Each accepted iteration evaluates only the three 1-norm relative metrics
 (`termination.relative_errors`) for the reflection parameter, and updates
 flat [x; y; G x; G^T y] buffers in place.  These tests compare the relative
 metrics with `compute_errors` and the in-place updates with the allocating
-formulas in `oracles`, bit for bit; check that a restart reads the new and
-the previous anchor in the right order and that the restart checks' gap
-from the loop's products is the gap from fresh ones; and count the full
+formulas in `oracles`, bit for bit; check that a restart updates the
+primal weight from the anchor's move, that `use_kkt_restart` alone selects
+KKT restarts, and that the restart checks' gap from the loop's products and
+from the anchor's move is the gap from fresh ones; and count the full
 error reports a solve makes.
 """
 
@@ -23,7 +24,7 @@ import conic_pdhg.engine as eng
 from conic_pdhg import restart as restarts
 from conic_pdhg import termination as term
 from conic_pdhg.engine import IterateZ, SolverOptions, reflected_halpern_step, update_weighted_average
-from conic_pdhg.linalg import SparseMatrix, WeightedNormContext
+from conic_pdhg.linalg import SparseMatrix, WeightedNormContext, n_norm
 from conic_pdhg.model import Cone, ConeSpec, ConicProblem
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -209,9 +210,9 @@ def random_lp(seed, n=10, m=7):
 
 @pytest.mark.parametrize("method", ["halpern", "average"])
 def test_restart_updates_primal_weight_from_new_and_previous_anchor(method):
-    # The loop overwrites the anchor buffer at a restart, so the previous
-    # anchor must be copied first and the new one written before the
-    # primal-weight update reads their distance.
+    # The loop overwrites the anchor buffer at a restart, so the anchor's
+    # move must be taken before the new anchor is written; the primal-weight
+    # update reads the norms of that move.
     seen = []
     opts = SolverOptions(
         method=method, duality_gap_restart_freq=40, max_iter=3000,
@@ -230,9 +231,25 @@ def test_restart_updates_primal_weight_from_new_and_previous_anchor(method):
         assert t1 == t0 + 1
         dx = float(np.linalg.norm(new.x - old.x))
         dy = float(np.linalg.norm(new.y - old.y))
-        assert omega1 == restarts.update_primal_weight(dx, dy, omega0, loop.omega_init, loop.consts)
+        assert omega1 == restarts.update_primal_weight(
+            dx, dy, omega0, loop.omega_init, restarts.RestartConstants())
         moved += dx > 1e-10 and dy > 1e-10 and omega1 != omega0
     assert moved >= 3
+
+
+def test_kkt_restart_option_alone_selects_kkt_restarts(monkeypatch):
+    calls = {"kkt_omega": 0, "normalized_gap": 0}
+    for name in calls:
+        real = getattr(restarts, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(restarts, name, counting)
+    r = eng.solve(random_lp(5, n=6, m=4), SolverOptions(use_kkt_restart=True))
+    assert r.exit_status == ":optimal"
+    assert calls["kkt_omega"] > 0 and calls["normalized_gap"] == 0
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -240,29 +257,71 @@ def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkey
     # At every restart check the iterate's products were just refreshed and
     # the anchor's were refreshed at the last restart, so the gap the loop
     # computes from them must be the gap from freshly formed products, bit
-    # for bit, for the iterate against the anchor and the anchor against
-    # the previous anchor.
+    # for bit: for the iterate against the anchor, and for the anchor over
+    # the ball through the previous anchor, the baseline a gap-mode check
+    # forms after a KKT-mode restart.  Every third gap evaluation fails, so
+    # that KKT-mode restarts happen.
+    anchors = []  # the anchor of every outer loop, copied by the callback
+    state_of = {}
     checked = {"iterate": 0, "anchor": 0}
-    real = eng._Loop._restart_check
+    failing = {"on": True, "calls": 0}
+    real_gap = restarts.normalized_gap
+    real_check = eng._Loop._restart_check
+    real_metric = eng._Loop._gap_metric
 
-    def spy(self, state):
-        ctx = WeightedNormContext(state.omega, state.eta)
-        points = [("iterate", state.z, self.products, state.z_anchor)]
-        if state.z_prev_anchor is not None:
-            points.append(("anchor", state.z_anchor, self.anchor_products, state.z_prev_anchor))
-        for name, z, products, ref in points:
-            assert_same_bits(products.x, self.scaled.G.matvec(z.x))
-            assert_same_bits(products.y, self.scaled.G.rmatvec(z.y))
-            cached = self._gap_metric(z, ref, ctx, products)
-            assert cached != 0.0 and same_float(cached, self._gap_metric(z, ref, ctx))
-            checked[name] += 1
-        return real(self, state)
+    def record(state):
+        state_of["state"] = state
+        if len(anchors) == state.t:
+            anchors.append(state.z_anchor.copy())
 
-    monkeypatch.setattr(eng._Loop, "_restart_check", spy)
+    def failing_gap(*args, **kwargs):
+        if failing["on"]:
+            failing["calls"] += 1
+            if failing["calls"] % 3 == 0:
+                raise restarts.GapEvaluationError("forced")
+        return real_gap(*args, **kwargs)
+
+    def fresh_gap(loop, z, ref, ctx):
+        failing["on"] = False
+        try:
+            return real_metric(loop, z, n_norm(z.x - ref.x, z.y - ref.y, ctx), ctx)
+        finally:
+            failing["on"] = True
+
+    def check_spy(self, state):
+        if state.mode == "gap":
+            ctx = WeightedNormContext(state.omega, state.eta)
+            z = state.z
+            assert_same_bits(self.products.x, self.scaled.G.matvec(z.x))
+            assert_same_bits(self.products.y, self.scaled.G.rmatvec(z.y))
+            cached = real_metric(
+                self, z, n_norm(z.x - state.z_anchor.x, z.y - state.z_anchor.y, ctx), ctx,
+                self.products,
+            )
+            assert cached != 0.0 and same_float(cached, fresh_gap(self, z, state.z_anchor, ctx))
+            checked["iterate"] += 1
+        return real_check(self, state)
+
+    def metric_spy(self, z, radius, ctx, products=None):
+        value = real_metric(self, z, radius, ctx, products)
+        if products is self.anchor_products:
+            state = state_of["state"]
+            assert_same_bits(self.anchor_products.x, self.scaled.G.matvec(z.x))
+            assert_same_bits(self.anchor_products.y, self.scaled.G.rmatvec(z.y))
+            assert_same_bits(z.x, anchors[state.t].x)
+            assert_same_bits(z.y, anchors[state.t].y)
+            assert value != 0.0 and same_float(value, fresh_gap(self, z, anchors[state.t - 1], ctx))
+            checked["anchor"] += 1
+        return value
+
+    monkeypatch.setattr(restarts, "normalized_gap", failing_gap)
+    monkeypatch.setattr(eng._Loop, "_restart_check", check_spy)
+    monkeypatch.setattr(eng._Loop, "_gap_metric", metric_spy)
     r = eng.solve(random_lp(seed), SolverOptions(duality_gap_restart_freq=40, max_iter=2000,
-                                                 rel_tol=1e-12, abs_tol=1e-12))
+                                                 rel_tol=1e-12, abs_tol=1e-12,
+                                                 iteration_callback=record))
     assert r.restarts >= 3
-    assert checked["iterate"] >= 10 and checked["anchor"] >= 3
+    assert checked["iterate"] >= 10 and checked["anchor"] >= 5
 
 
 def test_full_error_reports_only_at_entry_and_checks(monkeypatch):

@@ -332,7 +332,7 @@ TRACED_PROBLEMS = {
 TRACED_MODES = {
     "default": {},
     "average": dict(method="average"),
-    "kkt": dict(use_kkt_restart=True, use_duality_gap_restart=False),
+    "kkt": dict(use_kkt_restart=True),
     "fixed step": dict(use_adaptive_step_size_weight=False, fixed_reflection_beta=0.5),
     "no restarts": dict(use_adaptive_restart=False),
 }
