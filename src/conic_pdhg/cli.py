@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         sys.stderr.write(f"error: no such file: {args.input}\n")
         return USAGE_EXIT
-    except (ProblemFormatError, ValueError) as exc:
+    except (OSError, ProblemFormatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
 

@@ -7,9 +7,9 @@ Three metric families share the same residual vectors:
 * infinity-norm absolutes/relatives feeding the termination test.
 
 `compute_errors` evaluates all three at check cadence; `relative_errors`,
-called once per iteration for the reflection parameter, stops after the
-second family.  Both read one residual evaluation, so the shared metrics
-agree bit for bit.
+called for the reflection parameter at the first iteration of every inner
+loop and every 64 iterations, stops after the second family.  Both read one
+residual evaluation, so the shared metrics agree bit for bit.
 
 The metrics and the infeasibility certificates read the problem's box facts
 (`ConicProblem.box`, built once per instance): the multiplier set Lambda,

@@ -96,8 +96,17 @@ class TestCli:
         assert main(["--input", write_doc(tmp_path, doc)]) == USAGE_EXIT
         assert "empty box" in capsys.readouterr().err
 
-    def test_missing_file_exit_64(self, tmp_path):
-        assert main(["--input", str(tmp_path / "nope.json")]) == USAGE_EXIT
+    def test_missing_file_exit_64(self, tmp_path, capsys):
+        path = str(tmp_path / "nope.json")
+        assert main(["--input", path]) == USAGE_EXIT
+        assert capsys.readouterr().err == f"error: no such file: {path}\n"
+
+    def test_unreadable_input_exit_64(self, tmp_path, capsys):
+        # a directory raises IsADirectoryError, an OSError other than
+        # FileNotFoundError
+        assert main(["--input", str(tmp_path)]) == USAGE_EXIT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     @pytest.mark.parametrize("flag", ["--output", "--logfile"])
     def test_unwritable_output_or_logfile_exit_64(self, tmp_path, capsys, flag):

@@ -355,8 +355,10 @@ class TestSolve:
         assert r.exit_code == 8 and r.exit_status == ":numerical_error"
 
     def test_numerical_error_on_injected_nan_without_line_search(self, monkeypatch):
-        # Without the line search no non-finite test runs before the
-        # reflection parameter, whose NaN error must also end with code 8.
+        # Without the line search no non-finite test runs every iteration: a
+        # NaN iterate reaches the next evaluation of the reflection parameter,
+        # whose NaN error raises, or the next termination scan, whichever
+        # comes first; both end with code 8.
         import conic_pdhg.engine as eng
 
         calls = {"n": 0}
@@ -373,6 +375,39 @@ class TestSolve:
         opts = SolverOptions(use_preconditioner=False, use_adaptive_step_size_weight=False)
         r = solve(tiny_lp(), opts)
         assert r.exit_code == 8 and r.exit_status == ":numerical_error"
+
+    def test_numerical_error_on_nan_just_after_reflection_evaluation(self, monkeypatch):
+        # The reflection parameter is evaluated at 64 and held, so the NaN
+        # candidate of the step to 65 goes unnoticed until the evaluation
+        # due at 128, ahead of that iteration's scan, raises on it; the
+        # failed iteration does not count.
+        import conic_pdhg.engine as eng
+
+        seen = {"k_bar": 0, "evaluations": []}
+        orig_project = eng.cones.project_primal_set
+        orig_errors = eng.term.relative_errors
+
+        def poisoned(x, problem, settings=None):
+            out = orig_project(x, problem)
+            if seen["k_bar"] >= 64:
+                out[0] = math.nan
+            return out
+
+        def evaluating(*args, **kwargs):
+            seen["evaluations"].append(seen["k_bar"] + 1)
+            return orig_errors(*args, **kwargs)
+
+        def record(state):
+            seen["k_bar"] = state.k_bar
+
+        monkeypatch.setattr(eng.cones, "project_primal_set", poisoned)
+        monkeypatch.setattr(eng.term, "relative_errors", evaluating)
+        opts = SolverOptions(use_preconditioner=False, use_adaptive_step_size_weight=False,
+                             rel_tol=1e-14, abs_tol=1e-14, iteration_callback=record)
+        r = solve(tiny_lp(), opts)
+        assert seen["evaluations"] == [1, 64, 128]
+        assert r.exit_code == 8 and r.exit_status == ":numerical_error"
+        assert r.iterations == 127
 
     def test_reflection_parameter_rejects_nan_error(self):
         import conic_pdhg.termination as term

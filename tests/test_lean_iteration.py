@@ -1,14 +1,15 @@
 """The per-iteration path of the solve loop.
 
-Each accepted iteration evaluates only the three 1-norm relative metrics
-(`termination.relative_errors`) for the reflection parameter, and updates
+The reflection parameter comes from the three 1-norm relative metrics
+(`termination.relative_errors`), evaluated at the first iteration of every
+inner loop and every 64 iterations, and each accepted iteration updates
 flat [x; y; G x; G^T y] buffers in place.  These tests compare the relative
 metrics with `compute_errors` and the in-place updates with the allocating
 formulas in `oracles`, bit for bit; check that a restart updates the
 primal weight from the anchor's move, that `use_kkt_restart` alone selects
 KKT restarts, and that the restart checks' gap from the loop's products and
 from the anchor's move is the gap from fresh ones; and count the full
-error reports a solve makes.
+error reports a solve makes and check when beta is evaluated.
 """
 
 import math
@@ -342,7 +343,59 @@ def test_full_error_reports_only_at_entry_and_checks(monkeypatch):
     assert r.iterations == 30 and r.exit_status == ":max_iter"
     # the entry scan and the checks at iterations 10, 20 and 30
     assert calls["compute_errors"] == 1 + 3
-    assert calls["relative_errors"] == 30
+    # the reflection parameter at the first iteration only: no restart runs
+    # and no multiple of _REFLECTION_FREQ falls within 30 iterations
+    assert calls["relative_errors"] == 1
+
+
+@pytest.mark.parametrize("jump", [False, True], ids=["no jump", "jump from 63 to 65"])
+def test_reflection_parameter_schedule(jump, monkeypatch):
+    # beta is evaluated at the first iteration of every inner loop and at the
+    # first k_bar at or past each multiple of 64, from the candidate's
+    # relative errors, and held in between.  The candidate buffer still holds
+    # [x_hat; y_hat; G x_hat; G^T y_hat] when the callback runs.
+    from test_termination_scan import jump_over_64
+
+    if jump:
+        jump_over_64(monkeypatch)
+    calls = {"n": 0}
+    real = term.relative_errors
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(term, "relative_errors", counting)
+    seen = []
+    last = {"k_bar": 0, "calls": 0, "beta": None}
+
+    def record(state):
+        evaluated = calls["n"] > last["calls"]
+        expected = (state.k == 1
+                    or state.k_bar // eng._REFLECTION_FREQ > last["k_bar"] // eng._REFLECTION_FREQ)
+        assert evaluated == expected and calls["n"] - last["calls"] <= 1
+        if evaluated:
+            (x_hat, y_hat), (gx_hat, gty_hat) = loop._split(loop.candidate)
+            beta = term.adaptive_reflection_parameter(
+                real(loop.scaled, x_hat, y_hat, gx_hat, gty_hat))
+            assert same_float(state.beta, beta)
+        else:
+            assert same_float(state.beta, last["beta"])
+        seen.append((state.k_bar, state.k, evaluated))
+        last.update(k_bar=state.k_bar, calls=calls["n"], beta=state.beta)
+
+    opts = SolverOptions(duality_gap_restart_freq=40, max_iter=400, rel_tol=1e-14,
+                         abs_tol=1e-14, iteration_callback=record)
+    loop = eng._Loop(random_lp(7), opts)
+    r = loop.run()
+    assert r.exit_status == ":max_iter" and r.restarts >= 2
+    k_bars = [k for k, _, _ in seen]
+    assert (64 not in k_bars and 65 in k_bars) if jump else 64 in k_bars
+    evaluated_at = [k for k, _, ev in seen if ev]
+    assert (65 if jump else 64) in evaluated_at
+    # restarts away from the multiples of 64 evaluate too
+    assert any(k % 64 and inner == 1 and k > 1 for k, inner, _ in seen)
+    assert len(evaluated_at) < len(seen) // 10
 
 
 def test_line_search_product_budget_along_solve(monkeypatch):
