@@ -3,9 +3,9 @@ weighted averaging, and the restart-driven outer loop.
 
 The loop keeps G x and G^T y for the current iterate as exact linear
 combinations of the products already computed (the Halpern step is affine),
-so each accepted iteration costs one G product and one G^T product; the
-caches are refreshed from scratch at every check and restart to stop
-round-off drift.
+so each accepted iteration costs one G^T product, plus one G product per
+line-search trial; the caches are refreshed from scratch at every check and
+restart to stop round-off drift.
 
 Restart checks, termination scans and log rows each run at the first
 iteration at or past every multiple of their period (`_reached`), since a
@@ -19,9 +19,10 @@ tests on their own G x and G^T y from the unscaled iterate and write no
 loop state, so the iterates do not depend on the scan cadence.
 
 The reflection parameter beta of the Halpern step is evaluated from the
-candidate's relative errors at the first iteration of every inner loop and
-at the first iteration at or past every multiple of `_REFLECTION_FREQ`;
-the iterations in between reuse `state.beta`.
+candidate's error report (`termination.compute_errors` on the scaled
+problem) at the first iteration of every inner loop and at the first
+iteration at or past every multiple of `_REFLECTION_FREQ`; the iterations
+in between reuse `state.beta`.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ class IterateZ(NamedTuple):
     x: np.ndarray
     y: np.ndarray
 
-    def copy(self) -> "IterateZ":
-        return IterateZ(self.x.copy(), self.y.copy())
-
 
 @dataclass
 class SolverOptions:
@@ -78,7 +76,6 @@ class SolverOptions:
     method: str = "halpern"  # restart-candidate rule: "halpern" or "average"
     use_preconditioner: bool = True
     use_adaptive_restart: bool = True
-    use_adaptive_step_size_weight: bool = True
     use_kkt_restart: bool = False  # restart on the weighted KKT error, not the gap
     kkt_restart_freq: int = 2000
     # Not PDLP's 64: with these restart constants, checks that often restart
@@ -91,7 +88,6 @@ class SolverOptions:
     verbose: int = 0
     logfile: str | None = None
     initial_step_norm: str = "max_abs"  # or "induced_inf"
-    fixed_reflection_beta: float | None = None
     iteration_callback: Callable | None = None
 
     def validate(self) -> None:
@@ -111,8 +107,6 @@ class SolverOptions:
             )
         if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
-        if self.fixed_reflection_beta is not None and not 0 <= self.fixed_reflection_beta <= 1:
-            raise ValueError("fixed_reflection_beta must lie in [0, 1]")
 
 
 @dataclass
@@ -126,7 +120,8 @@ class SolverState:
     at the anchor; a change of mode clears it.  `anchor_move` holds the
     squared primal and dual distances the anchor moved at the last restart.
     `beta` is the reflection parameter of the last Halpern step, evaluated
-    at `k == 0` and every `_REFLECTION_FREQ` iterations and held between.
+    from the candidate's error report at `k == 0` and every
+    `_REFLECTION_FREQ` iterations and held between.
     """
 
     z: IterateZ
@@ -354,8 +349,11 @@ class _Loop:
             # any positive step scale works.
             return 1.0
         if self.options.initial_step_norm == "induced_inf":
-            return 1.0 / g.induced_inf_norm()
-        return 1.0 / g.max_abs()
+            eta = 1.0 / g.induced_inf_norm()
+        else:
+            eta = 1.0 / g.max_abs()
+        # a subnormal largest entry would give eta = inf
+        return min(max(_ETA_FLOOR, eta), _ETA_CEIL)
 
     def _split(self, buf: np.ndarray) -> tuple[IterateZ, IterateZ]:
         """Views of a flat [x; y; G x; G^T y] buffer as (x, y) and (G x, G^T y)."""
@@ -546,9 +544,8 @@ class _Loop:
         state.z_anchor.x[:] = candidate.x
         state.z_anchor.y[:] = candidate.y
         self.iterate[:n + m] = self.anchor[:n + m]
-        if self.options.use_adaptive_step_size_weight:
-            state.omega = restarts.update_primal_weight(
-                *map(math.sqrt, state.anchor_move), state.omega, self.omega_init)
+        state.omega = restarts.update_primal_weight(
+            *map(math.sqrt, state.anchor_move), state.omega, self.omega_init)
         state.t += 1
         state.k = 0
         state.avg_weight = 0.0
@@ -592,7 +589,6 @@ class _Loop:
         if code is not None:
             return code
         self._log_line(state, self._last_report)
-        adaptive = options.use_adaptive_step_size_weight
         z_hat, products_hat = self._split(self.candidate)
         z_part = slice(0, self.scaled.n + self.scaled.m)
         log_rows = options.verbose >= 1 or self.logfile is not None
@@ -605,29 +601,21 @@ class _Loop:
             # only once the iteration completes.
             k_bar = k_prev + 1
             gx, gty = self.products
-            # Both modes write [x_hat; y_hat; G(2 x_hat - x)] into the candidate.
-            if adaptive:
-                step = adaptive_step_pdhg(
-                    self.scaled, state.z, state.omega, state.eta_hat, k_bar,
-                    gty=gty, gx=gx, out=self.candidate,
-                )
-                state.eta = step.eta_used
-                state.eta_hat = step.eta_next
-                k_bar = step.k_bar  # rejected trials also advance the count
-            else:
-                ctx = WeightedNormContext(state.omega, state.eta_hat)
-                _pdhg_candidate(self.scaled, state.z.x, state.z.y, ctx.tau, ctx.sigma,
-                                self.scaled.c - gty, self.candidate)
-                state.eta = state.eta_hat
+            # writes [x_hat; y_hat; G(2 x_hat - x)] into the candidate
+            step = adaptive_step_pdhg(
+                self.scaled, state.z, state.omega, state.eta_hat, k_bar,
+                gty=gty, gx=gx, out=self.candidate,
+            )
+            state.eta = step.eta_used
+            state.eta_hat = step.eta_next
+            k_bar = step.k_bar  # rejected trials also advance the count
 
             # G x_hat = (G(2 x_hat - x) + G x) / 2, in place
             np.add(products_hat.x, gx, out=products_hat.x)
             np.multiply(products_hat.x, 0.5, out=products_hat.x)
             products_hat.y[:] = self.scaled.G.rmatvec(z_hat.y)
-            if options.fixed_reflection_beta is not None:
-                state.beta = options.fixed_reflection_beta
-            elif state.k == 0 or _reached(k_prev, k_bar, _REFLECTION_FREQ):
-                state.beta = term.adaptive_reflection_parameter(term.relative_errors(
+            if state.k == 0 or _reached(k_prev, k_bar, _REFLECTION_FREQ):
+                state.beta = term.adaptive_reflection_parameter(term.compute_errors(
                     self.scaled, z_hat.x, z_hat.y, products_hat.x, products_hat.y
                 ))
 

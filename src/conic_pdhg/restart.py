@@ -207,10 +207,11 @@ def kkt_omega(report: ErrorReport, omega: float) -> float:
 
 
 def initialize_primal_weight(c: np.ndarray, h: np.ndarray) -> float:
-    """||c|| / ||h|| when both norms clear the guard, else 1."""
+    """||c|| / ||h|| when both norms clear the guard and the ratio is a
+    positive finite number (a norm overflows above about 1e154), else 1."""
     nc = float(np.linalg.norm(c))
     nh = float(np.linalg.norm(h))
-    if nc > 1e-10 and nh > 1e-10:
+    if nc > 1e-10 and nh > 1e-10 and 0.0 < nc / nh < math.inf:
         return nc / nh
     return 1.0
 

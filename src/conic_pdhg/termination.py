@@ -6,10 +6,10 @@ Three metric families share the same residual vectors:
 * their 1-norm-denominator relatives feeding maxErr and the reflection rule,
 * infinity-norm absolutes/relatives feeding the termination test.
 
-`compute_errors` evaluates all three at check cadence; `relative_errors`,
-called for the reflection parameter at the first iteration of every inner
-loop and every 64 iterations, stops after the second family.  Both read one
-residual evaluation, so the shared metrics agree bit for bit.
+`compute_errors` evaluates all three from one residual evaluation: on the
+original problem at termination scans, on the scaled one for the KKT
+restart metric and for the reflection parameter (at the first iteration of
+every inner loop and every 64 iterations).
 
 The metrics and the infeasibility certificates read the problem's box facts
 (`ConicProblem.box`, built once per instance): the multiplier set Lambda,
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,62 +92,6 @@ def _multiplier_violation(problem: ConicProblem,
             lam2 - cones.project_primal_cone_dual(lam2, problem))
 
 
-class RelativeErrors(NamedTuple):
-    """The three 1-norm relative metrics that maxErr, and so the reflection
-    rule, reads."""
-
-    rel_p1: float
-    rel_d1: float
-    rel_gap1: float
-
-
-class _Residuals(NamedTuple):
-    res_viol: np.ndarray
-    res_proj: np.ndarray
-    lam1_viol: np.ndarray
-    lam2_viol: np.ndarray
-    primal_obj: float
-    dual_obj: float
-    abs_p: float
-    abs_d: float
-    gap: float
-    relative: RelativeErrors
-
-
-def _residuals(problem: ConicProblem, x: np.ndarray, y: np.ndarray,
-               gx: np.ndarray, gty: np.ndarray) -> _Residuals:
-    """The residual and multiplier violations at (x, y) with lambda = c - G^T y,
-    both objectives, and the 2-norm absolutes with their 1-norm relatives."""
-    lam = recover_dual(problem, y, gty=gty)
-
-    residual = gx - problem.h
-    res_proj = cones.project_dual_residual_set(residual, problem)
-    res_viol = residual - res_proj
-
-    lam1_viol, lam2_viol = _multiplier_violation(problem, lam)
-
-    p_obj = float(np.dot(problem.c, x))
-    d_obj = dual_objective(problem, y, lam)
-    gap = abs(p_obj - d_obj)
-
-    abs_p = two_norm(res_viol)
-    abs_d = math.sqrt(two_norm(lam1_viol) ** 2 + two_norm(lam2_viol) ** 2)
-    relative = RelativeErrors(
-        rel_p1=abs_p / problem.box.h_denom,
-        rel_d1=abs_d / problem.box.c_denom,
-        rel_gap1=gap / (1.0 + abs(p_obj) + abs(d_obj)),
-    )
-    return _Residuals(res_viol, res_proj, lam1_viol, lam2_viol, p_obj, d_obj,
-                      abs_p, abs_d, gap, relative)
-
-
-def relative_errors(problem: ConicProblem, x: np.ndarray, y: np.ndarray,
-                    gx: np.ndarray, gty: np.ndarray) -> RelativeErrors:
-    """The 1-norm relative metrics at (x, y), given G x and G^T y: the part of
-    `compute_errors` the reflection parameter needs, from the same residuals."""
-    return _residuals(problem, x, y, gx, gty).relative
-
-
 def compute_errors(
     problem: ConicProblem,
     x: np.ndarray,
@@ -165,39 +108,51 @@ def compute_errors(
         gx = problem.G.matvec(x)
     if gty is None:
         gty = problem.G.rmatvec(y)
-    r = _residuals(problem, x, y, gx, gty)
+    lam = recover_dual(problem, y, gty=gty)
 
-    abs_p_inf = inf_norm(r.res_viol)
-    abs_d_inf = max(inf_norm(r.lam1_viol), inf_norm(r.lam2_viol))
+    residual = gx - problem.h
+    res_proj = cones.project_dual_residual_set(residual, problem)
+    res_viol = residual - res_proj
 
-    denom_p_inf = 1.0 + max(inf_norm(problem.h), inf_norm(gx), inf_norm(r.res_proj))
+    lam1_viol, lam2_viol = _multiplier_violation(problem, lam)
+
+    p_obj = float(np.dot(problem.c, x))
+    d_obj = dual_objective(problem, y, lam)
+    gap = abs(p_obj - d_obj)
+
+    abs_p = two_norm(res_viol)
+    abs_d = math.sqrt(two_norm(lam1_viol) ** 2 + two_norm(lam2_viol) ** 2)
+    abs_p_inf = inf_norm(res_viol)
+    abs_d_inf = max(inf_norm(lam1_viol), inf_norm(lam2_viol))
+
+    denom_p_inf = 1.0 + max(inf_norm(problem.h), inf_norm(gx), inf_norm(res_proj))
     denom_d_inf = 1.0 + max(inf_norm(problem.c), inf_norm(gty))
-    denom_gap_term = 1.0 + max(abs(r.primal_obj), abs(r.dual_obj))
+    denom_gap_term = 1.0 + max(abs(p_obj), abs(d_obj))
 
     return ErrorReport(
-        abs_p=r.abs_p,
-        abs_d=r.abs_d,
-        abs_gap=r.gap,
-        rel_p1=r.relative.rel_p1,
-        rel_d1=r.relative.rel_d1,
-        rel_gap1=r.relative.rel_gap1,
+        abs_p=abs_p,
+        abs_d=abs_d,
+        abs_gap=gap,
+        rel_p1=abs_p / problem.box.h_denom,
+        rel_d1=abs_d / problem.box.c_denom,
+        rel_gap1=gap / (1.0 + abs(p_obj) + abs(d_obj)),
         abs_p_inf=abs_p_inf,
         abs_d_inf=abs_d_inf,
-        abs_gap_term=r.gap,
+        abs_gap_term=gap,
         rel_p_inf=abs_p_inf / denom_p_inf,
         rel_d_inf=abs_d_inf / denom_d_inf,
-        rel_gap_term=r.gap / denom_gap_term,
-        primal_obj=r.primal_obj,
-        dual_obj=r.dual_obj,
+        rel_gap_term=gap / denom_gap_term,
+        primal_obj=p_obj,
+        dual_obj=d_obj,
     )
 
 
-def max_err(report: ErrorReport | RelativeErrors) -> float:
+def max_err(report: ErrorReport) -> float:
     """Overall optimality error: the worst of the 1-norm-relative metrics."""
     return max(report.rel_p1, report.rel_d1, report.rel_gap1)
 
 
-def adaptive_reflection_parameter(report: ErrorReport | RelativeErrors) -> float:
+def adaptive_reflection_parameter(report: ErrorReport) -> float:
     """clamp(-0.1*log10(maxErr) + 0.2, 0, 1); an exact optimum gets the clamp limit 1.
 
     A NaN error (a non-finite iterate) raises NumericalError.

@@ -1,9 +1,9 @@
-"""Digests of 108 solves, for checking that a change keeps every iterate.
+"""Digests of 90 solves, for checking that a change keeps every iterate.
 
 The set is six problems (a feasible, a primal-infeasible and a
-dual-infeasible LP, and three planted soc/exp/dual-exp problems) under six
-modes (default, average, KKT, fixed step with beta 0.5, no preconditioner,
-no restarts) at restart cadences 200, 512 (the default) and 2000.  Each
+dual-infeasible LP, and three planted soc/exp/dual-exp problems) under five
+modes (default, average, KKT, no preconditioner, no restarts) at restart
+cadences 200, 512 (the default) and 2000.  Each
 solve prints one tab-separated line:
 
     cadence  problem  mode  status  iterations  digest

@@ -371,6 +371,28 @@ class TestSetProjections:
             ])
             np.testing.assert_allclose(out, expected, atol=1e-14)
 
+    def test_box_part_is_np_clip_bit_for_bit(self):
+        # The box projection is maximum-then-minimum in place of np.clip;
+        # the bits must agree on NaN, signed zeros, subnormals, huge values
+        # and infinite bounds.
+        import itertools
+
+        values = [math.nan, -math.inf, math.inf, 0.0, -0.0, 1.0, -1.0, 2.0, -2.0,
+                  5e-324, -5e-324, 1e308, -1e308]
+        lows = [-math.inf, -1e308, -1.0, -0.0, 0.0, 5e-324, 1.0]
+        highs = [math.inf, 1e308, 2.0, 1.0, 0.0, -0.0, 5e-324]
+        triples = [(v, lo, hi) for v, lo, hi in itertools.product(values, lows, highs) if lo <= hi]
+        x, lo, hi = (np.array(col) for col in zip(*triples))
+        # long enough for numpy's vectorized loops, and a short odd tail
+        for reps in (1, 7):
+            xs, ls, us = (np.tile(a, reps) for a in (x, lo, hi))
+            p = ConicProblem(c=np.zeros(xs.size), G=SparseMatrix(np.zeros((1, xs.size))),
+                             h=np.zeros(1), l=ls, u=us, num_box=xs.size,
+                             dual_cones=(ConeSpec(Cone.NONNEG, 1),))
+            got = project_primal_set(xs, p)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          np.clip(xs, ls, us).view(np.uint64))
+
     def test_dual_set_zero_block_leaves_y_free(self):
         # Equality-row multipliers are sign-free: the zero-tagged residual
         # block imposes no constraint on y.

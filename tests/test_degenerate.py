@@ -1,9 +1,11 @@
 """Degenerate instances end with an exit-table code, never an exception.
 
-Each instance is solved under the default options, the fixed-step mode,
-KKT restarts and the average restart candidate.  Where the status is
-optimal, the objective must match the closed-form optimum; where the
-instance is infeasible, every mode must certify it.
+Each instance is solved under the default options, KKT restarts and the
+average restart candidate.  Where the status is optimal, the objective must
+match the closed-form optimum; where the instance is infeasible, every mode
+must certify it.  Instances with entries near the ends of the double range
+must end with a code too, and a bounded problem must not be certified dual
+infeasible whatever the scale of its cost.
 """
 
 import math
@@ -76,7 +78,6 @@ INSTANCES = {
 
 MODES = {
     "default": {},
-    "fixed step": dict(use_adaptive_step_size_weight=False),
     "kkt": dict(use_kkt_restart=True),
     "average": dict(method="average"),
 }
@@ -95,3 +96,56 @@ def test_degenerate_instance_ends_with_exit_code(name, mode):
         assert r.exit_code in (term.EXIT_PRIMAL_INFEASIBLE_LOW, term.EXIT_PRIMAL_INFEASIBLE_HIGH)
     elif r.exit_code == term.EXIT_OPTIMAL:
         assert r.p_obj == pytest.approx(optimum, abs=1e-4)
+
+
+# name -> (problem, options)
+EXTREME = {
+    # ||c|| overflows, so the initial primal weight ||c|| / ||h|| would be
+    # inf: x = (0, 1) with objective 1
+    "cost 1e308": (problem([1e308, 1], [[1, 1]], [1], [0, 0], [5, 5], (ConeSpec(Cone.NONNEG, 1),)),
+                   {}),
+    "cost 1e308, no preconditioner": (
+        problem([1e308, 1], [[1, 1]], [1], [0, 0], [5, 5], (ConeSpec(Cone.NONNEG, 1),)),
+        dict(use_preconditioner=False),
+    ),
+    # ||h|| overflows, so the weight would be 0; the second row always holds
+    "right-hand side -1e308": (problem([1, 1], [[1, 1], [1, 0]], [1, -1e308], [0, 0], [5, 5], NONNEG2),
+                               {}),
+    # 1 / max|G_ij| is inf for a subnormal largest entry
+    "subnormal G, no preconditioner": (
+        problem([1, 1], [[1e-310, 1e-310]], [1e-310], [0, 0], [5, 5], (ConeSpec(Cone.NONNEG, 1),)),
+        dict(use_preconditioner=False),
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", EXTREME)
+def test_extreme_magnitudes_end_with_exit_code(name, mode):
+    p, options = EXTREME[name]
+    r = solve(p, SolverOptions(max_iter=1000, duality_gap_restart_freq=100, kkt_restart_freq=100,
+                               **options, **MODES[mode]))
+    assert term.EXIT_STATUS[r.exit_code] == r.exit_status
+    assert r.x.shape == (p.n,) and r.y.shape == (p.m,) and r.slack.shape == (p.m,)
+
+
+def readme_example(s):
+    """The README's problem with cost (s, s): minimize s (x1 + x2) over
+    ||(x1, x2)|| <= 1 in the box [-5, 5]^2, bounded with optimum -s sqrt(2)."""
+    G = np.zeros((3, 2))
+    G[1, 0] = G[2, 1] = 1.0
+    return problem([s, s], G, [-1, 0, 0], [-5, -5], [5, 5], (ConeSpec(Cone.SOC, 3),))
+
+
+@pytest.mark.parametrize("s", [
+    1e6,
+    # primal_ray_quality divides an O(1) error by a ray objective of size
+    # ||c||, so a large cost passes the ratio test (CHANGES.md FOUND:)
+    pytest.param(1e12, marks=pytest.mark.xfail(strict=True, reason="dual_infeasible_low_acc")),
+    pytest.param(1e16, marks=pytest.mark.xfail(strict=True, reason="dual_infeasible_high_acc")),
+])
+def test_bounded_problem_is_not_dual_infeasible_at_any_cost_scale(s):
+    r = solve(readme_example(s), SolverOptions(max_iter=20000))
+    assert r.exit_code not in (term.EXIT_DUAL_INFEASIBLE_LOW, term.EXIT_DUAL_INFEASIBLE_HIGH)
+    if r.exit_code == term.EXIT_OPTIMAL:
+        assert r.p_obj == pytest.approx(-s * math.sqrt(2), rel=1e-4)

@@ -354,61 +354,6 @@ class TestSolve:
         r = solve(p, SolverOptions(use_preconditioner=False))
         assert r.exit_code == 8 and r.exit_status == ":numerical_error"
 
-    def test_numerical_error_on_injected_nan_without_line_search(self, monkeypatch):
-        # Without the line search no non-finite test runs every iteration: a
-        # NaN iterate reaches the next evaluation of the reflection parameter,
-        # whose NaN error raises, or the next termination scan, whichever
-        # comes first; both end with code 8.
-        import conic_pdhg.engine as eng
-
-        calls = {"n": 0}
-        orig = eng.cones.project_primal_set
-
-        def poisoned(x, problem, settings=None):
-            calls["n"] += 1
-            out = orig(x, problem)
-            if calls["n"] > 10:
-                out[0] = math.nan
-            return out
-
-        monkeypatch.setattr(eng.cones, "project_primal_set", poisoned)
-        opts = SolverOptions(use_preconditioner=False, use_adaptive_step_size_weight=False)
-        r = solve(tiny_lp(), opts)
-        assert r.exit_code == 8 and r.exit_status == ":numerical_error"
-
-    def test_numerical_error_on_nan_just_after_reflection_evaluation(self, monkeypatch):
-        # The reflection parameter is evaluated at 64 and held, so the NaN
-        # candidate of the step to 65 goes unnoticed until the evaluation
-        # due at 128, ahead of that iteration's scan, raises on it; the
-        # failed iteration does not count.
-        import conic_pdhg.engine as eng
-
-        seen = {"k_bar": 0, "evaluations": []}
-        orig_project = eng.cones.project_primal_set
-        orig_errors = eng.term.relative_errors
-
-        def poisoned(x, problem, settings=None):
-            out = orig_project(x, problem)
-            if seen["k_bar"] >= 64:
-                out[0] = math.nan
-            return out
-
-        def evaluating(*args, **kwargs):
-            seen["evaluations"].append(seen["k_bar"] + 1)
-            return orig_errors(*args, **kwargs)
-
-        def record(state):
-            seen["k_bar"] = state.k_bar
-
-        monkeypatch.setattr(eng.cones, "project_primal_set", poisoned)
-        monkeypatch.setattr(eng.term, "relative_errors", evaluating)
-        opts = SolverOptions(use_preconditioner=False, use_adaptive_step_size_weight=False,
-                             rel_tol=1e-14, abs_tol=1e-14, iteration_callback=record)
-        r = solve(tiny_lp(), opts)
-        assert seen["evaluations"] == [1, 64, 128]
-        assert r.exit_code == 8 and r.exit_status == ":numerical_error"
-        assert r.iterations == 127
-
     def test_reflection_parameter_rejects_nan_error(self):
         import conic_pdhg.termination as term
 
@@ -453,29 +398,30 @@ class TestSolve:
         for (x0, y0, e0), (x1, y1, e1) in zip(*runs):
             assert np.array_equal(x0, x1) and np.array_equal(y0, y1) and e0 == e1
 
-    def test_beta_zero_no_restart_is_plain_halpern(self):
+    def test_no_restart_replays_reflected_halpern(self):
+        # Without restarts every iteration is one PDHG step at the accepted
+        # eta and the weight omega, followed by the reflected Halpern
+        # combination with the anchor z0 = 0.
         p = tiny_lp()
         trace = []
         opts = SolverOptions(
             use_preconditioner=False,
             use_adaptive_restart=False,
-            use_adaptive_step_size_weight=False,
-            fixed_reflection_beta=0.0,
             max_iter=200,
             rel_tol=1e-14,
             abs_tol=1e-14,
-            iteration_callback=lambda s: trace.append(IterateZ(s.z.x.copy(), s.z.y.copy())),
+            iteration_callback=lambda s: trace.append(
+                (IterateZ(s.z.x.copy(), s.z.y.copy()), s.k, s.eta, s.omega, s.beta)),
         )
         solve(p, opts)
-        eta = 1.0 / p.G.max_abs()
-        omega = float(np.linalg.norm(p.c) / np.linalg.norm(p.h))
-        z = IterateZ(np.zeros(2), np.zeros(1))
-        anchor = z
-        for k, recorded in enumerate(trace):
+        assert len(trace) > 100 and len({beta for *_, beta in trace}) > 1
+        z = anchor = IterateZ(np.zeros(2), np.zeros(1))
+        for recorded, k, eta, omega, beta in trace:
             z_hat = one_pdhg(p, z, eta / omega, eta * omega)
+            a, b = k / (k + 1.0), 1.0 / (k + 1.0)  # k was incremented after the step
             z = IterateZ(
-                (k + 1.0) / (k + 2.0) * z_hat.x + anchor.x / (k + 2.0),
-                (k + 1.0) / (k + 2.0) * z_hat.y + anchor.y / (k + 2.0),
+                a * ((1.0 + beta) * z_hat.x - beta * z.x) + b * anchor.x,
+                a * ((1.0 + beta) * z_hat.y - beta * z.y) + b * anchor.y,
             )
             np.testing.assert_allclose(recorded.x, z.x, atol=1e-9)
             np.testing.assert_allclose(recorded.y, z.y, atol=1e-9)
@@ -506,22 +452,25 @@ class TestSolve:
 
     def test_engine_matvec_budget_per_iteration(self):
         p = tiny_lp()
+        k_bars = []
         opts = SolverOptions(
             use_preconditioner=False,
             use_adaptive_restart=False,
-            use_adaptive_step_size_weight=False,
             max_iter=30,
             rel_tol=1e-14,
             abs_tol=1e-14,
+            iteration_callback=lambda s: k_bars.append(s.k_bar),
         )
         import conic_pdhg.engine as eng
 
         loop = eng._Loop(p, opts)
         loop.scaled.G.reset_counters()
         loop._run()
-        # init (1+1), one G and one G^T per iteration, final check refresh (1+1)
-        assert loop.scaled.G.n_matvec == 1 + 30 + 1
-        assert loop.scaled.G.n_rmatvec == 1 + 30 + 1
+        # init (1+1), one G per line-search trial (k_bar counts them all),
+        # one G^T per accepted iteration, final check refresh (1+1)
+        assert k_bars[-1] == 30
+        assert loop.scaled.G.n_matvec == 1 + k_bars[-1] + 1
+        assert loop.scaled.G.n_rmatvec == 1 + len(k_bars) + 1
 
     def test_step_size_growth_bound_along_solve(self):
         p = tiny_lp()

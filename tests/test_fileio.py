@@ -269,12 +269,12 @@ class TestResultFile:
     def test_options_echo_is_complete(self):
         import dataclasses
 
-        opts = SolverOptions(fixed_reflection_beta=0.5)
+        opts = SolverOptions(eps_dual_infeasible_low_acc=1e-11)
         r = solve(document_to_problem(minimal_doc()), opts)
         echo = result_to_document(r, opts)["options"]
         names = {f.name for f in dataclasses.fields(SolverOptions)} - {"iteration_callback"}
         assert set(echo) == names
-        assert echo["fixed_reflection_beta"] == 0.5
+        assert echo["eps_dual_infeasible_low_acc"] == 1e-11
 
     def test_problem_with_primal_cones_not_serializable(self):
         p = ConicProblem(

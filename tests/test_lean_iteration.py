@@ -1,18 +1,17 @@
 """The per-iteration path of the solve loop.
 
-The reflection parameter comes from the three 1-norm relative metrics
-(`termination.relative_errors`), evaluated at the first iteration of every
-inner loop and every 64 iterations, and each accepted iteration updates
-flat [x; y; G x; G^T y] buffers in place.  These tests compare the relative
-metrics with `compute_errors` and the in-place updates with the allocating
-formulas in `oracles`, bit for bit; check that a restart updates the
-primal weight from the anchor's move, that `use_kkt_restart` alone selects
-KKT restarts, and that the restart checks' gap from the loop's products and
-from the anchor's move is the gap from fresh ones; and count the full
-error reports a solve makes and check when beta is evaluated.
+The reflection parameter comes from the candidate's error report on the
+scaled problem, evaluated at the first iteration of every inner loop and
+every 64 iterations, and each accepted iteration updates flat
+[x; y; G x; G^T y] buffers in place.  These tests compare the in-place
+updates with the allocating formulas in `oracles`, bit for bit; check that
+a restart updates the primal weight from the anchor's move, that
+`use_kkt_restart` alone selects KKT restarts, and that the restart checks'
+gap from the loop's products and from the anchor's move is the gap from
+fresh ones; and count the error reports a solve makes and check when beta
+is evaluated.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -43,11 +42,6 @@ def moderate(rng, n):
     return rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
 
 
-def scaled(rng, n):
-    """One magnitude 10^[-150, 150] per vector, so that products stay finite."""
-    return rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150)
-
-
 def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
@@ -58,58 +52,6 @@ def assert_same_bits(a, b):
 
 def same_float(a, b):
     return bits(np.array([a]))[0] == bits(np.array([b]))[0]
-
-
-# ---------------------------------------------------------------------------
-# relative_errors against compute_errors
-# ---------------------------------------------------------------------------
-
-
-def random_conic_problem(rng, draw):
-    """Box variables in all four finiteness classes, soc/exp/dual-exp blocks
-    on the primal and the dual side, entries drawn by `draw`."""
-    nb = 8
-    lo, hi = np.sort(np.vstack([draw(rng, nb), draw(rng, nb)]), axis=0)
-    cls = rng.permutation(np.arange(nb) % 4)
-    lo[cls >= 2] = -math.inf
-    hi[(cls == 1) | (cls == 3)] = math.inf
-    primal = (ConeSpec(Cone.SOC, int(rng.integers(2, 5))), ConeSpec(Cone.EXP, 3),
-              ConeSpec(Cone.DUAL_EXP, 3))
-    dual = (ConeSpec(Cone.ZERO, 2), ConeSpec(Cone.NONNEG, 3),
-            ConeSpec(Cone.SOC, int(rng.integers(2, 5))), ConeSpec(Cone.EXP, 3),
-            ConeSpec(Cone.DUAL_EXP, 3))
-    n = nb + sum(s.dim for s in primal)
-    m = sum(s.dim for s in dual)
-    g = draw(rng, m * n).reshape(m, n)
-    g[rng.random((m, n)) < 0.5] = 0.0
-    return ConicProblem(c=draw(rng, n), G=SparseMatrix(g), h=draw(rng, m), l=lo, u=hi,
-                        num_box=nb, primal_cones=primal, dual_cones=dual)
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except Exception as exc:  # compared by type: both paths must fail alike
-        return type(exc)
-
-
-@pytest.mark.parametrize("draw", [extreme, scaled, moderate],
-                         ids=["1e-300..1e300", "1e-150..1e150", "moderate"])
-def test_relative_errors_equal_compute_errors(draw):
-    for seed in range(150):
-        rng = np.random.default_rng(seed)
-        p = random_conic_problem(rng, draw)
-        x, y = draw(rng, p.n), draw(rng, p.m)
-        gx, gty = (draw(rng, p.m), draw(rng, p.n)) if seed % 2 else (p.G.matvec(x), p.G.rmatvec(y))
-        full = outcome(term.compute_errors, p, x, y, gx, gty)
-        rel = outcome(term.relative_errors, p, x, y, gx, gty)
-        if isinstance(full, type):
-            assert rel is full, seed
-            continue
-        assert isinstance(rel, term.RelativeErrors), seed
-        for name in term.RelativeErrors._fields:
-            assert same_float(getattr(rel, name), getattr(full, name)), (seed, name)
-        assert same_float(term.max_err(rel), term.max_err(full)), seed
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +215,7 @@ def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkey
     def record(state):
         state_of["state"] = state
         if len(anchors) == state.t:
-            anchors.append(state.z_anchor.copy())
+            anchors.append(IterateZ(state.z_anchor.x.copy(), state.z_anchor.y.copy()))
 
     def failing_gap(*args, **kwargs):
         if failing["on"]:
@@ -325,55 +267,61 @@ def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkey
     assert checked["iterate"] >= 10 and checked["anchor"] >= 5
 
 
-def test_full_error_reports_only_at_entry_and_checks(monkeypatch):
-    calls = {"compute_errors": 0, "relative_errors": 0}
-    for name in calls:
-        real = getattr(term, name)
+def counting_error_reports(loop, monkeypatch):
+    """Patch `termination.compute_errors` to count its calls on the loop's
+    unscaled problem (termination scans) and on its scaled problem (the
+    reflection parameter and the KKT restart metric)."""
+    calls = {"work": 0, "scaled": 0}
+    real = term.compute_errors
 
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    def counting(problem, *args, **kwargs):
+        if problem is loop.work:
+            calls["work"] += 1
+        elif problem is loop.scaled:
+            calls["scaled"] += 1
+        return real(problem, *args, **kwargs)
 
-        monkeypatch.setattr(term, name, counting)
+    monkeypatch.setattr(term, "compute_errors", counting)
+    return calls
+
+
+def test_error_reports_only_at_entry_checks_and_reflection_evaluations(monkeypatch):
     opts = SolverOptions(
-        use_adaptive_restart=False, use_adaptive_step_size_weight=False,
+        use_adaptive_restart=False,
         duality_gap_restart_freq=10, max_iter=30, rel_tol=1e-14, abs_tol=1e-14,
     )
-    r = eng.solve(tiny_lp(), opts)
+    loop = eng._Loop(tiny_lp(), opts)
+    calls = counting_error_reports(loop, monkeypatch)
+    r = loop.run()
     assert r.iterations == 30 and r.exit_status == ":max_iter"
     # the entry scan and the checks at iterations 10, 20 and 30
-    assert calls["compute_errors"] == 1 + 3
+    assert calls["work"] == 1 + 3
     # the reflection parameter at the first iteration only: no restart runs
     # and no multiple of _REFLECTION_FREQ falls within 30 iterations
-    assert calls["relative_errors"] == 1
+    assert calls["scaled"] == 1
 
 
 @pytest.mark.parametrize("jump", [False, True], ids=["no jump", "jump from 63 to 65"])
 def test_reflection_parameter_schedule(jump, monkeypatch):
     # beta is evaluated at the first iteration of every inner loop and at the
     # first k_bar at or past each multiple of 64, from the candidate's
-    # relative errors, and held in between.  The candidate buffer still holds
+    # error report, and held in between.  The candidate buffer still holds
     # [x_hat; y_hat; G x_hat; G^T y_hat] when the callback runs.
     from test_termination_scan import jump_over_64
 
     if jump:
         jump_over_64(monkeypatch)
-    calls = {"n": 0}
-    real = term.relative_errors
-
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(term, "relative_errors", counting)
+    real = term.compute_errors
     seen = []
     last = {"k_bar": 0, "calls": 0, "beta": None}
 
     def record(state):
-        evaluated = calls["n"] > last["calls"]
+        # the gap-mode checks of this solve form no error report on the
+        # scaled problem, so every such report is a reflection evaluation
+        evaluated = calls["scaled"] > last["calls"]
         expected = (state.k == 1
                     or state.k_bar // eng._REFLECTION_FREQ > last["k_bar"] // eng._REFLECTION_FREQ)
-        assert evaluated == expected and calls["n"] - last["calls"] <= 1
+        assert evaluated == expected and calls["scaled"] - last["calls"] <= 1
         if evaluated:
             (x_hat, y_hat), (gx_hat, gty_hat) = loop._split(loop.candidate)
             beta = term.adaptive_reflection_parameter(
@@ -382,11 +330,12 @@ def test_reflection_parameter_schedule(jump, monkeypatch):
         else:
             assert same_float(state.beta, last["beta"])
         seen.append((state.k_bar, state.k, evaluated))
-        last.update(k_bar=state.k_bar, calls=calls["n"], beta=state.beta)
+        last.update(k_bar=state.k_bar, calls=calls["scaled"], beta=state.beta)
 
     opts = SolverOptions(duality_gap_restart_freq=40, max_iter=400, rel_tol=1e-14,
                          abs_tol=1e-14, iteration_callback=record)
     loop = eng._Loop(random_lp(7), opts)
+    calls = counting_error_reports(loop, monkeypatch)
     r = loop.run()
     assert r.exit_status == ":max_iter" and r.restarts >= 2
     k_bars = [k for k, _, _ in seen]

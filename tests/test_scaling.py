@@ -333,7 +333,6 @@ TRACED_MODES = {
     "default": {},
     "average": dict(method="average"),
     "kkt": dict(use_kkt_restart=True),
-    "fixed step": dict(use_adaptive_step_size_weight=False, fixed_reflection_beta=0.5),
     "no restarts": dict(use_adaptive_restart=False),
 }
 

@@ -18,7 +18,7 @@ import pytest
 from test_cli import random_lp_doc, write_doc
 from test_degenerate import INSTANCES as DEGENERATE
 from test_engine import tiny_lp
-from test_lean_iteration import random_lp
+from test_lean_iteration import counting_error_reports, random_lp
 from traces import traced_solve
 
 import conic_pdhg.engine as eng
@@ -67,7 +67,6 @@ MODES = {
     "default": {},
     "average": dict(method="average"),
     "kkt": dict(use_kkt_restart=True),
-    "fixed step": dict(use_adaptive_step_size_weight=False, fixed_reflection_beta=0.5),
     "no preconditioner": dict(use_preconditioner=False),
     "no restarts": dict(use_adaptive_restart=False),
 }
@@ -294,22 +293,19 @@ def test_feasible_problems_get_no_infeasibility_certificate(name, cadence, monke
 
 
 def test_error_reports_at_entry_scans_checks_and_restarts(monkeypatch):
-    calls = {"n": 0}
-    real = term.compute_errors
-
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(term, "compute_errors", counting)
     monkeypatch.setattr(eng, "_TERMINATION_SCAN_FREQ", 8)
-    r = solve(tiny_lp(), SolverOptions(duality_gap_restart_freq=20, max_iter=100,
-                                       rel_tol=1e-14, abs_tol=1e-14))
+    loop = eng._Loop(tiny_lp(), SolverOptions(duality_gap_restart_freq=20, max_iter=100,
+                                              rel_tol=1e-14, abs_tol=1e-14))
+    calls = counting_error_reports(loop, monkeypatch)
+    r = loop.run()
     assert r.exit_status == ":max_iter" and r.iterations == 100 and r.restarts == 4
     # the entry scan, scans at the ten multiples of 8 up to 100 that are not
     # checks (all but 40 and 80), the checks at 20, 40, 60, 80 and 100, and
     # one scan after each restart
-    assert calls["n"] == 1 + 10 + 5 + 4
+    assert calls["work"] == 1 + 10 + 5 + 4
+    # the reflection parameter at the first iteration of each of the five
+    # inner loops and at 64; the gap-mode checks form no report
+    assert calls["scaled"] == 5 + 1
 
 
 def test_scan_products_land_on_the_unscaled_matrix(monkeypatch):
