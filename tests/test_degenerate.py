@@ -80,6 +80,8 @@ MODES = {
     "default": {},
     "kkt": dict(use_kkt_restart=True),
     "average": dict(method="average"),
+    "no preconditioner": dict(use_preconditioner=False),
+    "no restarts": dict(use_adaptive_restart=False),
 }
 
 
@@ -124,7 +126,7 @@ EXTREME = {
 def test_extreme_magnitudes_end_with_exit_code(name, mode):
     p, options = EXTREME[name]
     r = solve(p, SolverOptions(max_iter=1000, duality_gap_restart_freq=100, kkt_restart_freq=100,
-                               **options, **MODES[mode]))
+                               **{**MODES[mode], **options}))
     assert term.EXIT_STATUS[r.exit_code] == r.exit_status
     assert r.x.shape == (p.n,) and r.y.shape == (p.m,) and r.slack.shape == (p.m,)
 
