@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abs-tol", type=float, default=defaults.abs_tol)
     p.add_argument("--time-limit", type=float, default=defaults.time_limit, help="seconds")
     p.add_argument("--max-iter", type=int, default=defaults.max_iter)
-    p.add_argument("--method", choices=("average", "halpern"), default=defaults.method)
+    p.add_argument("--method", choices=("average", "halpern"), default=defaults.method,
+                   help="restart to the iterate (halpern) or to the running average (average)")
     p.add_argument("--no-preconditioner", action="store_true")
     p.add_argument("--no-adaptive-restart", action="store_true")
     p.add_argument("--kkt-restart", action="store_true",

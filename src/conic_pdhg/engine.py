@@ -1,5 +1,5 @@
 """The iteration core: adaptive-step PDHG, reflected Halpern combination,
-weighted averaging, and the restart-driven outer loop.
+and the restart-driven outer loop.
 
 The loop keeps G x and G^T y for the current iterate as exact linear
 combinations of the products already computed (the Halpern step is affine),
@@ -10,9 +10,12 @@ restart to stop round-off drift.
 Restart checks, termination scans and log rows each run at the first
 iteration at or past every multiple of their period (`_reached`), since a
 rejected line-search trial can step over one.  At the default restart
-cadence of 512 every eighth scan is also a check.  A check's gap
-evaluations take the iterate's freshly refreshed products and the anchor's
-stored ones, form only the average's, and bisect to `_RESTART_GAP_TOL`.
+cadence of 512 every eighth scan is also a check.  A check evaluates one
+restart candidate: the iterate, or under `method="average"` the
+step-weighted average of the inner loop's iterates, which no other mode
+forms.  Its gap takes the iterate's freshly refreshed products or forms
+the average's, takes the anchor's stored ones, and bisects to
+`_RESTART_GAP_TOL`.
 
 Termination scans between restart checks run the optimality and limit
 tests on their own G x and G^T y from the unscaled iterate and write no
@@ -73,7 +76,9 @@ class SolverOptions:
     time_limit: float = 1000.0
     max_iter: int = 1_000_000
     print_freq: int = 2000
-    method: str = "halpern"  # restart-candidate rule: "halpern" or "average"
+    # the restart point: "halpern" the iterate, "average" the inner loop's
+    # step-weighted average, which only this mode forms
+    method: str = "halpern"
     use_preconditioner: bool = True
     use_adaptive_restart: bool = True
     use_kkt_restart: bool = False  # restart on the weighted KKT error, not the gap
@@ -115,7 +120,9 @@ class SolverState:
 
     `z`, `z_anchor` and `z_bar` are views into buffers that the loop
     overwrites in place every iteration and at every restart; a callback
-    must `.copy()` any vector it keeps.  `last_restart_metric` is the
+    must `.copy()` any vector it keeps.  The average `z_bar` and its weight
+    `avg_weight` are formed only under `method="average"`; otherwise
+    `z_bar` is None and `avg_weight` stays 0.  `last_restart_metric` is the
     metric `mode` names at the last restart, or None until a check forms it
     at the anchor; a change of mode clears it.  `anchor_move` holds the
     squared primal and dual distances the anchor moved at the last restart.
@@ -365,12 +372,13 @@ class _Loop:
         n, m = self.scaled.n, self.scaled.m
         # Flat [x; y; G x; G^T y] buffers for the iterate, the anchor and the
         # Halpern candidate, and one scratch; the products follow the iterate
-        # so that one in-place Halpern update covers both.  The average keeps
-        # [x; y] only.  Every state vector is a view into these buffers.
+        # so that one in-place Halpern update covers both.  The average, kept
+        # under method "average" only, holds [x; y].  Every state vector is a
+        # view into these buffers.
         self.iterate, self.anchor, self.candidate, self.scratch = (
             np.zeros(2 * (n + m)) for _ in range(4)
         )
-        self.average = np.zeros(n + m)
+        self.average = np.zeros(n + m) if self.options.method == "average" else None
         eta0 = self._initial_eta()
         omega0 = restarts.initialize_primal_weight(self.scaled.c, self.scaled.h)
         z, self.products = self._split(self.iterate)
@@ -378,7 +386,7 @@ class _Loop:
         state = SolverState(
             z=z,
             z_anchor=z_anchor,
-            z_bar=IterateZ(self.average[:n], self.average[n:]),
+            z_bar=None if self.average is None else IterateZ(self.average[:n], self.average[n:]),
             eta=eta0,
             eta_hat=eta0,
             omega=omega0,
@@ -488,17 +496,13 @@ class _Loop:
         return code
 
     def _restart_check(self, state: SolverState) -> None:
-        """Evaluate the restart metric for both candidates and restart if any
-        trigger fires.  Gap-mode numerical trouble flips the rest of this
-        inner loop to the weighted-KKT metric.  The gap takes the iterate's
-        products, refreshed for this check, and the anchor's from the loop;
-        only the average's are formed."""
-
-        def candidate(metric):
-            if self.options.method == "average":
-                return state.z_bar, metric(state.z_bar)
-            return restarts.get_restart_candidate(state.z, state.z_bar, metric)[:2]
-
+        """Evaluate the restart metric of the candidate `method` names, the
+        iterate or the average, and restart to it if any trigger fires.
+        Gap-mode numerical trouble flips the rest of this inner loop to the
+        weighted-KKT metric.  The gap takes the iterate's products, refreshed
+        for this check, and the anchor's from the loop; only the average's
+        are formed."""
+        cand = state.z if self.average is None else state.z_bar
         if state.mode == "gap":
             ctx = WeightedNormContext(state.omega, state.eta)
             anchor = state.z_anchor
@@ -510,9 +514,9 @@ class _Loop:
                     radius = math.sqrt(dx2 / ctx.tau + dy2 / ctx.sigma)
                     state.last_restart_metric = self._gap_metric(
                         anchor, radius, ctx, self.anchor_products)
-                cand, cand_val = candidate(lambda z: self._gap_metric(
-                    z, n_norm(z.x - anchor.x, z.y - anchor.y, ctx), ctx,
-                    self.products if z is state.z else None))
+                cand_val = self._gap_metric(
+                    cand, n_norm(cand.x - anchor.x, cand.y - anchor.y, ctx), ctx,
+                    self.products if cand is state.z else None)
                 if cand_val < -1e-12 or state.last_restart_metric < -1e-12:
                     raise restarts.GapEvaluationError("negative normalized gap")
             except restarts.GapEvaluationError:
@@ -522,7 +526,7 @@ class _Loop:
             # KKT fallback (or configured KKT restarts)
             if state.last_restart_metric is None:
                 state.last_restart_metric = self._kkt_metric(state.z_anchor, state.omega)
-            cand, cand_val = candidate(lambda z: self._kkt_metric(z, state.omega))
+            cand_val = self._kkt_metric(cand, state.omega)
 
         if restarts.should_restart(
             cand_val, state.prev_candidate_gap, state.last_restart_metric, state.k, state.k_bar
@@ -621,10 +625,11 @@ class _Loop:
 
             reflected_halpern_step(self.candidate, self.iterate, self.anchor, state.k, state.beta,
                                    out=self.iterate, scratch=self.scratch)
-            _, state.avg_weight = update_weighted_average(
-                self.average, state.avg_weight, self.iterate[z_part], state.eta,
-                out=self.average, scratch=self.scratch[z_part],
-            )
+            if self.average is not None:
+                _, state.avg_weight = update_weighted_average(
+                    self.average, state.avg_weight, self.iterate[z_part], state.eta,
+                    out=self.average, scratch=self.scratch[z_part],
+                )
             state.k += 1
             state.k_bar = k_bar
 

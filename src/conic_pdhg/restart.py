@@ -161,19 +161,6 @@ def normalized_gap(q: GapQuery, t0: float = 1.0, eps_rel: float = 1e-8) -> float
     return _gap_value(q, zx, zy)
 
 
-def get_restart_candidate(z_last, z_bar, metric: Callable):
-    """Pick the candidate with the smaller restart metric; ties keep z_last.
-
-    `metric(z)` evaluates the normalized gap (or the KKT fallback) of one
-    candidate against the current anchor.  Returns (z, value, is_last).
-    """
-    g_last = metric(z_last)
-    g_bar = metric(z_bar)
-    if g_last <= g_bar:
-        return z_last, g_last, True
-    return z_bar, g_bar, False
-
-
 def should_restart(
     candidate_gap: float,
     prev_candidate_gap: float,

@@ -1,7 +1,7 @@
 """Degenerate instances end with an exit-table code, never an exception.
 
-Each instance is solved under the default options, KKT restarts and the
-average restart candidate.  Where the status is optimal, the objective must
+Each instance is solved in five modes: the default options, KKT restarts,
+the average as restart point, no preconditioner and no restarts.  Where the status is optimal, the objective must
 match the closed-form optimum; where the instance is infeasible, every mode
 must certify it.  Instances with entries near the ends of the double range
 must end with a code too, and a bounded problem must not be certified dual

@@ -5,11 +5,12 @@ scaled problem, evaluated at the first iteration of every inner loop and
 every 64 iterations, and each accepted iteration updates flat
 [x; y; G x; G^T y] buffers in place.  These tests compare the in-place
 updates with the allocating formulas in `oracles`, bit for bit; check that
-a restart updates the primal weight from the anchor's move, that
-`use_kkt_restart` alone selects KKT restarts, and that the restart checks'
-gap from the loop's products and from the anchor's move is the gap from
-fresh ones; and count the error reports a solve makes and check when beta
-is evaluated.
+a restart moves the anchor to the candidate `method` names and updates the
+primal weight from the anchor's move, that only `method="average"` forms
+the average, that `use_kkt_restart` alone selects KKT restarts, and that
+the restart checks' gap from the loop's products and from the anchor's
+move is the gap from fresh ones; and count the error reports a solve makes
+and check when beta is evaluated.
 """
 
 import tracemalloc
@@ -180,6 +181,44 @@ def test_restart_updates_primal_weight_from_new_and_previous_anchor(method):
     assert moved >= 3
 
 
+@pytest.mark.parametrize("method", ["halpern", "average"])
+def test_restart_point_is_the_methods_candidate(method, monkeypatch):
+    # A restart makes the candidate that `method` names the new anchor, bit
+    # for bit: the iterate the last callback saw, or under "average" the
+    # average it saw.  Only "average" keeps an average buffer and updates it.
+    calls = {"n": 0}
+    real = eng.update_weighted_average
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eng, "update_weighted_average", counting)
+    seen = []  # (t, candidate, anchor, z_bar, avg_weight) at every callback
+
+    def record(s):
+        cand = s.z if method == "halpern" else s.z_bar
+        seen.append((s.t, np.concatenate(cand), np.concatenate(s.z_anchor), s.z_bar, s.avg_weight))
+
+    loop = eng._Loop(random_lp(7), SolverOptions(
+        method=method, duality_gap_restart_freq=40, max_iter=3000,
+        rel_tol=1e-12, abs_tol=1e-12, iteration_callback=record,
+    ))
+    loop.run()
+    restarted = 0
+    for (t0, cand, _, _, _), (t1, _, anchor, _, _) in zip(seen, seen[1:]):
+        if t1 != t0:
+            assert_same_bits(anchor, cand)
+            restarted += 1
+    assert restarted >= 3
+    if method == "halpern":
+        assert loop.average is None and calls["n"] == 0
+        assert all(z_bar is None and weight == 0.0 for *_, z_bar, weight in seen)
+    else:
+        # one update per accepted iteration, that is per callback
+        assert loop.average is not None and calls["n"] == len(seen)
+
+
 def test_kkt_restart_option_alone_selects_kkt_restarts(monkeypatch):
     calls = {"kkt_omega": 0, "normalized_gap": 0}
     for name in calls:
@@ -203,7 +242,8 @@ def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkey
     # for bit: for the iterate against the anchor, and for the anchor over
     # the ball through the previous anchor, the baseline a gap-mode check
     # forms after a KKT-mode restart.  Every third gap evaluation fails, so
-    # that KKT-mode restarts happen.
+    # that KKT-mode restarts happen.  Checks every 20 iterations give each
+    # seed at least 10 gap-mode checks before it converges.
     anchors = []  # the anchor of every outer loop, copied by the callback
     state_of = {}
     checked = {"iterate": 0, "anchor": 0}
@@ -260,7 +300,7 @@ def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkey
     monkeypatch.setattr(restarts, "normalized_gap", failing_gap)
     monkeypatch.setattr(eng._Loop, "_restart_check", check_spy)
     monkeypatch.setattr(eng._Loop, "_gap_metric", metric_spy)
-    r = eng.solve(random_lp(seed), SolverOptions(duality_gap_restart_freq=40, max_iter=2000,
+    r = eng.solve(random_lp(seed), SolverOptions(duality_gap_restart_freq=20, max_iter=2000,
                                                  rel_tol=1e-12, abs_tol=1e-12,
                                                  iteration_callback=record))
     assert r.restarts >= 3

@@ -10,7 +10,6 @@ from conic_pdhg.restart import (
     GapEvaluationError,
     GapQuery,
     RestartConstants,
-    get_restart_candidate,
     initialize_primal_weight,
     kkt_omega,
     normalized_gap,
@@ -164,22 +163,6 @@ class TestNormalizedGap:
         # constructible with a diagonal metric, so exercise the guard directly
         with pytest.raises(GapEvaluationError):
             raise GapEvaluationError("forced")
-
-
-class TestRestartCandidate:
-    def test_identical_candidates_prefer_last(self):
-        z = (np.ones(2), np.ones(1))
-        cand, val, is_last = get_restart_candidate(z, z, lambda _: 1.0)
-        assert is_last and cand is z and val == 1.0
-
-    def test_smaller_metric_wins(self):
-        z1 = (np.zeros(1), np.zeros(1))
-        z2 = (np.ones(1), np.ones(1))
-        metric = lambda z: float(np.sum(z[0]))  # noqa: E731
-        cand, val, is_last = get_restart_candidate(z1, z2, metric)
-        assert is_last and val == 0.0
-        cand, val, is_last = get_restart_candidate(z2, z1, metric)
-        assert not is_last and val == 0.0
 
 
 class TestShouldRestart:

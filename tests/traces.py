@@ -15,13 +15,16 @@ from conic_pdhg.engine import SolverOptions
 
 
 def digest(state):
-    """(k_bar, SHA-1 of the iterate, anchor, average, step sizes, weights,
-    counters and restart mode)."""
+    """(k_bar, SHA-1 of the iterate, anchor, step sizes, weights, counters
+    and restart mode, and of the average and its weight where the solve
+    forms them)."""
     h = hashlib.sha1()
-    for v in (state.z.x, state.z.y, state.z_anchor.x, state.z_anchor.y,
-              state.z_bar.x, state.z_bar.y,
-              [state.eta, state.eta_hat, state.omega, state.beta, state.avg_weight,
-               state.k, state.k_bar, state.t]):
+    vectors = [state.z.x, state.z.y, state.z_anchor.x, state.z_anchor.y]
+    scalars = [state.eta, state.eta_hat, state.omega, state.beta]
+    if state.z_bar is not None:
+        vectors += [state.z_bar.x, state.z_bar.y]
+        scalars.append(state.avg_weight)
+    for v in (*vectors, scalars + [state.k, state.k_bar, state.t]):
         h.update(np.asarray(v, dtype=np.float64).tobytes())
     h.update(state.mode.encode())
     return state.k_bar, h.digest()
