@@ -4,8 +4,12 @@ and the restart-driven outer loop.
 The loop keeps G x and G^T y for the current iterate as exact linear
 combinations of the products already computed (the Halpern step is affine),
 so each accepted iteration costs one G^T product, plus one G product per
-line-search trial; the caches are refreshed from scratch at every check and
-restart to stop round-off drift.
+line-search trial; the caches are refreshed from scratch at every check,
+and at a restart to the average, to stop round-off drift.  The vectors of
+an iteration live in buffers the loop allocates once: flat [x; y; G x;
+G^T y] buffers for the iterate, the anchor and the candidate, and a
+`StepWorkspace` for the line search's terms; products are written into
+them through `out=`.
 
 Restart checks, termination scans and log rows each run at the first
 iteration at or past every multiple of their period (`_reached`), since a
@@ -176,15 +180,40 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _pdhg_candidate(problem, x, y, tau, sigma, grad_x, out):
+class StepWorkspace(NamedTuple):
+    """Scratch vectors of a PDHG step, overwritten by every line-search
+    trial: two of length n and two of length m."""
+
+    grad_x: np.ndarray  # c - G^T y
+    vx: np.ndarray  # x - tau grad_x, then 2 x_hat - x, then dx
+    vy: np.ndarray  # y + sigma (h - w), then dy
+    dw: np.ndarray  # w - G x
+
+    @classmethod
+    def allocate(cls, n: int, m: int) -> "StepWorkspace":
+        return cls(np.empty(n), np.empty(n), np.empty(m), np.empty(m))
+
+
+def _pdhg_candidate(problem, x, y, tau, sigma, grad_x, out, workspace=None):
     """One PDHG update given grad_x = c - G^T y, written into the flat buffer
     `out` as [x_hat; y_hat; w] with the extrapolated product w = G(2 x_hat - x);
-    returns views of the three parts."""
+    returns views of the three parts.  The terms go through `workspace`
+    (allocated when None) in the operation order of the formulas."""
     n, m = x.size, y.size
+    if workspace is None:
+        workspace = StepWorkspace.allocate(n, m)
+    vx, vy = workspace.vx, workspace.vy
     x_hat, y_hat, w = out[:n], out[n:n + m], out[n + m:n + 2 * m]
-    x_hat[:] = cones.project_primal_set(x - tau * grad_x, problem)
-    w[:] = problem.G.matvec(2.0 * x_hat - x)
-    y_hat[:] = cones.project_dual_set(y + sigma * (problem.h - w), problem)
+    np.multiply(grad_x, tau, out=vx)
+    np.subtract(x, vx, out=vx)
+    x_hat[:] = cones.project_primal_set(vx, problem)
+    np.multiply(x_hat, 2.0, out=vx)
+    np.subtract(vx, x, out=vx)
+    problem.G.matvec(vx, out=w)
+    np.subtract(problem.h, w, out=vy)
+    np.multiply(vy, sigma, out=vy)
+    np.add(y, vy, out=vy)
+    y_hat[:] = cones.project_dual_set(vy, problem)
     return x_hat, y_hat, w
 
 
@@ -216,13 +245,15 @@ def adaptive_step_pdhg(
     gty: np.ndarray | None = None,
     gx: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    workspace: StepWorkspace | None = None,
 ) -> StepResult:
     """Line search accepting the first candidate with eta < eta_bar, where
     eta_bar = ||dz||_w^2 / (2 |dy' G dx|).
 
     Every trial writes [x_hat; y_hat; G(2 x_hat - x)] into `out` (a fresh
     buffer when None), so on return it holds the accepted candidate and
-    `z_hat` views it.  A zero interaction term makes the curvature condition
+    `z_hat` views it; its other vectors go through `workspace`, allocated
+    when None.  A zero interaction term makes the curvature condition
     vacuous, so the candidate is accepted with eta_bar = +inf.  Rejections
     shrink/grow eta by the (k_bar+1)^-0.3 / (k_bar+1)^-0.6 factors and
     advance k_bar; the returned proposal is floored at 1e-12.
@@ -235,7 +266,9 @@ def adaptive_step_pdhg(
         gx = problem.G.matvec(z.x)
     if out is None:
         out = np.empty(problem.n + 2 * problem.m)
-    grad_x = problem.c - gty
+    if workspace is None:
+        workspace = StepWorkspace.allocate(problem.n, problem.m)
+    grad_x = np.subtract(problem.c, gty, out=workspace.grad_x)
     # below this movement the candidate is a numerical fixed point and the
     # curvature quotient is quantization noise
     noise_floor = 1e-14 * (1.0 + omega_norm(z.x, z.y, omega))
@@ -243,12 +276,12 @@ def adaptive_step_pdhg(
     for trial in range(_MAX_LINE_SEARCH_TRIALS):
         tau = eta / omega
         sigma = eta * omega
-        x_hat, y_hat, w = _pdhg_candidate(problem, z.x, z.y, tau, sigma, grad_x, out)
-        dx = x_hat - z.x
-        dy = y_hat - z.y
+        x_hat, y_hat, w = _pdhg_candidate(problem, z.x, z.y, tau, sigma, grad_x, out, workspace)
+        dx = np.subtract(x_hat, z.x, out=workspace.vx)
+        dy = np.subtract(y_hat, z.y, out=workspace.vy)
         movement = omega * float(np.dot(dx, dx)) + float(np.dot(dy, dy)) / omega
         # G dx = G x_hat - G x reuses the extrapolated product: G x_hat = (w + gx)/2
-        interaction = abs(float(np.dot(dy, w - gx))) / 2.0
+        interaction = abs(float(np.dot(dy, np.subtract(w, gx, out=workspace.dw)))) / 2.0
         if math.isnan(movement) or math.isnan(interaction):
             raise NumericalError("non-finite quantities in the step-size line search")
         if interaction == 0.0 or math.sqrt(movement) <= noise_floor:
@@ -379,6 +412,7 @@ class _Loop:
             np.zeros(2 * (n + m)) for _ in range(4)
         )
         self.average = np.zeros(n + m) if self.options.method == "average" else None
+        self.workspace = StepWorkspace.allocate(n, m)
         eta0 = self._initial_eta()
         omega0 = restarts.initialize_primal_weight(self.scaled.c, self.scaled.h)
         z, self.products = self._split(self.iterate)
@@ -400,8 +434,8 @@ class _Loop:
     # -- scaled-problem helpers ---------------------------------------------
 
     def _refresh_products(self, state: SolverState) -> None:
-        self.products.x[:] = self.scaled.G.matvec(state.z.x)
-        self.products.y[:] = self.scaled.G.rmatvec(state.z.y)
+        self.scaled.G.matvec(state.z.x, out=self.products.x)
+        self.scaled.G.rmatvec(state.z.y, out=self.products.y)
 
     def _gap_metric(self, z: IterateZ, radius: float, ctx: WeightedNormContext,
                     products: IterateZ | None = None) -> float:
@@ -541,7 +575,8 @@ class _Loop:
         inner loop fell back to KKT mode; then the next check forms a gap
         baseline from `state.anchor_move`, the squared distances the anchor
         moves, taken before the anchor buffer is overwritten.  The
-        primal-weight update takes their square roots."""
+        primal-weight update takes their square roots.  A restart to the
+        iterate keeps the products the check refreshed."""
         n, m = self.scaled.n, self.scaled.m
         dx, dy = candidate.x - state.z_anchor.x, candidate.y - state.z_anchor.y
         state.anchor_move = (float(np.dot(dx, dx)), float(np.dot(dy, dy)))
@@ -556,7 +591,9 @@ class _Loop:
         state.prev_candidate_gap = math.inf
         state.last_restart_metric = cand_val if state.mode == self.base_mode else None
         state.mode = self.base_mode
-        self._refresh_products(state)
+        if candidate is not state.z:
+            # the check refreshed the iterate's products just before
+            self._refresh_products(state)
         self.anchor[n + m:] = self.iterate[n + m:]
 
     def _run(self) -> SolveResult:
@@ -608,7 +645,7 @@ class _Loop:
             # writes [x_hat; y_hat; G(2 x_hat - x)] into the candidate
             step = adaptive_step_pdhg(
                 self.scaled, state.z, state.omega, state.eta_hat, k_bar,
-                gty=gty, gx=gx, out=self.candidate,
+                gty=gty, gx=gx, out=self.candidate, workspace=self.workspace,
             )
             state.eta = step.eta_used
             state.eta_hat = step.eta_next
@@ -617,7 +654,7 @@ class _Loop:
             # G x_hat = (G(2 x_hat - x) + G x) / 2, in place
             np.add(products_hat.x, gx, out=products_hat.x)
             np.multiply(products_hat.x, 0.5, out=products_hat.x)
-            products_hat.y[:] = self.scaled.G.rmatvec(z_hat.y)
+            self.scaled.G.rmatvec(z_hat.y, out=products_hat.y)
             if state.k == 0 or _reached(k_prev, k_bar, _REFLECTION_FREQ):
                 state.beta = term.adaptive_reflection_parameter(term.compute_errors(
                     self.scaled, z_hat.x, z_hat.y, products_hat.x, products_hat.y

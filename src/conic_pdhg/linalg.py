@@ -25,11 +25,15 @@ def two_norm(v: np.ndarray) -> float:
 
 
 class SparseMatrix:
-    """CSR matrix with a CSC mirror so both Gx and G^T y stream row-wise.
+    """CSR matrix with a CSC mirror, built once from the same data and never
+    mutated.
 
-    The two views are built once from the same data and never mutated.
-    Products are counted (`n_matvec` / `n_rmatvec`) so tests can assert
-    the per-iteration matvec budget of the solver loop.
+    G x runs on the CSC arrays and G^T y on the CSR view of G^T that the
+    same arrays give, the faster kernel for each product; both sum every
+    row in ascending column order from 0.0, so G x has the bits of the CSR
+    product.  The CSR arrays serve the scans over the entries.  Products
+    are counted (`n_matvec` / `n_rmatvec`) so tests can assert the
+    per-iteration matvec budget of the solver loop.
     """
 
     def __init__(self, matrix) -> None:
@@ -38,8 +42,12 @@ class SparseMatrix:
             # sum_duplicates sorts in place, and a CSR `matrix` shares these arrays
             csr = csr.copy()
             csr.sum_duplicates()
+        self._set_views(csr, csr.tocsc())
+
+    def _set_views(self, csr, csc) -> None:
         self._csr = csr
-        self._csc_t = csr.tocsc().T  # CSR view of G^T on the CSC arrays
+        self._csc = csc
+        self._csc_t = csc.T  # CSR view of G^T on the CSC arrays
         self.shape = csr.shape
         self.n_matvec = 0
         self.n_rmatvec = 0
@@ -63,17 +71,25 @@ class SparseMatrix:
     def nnz(self) -> int:
         return self._csr.nnz
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """G x, written into `out` (and returned) when it is given."""
         if x.shape != (self.n,):
             raise ValueError(f"matvec expects a vector of length {self.n}, got {x.shape}")
         self.n_matvec += 1
-        return self._csr @ x
+        if out is None:
+            return self._csc @ x
+        out[:] = self._csc @ x
+        return out
 
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+    def rmatvec(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """G^T y, written into `out` (and returned) when it is given."""
         if y.shape != (self.m,):
             raise ValueError(f"rmatvec expects a vector of length {self.m}, got {y.shape}")
         self.n_rmatvec += 1
-        return self._csc_t @ y
+        if out is None:
+            return self._csc_t @ y
+        out[:] = self._csc_t @ y
+        return out
 
     def max_abs(self) -> float:
         """Largest absolute entry; errors on an all-zero matrix because the
@@ -89,8 +105,22 @@ class SparseMatrix:
         return float(np.max(np.abs(self._csr).sum(axis=1)))
 
     def scaled(self, d_row: np.ndarray, d_col: np.ndarray) -> "SparseMatrix":
-        """Return diag(d_row) @ A @ diag(d_col) as a new matrix."""
-        return SparseMatrix(sp.diags(d_row) @ self._csr @ sp.diags(d_col))
+        """Return diag(d_row) @ A @ diag(d_col) as a new matrix.
+
+        Both views are scaled on their own pattern as (d_row_i a_ij) d_col_j,
+        the order of the two sparse products, and entries that round to zero
+        are dropped, as the products drop them; so the result equals the
+        products' bit for bit without forming them or re-sorting.
+        """
+        csr, csc = self._csr, self._csc
+        rows_csr = np.repeat(np.arange(self.m), np.diff(csr.indptr))
+        cols_csc = np.repeat(np.arange(self.n), np.diff(csc.indptr))
+        out = SparseMatrix.__new__(SparseMatrix)
+        out._set_views(
+            _with_data(csr, d_row[rows_csr] * csr.data * d_col[csr.indices]),
+            _with_data(csc, d_row[csc.indices] * csc.data * d_col[cols_csc]),
+        )
+        return out
 
     def toarray(self) -> np.ndarray:
         return self._csr.toarray()
@@ -101,6 +131,16 @@ class SparseMatrix:
     def reset_counters(self) -> None:
         self.n_matvec = 0
         self.n_rmatvec = 0
+
+
+def _with_data(mat, data):
+    """`mat`'s pattern with the values `data`, less the entries that are zero;
+    shares `mat`'s index arrays when none is."""
+    if np.all(data != 0.0):
+        return type(mat)((data, mat.indices, mat.indptr), shape=mat.shape)
+    out = type(mat)((data, mat.indices.copy(), mat.indptr.copy()), shape=mat.shape)
+    out.eliminate_zeros()
+    return out
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,9 @@ def build_scaling(
 
 
 def rescale_problem(problem: ConicProblem, s: ScalingPair) -> ConicProblem:
-    """Apply (d1, d2): the returned instance stores its block scale slices."""
+    """Apply (d1, d2): the returned instance stores its block scale slices.
+    `SparseMatrix.scaled` scales G on its own pattern, in the order of the
+    matrix formulation, (d1_i g_ij) d2_j."""
     d1, d2 = s.d1, s.d2
     if d1.shape != (problem.m,) or d2.shape != (problem.n,):
         raise ValueError("scaling dimensions do not match the problem")

@@ -219,6 +219,52 @@ def test_restart_point_is_the_methods_candidate(method, monkeypatch):
         assert loop.average is not None and calls["n"] == len(seen)
 
 
+@pytest.mark.parametrize("method", ["halpern", "average"])
+def test_products_formed_at_a_restart(method, monkeypatch):
+    # The check before a restart refreshed the iterate's products, so a
+    # restart to the iterate keeps them and forms none; a restart to the
+    # average forms the new iterate's, one G x and one G^T y.  Either way
+    # the iterate's and the anchor's products are fresh ones, bit for bit.
+    spent = []
+    real = eng._Loop._do_restart
+
+    def counted(self, state, candidate, cand_val):
+        g = self.scaled.G
+        before = (g.n_matvec, g.n_rmatvec)
+        real(self, state, candidate, cand_val)
+        spent.append((g.n_matvec - before[0], g.n_rmatvec - before[1]))
+        for products in (self.products, self.anchor_products):
+            assert_same_bits(products.x, g.matvec(state.z.x))
+            assert_same_bits(products.y, g.rmatvec(state.z.y))
+
+    monkeypatch.setattr(eng._Loop, "_do_restart", counted)
+    r = eng.solve(random_lp(7), SolverOptions(method=method, duality_gap_restart_freq=40,
+                                              max_iter=3000, rel_tol=1e-12, abs_tol=1e-12))
+    assert r.restarts >= 3 and len(spent) == r.restarts
+    assert set(spent) == {(0, 0) if method == "halpern" else (1, 1)}
+
+
+def test_step_workspace_leaves_the_bits(monkeypatch):
+    # adaptive_step_pdhg gives the same step with a loop-owned workspace
+    # (filled with NaN, and reused across calls) as with fresh buffers
+    rng = np.random.default_rng(11)
+    p = random_lp(3)
+    workspace = eng.StepWorkspace(*(np.full(v.size, np.nan) for v in
+                                    eng.StepWorkspace.allocate(p.n, p.m)))
+    rejected = 0
+    for _ in range(50):
+        z = IterateZ(rng.uniform(-2.0, 3.0, p.n), rng.uniform(0.0, 2.0, p.m))
+        eta, k_bar = float(10.0 ** rng.uniform(-2, 1)), int(rng.integers(1, 100))
+        fresh = eng.adaptive_step_pdhg(p, z, 1.3, eta, k_bar)
+        out = np.full(p.n + 2 * p.m, np.nan)
+        reused = eng.adaptive_step_pdhg(p, z, 1.3, eta, k_bar, out=out, workspace=workspace)
+        assert reused[1:] == fresh[1:]
+        assert_same_bits(np.concatenate(reused.z_hat), np.concatenate(fresh.z_hat))
+        assert_same_bits(reused.z_hat.x, out[:p.n])
+        rejected += fresh.trials > 1
+    assert rejected > 0
+
+
 def test_kkt_restart_option_alone_selects_kkt_restarts(monkeypatch):
     calls = {"kkt_omega": 0, "normalized_gap": 0}
     for name in calls:

@@ -90,6 +90,76 @@ def test_matvec_counters():
     assert (a.n_matvec, a.n_rmatvec) == (0, 0)
 
 
+def random_sparse(rng, m, n, density=0.3):
+    return rng.standard_normal((m, n)) * (rng.random((m, n)) < density)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_products_into_out_are_the_csr_products():
+    # G x runs on the CSC arrays: each row still sums from 0.0 in ascending
+    # column order, as the CSR kernel does, so the bits are the CSR product's
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        m, n = (int(k) for k in rng.integers(1, 40, 2))
+        dense = random_sparse(rng, m, n) * 10.0 ** rng.uniform(-30, 30, (m, n))
+        a = SparseMatrix(dense)
+        csr = sp.csr_matrix(dense)
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        out_x, out_y = np.full(m, np.nan), np.full(n, np.nan)
+        assert a.matvec(x, out=out_x) is out_x
+        assert a.rmatvec(y, out=out_y) is out_y
+        assert (a.n_matvec, a.n_rmatvec) == (1, 1)
+        np.testing.assert_array_equal(bits(out_x), bits(csr @ x))
+        np.testing.assert_array_equal(bits(out_y), bits(csr.T.tocsr() @ y))
+        np.testing.assert_array_equal(bits(a.matvec(x)), bits(out_x))
+        np.testing.assert_array_equal(bits(a.rmatvec(y)), bits(out_y))
+        assert (a.n_matvec, a.n_rmatvec) == (2, 2)
+
+
+def products_reference(a, d_row, d_col):
+    """diag(d_row) @ A @ diag(d_col) through two scipy sparse products."""
+    import scipy.sparse as sp
+
+    return SparseMatrix(sp.diags(d_row) @ sp.csr_matrix(a.toarray()) @ sp.diags(d_col))
+
+
+def assert_same_matrix(got, want):
+    for view in ("_csr", "_csc"):
+        g, w = getattr(got, view), getattr(want, view)
+        np.testing.assert_array_equal(g.indptr, w.indptr)
+        np.testing.assert_array_equal(g.indices, w.indices)
+        np.testing.assert_array_equal(bits(g.data), bits(w.data))
+
+
+def test_scaled_equals_the_sparse_products_bit_for_bit():
+    rng = np.random.default_rng(8)
+    dropped = 0
+    for _ in range(40):
+        m, n = (int(k) for k in rng.integers(1, 30, 2))
+        a = SparseMatrix(random_sparse(rng, m, n) * 10.0 ** rng.uniform(-200, 100, (m, n)))
+        d_row, d_col = 10.0 ** rng.uniform(-150, 50, m), 10.0 ** rng.uniform(-150, 50, n)
+        got = a.scaled(d_row, d_col)
+        assert_same_matrix(got, products_reference(a, d_row, d_col))
+        dropped += a.nnz - got.nnz
+    assert dropped > 0
+
+
+def test_scaled_drops_one_underflowing_entry():
+    a = SparseMatrix(np.array([[1e-300, 2.0], [3.0, 0.0]]))
+    d_row, d_col = np.array([1e-20, 1.0]), np.array([1e-10, 0.5])
+    got = a.scaled(d_row, d_col)
+    assert got.nnz == 2  # (1e-300 * 1e-20) * 1e-10 rounds to zero
+    assert_same_matrix(got, products_reference(a, d_row, d_col))
+    np.testing.assert_array_equal(got.toarray(), [[0.0, 1e-20], [3.0 * 1e-10, 0.0]])
+    # the operand is left as it was
+    np.testing.assert_array_equal(a.toarray(), [[1e-300, 2.0], [3.0, 0.0]])
+
+
 def test_matrix_max_abs():
     a = SparseMatrix(np.array([[1.0, -4.0], [2.0, 0.0]]))
     assert a.max_abs() == 4.0

@@ -305,15 +305,16 @@ def rsoc_problem():
 
 
 def test_matrices_built_per_solve(monkeypatch):
+    # every matrix, built from entries or scaled from another, sets its views
     built = []
-    real = SparseMatrix.__init__
+    real = SparseMatrix._set_views
 
-    def counting(self, matrix):
-        built.append(matrix)
-        real(self, matrix)
+    def counting(self, csr, csc):
+        built.append(csr)
+        real(self, csr, csc)
 
     lp, rsoc = random_lp(3), rsoc_problem()
-    monkeypatch.setattr(SparseMatrix, "__init__", counting)
+    monkeypatch.setattr(SparseMatrix, "_set_views", counting)
     build_scaling(lp)
     assert len(built) == 0
     solve(lp, SolverOptions(max_iter=10))
