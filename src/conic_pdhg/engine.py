@@ -9,7 +9,8 @@ and at a restart to the average, to stop round-off drift.  The vectors of
 an iteration live in buffers the loop allocates once: flat [x; y; G x;
 G^T y] buffers for the iterate, the anchor and the candidate, and a
 `StepWorkspace` for the line search's terms; products are written into
-them through `out=`.
+them through `out=`, and the Halpern step overwrites the iterate buffer
+in three passes (two of them BLAS `daxpy`).
 
 Restart checks, termination scans and log rows each run at the first
 iteration at or past every multiple of their period (`_reached`), since a
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from . import cones
 from . import restart as restarts
@@ -307,13 +309,16 @@ def adaptive_step_pdhg(
 
 
 def reflected_halpern_step(z_hat: np.ndarray, z_old: np.ndarray, z_anchor: np.ndarray,
-                           k: int, beta: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+                           k: int, beta: float, out: np.ndarray) -> np.ndarray:
     """(k+1)/(k+2) ((1+beta) z_hat - beta z_old) + 1/(k+2) z_anchor into `out`.
 
-    The operands are flat arrays of one length.  `out` may be z_old;
-    `scratch` is the only other buffer written.  Six ufunc calls in the
-    order of the formula, so the result is bitwise that of the allocating
-    expression.  Returns `out`.
+    The operands are flat float64 arrays of one length and `out` is
+    contiguous; it may be z_old, and no other buffer is written.  With
+    a = (k+1)/(k+2) and b = 1/(k+2) the coefficients are combined first,
+    so the update makes three passes: out = (-a beta) z_old, then two
+    in-place BLAS `daxpy` calls add a(1+beta) z_hat and b z_anchor.  The
+    result differs from the formula's order of operations in the last bits
+    only.  Returns `out`.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"reflection parameter must lie in [0, 1], got {beta}")
@@ -321,12 +326,13 @@ def reflected_halpern_step(z_hat: np.ndarray, z_old: np.ndarray, z_anchor: np.nd
         raise ValueError("k must be nonnegative")
     a = (k + 1.0) / (k + 2.0)
     b = 1.0 / (k + 2.0)
-    np.multiply(z_old, beta, out=out)
-    np.multiply(z_hat, 1.0 + beta, out=scratch)
-    np.subtract(scratch, out, out=out)
-    np.multiply(out, a, out=out)
-    np.multiply(z_anchor, b, out=scratch)
-    np.add(out, scratch, out=out)
+    np.multiply(z_old, -a * beta, out=out)
+    if out.size == 0:
+        return out  # daxpy rejects empty vectors
+    # daxpy updates y in place and returns it, unless it had to copy y
+    if (daxpy(z_hat, out, a=a * (1.0 + beta)) is not out
+            or daxpy(z_anchor, out, a=b) is not out):
+        raise ValueError("out must be a contiguous float64 array")
     return out
 
 
@@ -404,14 +410,15 @@ class _Loop:
     def _init_state(self) -> SolverState:
         n, m = self.scaled.n, self.scaled.m
         # Flat [x; y; G x; G^T y] buffers for the iterate, the anchor and the
-        # Halpern candidate, and one scratch; the products follow the iterate
-        # so that one in-place Halpern update covers both.  The average, kept
-        # under method "average" only, holds [x; y].  Every state vector is a
-        # view into these buffers.
-        self.iterate, self.anchor, self.candidate, self.scratch = (
-            np.zeros(2 * (n + m)) for _ in range(4)
-        )
-        self.average = np.zeros(n + m) if self.options.method == "average" else None
+        # Halpern candidate; the products follow the iterate so that one
+        # in-place Halpern update covers both.  The average and its scratch,
+        # kept under method "average" only, hold [x; y].  Every state vector
+        # is a view into these buffers.
+        self.iterate, self.anchor, self.candidate = (np.zeros(2 * (n + m)) for _ in range(3))
+        if self.options.method == "average":
+            self.average, self.scratch = np.zeros(n + m), np.zeros(n + m)
+        else:
+            self.average = self.scratch = None
         self.workspace = StepWorkspace.allocate(n, m)
         eta0 = self._initial_eta()
         omega0 = restarts.initialize_primal_weight(self.scaled.c, self.scaled.h)
@@ -661,11 +668,11 @@ class _Loop:
                 ))
 
             reflected_halpern_step(self.candidate, self.iterate, self.anchor, state.k, state.beta,
-                                   out=self.iterate, scratch=self.scratch)
+                                   out=self.iterate)
             if self.average is not None:
                 _, state.avg_weight = update_weighted_average(
                     self.average, state.avg_weight, self.iterate[z_part], state.eta,
-                    out=self.average, scratch=self.scratch[z_part],
+                    out=self.average, scratch=self.scratch,
                 )
             state.k += 1
             state.k_bar = k_bar

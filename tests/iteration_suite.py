@@ -25,9 +25,25 @@ where `objective` is `ok` when both objectives of an `:optimal` result lie
 within 1e-3 of the planted optimum relative to 1 + |p*|, `miss` when not,
 and `-` for instances without one.  Per-group totals follow: instances,
 iterations, definitive statuses, and objectives met out of those planted.
+
+`--permute K` measures the rounding-noise band of the totals.  After the
+run above it solves every instance again under K random column
+permutations (permutation p of instance i drawn from the seed [p, i]).
+Every variable of these instances is a box variable, so permuting `c`,
+the bounds and the column indices of `G` together is an exact
+relabelling: only the order of the floating-point sums changes.  The
+permuted solves print their lines prefixed by `permutation p`; a last
+table gives each group's unpermuted total, its total under each
+permutation and the min-max band of those K totals, then the definitive
+statuses and met objectives of all permuted solves.  A change that only
+reorders floating-point operations is neutral when its unpermuted totals
+lie inside the parent's bands.
+
+    python tests/iteration_suite.py --permute 5 > band.txt
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -80,6 +96,22 @@ def suite():
             yield f"{name} seed 3", case.instance, case.options
 
 
+def permute_columns(instance, rng):
+    """`instance` with its columns relabelled by a random permutation: column
+    j becomes column new[j] in `c`, the bounds and the indices of `G`."""
+    doc = instance.document
+    new = rng.permutation(doc["n"])
+
+    def moved(values):
+        out = np.empty(doc["n"], dtype=object)
+        out[new] = values
+        return out.tolist()
+
+    document = {**doc, "c": moved(doc["c"]), "bl": moved(doc["bl"]), "bu": moved(doc["bu"]),
+                "G": {**doc["G"], "cols": new[np.asarray(doc["G"]["cols"])].tolist()}}
+    return dataclasses.replace(instance, document=document)
+
+
 def solve(instance, options, work_dir):
     """(status, iterations, objective verdict) of one CLI solve."""
     problem = os.path.join(work_dir, "problem.json")
@@ -100,25 +132,51 @@ def solve(instance, options, work_dir):
     return status, doc["iterations"], verdict
 
 
+def run(work_dir, permutation=0):
+    """Solve the suite, the instances permuted by `permutation` unless it is
+    0, printing one line per instance; returns the per-group totals
+    [instances, iterations, definitive, objectives ok, planted], with a
+    "total" row."""
+    totals = {}
+    prefix = f"permutation {permutation}\t" if permutation else ""
+    for index, (group, instance, options) in enumerate(suite()):
+        if permutation:
+            instance = permute_columns(instance, rng([permutation, index]))
+        status, iterations, verdict = solve(instance, options, work_dir)
+        print(f"{prefix}{group}\t{instance.name}\t{status}\t{iterations}\t{verdict}", flush=True)
+        t = totals.setdefault(group, [0, 0, 0, 0, 0])
+        t[0] += 1
+        t[1] += iterations
+        t[2] += status in DEFINITIVE
+        t[3] += verdict == "ok"
+        t[4] += verdict != "-"
+    totals["total"] = [sum(column) for column in zip(*totals.values())]
+    return totals
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.parse_args(argv)
+    parser.add_argument("--permute", type=int, default=0, metavar="K",
+                        help="also solve every instance under K column permutations")
+    args = parser.parse_args(argv)
+    if args.permute < 0:
+        parser.error("--permute must be nonnegative")
     warnings.simplefilter("ignore", RuntimeWarning)
-    totals = {}
     with tempfile.TemporaryDirectory() as work_dir:
-        for group, instance, options in suite():
-            status, iterations, verdict = solve(instance, options, work_dir)
-            print(f"{group}\t{instance.name}\t{status}\t{iterations}\t{verdict}", flush=True)
-            t = totals.setdefault(group, [0, 0, 0, 0, 0])
-            t[0] += 1
-            t[1] += iterations
-            t[2] += status in DEFINITIVE
-            t[3] += verdict == "ok"
-            t[4] += verdict != "-"
-    totals["total"] = [sum(column) for column in zip(*totals.values())]
+        totals = run(work_dir)
+        permuted = [run(work_dir, p) for p in range(1, args.permute + 1)]
     print("group\tinstances\titerations\tdefinitive\tobjective ok")
     for group, (count, iterations, definitive, ok, planted) in totals.items():
         print(f"{group}\t{count}\t{iterations}\t{definitive}\t{ok}/{planted}")
+    if not permuted:
+        return
+    print("group\tunpermuted\t" + "\t".join(f"permutation {p}" for p in range(1, args.permute + 1))
+          + "\tband")
+    for group, row in totals.items():
+        its = [t[group][1] for t in permuted]
+        print(f"{group}\t{row[1]}\t" + "\t".join(map(str, its)) + f"\t{min(its)}-{max(its)}")
+    solves, _, definitive, ok, planted = (sum(t["total"][i] for t in permuted) for i in range(5))
+    print(f"permuted solves: {definitive}/{solves} definitive, {ok}/{planted} objectives ok")
 
 
 if __name__ == "__main__":

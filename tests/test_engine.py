@@ -142,8 +142,7 @@ class TestAdaptiveStep:
 
 def halpern(z_hat, z_old, anchor, k, beta):
     """The flat update into fresh buffers."""
-    return reflected_halpern_step(z_hat, z_old, anchor, k, beta,
-                                  out=np.empty_like(z_hat), scratch=np.empty_like(z_hat))
+    return reflected_halpern_step(z_hat, z_old, anchor, k, beta, out=np.empty_like(z_hat))
 
 
 def average(z_bar, weight, z_new, eta):

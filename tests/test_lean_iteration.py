@@ -4,7 +4,9 @@ The reflection parameter comes from the candidate's error report on the
 scaled problem, evaluated at the first iteration of every inner loop and
 every 64 iterations, and each accepted iteration updates flat
 [x; y; G x; G^T y] buffers in place.  These tests compare the in-place
-updates with the allocating formulas in `oracles`, bit for bit; check that
+updates with the allocating formulas in `oracles`: the average bit for
+bit, the three-pass Halpern update to a rounding bound per entry and, over
+the first iterations of a solve, along the loop's trajectory; check that
 a restart moves the anchor to the candidate `method` names and updates the
 primal weight from the anchor's move, that only `method="average"` forms
 the average, that `use_kkt_restart` alone selects KKT restarts, and that
@@ -70,21 +72,30 @@ def flat(z):
 
 @pytest.mark.parametrize("draw", [extreme, moderate], ids=["1e-300..1e300", "moderate"])
 def test_halpern_step_equals_allocating_formula(draw):
+    # The three-pass update rounds differently from the formula's six
+    # operations.  Per entry, each differs from the exact value by at most
+    # 2 eps per term to first order, after the rounding of a and 1 + beta
+    # that both share, so the two lie within 4 eps of the terms' magnitudes
+    # of each other, plus a few subnormal units of underflow.
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
     for seed in range(100):
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(1, 12)), int(rng.integers(0, 12))
         z_hat, z_old, anchor = (pair(rng, n, m, draw) for _ in range(3))
         k = int(rng.integers(0, 10**6)) if seed % 3 else int(rng.integers(0, 3))
         beta = (0.0, 1.0, float(rng.uniform()))[seed % 3]
-        ref = halpern_step_allocating(z_hat, z_old, anchor, k, beta)
+        ref = flat(halpern_step_allocating(z_hat, z_old, anchor, k, beta))
 
         zh, zo, za = flat(z_hat), flat(z_old), flat(anchor)
-        out, scratch = np.full(n + m, np.nan), np.full(n + m, np.nan)
-        assert reflected_halpern_step(zh, zo, za, k, beta, out=out, scratch=scratch) is out
-        assert_same_bits(out, flat(ref))
-        # the solve loop's call: the result overwrites z_old
-        assert reflected_halpern_step(zh, zo, za, k, beta, out=zo, scratch=scratch) is zo
-        assert_same_bits(zo, flat(ref))
+        a, b = (k + 1.0) / (k + 2.0), 1.0 / (k + 2.0)
+        tol = 4 * eps * (np.abs(a * (1.0 + beta) * zh) + np.abs(a * beta * zo)
+                         + np.abs(b * za)) + 8 * tiny
+        out = np.full(n + m, np.nan)
+        assert reflected_halpern_step(zh, zo, za, k, beta, out=out) is out
+        assert np.all(np.abs(out - ref) <= tol)
+        # the solve loop's call: the result overwrites z_old, with the same bits
+        assert reflected_halpern_step(zh, zo, za, k, beta, out=zo) is zo
+        assert_same_bits(zo, out)
         assert_same_bits(zh, flat(z_hat))
         assert_same_bits(za, flat(anchor))
 
@@ -111,6 +122,54 @@ def test_weighted_average_equals_allocating_formula(draw):
         assert_same_bits(zn, flat(z_new))
 
 
+DIGEST_PROBLEMS = ("feasible lp", "primal-infeasible lp", "dual-infeasible lp",
+                   "planted conic 1", "planted conic 2", "planted conic 3")
+
+
+def digest_problem(name):
+    """A problem of `tests/bitwise_digests.py`, by name."""
+    import test_termination_scan as ts
+
+    if name.startswith("planted conic"):
+        return ts.planted_conic(int(name[-1]))
+    return {"feasible lp": lambda: random_lp(5, n=6, m=4),
+            "primal-infeasible lp": ts.primal_infeasible_lp,
+            "dual-infeasible lp": ts.dual_infeasible_lp}[name]()
+
+
+@pytest.mark.parametrize("mode", ["default", "average", "kkt", "no preconditioner", "no restarts"])
+@pytest.mark.parametrize("name", DIGEST_PROBLEMS)
+def test_trajectory_follows_the_six_operation_update(name, mode, monkeypatch):
+    # The three-pass update rounds differently from the formula's order of
+    # operations, and nothing else: over the first 40 iterations, before
+    # any restart check, the iterates stay close to those of a loop that
+    # runs the six-operation oracle (the bits of the six-pass update it
+    # replaced), with the same k_bar.  The line search's curvature quotient
+    # amplifies rounding differences: most solves part by under 1e-12, the
+    # feasible LP without the preconditioner by 2.2e-10 at k_bar 34 after
+    # growing 3-5 times per iteration from k_bar 30, hence 1e-9.
+    from test_termination_scan import MODES
+
+    def six_operations(z_hat, z_old, z_anchor, k, beta, out):
+        out[:] = halpern_step_allocating((z_hat,), (z_old,), (z_anchor,), k, beta)[0]
+        return out
+
+    def trajectory(step):
+        seen = []
+        with monkeypatch.context() as mp:
+            if step is not None:
+                mp.setattr(eng, "reflected_halpern_step", step)
+            eng.solve(digest_problem(name), SolverOptions(
+                max_iter=40, rel_tol=1e-14, abs_tol=1e-14, **MODES[mode],
+                iteration_callback=lambda s: seen.append((s.k_bar, np.concatenate(s.z)))))
+        return seen
+
+    new, old = trajectory(None), trajectory(six_operations)
+    assert [k for k, _ in new] == [k for k, _ in old] and new[-1][0] == 40
+    for (_, z_new), (_, z_old) in zip(new, old):
+        assert np.linalg.norm(z_new - z_old) <= 1e-9 * np.linalg.norm(z_old)
+
+
 def test_empty_average_takes_the_new_point():
     zn = np.array([1.0, -2.0, 3.0])
     out = np.zeros(3)
@@ -127,7 +186,7 @@ def test_in_place_updates_allocate_no_vectors():
     zb = rng.standard_normal(size)
     tracemalloc.start()
     try:
-        reflected_halpern_step(zh, zo, za, 5, 0.3, out=zo, scratch=scratch)
+        reflected_halpern_step(zh, zo, za, 5, 0.3, out=zo)
         update_weighted_average(zb, 1.5, zo, 0.25, out=zb, scratch=scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
