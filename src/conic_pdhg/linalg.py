@@ -28,10 +28,12 @@ class SparseMatrix:
     """CSR matrix with a CSC mirror, built once from the same data and never
     mutated.
 
-    G x runs on the CSC arrays and G^T y on the CSR view of G^T that the
-    same arrays give, the faster kernel for each product; both sum every
-    row in ascending column order from 0.0, so G x has the bits of the CSR
-    product.  The CSR arrays serve the scans over the entries.  Products
+    G x runs on the CSC arrays (a scatter, a few percent faster than the
+    CSR gather on the benchmark's LPs) and G^T y on the CSR view of G^T
+    that the same arrays give (a gather, faster there than the scatter).
+    The scatter sums every row in ascending column order from 0.0, as the
+    CSR kernel does, so G x has the bits of the CSR product.  The CSR
+    arrays serve the scans over the entries.  Products
     are counted (`n_matvec` / `n_rmatvec`) so tests can assert the
     per-iteration matvec budget of the solver loop.
     """
