@@ -122,23 +122,9 @@ def test_weighted_average_equals_allocating_formula(draw):
         assert_same_bits(zn, flat(z_new))
 
 
-DIGEST_PROBLEMS = ("feasible lp", "primal-infeasible lp", "dual-infeasible lp",
-                   "planted conic 1", "planted conic 2", "planted conic 3")
-
-
-def digest_problem(name):
-    """A problem of `tests/bitwise_digests.py`, by name."""
-    import test_termination_scan as ts
-
-    if name.startswith("planted conic"):
-        return ts.planted_conic(int(name[-1]))
-    return {"feasible lp": lambda: random_lp(5, n=6, m=4),
-            "primal-infeasible lp": ts.primal_infeasible_lp,
-            "dual-infeasible lp": ts.dual_infeasible_lp}[name]()
-
-
 @pytest.mark.parametrize("mode", ["default", "average", "kkt", "no preconditioner", "no restarts"])
-@pytest.mark.parametrize("name", DIGEST_PROBLEMS)
+@pytest.mark.parametrize("name", ["feasible lp", "primal-infeasible lp", "dual-infeasible lp",
+                                  "planted conic 1", "planted conic 2", "planted conic 3"])
 def test_trajectory_follows_the_six_operation_update(name, mode, monkeypatch):
     # The three-pass update rounds differently from the formula's order of
     # operations, and nothing else: over the first 40 iterations, before
@@ -148,6 +134,7 @@ def test_trajectory_follows_the_six_operation_update(name, mode, monkeypatch):
     # amplifies rounding differences: most solves part by under 1e-12, the
     # feasible LP without the preconditioner by 2.2e-10 at k_bar 34 after
     # growing 3-5 times per iteration from k_bar 30, hence 1e-9.
+    from bitwise_digests import PROBLEMS
     from test_termination_scan import MODES
 
     def six_operations(z_hat, z_old, z_anchor, k, beta, out):
@@ -159,7 +146,7 @@ def test_trajectory_follows_the_six_operation_update(name, mode, monkeypatch):
         with monkeypatch.context() as mp:
             if step is not None:
                 mp.setattr(eng, "reflected_halpern_step", step)
-            eng.solve(digest_problem(name), SolverOptions(
+            eng.solve(PROBLEMS[name](), SolverOptions(
                 max_iter=40, rel_tol=1e-14, abs_tol=1e-14, **MODES[mode],
                 iteration_callback=lambda s: seen.append((s.k_bar, np.concatenate(s.z)))))
         return seen
