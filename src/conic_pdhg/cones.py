@@ -394,11 +394,6 @@ def _rescaled_soc_residual(mu, t0, ay2_over, a2):
 
 
 def project_rescaled_soc(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    d = np.asarray(d, dtype=np.float64)
-    if d.shape != v.shape:
-        raise ValueError("scale vector must match the block dimension")
-    if np.any(d <= 0) or not np.all(np.isfinite(d)):
-        raise ValueError("scale entries must be strictly positive and finite")
     if np.all(d == d[0]):
         # A uniform positive scaling leaves the cone unchanged.
         return project_soc(v)

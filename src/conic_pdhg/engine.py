@@ -221,8 +221,6 @@ def _pdhg_candidate(problem, x, y, tau, sigma, grad_x, out, workspace=None):
 
 def one_pdhg(problem: ConicProblem, z: IterateZ, tau: float, sigma: float) -> IterateZ:
     """x+ = proj_X(x - tau(c - G'y)); y+ = proj_Y(y + sigma(h - G(2x+ - x)))."""
-    if tau <= 0 or sigma <= 0:
-        raise ValueError("step sizes must be positive")
     grad_x = problem.c - problem.G.rmatvec(z.y)
     x_hat, y_hat, _ = _pdhg_candidate(
         problem, z.x, z.y, tau, sigma, grad_x, np.empty(problem.n + 2 * problem.m)
@@ -260,8 +258,6 @@ def adaptive_step_pdhg(
     shrink/grow eta by the (k_bar+1)^-0.3 / (k_bar+1)^-0.6 factors and
     advance k_bar; the returned proposal is floored at 1e-12.
     """
-    if omega <= 0 or eta <= 0:
-        raise ValueError("omega and eta must be positive")
     if gty is None:
         gty = problem.G.rmatvec(z.y)
     if gx is None:
@@ -320,10 +316,6 @@ def reflected_halpern_step(z_hat: np.ndarray, z_old: np.ndarray, z_anchor: np.nd
     result differs from the formula's order of operations in the last bits
     only.  Returns `out`.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"reflection parameter must lie in [0, 1], got {beta}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     a = (k + 1.0) / (k + 2.0)
     b = 1.0 / (k + 2.0)
     np.multiply(z_old, -a * beta, out=out)

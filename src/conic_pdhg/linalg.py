@@ -169,8 +169,6 @@ class WeightedNormContext:
 
 def omega_norm(x: np.ndarray, y: np.ndarray, omega: float) -> float:
     """sqrt(omega*||x||^2 + ||y||^2/omega)."""
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
     return float(np.sqrt(omega * np.dot(x, x) + np.dot(y, y) / omega))
 
 

@@ -50,8 +50,11 @@ _DUAL_GROUP_ORDER = (Cone.ZERO, Cone.NONNEG, Cone.SOC, Cone.EXP, Cone.DUAL_EXP, 
 class ConeSpec:
     """One cone block: its kind, dimension, and diagonal scaling vector.
 
-    The scale is all-ones until the scaling module populates it.  Membership
-    in the scaled block is `diag(scale) @ v in K(kind)`.
+    The scale is all-ones unless given, and the scaling module multiplies it
+    by the preconditioner's slice.  A primal block constrains its variables
+    v through `diag(scale) @ v in K(kind)`; a dual block constrains its rows
+    of the residual through `diag(1/scale) @ (G x - h) in K(kind)`, and so
+    its dual variables y through `diag(scale) @ y in K(kind)*`.
     """
 
     kind: Cone
@@ -226,8 +229,6 @@ class BoxFacts:
 
 def recover_dual(problem: ConicProblem, y: np.ndarray, gty: np.ndarray | None = None) -> np.ndarray:
     """lambda = c - G^T y.  `gty` may carry a precomputed G^T y."""
-    if y.shape != (problem.m,):
-        raise ValueError(f"y must have length {problem.m}, got {y.shape}")
     if gty is None:
         gty = problem.G.rmatvec(y)
     return problem.c - gty

@@ -41,6 +41,9 @@ class RestartConstants:
     omega_min: float = 1e-5
 
 
+_CONSTS = RestartConstants()
+
+
 @dataclass
 class GapQuery:
     """One normalized-gap evaluation: iterate, radius, step sizes, gradient b.
@@ -62,8 +65,6 @@ class GapQuery:
     proj_y: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError(f"gap radius must be nonnegative, got {self.r}")
         n, nm = self.x.size, self.x.size + self.y.size
         w = np.empty(2 * nm)
         self.arg_x, self.arg_y = w[:n], w[n:nm]
@@ -73,8 +74,6 @@ class GapQuery:
 def z_of_t(q: GapQuery, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Maximizer of t*b'(z~ - z) - 0.5*||z~ - z||_N^2 over X x Y.  The
     result may view the query's buffer, so the next call can overwrite it."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
     np.multiply(q.b1, t * q.ctx.tau, out=q.arg_x)
     np.add(q.x, q.arg_x, out=q.arg_x)
     np.multiply(q.b2, t * q.ctx.sigma, out=q.arg_y)
@@ -161,31 +160,23 @@ def normalized_gap(q: GapQuery, t0: float = 1.0, eps_rel: float = 1e-8) -> float
     return _gap_value(q, zx, zy)
 
 
-def should_restart(
-    candidate_gap: float,
-    prev_candidate_gap: float,
-    last_restart_gap: float,
-    k: int,
-    k_bar: int,
-    consts: RestartConstants = RestartConstants(),
-) -> bool:
+def should_restart(candidate_gap: float, prev_candidate_gap: float, last_restart_gap: float,
+                   k: int, k_bar: int) -> bool:
     """The three restart triggers: sufficient decay, necessary decay without
     local progress, and an overlong inner loop."""
-    if candidate_gap <= consts.beta_sufficient * last_restart_gap:
+    if candidate_gap <= _CONSTS.beta_sufficient * last_restart_gap:
         return True
     if (
         candidate_gap > prev_candidate_gap
-        and candidate_gap <= consts.beta_necessary * last_restart_gap
+        and candidate_gap <= _CONSTS.beta_necessary * last_restart_gap
     ):
         return True
-    return k >= consts.beta_artificial * k_bar
+    return k >= _CONSTS.beta_artificial * k_bar
 
 
 def kkt_omega(report: ErrorReport, omega: float) -> float:
     """Weighted KKT error sqrt(w^2 e_p^2 + e_d^2/w^2 + e_gap^2) from the
     2-norm absolute metrics."""
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
     return math.sqrt(
         (omega * report.abs_p) ** 2
         + (report.abs_d / omega) ** 2
@@ -203,26 +194,18 @@ def initialize_primal_weight(c: np.ndarray, h: np.ndarray) -> float:
     return 1.0
 
 
-def update_primal_weight(
-    dx: float,
-    dy: float,
-    omega_prev: float,
-    omega_init: float,
-    consts: RestartConstants = RestartConstants(),
-) -> float:
+def update_primal_weight(dx: float, dy: float, omega_prev: float, omega_init: float) -> float:
     """Log-space smoothing toward dy/dx, with a reset outside the omega bounds.
 
     dx and dy are the norms of the primal/dual anchor movements over the last
     outer loop.
     """
-    if not omega_prev > 0:
-        raise ValueError(f"omega_prev must be positive, got {omega_prev}")
     if dx > 1e-10 and dy > 1e-10:
         omega = math.exp(
-            consts.theta * math.log(dy / dx) + (1.0 - consts.theta) * math.log(omega_prev)
+            _CONSTS.theta * math.log(dy / dx) + (1.0 - _CONSTS.theta) * math.log(omega_prev)
         )
     else:
         omega = omega_prev
-    if omega > consts.omega_max or omega < consts.omega_min:
+    if omega > _CONSTS.omega_max or omega < _CONSTS.omega_min:
         return omega_init
     return omega

@@ -1,11 +1,11 @@
 """Diagonal preconditioning: build D1, D2, rescale the instance, map back.
 
 The rescaled instance replaces G by D1 G D2 with c_hat = D2 c, h_hat = D1 h,
-l_hat = D2^-1 l, u_hat = D2^-1 u.  Cone blocks pick up their diagonal slice
-(primal blocks a slice of d2, dual blocks a slice of d1); membership in a
-rescaled block is diag(slice) z in K.  Exponential blocks only admit
-block-uniform scaling, enforced here by a geometric mean, as are dual-side
-second-order blocks unless `allow_nonuniform_dual_soc` is set.
+l_hat = D2^-1 l, u_hat = D2^-1 u.  Each cone block's scale is multiplied
+by its diagonal slice (primal blocks a slice of d2, dual blocks a slice of
+d1), so a block the caller scaled by s holds s * slice.  Exponential blocks
+only admit block-uniform scaling, enforced here by a geometric mean, as are
+dual-side second-order blocks.
 
 The scales come from one array of entry magnitudes |G_ij|, read once in CSR
 order (by row, then column).  Each Ruiz round takes its row and column
@@ -19,8 +19,8 @@ formulation diag(r) @ A @ diag(c) reduced by scipy:
   CSC order with `np.add.reduceat`, as scipy's `sum(axis=...)` does; a
   reordered or differently blocked float sum can change the last bit.
 
-Sparse products drop entries that round to zero, so after any Ruiz round
-the sums skip zero magnitudes; with no rounds they run over G as stored.
+Sparse products drop entries that round to zero, so the sums skip the
+magnitudes that the Ruiz rounds rounded to zero.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .model import Cone, ConicProblem, block_slices
 
 _SCALE_CLAMP_LO = 1e-8
 _SCALE_CLAMP_HI = 1e8
+_RUIZ_ROUNDS = 10
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,8 @@ def _run_sums(values: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def build_scaling(
-    problem: ConicProblem,
-    iterations: int = 10,
-    use_pock_chambolle: bool = True,
-    allow_nonuniform_dual_soc: bool = False,
-) -> ScalingPair:
-    """Ruiz equilibration followed by an optional Pock-Chambolle (alpha=1) pass.
+def build_scaling(problem: ConicProblem) -> ScalingPair:
+    """Ten Ruiz rounds followed by a Pock-Chambolle (alpha=1) pass.
 
     Each Ruiz round divides rows and columns by the square root of their
     current max-abs (computed simultaneously from the same snapshot); the
@@ -110,7 +106,7 @@ def build_scaling(
     rows, cols, a = g.row, g.col, np.abs(g.data)
     d1 = np.ones(m)
     d2 = np.ones(n)
-    for _ in range(iterations):
+    for _ in range(_RUIZ_ROUNDS):
         row_max, col_max = np.zeros(m), np.zeros(n)
         np.maximum.at(row_max, rows, a)
         np.maximum.at(col_max, cols, a)
@@ -120,19 +116,17 @@ def build_scaling(
         d2 *= c
         a = r[rows] * a * c[cols]
 
-    if use_pock_chambolle:
-        if iterations:
-            kept = a > 0
-            rows, cols, a = rows[kept], cols[kept], a[kept]
-        # CSC order: by column, then row (the pairs are unique)
-        csc = np.argsort(cols.astype(np.int64) * m + rows)
-        d1 *= _safe_inv_sqrt(_run_sums(a, rows, m))
-        d2 *= _safe_inv_sqrt(_run_sums(a[csc], cols[csc], n))
+    kept = a > 0
+    rows, cols, a = rows[kept], cols[kept], a[kept]
+    # CSC order: by column, then row (the pairs are unique)
+    csc = np.argsort(cols.astype(np.int64) * m + rows)
+    d1 *= _safe_inv_sqrt(_run_sums(a, rows, m))
+    d2 *= _safe_inv_sqrt(_run_sums(a[csc], cols[csc], n))
 
     # Primal cone blocks sit after the box variables in the columns; exp and
-    # (by default) dual soc blocks must stay projectable in closed/1-d form.
+    # dual soc blocks must stay projectable in closed/1-d form.
     d2 = _enforce_block_uniformity(d2, problem.primal_cones, problem.num_box, True)
-    d1 = _enforce_block_uniformity(d1, problem.dual_cones, 0, allow_nonuniform_dual_soc)
+    d1 = _enforce_block_uniformity(d1, problem.dual_cones, 0, False)
 
     return ScalingPair(
         d1=np.clip(d1, _SCALE_CLAMP_LO, _SCALE_CLAMP_HI),
@@ -141,12 +135,11 @@ def build_scaling(
 
 
 def rescale_problem(problem: ConicProblem, s: ScalingPair) -> ConicProblem:
-    """Apply (d1, d2): the returned instance stores its block scale slices.
-    `SparseMatrix.scaled` scales G on its own pattern, in the order of the
-    matrix formulation, (d1_i g_ij) d2_j."""
+    """Apply (d1, d2), built from `problem`: each block of the returned
+    instance stores its own scale times its slice.  `SparseMatrix.scaled`
+    scales G on its own pattern, in the order of the matrix formulation,
+    (d1_i g_ij) d2_j."""
     d1, d2 = s.d1, s.d2
-    if d1.shape != (problem.m,) or d2.shape != (problem.n,):
-        raise ValueError("scaling dimensions do not match the problem")
 
     d2_box = d2[: problem.num_box]
     with np.errstate(invalid="ignore"):
@@ -154,10 +147,11 @@ def rescale_problem(problem: ConicProblem, s: ScalingPair) -> ConicProblem:
         u_hat = problem.u / d2_box
 
     primal = tuple(
-        spec.with_scale(d2[sl])
+        spec.with_scale(spec.scale * d2[sl])
         for spec, sl in block_slices(problem.primal_cones, problem.num_box)
     )
-    dual = tuple(spec.with_scale(d1[sl]) for spec, sl in block_slices(problem.dual_cones))
+    dual = tuple(spec.with_scale(spec.scale * d1[sl])
+                 for spec, sl in block_slices(problem.dual_cones))
 
     return ConicProblem(
         c=problem.c * d2,

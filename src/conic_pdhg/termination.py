@@ -55,7 +55,8 @@ EXIT_CODE_FOR_STATUS = {status: code for code, status in EXIT_STATUS.items()}
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """All twelve optimality metrics plus the two objectives."""
+    """All eleven optimality metrics plus the two objectives; `abs_gap`,
+    |p_obj - d_obj|, serves the KKT metric and the termination test."""
 
     abs_p: float
     abs_d: float
@@ -65,7 +66,6 @@ class ErrorReport:
     rel_gap1: float
     abs_p_inf: float
     abs_d_inf: float
-    abs_gap_term: float
     rel_p_inf: float
     rel_d_inf: float
     rel_gap_term: float
@@ -77,7 +77,7 @@ class ErrorReport:
             math.isfinite(v)
             for v in (
                 self.abs_p, self.abs_d, self.abs_gap,
-                self.abs_p_inf, self.abs_d_inf, self.abs_gap_term,
+                self.abs_p_inf, self.abs_d_inf,
                 self.primal_obj, self.dual_obj,
             )
         )
@@ -138,7 +138,6 @@ def compute_errors(
         rel_gap1=gap / (1.0 + abs(p_obj) + abs(d_obj)),
         abs_p_inf=abs_p_inf,
         abs_d_inf=abs_d_inf,
-        abs_gap_term=gap,
         rel_p_inf=abs_p_inf / denom_p_inf,
         rel_d_inf=abs_d_inf / denom_d_inf,
         rel_gap_term=gap / denom_gap_term,
@@ -169,7 +168,7 @@ def check_termination(report: ErrorReport, options, iterations: int,
                       elapsed: float) -> int | None:
     """Optimal iff every inf-norm absolute <= abs_tol AND every inf-norm
     relative <= rel_tol; otherwise map resource limits to their codes."""
-    abs_ok = max(report.abs_p_inf, report.abs_d_inf, report.abs_gap_term) <= options.abs_tol
+    abs_ok = max(report.abs_p_inf, report.abs_d_inf, report.abs_gap) <= options.abs_tol
     rel_ok = max(report.rel_p_inf, report.rel_d_inf, report.rel_gap_term) <= options.rel_tol
     if abs_ok and rel_ok:
         return EXIT_OPTIMAL

@@ -247,14 +247,13 @@ def weighted_average_allocating(z_bar, weight, z_new, eta_new):
 # ---------------------------------------------------------------------------
 
 
-def build_scaling_matrix_algebra(problem, iterations=10, use_pock_chambolle=True,
-                                 allow_nonuniform_dual_soc=False):
-    """d1, d2 of the diagonal preconditioner, each round rebuilding
-    diag(r) |A| diag(c) with scipy and reducing it with scipy's own `max`
-    and `sum` (row sums on the CSR matrix, column sums on its CSC copy).
-    Then the exp, rsoc and (unless allowed) dual soc blocks take the
-    geometric mean of their slice, and the scales are clipped to
-    [1e-8, 1e8]."""
+def build_scaling_matrix_algebra(problem):
+    """d1, d2 of the diagonal preconditioner, each of the ten Ruiz rounds
+    rebuilding diag(r) |A| diag(c) with scipy and reducing it with scipy's
+    own `max`, then the Pock-Chambolle pass with scipy's `sum` (row sums on
+    the CSR matrix, column sums on its CSC copy).  Then the exp, rsoc and
+    dual soc blocks take the geometric mean of their slice, and the scales
+    are clipped to [1e-8, 1e8]."""
     import scipy.sparse as sp
 
     from conic_pdhg.model import Cone, block_slices
@@ -265,14 +264,13 @@ def build_scaling_matrix_algebra(problem, iterations=10, use_pock_chambolle=True
 
     a = abs(sp.csr_matrix(problem.G.tocoo()))
     d1, d2 = np.ones(problem.m), np.ones(problem.n)
-    for _ in range(iterations):
+    for _ in range(10):
         r, c = inv_sqrt(a.max(axis=1)), inv_sqrt(a.max(axis=0))
         d1 *= r
         d2 *= c
         a = sp.diags(r) @ a @ sp.diags(c)
-    if use_pock_chambolle:
-        d1 *= inv_sqrt(a.sum(axis=1))
-        d2 *= inv_sqrt(a.tocsc().sum(axis=0))
+    d1 *= inv_sqrt(a.sum(axis=1))
+    d2 *= inv_sqrt(a.tocsc().sum(axis=0))
 
     def uniform(d, specs, offset, soc):
         d = d.copy()
@@ -282,5 +280,5 @@ def build_scaling_matrix_algebra(problem, iterations=10, use_pock_chambolle=True
         return d
 
     d2 = uniform(d2, problem.primal_cones, problem.num_box, False)
-    d1 = uniform(d1, problem.dual_cones, 0, not allow_nonuniform_dual_soc)
+    d1 = uniform(d1, problem.dual_cones, 0, True)
     return np.clip(d1, 1e-8, 1e8), np.clip(d2, 1e-8, 1e8)

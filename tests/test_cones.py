@@ -286,12 +286,6 @@ class TestRescaledSoc:
         ref = rescaled_soc_projection_fista(v, d)
         assert np.linalg.norm(p - ref) <= 1e-6
 
-    def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            project_rescaled_soc(np.zeros(3), np.array([1.0, -1.0, 1.0]))
-        with pytest.raises(ValueError):
-            project_rescaled_soc(np.zeros(3), np.ones(2))
-
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 @pytest.mark.parametrize("scaled", [False, True], ids=["project_soc", "project_rescaled_soc"])

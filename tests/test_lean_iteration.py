@@ -221,8 +221,7 @@ def test_restart_updates_primal_weight_from_new_and_previous_anchor(method):
         assert t1 == t0 + 1
         dx = float(np.linalg.norm(new.x - old.x))
         dy = float(np.linalg.norm(new.y - old.y))
-        assert omega1 == restarts.update_primal_weight(
-            dx, dy, omega0, loop.omega_init, restarts.RestartConstants())
+        assert omega1 == restarts.update_primal_weight(dx, dy, omega0, loop.omega_init)
         moved += dx > 1e-10 and dy > 1e-10 and omega1 != omega0
     assert moved >= 3
 
@@ -397,6 +396,19 @@ def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkey
                                                  iteration_callback=record))
     assert r.restarts >= 3
     assert checked["iterate"] >= 10 and checked["anchor"] >= 5
+
+
+def test_digests_show_a_kkt_fallback_that_keeps_the_iterates():
+    # On this solve every forced gap failure falls back to a KKT-mode check
+    # that restarts where the gap would have, so the iterates, the status
+    # and the iteration count stay those of the plain solve.  The fallback
+    # still leaves other restart bookkeeping, which the digests must show.
+    from bitwise_digests import PROBLEMS, solve_digest
+
+    plain = solve_digest(PROBLEMS["feasible lp"](), 3000, 200, "default")
+    failing = solve_digest(PROBLEMS["feasible lp"](), 3000, 200, "default", fail_gap_every=3)
+    assert plain[:2] == failing[:2] == (":optimal", 576)
+    assert plain[2] != failing[2]
 
 
 def counting_error_reports(loop, monkeypatch):

@@ -38,7 +38,7 @@ def dummy_report(**overrides):
     fields = dict(
         abs_p=0.0, abs_d=0.0, abs_gap=0.0,
         rel_p1=0.0, rel_d1=0.0, rel_gap1=0.0,
-        abs_p_inf=0.0, abs_d_inf=0.0, abs_gap_term=0.0,
+        abs_p_inf=0.0, abs_d_inf=0.0,
         rel_p_inf=0.0, rel_d_inf=0.0, rel_gap_term=0.0,
         primal_obj=0.0, dual_obj=0.0,
     )
@@ -52,7 +52,7 @@ class TestComputeErrors:
         # optimum x = 1; dual: lambda = c = -1 (y = 0), both finite bounds -> Lambda = R
         r = compute_errors(p, np.array([1.0]), np.zeros(1))
         for name in ("abs_p", "abs_d", "abs_gap", "rel_p1", "rel_d1", "rel_gap1",
-                     "abs_p_inf", "abs_d_inf", "abs_gap_term",
+                     "abs_p_inf", "abs_d_inf",
                      "rel_p_inf", "rel_d_inf", "rel_gap_term"):
             assert getattr(r, name) <= 1e-12, name
 
@@ -169,7 +169,7 @@ class TestCheckTermination:
     def test_rel_violation_blocks_exit(self):
         r = dummy_report(rel_gap_term=1e-5)
         assert check_termination(r, self.OPTS, 10, 0.0) is None
-        r2 = dummy_report(abs_gap_term=1e-5)
+        r2 = dummy_report(abs_gap=1e-5)
         assert check_termination(r2, self.OPTS, 10, 0.0) is None
 
     def test_time_limit(self):

@@ -7,6 +7,7 @@ traces; a change in the last bit of any state vector or scalar shows.
 """
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -15,12 +16,17 @@ from conic_pdhg.engine import SolverOptions
 
 
 def digest(state):
-    """(k_bar, SHA-1 of the iterate, anchor, step sizes, weights, counters
-    and restart mode, and of the average and its weight where the solve
-    forms them)."""
+    """(k_bar, SHA-1 of the iterate, anchor, step sizes, weights, counters,
+    restart mode and restart bookkeeping, and of the average and its weight
+    where the solve forms them).  The bookkeeping, the last restart metric,
+    the previous candidate's metric and the anchor's move, is what a gap
+    evaluation that falls back to the KKT metric leaves; None hashes as
+    NaN."""
     h = hashlib.sha1()
     vectors = [state.z.x, state.z.y, state.z_anchor.x, state.z_anchor.y]
-    scalars = [state.eta, state.eta_hat, state.omega, state.beta]
+    scalars = [state.eta, state.eta_hat, state.omega, state.beta, state.prev_candidate_gap,
+               math.nan if state.last_restart_metric is None else state.last_restart_metric,
+               *(state.anchor_move or (math.nan, math.nan))]
     if state.z_bar is not None:
         vectors += [state.z_bar.x, state.z_bar.y]
         scalars.append(state.avg_weight)
