@@ -89,6 +89,24 @@ def _run_sums(values: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _ruiz_rounds(rows: np.ndarray, cols: np.ndarray, a: np.ndarray, m: int, n: int):
+    """`_RUIZ_ROUNDS` Ruiz rounds on the magnitudes `a` of an m x n matrix,
+    at (rows, cols) in CSR order: the row scales d1, the column scales d2
+    and the rescaled magnitudes."""
+    d1 = np.ones(m)
+    d2 = np.ones(n)
+    for _ in range(_RUIZ_ROUNDS):
+        row_max, col_max = np.zeros(m), np.zeros(n)
+        np.maximum.at(row_max, rows, a)
+        np.maximum.at(col_max, cols, a)
+        r = _safe_inv_sqrt(row_max)
+        c = _safe_inv_sqrt(col_max)
+        d1 *= r
+        d2 *= c
+        a = r[rows] * a * c[cols]
+    return d1, d2, a
+
+
 def build_scaling(problem: ConicProblem) -> ScalingPair:
     """Ten Ruiz rounds followed by a Pock-Chambolle (alpha=1) pass.
 
@@ -103,18 +121,8 @@ def build_scaling(problem: ConicProblem) -> ScalingPair:
 
     m, n = problem.m, problem.n
     g = problem.G.tocoo()  # CSR order
-    rows, cols, a = g.row, g.col, np.abs(g.data)
-    d1 = np.ones(m)
-    d2 = np.ones(n)
-    for _ in range(_RUIZ_ROUNDS):
-        row_max, col_max = np.zeros(m), np.zeros(n)
-        np.maximum.at(row_max, rows, a)
-        np.maximum.at(col_max, cols, a)
-        r = _safe_inv_sqrt(row_max)
-        c = _safe_inv_sqrt(col_max)
-        d1 *= r
-        d2 *= c
-        a = r[rows] * a * c[cols]
+    rows, cols = g.row, g.col
+    d1, d2, a = _ruiz_rounds(rows, cols, np.abs(g.data), m, n)
 
     kept = a > 0
     rows, cols, a = rows[kept], cols[kept], a[kept]

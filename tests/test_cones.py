@@ -286,6 +286,15 @@ class TestRescaledSoc:
         ref = rescaled_soc_projection_fista(v, d)
         assert np.linalg.norm(p - ref) <= 1e-6
 
+    def test_scale_validation(self):
+        # project_rescaled_soc trusts d: the scales it is given are those of
+        # a ConeSpec, or their inverses, and a spec rejects nonpositive or
+        # misshapen scales when it is built
+        with pytest.raises(ValueError):
+            ConeSpec(Cone.SOC, 3, scale=np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(ValueError):
+            ConeSpec(Cone.SOC, 3, scale=np.ones(2))
+
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 @pytest.mark.parametrize("scaled", [False, True], ids=["project_soc", "project_rescaled_soc"])

@@ -69,6 +69,34 @@ class TestOnePdhg:
             z = one_pdhg(p, z, eta, eta)
         assert float(np.dot(p.c, z.x)) == pytest.approx(opt_val, abs=1e-6)
 
+    def test_positive_steps_required(self, monkeypatch):
+        # The PDHG steps trust tau, sigma > 0: the loop forms them from a
+        # primal weight and a step scale that stay positive and finite; the
+        # scale stays finite even where the line search's bound is infinite,
+        # as on a problem with a zero constraint matrix.
+        import conic_pdhg.engine as engine
+
+        steps = []
+        one, adaptive = engine.one_pdhg, engine.adaptive_step_pdhg
+
+        def record_one(problem, z, tau, sigma):
+            steps.append((tau, sigma))
+            return one(problem, z, tau, sigma)
+
+        def record_adaptive(problem, z, omega, eta, *args, **kwargs):
+            step = adaptive(problem, z, omega, eta, *args, **kwargs)
+            for e in (eta, step.eta_used, step.eta_next):
+                steps.append((e / omega, e * omega))
+            return step
+
+        monkeypatch.setattr(engine, "one_pdhg", record_one)
+        monkeypatch.setattr(engine, "adaptive_step_pdhg", record_adaptive)
+        solve(tiny_lp(), SolverOptions(max_iter=500))
+        zero_rows = box_lp([-1.0, 1.0], np.zeros((1, 2)), [-1.0], [0.0, 0.0], [1.0, 1.0])
+        solve(zero_rows, SolverOptions(max_iter=200, use_preconditioner=False))
+        assert len(steps) > 100
+        assert all(0.0 < s < math.inf for pair in steps for s in pair)
+
 
 class TestAdaptiveStep:
     def test_zero_interaction_accepts_immediately(self):
@@ -170,6 +198,27 @@ class TestHalpernStep:
         out = halpern(z_hat, z_old, anchor, k=1, beta=1.0)
         expect = (2.0 / 3.0) * (2.0 * z_hat - z_old) + (1.0 / 3.0) * anchor
         np.testing.assert_allclose(out[:3], expect[:3], atol=1e-14)
+
+    def test_beta_range_enforced(self, monkeypatch):
+        # The Halpern step trusts beta in [0, 1] and k >= 0: beta is the
+        # clamp of `adaptive_reflection_parameter` and k counts up from 0,
+        # back to 0 at a restart.
+        import conic_pdhg.engine as engine
+
+        calls = []
+        step = engine.reflected_halpern_step
+
+        def record(z_hat, z_old, z_anchor, k, beta, out):
+            calls.append((k, beta))
+            return step(z_hat, z_old, z_anchor, k, beta, out=out)
+
+        monkeypatch.setattr(engine, "reflected_halpern_step", record)
+        solve(tiny_lp(), SolverOptions(max_iter=2000))
+        ks = [k for k, _ in calls]
+        betas = [beta for _, beta in calls]
+        assert ks[0] == 0 and all(b in (0, a + 1) for a, b in zip(ks, ks[1:]))
+        assert all(0.0 <= beta <= 1.0 for beta in betas)
+        assert min(betas) < max(betas)
 
 
 class TestWeightedAverage:

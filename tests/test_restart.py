@@ -66,6 +66,28 @@ class TestZofT:
             dists.append(n_norm(x - zx, np.zeros(0) - zy, q.ctx))
         assert all(b >= a - 1e-12 for a, b in zip(dists, dists[1:]))
 
+    def test_normalized_gap_asks_only_for_nonnegative_t(self, monkeypatch):
+        # z_of_t trusts t >= 0: the search starts at t0 = 1, doubles, and
+        # bisects between 0 or a visited t and a larger one.
+        import conic_pdhg.restart as restarts
+
+        ts = []
+        z_at = restarts.z_of_t
+
+        def record(q, t):
+            ts.append(t)
+            return z_at(q, t)
+
+        monkeypatch.setattr(restarts, "z_of_t", record)
+        rng = np.random.default_rng(57)
+        for r in (1e-3, 0.1, 1.0, 10.0, 1e3):
+            for _ in range(5):
+                q = box_query(rng.uniform(-1.0, 1.0, 3), np.zeros(0), rng.standard_normal(3),
+                              np.zeros(0), r, -5.0, 5.0)
+                normalized_gap(q)
+        assert ts[0] == 1.0 and min(ts) > 0.0
+        assert any(t < 1.0 for t in ts) and any(t > 1.0 for t in ts)
+
 
 class TestNormalizedGap:
     def test_unconstrained_closed_form(self):
@@ -229,6 +251,27 @@ class TestKktOmega:
                 (omega * 1.5) ** 2 + (2.5 / omega) ** 2 + 0.5**2
             )
             assert kkt_omega(r, omega) == pytest.approx(expected, abs=1e-12)
+
+    def test_positive_omega_required(self, monkeypatch):
+        # kkt_omega trusts omega > 0: the loop's primal weight starts
+        # positive and finite, and update_primal_weight keeps it so.
+        import conic_pdhg.restart as restarts
+        from conic_pdhg.engine import SolverOptions, solve
+        from test_lean_iteration import random_lp
+
+        omegas = []
+        metric = restarts.kkt_omega
+
+        def record(report, omega):
+            omegas.append(omega)
+            return metric(report, omega)
+
+        monkeypatch.setattr(restarts, "kkt_omega", record)
+        for seed in range(3):
+            solve(random_lp(seed), SolverOptions(use_kkt_restart=True, kkt_restart_freq=64,
+                                                 max_iter=3000))
+        assert len(set(omegas)) > 3
+        assert all(0.0 < omega < math.inf for omega in omegas)
 
 
 class TestPrimalWeight:

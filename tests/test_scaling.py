@@ -59,6 +59,32 @@ class TestBuildScaling:
         np.testing.assert_allclose(s.d2, [0.1, 10.0])
         np.testing.assert_allclose(p.G.scaled(s.d1, s.d2).toarray(), np.eye(2), atol=1e-14)
 
+    def test_single_ruiz_round_hand_example(self, monkeypatch):
+        # one round on [[4, 1], [1, 1/4]]: row and column max-abs are both
+        # (4, 1), so both scales are (1/2, 1), which a second round would
+        # change again
+        monkeypatch.setattr(scaling, "_RUIZ_ROUNDS", 1)
+        g = SparseMatrix(np.array([[4.0, 1.0], [1.0, 0.25]])).tocoo()
+        d1, d2, a = scaling._ruiz_rounds(g.row, g.col, np.abs(g.data), 2, 2)
+        np.testing.assert_array_equal(d1, [0.5, 1.0])
+        np.testing.assert_array_equal(d2, [0.5, 1.0])
+        np.testing.assert_array_equal(a, [1.0, 0.5, 0.5, 0.25])
+
+    def test_equilibration_quality_ruiz_only(self):
+        rng = np.random.default_rng(30)
+        dense = rng.standard_normal((30, 20)) * np.exp(rng.uniform(-6, 6, (30, 20)))
+        dense *= rng.random((30, 20)) < 0.3
+        dense[:, 0] = 1.0  # avoid empty columns
+        dense[0, :] = 1.0
+        p = make_problem(dense, dual_cones=(ConeSpec(Cone.NONNEG, 30),))
+        g = p.G.tocoo()
+        d1, d2, _ = scaling._ruiz_rounds(g.row, g.col, np.abs(g.data), 30, 20)
+        scaled = np.abs(p.G.scaled(d1, d2).toarray())
+        row_max = scaled.max(axis=1)
+        col_max = scaled.max(axis=0)
+        assert np.all(row_max[row_max > 0] >= 0.5) and np.all(row_max <= 2.0)
+        assert np.all(col_max[col_max > 0] >= 0.5) and np.all(col_max <= 2.0)
+
     def test_equilibration_quality_default(self):
         rng = np.random.default_rng(31)
         dense = rng.standard_normal((30, 20)) * np.exp(rng.uniform(-4, 4, (30, 20)))
@@ -99,6 +125,20 @@ class TestBuildScaling:
         s2 = build_scaling(replace(p, dual_cones=(ConeSpec(Cone.NONNEG, 4),)))
         assert len(set(s2.d1.tolist())) > 1
         assert s.d1[0] == float(np.exp(np.mean(np.log(s2.d1))))
+
+    def test_dual_soc_uniform_unless_allowed(self):
+        # the flag that lets primal soc blocks keep their own scales
+        rng = np.random.default_rng(33)
+        d = np.exp(rng.uniform(-3, 3, 7))
+        specs = (ConeSpec(Cone.SOC, 4), ConeSpec(Cone.RSOC, 3))
+        forced = scaling._enforce_block_uniformity(d, specs, 0, False)
+        allowed = scaling._enforce_block_uniformity(d, specs, 0, True)
+        assert len(set(forced[:4].tolist())) == 1
+        assert forced[0] == float(np.exp(np.mean(np.log(d[:4]))))
+        np.testing.assert_array_equal(allowed[:4], d[:4])
+        # rsoc blocks are uniform either way
+        np.testing.assert_array_equal(allowed[4:], forced[4:])
+        assert len(set(allowed[4:].tolist())) == 1
 
     def test_primal_soc_scales_may_differ(self):
         rng = np.random.default_rng(34)
