@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .linalg import NumericalError
 from .model import Cone, ConeSpec, ConicProblem, block_slices, finite_bounds
@@ -449,6 +448,9 @@ def project_rescaled_soc(v: np.ndarray, d: np.ndarray) -> np.ndarray:
             hi *= 2.0
         else:
             raise NumericalError("rescaled-soc projection failed to bracket the multiplier")
+
+    # imported here: scipy.optimize costs about 20 MB, and only this branch needs it
+    from scipy.optimize import brentq
 
     try:
         mu = brentq(

@@ -82,6 +82,10 @@ class ConeSpec:
             raise ValueError("scale entries must be strictly positive and finite")
         if self.kind in (Cone.EXP, Cone.DUAL_EXP) and not np.all(scale == scale[0]):
             raise ValueError(f"{self.kind.value} blocks require block-uniform scales")
+        # rsoc_to_soc rotates the first two coordinates, which commutes with
+        # the diagonal scale only where those two entries are equal
+        if self.kind is Cone.RSOC and scale[0] != scale[1]:
+            raise ValueError("rsoc blocks require equal first two scale entries")
 
     def with_scale(self, scale: np.ndarray) -> "ConeSpec":
         return replace(self, scale=np.asarray(scale, dtype=np.float64))

@@ -1,0 +1,80 @@
+"""The solver's own memory: its import, a parse, and an lp-large-sized solve.
+
+    python tests/footprint.py [--seed 3]
+
+generates the benchmark's lp-large instance (a planted 40000x80000 LP,
+perfbench/workloads.py, imported, not changed) into a temporary file and
+prints three tab-separated lines:
+
+    import  VmHWM after `import conic_pdhg, conic_pdhg.cli`
+    parse   tracemalloc peak of `fileio.parse_problem` on that file, in MB
+            and as a multiple of the file's size
+    cli     VmHWM after `cli.main` solves that file with the lp-large
+            options (200 iterations) and writes its result
+
+Each figure comes from a fresh interpreter of its own, which reads its own
+/proc/self/status (Linux).  `VmHWM` starts afresh at exec, so the memory
+this script spends generating the problem does not show, as it does in a
+child's `ru_maxrss`.  Memory is deterministic enough to compare two trees
+with one run each.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+VM_HWM = """
+with open("/proc/self/status") as f:
+    print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")))
+"""
+IMPORT = "import conic_pdhg, conic_pdhg.cli\n" + VM_HWM
+PARSE = """
+import sys, tracemalloc
+from conic_pdhg.fileio import parse_problem
+tracemalloc.start()
+parse_problem(sys.argv[1])
+print(tracemalloc.get_traced_memory()[1])
+"""
+CLI = """
+import sys
+from conic_pdhg import cli
+if cli.main(sys.argv[1:]) not in (0, 1):
+    raise SystemExit("conic-pdhg failed")
+""" + VM_HWM
+
+
+def child(code, *args):
+    """The number a fresh interpreter running `code` prints last."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return int(out.split()[-1])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=3, help="lp-large instance seed")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as work_dir:
+        problem = os.path.join(work_dir, "problem.json")
+        _, (case,) = workloads.build("lp-large", args.seed)
+        size = case.instance.write(problem)
+        del case
+        print(f"import\tVmHWM\t{child(IMPORT) / 1024:.1f} MB")
+        peak = child(PARSE, problem)
+        print(f"parse\ttracemalloc peak\t{peak / 2**20:.1f} MB\t{peak / size:.2f}x "
+              f"the {size / 2**20:.1f} MB file")
+        kb = child(CLI, "--input", problem, "--output", os.path.join(work_dir, "result.json"),
+                   *workloads.LARGE_OPTIONS)
+        print(f"cli\tVmHWM\t{kb / 1024:.1f} MB")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,10 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,3 +227,13 @@ class TestCli:
         assert main(["--input", inp, "--max-iter", "50"]) in (0, 1)
         assert counts["solve"] == 1
         assert counts["step"] >= counts["accepted"] > 0
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize costs about 20 MB of every solve process; only the
+    # rescaled-soc root finder uses it, and imports it when it runs
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, conic_pdhg, conic_pdhg.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert out.split() == ["False"]

@@ -1,11 +1,19 @@
 """Unit tests for the problem/result file formats."""
 
+import importlib
 import json
 import math
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conic_pdhg import fileio
 from conic_pdhg.engine import SolverOptions, solve
 from conic_pdhg.fileio import (
     ProblemFormatError,
@@ -19,6 +27,8 @@ from conic_pdhg.fileio import (
 )
 from conic_pdhg.linalg import SparseMatrix
 from conic_pdhg.model import Cone, ConeSpec, ConicProblem
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def minimal_doc():
@@ -289,3 +299,228 @@ class TestResultFile:
         )
         with pytest.raises(ProblemFormatError, match="nb == n"):
             problem_to_document(p)
+
+
+class TestBounds:
+    """bl and bu are decoded in bulk with the per-entry decoder's results."""
+
+    ENTRY = st.one_of(
+        st.floats(), st.integers(-2**60, 2**60), st.integers(2**1023, 2**1025),
+        st.sampled_from([0, -0.0, 2**53 + 1, 2**63, -2**63 - 1, 10**400, True, False, None,
+                         "inf", "-inf", "nan", "Infinity", "1.0", "", [], [1.0], {}]),
+    )
+
+    @staticmethod
+    def per_entry(values):
+        try:
+            return np.array([fileio._decode_bound(v, "bl") for v in values]).tobytes()
+        except ProblemFormatError as exc:
+            return str(exc)
+
+    @given(st.lists(ENTRY, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_bulk_pass_equals_the_per_entry_decoder(self, values):
+        try:
+            got = fileio._bound_array(values, "bl")
+        except ProblemFormatError as exc:
+            got = str(exc)
+        else:
+            assert got.dtype == np.float64 and got.shape == (len(values),)
+            got = got.tobytes()
+        assert got == self.per_entry(values)
+
+    @pytest.mark.parametrize("values, match", [
+        ([0.0, "minus-infinity", True], "infinite bounds must be 'inf' or '-inf', got 'minus-infinity'"),
+        ([0.0, True, "x"], "entries must be numbers or 'inf'/'-inf', got True"),
+        ([0.0, None], "entries must be numbers or 'inf'/'-inf', got None"),
+        ([10**400, "x"], "numeric entries must be finite"),
+        ([1.0, math.nan], "numeric entries must be finite"),
+        (["inf", -math.inf], "numeric entries must be finite"),
+    ])
+    def test_error_names_the_first_bad_entry(self, values, match):
+        with pytest.raises(ProblemFormatError, match=match):
+            fileio._bound_array(values, "bl")
+
+    def test_values_and_infinities(self):
+        arr = fileio._bound_array([1, -0.0, "inf", 2.5, "-inf", 2**53 + 1], "bu")
+        assert arr.dtype == np.float64
+        assert arr.tolist() == [1.0, 0.0, math.inf, 2.5, -math.inf, 2.0**53]
+        assert math.copysign(1.0, arr[1]) == -1.0
+
+
+def reference_parse(path):
+    """The whole-document parse: `json.load`, then `document_to_problem`."""
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ProblemFormatError(f"{path} is not valid JSON: {exc}") from exc
+    return document_to_problem(doc)
+
+
+def outcome(parse, path):
+    """The bits of every array of the parsed problem, or the error raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            p = parse(path)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    arrays = (p.c, p.h, p.l, p.u, p.G.toarray())
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+            [(s.kind, s.dim) for s in p.dual_cones], p.n, p.m, p.num_box)
+
+
+def assert_parses_alike(text):
+    """parse_problem fails exactly where the whole-document parse fails, with
+    the same error and message, and otherwise gives bit-identical arrays."""
+    with tempfile.TemporaryDirectory() as work_dir:
+        path = str(Path(work_dir) / "p.json")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        assert outcome(parse_problem, path) == outcome(reference_parse, path)
+
+
+class Members(list):
+    """The (key, value) pairs of a JSON object, duplicates allowed."""
+
+
+ODD = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-2, 2), st.integers(2**64, 2**1100),
+    st.sampled_from(["inf", "-inf", "nan", "1"]),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["rows", "vals"]), st.lists(st.integers(0, 2), max_size=2),
+                    max_size=2),
+)
+SPACE = st.sampled_from(["", "", " ", "\n", "\t", "\r\n", " \n  "])
+SEPARATORS = st.sampled_from([(",", ":"), (", ", ": "), (",\n", " : ")])
+
+
+@st.composite
+def problem_members(draw):
+    """A small problem document as Members, some members malformed, missing,
+    unknown or repeated, in a random order."""
+    n = draw(st.integers(1, 3))
+    m_zero, m_nonneg, exp = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    soc = draw(st.lists(st.integers(2, 3), max_size=2))
+    m = m_zero + m_nonneg + sum(soc) + 3 * exp
+    nnz = draw(st.integers(0, 5)) if m else 0
+    number = st.one_of(st.floats(-10, 10), st.integers(-3, 3))
+
+    def vector(elements, size):
+        return draw(st.lists(elements, min_size=size, max_size=size))
+
+    g = Members([("rows", vector(st.integers(0, max(m - 1, 0)), nnz)),
+                 ("cols", vector(st.integers(0, n - 1), nnz)),
+                 ("vals", vector(number, nnz))])
+    doc = Members([
+        ("format_version", 1), ("n", n), ("m", m), ("nb", n),
+        ("c", vector(number, n)), ("h", vector(number, m)),
+        ("bl", vector(st.one_of(st.floats(-10, 0), st.just("-inf")), n)),
+        ("bu", vector(st.one_of(st.floats(0, 10), st.integers(0, 3), st.just("inf")), n)),
+        ("G", g), ("mGzero", m_zero), ("mGnonnegative", m_nonneg),
+        ("socG", soc), ("expG", exp), ("dual_expG", 0),
+    ])
+    for members, unknown in ((doc, "frobnicate"), (g, "extra")):
+        for i in draw(st.sets(st.integers(0, len(members) - 1), max_size=2)):
+            members[i] = (members[i][0], draw(ODD))
+        for i in sorted(draw(st.sets(st.integers(0, len(members) - 1), max_size=1)), reverse=True):
+            del members[i]
+        if draw(st.booleans()):
+            members.append((unknown, draw(ODD)))
+        for i in draw(st.lists(st.integers(0, len(members) - 1), max_size=2)):
+            members.append((members[i][0], draw(st.one_of(st.just(members[i][1]), ODD))))
+        members[:] = draw(st.permutations(members))
+    return doc
+
+
+def render(draw, members):
+    """JSON text of Members, with random whitespace between the tokens."""
+    items = []
+    for key, value in members:
+        text = (render(draw, value) if isinstance(value, Members)
+                else json.dumps(value, separators=draw(SEPARATORS)))
+        items.append(json.dumps(key) + draw(SPACE) + ":" + draw(SPACE) + text)
+    inner = "".join(f"{draw(SPACE)},{draw(SPACE)}" + item for item in items[1:])
+    return "{" + draw(SPACE) + (items[0] + inner if items else "") + draw(SPACE) + "}"
+
+
+@st.composite
+def problem_texts(draw):
+    """Problem files, valid or not: random documents, with trailing data, a
+    `,` or `:` dropped, a byte-order mark, or wrapped in a list."""
+    text = draw(SPACE) + render(draw, draw(problem_members())) + draw(SPACE)
+    how = draw(st.sampled_from(["as is", "as is", "trailing", "drop", "bom", "list"]))
+    if how == "trailing":
+        text += draw(st.sampled_from(["x", " {}", "1", ",", "]", " \n", "}"]))
+    elif how == "drop":
+        marks = [i for i, ch in enumerate(text) if ch in ",:"]
+        if marks:
+            i = draw(st.sampled_from(marks))
+            text = text[:i] + text[i + 1:]
+    elif how == "bom":
+        text = "\ufeff" + text
+    elif how == "list":
+        text = "[" + text + "]"
+    return text
+
+
+class TestMemberByMemberParse:
+    @given(problem_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_whole_document_parse(self, text):
+        assert_parses_alike(text)
+
+    @pytest.mark.parametrize("indent", [None, 1])
+    def test_every_truncation_fails_alike(self, indent):
+        text = json.dumps(mixed_doc(), indent=indent) + "\n"
+        assert_parses_alike(text)
+        for end in range(len(text) - 1):
+            assert_parses_alike(text[:end])
+
+    @pytest.mark.parametrize("text", [
+        "", "  ", "[]", "null", "3", '"G"', "{}", "{,}", '{"n":1,}', '{"n" 1}', '{"n":}',
+        '{"n":1 "m":2}', '{"G":{"rows":[],}}', '{"G":{"rows" []}}', '{"G":{"rows":[]}',
+        '{"G":[1, 2]}', '{"G":{"rows":[NaN]}}', '{"c":[Infinity]}', '{"n":1}}', '{"n":1,',
+        '{"n":1, ', '{"n":1 , }', '{"n":[1,]}', '{ "n"', '{"n\\u0041":1}', '{"n":"\t"}',
+    ])
+    def test_malformed_texts_fail_alike(self, text):
+        assert_parses_alike(text)
+
+    def test_last_duplicate_wins_and_earlier_errors_are_dropped(self, tmp_path):
+        text = json.dumps(mixed_doc())
+        path = tmp_path / "p.json"
+        path.write_text('{"c": [true], "G": [1], ' + text[1:-1] + ', "h": "bad"}')
+        with pytest.raises(ProblemFormatError, match="h must be a flat list"):
+            parse_problem(str(path))
+        path.write_text('{"c": [true], "G": [1], "bu": [1, 2], ' + text[1:])
+        assert_parses_alike(path.read_text())
+        np.testing.assert_array_equal(parse_problem(str(path)).c, [1.0, -2.0, 0.5])
+
+    def test_document_to_problem_leaves_its_argument(self):
+        doc = mixed_doc()
+        doc["frobnicate"] = [1, 2]
+        before = json.dumps(doc)
+        with pytest.warns(UserWarning, match="frobnicate"):
+            document_to_problem(doc)
+        assert json.dumps(doc) == before
+
+    def test_peak_memory_bounded_by_the_file_size(self, tmp_path, monkeypatch):
+        # The text stays alive through the scan, but only one raw JSON list
+        # at a time does: the whole-document parse peaked at 4.8 times the
+        # size of this file
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        generate = importlib.import_module("generate")
+        rng = np.random.default_rng
+        instance = generate.planted_lp(rng(1), rng(1), "lp-1", 2000, 4000, 8, 500)
+        path = str(tmp_path / "lp.json")
+        size = instance.write(path)
+        del instance
+        tracemalloc.start()
+        try:
+            problem = parse_problem(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert problem.G.shape == (2000, 4000)
+        assert peak <= 3.5 * size, f"parse peak {peak / size:.2f}x the file size"

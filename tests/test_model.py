@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conic_pdhg.engine import SolverOptions, solve
 from conic_pdhg.linalg import SparseMatrix
 from conic_pdhg.model import (
     BoxFacts,
@@ -282,3 +283,31 @@ class TestRsocToSoc:
     def test_rotated_dim_validation(self):
         with pytest.raises(ValueError):
             ConeSpec(Cone.RSOC, 2)
+
+    @staticmethod
+    def _scaled_rsoc_problem(scale):
+        # minimize x1 s.t. diag(1/scale) (x1, 1, 1) in the rotated cone
+        return ConicProblem(
+            c=np.array([1.0]), G=SparseMatrix(np.array([[1.0], [0.0], [0.0]])),
+            h=np.array([0.0, -1.0, -1.0]), l=np.array([-5.0]), u=np.array([5.0]), num_box=1,
+            dual_cones=(ConeSpec(Cone.RSOC, 3, scale=np.array(scale, dtype=float)),),
+        )
+
+    @pytest.mark.parametrize("scale, optimum", [
+        ((1, 1, 1), 0.5),  # 2 x1 >= 1
+        ((2, 2, 1), 2.0),  # 2 (x1 / 2) (1 / 2) >= 1
+        ((1, 1, 3), 1.0 / 18.0),  # 2 x1 >= 1 / 9
+    ])
+    @pytest.mark.parametrize("precondition", [True, False])
+    def test_scaled_rotated_block_solves_its_own_problem(self, scale, optimum, precondition):
+        r = solve(self._scaled_rsoc_problem(scale), SolverOptions(use_preconditioner=precondition))
+        assert r.exit_status == ":optimal"
+        assert r.x[0] == pytest.approx(optimum, rel=1e-4)
+
+    @pytest.mark.parametrize("scale", [(1, 2, 1), (2, 1, 1)])
+    def test_unequal_first_two_scale_entries_rejected(self, scale):
+        # rsoc_to_soc rotates those two coordinates, which a diagonal scale
+        # with unequal entries there does not commute with: the block would
+        # be solved as another problem (x1 >= 1 is what both scales mean)
+        with pytest.raises(ValueError, match="equal first two scale entries"):
+            self._scaled_rsoc_problem(scale)
