@@ -38,9 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restart to the iterate (halpern) or to the running average (average)")
     p.add_argument("--no-preconditioner", action="store_true")
     p.add_argument("--no-adaptive-restart", action="store_true")
-    p.add_argument("--kkt-restart", action="store_true",
-                   help="restart on the weighted KKT error instead of the duality gap")
-    p.add_argument("--kkt-restart-freq", type=int, default=defaults.kkt_restart_freq)
     p.add_argument("--gap-restart-freq", type=int, default=defaults.duality_gap_restart_freq)
     p.add_argument("--print-freq", type=int, default=defaults.print_freq)
     p.add_argument("--verbose", type=int, choices=(0, 1, 2), default=defaults.verbose)
@@ -57,8 +54,6 @@ def options_from_args(args) -> SolverOptions:
         method=args.method,
         use_preconditioner=not args.no_preconditioner,
         use_adaptive_restart=not args.no_adaptive_restart,
-        use_kkt_restart=args.kkt_restart,
-        kkt_restart_freq=args.kkt_restart_freq,
         duality_gap_restart_freq=args.gap_restart_freq,
         print_freq=args.print_freq,
         verbose=args.verbose,

@@ -87,8 +87,6 @@ class SolverOptions:
     method: str = "halpern"
     use_preconditioner: bool = True
     use_adaptive_restart: bool = True
-    use_kkt_restart: bool = False  # restart on the weighted KKT error, not the gap
-    kkt_restart_freq: int = 2000
     # Not PDLP's 64: with these restart constants, checks that often restart
     # slowly converging LPs too early (README, "Termination").
     duality_gap_restart_freq: int = 512
@@ -107,7 +105,7 @@ class SolverOptions:
                      "eps_dual_infeasible_high_acc"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("print_freq", "kkt_restart_freq", "duality_gap_restart_freq", "max_iter"):
+        for name in ("print_freq", "duality_gap_restart_freq", "max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.method not in ("halpern", "average"):
@@ -128,10 +126,13 @@ class SolverState:
     overwrites in place every iteration and at every restart; a callback
     must `.copy()` any vector it keeps.  The average `z_bar` and its weight
     `avg_weight` are formed only under `method="average"`; otherwise
-    `z_bar` is None and `avg_weight` stays 0.  `last_restart_metric` is the
-    metric `mode` names at the last restart, or None until a check forms it
-    at the anchor; a change of mode clears it.  `anchor_move` holds the
-    squared primal and dual distances the anchor moved at the last restart.
+    `z_bar` is None and `avg_weight` stays 0.  `mode` is the restart metric
+    of this inner loop: "gap", or "kkt" once a gap evaluation has failed in
+    it, the weighted-KKT fallback, until the next restart sets it back.
+    `last_restart_metric` is that metric at the last restart, or None until
+    a check forms it at the anchor; a change of mode clears it.
+    `anchor_move` holds the squared primal and dual distances the anchor
+    moved at the last restart.
     `beta` is the reflection parameter of the last Halpern step, evaluated
     from the candidate's error report at `k == 0` and every
     `_REFLECTION_FREQ` iterations and held between.
@@ -374,10 +375,6 @@ class _Loop:
         self.logfile = None
         self._last_report: term.ErrorReport | None = None
 
-        kkt = options.use_adaptive_restart and options.use_kkt_restart
-        self.check_freq = options.kkt_restart_freq if kkt else options.duality_gap_restart_freq
-        self.base_mode = "kkt" if kkt else "gap"
-
     # -- initialization ----------------------------------------------------
 
     def _initial_eta(self) -> float:
@@ -423,7 +420,6 @@ class _Loop:
             eta=eta0,
             eta_hat=eta0,
             omega=omega0,
-            mode=self.base_mode,
         )
         self.omega_init = omega0
         self._refresh_products(state)
@@ -531,18 +527,18 @@ class _Loop:
     def _restart_check(self, state: SolverState) -> None:
         """Evaluate the restart metric of the candidate `method` names, the
         iterate or the average, and restart to it if any trigger fires.
-        Gap-mode numerical trouble flips the rest of this inner loop to the
-        weighted-KKT metric.  The gap takes the iterate's products, refreshed
-        for this check, and the anchor's from the loop; only the average's
-        are formed."""
+        A failed gap evaluation flips the rest of this inner loop to the
+        weighted-KKT fallback.  The gap takes the iterate's products,
+        refreshed for this check, and the anchor's from the loop; only the
+        average's are formed."""
         cand = state.z if self.average is None else state.z_bar
         if state.mode == "gap":
             ctx = WeightedNormContext(state.omega, state.eta)
             anchor = state.z_anchor
             try:
                 if state.last_restart_metric is None:
-                    # after a KKT-mode restart: the anchor's gap over the
-                    # ball through the previous anchor
+                    # after a restart in the KKT fallback: the anchor's gap
+                    # over the ball through the previous anchor
                     dx2, dy2 = state.anchor_move
                     radius = math.sqrt(dx2 / ctx.tau + dy2 / ctx.sigma)
                     state.last_restart_metric = self._gap_metric(
@@ -556,7 +552,7 @@ class _Loop:
                 state.mode = "kkt"
                 state.last_restart_metric = None
         if state.mode == "kkt":
-            # KKT fallback (or configured KKT restarts)
+            # the fallback, with its baseline at the current weight
             if state.last_restart_metric is None:
                 state.last_restart_metric = self._kkt_metric(state.z_anchor, state.omega)
             cand_val = self._kkt_metric(cand, state.omega)
@@ -570,12 +566,13 @@ class _Loop:
 
     def _do_restart(self, state: SolverState, candidate: IterateZ, cand_val: float) -> None:
         """Make `candidate` (views of the iterate or the average) the new
-        anchor and iterate.  `cand_val` is the next baseline unless the
-        inner loop fell back to KKT mode; then the next check forms a gap
-        baseline from `state.anchor_move`, the squared distances the anchor
-        moves, taken before the anchor buffer is overwritten.  The
-        primal-weight update takes their square roots.  A restart to the
-        iterate keeps the products the check refreshed."""
+        anchor and iterate, and return to gap mode.  `cand_val` is the next
+        baseline unless the inner loop fell back to the KKT metric; then
+        the next check forms a gap baseline, at the new primal weight, from
+        `state.anchor_move`, the squared distances the anchor moves, taken
+        before the anchor buffer is overwritten.  The primal-weight update
+        takes their square roots.  A restart to the iterate keeps the
+        products the check refreshed."""
         n, m = self.scaled.n, self.scaled.m
         dx, dy = candidate.x - state.z_anchor.x, candidate.y - state.z_anchor.y
         state.anchor_move = (float(np.dot(dx, dx)), float(np.dot(dy, dy)))
@@ -588,8 +585,8 @@ class _Loop:
         state.k = 0
         state.avg_weight = 0.0
         state.prev_candidate_gap = math.inf
-        state.last_restart_metric = cand_val if state.mode == self.base_mode else None
-        state.mode = self.base_mode
+        state.last_restart_metric = cand_val if state.mode == "gap" else None
+        state.mode = "gap"
         if candidate is not state.z:
             # the check refreshed the iterate's products just before
             self._refresh_products(state)
@@ -615,7 +612,7 @@ class _Loop:
         """Run the loop from the initial state until an exit test fires, and
         return its exit code."""
         options = self.options
-        if options.use_adaptive_restart and state.mode == "gap":
+        if options.use_adaptive_restart:
             self._baseline_gap(state)
 
         if options.verbose >= 2:
@@ -674,7 +671,8 @@ class _Loop:
 
             elapsed = time.monotonic() - self.t_start
             out_of_budget = state.k_bar >= options.max_iter or elapsed > options.time_limit
-            at_check = _reached(k_prev, state.k_bar, self.check_freq) or out_of_budget
+            at_check = (_reached(k_prev, state.k_bar, options.duality_gap_restart_freq)
+                        or out_of_budget)
             at_scan = at_check or _reached(k_prev, state.k_bar, _TERMINATION_SCAN_FREQ)
             at_print = _reached(k_prev, state.k_bar, options.print_freq)
 

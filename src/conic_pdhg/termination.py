@@ -2,13 +2,14 @@
 
 Three metric families share the same residual vectors:
 
-* 2-norm absolutes feeding the weighted KKT restart metric,
+* 2-norm absolutes feeding the weighted KKT error, the restart checks'
+  fallback when a gap evaluation fails,
 * their 1-norm-denominator relatives feeding maxErr and the reflection rule,
 * infinity-norm absolutes/relatives feeding the termination test.
 
 `compute_errors` evaluates all three from one residual evaluation: on the
 original problem at termination scans, on the scaled one for the KKT
-restart metric and for the reflection parameter (at the first iteration of
+fallback and for the reflection parameter (at the first iteration of
 every inner loop and every 64 iterations).
 
 The metrics and the infeasibility certificates read the problem's box facts

@@ -1,8 +1,8 @@
-"""Digests of 90 solves, for checking that a change keeps every iterate.
+"""Digests of 72 solves, for checking that a change keeps every iterate.
 
 The set is six problems (a feasible, a primal-infeasible and a
-dual-infeasible LP, and three planted soc/exp/dual-exp problems) under five
-modes (default, average, KKT, no preconditioner, no restarts) at restart
+dual-infeasible LP, and three planted soc/exp/dual-exp problems) under four
+modes (default, average, no preconditioner, no restarts) at restart
 cadences 200, 512 (the default) and 2000.  Each
 solve prints one tab-separated line:
 
@@ -21,10 +21,10 @@ tree and diff the outputs:
 
 `--fail-gap-every N` makes every N-th gap evaluation of each solve raise
 `GapEvaluationError`, so the solves also cover the loop's fall-back to
-KKT-mode checks and the restarts and baselines that follow one.  A
+weighted-KKT checks and the restarts and baselines that follow one.  A
 fall-back that restarts where the gap would have leaves the iterates as
 they were but not the restart bookkeeping, so the lines differ from the
-plain run's: at `--max-iter 3000` and N = 3, 24 of the 90 solves do.
+plain run's: at `--max-iter 3000` and N = 3, 24 of the 72 solves do.
 """
 
 import argparse
@@ -45,7 +45,7 @@ from test_termination_scan import (  # noqa: E402
     planted_conic,
     primal_infeasible_lp,
 )
-from traces import digest  # noqa: E402
+from traces import digest, failing_every  # noqa: E402
 
 from conic_pdhg import restart  # noqa: E402
 from conic_pdhg.engine import SolverOptions, solve  # noqa: E402
@@ -60,21 +60,6 @@ PROBLEMS = {
 CADENCES = (200, 512, 2000)
 
 
-def failing_every(n):
-    """`restart.normalized_gap` with every n-th call raising GapEvaluationError."""
-    real = restart.normalized_gap
-    calls = 0
-
-    def normalized_gap(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        if calls % n == 0:
-            raise restart.GapEvaluationError(f"forced failure of gap evaluation {calls}")
-        return real(*args, **kwargs)
-
-    return normalized_gap
-
-
 def solve_digest(problem, max_iter, cadence, mode, fail_gap_every=None):
     """(status, iterations, hex digest) of one solve."""
     h = hashlib.sha1()
@@ -85,7 +70,7 @@ def solve_digest(problem, max_iter, cadence, mode, fail_gap_every=None):
         h.update(state_digest)
 
     options = SolverOptions(max_iter=max_iter, duality_gap_restart_freq=cadence,
-                            kkt_restart_freq=cadence, iteration_callback=record, **MODES[mode])
+                            iteration_callback=record, **MODES[mode])
     real = restart.normalized_gap
     if fail_gap_every is not None:
         restart.normalized_gap = failing_every(fail_gap_every)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from conic_pdhg.cli import USAGE_EXIT, build_parser, main, options_from_args
-from conic_pdhg.engine import SolverOptions, solve
-from conic_pdhg.fileio import load_result, parse_problem, write_result
+from conic_pdhg.engine import SolverOptions
+from conic_pdhg.fileio import load_result
 
 
 def one_dim_lp_doc():
@@ -163,15 +163,13 @@ class TestCli:
         parser = build_parser()
         args = parser.parse_args([
             "--input", "x.json", "--method", "average", "--no-preconditioner",
-            "--no-adaptive-restart", "--kkt-restart", "--kkt-restart-freq", "77",
-            "--gap-restart-freq", "88", "--print-freq", "99", "--max-iter", "123",
+            "--no-adaptive-restart", "--gap-restart-freq", "88", "--print-freq", "99",
+            "--max-iter", "123",
         ])
         opts = options_from_args(args)
         assert opts.method == "average"
         assert not opts.use_preconditioner
         assert not opts.use_adaptive_restart
-        assert opts.use_kkt_restart
-        assert opts.kkt_restart_freq == 77
         assert opts.duality_gap_restart_freq == 88
         assert opts.print_freq == 99
         assert opts.max_iter == 123
@@ -179,17 +177,13 @@ class TestCli:
     def test_defaults_are_the_solver_defaults(self):
         assert options_from_args(build_parser().parse_args(["--input", "x.json"])) == SolverOptions()
 
-    def test_kkt_restart_flags_match_library(self, tmp_path):
-        # --kkt-restart selects weighted-KKT restarts at --kkt-restart-freq
+    @pytest.mark.parametrize("flags", [["--kkt-restart"], ["--kkt-restart-freq", "50"]])
+    def test_kkt_restart_flags_are_gone(self, tmp_path, capsys, flags):
+        # the gap is the only restart metric; the weighted KKT error is its
+        # fallback, with no flag of its own
         inp = write_doc(tmp_path, random_lp_doc(np.random.default_rng(0), n=8, m=8))
-        cli_out, lib_out = str(tmp_path / "cli.json"), str(tmp_path / "lib.json")
-        main(["--input", inp, "--output", cli_out, "--kkt-restart", "--kkt-restart-freq", "50"])
-        opts = SolverOptions(use_kkt_restart=True, kkt_restart_freq=50)
-        write_result(solve(parse_problem(inp), opts), opts, lib_out)
-        docs = [load_result(cli_out), load_result(lib_out)]
-        for doc in docs:
-            doc["solve_time_sec"] = 0.0
-        assert docs[0] == docs[1]
+        assert main(["--input", inp, *flags]) == USAGE_EXIT
+        assert "error:" in capsys.readouterr().err
 
     def test_deterministic_result_files_modulo_time(self, tmp_path):
         rng = np.random.default_rng(71)

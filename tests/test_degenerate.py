@@ -1,9 +1,11 @@
 """Degenerate instances end with an exit-table code, never an exception.
 
-Each instance is solved in five modes: the default options, KKT restarts,
-the average as restart point, no preconditioner and no restarts.  Where the status is optimal, the objective must
-match the closed-form optimum; where the instance is infeasible, every mode
-must certify it.  Instances with entries near the ends of the double range
+Each instance is solved in five modes: the default options, every third
+gap evaluation failing (so that the restart checks also run the weighted
+KKT fallback), the average as restart point, no preconditioner and no
+restarts.  Where the status is optimal, the objective must match the
+closed-form optimum; where the instance is infeasible, every mode must
+certify it.  Instances with entries near the ends of the double range
 must end with a code too, and a bounded problem must not be certified dual
 infeasible whatever the scale of its cost.
 """
@@ -13,6 +15,9 @@ import math
 import numpy as np
 import pytest
 
+from traces import FAILING_GAP, failing_every
+
+from conic_pdhg import restart
 from conic_pdhg import termination as term
 from conic_pdhg.engine import SolverOptions, solve
 from conic_pdhg.linalg import SparseMatrix
@@ -78,20 +83,27 @@ INSTANCES = {
 
 MODES = {
     "default": {},
-    "kkt": dict(use_kkt_restart=True),
+    "failing gap": FAILING_GAP,
     "average": dict(method="average"),
     "no preconditioner": dict(use_preconditioner=False),
     "no restarts": dict(use_adaptive_restart=False),
 }
 
 
+def solve_in_mode(p, mode, monkeypatch, **kw):
+    """Solve `p` with checks every 100 of at most 1000 iterations, under
+    MODES[mode] and then the options `kw`."""
+    kw = {"max_iter": 1000, "duality_gap_restart_freq": 100, **MODES[mode], **kw}
+    if "fail_gap_every" in kw:
+        monkeypatch.setattr(restart, "normalized_gap", failing_every(kw.pop("fail_gap_every")))
+    return solve(p, SolverOptions(**kw))
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", INSTANCES)
-def test_degenerate_instance_ends_with_exit_code(name, mode):
+def test_degenerate_instance_ends_with_exit_code(name, mode, monkeypatch):
     p, optimum = INSTANCES[name]
-    opts = SolverOptions(max_iter=1000, duality_gap_restart_freq=100, kkt_restart_freq=100,
-                         **MODES[mode])
-    r = solve(p, opts)
+    r = solve_in_mode(p, mode, monkeypatch)
     assert term.EXIT_STATUS[r.exit_code] == r.exit_status
     assert r.x.shape == (p.n,) and r.y.shape == (p.m,) and r.slack.shape == (p.m,)
     if optimum is None:
@@ -123,10 +135,9 @@ EXTREME = {
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", EXTREME)
-def test_extreme_magnitudes_end_with_exit_code(name, mode):
+def test_extreme_magnitudes_end_with_exit_code(name, mode, monkeypatch):
     p, options = EXTREME[name]
-    r = solve(p, SolverOptions(max_iter=1000, duality_gap_restart_freq=100, kkt_restart_freq=100,
-                               **{**MODES[mode], **options}))
+    r = solve_in_mode(p, mode, monkeypatch, **options)
     assert term.EXIT_STATUS[r.exit_code] == r.exit_status
     assert r.x.shape == (p.n,) and r.y.shape == (p.m,) and r.slack.shape == (p.m,)
 

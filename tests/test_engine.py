@@ -589,12 +589,6 @@ class TestSolve:
         assert r.exit_code == 0
         assert r.p_obj == pytest.approx(-2.0, abs=1e-5)
 
-    def test_kkt_restart_mode_end_to_end(self):
-        p = tiny_lp()
-        r = solve(p, SolverOptions(use_kkt_restart=True, kkt_restart_freq=100))
-        assert r.exit_code == 0
-        assert r.p_obj == pytest.approx(-2.0, abs=1e-5)
-
     def test_method_average_end_to_end(self):
         p = tiny_lp()
         r = solve(p, SolverOptions(method="average", duality_gap_restart_freq=100))

@@ -9,7 +9,8 @@ bit, the three-pass Halpern update to a rounding bound per entry and, over
 the first iterations of a solve, along the loop's trajectory; check that
 a restart moves the anchor to the candidate `method` names and updates the
 primal weight from the anchor's move, that only `method="average"` forms
-the average, that `use_kkt_restart` alone selects KKT restarts, and that
+the average, that the weighted KKT error is evaluated only as the
+fallback of a failed gap evaluation, at the check's primal weight, and that
 the restart checks' gap from the loop's products and from the anchor's
 move is the gap from fresh ones; and count the error reports a solve makes
 and check when beta is evaluated.
@@ -22,6 +23,7 @@ import pytest
 
 from oracles import halpern_step_allocating, weighted_average_allocating
 from test_engine import tiny_lp
+from traces import failing_every
 
 import conic_pdhg.engine as eng
 from conic_pdhg import restart as restarts
@@ -122,7 +124,7 @@ def test_weighted_average_equals_allocating_formula(draw):
         assert_same_bits(zn, flat(z_new))
 
 
-@pytest.mark.parametrize("mode", ["default", "average", "kkt", "no preconditioner", "no restarts"])
+@pytest.mark.parametrize("mode", ["default", "average", "no preconditioner", "no restarts"])
 @pytest.mark.parametrize("name", ["feasible lp", "primal-infeasible lp", "dual-infeasible lp",
                                   "planted conic 1", "planted conic 2", "planted conic 3"])
 def test_trajectory_follows_the_six_operation_update(name, mode, monkeypatch):
@@ -310,19 +312,36 @@ def test_step_workspace_leaves_the_bits(monkeypatch):
     assert rejected > 0
 
 
-def test_kkt_restart_option_alone_selects_kkt_restarts(monkeypatch):
-    calls = {"kkt_omega": 0, "normalized_gap": 0}
-    for name in calls:
-        real = getattr(restarts, name)
+def test_kkt_error_is_evaluated_only_after_a_gap_evaluation_fails(monkeypatch):
+    # The weighted KKT error is only the gap's fallback: a default solve
+    # never evaluates it, and one whose every third gap evaluation fails
+    # evaluates it right after each failure, for the anchor's baseline
+    # and for the candidate of the same check.
+    events = []
+    real_kkt = restarts.kkt_omega
 
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    def kkt_omega(*args):
+        events.append("kkt")
+        return real_kkt(*args)
 
-        monkeypatch.setattr(restarts, name, counting)
-    r = eng.solve(random_lp(5, n=6, m=4), SolverOptions(use_kkt_restart=True))
-    assert r.exit_status == ":optimal"
-    assert calls["kkt_omega"] > 0 and calls["normalized_gap"] == 0
+    monkeypatch.setattr(restarts, "kkt_omega", kkt_omega)
+    r = eng.solve(random_lp(5, n=6, m=4), SolverOptions())
+    assert r.exit_status == ":optimal" and r.restarts > 0 and events == []
+
+    failing = failing_every(3)
+
+    def normalized_gap(*args, **kwargs):
+        try:
+            return failing(*args, **kwargs)
+        except restarts.GapEvaluationError:
+            events.append("gap failed")
+            raise
+
+    monkeypatch.setattr(restarts, "normalized_gap", normalized_gap)
+    r = eng.solve(random_lp(5, n=6, m=4), SolverOptions())
+    assert r.exit_status == ":optimal" and events[0] == "gap failed"
+    failures = [i for i, event in enumerate(events) if event == "gap failed"]
+    assert all(events[i + 1:i + 3] == ["kkt", "kkt"] for i in failures)
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -396,6 +415,51 @@ def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkey
                                                  iteration_callback=record))
     assert r.restarts >= 3
     assert checked["iterate"] >= 10 and checked["anchor"] >= 5
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_kkt_fallback_weighs_at_the_checks_primal_weight(seed, monkeypatch):
+    # In the fallback the baseline is the anchor's weighted KKT error at the
+    # check's own primal weight, and it holds for the rest of the inner
+    # loop because omega changes only at restarts.  A restart in the
+    # fallback leaves no baseline, so the next check returns to the gap,
+    # starting with the anchor's gap at the new weight.
+    seen = {"kkt checks": 0, "gap checks after a kkt restart": 0}
+    now = {"gap_metric_calls": []}
+    real_check = eng._Loop._restart_check
+    real_should = restarts.should_restart
+    real_metric = eng._Loop._gap_metric
+
+    def check_spy(self, state):
+        after_kkt_restart = state.last_restart_metric is None
+        if after_kkt_restart:
+            assert state.t > 0 and state.mode == "gap"
+        now.update(loop=self, state=state, gap_metric_calls=[])
+        omega = state.omega
+        real_check(self, state)
+        if after_kkt_restart:
+            assert now["gap_metric_calls"][0] == (True, omega)
+            seen["gap checks after a kkt restart"] += 1
+
+    def metric_spy(self, z, radius, ctx, products=None):
+        now["gap_metric_calls"].append((products is self.anchor_products, ctx.omega))
+        return real_metric(self, z, radius, ctx, products)
+
+    def should_spy(cand_val, prev, baseline, k, k_bar):
+        state, scaled = now["state"], now["loop"].scaled
+        if state.mode == "kkt":
+            report = term.compute_errors(scaled, state.z_anchor.x, state.z_anchor.y)
+            assert same_float(baseline, restarts.kkt_omega(report, state.omega))
+            seen["kkt checks"] += 1
+        return real_should(cand_val, prev, baseline, k, k_bar)
+
+    monkeypatch.setattr(restarts, "normalized_gap", failing_every(3))
+    monkeypatch.setattr(restarts, "should_restart", should_spy)
+    monkeypatch.setattr(eng._Loop, "_restart_check", check_spy)
+    monkeypatch.setattr(eng._Loop, "_gap_metric", metric_spy)
+    eng.solve(random_lp(seed), SolverOptions(duality_gap_restart_freq=20, max_iter=2000,
+                                             rel_tol=1e-12, abs_tol=1e-12))
+    assert seen["kkt checks"] >= 5 and seen["gap checks after a kkt restart"] >= 3
 
 
 def test_digests_show_a_kkt_fallback_that_keeps_the_iterates():

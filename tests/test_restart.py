@@ -254,10 +254,13 @@ class TestKktOmega:
 
     def test_positive_omega_required(self, monkeypatch):
         # kkt_omega trusts omega > 0: the loop's primal weight starts
-        # positive and finite, and update_primal_weight keeps it so.
+        # positive and finite, and update_primal_weight keeps it so.  Every
+        # third gap evaluation fails, so that the checks of many inner loops
+        # fall back to the KKT error.
         import conic_pdhg.restart as restarts
         from conic_pdhg.engine import SolverOptions, solve
         from test_lean_iteration import random_lp
+        from traces import failing_every
 
         omegas = []
         metric = restarts.kkt_omega
@@ -267,9 +270,9 @@ class TestKktOmega:
             return metric(report, omega)
 
         monkeypatch.setattr(restarts, "kkt_omega", record)
+        monkeypatch.setattr(restarts, "normalized_gap", failing_every(3))
         for seed in range(3):
-            solve(random_lp(seed), SolverOptions(use_kkt_restart=True, kkt_restart_freq=64,
-                                                 max_iter=3000))
+            solve(random_lp(seed), SolverOptions(duality_gap_restart_freq=64, max_iter=3000))
         assert len(set(omegas)) > 3
         assert all(0.0 < omega < math.inf for omega in omegas)
 

@@ -9,7 +9,7 @@ import pytest
 from oracles import build_scaling_matrix_algebra
 from test_lean_iteration import random_lp
 from test_termination_scan import planted_conic, primal_infeasible_lp
-from traces import traced_solve
+from traces import FAILING_GAP, traced_solve
 
 from conic_pdhg import scaling
 from conic_pdhg.engine import SolverOptions, solve
@@ -374,7 +374,7 @@ TRACED_PROBLEMS = {
 TRACED_MODES = {
     "default": {},
     "average": dict(method="average"),
-    "kkt": dict(use_kkt_restart=True),
+    "failing gap": FAILING_GAP,
     "no restarts": dict(use_adaptive_restart=False),
 }
 
@@ -383,7 +383,7 @@ TRACED_MODES = {
 @pytest.mark.parametrize("name", TRACED_PROBLEMS)
 def test_solves_follow_the_reference_scales(name, mode, monkeypatch):
     kw = dict(rel_tol=1e-4, abs_tol=1e-4, max_iter=1000, duality_gap_restart_freq=200,
-              kkt_restart_freq=200, **TRACED_MODES[mode])
+              **TRACED_MODES[mode])
     r, _, _, trace = traced_solve(TRACED_PROBLEMS[name](), monkeypatch, **kw)
     calls = []
 

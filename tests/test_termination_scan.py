@@ -19,7 +19,7 @@ from test_cli import random_lp_doc, write_doc
 from test_degenerate import INSTANCES as DEGENERATE
 from test_engine import tiny_lp
 from test_lean_iteration import counting_error_reports, random_lp
-from traces import traced_solve
+from traces import FAILING_GAP, traced_solve
 
 import conic_pdhg.engine as eng
 from conic_pdhg import termination as term
@@ -66,10 +66,12 @@ PROBLEMS = {
 MODES = {
     "default": {},
     "average": dict(method="average"),
-    "kkt": dict(use_kkt_restart=True),
     "no preconditioner": dict(use_preconditioner=False),
     "no restarts": dict(use_adaptive_restart=False),
 }
+# MODES, which bitwise_digests.py runs, and the forced gap failures, which
+# `traced_solve` applies
+TRACED_MODES = {**MODES, "failing gap": FAILING_GAP}
 
 
 def assert_scan_schedule(r, trace, scans, scan_freq, check_freq, max_iter):
@@ -91,11 +93,11 @@ def assert_scan_schedule(r, trace, scans, scan_freq, check_freq, max_iter):
     return between
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", TRACED_MODES)
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_scans_stop_sooner_on_the_same_trace(name, mode, monkeypatch):
     kw = dict(rel_tol=1e-4, abs_tol=1e-4, max_iter=1000, duality_gap_restart_freq=CHECK_FREQ,
-              kkt_restart_freq=CHECK_FREQ, **MODES[mode])
+              **TRACED_MODES[mode])
     r_off, _, scans_off, trace_off = traced_solve(PROBLEMS[name](), monkeypatch, NO_SCANS, **kw)
     r64, _, scans64, trace64 = traced_solve(PROBLEMS[name](), monkeypatch, 64, **kw)
 

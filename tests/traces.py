@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 import conic_pdhg.engine as eng
+from conic_pdhg import restart
 from conic_pdhg.engine import SolverOptions
 
 
@@ -36,9 +37,32 @@ def digest(state):
     return state.k_bar, h.digest()
 
 
-def traced_solve(problem, monkeypatch, scan_freq=None, **kw):
+def failing_every(n):
+    """`restart.normalized_gap` with every n-th call raising GapEvaluationError."""
+    real = restart.normalized_gap
+    calls = 0
+
+    def normalized_gap(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls % n == 0:
+            raise restart.GapEvaluationError(f"forced failure of gap evaluation {calls}")
+        return real(*args, **kwargs)
+
+    return normalized_gap
+
+
+# The forced-failure entry of the tests' mode tables: every third gap
+# evaluation of a solve fails, so its restart checks also run the weighted
+# KKT fallback and the gap baselines that follow a restart in it.
+FAILING_GAP = dict(fail_gap_every=3)
+
+
+def traced_solve(problem, monkeypatch, scan_freq=None, fail_gap_every=None, **kw):
     """Solve with the options `kw`, scanning every `scan_freq` iterations
-    (the engine's cadence when None).  Returns the result, the loop, the
+    (the engine's cadence when None) and, when `fail_gap_every` is set,
+    with `failing_every(fail_gap_every)` in place of the gap evaluation,
+    counting from the solve's first call.  Returns the result, the loop, the
     (k_bar, with_infeasibility) of every termination scan and, per
     iteration, k_bar, a digest of the state and the scaled matrix's product
     counters."""
@@ -61,5 +85,7 @@ def traced_solve(problem, monkeypatch, scan_freq=None, **kw):
         mp.setattr(eng._Loop, "_termination_scan", spy)
         if scan_freq is not None:
             mp.setattr(eng, "_TERMINATION_SCAN_FREQ", scan_freq)
+        if fail_gap_every is not None:
+            mp.setattr(restart, "normalized_gap", failing_every(fail_gap_every))
         r = loop.run()
     return r, loop, scans, trace
