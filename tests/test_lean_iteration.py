@@ -124,7 +124,8 @@ def test_weighted_average_equals_allocating_formula(draw):
         assert_same_bits(zn, flat(z_new))
 
 
-@pytest.mark.parametrize("mode", ["default", "average", "no preconditioner", "no restarts"])
+@pytest.mark.parametrize("mode", ["default", "average", "no preconditioner", "no restarts",
+                                  "every gap failing"])
 @pytest.mark.parametrize("name", ["feasible lp", "primal-infeasible lp", "dual-infeasible lp",
                                   "planted conic 1", "planted conic 2", "planted conic 3"])
 def test_trajectory_follows_the_six_operation_update(name, mode, monkeypatch):
@@ -135,7 +136,9 @@ def test_trajectory_follows_the_six_operation_update(name, mode, monkeypatch):
     # replaced), with the same k_bar.  The line search's curvature quotient
     # amplifies rounding differences: most solves part by under 1e-12, the
     # feasible LP without the preconditioner by 2.2e-10 at k_bar 34 after
-    # growing 3-5 times per iteration from k_bar 30, hence 1e-9.
+    # growing 3-5 times per iteration from k_bar 30, hence 1e-9.  With
+    # every gap evaluation failing, the loop starts in the weighted KKT
+    # fallback from its first baseline and stays in it.
     from bitwise_digests import PROBLEMS
     from test_termination_scan import MODES
 
@@ -144,13 +147,21 @@ def test_trajectory_follows_the_six_operation_update(name, mode, monkeypatch):
         return out
 
     def trajectory(step):
-        seen = []
+        seen, modes = [], set()
+
+        def record(s):
+            seen.append((s.k_bar, np.concatenate(s.z)))
+            modes.add(s.mode)
+
         with monkeypatch.context() as mp:
             if step is not None:
                 mp.setattr(eng, "reflected_halpern_step", step)
+            if mode == "every gap failing":
+                mp.setattr(restarts, "normalized_gap", failing_every(1))
             eng.solve(PROBLEMS[name](), SolverOptions(
-                max_iter=40, rel_tol=1e-14, abs_tol=1e-14, **MODES[mode],
-                iteration_callback=lambda s: seen.append((s.k_bar, np.concatenate(s.z)))))
+                max_iter=40, rel_tol=1e-14, abs_tol=1e-14, **MODES.get(mode, {}),
+                iteration_callback=record))
+        assert modes == ({"kkt"} if mode == "every gap failing" else {"gap"})
         return seen
 
     new, old = trajectory(None), trajectory(six_operations)
@@ -312,11 +323,13 @@ def test_step_workspace_leaves_the_bits(monkeypatch):
     assert rejected > 0
 
 
-def test_kkt_error_is_evaluated_only_after_a_gap_evaluation_fails(monkeypatch):
+@pytest.mark.parametrize("every", [1, 2, 3])
+def test_kkt_error_is_evaluated_only_after_a_gap_evaluation_fails(every, monkeypatch):
     # The weighted KKT error is only the gap's fallback: a default solve
-    # never evaluates it, and one whose every third gap evaluation fails
-    # evaluates it right after each failure, for the anchor's baseline
-    # and for the candidate of the same check.
+    # never evaluates it, and one whose every `every`-th gap evaluation
+    # fails evaluates it right after each failure, for the anchor's
+    # baseline and then for a candidate.  With every evaluation failing,
+    # the fallback alone carries the solve's restarts.
     events = []
     real_kkt = restarts.kkt_omega
 
@@ -328,7 +341,7 @@ def test_kkt_error_is_evaluated_only_after_a_gap_evaluation_fails(monkeypatch):
     r = eng.solve(random_lp(5, n=6, m=4), SolverOptions())
     assert r.exit_status == ":optimal" and r.restarts > 0 and events == []
 
-    failing = failing_every(3)
+    failing = failing_every(every)
 
     def normalized_gap(*args, **kwargs):
         try:
