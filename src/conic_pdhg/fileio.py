@@ -277,7 +277,7 @@ def problem_to_document(problem: ConicProblem) -> dict:
             dexp += 1
         elif spec.kind is Cone.RSOC:
             rsoc.append(spec.dim)
-    coo = problem.G.tocoo()
+    coo = problem.G.tocoo()  # column-major; the reader takes any order
     doc = {
         "format_version": FORMAT_VERSION,
         "n": problem.n,

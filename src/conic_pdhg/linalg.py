@@ -25,16 +25,17 @@ def two_norm(v: np.ndarray) -> float:
 
 
 class SparseMatrix:
-    """CSR matrix with a CSC mirror, built once from the same data and never
-    mutated.
+    """G stored once, as a canonical CSC matrix, built once and never mutated.
 
     G x runs on the CSC arrays (a scatter, a few percent faster than the
     CSR gather on the benchmark's LPs) and G^T y on the CSR view of G^T
     that the same arrays give (a gather, faster there than the scatter).
     The scatter sums every row in ascending column order from 0.0, as the
-    CSR kernel does, so G x has the bits of the CSR product.  The CSR
-    arrays serve the scans over the entries.  Products
-    are counted (`n_matvec` / `n_rmatvec`) so tests can assert the
+    CSR kernel does, so G x has the bits of the CSR product.  The entries
+    are canonicalized through a CSR matrix that lives only in `__init__`:
+    it sums duplicate triplets in row order, which building the CSC matrix
+    straight from triplets does not, and only its CSC conversion is kept.
+    Products are counted (`n_matvec` / `n_rmatvec`) so tests can assert the
     per-iteration matvec budget of the solver loop.
     """
 
@@ -44,13 +45,12 @@ class SparseMatrix:
             # sum_duplicates sorts in place, and a CSR `matrix` shares these arrays
             csr = csr.copy()
             csr.sum_duplicates()
-        self._set_views(csr, csr.tocsc())
+        self._set_views(csr.tocsc())
 
-    def _set_views(self, csr, csc) -> None:
-        self._csr = csr
+    def _set_views(self, csc) -> None:
         self._csc = csc
         self._csc_t = csc.T  # CSR view of G^T on the CSC arrays
-        self.shape = csr.shape
+        self.shape = csc.shape
         self.n_matvec = 0
         self.n_rmatvec = 0
 
@@ -71,7 +71,7 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return self._csr.nnz
+        return self._csc.nnz
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """G x, written into `out` (and returned) when it is given."""
@@ -98,49 +98,48 @@ class SparseMatrix:
         initial step size 1/max_abs would be undefined."""
         if self.nnz == 0:
             raise NumericalError("matrix_max_abs undefined for an all-zero matrix")
-        return float(np.max(np.abs(self._csr.data)))
+        return float(np.max(np.abs(self._csc.data)))
 
     def induced_inf_norm(self) -> float:
-        """Max absolute row sum (the operator infinity norm)."""
+        """Max absolute row sum (the operator infinity norm).  The rows are
+        summed on a transient CSR copy, by np.add.reduceat in CSR order: a
+        scatter over the CSC arrays sums them in another order."""
         if self.nnz == 0:
             raise NumericalError("induced infinity norm undefined for an all-zero matrix")
-        return float(np.max(np.abs(self._csr).sum(axis=1)))
+        return float(np.max(np.abs(self._csc).tocsr().sum(axis=1)))
 
     def scaled(self, d_row: np.ndarray, d_col: np.ndarray) -> "SparseMatrix":
         """Return diag(d_row) @ A @ diag(d_col) as a new matrix.
 
-        Both views are scaled on their own pattern as (d_row_i a_ij) d_col_j,
+        The CSC data are scaled on their own pattern as (d_row_i a_ij) d_col_j,
         the order of the two sparse products, and entries that round to zero
         are dropped, as the products drop them; so the result equals the
         products' bit for bit without forming them or re-sorting.
         """
-        csr, csc = self._csr, self._csc
-        rows_csr = np.repeat(np.arange(self.m), np.diff(csr.indptr))
-        cols_csc = np.repeat(np.arange(self.n), np.diff(csc.indptr))
+        csc = self._csc
+        cols = np.repeat(np.arange(self.n), np.diff(csc.indptr))
         out = SparseMatrix.__new__(SparseMatrix)
-        out._set_views(
-            _with_data(csr, d_row[rows_csr] * csr.data * d_col[csr.indices]),
-            _with_data(csc, d_row[csc.indices] * csc.data * d_col[cols_csc]),
-        )
+        out._set_views(_with_data(csc, d_row[csc.indices] * csc.data * d_col[cols]))
         return out
 
     def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
+        return self._csc.toarray()
 
     def tocoo(self):
-        return self._csr.tocoo()
+        """The entries as triplets in column-major order (by column, then row)."""
+        return self._csc.tocoo()
 
     def reset_counters(self) -> None:
         self.n_matvec = 0
         self.n_rmatvec = 0
 
 
-def _with_data(mat, data):
-    """`mat`'s pattern with the values `data`, less the entries that are zero;
-    shares `mat`'s index arrays when none is."""
+def _with_data(csc, data):
+    """`csc`'s pattern with the values `data`, less the entries that are zero;
+    shares `csc`'s index arrays when none is."""
     if np.all(data != 0.0):
-        return type(mat)((data, mat.indices, mat.indptr), shape=mat.shape)
-    out = type(mat)((data, mat.indices.copy(), mat.indptr.copy()), shape=mat.shape)
+        return sp.csc_matrix((data, csc.indices, csc.indptr), shape=csc.shape)
+    out = sp.csc_matrix((data, csc.indices.copy(), csc.indptr.copy()), shape=csc.shape)
     out.eliminate_zeros()
     return out
 

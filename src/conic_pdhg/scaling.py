@@ -7,16 +7,16 @@ d1), so a block the caller scaled by s holds s * slice.  Exponential blocks
 only admit block-uniform scaling, enforced here by a geometric mean, as are
 dual-side second-order blocks.
 
-The scales come from one array of entry magnitudes |G_ij|, read once in CSR
-order (by row, then column).  Each Ruiz round takes its row and column
+The scales come from one array of entry magnitudes |G_ij|, read once in
+the stored CSC order (by column, then row).  Each Ruiz round takes its row and column
 maxima and rescales it, instead of rebuilding the matrix.  Two orders are
 fixed so that the scales equal, bit for bit, those of the matrix
 formulation diag(r) @ A @ diag(c) reduced by scipy:
 
 * a round multiplies each magnitude as (r_i a_ij) c_j, the order of the two
   sparse products; maxima are exact, so their order is free;
-* the Pock-Chambolle sums reduce each row in CSR order and each column in
-  CSC order with `np.add.reduceat`, as scipy's `sum(axis=...)` does; a
+* the Pock-Chambolle sums reduce each column in CSC order and each row in
+  CSR order with `np.add.reduceat`, as scipy's `sum(axis=...)` does; a
   reordered or differently blocked float sum can change the last bit.
 
 Sparse products drop entries that round to zero, so the sums skip the
@@ -91,7 +91,7 @@ def _run_sums(values: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
 
 def _ruiz_rounds(rows: np.ndarray, cols: np.ndarray, a: np.ndarray, m: int, n: int):
     """`_RUIZ_ROUNDS` Ruiz rounds on the magnitudes `a` of an m x n matrix,
-    at (rows, cols) in CSR order: the row scales d1, the column scales d2
+    at (rows, cols) in any order: the row scales d1, the column scales d2
     and the rescaled magnitudes."""
     d1 = np.ones(m)
     d2 = np.ones(n)
@@ -120,16 +120,16 @@ def build_scaling(problem: ConicProblem) -> ScalingPair:
         raise ValueError("build_scaling needs a nonzero constraint matrix")
 
     m, n = problem.m, problem.n
-    g = problem.G.tocoo()  # CSR order
+    g = problem.G.tocoo()  # CSC order
     rows, cols = g.row, g.col
     d1, d2, a = _ruiz_rounds(rows, cols, np.abs(g.data), m, n)
 
     kept = a > 0
     rows, cols, a = rows[kept], cols[kept], a[kept]
-    # CSC order: by column, then row (the pairs are unique)
-    csc = np.argsort(cols.astype(np.int64) * m + rows)
-    d1 *= _safe_inv_sqrt(_run_sums(a, rows, m))
-    d2 *= _safe_inv_sqrt(_run_sums(a[csc], cols[csc], n))
+    # CSR order: by row, then column (the pairs are unique)
+    csr = np.argsort(rows.astype(np.int64) * n + cols)
+    d1 *= _safe_inv_sqrt(_run_sums(a[csr], rows[csr], m))
+    d2 *= _safe_inv_sqrt(_run_sums(a, cols, n))
 
     # Primal cone blocks sit after the box variables in the columns; exp and
     # dual soc blocks must stay projectable in closed/1-d form.

@@ -4,19 +4,22 @@
 
 generates the benchmark's lp-large instance (a planted 40000x80000 LP,
 perfbench/workloads.py, imported, not changed) into a temporary file and
-prints three tab-separated lines:
+prints four tab-separated lines:
 
     import  VmHWM after `import conic_pdhg, conic_pdhg.cli`
     parse   tracemalloc peak of `fileio.parse_problem` on that file, in MB
             and as a multiple of the file's size
+    matrix  bytes of the index and data arrays that the parsed G and its
+            rescaled copy (`scaling.rescale_problem`) hold, each on its own
+            and both together, an array shared by the two counted once
     cli     VmHWM after `cli.main` solves that file with the lp-large
             options (200 iterations) and writes its result
 
 Each figure comes from a fresh interpreter of its own, which reads its own
 /proc/self/status (Linux).  `VmHWM` starts afresh at exec, so the memory
 this script spends generating the problem does not show, as it does in a
-child's `ru_maxrss`.  Memory is deterministic enough to compare two trees
-with one run each.
+child's `ru_maxrss`.  The matrix bytes are exact; the other figures are
+deterministic enough to compare two trees with one run each.
 """
 
 import argparse
@@ -39,6 +42,25 @@ tracemalloc.start()
 parse_problem(sys.argv[1])
 print(tracemalloc.get_traced_memory()[1])
 """
+MATRIX = """
+import sys
+import scipy.sparse as sp
+from conic_pdhg.fileio import parse_problem
+from conic_pdhg.scaling import build_scaling, rescale_problem
+
+def arrays(*mats):
+    held = {}
+    for mat in mats:
+        for v in vars(mat).values():
+            if sp.issparse(v):
+                for a in (v.data, v.indices, v.indptr):
+                    held[a.__array_interface__["data"][0], a.nbytes] = a.nbytes
+    return sum(held.values())
+
+p = parse_problem(sys.argv[1])
+g, g_scaled = p.G, rescale_problem(p, build_scaling(p)).G
+print(arrays(g), arrays(g_scaled), arrays(g, g_scaled))
+"""
 CLI = """
 import sys
 from conic_pdhg import cli
@@ -48,11 +70,12 @@ if cli.main(sys.argv[1:]) not in (0, 1):
 
 
 def child(code, *args):
-    """The number a fresh interpreter running `code` prints last."""
+    """The numbers on the last line that a fresh interpreter running `code`
+    prints."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return int(out.split()[-1])
+    return [int(v) for v in out.splitlines()[-1].split()]
 
 
 def main(argv=None):
@@ -67,11 +90,14 @@ def main(argv=None):
         _, (case,) = workloads.build("lp-large", args.seed)
         size = case.instance.write(problem)
         del case
-        print(f"import\tVmHWM\t{child(IMPORT) / 1024:.1f} MB")
-        peak = child(PARSE, problem)
+        (kb,) = child(IMPORT)
+        print(f"import\tVmHWM\t{kb / 1024:.1f} MB")
+        (peak,) = child(PARSE, problem)
         print(f"parse\ttracemalloc peak\t{peak / 2**20:.1f} MB\t{peak / size:.2f}x "
               f"the {size / 2**20:.1f} MB file")
-        kb = child(CLI, "--input", problem, "--output", os.path.join(work_dir, "result.json"),
+        parsed, scaled, both = child(MATRIX, problem)
+        print(f"matrix\tbytes held\tparsed {parsed}\tscaled {scaled}\ttogether {both}")
+        (kb,) = child(CLI, "--input", problem, "--output", os.path.join(work_dir, "result.json"),
                    *workloads.LARGE_OPTIONS)
         print(f"cli\tVmHWM\t{kb / 1024:.1f} MB")
 

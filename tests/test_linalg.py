@@ -40,7 +40,7 @@ def test_matvec_against_dense_oracle():
         assert np.max(np.abs(a.rmatvec(y) - dense.T @ y)) <= 1e-12
 
 
-def test_csr_csc_views_agree():
+def test_matvec_agrees_with_the_csr_of_its_triplets():
     rng = np.random.default_rng(1)
     dense = rng.standard_normal((30, 20)) * (rng.random((30, 20)) < 0.4)
     a = SparseMatrix(dense)
@@ -128,12 +128,14 @@ def products_reference(a, d_row, d_col):
     return SparseMatrix(sp.diags(d_row) @ sp.csr_matrix(a.toarray()) @ sp.diags(d_col))
 
 
+def assert_same_arrays(g, w):
+    np.testing.assert_array_equal(g.indptr, w.indptr)
+    np.testing.assert_array_equal(g.indices, w.indices)
+    np.testing.assert_array_equal(bits(g.data), bits(w.data))
+
+
 def assert_same_matrix(got, want):
-    for view in ("_csr", "_csc"):
-        g, w = getattr(got, view), getattr(want, view)
-        np.testing.assert_array_equal(g.indptr, w.indptr)
-        np.testing.assert_array_equal(g.indices, w.indices)
-        np.testing.assert_array_equal(bits(g.data), bits(w.data))
+    assert_same_arrays(got._csc, want._csc)
 
 
 def test_scaled_equals_the_sparse_products_bit_for_bit():
@@ -176,6 +178,43 @@ def test_matrix_max_abs_random_dense_scan():
 def test_induced_inf_norm():
     a = SparseMatrix(np.array([[1.0, -4.0], [2.0, 0.0]]))
     assert a.induced_inf_norm() == 5.0
+
+
+def test_induced_inf_norm_has_the_bits_of_the_csr_row_sums():
+    # scipy reduces each CSR row with np.add.reduceat; a scatter over the
+    # CSC arrays sums the long rows in another order
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        dense = random_sparse(rng, 20, 200, 0.5) * 10.0 ** rng.uniform(-8, 8, (20, 200))
+        want = float(np.max(np.abs(sp.csr_matrix(dense)).sum(axis=1)))
+        assert SparseMatrix(dense).induced_inf_norm() == want
+
+
+def test_duplicates_sum_as_the_csr_route_sums_them():
+    # from_coo sums duplicate triplets in a CSR matrix, then converts it to
+    # CSC; building the CSC matrix straight from the triplets sums them in
+    # another order, which this test tells apart
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(13)
+    direct_differs = 0
+    for _ in range(200):
+        m, n = (int(k) for k in rng.integers(1, 12, 2))
+        cells = rng.choice(m * n, int(rng.integers(1, m * n + 1)), replace=False)
+        flat = rng.permutation(np.repeat(cells, rng.integers(3, 7, cells.size)))
+        rows, cols = flat // n, flat % n
+        vals = rng.standard_normal(flat.size) * 10.0 ** rng.uniform(-8, 8, flat.size)
+        coo = sp.coo_matrix((vals, (rows, cols)), shape=(m, n))
+        want = coo.tocsr()
+        want.sum_duplicates()
+        want = want.tocsc()
+        assert_same_arrays(SparseMatrix.from_coo(rows, cols, vals, (m, n))._csc, want)
+        direct = coo.tocsc()
+        direct.sum_duplicates()
+        direct_differs += not np.array_equal(bits(direct.data), bits(want.data))
+    assert direct_differs > 0
 
 
 def test_vector_norms():

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import build_scaling_matrix_algebra
 from test_lean_iteration import random_lp
@@ -350,9 +351,9 @@ def test_matrices_built_per_solve(monkeypatch):
     built = []
     real = SparseMatrix._set_views
 
-    def counting(self, csr, csc):
-        built.append(csr)
-        real(self, csr, csc)
+    def counting(self, csc):
+        built.append(csc)
+        real(self, csc)
 
     lp, rsoc = random_lp(3), rsoc_problem()
     monkeypatch.setattr(SparseMatrix, "_set_views", counting)
@@ -363,6 +364,35 @@ def test_matrices_built_per_solve(monkeypatch):
     built.clear()
     solve(rsoc, SolverOptions(max_iter=10))
     assert len(built) == 2  # the rotated blocks' matrix and its scaled copy
+
+
+def held_bytes(mat):
+    """Bytes of the distinct index and data arrays `mat` holds; a view of
+    the same arrays (as G^T's) counts once."""
+    arrays = {}
+    for held in vars(mat).values():
+        if sp.issparse(held):
+            for a in (held.data, held.indices, held.indptr):
+                arrays[a.__array_interface__["data"][0], a.nbytes] = a.nbytes
+    return sum(arrays.values())
+
+
+def test_each_matrix_holds_one_compressed_copy(monkeypatch):
+    built = []
+    real = SparseMatrix._set_views
+
+    def recording(self, csc):
+        built.append(self)
+        real(self, csc)
+
+    lp, rsoc = random_lp(3), rsoc_problem()
+    s = build_scaling(lp)
+    monkeypatch.setattr(SparseMatrix, "_set_views", recording)
+    solve(rsoc, SolverOptions(max_iter=10))
+    assert len(built) == 2  # the rotated blocks' matrix and its scaled copy
+    for mat in (lp.G, lp.G.scaled(s.d1, s.d2), *built):
+        itemsize = mat._csc.indices.itemsize
+        assert held_bytes(mat) == mat.nnz * (8 + itemsize) + (mat.n + 1) * itemsize
 
 
 TRACED_PROBLEMS = {
