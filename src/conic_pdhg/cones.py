@@ -14,8 +14,20 @@ sequences (primal cone, its dual, dual iterate, constraint residual) a
 tuple of (kernel, start, stop, scale) operations in which the dual-kind
 mapping, the uniform-scale test and the 1/scale inversion are already
 decided.  One kernel per cone kind serves both the layout and
-`project_cone`.  The box part of the primal set is one clamp onto the
-problem's bounds, which ConicProblem has already checked.
+`project_cone`.  A kernel reads its block of the input by index and writes
+the same block of `out`, so no block view is made that it does not need,
+and each set projection writes into an `out` the caller may pass (the
+solve loop passes its candidate buffer).  The box part of the primal set
+is one clamp onto the problem's bounds, which ConicProblem has already
+checked.
+
+The exp kernels read a block with one `tolist()`, project it on Python
+floats (`_exp_point`) and write three floats into `out`; the dual kernel
+forms v + P(-v) as three float additions, the IEEE operations numpy's
+elementwise add makes, and the rescaling uses `math.ldexp`, the C `ldexp`
+that `np.ldexp` calls.  So the bits are those of the array-wrapped
+projection that `tests/oracles.py` keeps as the reference, without its
+arrays.
 """
 
 from __future__ import annotations
@@ -76,31 +88,34 @@ def project_box(v: np.ndarray, l: np.ndarray, u: np.ndarray) -> np.ndarray:
 def project_soc(v: np.ndarray) -> np.ndarray:
     """Project (t, xbar) onto {t >= ||xbar||}."""
     out = np.empty_like(v)
-    _soc(v, out)
+    _soc(v, out, 0, v.size, None)
     return out
 
 
-def _soc(v, out, scale=None):
+def _soc(v, out, start, stop, scale):
     # np.linalg.norm evaluates a contiguous 1-d float64 vector as sqrt(x.x),
     # so this is bit-identical to it without its per-call overhead.  An nx
-    # in range is accurate, and then a large |t| takes an exact branch.
-    t = v[0]
-    x = v[1:]
+    # in range is accurate, and then a large |t| takes an exact branch.  t is
+    # v's first entry as a Python float: the same double, cheaper to use.
+    t = v.item(start)
+    x = v[start + 1:stop]
     nx = math.sqrt(x.dot(x))
     if not _UNSCALED_MIN <= nx <= _UNSCALED_MAX:
-        e = _rescale_exponent(float(np.max(np.abs(v))))
+        block = v[start:stop]
+        e = _rescale_exponent(float(np.max(np.abs(block))))
         if e is not None:
-            _soc(np.ldexp(v, -e), out)
-            np.ldexp(out, e, out=out)
+            target = out[start:stop]
+            _soc(np.ldexp(block, -e), target, 0, stop - start, None)
+            np.ldexp(target, e, out=target)
             return
     if nx <= t:
-        out[:] = v
+        out[start:stop] = v[start:stop]
     elif nx <= -t:
-        out[:] = 0.0
+        out[start:stop] = 0.0
     else:
         coef = 0.5 * (t + nx)
-        out[0] = coef
-        np.multiply(coef / nx, x, out=out[1:])
+        out[start] = coef
+        np.multiply(coef / nx, x, out=out[start + 1:stop])
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +187,6 @@ def _hfun(r0, s0, t0, rho):
     term1 = ca * ep if (math.isfinite(ep) or ca != 0.0) else 0.0
     term2 = cb * en if (math.isfinite(en) or cb != 0.0) else 0.0
     return term1 - term2 - quad * t0
-
-
-def _hfun_grad(r0, s0, t0, rho):
-    ep = _safe_exp(rho)
-    en = _safe_exp(-rho)
-    f = _hfun(r0, s0, t0, rho)
-    df = (rho * r0 + s0) * ep + (r0 - (rho - 1.0) * s0) * en - (2.0 * rho - 1.0) * t0
-    return f, df
 
 
 def _ppsi(r0, s0):
@@ -263,7 +270,15 @@ def _exp_root(r0, s0, t0, xl, xu):
     x = 0.5 * (xl + xu)
     converged = False
     for _ in range(_NEWTON_ITERS):
-        f, df = _hfun_grad(r0, s0, t0, x)
+        # h(x) as _hfun forms it, and h'(x), on one e^x and one e^-x
+        ep = math.inf if x >= 709.0 else math.exp(x)
+        en = math.inf if -x >= 709.0 else math.exp(-x)
+        ca = (x - 1.0) * r0 + s0
+        cb = r0 - x * s0
+        term1 = ca * ep if (math.isfinite(ep) or ca != 0.0) else 0.0
+        term2 = cb * en if (math.isfinite(en) or cb != 0.0) else 0.0
+        f = term1 - term2 - (x * (x - 1.0) + 1.0) * t0
+        df = (x * r0 + s0) * ep + (r0 - (x - 1.0) * s0) * en - (2.0 * x - 1.0) * t0
         if abs(f) <= 1e-15:
             converged = True
             break
@@ -330,25 +345,43 @@ def _exp_primal_from_rho(r0, s0, t0, rho):
     return vp, dist
 
 
-def project_exp(v: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection onto the exponential cone.
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e, or +-inf where that overflows (as np.ldexp gives)."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _exp_point(r0: float, s0: float, t0: float) -> tuple[float, float, float]:
+    """The Euclidean projection of (r0, s0, t0) onto the exponential cone.
 
     A point whose largest magnitude lies outside [2^-500, 2^500] is
     projected after an exact power-of-two rescaling (`_rescale_exponent`).
     """
-    r0, s0, t0 = float(v[0]), float(v[1]), float(v[2])
     if not (math.isfinite(r0) and math.isfinite(s0) and math.isfinite(t0)):
         raise NumericalError("exponential-cone projection of a non-finite point")
-    e = _rescale_exponent(max(abs(r0), abs(s0), abs(t0)))
-    if e is not None:
-        return np.ldexp(project_exp(np.ldexp([r0, s0, t0], -e)), e)
-    if in_exp((r0, s0, t0)):
-        return np.asarray(v, dtype=np.float64).copy()
-    if in_dual_exp((-r0, -s0, -t0)):
-        return np.zeros(3)
+    big = max(abs(r0), abs(s0), abs(t0))
+    if not _UNSCALED_MIN <= big <= _UNSCALED_MAX:
+        e = _rescale_exponent(big)
+        if e is not None:
+            r, s, t = _exp_point(math.ldexp(r0, -e), math.ldexp(s0, -e), math.ldexp(t0, -e))
+            return _ldexp(r, e), _ldexp(s, e), _ldexp(t, e)
+    # in_exp((r0, s0, t0)), then in_dual_exp((-r0, -s0, -t0)), both with
+    # atol 0, written out on the floats
+    if s0 > 0.0:
+        ratio = r0 / s0
+        if ratio < 709.0 and t0 >= 0.0 and t0 >= s0 * math.exp(ratio):
+            return r0, s0, t0
+    elif s0 == 0.0 and r0 <= 0.0 and t0 >= 0.0:
+        return r0, s0, t0
+    if r0 == 0.0 and s0 <= 0.0 and t0 <= 0.0:
+        return 0.0, 0.0, 0.0
+    if r0 > 0.0 and t0 < 0.0 and -r0 * _log_ratio(r0, -t0) + r0 - s0 >= 0.0:
+        return 0.0, 0.0, 0.0
     if r0 <= 0.0 and s0 <= 0.0:
         # Flat piece {(a, 0, c) : a <= 0, c >= 0} is exact in this region.
-        return np.array([r0, 0.0, max(t0, 0.0)])
+        return r0, 0.0, max(t0, 0.0)
 
     vp, pdist = _exp_heuristic_primal(r0, s0, t0)
     vd, ddist = _exp_heuristic_polar(r0, s0, t0)
@@ -358,19 +391,28 @@ def project_exp(v: np.ndarray) -> np.ndarray:
     )
     inner = vp[0] * vd[0] + vp[1] * vd[1] + vp[2] * vd[2]
     if min(pdist, ddist) <= tol or (moreau_err <= tol and inner <= tol):
-        return np.array(vp)
+        return vp
 
     xl, xu = _exp_bracket(r0, s0, t0, pdist, ddist)
     rho = _exp_root(r0, s0, t0, xl, xu)
     vp_root, dist_root = _exp_primal_from_rho(r0, s0, t0, rho)
     if vp_root is not None and dist_root <= pdist:
-        return np.array(vp_root)
-    return np.array(vp)
+        return vp_root
+    return vp
+
+
+def project_exp(v: np.ndarray) -> np.ndarray:
+    """Exact Euclidean projection onto the exponential cone."""
+    out = np.empty(3)
+    _exp(np.asarray(v, dtype=np.float64), out, 0, 3, None)
+    return out
 
 
 def project_dual_exp(v: np.ndarray) -> np.ndarray:
     """Moreau identity: proj_{K*}(v) = v + proj_K(-v)."""
-    return v + project_exp(-np.asarray(v, dtype=np.float64))
+    out = np.empty(3)
+    _dual_exp(np.asarray(v, dtype=np.float64), out, 0, 3, None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,33 +516,36 @@ def project_rescaled_soc(v: np.ndarray, d: np.ndarray) -> np.ndarray:
 # Block kernels
 # ---------------------------------------------------------------------------
 #
-# A kernel writes the projection of one block v into `out`, an array of the
-# same length.  All kernels take (v, out, scale) so that one loop can run
-# any mix of them; only the rescaled-soc kernel uses the scale.
+# A kernel writes the projection of the block v[start:stop] into
+# out[start:stop].  All kernels take (v, out, start, stop, scale) so that
+# one loop can run any mix of them; only the rescaled-soc kernel uses the
+# scale.
 
 
-def _free(v, out, scale):
-    out[:] = v
+def _free(v, out, start, stop, scale):
+    out[start:stop] = v[start:stop]
 
 
-def _zero(v, out, scale):
-    out[:] = 0.0
+def _zero(v, out, start, stop, scale):
+    out[start:stop] = 0.0
 
 
-def _nonneg(v, out, scale):
-    np.maximum(v, 0.0, out=out)
+def _nonneg(v, out, start, stop, scale):
+    np.maximum(v[start:stop], 0.0, out=out[start:stop])
 
 
-def _rescaled_soc(v, out, scale):
-    out[:] = project_rescaled_soc(v, scale)
+def _rescaled_soc(v, out, start, stop, scale):
+    out[start:stop] = project_rescaled_soc(v[start:stop], scale)
 
 
-def _exp(v, out, scale):
-    out[:] = project_exp(v)
+def _exp(v, out, start, stop, scale):
+    out[start], out[start + 1], out[start + 2] = _exp_point(*v[start:stop].tolist())
 
 
-def _dual_exp(v, out, scale):
-    out[:] = project_dual_exp(v)
+def _dual_exp(v, out, start, stop, scale):
+    r0, s0, t0 = v[start:stop].tolist()
+    a, b, c = _exp_point(-r0, -s0, -t0)
+    out[start], out[start + 1], out[start + 2] = r0 + a, s0 + b, t0 + c
 
 
 _DUAL_KIND = {
@@ -544,7 +589,7 @@ def _kernel(kind: Cone, scale: np.ndarray | None):
 def project_cone(v: np.ndarray, kind: Cone, scale: np.ndarray | None = None) -> np.ndarray:
     """Project onto {z : diag(scale) z in K(kind)} (scale None or uniform = plain cone)."""
     out = np.empty_like(v)
-    _kernel(kind, scale)(v, out, scale)
+    _kernel(kind, scale)(v, out, 0, v.size, scale)
     return out
 
 
@@ -602,14 +647,16 @@ def cone_layout(problem: ConicProblem) -> ConeLayout:
 
 def _project(ops: tuple, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     for kernel, start, stop, scale in ops:
-        kernel(v[start:stop], out[start:stop], scale)
+        kernel(v, out, start, stop, scale)
     return out
 
 
-def project_primal_set(x: np.ndarray, problem: ConicProblem) -> np.ndarray:
+def project_primal_set(x: np.ndarray, problem: ConicProblem,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Projection onto [l, u] x K_p (with any stored block scalings)."""
     n1 = problem.num_box
-    out = np.empty_like(x)
+    if out is None:
+        out = np.empty_like(x)
     # bitwise np.clip, NaN and signed zeros included, in about half the time
     box = out[:n1]
     np.minimum(np.maximum(x[:n1], problem.l, out=box), problem.u, out=box)
@@ -617,26 +664,32 @@ def project_primal_set(x: np.ndarray, problem: ConicProblem) -> np.ndarray:
     return out
 
 
-def project_dual_set(y: np.ndarray, problem: ConicProblem) -> np.ndarray:
+def project_dual_set(y: np.ndarray, problem: ConicProblem,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Projection of the dual iterate onto K_d.
 
     Stored block kinds describe the residual cone K_d*, so each y-block is
     projected onto the dual kind of its stored block; zero-tagged blocks
     leave y free because equality-row multipliers are sign-free.
     """
-    return _project(cone_layout(problem).dual, y, np.empty_like(y))
+    return _project(cone_layout(problem).dual, y, np.empty_like(y) if out is None else out)
 
 
-def project_dual_residual_set(r: np.ndarray, problem: ConicProblem) -> np.ndarray:
+def project_dual_residual_set(r: np.ndarray, problem: ConicProblem,
+                              out: np.ndarray | None = None) -> np.ndarray:
     """Projection of the constraint residual Gx - h onto K_d*."""
-    return _project(cone_layout(problem).dual_residual, r, np.empty_like(r))
+    return _project(cone_layout(problem).dual_residual, r,
+                    np.empty_like(r) if out is None else out)
 
 
-def project_primal_cone_part(v: np.ndarray, problem: ConicProblem) -> np.ndarray:
+def project_primal_cone_part(v: np.ndarray, problem: ConicProblem,
+                             out: np.ndarray | None = None) -> np.ndarray:
     """Projection of a length n - num_box vector onto K_p alone."""
-    return _project(cone_layout(problem).primal, v, np.empty_like(v))
+    return _project(cone_layout(problem).primal, v, np.empty_like(v) if out is None else out)
 
 
-def project_primal_cone_dual(lam: np.ndarray, problem: ConicProblem) -> np.ndarray:
+def project_primal_cone_dual(lam: np.ndarray, problem: ConicProblem,
+                             out: np.ndarray | None = None) -> np.ndarray:
     """Projection of the cone part of the multiplier lambda_2 onto K_p*."""
-    return _project(cone_layout(problem).primal_dual, lam, np.empty_like(lam))
+    return _project(cone_layout(problem).primal_dual, lam,
+                    np.empty_like(lam) if out is None else out)

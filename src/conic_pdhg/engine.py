@@ -8,9 +8,9 @@ line-search trial; the caches are refreshed from scratch at every check,
 and at a restart to the average, to stop round-off drift.  The vectors of
 an iteration live in buffers the loop allocates once: flat [x; y; G x;
 G^T y] buffers for the iterate, the anchor and the candidate, and a
-`StepWorkspace` for the line search's terms; products are written into
-them through `out=`, and the Halpern step overwrites the iterate buffer
-in three passes (two of them BLAS `daxpy`).
+`StepWorkspace` for the line search's terms; products and projections
+are written into them through `out`, and the Halpern step overwrites the
+iterate buffer in three passes (two of them BLAS `daxpy`).
 
 Restart checks, termination scans and log rows each run at the first
 iteration at or past every multiple of their period (`_reached`), since a
@@ -209,14 +209,19 @@ def _pdhg_candidate(problem, x, y, tau, sigma, grad_x, out, workspace=None):
     x_hat, y_hat, w = out[:n], out[n:n + m], out[n + m:n + 2 * m]
     np.multiply(grad_x, tau, out=vx)
     np.subtract(x, vx, out=vx)
-    x_hat[:] = cones.project_primal_set(vx, problem)
+    # a projection replaced by another function may return a fresh array
+    px = cones.project_primal_set(vx, problem, x_hat)
+    if px is not x_hat:
+        x_hat[:] = px
     np.multiply(x_hat, 2.0, out=vx)
     np.subtract(vx, x, out=vx)
     problem.G.matvec(vx, out=w)
     np.subtract(problem.h, w, out=vy)
     np.multiply(vy, sigma, out=vy)
     np.add(y, vy, out=vy)
-    y_hat[:] = cones.project_dual_set(vy, problem)
+    py = cones.project_dual_set(vy, problem, y_hat)
+    if py is not y_hat:
+        y_hat[:] = py
     return x_hat, y_hat, w
 
 
@@ -278,9 +283,9 @@ def adaptive_step_pdhg(
         x_hat, y_hat, w = _pdhg_candidate(problem, z.x, z.y, tau, sigma, grad_x, out, workspace)
         dx = np.subtract(x_hat, z.x, out=workspace.vx)
         dy = np.subtract(y_hat, z.y, out=workspace.vy)
-        movement = omega * float(np.dot(dx, dx)) + float(np.dot(dy, dy)) / omega
+        movement = omega * float(dx.dot(dx)) + float(dy.dot(dy)) / omega
         # G dx = G x_hat - G x reuses the extrapolated product: G x_hat = (w + gx)/2
-        interaction = abs(float(np.dot(dy, np.subtract(w, gx, out=workspace.dw)))) / 2.0
+        interaction = abs(float(dy.dot(np.subtract(w, gx, out=workspace.dw)))) / 2.0
         if math.isnan(movement) or math.isnan(interaction):
             raise NumericalError("non-finite quantities in the step-size line search")
         if interaction == 0.0 or math.sqrt(movement) <= noise_floor:

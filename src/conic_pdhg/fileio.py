@@ -277,7 +277,7 @@ def problem_to_document(problem: ConicProblem) -> dict:
             dexp += 1
         elif spec.kind is Cone.RSOC:
             rsoc.append(spec.dim)
-    coo = problem.G.tocoo()  # column-major; the reader takes any order
+    rows, cols, vals = problem.G.triplets()  # column-major; the reader takes any order
     doc = {
         "format_version": FORMAT_VERSION,
         "n": problem.n,
@@ -288,9 +288,9 @@ def problem_to_document(problem: ConicProblem) -> dict:
         "bl": _encode_vector(problem.l),
         "bu": _encode_vector(problem.u),
         "G": {
-            "rows": [int(i) for i in coo.row],
-            "cols": [int(j) for j in coo.col],
-            "vals": [float(v) for v in coo.data],
+            "rows": [int(i) for i in rows],
+            "cols": [int(j) for j in cols],
+            "vals": [float(v) for v in vals],
         },
         "mGzero": counts[Cone.ZERO],
         "mGnonnegative": counts[Cone.NONNEG],

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 
 class NumericalError(RuntimeError):
@@ -28,15 +29,20 @@ class SparseMatrix:
     """G stored once, as a canonical CSC matrix, built once and never mutated.
 
     G x runs on the CSC arrays (a scatter, a few percent faster than the
-    CSR gather on the benchmark's LPs) and G^T y on the CSR view of G^T
-    that the same arrays give (a gather, faster there than the scatter).
-    The scatter sums every row in ascending column order from 0.0, as the
-    CSR kernel does, so G x has the bits of the CSR product.  The entries
-    are canonicalized through a CSR matrix that lives only in `__init__`:
-    it sums duplicate triplets in row order, which building the CSC matrix
-    straight from triplets does not, and only its CSC conversion is kept.
-    Products are counted (`n_matvec` / `n_rmatvec`) so tests can assert the
-    per-iteration matvec budget of the solver loop.
+    CSR gather on the benchmark's LPs) and G^T y reads the same arrays as
+    the CSR matrix of G^T (a gather, faster there than the scatter).  The
+    scatter sums every row in ascending column order from 0.0, as the CSR
+    kernel does, so G x has the bits of the CSR product.  Both products
+    call scipy's `_sparsetools.csc_matvec` / `csr_matvec` on a zero-filled
+    `out`: these are the kernels, and the zero start, that `@` runs, so the
+    bits are `@`'s, without its allocation, its dispatch and the copy into
+    the caller's buffer.  The private module is imported at load, so a
+    scipy that moves it fails at import rather than in a solve.  The
+    entries are canonicalized through a CSR matrix that lives only in
+    `__init__`: it sums duplicate triplets in row order, which building the
+    CSC matrix straight from triplets does not, and only its CSC conversion
+    is kept.  Products are counted (`n_matvec` / `n_rmatvec`) so tests can
+    assert the per-iteration matvec budget of the solver loop.
     """
 
     def __init__(self, matrix) -> None:
@@ -49,7 +55,6 @@ class SparseMatrix:
 
     def _set_views(self, csc) -> None:
         self._csc = csc
-        self._csc_t = csc.T  # CSR view of G^T on the CSC arrays
         self.shape = csc.shape
         self.n_matvec = 0
         self.n_rmatvec = 0
@@ -74,23 +79,37 @@ class SparseMatrix:
         return self._csc.nnz
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """G x, written into `out` (and returned) when it is given."""
-        if x.shape != (self.n,):
-            raise ValueError(f"matvec expects a vector of length {self.n}, got {x.shape}")
+        """G x, written into `out` (and returned) when it is given; `out`
+        must not overlap `x`."""
+        m, n = self.shape
+        if x.shape != (n,):
+            raise ValueError(f"matvec expects a vector of length {n}, got {x.shape}")
         self.n_matvec += 1
         if out is None:
-            return self._csc @ x
-        out[:] = self._csc @ x
+            out = np.zeros(m)
+        elif out.shape == (m,):
+            out.fill(0.0)
+        else:  # the kernel does not check bounds
+            raise ValueError(f"out must have length {m}, got {out.shape}")
+        csc = self._csc
+        csc_matvec(m, n, csc.indptr, csc.indices, csc.data, x, out)
         return out
 
     def rmatvec(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """G^T y, written into `out` (and returned) when it is given."""
-        if y.shape != (self.m,):
-            raise ValueError(f"rmatvec expects a vector of length {self.m}, got {y.shape}")
+        """G^T y, written into `out` (and returned) when it is given; `out`
+        must not overlap `y`."""
+        m, n = self.shape
+        if y.shape != (m,):
+            raise ValueError(f"rmatvec expects a vector of length {m}, got {y.shape}")
         self.n_rmatvec += 1
         if out is None:
-            return self._csc_t @ y
-        out[:] = self._csc_t @ y
+            out = np.zeros(n)
+        elif out.shape == (n,):
+            out.fill(0.0)
+        else:  # the kernel does not check bounds
+            raise ValueError(f"out must have length {n}, got {out.shape}")
+        csc = self._csc
+        csr_matvec(n, m, csc.indptr, csc.indices, csc.data, y, out)
         return out
 
     def max_abs(self) -> float:
@@ -116,18 +135,25 @@ class SparseMatrix:
         are dropped, as the products drop them; so the result equals the
         products' bit for bit without forming them or re-sorting.
         """
-        csc = self._csc
-        cols = np.repeat(np.arange(self.n), np.diff(csc.indptr))
+        rows, cols, vals = self.triplets()
         out = SparseMatrix.__new__(SparseMatrix)
-        out._set_views(_with_data(csc, d_row[csc.indices] * csc.data * d_col[cols]))
+        out._set_views(_with_data(self._csc, d_row[rows] * vals * d_col[cols]))
         return out
 
     def toarray(self) -> np.ndarray:
         return self._csc.toarray()
 
-    def tocoo(self):
-        """The entries as triplets in column-major order (by column, then row)."""
-        return self._csc.tocoo()
+    def tocsr(self):
+        """A CSR copy of G."""
+        return self._csc.tocsr()
+
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of the entries in column-major order (by
+        column, then row).  `rows` and `vals` are the stored CSC arrays, not
+        copies, so callers must not write to them; `cols` is expanded from
+        the column pointers."""
+        csc = self._csc
+        return csc.indices, np.repeat(np.arange(self.n), np.diff(csc.indptr)), csc.data
 
     def reset_counters(self) -> None:
         self.n_matvec = 0
@@ -168,7 +194,7 @@ class WeightedNormContext:
 
 def omega_norm(x: np.ndarray, y: np.ndarray, omega: float) -> float:
     """sqrt(omega*||x||^2 + ||y||^2/omega)."""
-    return float(np.sqrt(omega * np.dot(x, x) + np.dot(y, y) / omega))
+    return float(np.sqrt(omega * x.dot(x) + y.dot(y) / omega))
 
 
 def n_norm(x: np.ndarray, y: np.ndarray, ctx: WeightedNormContext) -> float:

@@ -299,7 +299,7 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
     if not problem.has_rsoc_blocks():
         return problem
 
-    g = problem.G.tocoo().tocsr()
+    g = problem.G.tocsr()
     h, c = problem.h, problem.c
     row_pairs = [(sl.start, sl.start + 1) for sl in _rotation_blocks(problem.dual_cones, 0)]
     col_pairs = [

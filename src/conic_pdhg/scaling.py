@@ -120,9 +120,8 @@ def build_scaling(problem: ConicProblem) -> ScalingPair:
         raise ValueError("build_scaling needs a nonzero constraint matrix")
 
     m, n = problem.m, problem.n
-    g = problem.G.tocoo()  # CSC order
-    rows, cols = g.row, g.col
-    d1, d2, a = _ruiz_rounds(rows, cols, np.abs(g.data), m, n)
+    rows, cols, vals = problem.G.triplets()  # CSC order
+    d1, d2, a = _ruiz_rounds(rows, cols, np.abs(vals), m, n)
 
     kept = a > 0
     rows, cols, a = rows[kept], cols[kept], a[kept]

@@ -170,6 +170,111 @@ def dual_exp_membership_by_sampling(v, rng, samples=4000):
 
 
 # ---------------------------------------------------------------------------
+# Exponential cone: the numpy-wrapped projection the block kernels replaced,
+# with its Newton step on separate h and h' evaluations
+# ---------------------------------------------------------------------------
+
+
+def _exp_hfun_grad(r0, s0, t0, rho):
+    """h(rho) by `cones._hfun` and h'(rho), each on its own e^rho and e^-rho."""
+    from conic_pdhg.cones import _hfun, _safe_exp
+
+    ep = _safe_exp(rho)
+    en = _safe_exp(-rho)
+    f = _hfun(r0, s0, t0, rho)
+    df = (rho * r0 + s0) * ep + (r0 - (rho - 1.0) * s0) * en - (2.0 * rho - 1.0) * t0
+    return f, df
+
+
+def _exp_root_reference(r0, s0, t0, xl, xu):
+    """Damped Newton on h within [xl, xu], bisection fallback."""
+    from conic_pdhg.cones import _MAX_ROOT_ITERS, _NEWTON_ITERS, _ROOT_TOL, _hfun
+
+    x = 0.5 * (xl + xu)
+    converged = False
+    for _ in range(_NEWTON_ITERS):
+        f, df = _exp_hfun_grad(r0, s0, t0, x)
+        if abs(f) <= 1e-15:
+            converged = True
+            break
+        if f < 0.0:
+            xl = x
+        else:
+            xu = x
+        if xu <= xl:
+            return 0.5 * (xl + xu)
+        if not math.isfinite(f) or df < 1e-13:
+            break
+        x_new = x - f / df
+        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x_new)):
+            x = min(max(x_new, xl), xu)
+            converged = True
+            break
+        if x_new >= xu:
+            x = min(0.5 * x + 0.95 * xu, xu)
+        elif x_new <= xl:
+            x = max(0.5 * x + 0.95 * xl, xl)
+        else:
+            x = x_new
+    if converged:
+        return min(max(x, xl), xu)
+    for _ in range(_MAX_ROOT_ITERS - _NEWTON_ITERS):
+        x = 0.5 * (xl + xu)
+        f = _hfun(r0, s0, t0, x)
+        if f < 0.0:
+            xl = x
+        else:
+            xu = x
+        if xu - xl <= _ROOT_TOL * max(1.0, abs(xu)):
+            break
+    return 0.5 * (xl + xu)
+
+
+def project_exp_reference(v):
+    """Projection onto the exponential cone through numpy arrays, the
+    membership functions `in_exp` / `in_dual_exp` and `np.ldexp`; the
+    heuristics, the bracket and the candidate from the root are the
+    package's own scalar helpers."""
+    from conic_pdhg import cones
+    from conic_pdhg.linalg import NumericalError
+
+    r0, s0, t0 = float(v[0]), float(v[1]), float(v[2])
+    if not (math.isfinite(r0) and math.isfinite(s0) and math.isfinite(t0)):
+        raise NumericalError("exponential-cone projection of a non-finite point")
+    e = cones._rescale_exponent(max(abs(r0), abs(s0), abs(t0)))
+    if e is not None:
+        return np.ldexp(project_exp_reference(np.ldexp([r0, s0, t0], -e)), e)
+    if cones.in_exp((r0, s0, t0)):
+        return np.asarray(v, dtype=np.float64).copy()
+    if cones.in_dual_exp((-r0, -s0, -t0)):
+        return np.zeros(3)
+    if r0 <= 0.0 and s0 <= 0.0:
+        return np.array([r0, 0.0, max(t0, 0.0)])
+
+    vp, pdist = cones._exp_heuristic_primal(r0, s0, t0)
+    vd, ddist = cones._exp_heuristic_polar(r0, s0, t0)
+    tol = 1e-12 * max(1.0, abs(r0), abs(s0), abs(t0))
+    moreau_err = max(
+        abs(vp[0] + vd[0] - r0), abs(vp[1] + vd[1] - s0), abs(vp[2] + vd[2] - t0)
+    )
+    inner = vp[0] * vd[0] + vp[1] * vd[1] + vp[2] * vd[2]
+    if min(pdist, ddist) <= tol or (moreau_err <= tol and inner <= tol):
+        return np.array(vp)
+
+    xl, xu = cones._exp_bracket(r0, s0, t0, pdist, ddist)
+    rho = _exp_root_reference(r0, s0, t0, xl, xu)
+    vp_root, dist_root = cones._exp_primal_from_rho(r0, s0, t0, rho)
+    if vp_root is not None and dist_root <= pdist:
+        return np.array(vp_root)
+    return np.array(vp)
+
+
+def project_dual_exp_reference(v):
+    """Moreau identity on arrays: v + proj_K(-v)."""
+    return v + project_exp_reference(-np.asarray(v, dtype=np.float64))
+
+
+# ---------------------------------------------------------------------------
 # Box bounds: the boolean-mask forms the solver used before it classified the
 # bounds once per problem as intervals and index arrays
 # ---------------------------------------------------------------------------
@@ -262,7 +367,7 @@ def build_scaling_matrix_algebra(problem):
         v = np.asarray(v.todense() if sp.issparse(v) else v, dtype=float).ravel()
         return np.array([1.0 / math.sqrt(e) if e > 0 else 1.0 for e in v])
 
-    a = abs(sp.csr_matrix(problem.G.tocoo()))
+    a = abs(problem.G.tocsr())
     d1, d2 = np.ones(problem.m), np.ones(problem.n)
     for _ in range(10):
         r, c = inv_sqrt(a.max(axis=1)), inv_sqrt(a.max(axis=0))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dual_exp_membership_by_sampling,
@@ -11,8 +13,12 @@ from oracles import (
     exp_membership_direct,
     near_dual_exp_cone,
     near_exp_cone,
+    project_dual_exp_reference,
+    project_exp_reference,
     rescaled_soc_projection_fista,
 )
+
+from conic_pdhg import cones
 
 from conic_pdhg.cones import (
     dual_cone_kind,
@@ -226,6 +232,127 @@ class TestDualExp:
             v = rng.uniform(-5, 5, 3)
             lhs = project_exp(v) - project_dual_exp(-v)
             assert np.linalg.norm(lhs - v) <= 1e-9
+
+
+def exp_path(v):
+    """The branch of the exp-cone projection that `v` takes."""
+    r0, s0, t0 = (float(c) for c in v)
+    big = max(abs(r0), abs(s0), abs(t0))
+    if cones._rescale_exponent(big) is not None:
+        return "rescaled up" if big < 1.0 else "rescaled down"
+    if in_exp((r0, s0, t0)):
+        return "cone"
+    if in_dual_exp((-r0, -s0, -t0)):
+        return "polar"
+    if r0 <= 0.0 and s0 <= 0.0:
+        return "flat"
+    vp, pdist = cones._exp_heuristic_primal(r0, s0, t0)
+    vd, ddist = cones._exp_heuristic_polar(r0, s0, t0)
+    tol = 1e-12 * max(1.0, abs(r0), abs(s0), abs(t0))
+    moreau_err = max(abs(vp[0] + vd[0] - r0), abs(vp[1] + vd[1] - s0), abs(vp[2] + vd[2] - t0))
+    inner = vp[0] * vd[0] + vp[1] * vd[1] + vp[2] * vd[2]
+    if min(pdist, ddist) <= tol or (moreau_err <= tol and inner <= tol):
+        return "heuristic"
+    return "root"
+
+
+EXP_PATH_POINTS = {
+    "cone": [(0.0, 1.0, 1.0), (1.0, 1.0, math.e), (0.0, -0.0, 5.0), (-0.0, 0.0, 0.0),
+             (-3.0, 0.0, 2.0), (-2.0, 1.0, 1.0)],
+    "polar": [(1.0, 1.0, -1.0), (1.0, -0.5, -1.0), (0.0, -1.0, -0.0), (0.0, 0.0, -2.0)],
+    "flat": [(-1.0, -1.0, -1.0), (-1.0, -1.0, -0.0), (-2.0, -1.0, 3.0), (-0.0, -1.0, 0.5)],
+    "heuristic": [(1.0, 1.0, math.e - 1e-14), (2.0, 1.0, math.exp(2.0) * (1.0 - 1e-15))],
+    "root": [(1.0, 1.0, 1.0), (0.5, -1.0, 2.0), (3.0, 0.1, -1.0), (-1.0, 2.0, -0.5)],
+    "rescaled up": [(2.0 ** -600, 2.0 ** -600, 2.0 ** -600), (1e-300, -1e-301, 0.0),
+                    (5e-324, 5e-324, -5e-324)],
+    # the last two project onto points with an entry of +inf and of -inf
+    "rescaled down": [(2.0 ** 600, 2.0 ** 600, 2.0 ** 600), (1e300, 1e299, -1e300),
+                      (-1e308, 1e308, 0.0), (1.7e308, 1.7e308, 1.7e308),
+                      (-1.7893197942457102e308, 4.729903569503219e307, -7.123341480893963e307)],
+}
+
+
+def exp_kernel_outputs(v):
+    """`v` projected onto K_exp and K_exp* by the block kernels (into a
+    NaN-filled buffer at an offset, which must stay NaN around the block)
+    and by `project_exp` / `project_dual_exp`."""
+    outs = []
+    for kernel, project in ((cones._exp, project_exp), (cones._dual_exp, project_dual_exp)):
+        buf, src = np.full(7, np.nan), np.zeros(7)
+        src[2:5] = v
+        kernel(src, buf, 2, 5, None)
+        assert np.isnan(buf[:2]).all() and np.isnan(buf[5:]).all()
+        outs.append((buf[2:5].copy(), project(np.array(v))))
+    return outs
+
+
+def assert_exp_kernels_match_reference(v):
+    v = np.array(v, dtype=np.float64)
+    want = (project_exp_reference(v), project_dual_exp_reference(v))
+    for (from_kernel, from_wrapper), w in zip(exp_kernel_outputs(v), want):
+        np.testing.assert_array_equal(bits(from_kernel), bits(w))
+        np.testing.assert_array_equal(bits(from_wrapper), bits(w))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in ldexp:RuntimeWarning")
+class TestExpKernelsAgainstReference:
+    """The float-level exp kernels against the numpy projection they
+    replaced (`oracles.project_exp_reference`), bit for bit, signed zeros
+    included.  Near the largest double the reference's `np.ldexp`
+    overflows to +-inf, with a warning, where the kernels do so quietly."""
+
+    @pytest.mark.parametrize("path", sorted(EXP_PATH_POINTS))
+    def test_every_path(self, path):
+        for v in EXP_PATH_POINTS[path]:
+            assert exp_path(v) == path, v
+            assert_exp_kernels_match_reference(v)
+
+    def test_scaled_root_points_take_both_rescale_branches(self):
+        for scale, path in ((2.0 ** -700, "rescaled up"), (2.0 ** 700, "rescaled down")):
+            for v in EXP_PATH_POINTS["root"]:
+                w = tuple(scale * c for c in v)
+                assert exp_path(w) == path
+                assert exp_path(tuple(math.ldexp(c, -math.frexp(max(map(abs, w)))[1])
+                                      for c in w)) == "root"
+                assert_exp_kernels_match_reference(w)
+
+    @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+    @settings(max_examples=600, deadline=None)
+    def test_any_finite_point(self, v):
+        assert_exp_kernels_match_reference(v)
+
+    @given(st.tuples(*[st.floats(-8.0, 8.0)] * 3),
+           st.sampled_from([2.0 ** -1000, 2.0 ** -600, 2.0 ** -501, 1.0, 2.0 ** 501,
+                            2.0 ** 600, 2.0 ** 1000]))
+    @settings(max_examples=600, deadline=None)
+    def test_moderate_points_at_every_scale(self, v, scale):
+        assert_exp_kernels_match_reference(tuple(scale * c for c in v))
+
+    @given(st.floats(-20.0, 20.0), st.floats(0.1, 10.0), st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_points_on_and_next_to_the_boundary(self, a, b, ulps):
+        c = b * math.exp(a / b)
+        for _ in range(abs(ulps)):
+            c = math.nextafter(c, math.copysign(math.inf, ulps))
+        assert_exp_kernels_match_reference((a, b, c))
+        assert_exp_kernels_match_reference((-a, -b, -c))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_non_finite_point_raises(self, bad, at):
+        v = [1.0, 1.0, 1.0]
+        v[at] = bad
+        for project in (project_exp_reference, project_dual_exp_reference,
+                        project_exp, project_dual_exp):
+            with pytest.raises(NumericalError):
+                project(np.array(v))
+        for kernel in (cones._exp, cones._dual_exp):
+            with pytest.raises(NumericalError):
+                kernel(np.array(v), np.empty(3), 0, 3, None)
 
 
 class TestRescaledSoc:

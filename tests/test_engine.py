@@ -668,8 +668,8 @@ def test_exit_record(case, monkeypatch):
         # primal projections turn NaN once five iterations were accepted
         orig = eng.cones.project_primal_set
 
-        def poisoned(x, problem):
-            out = orig(x, problem)
+        def poisoned(x, problem, out=None):
+            out = orig(x, problem, out)
             if len(k_bars) >= 5:
                 out[0] = math.nan
             return out

@@ -194,6 +194,33 @@ def test_in_place_updates_allocate_no_vectors():
     assert peak < 8 * size // 10
 
 
+def test_step_with_buffers_allocates_no_vectors():
+    # products go straight into the step's buffers and the projections
+    # write into the candidate, so no vector is allocated and copied
+    import scipy.sparse as sp
+
+    n, m = 200_000, 100_000
+    rng = np.random.default_rng(1)
+    g = sp.random(m, n, density=2.0 / m, format="csc", random_state=rng)
+    x0 = rng.uniform(-1.0, 1.0, n)
+    p = ConicProblem(c=rng.standard_normal(n), G=SparseMatrix(g), h=g @ x0 - 0.5,
+                     l=np.full(n, -2.0), u=np.full(n, 3.0), num_box=n,
+                     dual_cones=(ConeSpec(Cone.NONNEG, m),))
+    z = IterateZ(np.zeros(n), np.zeros(m))
+    gx, gty = p.G.matvec(z.x), p.G.rmatvec(z.y)
+    out, workspace = np.empty(n + 2 * m), eng.StepWorkspace.allocate(n, m)
+    step = eng.adaptive_step_pdhg(p, z, 1.0, 1.0, 1, gty=gty, gx=gx, out=out, workspace=workspace)
+    tracemalloc.start()
+    try:
+        step = eng.adaptive_step_pdhg(p, z, 1.0, step.eta_next, 2, gty=gty, gx=gx,
+                                      out=out, workspace=workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step.z_hat.x.base is out and step.z_hat.y.base is out
+    assert peak < 8 * m // 10
+
+
 # ---------------------------------------------------------------------------
 # The solve loop
 # ---------------------------------------------------------------------------

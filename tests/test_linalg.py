@@ -41,11 +41,15 @@ def test_matvec_against_dense_oracle():
 
 
 def test_matvec_agrees_with_the_csr_of_its_triplets():
+    import scipy.sparse as sp
+
     rng = np.random.default_rng(1)
     dense = rng.standard_normal((30, 20)) * (rng.random((30, 20)) < 0.4)
     a = SparseMatrix(dense)
     x = rng.standard_normal(20)
-    np.testing.assert_allclose(a.matvec(x), a.tocoo().tocsr() @ x, atol=1e-12)
+    rows, cols, vals = a.triplets()
+    csr = sp.csr_matrix((vals, (rows, cols)), shape=a.shape)
+    np.testing.assert_allclose(a.matvec(x), csr @ x, atol=1e-12)
 
 
 def test_callers_csr_left_unchanged():
@@ -78,6 +82,11 @@ def test_dimension_mismatch():
         a.matvec(np.zeros(4))
     with pytest.raises(ValueError):
         a.rmatvec(np.zeros(4))
+    # scipy's kernels write out of bounds into a short `out`
+    for product in (a.matvec, a.rmatvec):
+        for out in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(ValueError, match="out must have length 3"):
+                product(np.zeros(3), out=out)
 
 
 def test_matvec_counters():
@@ -119,6 +128,53 @@ def test_products_into_out_are_the_csr_products():
         np.testing.assert_array_equal(bits(a.matvec(x)), bits(out_x))
         np.testing.assert_array_equal(bits(a.rmatvec(y)), bits(out_y))
         assert (a.n_matvec, a.n_rmatvec) == (2, 2)
+
+
+def test_products_call_scipys_kernels_loaded_with_the_module():
+    # a scipy that moves these private kernels fails this import, and every
+    # test that imports the module, rather than a solve
+    from scipy.sparse import _sparsetools
+
+    import conic_pdhg.linalg as linalg
+
+    assert linalg.csc_matvec is _sparsetools.csc_matvec
+    assert linalg.csr_matvec is _sparsetools.csr_matvec
+
+
+def with_index_dtype(a, dtype):
+    """`a`'s entries with index arrays of `dtype`; scipy's constructors
+    narrow indices that fit in int32, so the arrays are set afterwards."""
+    import scipy.sparse as sp
+
+    csc = sp.csc_matrix(a._csc, copy=True)
+    csc.indices, csc.indptr = csc.indices.astype(dtype), csc.indptr.astype(dtype)
+    out = SparseMatrix.__new__(SparseMatrix)
+    out._set_views(csc)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("shape, density", [((17, 11), 0.3), ((9, 23), 0.0), ((6, 0), 0.3),
+                                            ((0, 5), 0.3), ((1, 1), 1.0)],
+                         ids=["random", "nnz 0", "n 0", "m 0", "1x1"])
+def test_products_into_nan_filled_out_have_the_bits_of_scipy(dtype, shape, density):
+    rng = np.random.default_rng(9)
+    m, n = shape
+    for _ in range(5):
+        dense = random_sparse(rng, m, n, density) * 10.0 ** rng.uniform(-30, 30, (m, n))
+        a = with_index_dtype(SparseMatrix(dense), dtype)
+        assert a._csc.indices.dtype == dtype and a._csc.indptr.dtype == dtype
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        out_x, out_y = np.full(m, np.nan), np.full(n, np.nan)
+        assert a.matvec(x, out=out_x) is out_x
+        assert (a.n_matvec, a.n_rmatvec) == (1, 0)
+        assert a.rmatvec(y, out=out_y) is out_y
+        assert (a.n_matvec, a.n_rmatvec) == (1, 1)
+        np.testing.assert_array_equal(bits(out_x), bits(a._csc @ x))
+        np.testing.assert_array_equal(bits(out_y), bits(a._csc.T @ y))
+        np.testing.assert_array_equal(bits(a.matvec(x)), bits(out_x))
+        np.testing.assert_array_equal(bits(a.rmatvec(y)), bits(out_y))
+        a.reset_counters()
 
 
 def products_reference(a, d_row, d_col):

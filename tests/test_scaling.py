@@ -65,8 +65,8 @@ class TestBuildScaling:
         # (4, 1), so both scales are (1/2, 1), which a second round would
         # change again
         monkeypatch.setattr(scaling, "_RUIZ_ROUNDS", 1)
-        g = SparseMatrix(np.array([[4.0, 1.0], [1.0, 0.25]])).tocoo()
-        d1, d2, a = scaling._ruiz_rounds(g.row, g.col, np.abs(g.data), 2, 2)
+        rows, cols, vals = SparseMatrix(np.array([[4.0, 1.0], [1.0, 0.25]])).triplets()
+        d1, d2, a = scaling._ruiz_rounds(rows, cols, np.abs(vals), 2, 2)
         np.testing.assert_array_equal(d1, [0.5, 1.0])
         np.testing.assert_array_equal(d2, [0.5, 1.0])
         np.testing.assert_array_equal(a, [1.0, 0.5, 0.5, 0.25])
@@ -78,8 +78,8 @@ class TestBuildScaling:
         dense[:, 0] = 1.0  # avoid empty columns
         dense[0, :] = 1.0
         p = make_problem(dense, dual_cones=(ConeSpec(Cone.NONNEG, 30),))
-        g = p.G.tocoo()
-        d1, d2, _ = scaling._ruiz_rounds(g.row, g.col, np.abs(g.data), 30, 20)
+        rows, cols, vals = p.G.triplets()
+        d1, d2, _ = scaling._ruiz_rounds(rows, cols, np.abs(vals), 30, 20)
         scaled = np.abs(p.G.scaled(d1, d2).toarray())
         row_max = scaled.max(axis=1)
         col_max = scaled.max(axis=0)
