@@ -298,12 +298,13 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in ldexp:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestExpKernelsAgainstReference:
     """The float-level exp kernels against the numpy projection they
     replaced (`oracles.project_exp_reference`), bit for bit, signed zeros
-    included.  Near the largest double the reference's `np.ldexp`
-    overflows to +-inf, with a warning, where the kernels do so quietly."""
+    included.  Near the largest double the reference's `np.ldexp` and its
+    `v + P(-v)` overflow to +-inf, with a warning, where the kernels do so
+    quietly."""
 
     @pytest.mark.parametrize("path", sorted(EXP_PATH_POINTS))
     def test_every_path(self, path):
