@@ -9,7 +9,11 @@ The format only expresses box variables, so nb must equal n.
 
 `parse_problem` reads a file's top-level object, and the object under G,
 one member at a time: each value goes to its key's converter as soon as it
-is scanned, so at most one raw JSON list is alive at once.
+is scanned, so at most one raw JSON list is alive at once.  Lists are read
+by orjson, in comma-cut pieces; a list orjson rejects, or one whose numbers
+it may read otherwise than the standard library, is scanned again by the
+standard library's scanner, so the two readers give the same problems and
+the same errors.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 import warnings
 
 import numpy as np
+import orjson
 
 from .linalg import SparseMatrix
 from .model import Cone, ConeSpec, ConicProblem
@@ -30,6 +35,8 @@ FORMAT_VERSION = 1
 
 _scan_value = json.scanner.make_scanner(json.JSONDecoder())
 _skip_space = json.decoder.WHITESPACE.match
+_PIECE = 1 << 16  # characters of a list that one orjson.loads call reads, up to the next comma
+_BIG_INT = 2.0**63  # orjson reads integers beyond [-2**63, 2**64) as floats at least this large
 
 
 class ProblemFormatError(ValueError):
@@ -92,13 +99,13 @@ def _number_array(values, key: str) -> np.ndarray:
     """A JSON list of numbers as a flat array of integer or float dtype.
 
     JSON booleans are rejected: NumPy reads a list mixing them with numbers
-    as 0 and 1."""
+    as 0 and 1, so only the entries that read as 0 or 1 are looked at."""
     try:
         arr = np.asarray(_list(values, key))
     except ValueError:  # ragged nesting
         arr = None
     if (arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuf")
-            or bool in set(map(type, values))):
+            or any(type(values[i]) is bool for i in np.flatnonzero((arr == 0) | (arr == 1)).tolist())):
         raise ProblemFormatError(f"{key} must be a flat list of numbers")
     return arr
 
@@ -111,10 +118,11 @@ def _finite_array(values, key: str) -> np.ndarray:
 
 
 def _index_array(values, key: str) -> np.ndarray:
+    """Integral numbers; `_assemble` casts them to int64."""
     arr = _number_array(values, key)
     if arr.dtype.kind == "f" and not np.array_equal(arr, np.trunc(arr)):
         raise ProblemFormatError(f"{key} entries must be integers")
-    return arr.astype(np.int64, copy=False)
+    return arr
 
 
 def _bound_array(values, key: str) -> np.ndarray:
@@ -202,9 +210,9 @@ def _scan_members(s: str, end: int, rules: dict, prefix: str):
     """Convert the members of the JSON object whose `{` is at s[end - 1].
 
     Returns the converted members and the index after the closing `}`.  The
-    grammar is `json.decoder.JSONObject`'s and every value is scanned by the
-    stdlib's scanner; a member whose rule is a table and whose value is an
-    object is walked the same way.  Malformed text raises `_NotJson`,
+    grammar is `json.decoder.JSONObject`'s and every value is scanned as
+    `_scan_converted` says; a member whose rule is a table and whose value
+    is an object is walked the same way.  Malformed text raises `_NotJson`,
     `StopIteration` or `json.JSONDecodeError`."""
     members = {}
     end = _skip_space(s, end).end()
@@ -222,15 +230,76 @@ def _scan_members(s: str, end: int, rules: dict, prefix: str):
         if isinstance(rule, dict) and s[end:end + 1] == "{":
             members[key], end = _scan_members(s, end + 1, rule, f"{prefix}{key}.")
         else:
-            value, end = _scan_value(s, end)
-            members[key] = _convert(rule, value, prefix + key)
-            del value  # the raw list goes before the next one is scanned
+            members[key], end = _scan_converted(s, end, rule, prefix + key)
         end = _skip_space(s, end).end()
         if s[end:end + 1] == "}":
             return members, end + 1
         if s[end:end + 1] != ",":
             raise _NotJson
         end = _skip_space(s, end + 1).end()
+
+
+def _load_list(s: str, start: int):
+    """The list whose `[` is at s[start], read by orjson, and the index after
+    its `]`; (None, None) if orjson rejects it.
+
+    The list ends at the first `]`, so a nested list, or a string holding
+    `]`, leaves a piece that orjson rejects.  Pieces are cut at commas, so a
+    cut inside a string leaves one too.  A piece that reads as no value, as
+    `[1,]`, `[,1]` and `[1,,2]` leave, is rejected unless it is the whole
+    list."""
+    close = s.find("]", start)
+    if close < 0:
+        return None, None
+    values, begin = [], start + 1
+    while True:
+        cut = s.find(",", begin + _PIECE, close)
+        if cut < 0:
+            cut = close
+        try:
+            piece = orjson.loads("[" + s[begin:cut] + "]")
+        except orjson.JSONDecodeError:
+            return None, None
+        if not piece and (begin > start + 1 or cut < close):
+            return None, None
+        values += piece
+        if cut == close:
+            return values, close + 1
+        begin = cut + 1
+
+
+def _read_alike(converted) -> bool:
+    """Whether a list that orjson read converts as the stdlib's reading of
+    it does.
+
+    orjson reads integers outside [-2**63, 2**64) as floats, so a converted
+    list holding a finite number that large is no proof, nor is a conversion
+    that failed.  Infinite bounds come from the strings "inf" and "-inf"."""
+    if isinstance(converted, np.ndarray):  # orjson's huge integers are floats
+        return (converted.dtype.kind != "f"
+                or not np.isfinite(converted[np.abs(converted) >= _BIG_INT]).any())
+    if isinstance(converted, list):  # counts
+        return max(converted, default=0) < _BIG_INT
+    return False  # a failed conversion
+
+
+def _scan_converted(s: str, end: int, rule, key: str):
+    """The value at s[end] converted by `rule`, and the index after it.
+
+    A known key's list goes to orjson first; the stdlib's scanner reads what
+    orjson rejects and every list whose conversion `_read_alike` cannot
+    vouch for.  An unknown key's value is only checked for well-formedness,
+    which orjson judges otherwise for objects nested too deep for the
+    stdlib's recursion limit, so the stdlib reads it."""
+    if rule is not None and s[end:end + 1] == "[":
+        value, after = _load_list(s, end)
+        if value is not None:
+            converted = _convert(rule, value, key)
+            del value  # before any second reading
+            if _read_alike(converted):
+                return converted, after
+    value, end = _scan_value(s, end)
+    return _convert(rule, value, key), end
 
 
 def _document_members(doc) -> dict:
@@ -340,8 +409,8 @@ def _assemble(members: dict) -> ConicProblem:
         raise ProblemFormatError(f"bl and bu must have length nb={nb}")
 
     g = _member(members, "G")
-    rows = _member(g, "rows", np.zeros(0, dtype=np.int64))
-    cols = _member(g, "cols", np.zeros(0, dtype=np.int64))
+    rows = _member(g, "rows", np.zeros(0)).astype(np.int64, copy=False)
+    cols = _member(g, "cols", np.zeros(0)).astype(np.int64, copy=False)
     vals = _member(g, "vals", np.zeros(0))
     if not (rows.shape == cols.shape == vals.shape):
         raise ProblemFormatError("G.rows, G.cols, G.vals must have equal lengths")
@@ -395,6 +464,11 @@ def result_to_document(result, options) -> dict:
     """The result file's document.  Non-finite numbers are written as the
     strings "inf", "-inf" and "nan", as in problem files, so the document is
     strict JSON; every solver option except the callback is echoed."""
+    return _result_members(result, options, _encode_vector)
+
+
+def _result_members(result, options, vector) -> dict:
+    """The result document, with `vector` applied to each solution vector."""
     return {
         "format_version": FORMAT_VERSION,
         "exit_code": result.exit_code,
@@ -403,9 +477,9 @@ def result_to_document(result, options) -> dict:
         "dObj": _encode_float(result.d_obj),
         "iterations": result.iterations,
         "solve_time_sec": result.solve_time_s,
-        "primal": _encode_vector(result.x),
-        "dual": _encode_vector(result.y),
-        "slack": _encode_vector(result.slack),
+        "primal": vector(result.x),
+        "dual": vector(result.y),
+        "slack": vector(result.slack),
         "options": {
             f.name: _encode_option(getattr(options, f.name))
             for f in dataclasses.fields(options)
@@ -414,10 +488,26 @@ def result_to_document(result, options) -> dict:
     }
 
 
+def _indented_member(value) -> str:
+    """A top-level member's value as `json.dump(..., indent=1)` writes it.
+
+    An all-finite float vector is joined in bulk; the encoder writes each
+    float as its `repr`, one to a line."""
+    if isinstance(value, np.ndarray):
+        if value.size and value.dtype == np.float64 and np.isfinite(value).all():
+            return "[\n  " + ",\n  ".join(map(float.__repr__, value.tolist())) + "\n ]"
+        value = _encode_vector(value)
+    # the encoder's only newlines are its indentation: strings escape theirs
+    return json.dumps(value, indent=1, sort_keys=True, allow_nan=False).replace("\n", "\n ")
+
+
 def write_result(result, options, path: str) -> None:
+    """Write `result_to_document` as `json.dump(..., indent=1, sort_keys=True)`
+    writes it, byte for byte, and a final newline."""
+    doc = _result_members(result, options, np.asarray)
+    text = ",".join(f"\n {json.dumps(key)}: {_indented_member(doc[key])}" for key in sorted(doc))
     with open(path, "w") as f:
-        json.dump(result_to_document(result, options), f, indent=1, sort_keys=True, allow_nan=False)
-        f.write("\n")
+        f.write("{" + text + "\n}\n")
 
 
 def load_result(path: str) -> dict:

@@ -4,11 +4,13 @@
 
 generates the benchmark's lp-large instance (a planted 40000x80000 LP,
 perfbench/workloads.py, imported, not changed) into a temporary file and
-prints four tab-separated lines:
+prints five tab-separated lines:
 
     import  VmHWM after `import conic_pdhg, conic_pdhg.cli`
     parse   tracemalloc peak of `fileio.parse_problem` on that file, in MB
             and as a multiple of the file's size
+    parse   VmHWM after `fileio.parse_problem` reads that file: tracemalloc
+            does not see the buffers that orjson allocates
     matrix  bytes of the index and data arrays that the parsed G and its
             rescaled copy (`scaling.rescale_problem`) hold, each on its own
             and both together, an array shared by the two counted once
@@ -42,6 +44,11 @@ tracemalloc.start()
 parse_problem(sys.argv[1])
 print(tracemalloc.get_traced_memory()[1])
 """
+PARSE_HWM = """
+import sys
+from conic_pdhg.fileio import parse_problem
+parse_problem(sys.argv[1])
+""" + VM_HWM
 MATRIX = """
 import sys
 import scipy.sparse as sp
@@ -95,6 +102,8 @@ def main(argv=None):
         (peak,) = child(PARSE, problem)
         print(f"parse\ttracemalloc peak\t{peak / 2**20:.1f} MB\t{peak / size:.2f}x "
               f"the {size / 2**20:.1f} MB file")
+        (kb,) = child(PARSE_HWM, problem)
+        print(f"parse\tVmHWM\t{kb / 1024:.1f} MB")
         parsed, scaled, both = child(MATRIX, problem)
         print(f"matrix\tbytes held\tparsed {parsed}\tscaled {scaled}\ttogether {both}")
         (kb,) = child(CLI, "--input", problem, "--output", os.path.join(work_dir, "result.json"),

@@ -15,7 +15,10 @@ kernel:
   cone-solve solves of `--seed` pass it, each with its own scaled problem
   (all 13 instances, solved through `conic_pdhg.cli.main` with the
   workload's options).  The projection writes into a preallocated `out`
-  where the tree's `project_dual_set` takes one.
+  where the tree's `project_dual_set` takes one;
+* `parse_problem` / `write_result`: reading the lp-large file, and
+  writing the result that a solve of it with the workload's options
+  (200 iterations) returns; one call per pass.
 
 Each figure is the fastest of `--repeats` timed passes, divided by the
 calls in a pass; the minimum is the least noisy estimate of a kernel's
@@ -38,7 +41,7 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 
-from conic_pdhg import cli, cones, fileio, model, scaling  # noqa: E402
+from conic_pdhg import cli, cones, engine, fileio, model, scaling  # noqa: E402
 
 RECORD_EVERY = 8
 PRODUCT_SECONDS = 0.05  # target length of one timed pass of products
@@ -125,6 +128,22 @@ def projection_line(seed, repeats, work_dir):
         best(run, len(calls), repeats)
 
 
+def io_lines(seed, repeats, work_dir):
+    _, (case,) = workloads.build("lp-large", seed)
+    path, out = os.path.join(work_dir, "problem.json"), os.path.join(work_dir, "result.json")
+    case.instance.write(path)
+    del case
+    problem = fileio.parse_problem(path)
+    shape = f"{problem.m}x{problem.n}"
+    yield "parse_problem", "lp-large", shape, 1, best(lambda: fileio.parse_problem(path), 1, repeats)
+    options = cli.options_from_args(
+        cli.build_parser().parse_args(["--input", path, *workloads.LARGE_OPTIONS]))
+    result = engine.solve(problem, options)
+    del problem
+    yield "write_result", "lp-large", shape, 1, \
+        best(lambda: fileio.write_result(result, options, out), 1, repeats)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=3)
@@ -136,7 +155,8 @@ def main(argv=None):
     print("kernel\tworkload\tshape\tcalls\tus_per_call")
     with tempfile.TemporaryDirectory() as work_dir:
         lines = [*product_lines(args.seed, args.repeats, work_dir),
-                 projection_line(args.seed, args.repeats, work_dir)]
+                 projection_line(args.seed, args.repeats, work_dir),
+                 *io_lines(args.seed, args.repeats, work_dir)]
     for kernel, workload, shape, calls, us in lines:
         print(f"{kernel}\t{workload}\t{shape}\t{calls}\t{us:.2f}", flush=True)
 

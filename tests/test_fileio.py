@@ -1,20 +1,24 @@
 """Unit tests for the problem/result file formats."""
 
+import decimal
 import importlib
+import io
 import json
 import math
+import sys
 import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conic_pdhg import fileio
-from conic_pdhg.engine import SolverOptions, solve
+from conic_pdhg.engine import SolveResult, SolverOptions, solve
 from conic_pdhg.fileio import (
     ProblemFormatError,
     document_to_problem,
@@ -524,3 +528,233 @@ class TestMemberByMemberParse:
             tracemalloc.stop()
         assert problem.G.shape == (2000, 4000)
         assert peak <= 3.5 * size, f"parse peak {peak / size:.2f}x the file size"
+
+
+def with_raw(**members):
+    """mixed_doc's text with the named members, `G_rows` for G's rows, spelt
+    as the given raw JSON text."""
+    doc = mixed_doc()
+    for name in members:
+        *outer, key = name.split("_")
+        (doc[outer[0]] if outer else doc)[key] = "@" + name
+    text = json.dumps(doc)
+    for name, raw in members.items():
+        text = text.replace(json.dumps("@" + name), raw)
+    return text
+
+
+BIG = 2**64  # orjson reads integers outside [-2**63, 2**64) as floats
+
+
+class TestListsReadByOrjson:
+    """Lists that orjson reads otherwise than the standard library, or not at
+    all, are read again by the standard library's scanner."""
+
+    @pytest.mark.parametrize("members", [
+        {"c": f"[1.0, -2.0, {BIG}]"},
+        {"c": f"[{-2**63 - 1}, -2.0, 0.5]"},
+        {"c": f"[1, 2, {BIG - 1}]"},
+        {"c": "[1e19, -2.0, 0.5]"},
+        {"G_rows": "[" + ", ".join(map(str, range(15))) + f", {BIG}]"},
+        {"G_rows": f"[{-2**63 - 1}" + "".join(f", {i}" for i in range(1, 16)) + "]"},
+        {"G_cols": "[" + ", ".join(["0"] * 15) + f", {BIG * 2**70}]"},
+        {"socG": f"[3, {BIG + 1}]"},
+        {"socG": f"[{BIG}, 4]"},
+        {"socG": f"[3, {-BIG - 1}]"},
+        {"G_rows": f"[{BIG}, 0.5" + "".join(f", {i}" for i in range(2, 16)) + "]"},
+        {"bl": f'[0.0, "-inf", {BIG + 1}]'},
+        {"bu": f'[{-2**63 - 3}, 2.0, "inf"]'},
+        {"c": "[1.0, NaN, 0.5]"},
+        {"c": "[Infinity, -2.0, 0.5]"},
+        {"h": "[" + ", ".join(["0.5"] * 15) + ", -Infinity]"},
+        {"G_vals": "[" + ", ".join(["1.5"] * 15) + ", 1e400]"},
+        {"bl": '[0.0, "-inf", -1e400]'},
+        {"bl": '[0.0, "-i,nf", -1.0]'},
+        {"bu": '["]", 2.0, "inf"]'},
+        {"bu": '[1.0, 2.0, "in]f"]'},
+        {"frobnicate": '["a,b", "c]d", ",", "]", 1]'},
+        {"frobnicate": '[[1, 2], [3], []]'},
+        {"frobnicate": '[{"a": [1, {"b": 2}]}, 3]'},
+        {"frobnicate": '["\\ud800", 1]'},
+        {"bl": '["\\ud800", "-inf", -1.0]'},
+        {"c": "[1.0, -2.0, 0.5,]"},
+        {"c": "[, 1.0, -2.0, 0.5]"},
+        {"c": "[1.0, , -2.0, 0.5]"},
+        {"c": "[1.0, -2.0, 0.5 , ]"},
+        {"h": "[ ]"},
+        {"socG": "[]", "mGnonnegative": "9"},
+    ], ids=lambda members: repr(members)[:40])
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7, 1 << 16])
+    def test_parse_equals_the_whole_document_parse(self, members, piece, monkeypatch):
+        monkeypatch.setattr(fileio, "_PIECE", piece)
+        assert_parses_alike(with_raw(**members))
+
+    def test_huge_integer_in_c_is_not_a_number(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(with_raw(c=f"[1.0, -2.0, {BIG}]"))
+        with pytest.raises(ProblemFormatError, match="c must be a flat list of numbers"):
+            parse_problem(str(path))
+
+    def test_huge_soc_sizes_are_counted_exactly(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(with_raw(socG=f"[3, {BIG + 1}]"))
+        with pytest.raises(ProblemFormatError, match=f"= {BIG + 13} but m = 16"):
+            parse_problem(str(path))
+
+    def test_deep_nesting_under_an_unknown_key_fails_alike(self, tmp_path):
+        # orjson reads objects nested deeper than the stdlib's recursion limit
+        depth = 2 * sys.getrecursionlimit()
+        path = tmp_path / "p.json"
+        path.write_text(with_raw(frobnicate="[" + '{"a": ' * depth + "1" + "}" * depth + "]"))
+        for parse in (reference_parse, parse_problem):
+            with pytest.raises(RecursionError):
+                parse(str(path))
+
+    @pytest.mark.parametrize("text", ["[1,]", "[,1]", "[1,,2]", "[1, ]", "[ ,1]", "[1,\n,2]"])
+    def test_empty_pieces_are_rejected(self, text, monkeypatch):
+        for piece in (1, 2, 3, 7, 1 << 16):
+            monkeypatch.setattr(fileio, "_PIECE", piece)
+            assert fileio._load_list(text, 0) == (None, None)
+
+    @pytest.mark.parametrize("text, values", [
+        ("[]", []), ("[ ]", []), ("[\n]", []), ("[1]", [1]), (" [1, 2.5 ,\t3 ] ", [1, 2.5, 3]),
+        ('["inf", -0.0, 0, true, null, {}]', ["inf", -0.0, 0, True, None, {}]),
+    ])
+    def test_lists_read_in_any_pieces(self, text, values, monkeypatch):
+        start = text.index("[")
+        for piece in (1, 2, 3, 7, 1 << 16):
+            monkeypatch.setattr(fileio, "_PIECE", piece)
+            got, end = fileio._load_list(text, start)
+            assert got == values and [type(v) for v in got] == [type(v) for v in values]
+            assert end == text.index("]") + 1
+
+    @pytest.mark.parametrize("text", [
+        "[[1]]", '["]"]', '["a]b", 1]', "[1, NaN]", "[Infinity]", "[1e400]", '["\\ud800"]',
+        "[1", "[1,", "[1 2]", "[01]", "[\ufeff1]",
+    ])
+    def test_rejected_lists(self, text, monkeypatch):
+        for piece in (1, 2, 3, 7, 1 << 16):
+            monkeypatch.setattr(fileio, "_PIECE", piece)
+            assert fileio._load_list(text, 0) == (None, None)
+
+    @pytest.mark.parametrize("text", ['[","]', '["a,b"]', '["a", ",", "b,,", 1]'])
+    def test_a_cut_inside_a_string_is_rejected(self, text, monkeypatch):
+        for piece in (1, 2, 3, 7, 1 << 16):
+            monkeypatch.setattr(fileio, "_PIECE", piece)
+            assert fileio._load_list(text, 0) in [(None, None), (json.loads(text), len(text))]
+        assert fileio._load_list(text, 0) == (json.loads(text), len(text))  # read whole
+        monkeypatch.setattr(fileio, "_PIECE", 1)
+        assert fileio._load_list(text, 0) == (None, None)
+
+
+def halfway(x):
+    """The exact decimal halfway between the positive float x and the next."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2000
+        return str((decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2)
+
+
+@st.composite
+def float_literals(draw):
+    """JSON float literals: shortest reprs, long mantissas with exponents from
+    -400 to 400, and exact halfway points between neighbouring floats."""
+    how = draw(st.sampled_from(["repr", "digits", "halfway"]))
+    if how == "repr":
+        text = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    elif how == "digits":
+        digits = draw(st.text("0123456789", min_size=17, max_size=40))
+        digits = str(draw(st.integers(1, 9))) + digits[1:]
+        point = draw(st.integers(1, len(digits)))
+        text = f"{digits[:point]}.{digits[point:] or '0'}e{draw(st.integers(-400, 400))}"
+    else:
+        x = draw(st.floats(min_value=5e-324, max_value=1e308, allow_infinity=False))
+        text = halfway(x).replace("E", "e")
+    return draw(st.sampled_from(["", "-"])) + text.lstrip("-")
+
+
+class TestOrjsonFloats:
+    @given(float_literals())
+    @settings(max_examples=1000, deadline=None)
+    def test_orjson_reads_the_bits_of_float(self, text):
+        x = float(text)
+        if math.isinf(x):
+            with pytest.raises(orjson.JSONDecodeError):
+                orjson.loads(text)
+        else:
+            assert np.float64(orjson.loads(text)).tobytes() == np.float64(x).tobytes()
+
+    @pytest.mark.parametrize("text", ["0.5", "2.5e-324", "7.4e-324", "1.7976931348623158e308",
+                                      "1.7976931348623157e308", "4.9406564584124654e-324"])
+    def test_named_roundings(self, text):
+        assert np.float64(orjson.loads(text)).tobytes() == np.float64(float(text)).tobytes()
+
+
+class TestMemberByMemberParseInSmallPieces(TestMemberByMemberParse):
+    """The same texts with orjson's pieces cut after 1, 2, 3 or 7 characters,
+    so that every comma of a list is a cut point."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[1, 2, 3, 7])
+    def small_pieces(self, request):
+        size = fileio._PIECE
+        fileio._PIECE = request.param
+        yield
+        fileio._PIECE = size
+
+    @given(problem_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_whole_document_parse(self, text):
+        assert_parses_alike(text)
+
+
+class TestBooleans:
+    """JSON booleans are not numbers, wherever they stand in a list."""
+
+    @pytest.mark.parametrize("base", [[3, 0, 1, 2], [3.5, 0.0, 1.0, 2.5]], ids=["ints", "floats"])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejected(self, base, where, flag):
+        values = base[:where] + [flag] + base[where:]
+        for convert in (fileio._finite_array, fileio._index_array):
+            with pytest.raises(ProblemFormatError, match="x must be a flat list of numbers"):
+                convert(values, "x")
+
+    def test_zeros_and_ones_accepted(self):
+        arr = fileio._finite_array([1, 0, 1.0], "c")
+        assert arr.dtype == np.float64 and arr.tolist() == [1.0, 0.0, 1.0]
+        assert fileio._index_array([1, 0, 1], "G.rows").tolist() == [1, 0, 1]
+
+    def test_booleans_alone_rejected(self):
+        with pytest.raises(ProblemFormatError, match="c must be a flat list of numbers"):
+            fileio._finite_array([True, False], "c")
+
+
+class TestWriteResultBytes:
+    """write_result writes what `json.dump(..., indent=1, sort_keys=True)`
+    writes, byte for byte."""
+
+    @staticmethod
+    def assert_bytes_alike(result, options, tmp_path):
+        path = tmp_path / "r.json"
+        write_result(result, options, str(path))
+        expected = io.StringIO()
+        json.dump(result_to_document(result, options), expected, indent=1, sort_keys=True,
+                  allow_nan=False)
+        assert path.read_text() == expected.getvalue() + "\n"
+
+    @pytest.mark.parametrize("x, y, slack", [
+        ([1.0, -0.0, 5e-324, 1e308, 2.0**53 + 2, 0.1], [-1e-5], [1e16]),
+        ([1.0, math.inf, -math.inf], [math.nan], [0.5]),
+        ([], [], []),
+        ([0.25], [], [math.nan, 1.0]),
+    ], ids=["finite", "non-finite", "empty", "mixed"])
+    def test_vectors(self, x, y, slack, tmp_path):
+        r = SolveResult(x=np.array(x, dtype=float), y=np.array(y, dtype=float), lam=np.zeros(1),
+                        slack=np.array(slack, dtype=float), exit_code=0, iterations=3,
+                        solve_time_s=0.125, p_obj=1.5, d_obj=math.nan, restarts=0)
+        self.assert_bytes_alike(r, SolverOptions(), tmp_path)
+        self.assert_bytes_alike(r, SolverOptions(time_limit=math.inf, max_iter=7), tmp_path)
+
+    def test_a_solve(self, tmp_path):
+        p = document_to_problem(mixed_doc())
+        opts = SolverOptions(max_iter=50, time_limit=math.inf)
+        self.assert_bytes_alike(solve(p, opts), opts, tmp_path)
