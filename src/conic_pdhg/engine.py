@@ -10,7 +10,11 @@ an iteration live in buffers the loop allocates once: flat [x; y; G x;
 G^T y] buffers for the iterate, the anchor and the candidate, and a
 `StepWorkspace` for the line search's terms; products and projections
 are written into them through `out`, and the Halpern step overwrites the
-iterate buffer in three passes (two of them BLAS `daxpy`).
+iterate buffer in two BLAS passes (`daxpby`, then `daxpy`) on numpy's own
+OpenBLAS, bound through ctypes in `linalg`; scipy.linalg is not imported.
+A solve runs that OpenBLAS on one thread (`linalg.one_blas_thread`): a
+threaded `ddot` splits its sum by thread, so the bits would otherwise
+depend on the thread count.
 
 Restart checks, termination scans and log rows each run at the first
 iteration at or past every multiple of their period (`_reached`), since a
@@ -41,9 +45,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import daxpy
 
 from . import cones
+from . import linalg
 from . import restart as restarts
 from . import scaling as scalings
 from . import termination as term
@@ -314,16 +318,40 @@ def reflected_halpern_step(z_hat: np.ndarray, z_old: np.ndarray, z_anchor: np.nd
                            k: int, beta: float, out: np.ndarray) -> np.ndarray:
     """(k+1)/(k+2) ((1+beta) z_hat - beta z_old) + 1/(k+2) z_anchor into `out`.
 
-    The operands are flat float64 arrays of one length and `out` is
-    contiguous; it may be z_old, and no other buffer is written.  With
-    a = (k+1)/(k+2) and b = 1/(k+2) the coefficients are combined first,
-    so the update makes three passes: out = (-a beta) z_old, then two
-    in-place BLAS `daxpy` calls add a(1+beta) z_hat and b z_anchor.  The
-    result differs from the formula's order of operations in the last bits
-    only.  Returns `out`.
+    The operands are 1-D contiguous float64 arrays of one length; `out` may
+    be z_old, overlaps neither z_hat nor z_anchor, and is the only buffer
+    written.  With a = (k+1)/(k+2) and b = 1/(k+2) the coefficients are
+    combined first, and the result has the bits of three passes: out =
+    (-a beta) z_old, then BLAS `daxpy` adds a(1+beta) z_hat and b z_anchor.
+    They differ from the formula's order of operations in the last bits
+    only.  The solve loop's call (out is z_old) fuses the first two passes
+    into one `daxpby` on numpy's OpenBLAS, except at beta = 0, where
+    `daxpby` would not read z_old.  The loop passes the same buffers at
+    every iteration, so they are checked and their addresses taken once
+    (`linalg.bound_update`); bad operands raise ValueError before anything
+    is written.  Where numpy's BLAS cannot be bound (`linalg.BLAS` is None),
+    the three passes run on `scipy.linalg.blas.daxpy`, imported on first
+    use.  Returns `out`.
     """
     a = (k + 1.0) / (k + 2.0)
     b = 1.0 / (k + 2.0)
+    if linalg.BLAS is None:
+        return _halpern_on_scipy_blas(z_hat, z_old, z_anchor, a, b, beta, out)
+    update = linalg.bound_update(z_hat, z_anchor, out)
+    if z_old is out and beta != 0.0:
+        update.axpby_axpy(a * (1.0 + beta), -a * beta, b)
+        return out
+    if z_old.shape != out.shape:
+        raise ValueError(f"z_old must have shape {out.shape}, got {z_old.shape}")
+    np.multiply(z_old, -a * beta, out=out)
+    update.axpy_axpy(a * (1.0 + beta), b)
+    return out
+
+
+def _halpern_on_scipy_blas(z_hat, z_old, z_anchor, a, b, beta, out):
+    """`reflected_halpern_step`'s three passes on scipy's BLAS."""
+    from scipy.linalg.blas import daxpy
+
     np.multiply(z_old, -a * beta, out=out)
     if out.size == 0:
         return out  # daxpy rejects empty vectors
@@ -717,8 +745,10 @@ class _Loop:
 
 def solve(problem: ConicProblem, options: SolverOptions | None = None) -> SolveResult:
     """Presolve rotated blocks, precondition, run the restarted PDHG loop,
-    and map the solution back to the original instance."""
+    and map the solution back to the original instance.  numpy's OpenBLAS
+    runs on one thread meanwhile, and on the caller's count again after."""
     if options is None:
         options = SolverOptions()
     options.validate()
-    return _Loop(problem, options).run()
+    with linalg.one_blas_thread():
+        return _Loop(problem, options).run()

@@ -118,10 +118,15 @@ def _finite_array(values, key: str) -> np.ndarray:
 
 
 def _index_array(values, key: str) -> np.ndarray:
-    """Integral numbers; `_assemble` casts them to int64."""
+    """Integral numbers; `_assemble` casts them to int64.  Floats are checked
+    against the int64 range first: numpy's cast of a float beyond it is
+    undefined (with a warning)."""
     arr = _number_array(values, key)
-    if arr.dtype.kind == "f" and not np.array_equal(arr, np.trunc(arr)):
-        raise ProblemFormatError(f"{key} entries must be integers")
+    if arr.dtype.kind == "f" and arr.size:
+        if not np.array_equal(arr, np.trunc(arr)):
+            raise ProblemFormatError(f"{key} entries must be integers")
+        if not (-_BIG_INT <= arr.min() and arr.max() < _BIG_INT):
+            raise ProblemFormatError(f"{key} entries must lie in the int64 range [-2^63, 2^63)")
     return arr
 
 

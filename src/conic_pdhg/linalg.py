@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import threading
+import weakref
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -203,3 +208,172 @@ def n_norm(x: np.ndarray, y: np.ndarray, ctx: WeightedNormContext) -> float:
     Equals omega_norm(x, y, omega) / sqrt(eta).
     """
     return float(np.sqrt(np.dot(x, x) / ctx.tau + np.dot(y, y) / ctx.sigma))
+
+
+# ---------------------------------------------------------------------------
+# numpy's own OpenBLAS, bound through ctypes
+# ---------------------------------------------------------------------------
+
+
+class OpenBLAS(NamedTuple):
+    """The routines of the OpenBLAS that numpy has loaded; `index` is the C
+    type of the vector routines' lengths and strides, 64-bit in an ILP64
+    build."""
+
+    daxpby: Callable[..., None]
+    daxpy: Callable[..., None]
+    get_num_threads: Callable[[], int]
+    set_num_threads: Callable[[int], None]
+    index: type
+
+
+def _bind_openblas() -> OpenBLAS | None:
+    """numpy's OpenBLAS, or None where it cannot be bound.
+
+    The symbols are looked up through numpy's own extension module: dlsym
+    on a library's handle also searches the libraries it depends on, so
+    this finds the copy numpy loaded (scipy-openblas wheels prefix its
+    symbols with `scipy_`, ILP64 builds suffix them with `64_`) and loads
+    no other.  A numpy on another BLAS (MKL, Accelerate), or a platform
+    whose loader does not search dependencies, gives None.
+    """
+    try:
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy < 2
+            from numpy.core import _multiarray_umath as umath
+        # PyDLL keeps the GIL through a call, as scipy's BLAS wrappers do:
+        # releasing and taking it back costs more than a short pass
+        lib = ctypes.PyDLL(umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+        try:
+            config, daxpby, daxpy, get_threads, set_threads = (
+                getattr(lib, f"{prefix}{name}{suffix}") for name in (
+                    "openblas_get_config", "cblas_daxpby", "cblas_daxpy",
+                    "openblas_get_num_threads", "openblas_set_num_threads"))
+        except AttributeError:
+            continue
+        config.restype = ctypes.c_char_p
+        index = ctypes.c_int64 if b"USE64BITINT" in (config() or b"") else ctypes.c_int
+        double, pointer = ctypes.c_double, ctypes.c_void_p
+        daxpby.argtypes = (index, double, pointer, index, double, pointer, index)
+        daxpy.argtypes = (index, double, pointer, index, pointer, index)
+        daxpby.restype = daxpy.restype = set_threads.restype = None
+        get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+        set_threads.argtypes = (ctypes.c_int,)
+        return OpenBLAS(daxpby, daxpy, get_threads, set_threads, index)
+    return None
+
+
+# None where numpy's BLAS is not an OpenBLAS that can be bound; the vector
+# updates then fall back to scipy.linalg.blas and the thread count is left alone.
+BLAS = _bind_openblas()
+
+
+def _pointer(arr, name: str, writeable: bool = False) -> ctypes.c_void_p:
+    """The address of a 1-D contiguous float64 array, or ValueError."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.ndim == 1
+            and arr.flags.c_contiguous):
+        raise ValueError(f"{name} must be a 1-D contiguous float64 array")
+    if writeable and not arr.flags.writeable:
+        raise ValueError(f"{name} must be writeable")
+    return ctypes.c_void_p(arr.ctypes.data)
+
+
+class BoundUpdate:
+    """In-place updates of `y` from `x` and `w` through numpy's OpenBLAS, on
+    three fixed arrays whose addresses are taken once.
+
+    The arrays must be 1-D contiguous float64 of one length, with `y`
+    writeable and overlapping neither of the others; the constructor checks
+    this and raises ValueError, so no update writes through a bad pointer.
+    The BLAS arguments are built once, as ctypes objects of the declared
+    types, and a call only sets the coefficients: converting Python numbers
+    costs more than a pass at the loop's shorter lengths.  The object holds
+    weak references only, so it keeps no buffer alive; its caller holds the
+    arrays through a call.  Needs `BLAS`.
+    """
+
+    __slots__ = ("refs", "_coef", "_axpby", "_axpy_x", "_axpy_w")
+
+    def __init__(self, x: np.ndarray, w: np.ndarray, y: np.ndarray) -> None:
+        px, pw, py = _pointer(x, "x"), _pointer(w, "w"), _pointer(y, "y", writeable=True)
+        if not x.size == w.size == y.size:
+            raise ValueError(f"operands must have one length, got {x.size}, {w.size} and {y.size}")
+        if np.may_share_memory(y, x) or np.may_share_memory(y, w):
+            raise ValueError("y must not overlap the vectors it is updated from")
+        self.refs = (weakref.ref(x), weakref.ref(w), weakref.ref(y))
+        n, one = BLAS.index(y.size), BLAS.index(1)
+        self._coef = alpha, beta, gamma = ctypes.c_double(), ctypes.c_double(), ctypes.c_double()
+        self._axpby = (n, alpha, px, one, beta, py, one)
+        self._axpy_x = (n, alpha, px, one, py, one)
+        self._axpy_w = (n, gamma, pw, one, py, one)
+
+    def axpby_axpy(self, alpha: float, beta: float, gamma: float) -> None:
+        """y = alpha x + beta y (`daxpby`), then y += gamma w (`daxpy`).  As
+        in BLAS, beta = 0 sets alpha x without reading y."""
+        a, b, g = self._coef
+        a.value, b.value, g.value = alpha, beta, gamma
+        BLAS.daxpby(*self._axpby)
+        BLAS.daxpy(*self._axpy_w)
+
+    def axpy_axpy(self, alpha: float, gamma: float) -> None:
+        """y += alpha x, then y += gamma w (two `daxpy`)."""
+        a, _, g = self._coef
+        a.value, g.value = alpha, gamma
+        BLAS.daxpy(*self._axpy_x)
+        BLAS.daxpy(*self._axpy_w)
+
+
+_last_update: BoundUpdate | None = None
+
+
+def bound_update(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> BoundUpdate:
+    """The `BoundUpdate` of (x, w, y): the last one built, when it was built
+    on these three arrays (a solve's Halpern step passes the same buffers at
+    every iteration), else a new one, checked and kept in its place.  The
+    one-entry memo is process-wide but keyed by the live arrays themselves,
+    so interleaved callers cost a rebuild each and never share a binding."""
+    global _last_update
+    update = _last_update
+    if update is not None:
+        rx, rw, ry = update.refs
+        if rx() is x and rw() is w and ry() is y:
+            return update
+    update = _last_update = BoundUpdate(x, w, y)
+    return update
+
+
+_pin_lock = threading.Lock()
+_pins = 0
+_caller_threads = 1
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, and give the
+    caller's thread count back after it, however it ends.
+
+    A threaded `ddot` splits its sum by thread, so its bits, and a solve's,
+    would depend on the count.  The count is process-wide: nested and
+    concurrent blocks share one pin, which the first block in sets and the
+    last one out restores.  Without `BLAS` the block runs as it is.
+    """
+    global _pins, _caller_threads
+    if BLAS is None:
+        yield
+        return
+    with _pin_lock:
+        if _pins == 0:
+            _caller_threads = BLAS.get_num_threads()
+            BLAS.set_num_threads(1)
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pins -= 1
+            if _pins == 0:
+                BLAS.set_num_threads(_caller_threads)

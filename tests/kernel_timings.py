@@ -11,6 +11,11 @@ kernel:
 
 * `matvec` / `rmatvec`: G x and G^T y into a preallocated `out`, on the
   scaled G of the first instance of lp-large, lp-solve and cone-solve;
+* `halpern`: the solve loop's Halpern update
+  (`engine.reflected_halpern_step` with `out` the iterate) on three
+  buffers of the loop's length, 2 (n + m), for each of those instances,
+  with BLAS on as many threads as a solve of the tree runs it
+  (`linalg.one_blas_thread` where the tree has it);
 * `project_dual_set`: the dual-set projection, on every 8th input that the
   cone-solve solves of `--seed` pass it, each with its own scaled problem
   (all 13 instances, solved through `conic_pdhg.cli.main` with the
@@ -26,6 +31,7 @@ cost on a shared host.  Run it from the root of each tree to compare them.
 """
 
 import argparse
+import contextlib
 import inspect
 import os
 import sys
@@ -41,7 +47,7 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 
-from conic_pdhg import cli, cones, engine, fileio, model, scaling  # noqa: E402
+from conic_pdhg import cli, cones, engine, fileio, linalg, model, scaling  # noqa: E402
 
 RECORD_EVERY = 8
 PRODUCT_SECONDS = 0.05  # target length of one timed pass of products
@@ -64,7 +70,7 @@ def best(run, calls, repeats):
     return 1e6 * min(times) / calls
 
 
-def product_lines(seed, repeats, work_dir):
+def loop_kernel_lines(seed, repeats, work_dir):
     for name in ("lp-large", "lp-solve", "cone-solve"):
         _, cases = workloads.build(name, seed)
         work = model.rsoc_to_soc(parsed(cases[0], work_dir))
@@ -72,18 +78,23 @@ def product_lines(seed, repeats, work_dir):
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal(g.n), rng.standard_normal(g.m)
         gx, gty = np.empty(g.m), np.empty(g.n)
+        z_hat, z, anchor = (rng.standard_normal(2 * (g.n + g.m)) for _ in range(3))
+        halpern = engine.reflected_halpern_step
         for kernel, product in (("matvec", lambda: g.matvec(x, out=gx)),
-                                ("rmatvec", lambda: g.rmatvec(y, out=gty))):
-            t0 = time.perf_counter()
-            product()
-            calls = max(1, int(PRODUCT_SECONDS / max(time.perf_counter() - t0, 1e-7)))
+                                ("rmatvec", lambda: g.rmatvec(y, out=gty)),
+                                ("halpern", lambda: halpern(z_hat, z, anchor, 99, 0.5, out=z))):
+            with getattr(linalg, "one_blas_thread", contextlib.nullcontext)():
+                t0 = time.perf_counter()
+                product()
+                calls = max(1, int(PRODUCT_SECONDS / max(time.perf_counter() - t0, 1e-7)))
 
-            def run(product=product, calls=calls):
-                for _ in range(calls):
-                    product()
+                def run(product=product, calls=calls):
+                    for _ in range(calls):
+                        product()
 
-            us = best(run, calls, repeats)
-            yield kernel, name, f"{g.m}x{g.n}", calls, us
+                us = best(run, calls, repeats)
+            shape = f"len={z.size}" if kernel == "halpern" else f"{g.m}x{g.n}"
+            yield kernel, name, shape, calls, us
 
 
 def recorded_dual_inputs(seed, work_dir):
@@ -154,7 +165,7 @@ def main(argv=None):
     warnings.simplefilter("ignore", RuntimeWarning)
     print("kernel\tworkload\tshape\tcalls\tus_per_call")
     with tempfile.TemporaryDirectory() as work_dir:
-        lines = [*product_lines(args.seed, args.repeats, work_dir),
+        lines = [*loop_kernel_lines(args.seed, args.repeats, work_dir),
                  projection_line(args.seed, args.repeats, work_dir),
                  *io_lines(args.seed, args.repeats, work_dir)]
     for kernel, workload, shape, calls, us in lines:

@@ -337,6 +337,22 @@ def halpern_step_allocating(z_hat, z_old, z_anchor, k, beta):
                  for zh, zo, za in zip(z_hat, z_old, z_anchor))
 
 
+def halpern_step_three_pass(z_hat, z_old, z_anchor, k, beta):
+    """The flat update as three passes into a new array: (-a beta) z_old,
+    then `scipy.linalg.blas.daxpy` adds a(1+beta) z_hat and b z_anchor, with
+    a = (k+1)/(k+2) and b = 1/(k+2).  The solve loop made these passes on
+    scipy's BLAS before it bound numpy's."""
+    from scipy.linalg.blas import daxpy
+
+    a = (k + 1.0) / (k + 2.0)
+    b = 1.0 / (k + 2.0)
+    out = np.multiply(z_old, -a * beta)
+    if out.size:
+        daxpy(z_hat, out, a=a * (1.0 + beta))
+        daxpy(z_anchor, out, a=b)
+    return out
+
+
 def weighted_average_allocating(z_bar, weight, z_new, eta_new):
     """(weight z_bar + eta_new z_new) / (weight + eta_new) on (x, y) pairs,
     or a copy of z_new when the average is empty."""

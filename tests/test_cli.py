@@ -231,3 +231,14 @@ def test_import_leaves_scipy_optimize_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src))).stdout
     assert out.split() == ["False"]
+
+
+def test_import_leaves_scipy_linalg_out():
+    # the Halpern update runs on numpy's own OpenBLAS, so scipy.linalg (43
+    # modules, about 8 MB, and a second OpenBLAS thread pool) stays unloaded
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, conic_pdhg, conic_pdhg.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert out.split() == ["[]"]

@@ -728,6 +728,50 @@ class TestBooleans:
             fileio._finite_array([True, False], "c")
 
 
+class TestIndexRange:
+    """Integral floats beyond the int64 range are rejected before the cast
+    to int64, whose result there is undefined, by both readers."""
+
+    @staticmethod
+    def parse_both(text):
+        """parse_problem's and the whole-document parse's errors, with
+        warnings raised as errors."""
+        errors = []
+        with tempfile.TemporaryDirectory() as work_dir:
+            path = str(Path(work_dir) / "p.json")
+            Path(path).write_text(text)
+            for parse in (parse_problem, reference_parse):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ProblemFormatError) as info:
+                        parse(path)
+                errors.append(str(info.value))
+        return errors
+
+    @pytest.mark.parametrize("entry", ["1e19", "-1e19", "9.3e18", "9223372036854775808.0",
+                                       "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    def test_beyond_int64_rejected_with_its_own_message(self, key, entry):
+        doc = mixed_doc()
+        text = json.dumps(doc).replace(f'"{key}": [0', f'"{key}": [{entry}', 1)
+        assert text != json.dumps(doc)
+        message = f"G.{key} entries must lie in the int64 range [-2^63, 2^63)"
+        assert self.parse_both(text) == [message, message]
+
+    @pytest.mark.parametrize("entry, bound", [("-9223372036854775808.0", "[0, m)"),
+                                              ("9223372036854774784.0", "[0, m)")])
+    def test_int64_edges_reach_the_index_check(self, entry, bound):
+        # -2^63 and the largest float below 2^63 cast exactly
+        text = json.dumps(mixed_doc()).replace('"rows": [0', f'"rows": [{entry}', 1)
+        message = f"G.rows entries must lie in {bound}"
+        assert self.parse_both(text) == [message, message]
+
+    def test_range_checked_after_integrality(self):
+        with pytest.raises(ProblemFormatError, match="G.rows entries must be integers"):
+            fileio._index_array([1e19, 0.5], "G.rows")
+        assert fileio._index_array([0.0, 2.0**62], "G.rows").tolist() == [0.0, 2.0**62]
+
+
 class TestWriteResultBytes:
     """write_result writes what `json.dump(..., indent=1, sort_keys=True)`
     writes, byte for byte."""
