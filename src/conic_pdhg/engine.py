@@ -11,7 +11,9 @@ G^T y] buffers for the iterate, the anchor and the candidate, and a
 `StepWorkspace` for the line search's terms; products and projections
 are written into them through `out`, and the Halpern step overwrites the
 iterate buffer in two BLAS passes (`daxpby`, then `daxpy`) on numpy's own
-OpenBLAS, bound through ctypes in `linalg`; scipy.linalg is not imported.
+OpenBLAS, bound through ctypes in `linalg`.  The products are scipy's
+compiled kernels on `linalg.SparseMatrix`'s own CSC arrays, so a solve
+imports neither scipy.linalg nor scipy.sparse.
 A solve runs that OpenBLAS on one thread (`linalg.one_blas_thread`): a
 threaded `ddot` splits its sum by thread, so the bits would otherwise
 depend on the thread count.

@@ -19,6 +19,7 @@ the same errors.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import json.decoder
 import json.scanner
@@ -493,14 +494,34 @@ def _result_members(result, options, vector) -> dict:
     }
 
 
+def _float_list(v: np.ndarray) -> str:
+    """A non-empty, all-finite float64 vector as `json.dumps` writes it at a
+    member's indentation: each float as its `repr`, one to a line.
+
+    orjson writes the list in bulk.  Its text for a float is `repr`'s except
+    where 0 < |v| < 1e-4 (`0.000015` against `1.5e-05`) or |v| >= 1e16
+    (`1e16` against `1e+16`); those entries go to orjson as NaN, which it
+    writes as `null`, and their `repr` is put in its place."""
+    v = np.ascontiguousarray(v)
+    magnitude = np.abs(v)
+    odd = ((magnitude > 0.0) & (magnitude < 1e-4)) | (magnitude >= 1e16)
+    if odd.any():
+        pieces = orjson.dumps(np.where(odd, np.nan, v), option=orjson.OPT_SERIALIZE_NUMPY
+                              ).decode().split("null")
+        reprs = map(float.__repr__, v[odd].tolist())
+        text = "".join(itertools.chain.from_iterable(zip(pieces, reprs))) + pieces[-1]
+    else:
+        text = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    return "[\n  " + text[1:-1].replace(",", ",\n  ") + "\n ]"
+
+
 def _indented_member(value) -> str:
     """A top-level member's value as `json.dump(..., indent=1)` writes it.
 
-    An all-finite float vector is joined in bulk; the encoder writes each
-    float as its `repr`, one to a line."""
+    An all-finite float vector is written in bulk (`_float_list`)."""
     if isinstance(value, np.ndarray):
         if value.size and value.dtype == np.float64 and np.isfinite(value).all():
-            return "[\n  " + ",\n  ".join(map(float.__repr__, value.tolist())) + "\n ]"
+            return _float_list(value)
         value = _encode_vector(value)
     # the encoder's only newlines are its indentation: strings escape theirs
     return json.dumps(value, indent=1, sort_keys=True, allow_nan=False).replace("\n", "\n ")

@@ -1,17 +1,29 @@
-"""Sparse matrix storage and the vector/matrix kernels used by the solver."""
+"""Sparse matrix storage and the vector/matrix kernels used by the solver.
+
+`SparseMatrix` holds G as three canonical CSC arrays of its own and runs
+its products, and every conversion that builds it, through scipy's
+compiled sparse kernels, called directly.  They are loaded once, from the
+`_sparsetools` extension file in scipy's package directory, so neither
+scipy.sparse nor the scipy._lib layer it imports (which loads
+numpy.testing and numpy.f2py) enters a solve process.  Each conversion runs
+the kernels that scipy.sparse runs for it, in scipy's order and with its
+index dtypes, so the arrays are the ones scipy would build, bit for bit.
+"""
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 
 class NumericalError(RuntimeError):
@@ -30,46 +42,208 @@ def two_norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
+# ---------------------------------------------------------------------------
+# scipy's compiled sparse kernels, without scipy.sparse
+# ---------------------------------------------------------------------------
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _load_sparsetools():
+    """scipy's `_sparsetools` extension module, loaded from its file.
+
+    `find_spec` locates scipy's package directory without importing the
+    package.  The extension enters itself in `sys.modules` as it is created
+    and is taken back out, so a later `import scipy.sparse` runs as it would
+    have.  Where scipy.sparse has already loaded the module, that module is
+    used.  A scipy without the file fails here, at import, not in a solve.
+    """
+    if _SPARSETOOLS in sys.modules:
+        return sys.modules[_SPARSETOOLS]
+    package = importlib.util.find_spec("scipy")
+    for directory in (package.submodule_search_locations or ()) if package else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_SPARSETOOLS, path)
+                try:
+                    module = importlib.util.module_from_spec(spec)
+                    spec.loader.exec_module(module)
+                finally:
+                    sys.modules.pop(_SPARSETOOLS, None)
+                return module
+    raise ImportError("conic_pdhg needs scipy's compiled sparse kernels "
+                      "(scipy/sparse/_sparsetools), which were not found")
+
+
+_sparsetools = _load_sparsetools()
+csc_matvec, csr_matvec = _sparsetools.csc_matvec, _sparsetools.csr_matvec
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _index_dtype(*sizes: int) -> type:
+    """scipy's index dtype for compressed arrays: int32 where every size
+    (dimensions, entry count) fits in it, else int64."""
+    return np.int32 if max(sizes, default=0) <= _INT32_MAX else np.int64
+
+
+def _compressed_transpose(major: int, minor: int, indptr, indices, data):
+    """The compressed arrays of the transpose (CSR to CSC, or CSC to CSR),
+    by `csr_tocsc`; they come out sorted."""
+    nnz = int(indptr[-1])
+    dtype = _index_dtype(major, minor, nnz)
+    out = np.empty(minor + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
+    _sparsetools.csr_tocsc(major, minor, indptr.astype(dtype, copy=False),
+                           indices.astype(dtype, copy=False), data, *out)
+    return out
+
+
+class CSRMatrix(NamedTuple):
+    """A matrix as CSR arrays, the form scipy's kernels take.  Set-up code
+    builds and combines these; a solve holds only `SparseMatrix`."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, shape) -> "CSRMatrix":
+        """The canonical CSR matrix of (row, col, value) triplets, duplicates
+        summed: `coo_tocsr`, then the canonicalization of `canonical`, as
+        scipy converts a COO matrix to CSR."""
+        m, n = (int(d) for d in shape)
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        if m < 0 or n < 0:
+            raise ValueError(f"matrix dimensions must be nonnegative, got {(m, n)}")
+        if not (rows.ndim == cols.ndim == vals.ndim == 1 and rows.size == cols.size == vals.size):
+            raise ValueError("rows, cols and vals must be 1-D arrays of one length")
+        nnz = vals.size
+        for name, idx, dim in (("row", rows, m), ("column", cols, n)):  # coo_tocsr does not check
+            if nnz and (idx.min() < 0 or idx.max() >= dim):
+                raise ValueError(f"{name} indices must lie in [0, {dim})")
+        dtype = _index_dtype(m, n, nnz)
+        indptr, indices, data = np.empty(m + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
+        _sparsetools.coo_tocsr(m, n, nnz, rows.astype(dtype, copy=False),
+                               cols.astype(dtype, copy=False), vals, indptr, indices, data)
+        return cls((m, n), indptr, indices, data).canonical(copy=False)
+
+    def canonical(self, copy: bool = True) -> "CSRMatrix":
+        """This matrix with each row's columns sorted and duplicates summed,
+        by scipy's `sum_duplicates` sequence: `csr_has_canonical_format`,
+        then `csr_sort_indices` on rows that are not sorted yet, then
+        `csr_sum_duplicates` (which keeps explicit zeros).  The sort is not
+        stable, so only this sequence sums repeated entries in scipy's
+        order.  Unless `copy` is False, the arrays of a matrix that is not
+        canonical are copied first, not sorted in place."""
+        m, n = self.shape
+        if _sparsetools.csr_has_canonical_format(m, self.indptr, self.indices):
+            return self
+        indptr, indices, data = (a.copy() for a in self[1:]) if copy else self[1:]
+        if not _sparsetools.csr_has_sorted_indices(m, indptr, indices):
+            _sparsetools.csr_sort_indices(m, indptr, indices, data)
+        _sparsetools.csr_sum_duplicates(m, n, indptr, indices, data)
+        nnz = int(indptr[-1])
+        return CSRMatrix(self.shape, indptr, indices[:nnz], data[:nnz])
+
+    def __matmul__(self, other):
+        """`self @ other`, as scipy computes it: `csr_matmat` for a CSRMatrix,
+        `csr_matvec` for a vector.  Each entry sums its terms from 0.0 in
+        this matrix's stored order, and the product drops the entries that
+        sum to zero."""
+        m, k = self.shape
+        if not isinstance(other, CSRMatrix):
+            out = np.zeros(m)
+            csr_matvec(m, k, self.indptr, self.indices, self.data, other, out)
+            return out
+        if other.shape[0] != k:
+            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
+        n = other.shape[1]
+        dtype = np.promote_types(self.indices.dtype, other.indices.dtype)
+        a_ptr, a_idx, b_ptr, b_idx = (v.astype(dtype, copy=False) for v in (
+            self.indptr, self.indices, other.indptr, other.indices))
+        nnz = int(_sparsetools.csr_matmat_maxnnz(m, n, a_ptr, a_idx, b_ptr, b_idx))
+        if nnz > _INT32_MAX:
+            dtype = np.int64
+            a_ptr, a_idx, b_ptr, b_idx = (v.astype(dtype) for v in (a_ptr, a_idx, b_ptr, b_idx))
+        indptr, indices, data = np.empty(m + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
+        _sparsetools.csr_matmat(m, n, a_ptr, a_idx, self.data, b_ptr, b_idx, other.data,
+                                indptr, indices, data)
+        nnz = int(indptr[-1])
+        return CSRMatrix((m, n), indptr, indices[:nnz], data[:nnz])
+
+    def take_rows(self, rows) -> "CSRMatrix":
+        """The rows `rows` of this matrix, in that order (scipy's `a[rows]`,
+        by `csr_row_index`)."""
+        rows = np.asarray(rows, dtype=self.indptr.dtype)
+        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
+            raise ValueError(f"row indices must be in [0, {self.shape[0]})")
+        indptr = np.zeros(rows.size + 1, self.indptr.dtype)
+        np.cumsum(self.indptr[rows + 1] - self.indptr[rows], out=indptr[1:])
+        nnz = int(indptr[-1])
+        indices, data = np.empty(nnz, self.indptr.dtype), np.empty(nnz)
+        _sparsetools.csr_row_index(rows.size, rows, self.indptr,
+                                   self.indices.astype(self.indptr.dtype, copy=False),
+                                   self.data, indices, data)
+        return CSRMatrix((rows.size, self.shape[1]), indptr, indices, data)
+
+
 class SparseMatrix:
-    """G stored once, as a canonical CSC matrix, built once and never mutated.
+    """G stored once, as canonical CSC arrays (`indptr`, `indices`, `data`),
+    built once and never mutated.
 
     G x runs on the CSC arrays (a scatter, a few percent faster than the
     CSR gather on the benchmark's LPs) and G^T y reads the same arrays as
     the CSR matrix of G^T (a gather, faster there than the scatter).  The
     scatter sums every row in ascending column order from 0.0, as the CSR
     kernel does, so G x has the bits of the CSR product.  Both products
-    call scipy's `_sparsetools.csc_matvec` / `csr_matvec` on a zero-filled
-    `out`: these are the kernels, and the zero start, that `@` runs, so the
-    bits are `@`'s, without its allocation, its dispatch and the copy into
-    the caller's buffer.  The private module is imported at load, so a
-    scipy that moves it fails at import rather than in a solve.  The
-    entries are canonicalized through a CSR matrix that lives only in
-    `__init__`: it sums duplicate triplets in row order, which building the
-    CSC matrix straight from triplets does not, and only its CSC conversion
-    is kept.  Products are counted (`n_matvec` / `n_rmatvec`) so tests can
-    assert the per-iteration matvec budget of the solver loop.
+    call `csc_matvec` / `csr_matvec` on a zero-filled `out`: these are the
+    kernels, and the zero start, that scipy's `@` runs, so the bits are
+    `@`'s, without its allocation, its dispatch and the copy into the
+    caller's buffer.  Every matrix is built through a canonical CSR matrix
+    (`CSRMatrix.canonical`), which sums duplicate triplets in row order, as
+    building the CSC arrays straight from triplets would not, and only its
+    CSC conversion (`csr_tocsc`) is kept.  Index arrays are int32 where the
+    dimensions and the entry count fit, as scipy's are.  Products are
+    counted (`n_matvec` / `n_rmatvec`) so tests can assert the
+    per-iteration matvec budget of the solver loop.
     """
 
     def __init__(self, matrix) -> None:
-        csr = sp.csr_matrix(matrix)
-        if not csr.has_canonical_format:
-            # sum_duplicates sorts in place, and a CSR `matrix` shares these arrays
-            csr = csr.copy()
-            csr.sum_duplicates()
-        self._set_views(csr.tocsc())
+        """`matrix` is a dense 2-D array, a shape (m, n) for the all-zero
+        matrix, a `CSRMatrix`, or a scipy sparse matrix, read through its own
+        `tocsr()`.  Values are float64."""
+        if hasattr(matrix, "tocsr"):
+            matrix = matrix.tocsr()
+        if isinstance(matrix, CSRMatrix):
+            csr = matrix
+        elif isinstance(matrix, tuple) and len(matrix) == 2 and all(
+                isinstance(d, (int, np.integer)) for d in matrix):
+            csr = CSRMatrix.from_triplets((), (), (), matrix)
+        elif hasattr(matrix, "indptr"):  # a scipy CSR matrix
+            csr = CSRMatrix(matrix.shape, matrix.indptr, matrix.indices,
+                            np.asarray(matrix.data, dtype=np.float64))
+        else:
+            dense = np.atleast_2d(np.asarray(matrix))
+            if dense.ndim != 2:
+                raise ValueError(f"expected a 2-D array, got {dense.ndim}-D")
+            rows, cols = dense.nonzero()
+            csr = CSRMatrix.from_triplets(rows, cols, dense[rows, cols], dense.shape)
+        csr = csr.canonical()
+        m, n = csr.shape
+        self._set_arrays((m, n), *_compressed_transpose(m, n, *csr[1:]))
 
-    def _set_views(self, csc) -> None:
-        self._csc = csc
-        self.shape = csc.shape
+    def _set_arrays(self, shape, indptr, indices, data) -> None:
+        self.shape = shape
+        self.indptr, self.indices, self.data = indptr, indices, data
         self.n_matvec = 0
         self.n_rmatvec = 0
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "SparseMatrix":
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        return cls(sp.coo_matrix((vals, (rows, cols)), shape=shape))
+        return cls(CSRMatrix.from_triplets(rows, cols, vals, shape))
 
     @property
     def m(self) -> int:
@@ -81,7 +255,7 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return self._csc.nnz
+        return self.data.size
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """G x, written into `out` (and returned) when it is given; `out`
@@ -96,8 +270,7 @@ class SparseMatrix:
             out.fill(0.0)
         else:  # the kernel does not check bounds
             raise ValueError(f"out must have length {m}, got {out.shape}")
-        csc = self._csc
-        csc_matvec(m, n, csc.indptr, csc.indices, csc.data, x, out)
+        csc_matvec(m, n, self.indptr, self.indices, self.data, x, out)
         return out
 
     def rmatvec(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -113,8 +286,7 @@ class SparseMatrix:
             out.fill(0.0)
         else:  # the kernel does not check bounds
             raise ValueError(f"out must have length {n}, got {out.shape}")
-        csc = self._csc
-        csr_matvec(n, m, csc.indptr, csc.indices, csc.data, y, out)
+        csr_matvec(n, m, self.indptr, self.indices, self.data, y, out)
         return out
 
     def max_abs(self) -> float:
@@ -122,57 +294,62 @@ class SparseMatrix:
         initial step size 1/max_abs would be undefined."""
         if self.nnz == 0:
             raise NumericalError("matrix_max_abs undefined for an all-zero matrix")
-        return float(np.max(np.abs(self._csc.data)))
+        return float(np.max(np.abs(self.data)))
 
     def induced_inf_norm(self) -> float:
-        """Max absolute row sum (the operator infinity norm).  The rows are
-        summed on a transient CSR copy, by np.add.reduceat in CSR order: a
-        scatter over the CSC arrays sums them in another order."""
+        """Max absolute row sum (the operator infinity norm).  Each row is
+        summed in CSR order by np.add.reduceat, as scipy's `sum(axis=1)`
+        reduces a CSR matrix: a scatter over the CSC arrays sums the rows in
+        another order."""
         if self.nnz == 0:
             raise NumericalError("induced infinity norm undefined for an all-zero matrix")
-        return float(np.max(np.abs(self._csc).tocsr().sum(axis=1)))
+        csr = self.tocsr()
+        starts = csr.indptr[:-1][np.diff(csr.indptr) > 0]
+        return float(np.max(np.add.reduceat(np.abs(csr.data), starts)))
 
     def scaled(self, d_row: np.ndarray, d_col: np.ndarray) -> "SparseMatrix":
         """Return diag(d_row) @ A @ diag(d_col) as a new matrix.
 
         The CSC data are scaled on their own pattern as (d_row_i a_ij) d_col_j,
         the order of the two sparse products, and entries that round to zero
-        are dropped, as the products drop them; so the result equals the
-        products' bit for bit without forming them or re-sorting.
+        are dropped (`csr_eliminate_zeros`), as the products drop them; so
+        the result equals the products' bit for bit without forming them or
+        re-sorting.  The index arrays are shared when no entry is dropped.
         """
         rows, cols, vals = self.triplets()
+        data = d_row[rows] * vals * d_col[cols]
+        indptr, indices = self.indptr, self.indices
+        if not np.all(data != 0.0):
+            indptr, indices = indptr.copy(), indices.copy()
+            _sparsetools.csr_eliminate_zeros(self.n, self.m, indptr, indices, data)
+            nnz = int(indptr[-1])
+            indices, data = indices[:nnz].copy(), data[:nnz].copy()
         out = SparseMatrix.__new__(SparseMatrix)
-        out._set_views(_with_data(self._csc, d_row[rows] * vals * d_col[cols]))
+        out._set_arrays(self.shape, indptr, indices, data)
         return out
 
     def toarray(self) -> np.ndarray:
-        return self._csc.toarray()
+        """G as a dense Fortran-ordered array (`csr_todense`, as scipy's
+        `toarray` writes a CSC matrix)."""
+        out = np.zeros(self.shape, order="F")
+        _sparsetools.csr_todense(self.n, self.m, self.indptr, self.indices, self.data, out.T)
+        return out
 
-    def tocsr(self):
-        """A CSR copy of G."""
-        return self._csc.tocsr()
+    def tocsr(self) -> CSRMatrix:
+        """G's CSR arrays, new ones."""
+        return CSRMatrix(self.shape, *_compressed_transpose(self.n, self.m, self.indptr,
+                                                              self.indices, self.data))
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, vals) of the entries in column-major order (by
         column, then row).  `rows` and `vals` are the stored CSC arrays, not
         copies, so callers must not write to them; `cols` is expanded from
         the column pointers."""
-        csc = self._csc
-        return csc.indices, np.repeat(np.arange(self.n), np.diff(csc.indptr)), csc.data
+        return self.indices, np.repeat(np.arange(self.n), np.diff(self.indptr)), self.data
 
     def reset_counters(self) -> None:
         self.n_matvec = 0
         self.n_rmatvec = 0
-
-
-def _with_data(csc, data):
-    """`csc`'s pattern with the values `data`, less the entries that are zero;
-    shares `csc`'s index arrays when none is."""
-    if np.all(data != 0.0):
-        return sp.csc_matrix((data, csc.indices, csc.indptr), shape=csc.shape)
-    out = sp.csc_matrix((data, csc.indices.copy(), csc.indptr.copy()), shape=csc.shape)
-    out.eliminate_zeros()
-    return out
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .linalg import SparseMatrix, one_norm
+from .linalg import CSRMatrix, SparseMatrix, one_norm
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -62,10 +61,6 @@ class ConeSpec:
     scale: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.scale is None:
-            object.__setattr__(self, "scale", np.ones(self.dim))
-        scale = np.asarray(self.scale, dtype=np.float64)
-        object.__setattr__(self, "scale", scale)
         if self.kind is Cone.FREE:
             raise ValueError("free blocks are implicit; they cannot appear in a ConeSpec")
         if self.dim < 1:
@@ -76,6 +71,12 @@ class ConeSpec:
             raise ValueError(f"soc blocks need dim >= 2, got {self.dim}")
         if self.kind is Cone.RSOC and self.dim < 3:
             raise ValueError(f"rsoc blocks need dim >= 3, got {self.dim}")
+        if self.scale is None:
+            # all ones, which passes every check below
+            object.__setattr__(self, "scale", np.ones(self.dim))
+            return
+        scale = np.asarray(self.scale, dtype=np.float64)
+        object.__setattr__(self, "scale", scale)
         if scale.shape != (self.dim,):
             raise ValueError(f"scale must have length {self.dim}, got {scale.shape}")
         if not np.all(np.isfinite(scale)) or np.any(scale <= 0):
@@ -273,16 +274,18 @@ def rotate_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (a + b) / _SQRT2, (a - b) / _SQRT2
 
 
-def _rotation_matrix(size: int, pairs: list[tuple[int, int]]):
-    """Sparse orthogonal involution mixing each (i, j) pair by the rsoc map."""
-    r = sp.lil_matrix(sp.identity(size))
-    inv = 1.0 / _SQRT2
-    for i, j in pairs:
-        r[i, i] = inv
-        r[i, j] = inv
-        r[j, i] = inv
-        r[j, j] = -inv
-    return r.tocsr()
+def _rotation_matrix(size: int, pairs: list[tuple[int, int]]) -> CSRMatrix:
+    """Sparse orthogonal involution mixing each (i, j) pair by the rsoc map,
+    as a canonical CSR matrix: each row's columns ascend, and `csr_matmat`
+    sums a rotated entry's two terms in that order."""
+    i, j = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    vals = np.ones(size)
+    vals[i], vals[j] = 1.0 / _SQRT2, -1.0 / _SQRT2
+    inv = np.full(i.size, 1.0 / _SQRT2)
+    diagonal = np.arange(size)
+    return CSRMatrix.from_triplets(np.concatenate((diagonal, i, j)),
+                                   np.concatenate((diagonal, j, i)),
+                                   np.concatenate((vals, inv, inv)), (size, size))
 
 
 def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
@@ -294,7 +297,9 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
     of G and entries of c (primal blocks) transform by the same matrix.
     Promoted dual blocks then move into the soc group, so the rows follow
     the order zero, nonneg, soc, exp, dual-exp.  `apply_rsoc_inverse` maps
-    solutions back to the original blocks and row order.
+    solutions back to the original blocks and row order.  The products and
+    the row gather run scipy's kernels on CSR arrays (`CSRMatrix`), so G, h
+    and c get the bits of scipy's `r @ g`, `r @ h`, `g @ r` and `g[rows]`.
     """
     if not problem.has_rsoc_blocks():
         return problem
@@ -324,7 +329,7 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
     order = _promoted_order(problem.dual_cones)
     if order is not None:
         blocks, rows = order
-        g = g[rows]
+        g = g.take_rows(rows)
         h = h[rows]
         dual_cones = tuple(dual_cones[i] for i in blocks)
 

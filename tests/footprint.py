@@ -4,9 +4,11 @@
 
 generates the benchmark's lp-large instance (a planted 40000x80000 LP,
 perfbench/workloads.py, imported, not changed) into a temporary file and
-prints five tab-separated lines:
+prints six tab-separated lines:
 
     import  VmHWM after `import conic_pdhg, conic_pdhg.cli`
+    import  the time that `import conic_pdhg.cli` takes, the VmHWM after it
+            and the number of `scipy*` modules it loads
     parse   tracemalloc peak of `fileio.parse_problem` on that file, in MB
             and as a multiple of the file's size
     parse   VmHWM after `fileio.parse_problem` reads that file: tracemalloc
@@ -37,6 +39,15 @@ with open("/proc/self/status") as f:
     print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")))
 """
 IMPORT = "import conic_pdhg, conic_pdhg.cli\n" + VM_HWM
+IMPORT_CLI = """
+import sys, time
+t0 = time.perf_counter()
+import conic_pdhg.cli
+elapsed_us = round(1e6 * (time.perf_counter() - t0))
+with open("/proc/self/status") as f:
+    kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+print(elapsed_us, kb, sum(name.split(".")[0] == "scipy" for name in sys.modules))
+"""
 PARSE = """
 import sys, tracemalloc
 from conic_pdhg.fileio import parse_problem
@@ -51,7 +62,7 @@ parse_problem(sys.argv[1])
 """ + VM_HWM
 MATRIX = """
 import sys
-import scipy.sparse as sp
+import numpy as np
 from conic_pdhg.fileio import parse_problem
 from conic_pdhg.scaling import build_scaling, rescale_problem
 
@@ -59,9 +70,8 @@ def arrays(*mats):
     held = {}
     for mat in mats:
         for v in vars(mat).values():
-            if sp.issparse(v):
-                for a in (v.data, v.indices, v.indptr):
-                    held[a.__array_interface__["data"][0], a.nbytes] = a.nbytes
+            if isinstance(v, np.ndarray):
+                held[v.__array_interface__["data"][0], v.nbytes] = v.nbytes
     return sum(held.values())
 
 p = parse_problem(sys.argv[1])
@@ -99,6 +109,9 @@ def main(argv=None):
         del case
         (kb,) = child(IMPORT)
         print(f"import\tVmHWM\t{kb / 1024:.1f} MB")
+        elapsed_us, kb, scipy_modules = child(IMPORT_CLI)
+        print(f"import\tconic_pdhg.cli\t{elapsed_us / 1e6:.3f} s\tVmHWM {kb / 1024:.1f} MB\t"
+              f"{scipy_modules} scipy modules")
         (peak,) = child(PARSE, problem)
         print(f"parse\ttracemalloc peak\t{peak / 2**20:.1f} MB\t{peak / size:.2f}x "
               f"the {size / 2**20:.1f} MB file")

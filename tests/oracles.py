@@ -383,7 +383,8 @@ def build_scaling_matrix_algebra(problem):
         v = np.asarray(v.todense() if sp.issparse(v) else v, dtype=float).ravel()
         return np.array([1.0 / math.sqrt(e) if e > 0 else 1.0 for e in v])
 
-    a = abs(problem.G.tocsr())
+    g = problem.G
+    a = abs(sp.csc_matrix((g.data, g.indices, g.indptr), shape=g.shape).tocsr())
     d1, d2 = np.ones(problem.m), np.ones(problem.n)
     for _ in range(10):
         r, c = inv_sqrt(a.max(axis=1)), inv_sqrt(a.max(axis=0))

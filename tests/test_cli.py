@@ -242,3 +242,43 @@ def test_import_leaves_scipy_linalg_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src))).stdout
     assert out.split() == ["[]"]
+
+
+def all_cones_doc():
+    """x in [-2, 2]^3 with x1 = x2, x1 >= -1, ||(x1, x2)|| <= 3,
+    (x3, 1, 8) in the exp cone, a constant dual-exp block and the rotated
+    block 2 * 1 * 1 >= (x1 / 2)^2."""
+    rows = [0, 0, 1, 3, 4, 9, 13]
+    cols = [0, 1, 0, 0, 1, 2, 0]
+    vals = [1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 0.5]
+    h = [0.0, -1.0, -3.0, 0.0, 0.0, 0.0, -1.0, -8.0, 1.0, 0.0, -1.0, -1.0, -1.0, 0.0]
+    return {
+        "format_version": 1,
+        "n": 3, "m": len(h), "nb": 3,
+        "c": [1.0, 1.0, 1.0], "h": h,
+        "bl": [-2.0] * 3, "bu": [2.0] * 3,
+        "G": {"rows": rows, "cols": cols, "vals": vals},
+        "mGzero": 1, "mGnonnegative": 1,
+        "socG": [3], "expG": 1, "dual_expG": 1, "rsocG": [3],
+    }
+
+
+def test_import_leaves_scipy_sparse_out(tmp_path):
+    # the products and the conversions that build G call scipy's compiled
+    # kernels, loaded from their extension file, so neither scipy.sparse nor
+    # the scipy._lib layer (which loads numpy.testing and numpy.f2py) is
+    # imported, by the package or by a solve of every cone kind
+    src = Path(__file__).resolve().parent.parent / "src"
+    inp = write_doc(tmp_path, all_cones_doc())
+    code = ("import sys\n"
+            "from conic_pdhg import cli\n"
+            "code = cli.main(['--input', sys.argv[1], '--output', sys.argv[2],\n"
+            "                 '--max-iter', '300'])\n"
+            "assert code in (0, 1), code\n"
+            "prefixes = ('scipy.sparse', 'numpy.testing', 'numpy.f2py')\n"
+            "print(sorted(m for m in sys.modules if m.startswith(prefixes)))")
+    out = subprocess.run([sys.executable, "-c", code, inp, str(tmp_path / "r.json")],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert out.split() == ["[]"]
+    assert len(load_result(str(tmp_path / "r.json"))["slack"]) == 14

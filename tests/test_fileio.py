@@ -802,3 +802,40 @@ class TestWriteResultBytes:
         p = document_to_problem(mixed_doc())
         opts = SolverOptions(max_iter=50, time_limit=math.inf)
         self.assert_bytes_alike(solve(p, opts), opts, tmp_path)
+
+
+def _neighbours(x, steps=64):
+    """Floats within `steps` ulps of x, of either sign."""
+    up = np.nextafter(np.float64(x), np.inf)
+    ulp = float(up - np.float64(x))
+    return st.integers(-steps, steps).map(lambda k: x + k * ulp) | st.integers(
+        -steps, steps).map(lambda k: -(x + k * ulp))
+
+
+FINITE_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+    .filter(math.isfinite),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4, 1e16,
+                     1.7976931348623157e308]),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    _neighbours(1e-4),
+    _neighbours(1e16),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestFloatListAgainstJson:
+    """The bulk writer of float vectors against `json.dumps` of the list."""
+
+    @given(st.lists(FINITE_FLOATS, min_size=1, max_size=40))
+    @settings(max_examples=1500, deadline=None)
+    def test_matches_json_dumps(self, values):
+        want = json.dumps(values, indent=1).replace("\n", "\n ")
+        assert fileio._indented_member(np.array(values, dtype=np.float64)) == want
+
+    def test_boundaries_and_a_strided_vector(self):
+        edges = [1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0), 5e-324, -0.0]
+        values = np.array([[v, -v] for v in edges]).ravel()
+        for v in (values, values[::2]):
+            want = json.dumps(v.tolist(), indent=1).replace("\n", "\n ")
+            assert fileio._indented_member(v) == want

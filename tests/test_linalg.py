@@ -131,25 +131,36 @@ def test_products_into_out_are_the_csr_products():
 
 
 def test_products_call_scipys_kernels_loaded_with_the_module():
-    # a scipy that moves these private kernels fails this import, and every
-    # test that imports the module, rather than a solve
-    from scipy.sparse import _sparsetools
+    # the kernels come from the `_sparsetools` extension file in scipy's
+    # package directory, loaded when the module is; a scipy that moves the
+    # file fails this import, and every test that imports the module,
+    # rather than a solve
+    import importlib.util
+    import os
+
+    import scipy.sparse as sp
 
     import conic_pdhg.linalg as linalg
 
-    assert linalg.csc_matvec is _sparsetools.csc_matvec
-    assert linalg.csr_matvec is _sparsetools.csr_matvec
+    (scipy_dir,) = importlib.util.find_spec("scipy").submodule_search_locations
+    path = linalg._sparsetools.__file__
+    assert os.path.dirname(path) == os.path.join(scipy_dir, "sparse")
+    assert os.path.basename(path).startswith("_sparsetools.")
+    assert linalg.csc_matvec is linalg._sparsetools.csc_matvec
+    assert linalg.csr_matvec is linalg._sparsetools.csr_matvec
+    rng = np.random.default_rng(10)
+    dense = random_sparse(rng, 25, 17) * 10.0 ** rng.uniform(-30, 30, (25, 17))
+    a, csr = SparseMatrix(dense), sp.csr_matrix(dense)
+    x, y = rng.standard_normal(17), rng.standard_normal(25)
+    np.testing.assert_array_equal(bits(a.matvec(x)), bits(csr @ x))
+    np.testing.assert_array_equal(bits(a.rmatvec(y)), bits(csr.T @ y))
 
 
 def with_index_dtype(a, dtype):
-    """`a`'s entries with index arrays of `dtype`; scipy's constructors
-    narrow indices that fit in int32, so the arrays are set afterwards."""
-    import scipy.sparse as sp
-
-    csc = sp.csc_matrix(a._csc, copy=True)
-    csc.indices, csc.indptr = csc.indices.astype(dtype), csc.indptr.astype(dtype)
+    """`a`'s entries with index arrays of `dtype`; the constructor narrows
+    indices that fit in int32, so the arrays are set afterwards."""
     out = SparseMatrix.__new__(SparseMatrix)
-    out._set_views(csc)
+    out._set_arrays(a.shape, a.indptr.astype(dtype), a.indices.astype(dtype), a.data.copy())
     return out
 
 
@@ -158,20 +169,25 @@ def with_index_dtype(a, dtype):
                                             ((0, 5), 0.3), ((1, 1), 1.0)],
                          ids=["random", "nnz 0", "n 0", "m 0", "1x1"])
 def test_products_into_nan_filled_out_have_the_bits_of_scipy(dtype, shape, density):
+    import scipy.sparse as sp
+
     rng = np.random.default_rng(9)
     m, n = shape
     for _ in range(5):
         dense = random_sparse(rng, m, n, density) * 10.0 ** rng.uniform(-30, 30, (m, n))
         a = with_index_dtype(SparseMatrix(dense), dtype)
-        assert a._csc.indices.dtype == dtype and a._csc.indptr.dtype == dtype
+        assert a.indices.dtype == dtype and a.indptr.dtype == dtype
+        # a sparse array keeps the index dtype it is given
+        csc = sp.csc_array((a.data, a.indices, a.indptr), shape=a.shape)
+        assert csc.indices.dtype == dtype
         x, y = rng.standard_normal(n), rng.standard_normal(m)
         out_x, out_y = np.full(m, np.nan), np.full(n, np.nan)
         assert a.matvec(x, out=out_x) is out_x
         assert (a.n_matvec, a.n_rmatvec) == (1, 0)
         assert a.rmatvec(y, out=out_y) is out_y
         assert (a.n_matvec, a.n_rmatvec) == (1, 1)
-        np.testing.assert_array_equal(bits(out_x), bits(a._csc @ x))
-        np.testing.assert_array_equal(bits(out_y), bits(a._csc.T @ y))
+        np.testing.assert_array_equal(bits(out_x), bits(csc @ x))
+        np.testing.assert_array_equal(bits(out_y), bits(csc.T @ y))
         np.testing.assert_array_equal(bits(a.matvec(x)), bits(out_x))
         np.testing.assert_array_equal(bits(a.rmatvec(y)), bits(out_y))
         a.reset_counters()
@@ -185,13 +201,14 @@ def products_reference(a, d_row, d_col):
 
 
 def assert_same_arrays(g, w):
+    """The same CSC (or CSR) arrays, dtypes and bits included."""
+    assert g.shape == w.shape
+    assert g.indptr.dtype == w.indptr.dtype and g.indices.dtype == w.indices.dtype
+    assert g.data.dtype == w.data.dtype == np.float64
     np.testing.assert_array_equal(g.indptr, w.indptr)
     np.testing.assert_array_equal(g.indices, w.indices)
     np.testing.assert_array_equal(bits(g.data), bits(w.data))
 
-
-def assert_same_matrix(got, want):
-    assert_same_arrays(got._csc, want._csc)
 
 
 def test_scaled_equals_the_sparse_products_bit_for_bit():
@@ -202,7 +219,7 @@ def test_scaled_equals_the_sparse_products_bit_for_bit():
         a = SparseMatrix(random_sparse(rng, m, n) * 10.0 ** rng.uniform(-200, 100, (m, n)))
         d_row, d_col = 10.0 ** rng.uniform(-150, 50, m), 10.0 ** rng.uniform(-150, 50, n)
         got = a.scaled(d_row, d_col)
-        assert_same_matrix(got, products_reference(a, d_row, d_col))
+        assert_same_arrays(got, products_reference(a, d_row, d_col))
         dropped += a.nnz - got.nnz
     assert dropped > 0
 
@@ -212,7 +229,7 @@ def test_scaled_drops_one_underflowing_entry():
     d_row, d_col = np.array([1e-20, 1.0]), np.array([1e-10, 0.5])
     got = a.scaled(d_row, d_col)
     assert got.nnz == 2  # (1e-300 * 1e-20) * 1e-10 rounds to zero
-    assert_same_matrix(got, products_reference(a, d_row, d_col))
+    assert_same_arrays(got, products_reference(a, d_row, d_col))
     np.testing.assert_array_equal(got.toarray(), [[0.0, 1e-20], [3.0 * 1e-10, 0.0]])
     # the operand is left as it was
     np.testing.assert_array_equal(a.toarray(), [[1e-300, 2.0], [3.0, 0.0]])
@@ -266,11 +283,97 @@ def test_duplicates_sum_as_the_csr_route_sums_them():
         want = coo.tocsr()
         want.sum_duplicates()
         want = want.tocsc()
-        assert_same_arrays(SparseMatrix.from_coo(rows, cols, vals, (m, n))._csc, want)
+        assert_same_arrays(SparseMatrix.from_coo(rows, cols, vals, (m, n)), want)
         direct = coo.tocsc()
         direct.sum_duplicates()
         direct_differs += not np.array_equal(bits(direct.data), bits(want.data))
     assert direct_differs > 0
+
+
+# ---------------------------------------------------------------------------
+# Construction against scipy.sparse's own path
+# ---------------------------------------------------------------------------
+
+
+def scipy_path(matrix):
+    """G's CSC arrays as scipy.sparse builds them: a CSR matrix, made
+    canonical on a copy where it is not, then its CSC conversion."""
+    import scipy.sparse as sp
+
+    csr = sp.csr_matrix(matrix)
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    return csr.tocsc()
+
+
+def random_triplets(rng, index_dtype):
+    """Triplets of a small matrix, in random order, with explicit zeros and
+    entries repeated up to five times (one at least three times)."""
+    m, n = (int(k) for k in rng.integers(1, 15, 2))
+    cells = rng.choice(m * n, int(rng.integers(1, m * n + 1)), replace=False)
+    counts = rng.integers(1, 6, cells.size)
+    counts[0] = max(counts[0], 3)
+    flat = rng.permutation(np.repeat(cells, counts))
+    vals = rng.standard_normal(flat.size) * 10.0 ** rng.uniform(-8, 8, flat.size)
+    vals[rng.random(flat.size) < 0.2] = 0.0
+    return (flat // n).astype(index_dtype), (flat % n).astype(index_dtype), vals, (m, n)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_triplets_give_scipys_arrays(index_dtype):
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(14)
+    zeros_kept = 0
+    for _ in range(100):
+        rows, cols, vals, shape = random_triplets(rng, index_dtype)
+        got = SparseMatrix.from_coo(rows, cols, vals, shape)
+        assert_same_arrays(got, scipy_path(sp.coo_matrix((vals, (rows, cols)), shape=shape)))
+        assert got.indices.dtype == np.int32
+        zeros_kept += int(np.sum(got.data == 0.0))
+    assert zeros_kept > 0  # summed and explicit zeros stay, as in scipy
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_scipy_coo_and_csc_input_give_scipys_arrays(index_dtype):
+    # sparse arrays keep int64 indices that sparse matrices would narrow
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        rows, cols, vals, shape = random_triplets(rng, index_dtype)
+        coo = sp.coo_array((vals, (rows, cols)), shape=shape)
+        assert coo.coords[0].dtype == index_dtype
+        # compressed arrays straight from the triplets: unsorted, duplicated
+        by_row, by_col = np.argsort(rows, kind="stable"), np.argsort(cols, kind="stable")
+        raw_csr = sp.csr_array((vals[by_row], cols[by_row], np.concatenate(
+            ([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))), shape=shape)
+        raw_csc = sp.csc_array((vals[by_col], rows[by_col], np.concatenate(
+            ([0], np.cumsum(np.bincount(cols, minlength=shape[1]))))), shape=shape)
+        assert not (raw_csr.has_canonical_format or raw_csc.has_canonical_format)
+        for matrix in (coo, coo.tocsc(), coo.tocsr(), sp.coo_matrix(coo), sp.csc_matrix(coo),
+                       raw_csr, raw_csc):
+            assert_same_arrays(SparseMatrix(matrix), scipy_path(matrix))
+        # the caller's arrays are left as they were
+        np.testing.assert_array_equal(raw_csr.indices, cols[by_row])
+
+
+def test_dense_input_gives_scipys_arrays():
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        m, n = (int(k) for k in rng.integers(0, 15, 2))
+        dense = random_sparse(rng, m, n, float(rng.uniform(0.0, 1.0)))
+        dense[rng.random((m, n)) < 0.1] = -0.0
+        assert_same_arrays(SparseMatrix(dense), scipy_path(dense))
+        assert_same_arrays(SparseMatrix((m, n)), scipy_path((m, n)))
+        np.testing.assert_array_equal(SparseMatrix(dense).toarray(), dense)
+
+
+def test_triplets_out_of_range_are_rejected():
+    for rows, cols in (([0, 2], [0, 0]), ([0, -1], [0, 0]), ([0, 0], [0, 3])):
+        with pytest.raises(ValueError, match="must lie in"):
+            SparseMatrix.from_coo(rows, cols, [1.0, 2.0], (2, 3))
 
 
 def test_vector_norms():

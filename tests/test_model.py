@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conic_pdhg.cones import cone_layout
 from conic_pdhg.engine import SolverOptions, solve
 from conic_pdhg.linalg import SparseMatrix
 from conic_pdhg.model import (
@@ -71,6 +72,29 @@ class TestValidation:
             ConeSpec(Cone.EXP, 3, scale=np.array([1.0, 2.0, 1.0]))
         with pytest.raises(ValueError):
             ConeSpec(Cone.FREE, 2)
+
+    @pytest.mark.parametrize("kind, dim", [(Cone.ZERO, 1), (Cone.NONNEG, 4), (Cone.SOC, 3),
+                                           (Cone.EXP, 3), (Cone.DUAL_EXP, 3), (Cone.RSOC, 5)])
+    def test_spec_without_a_scale_is_the_all_ones_spec(self, kind, dim):
+        # a spec built without a scale skips the checks of its scale
+        bare, ones = ConeSpec(kind, dim), ConeSpec(kind, dim, scale=np.ones(dim))
+        assert (bare.kind, bare.dim) == (ones.kind, ones.dim)
+        assert bare.scale.dtype == ones.scale.dtype == np.float64
+        np.testing.assert_array_equal(bare.scale, ones.scale)
+        if dim == 1:
+            assert bare == ones
+        n = 2
+        problems = [ConicProblem(c=np.ones(n), G=SparseMatrix(np.ones((dim, n))), h=np.zeros(dim),
+                                 l=-np.ones(n), u=np.ones(n), num_box=n, dual_cones=(spec,))
+                    for spec in (bare, ones)]
+        layouts = [cone_layout(rsoc_to_soc(p)) for p in problems]
+        for plan in ("primal", "primal_dual", "dual", "dual_residual"):
+            got, want = (getattr(layout, plan) for layout in layouts)
+            assert [op[:3] for op in got] == [op[:3] for op in want]
+            for a, b in zip(got, want):
+                assert (a[3] is None) == (b[3] is None)
+                if a[3] is not None:
+                    np.testing.assert_array_equal(a[3], b[3])
 
 
 class TestLambdaSet:
@@ -279,6 +303,72 @@ class TestRsocToSoc:
             _, y_back, slack_back = apply_rsoc_inverse(p, x, r_new, r_new)
             np.testing.assert_allclose(slack_back, r_orig, atol=1e-12)
             np.testing.assert_allclose(y_back, r_orig, atol=1e-12)
+
+    def test_rotation_has_the_bits_of_scipys_products(self):
+        # r @ g, r @ h, g @ r, r @ c and g[rows] on scipy matrices, as the
+        # rotation was computed with scipy.sparse: each entry sums from 0.0,
+        # zero results (cancellations, explicit zeros) are dropped, and -0.0
+        # in h and c becomes 0.0
+        import scipy.sparse as sp
+
+        from conic_pdhg.model import _promoted_order, _rotation_blocks
+
+        def rotation(size, pairs):
+            r = sp.lil_matrix(sp.identity(size))
+            for i, j in pairs:
+                r[i, i] = r[i, j] = r[j, i] = 1.0 / math.sqrt(2.0)
+                r[j, j] = -1.0 / math.sqrt(2.0)
+            return r.tocsr()
+
+        def reference(p):
+            g = sp.csc_matrix((p.G.data, p.G.indices, p.G.indptr), shape=p.G.shape).tocsr()
+            h, c = p.h, p.c
+            rows = [(sl.start, sl.start + 1) for sl in _rotation_blocks(p.dual_cones, 0)]
+            cols = [(sl.start, sl.start + 1)
+                    for sl in _rotation_blocks(p.primal_cones, p.num_box)]
+            if rows:
+                r = rotation(p.m, rows)
+                g, h = r @ g, r @ h
+            if cols:
+                r = rotation(p.n, cols)
+                g, c = g @ r, r @ c
+            order = _promoted_order(p.dual_cones)
+            if order is not None:
+                g, h = g[order[1]], h[order[1]]
+            g = sp.csr_matrix(g)
+            if not g.has_canonical_format:
+                g = g.copy()
+                g.sum_duplicates()
+            return g.tocsc(), h, c
+
+        def bits(a):
+            return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            dual = [ConeSpec(Cone.NONNEG, 2)] if trial % 2 else []
+            dual += [ConeSpec(Cone.SOC, 3), ConeSpec(Cone.EXP, 3)][:trial % 3]
+            dual += [ConeSpec(Cone.RSOC, int(d)) for d in rng.integers(3, 5, trial % 3 + 1)]
+            primal = tuple(ConeSpec(Cone.RSOC, 3) for _ in range(trial % 4 // 2))
+            m, nb = sum(s.dim for s in dual), 2
+            n = nb + 3 * len(primal)
+            dense = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-300, 300, (m, n))
+            dense[1] = dense[0]  # rotated rows that cancel
+            rows, cols = np.nonzero(rng.random((m, n)) < 0.6)
+            vals = dense[rows, cols]
+            vals[rng.random(vals.size) < 0.1] = 0.0  # explicit zeros
+            h, c = rng.standard_normal(m), rng.standard_normal(n)
+            h[::3], c[::3] = -0.0, -0.0
+            p = ConicProblem(c=c, G=SparseMatrix.from_coo(rows, cols, vals, (m, n)), h=h,
+                             l=-np.ones(nb), u=np.ones(nb), num_box=nb,
+                             primal_cones=primal, dual_cones=tuple(dual))
+            q = rsoc_to_soc(p)
+            g, h, c = reference(p)
+            assert q.G.indptr.dtype == g.indptr.dtype and q.G.indices.dtype == g.indices.dtype
+            np.testing.assert_array_equal(q.G.indptr, g.indptr)
+            np.testing.assert_array_equal(q.G.indices, g.indices)
+            for got, want in ((q.G.data, g.data), (q.h, h), (q.c, c)):
+                np.testing.assert_array_equal(bits(got), bits(want))
 
     def test_rotated_dim_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from oracles import build_scaling_matrix_algebra
 from test_lean_iteration import random_lp
@@ -347,16 +346,16 @@ def rsoc_problem():
 
 
 def test_matrices_built_per_solve(monkeypatch):
-    # every matrix, built from entries or scaled from another, sets its views
+    # every matrix, built from entries or scaled from another, sets its arrays
     built = []
-    real = SparseMatrix._set_views
+    real = SparseMatrix._set_arrays
 
-    def counting(self, csc):
-        built.append(csc)
-        real(self, csc)
+    def counting(self, *arrays):
+        built.append(arrays)
+        real(self, *arrays)
 
     lp, rsoc = random_lp(3), rsoc_problem()
-    monkeypatch.setattr(SparseMatrix, "_set_views", counting)
+    monkeypatch.setattr(SparseMatrix, "_set_arrays", counting)
     build_scaling(lp)
     assert len(built) == 0
     solve(lp, SolverOptions(max_iter=10))
@@ -367,31 +366,30 @@ def test_matrices_built_per_solve(monkeypatch):
 
 
 def held_bytes(mat):
-    """Bytes of the distinct index and data arrays `mat` holds; a view of
-    the same arrays (as G^T's) counts once."""
+    """Bytes of the distinct arrays `mat` holds; an array held twice (as a
+    view for G^T would be) counts once."""
     arrays = {}
     for held in vars(mat).values():
-        if sp.issparse(held):
-            for a in (held.data, held.indices, held.indptr):
-                arrays[a.__array_interface__["data"][0], a.nbytes] = a.nbytes
+        if isinstance(held, np.ndarray):
+            arrays[held.__array_interface__["data"][0], held.nbytes] = held.nbytes
     return sum(arrays.values())
 
 
 def test_each_matrix_holds_one_compressed_copy(monkeypatch):
     built = []
-    real = SparseMatrix._set_views
+    real = SparseMatrix._set_arrays
 
-    def recording(self, csc):
+    def recording(self, *arrays):
         built.append(self)
-        real(self, csc)
+        real(self, *arrays)
 
     lp, rsoc = random_lp(3), rsoc_problem()
     s = build_scaling(lp)
-    monkeypatch.setattr(SparseMatrix, "_set_views", recording)
+    monkeypatch.setattr(SparseMatrix, "_set_arrays", recording)
     solve(rsoc, SolverOptions(max_iter=10))
     assert len(built) == 2  # the rotated blocks' matrix and its scaled copy
     for mat in (lp.G, lp.G.scaled(s.d1, s.d2), *built):
-        itemsize = mat._csc.indices.itemsize
+        itemsize = mat.indices.itemsize
         assert held_bytes(mat) == mat.nnz * (8 + itemsize) + (mat.n + 1) * itemsize
 
 
