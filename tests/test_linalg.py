@@ -156,6 +156,30 @@ def test_products_call_scipys_kernels_loaded_with_the_module():
     np.testing.assert_array_equal(bits(a.rmatvec(y)), bits(csr.T @ y))
 
 
+def test_scipy_sparse_imports_as_usual_after_the_kernels_are_loaded():
+    # the loader takes the extension back out of sys.modules, so a later
+    # `import scipy.sparse` loads and registers it as it would have
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import conic_pdhg.linalg as linalg\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+            "import scipy.sparse as sp\n"
+            "from scipy.sparse import _sparsetools\n"
+            "assert sys.modules['scipy.sparse._sparsetools'] is _sparsetools\n"
+            "assert _sparsetools.__file__ == linalg._sparsetools.__file__\n"
+            "a = np.array([[1.0, 2.0], [0.0, 3.0]])\n"
+            "print(sp.csr_matrix(a) @ np.ones(2), linalg.SparseMatrix(a).matvec(np.ones(2)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert out.split() == ["[3.", "3.]", "[3.", "3.]"]
+
+
 def with_index_dtype(a, dtype):
     """`a`'s entries with index arrays of `dtype`; the constructor narrows
     indices that fit in int32, so the arrays are set afterwards."""
