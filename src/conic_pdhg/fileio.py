@@ -7,23 +7,22 @@ mGnonnegative, socG, expG, dual_expG, and the optional rsocG extension
 encoded as the strings "inf"/"-inf", never as IEEE infinities in text.
 The format only expresses box variables, so nb must equal n.
 
-`parse_problem` reads a file's top-level object, and the object under G,
-one member at a time: each value goes to its key's converter as soon as it
-is scanned, so at most one raw JSON list is alive at once.  Lists are read
-by orjson, in comma-cut pieces; a list orjson rejects, or one whose numbers
-it may read otherwise than the standard library, is scanned again by the
-standard library's scanner, so the two readers give the same problems and
-the same errors.
+`parse_problem` reads a file as bytes and walks its top-level object, and
+the object under G, member by member.  orjson reads lists in comma-cut
+pieces, turned into arrays a few thousand entries at a time, and
+`np.fromstring` reads index lists of plain digits.  Whatever the walk
+cannot vouch for (unknown or escaped keys, values orjson rejects or may
+read otherwise, any error) takes one fallback: `json.loads` of the text.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import io
 import json
-import json.decoder
-import json.scanner
 import math
+import re
 import warnings
 
 import numpy as np
@@ -34,10 +33,14 @@ from .model import Cone, ConeSpec, ConicProblem
 
 FORMAT_VERSION = 1
 
-_scan_value = json.scanner.make_scanner(json.JSONDecoder())
-_skip_space = json.decoder.WHITESPACE.match
-_PIECE = 1 << 16  # characters of a list that one orjson.loads call reads, up to the next comma
+_PIECE = 1 << 16  # bytes of a list that one orjson.loads call reads, up to the next comma
+_BATCH = 1 << 12  # list entries converted to one array at a time
 _BIG_INT = 2.0**63  # orjson reads integers beyond [-2**63, 2**64) as floats at least this large
+_SPACE = rb"[ \t\n\r]*"  # JSON's whitespace
+_OPEN = re.compile(_SPACE + rb"\{")
+_KEY = re.compile(_SPACE + rb'"(\w*)"' + _SPACE + rb":" + _SPACE)  # a key without escapes
+_NEXT = re.compile(_SPACE + rb"([,}])")
+_SCALAR = re.compile(rb"[^,}]*")
 
 
 class ProblemFormatError(ValueError):
@@ -178,9 +181,8 @@ _MEMBERS = {
 def _convert(rule, value, key: str):
     """One member's converted value, or the error its conversion raised.
 
-    The error is kept, not raised: as in `json`, a later duplicate of the
-    key replaces the member, and its error with it.  Unknown keys convert
-    to None."""
+    The error is kept, not raised, so that `_assemble` reports errors in
+    its own order of keys.  Unknown keys convert to None."""
     if rule is None:
         return None
     try:
@@ -208,104 +210,123 @@ def _member(members: dict, key: str, default=_REQUIRED):
     return value
 
 
-class _NotJson(Exception):
-    """The text breaks the JSON grammar; `json.loads` reports where."""
+class _Fallback(Exception):
+    """The bytes walk cannot vouch for a file; the whole-document parse reads it."""
 
 
-def _scan_members(s: str, end: int, rules: dict, prefix: str):
-    """Convert the members of the JSON object whose `{` is at s[end - 1].
+def _object_members(data: bytes, pos: int, rules: dict, prefix: str):
+    """The converted members of the object at data[pos] (after whitespace),
+    and the index after its `}`.
 
-    Returns the converted members and the index after the closing `}`.  The
-    grammar is `json.decoder.JSONObject`'s and every value is scanned as
-    `_scan_converted` says; a member whose rule is a table and whose value
-    is an object is walked the same way.  Malformed text raises `_NotJson`,
-    `StopIteration` or `json.JSONDecodeError`."""
-    members = {}
-    end = _skip_space(s, end).end()
-    if s[end:end + 1] == "}":
-        return members, end + 1
+    Keys must be in `rules`, spelt without escapes; a table's value must be
+    a nonempty object, walked alike.  A list goes to `_read_list`, any other
+    value to orjson, cut at the next `,` or `}` (a string or object cut
+    there is rejected).  The rest is the fallback's: unknown keys, which it
+    warns of, and errors, which it reports."""
+    members, start = {}, _OPEN.match(data, pos)
+    if not start:
+        raise _Fallback
+    pos = start.end()
     while True:
-        if s[end:end + 1] != '"':
-            raise _NotJson
-        key, end = json.decoder.scanstring(s, end + 1)
-        end = _skip_space(s, end).end()
-        if s[end:end + 1] != ":":
-            raise _NotJson
-        end = _skip_space(s, end + 1).end()
-        rule = rules.get(key)
-        if isinstance(rule, dict) and s[end:end + 1] == "{":
-            members[key], end = _scan_members(s, end + 1, rule, f"{prefix}{key}.")
+        key = _KEY.match(data, pos)
+        name = key.group(1).decode() if key else ""
+        rule = rules.get(name)
+        if rule is None:
+            raise _Fallback
+        pos = key.end()
+        if isinstance(rule, dict):
+            members[name], pos = _object_members(data, pos, rule, f"{prefix}{name}.")
+        elif data[pos:pos + 1] == b"[":
+            members[name], pos = _read_list(data, pos, rule, prefix + name)
         else:
-            members[key], end = _scan_converted(s, end, rule, prefix + key)
-        end = _skip_space(s, end).end()
-        if s[end:end + 1] == "}":
-            return members, end + 1
-        if s[end:end + 1] != ",":
-            raise _NotJson
-        end = _skip_space(s, end + 1).end()
+            end = _SCALAR.match(data, pos).end()
+            members[name], pos = _vouched(rule, orjson.loads(data[pos:end]), prefix + name), end
+        sep = _NEXT.match(data, pos)
+        if sep is None:
+            raise _Fallback
+        pos = sep.end()
+        if sep.group(1) == b"}":
+            return members, pos
 
 
-def _load_list(s: str, start: int):
-    """The list whose `[` is at s[start], read by orjson, and the index after
-    its `]`; (None, None) if orjson rejects it.
+def _vouched(rule, value, key: str):
+    """`rule`'s conversion of a value read by orjson, where the standard
+    library's reading converts alike: orjson reads integers outside
+    [-2**63, 2**64) as floats, so a finite number that large is no proof.
+    Infinite bounds come from "inf" strings.  Conversion errors propagate."""
+    converted = rule(value, key)
+    if isinstance(converted, np.ndarray):
+        huge = converted.dtype.kind == "f" and np.isfinite(
+            converted[np.abs(converted) >= _BIG_INT]).any()
+    else:  # counts, a count or the version
+        huge = max(converted if isinstance(converted, list) else [converted], default=0) >= _BIG_INT
+    if huge:
+        raise _Fallback
+    return converted
 
-    The list ends at the first `]`, so a nested list, or a string holding
-    `]`, leaves a piece that orjson rejects.  Pieces are cut at commas, so a
-    cut inside a string leaves one too.  A piece that reads as no value, as
-    `[1,]`, `[,1]` and `[1,,2]` leave, is rejected unless it is the whole
-    list."""
-    close = s.find("]", start)
+
+def _read_list(data: bytes, start: int, rule, key: str):
+    """The list whose `[` is at data[start], converted by `rule`, and the
+    index after its `]`.
+
+    An index list of plain digits goes to `_digit_list`.  Other lists are
+    read by orjson in pieces cut at commas, and converted `_BATCH` entries
+    at a time into arrays, joined only if they share a dtype (numpy reads a
+    whole list as one).  The list ends at the first `]`, so a nested list,
+    or a string holding `]` or cut at a comma, leaves a piece that orjson
+    rejects; so does an empty piece of a list that is not empty (`[1,]`)."""
+    close = data.find(b"]", start)
     if close < 0:
-        return None, None
-    values, begin = [], start + 1
-    while True:
-        cut = s.find(",", begin + _PIECE, close)
-        if cut < 0:
-            cut = close
-        try:
-            piece = orjson.loads("[" + s[begin:cut] + "]")
-        except orjson.JSONDecodeError:
-            return None, None
-        if not piece and (begin > start + 1 or cut < close):
-            return None, None
-        values += piece
-        if cut == close:
+        raise _Fallback
+    if rule is _index_array:
+        values = _digit_list(data[start + 1:close])
+        if values is not None:
             return values, close + 1
+    parts, values, begin = [], [], start + 1
+    while begin <= close:
+        cut = data.find(b",", begin + _PIECE, close)
+        cut = close if cut < 0 else cut
+        piece = orjson.loads(b"[" + data[begin:cut] + b"]")
+        if not piece and (begin > start + 1 or cut < close):
+            raise _Fallback
+        values += piece
+        if len(values) >= _BATCH or cut == close:
+            parts.append(_vouched(rule, values, key))
+            values = []
         begin = cut + 1
+    if isinstance(parts[0], list):  # counts
+        return sum(parts, []), close + 1
+    if len({part.dtype for part in parts}) > 1:
+        raise _Fallback
+    return np.concatenate(parts), close + 1
 
 
-def _read_alike(converted) -> bool:
-    """Whether a list that orjson read converts as the stdlib's reading of
-    it does.
+def _digit_list(body: bytes):
+    """An index list's body as int64 by `np.fromstring`, where it holds only
+    canonical decimal integers below 10**18, commas and whitespace; else None.
 
-    orjson reads integers outside [-2**63, 2**64) as floats, so a converted
-    list holding a finite number that large is no proof, nor is a conversion
-    that failed.  Infinite bounds come from the strings "inf" and "-inf"."""
-    if isinstance(converted, np.ndarray):  # orjson's huge integers are floats
-        return (converted.dtype.kind != "f"
-                or not np.isfinite(converted[np.abs(converted) >= _BIG_INT]).any())
-    if isinstance(converted, list):  # counts
-        return max(converted, default=0) < _BIG_INT
-    return False  # a failed conversion
-
-
-def _scan_converted(s: str, end: int, rule, key: str):
-    """The value at s[end] converted by `rule`, and the index after it.
-
-    A known key's list goes to orjson first; the stdlib's scanner reads what
-    orjson rejects and every list whose conversion `_read_alike` cannot
-    vouch for.  An unknown key's value is only checked for well-formedness,
-    which orjson judges otherwise for objects nested too deep for the
-    stdlib's recursion limit, so the stdlib reads it."""
-    if rule is not None and s[end:end + 1] == "[":
-        value, after = _load_list(s, end)
-        if value is not None:
-            converted = _convert(rule, value, key)
-            del value  # before any second reading
-            if _read_alike(converted):
-                return converted, after
-    value, end = _scan_value(s, end)
-    return _convert(rule, value, key), end
+    numpy reads `01` as 1, a field of whitespace as 0, `1,` as [1], and a
+    number beyond 2**63 - 1 as 2**63 - 1.  So no field may be empty, each
+    must give one value, and the digits must number those of the values'
+    canonical decimals: no field has fewer."""
+    space = body.translate(None, b"0123456789,")
+    if space.translate(None, b" \t\n\r"):
+        return None
+    compact = body.translate(None, b" \t\n\r") if space else body
+    comma = np.frombuffer(compact, np.uint8) == ord(",")
+    if not comma.size or comma[0] or comma[-1] or (comma[1:] & comma[:-1]).any():
+        return None  # an empty field
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 only warns
+        try:
+            values = np.fromstring(body, dtype=np.int64, sep=",")
+        except (ValueError, DeprecationWarning):  # whitespace inside a number
+            return None
+    commas = int(np.count_nonzero(comma))
+    if values.size != commas + 1 or values.max() >= 10**18:
+        return None
+    beyond_first = sum(np.count_nonzero(values >= 10**k) for k in range(1, len(str(values.max()))))
+    return values if values.size + beyond_first == comma.size - commas else None
 
 
 def _document_members(doc) -> dict:
@@ -315,19 +336,17 @@ def _document_members(doc) -> dict:
 
 
 def _read_members(path: str) -> dict:
-    """The converted members of a problem file's top-level object."""
-    with open(path) as f:
-        text = f.read()
-    start = _skip_space(text, 0).end()
-    if text[start:start + 1] == "{":
-        try:
-            members, end = _scan_members(text, start + 1, _MEMBERS, "")
-            if _skip_space(text, end).end() == len(text):
-                return members
-        except (_NotJson, StopIteration, json.JSONDecodeError):
-            pass
-    # not an object, or not JSON: the whole-document parse says why
-    return _document_members(json.loads(text))
+    """The converted members of a problem file's top-level object: the walk's,
+    else the whole-document parse's, of the text as `open(path)` decodes it."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        members, end = _object_members(data, 0, _MEMBERS, "")
+        if not data[end:].strip(b" \t\n\r"):
+            return members
+    except (_Fallback, ProblemFormatError, orjson.JSONDecodeError):
+        pass
+    return _document_members(json.loads(io.TextIOWrapper(io.BytesIO(data)).read()))
 
 
 def problem_to_document(problem: ConicProblem) -> dict:
@@ -337,21 +356,7 @@ def problem_to_document(problem: ConicProblem) -> dict:
             "the file format only expresses box variables (nb == n); "
             f"got num_box={problem.num_box}, n={problem.n}"
         )
-    counts = {Cone.ZERO: 0, Cone.NONNEG: 0}
-    soc, exp, dexp, rsoc = [], 0, 0, []
-    for spec in problem.dual_cones:
-        if spec.kind is Cone.ZERO:
-            counts[Cone.ZERO] += spec.dim
-        elif spec.kind is Cone.NONNEG:
-            counts[Cone.NONNEG] += spec.dim
-        elif spec.kind is Cone.SOC:
-            soc.append(spec.dim)
-        elif spec.kind is Cone.EXP:
-            exp += 1
-        elif spec.kind is Cone.DUAL_EXP:
-            dexp += 1
-        elif spec.kind is Cone.RSOC:
-            rsoc.append(spec.dim)
+    dims = {kind: [spec.dim for spec in problem.dual_cones if spec.kind is kind] for kind in Cone}
     rows, cols, vals = problem.G.triplets()  # column-major; the reader takes any order
     doc = {
         "format_version": FORMAT_VERSION,
@@ -367,14 +372,14 @@ def problem_to_document(problem: ConicProblem) -> dict:
             "cols": [int(j) for j in cols],
             "vals": [float(v) for v in vals],
         },
-        "mGzero": counts[Cone.ZERO],
-        "mGnonnegative": counts[Cone.NONNEG],
-        "socG": soc,
-        "expG": exp,
-        "dual_expG": dexp,
+        "mGzero": sum(dims[Cone.ZERO]),
+        "mGnonnegative": sum(dims[Cone.NONNEG]),
+        "socG": dims[Cone.SOC],
+        "expG": len(dims[Cone.EXP]),
+        "dual_expG": len(dims[Cone.DUAL_EXP]),
     }
-    if rsoc:
-        doc["rsocG"] = rsoc
+    if dims[Cone.RSOC]:
+        doc["rsocG"] = dims[Cone.RSOC]
     return doc
 
 
@@ -402,15 +407,13 @@ def _assemble(members: dict) -> ConicProblem:
     if nb != n:
         raise ProblemFormatError(f"nb must equal n (box variables only), got nb={nb}, n={n}")
 
-    c = _member(members, "c")
-    h = _member(members, "h")
+    c, h = _member(members, "c"), _member(members, "h")
     if c.shape != (n,):
         raise ProblemFormatError(f"c must have length n={n}, got {c.shape[0]}")
     if h.shape != (m,):
         raise ProblemFormatError(f"h must have length m={m}, got {h.shape[0]}")
 
-    bl = _member(members, "bl")
-    bu = _member(members, "bu")
+    bl, bu = _member(members, "bl"), _member(members, "bu")
     if bl.shape != (nb,) or bu.shape != (nb,):
         raise ProblemFormatError(f"bl and bu must have length nb={nb}")
 
@@ -438,15 +441,11 @@ def _assemble(members: dict) -> ConicProblem:
             f"+ 3*expG + 3*dual_expG + sum(rsocG) = {total} but m = {m}"
         )
 
-    dual = []
-    if m_zero:
-        dual.append(ConeSpec(Cone.ZERO, m_zero))
-    if m_nonneg:
-        dual.append(ConeSpec(Cone.NONNEG, m_nonneg))
-    dual.extend(ConeSpec(Cone.SOC, d) for d in soc)
-    dual.extend(ConeSpec(Cone.EXP, 3) for _ in range(exp))
-    dual.extend(ConeSpec(Cone.DUAL_EXP, 3) for _ in range(dexp))
-    dual.extend(ConeSpec(Cone.RSOC, d) for d in rsoc)
+    dual = [ConeSpec(kind, dim) for kind, dim in ((Cone.ZERO, m_zero), (Cone.NONNEG, m_nonneg)) if dim]
+    dual += [ConeSpec(Cone.SOC, d) for d in soc]
+    dual += [ConeSpec(Cone.EXP, 3) for _ in range(exp)]
+    dual += [ConeSpec(Cone.DUAL_EXP, 3) for _ in range(dexp)]
+    dual += [ConeSpec(Cone.RSOC, d) for d in rsoc]
 
     return ConicProblem(
         c=c,

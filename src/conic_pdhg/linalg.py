@@ -16,6 +16,7 @@ import contextlib
 import ctypes
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 import threading
@@ -39,7 +40,16 @@ def inf_norm(v: np.ndarray) -> float:
 
 
 def two_norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
+    """sqrt(v . v), the bits of `np.linalg.norm`, where the dot is finite.
+    Where it overflows on finite entries, v is rescaled by its largest
+    magnitude first."""
+    with np.errstate(over="ignore"):
+        square = v.dot(v)
+    if math.isinf(square) and np.isfinite(v).all():
+        scale = inf_norm(v)
+        w = v / scale
+        return float(scale * math.sqrt(w.dot(w)))
+    return float(np.sqrt(square))
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +100,11 @@ def _index_dtype(*sizes: int) -> type:
 
 def _compressed_transpose(major: int, minor: int, indptr, indices, data):
     """The compressed arrays of the transpose (CSR to CSC, or CSC to CSR),
-    by `csr_tocsc`; they come out sorted."""
+    by `csr_tocsc`: it visits the major lines in order, so each minor line
+    comes out with its indices in ascending order, repeats adjacent."""
     nnz = int(indptr[-1])
     dtype = _index_dtype(major, minor, nnz)
-    out = np.empty(minor + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
+    out = np.empty(minor + 1, dtype), np.empty(nnz, dtype), np.empty(nnz, data.dtype)
     _sparsetools.csr_tocsc(major, minor, indptr.astype(dtype, copy=False),
                            indices.astype(dtype, copy=False), data, *out)
     return out
@@ -111,8 +122,14 @@ class CSRMatrix(NamedTuple):
     @classmethod
     def from_triplets(cls, rows, cols, vals, shape) -> "CSRMatrix":
         """The canonical CSR matrix of (row, col, value) triplets, duplicates
-        summed: `coo_tocsr`, then the canonicalization of `canonical`, as
-        scipy converts a COO matrix to CSR."""
+        summed: `coo_tocsr`, then `canonical`, as scipy converts a COO
+        matrix to CSR."""
+        return cls.coo_tocsr(rows, cols, vals, shape).canonical(copy=False)
+
+    @classmethod
+    def coo_tocsr(cls, rows, cols, vals, shape) -> "CSRMatrix":
+        """The CSR arrays that `coo_tocsr` writes for the triplets: each row
+        holds its entries in the triplets' order, repeats included."""
         m, n = (int(d) for d in shape)
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -128,7 +145,7 @@ class CSRMatrix(NamedTuple):
         indptr, indices, data = np.empty(m + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
         _sparsetools.coo_tocsr(m, n, nnz, rows.astype(dtype, copy=False),
                                cols.astype(dtype, copy=False), vals, indptr, indices, data)
-        return cls((m, n), indptr, indices, data).canonical(copy=False)
+        return cls((m, n), indptr, indices, data)
 
     def canonical(self, copy: bool = True) -> "CSRMatrix":
         """This matrix with each row's columns sorted and duplicates summed,
@@ -202,13 +219,15 @@ class SparseMatrix:
     call `csc_matvec` / `csr_matvec` on a zero-filled `out`: these are the
     kernels, and the zero start, that scipy's `@` runs, so the bits are
     `@`'s, without its allocation, its dispatch and the copy into the
-    caller's buffer.  Every matrix is built through a canonical CSR matrix
-    (`CSRMatrix.canonical`), which sums duplicate triplets in row order, as
-    building the CSC arrays straight from triplets would not, and only its
-    CSC conversion (`csr_tocsc`) is kept.  Index arrays are int32 where the
-    dimensions and the entry count fit, as scipy's are.  Products are
-    counted (`n_matvec` / `n_rmatvec`) so tests can assert the
-    per-iteration matvec budget of the solver loop.
+    caller's buffer.  The CSC arrays are the CSC conversion (`csr_tocsc`)
+    of the canonical CSR matrix, as scipy builds them.  When no entry
+    repeats, that is the conversion of any CSR arrays of the matrix, sorted
+    or not, so it is taken straight from them; a repeat shows as a column
+    that holds a row twice, and then the CSR matrix is made canonical first
+    (`CSRMatrix.canonical`), which sums repeats in scipy's order.  Index
+    arrays are int32 where the dimensions and the entry count fit, as
+    scipy's are.  Products are counted (`n_matvec` / `n_rmatvec`) so tests
+    can assert the per-iteration matvec budget of the solver loop.
     """
 
     def __init__(self, matrix) -> None:
@@ -231,9 +250,11 @@ class SparseMatrix:
                 raise ValueError(f"expected a 2-D array, got {dense.ndim}-D")
             rows, cols = dense.nonzero()
             csr = CSRMatrix.from_triplets(rows, cols, dense[rows, cols], dense.shape)
-        csr = csr.canonical()
         m, n = csr.shape
-        self._set_arrays((m, n), *_compressed_transpose(m, n, *csr[1:]))
+        arrays = _compressed_transpose(m, n, *csr[1:])
+        if not _sparsetools.csr_has_canonical_format(n, *arrays[:2]):  # a column repeats a row
+            arrays = _compressed_transpose(m, n, *csr.canonical()[1:])
+        self._set_arrays((m, n), *arrays)
 
     def _set_arrays(self, shape, indptr, indices, data) -> None:
         self.shape = shape
@@ -243,7 +264,7 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "SparseMatrix":
-        return cls(CSRMatrix.from_triplets(rows, cols, vals, shape))
+        return cls(CSRMatrix.coo_tocsr(rows, cols, vals, shape))
 
     @property
     def m(self) -> int:
@@ -346,6 +367,12 @@ class SparseMatrix:
         copies, so callers must not write to them; `cols` is expanded from
         the column pointers."""
         return self.indices, np.repeat(np.arange(self.n), np.diff(self.indptr)), self.data
+
+    def csr_order(self) -> np.ndarray:
+        """The positions of the stored entries in CSR order (by row, then
+        column): one `csr_tocsc` pass, with the positions as its data."""
+        return _compressed_transpose(self.n, self.m, self.indptr, self.indices,
+                                     np.arange(self.nnz, dtype=np.int64))[2]
 
     def reset_counters(self) -> None:
         self.n_matvec = 0

@@ -121,14 +121,14 @@ def build_scaling(problem: ConicProblem) -> ScalingPair:
 
     m, n = problem.m, problem.n
     rows, cols, vals = problem.G.triplets()  # CSC order
+    rows = rows.astype(np.intp)  # numpy converts other index arrays at every gather
     d1, d2, a = _ruiz_rounds(rows, cols, np.abs(vals), m, n)
 
     kept = a > 0
-    rows, cols, a = rows[kept], cols[kept], a[kept]
-    # CSR order: by row, then column (the pairs are unique)
-    csr = np.argsort(rows.astype(np.int64) * n + cols)
+    csr = problem.G.csr_order()
+    csr = csr[kept[csr]]  # the kept entries' positions, in CSR order
     d1 *= _safe_inv_sqrt(_run_sums(a[csr], rows[csr], m))
-    d2 *= _safe_inv_sqrt(_run_sums(a, cols, n))
+    d2 *= _safe_inv_sqrt(_run_sums(a[kept], cols[kept], n))
 
     # Primal cone blocks sit after the box variables in the columns; exp and
     # dual soc blocks must stay projectable in closed/1-d form.

@@ -23,17 +23,24 @@ kernel:
   where the tree's `project_dual_set` takes one;
 * `parse_problem` / `write_result`: reading the lp-large file, and
   writing the result that a solve of it with the workload's options
-  (200 iterations) returns; one call per pass.
+  (200 iterations) returns;
+* `from_coo` / `build_scaling`: building G from the triplets that
+  `parse_problem` reads from the lp-large file, and the preconditioner's
+  scales of the parsed problem.
 
 Each figure is the fastest of `--repeats` timed passes, divided by the
 calls in a pass; the minimum is the least noisy estimate of a kernel's
-cost on a shared host.  Run it from the root of each tree to compare them.
+cost on a shared host.  A pass makes as many calls as fill `PASS_SECONDS`
+at the median of `WARM_CALLS` timed calls made after a first, untimed one,
+and at least one.  Run it from the root of each tree to compare them.
 """
 
 import argparse
 import contextlib
 import inspect
+import math
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -50,7 +57,8 @@ import workloads  # noqa: E402
 from conic_pdhg import cli, cones, engine, fileio, linalg, model, scaling  # noqa: E402
 
 RECORD_EVERY = 8
-PRODUCT_SECONDS = 0.05  # target length of one timed pass of products
+PASS_SECONDS = 0.05  # shortest timed pass
+WARM_CALLS = 5  # timed calls whose median sets the calls per pass
 
 
 def parsed(case, work_dir):
@@ -70,6 +78,24 @@ def best(run, calls, repeats):
     return 1e6 * min(times) / calls
 
 
+def timed(kernel, repeats):
+    """(calls per pass, microseconds per call) of `kernel()`, called in
+    passes of at least PASS_SECONDS."""
+    kernel()
+    warm = []
+    for _ in range(WARM_CALLS):
+        t0 = time.perf_counter()
+        kernel()
+        warm.append(time.perf_counter() - t0)
+    calls = max(1, math.ceil(PASS_SECONDS / max(statistics.median(warm), 1e-9)))
+
+    def run():
+        for _ in range(calls):
+            kernel()
+
+    return calls, best(run, calls, repeats)
+
+
 def loop_kernel_lines(seed, repeats, work_dir):
     for name in ("lp-large", "lp-solve", "cone-solve"):
         _, cases = workloads.build(name, seed)
@@ -84,15 +110,7 @@ def loop_kernel_lines(seed, repeats, work_dir):
                                 ("rmatvec", lambda: g.rmatvec(y, out=gty)),
                                 ("halpern", lambda: halpern(z_hat, z, anchor, 99, 0.5, out=z))):
             with getattr(linalg, "one_blas_thread", contextlib.nullcontext)():
-                t0 = time.perf_counter()
-                product()
-                calls = max(1, int(PRODUCT_SECONDS / max(time.perf_counter() - t0, 1e-7)))
-
-                def run(product=product, calls=calls):
-                    for _ in range(calls):
-                        product()
-
-                us = best(run, calls, repeats)
+                calls, us = timed(product, repeats)
             shape = f"len={z.size}" if kernel == "halpern" else f"{g.m}x{g.n}"
             yield kernel, name, shape, calls, us
 
@@ -139,20 +157,45 @@ def projection_line(seed, repeats, work_dir):
         best(run, len(calls), repeats)
 
 
-def io_lines(seed, repeats, work_dir):
+def parsed_triplets(path):
+    """The parsed problem, and the arguments `parse_problem` passes to
+    `SparseMatrix.from_coo`: G's triplets in the file's order."""
+    seen = []
+
+    class Recording:
+        @staticmethod
+        def from_coo(*args):
+            seen.append(args)
+            return linalg.SparseMatrix.from_coo(*args)
+
+    real, fileio.SparseMatrix = fileio.SparseMatrix, Recording
+    try:
+        problem = fileio.parse_problem(path)
+    finally:
+        fileio.SparseMatrix = real
+    return problem, seen[0]
+
+
+def set_up_lines(seed, repeats, work_dir):
     _, (case,) = workloads.build("lp-large", seed)
     path, out = os.path.join(work_dir, "problem.json"), os.path.join(work_dir, "result.json")
     case.instance.write(path)
     del case
-    problem = fileio.parse_problem(path)
+    problem, triplets = parsed_triplets(path)
     shape = f"{problem.m}x{problem.n}"
-    yield "parse_problem", "lp-large", shape, 1, best(lambda: fileio.parse_problem(path), 1, repeats)
+    yield ("parse_problem", "lp-large", shape, *timed(lambda: fileio.parse_problem(path), repeats))
+    yield ("from_coo", "lp-large", shape,
+           *timed(lambda: linalg.SparseMatrix.from_coo(*triplets), repeats))
+    del triplets
+    work = model.rsoc_to_soc(problem)
+    yield ("build_scaling", "lp-large", shape, *timed(lambda: scaling.build_scaling(work), repeats))
+    del work
     options = cli.options_from_args(
         cli.build_parser().parse_args(["--input", path, *workloads.LARGE_OPTIONS]))
     result = engine.solve(problem, options)
     del problem
-    yield "write_result", "lp-large", shape, 1, \
-        best(lambda: fileio.write_result(result, options, out), 1, repeats)
+    yield ("write_result", "lp-large", shape,
+           *timed(lambda: fileio.write_result(result, options, out), repeats))
 
 
 def main(argv=None):
@@ -167,7 +210,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as work_dir:
         lines = [*loop_kernel_lines(args.seed, args.repeats, work_dir),
                  projection_line(args.seed, args.repeats, work_dir),
-                 *io_lines(args.seed, args.repeats, work_dir)]
+                 *set_up_lines(args.seed, args.repeats, work_dir)]
     for kernel, workload, shape, calls, us in lines:
         print(f"{kernel}\t{workload}\t{shape}\t{calls}\t{us:.2f}", flush=True)
 

@@ -544,6 +544,8 @@ def with_raw(**members):
 
 
 BIG = 2**64  # orjson reads integers outside [-2**63, 2**64) as floats
+# what the bytes walk raises for the whole-document parse to read the file
+LEFT_TO_FALLBACK = (fileio._Fallback, ProblemFormatError, orjson.JSONDecodeError)
 
 
 class TestListsReadByOrjson:
@@ -611,40 +613,60 @@ class TestListsReadByOrjson:
                 parse(str(path))
 
     @pytest.mark.parametrize("text", ["[1,]", "[,1]", "[1,,2]", "[1, ]", "[ ,1]", "[1,\n,2]"])
-    def test_empty_pieces_are_rejected(self, text, monkeypatch):
+    @pytest.mark.parametrize("rule", [fileio._finite_array, fileio._index_array])
+    def test_empty_pieces_are_rejected(self, text, rule, monkeypatch):
         for piece in (1, 2, 3, 7, 1 << 16):
             monkeypatch.setattr(fileio, "_PIECE", piece)
-            assert fileio._load_list(text, 0) == (None, None)
+            with pytest.raises(LEFT_TO_FALLBACK):
+                fileio._read_list(text.encode(), 0, rule, "x")
 
-    @pytest.mark.parametrize("text, values", [
-        ("[]", []), ("[ ]", []), ("[\n]", []), ("[1]", [1]), (" [1, 2.5 ,\t3 ] ", [1, 2.5, 3]),
-        ('["inf", -0.0, 0, true, null, {}]', ["inf", -0.0, 0, True, None, {}]),
+    @pytest.mark.parametrize("text, rule, values", [
+        ("[]", fileio._finite_array, []), ("[ ]", fileio._finite_array, []),
+        ("[\n]", fileio._index_array, []), ("[1]", fileio._finite_array, [1.0]),
+        (" [1, 2.5 ,\t3 ] ", fileio._finite_array, [1.0, 2.5, 3.0]),
+        (' ["inf", -0.0, 0, "-inf", 1e18] ', fileio._bound_array,
+         [math.inf, -0.0, 0.0, -math.inf, 1e18]),
     ])
-    def test_lists_read_in_any_pieces(self, text, values, monkeypatch):
+    def test_lists_read_in_any_pieces(self, text, rule, values, monkeypatch):
         start = text.index("[")
+        want = rule(json.loads(text), "x")
         for piece in (1, 2, 3, 7, 1 << 16):
             monkeypatch.setattr(fileio, "_PIECE", piece)
-            got, end = fileio._load_list(text, start)
-            assert got == values and [type(v) for v in got] == [type(v) for v in values]
+            got, end = fileio._read_list(text.encode(), start, rule, "x")
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.tolist() == values
             assert end == text.index("]") + 1
 
     @pytest.mark.parametrize("text", [
         "[[1]]", '["]"]', '["a]b", 1]', "[1, NaN]", "[Infinity]", "[1e400]", '["\\ud800"]',
-        "[1", "[1,", "[1 2]", "[01]", "[\ufeff1]",
+        "[1", "[1,", "[1 2]", "[01]", "[\ufeff1]", '["inf", -0.0, 0, true, null, {}]',
     ])
     def test_rejected_lists(self, text, monkeypatch):
         for piece in (1, 2, 3, 7, 1 << 16):
             monkeypatch.setattr(fileio, "_PIECE", piece)
-            assert fileio._load_list(text, 0) == (None, None)
+            for rule in (fileio._finite_array, fileio._bound_array):
+                with pytest.raises(LEFT_TO_FALLBACK):
+                    fileio._read_list(text.encode(), 0, rule, "x")
 
     @pytest.mark.parametrize("text", ['[","]', '["a,b"]', '["a", ",", "b,,", 1]'])
     def test_a_cut_inside_a_string_is_rejected(self, text, monkeypatch):
-        for piece in (1, 2, 3, 7, 1 << 16):
+        def read(piece):
             monkeypatch.setattr(fileio, "_PIECE", piece)
-            assert fileio._load_list(text, 0) in [(None, None), (json.loads(text), len(text))]
-        assert fileio._load_list(text, 0) == (json.loads(text), len(text))  # read whole
-        monkeypatch.setattr(fileio, "_PIECE", 1)
-        assert fileio._load_list(text, 0) == (None, None)
+            try:
+                got, end = fileio._read_list(text.encode(), 0, as_objects, "x")
+            except LEFT_TO_FALLBACK:
+                return None
+            return got.tolist(), end
+
+        for piece in (1, 2, 3, 7, 1 << 16):
+            assert read(piece) in [None, (json.loads(text), len(text))]
+        assert read(1 << 16) == (json.loads(text), len(text))  # read whole
+        assert read(1) is None
+
+
+def as_objects(values, key):
+    """A rule that keeps any list, as an object array."""
+    return np.array(values, dtype=object)
 
 
 def halfway(x):
@@ -704,6 +726,87 @@ class TestMemberByMemberParseInSmallPieces(TestMemberByMemberParse):
     @settings(max_examples=100, deadline=None)
     def test_equals_the_whole_document_parse(self, text):
         assert_parses_alike(text)
+
+
+# Mutations of one entry of an index list, or of the list's end
+INDEX_MUTATIONS = {
+    "leading zeros": lambda e, draw: "0" * draw(st.integers(1, 3)) + e,
+    "minus zero": lambda e, draw: "-0",
+    "plus sign": lambda e, draw: "+" + e,
+    "19 digits": lambda e, draw: str(draw(st.integers(10**18, 10**19 - 1))),
+    "20 digits": lambda e, draw: str(draw(st.integers(10**19, 10**20 - 1))),
+    "2**63": lambda e, draw: str(2**63),
+    "space inside": lambda e, draw: e[:1] + draw(st.sampled_from([" ", "\t"])) + "1" + e[1:],
+    "empty entry": lambda e, draw: draw(st.sampled_from(["", " ", "\n", "\t\r"])),
+    "trailing comma": lambda e, draw: e + "," + draw(st.sampled_from(["", " ", "\r\n"])),
+    "float": lambda e, draw: e + ".0",
+    "true": lambda e, draw: "true",
+}
+INDEX_SPACE = st.sampled_from(["", "", "", " ", "\n", "\t", "\r", "\r\n ", " \t"])
+
+
+@st.composite
+def index_bodies(draw, values):
+    """The text between an index list's brackets: `values`' entries joined by
+    commas, with whitespace before and after each, and up to two mutations.
+    Returns the text and whether it is unmutated."""
+    entries = [str(v) for v in draw(values)]
+    mutations = draw(st.lists(st.sampled_from(sorted(INDEX_MUTATIONS)), max_size=2)) if entries else []
+    for how in mutations:
+        i = draw(st.integers(0, len(entries) - 1))
+        entries[i] = INDEX_MUTATIONS[how](entries[i], draw)
+    text = ",".join(draw(INDEX_SPACE) + e + draw(INDEX_SPACE) for e in entries)
+    return text, not mutations
+
+
+INDEX_VALUES = st.lists(st.one_of(st.integers(0, 40), st.integers(0, 10**6),
+                                  st.integers(0, 10**18 - 1), st.sampled_from([0, 9, 10, 99, 100])),
+                        max_size=12)
+
+
+class TestIndexLists:
+    """Index lists of plain digits are read by `np.fromstring`, which reads
+    some texts that JSON forbids (`01`, `1,`, a field of whitespace) or
+    reads them otherwise (numbers beyond 2**63 - 1).  Where it accepts a
+    list, it reads orjson's array; every other list, and every file, reads
+    as the whole-document parse reads it."""
+
+    @given(index_bodies(INDEX_VALUES))
+    @settings(max_examples=1000, deadline=None)
+    def test_accepted_lists_read_as_orjson_reads_them(self, body):
+        text, canonical = body
+        got = fileio._digit_list(text.encode())
+        if canonical and text.strip(" \t\n\r"):
+            assert got is not None
+        if got is not None:
+            want = np.asarray(orjson.loads("[" + text + "]"))
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("text", ["01", "1,", " ,00", "00, ", "1,,02", ",01", "1 2", "1\t,0 0",
+                                      str(2**63), "9" * 19, "1" + "0" * 18, "-0", "+1", "1.0", ""])
+    def test_named_texts_are_rejected(self, text):
+        assert fileio._digit_list(text.encode()) is None
+
+
+class TestIndexListsInSmallPieces:
+    """Files whose index lists are mutated parse as the whole-document parse
+    does, with orjson's pieces cut after 1, 2, 3 or 7 bytes."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[1, 2, 3, 7])
+    def small_pieces(self, request):
+        size = fileio._PIECE
+        fileio._PIECE = request.param
+        yield
+        fileio._PIECE = size
+
+    @given(st.one_of(*(st.tuples(st.just(member), index_bodies(st.lists(
+        st.integers(0, bound - 1), min_size=16, max_size=16))) for member, bound in (
+            ("G_rows", 16), ("G_cols", 3)))))
+    @settings(max_examples=100, deadline=None)
+    def test_parse_equals_the_whole_document_parse(self, member_body):
+        member, (body, _) = member_body
+        assert_parses_alike(with_raw(**{member: "[" + body + "]"}))
 
 
 class TestBooleans:

@@ -394,6 +394,77 @@ def test_dense_input_gives_scipys_arrays():
         np.testing.assert_array_equal(SparseMatrix(dense).toarray(), dense)
 
 
+class CountingKernels:
+    """`linalg._sparsetools` with the number of calls of each kernel."""
+
+    def __init__(self, kernels):
+        self.kernels, self.calls = kernels, {}
+
+    def __getattr__(self, name):
+        kernel = getattr(self.kernels, name)
+
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return kernel(*args)
+
+        return counted
+
+
+def pattern_triplets(rng, index_dtype, repeated):
+    """Triplets in random order on a random pattern that leaves some rows
+    and columns empty, with explicit zeros; where `repeated`, some entries
+    come 3 to 6 times."""
+    m, n = (int(k) for k in rng.integers(1, 15, 2))
+    used_rows = rng.choice(m, int(rng.integers(1, m + 1)), replace=False)
+    used_cols = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+    cells = np.unique(rng.choice(used_rows, 40) * n + rng.choice(used_cols, 40))
+    cells = cells[: int(rng.integers(1, cells.size + 1))]
+    counts = np.ones(cells.size, dtype=np.int64)
+    if repeated:
+        counts[rng.random(cells.size) < 0.5] = rng.integers(3, 7)
+        counts[0] = rng.integers(3, 7)
+    flat = rng.permutation(np.repeat(cells, counts))
+    vals = rng.standard_normal(flat.size) * 10.0 ** rng.uniform(-8, 8, flat.size)
+    vals[rng.random(flat.size) < 0.2] = 0.0
+    return (flat // n).astype(index_dtype), (flat % n).astype(index_dtype), vals, (m, n)
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_triplets_sort_only_when_an_entry_repeats(index_dtype, repeated, monkeypatch):
+    # the CSC conversion of unsorted CSR arrays is canonical when no entry
+    # repeats; a repeat takes scipy's canonical sequence, which sorts
+    import scipy.sparse as sp
+    from conic_pdhg import linalg
+
+    kernels = CountingKernels(linalg._sparsetools)
+    monkeypatch.setattr(linalg, "_sparsetools", kernels)
+    rng = np.random.default_rng(17)
+    empty_rows = empty_cols = zeros = 0
+    for _ in range(100):
+        rows, cols, vals, shape = pattern_triplets(rng, index_dtype, repeated)
+        kernels.calls.clear()
+        got = SparseMatrix.from_coo(rows, cols, vals, shape)
+        assert_same_arrays(got, scipy_path(sp.coo_matrix((vals, (rows, cols)), shape=shape)))
+        assert (kernels.calls.get("csr_sum_duplicates", 0) == 1) == repeated
+        assert kernels.calls["csr_tocsc"] == 1 + repeated
+        empty_rows += int(np.setdiff1d(np.arange(shape[0]), rows).size > 0)
+        empty_cols += int(np.any(np.diff(got.indptr) == 0))
+        zeros += int(np.sum(got.data == 0.0))
+    assert empty_rows and empty_cols and zeros
+
+
+def test_csr_order_is_the_argsort_of_the_csr_keys():
+    rng = np.random.default_rng(18)
+    for _ in range(100):
+        m, n = (int(k) for k in rng.integers(1, 30, 2))
+        g = SparseMatrix(random_sparse(rng, m, n, float(rng.uniform(0.0, 0.6))))
+        rows, cols, _ = g.triplets()
+        order = g.csr_order()
+        assert order.dtype == np.int64
+        np.testing.assert_array_equal(order, np.argsort(rows.astype(np.int64) * n + cols))
+
+
 def test_triplets_out_of_range_are_rejected():
     for rows, cols in (([0, 2], [0, 0]), ([0, -1], [0, 0]), ([0, 0], [0, 3])):
         with pytest.raises(ValueError, match="must lie in"):
@@ -406,6 +477,27 @@ def test_vector_norms():
     assert inf_norm(v) == 3.0
     assert two_norm(v) == pytest.approx(math.sqrt(14.0))
     assert inf_norm(np.zeros(0)) == 0.0
+
+
+def test_two_norm_has_the_bits_of_numpy():
+    rng = np.random.default_rng(19)
+    for size in (0, 1, 2, 7, 64, 1000):
+        for scale in (1e-300, 1.0, 1e150):
+            v = rng.standard_normal(size) * scale
+            assert two_norm(v) == float(np.linalg.norm(v))
+
+
+def test_two_norm_rescales_only_when_the_dot_overflows():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert two_norm(np.array([1e200, 1.0])) == 1e200
+        assert two_norm(np.array([-1e308, 1e308])) == pytest.approx(math.sqrt(2.0) * 1e308)
+        assert two_norm(np.array([3e200, 4e200])) == pytest.approx(5e200)
+    with np.errstate(invalid="ignore"):
+        assert two_norm(np.array([math.inf, 1.0])) == math.inf
+        assert math.isnan(two_norm(np.array([math.nan, 1e200])))
 
 
 def test_omega_norm_examples():
