@@ -34,8 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abs-tol", type=float, default=defaults.abs_tol)
     p.add_argument("--time-limit", type=float, default=defaults.time_limit, help="seconds")
     p.add_argument("--max-iter", type=int, default=defaults.max_iter)
-    p.add_argument("--method", choices=("average", "halpern"), default=defaults.method,
-                   help="restart to the iterate (halpern) or to the running average (average)")
     p.add_argument("--no-preconditioner", action="store_true")
     p.add_argument("--no-adaptive-restart", action="store_true")
     p.add_argument("--gap-restart-freq", type=int, default=defaults.duality_gap_restart_freq)
@@ -51,7 +49,6 @@ def options_from_args(args) -> SolverOptions:
         abs_tol=args.abs_tol,
         time_limit=args.time_limit,
         max_iter=args.max_iter,
-        method=args.method,
         use_preconditioner=not args.no_preconditioner,
         use_adaptive_restart=not args.no_adaptive_restart,
         duality_gap_restart_freq=args.gap_restart_freq,

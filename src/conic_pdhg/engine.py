@@ -4,14 +4,14 @@ and the restart-driven outer loop.
 The loop keeps G x and G^T y for the current iterate as exact linear
 combinations of the products already computed (the Halpern step is affine),
 so each accepted iteration costs one G^T product, plus one G product per
-line-search trial; the caches are refreshed from scratch at every check,
-and at a restart to the average, to stop round-off drift.  The vectors of
-an iteration live in buffers the loop allocates once: flat [x; y; G x;
-G^T y] buffers for the iterate, the anchor and the candidate, and a
-`StepWorkspace` for the line search's terms; products and projections
-are written into them through `out`, and the Halpern step overwrites the
-iterate buffer in two BLAS passes (`daxpby`, then `daxpy`) on numpy's own
-OpenBLAS, bound through ctypes in `linalg`.  The products are scipy's
+line-search trial; the caches are refreshed from scratch at every check
+to stop round-off drift.  The vectors of an iteration live in buffers the
+loop allocates once: flat [x; y; G x; G^T y] buffers for the iterate, the
+anchor and the candidate, and a `StepWorkspace` for the line search's
+terms; products and projections are written into them through `out`,
+and the Halpern step overwrites the iterate buffer in two BLAS passes
+(`daxpby`, then `daxpy`) on numpy's own OpenBLAS, bound through ctypes in
+`linalg`.  The products are scipy's
 compiled kernels on `linalg.SparseMatrix`'s own CSC arrays, so a solve
 imports neither scipy.linalg nor scipy.sparse.
 A solve runs that OpenBLAS on one thread (`linalg.one_blas_thread`): a
@@ -21,12 +21,11 @@ depend on the thread count.
 Restart checks, termination scans and log rows each run at the first
 iteration at or past every multiple of their period (`_reached`), since a
 rejected line-search trial can step over one.  At the default restart
-cadence of 512 every eighth scan is also a check.  A check evaluates one
-restart candidate: the iterate, or under `method="average"` the
-step-weighted average of the inner loop's iterates, which no other mode
-forms.  Its gap takes the iterate's freshly refreshed products or forms
-the average's, takes the anchor's stored ones, and bisects to
-`_RESTART_GAP_TOL`.
+cadence of 512 every eighth scan is also a check.  A check evaluates the
+restart candidate, the iterate: its gap takes the iterate's freshly
+refreshed products and the anchor's stored ones, and bisects to
+`_RESTART_GAP_TOL`.  A restart copies the iterate buffer, products
+included, onto the anchor buffer.
 
 Termination scans between restart checks run the optimality and limit
 tests on their own G x and G^T y from the unscaled iterate and write no
@@ -88,9 +87,6 @@ class SolverOptions:
     time_limit: float = 1000.0
     max_iter: int = 1_000_000
     print_freq: int = 2000
-    # the restart point: "halpern" the iterate, "average" the inner loop's
-    # step-weighted average, which only this mode forms
-    method: str = "halpern"
     use_preconditioner: bool = True
     use_adaptive_restart: bool = True
     # Not PDLP's 64: with these restart constants, checks that often restart
@@ -114,8 +110,6 @@ class SolverOptions:
         for name in ("print_freq", "duality_gap_restart_freq", "max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.method not in ("halpern", "average"):
-            raise ValueError(f"method must be 'halpern' or 'average', got {self.method!r}")
         if self.initial_step_norm not in ("max_abs", "induced_inf"):
             raise ValueError(
                 f"initial_step_norm must be 'max_abs' or 'induced_inf', got {self.initial_step_norm!r}"
@@ -128,13 +122,11 @@ class SolverOptions:
 class SolverState:
     """Mutable per-solve bookkeeping, exposed to iteration callbacks.
 
-    `z`, `z_anchor` and `z_bar` are views into buffers that the loop
-    overwrites in place every iteration and at every restart; a callback
-    must `.copy()` any vector it keeps.  The average `z_bar` and its weight
-    `avg_weight` are formed only under `method="average"`; otherwise
-    `z_bar` is None and `avg_weight` stays 0.  `mode` is the restart metric
-    of this inner loop: "gap", or "kkt" once a gap evaluation has failed in
-    it, the weighted-KKT fallback, until the next restart sets it back.
+    `z` and `z_anchor` are views into buffers that the loop overwrites in
+    place every iteration and at every restart; a callback must `.copy()`
+    any vector it keeps.  `mode` is the restart metric of this inner loop:
+    "gap", or "kkt" once a gap evaluation has failed in it, the weighted-KKT
+    fallback, until the next restart sets it back.
     `last_restart_metric` is that metric at the last restart, or None until
     a check forms it at the anchor; a change of mode clears it.
     `anchor_move` holds the squared primal and dual distances the anchor
@@ -146,8 +138,6 @@ class SolverState:
 
     z: IterateZ
     z_anchor: IterateZ
-    z_bar: IterateZ | None = None
-    avg_weight: float = 0.0
     t: int = 0
     k: int = 0
     k_bar: int = 0
@@ -364,6 +354,8 @@ def _halpern_on_scipy_blas(z_hat, z_old, z_anchor, a, b, beta, out):
     return out
 
 
+# Not called by the solve loop, which restarts to the iterate; kept because
+# the benchmark's traced layer list names it.
 def update_weighted_average(z_bar: np.ndarray, weight: float, z_new: np.ndarray, eta_new: float,
                             out: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, float]:
     """Streaming step-size-weighted average of the inner-loop iterates:
@@ -435,14 +427,10 @@ class _Loop:
         n, m = self.scaled.n, self.scaled.m
         # Flat [x; y; G x; G^T y] buffers for the iterate, the anchor and the
         # Halpern candidate; the products follow the iterate so that one
-        # in-place Halpern update covers both.  The average and its scratch,
-        # kept under method "average" only, hold [x; y].  Every state vector
-        # is a view into these buffers.
+        # in-place Halpern update covers both, and one copy makes the
+        # iterate the anchor.  Every state vector is a view into these
+        # buffers.
         self.iterate, self.anchor, self.candidate = (np.zeros(2 * (n + m)) for _ in range(3))
-        if self.options.method == "average":
-            self.average, self.scratch = np.zeros(n + m), np.zeros(n + m)
-        else:
-            self.average = self.scratch = None
         self.workspace = StepWorkspace.allocate(n, m)
         eta0 = self._initial_eta()
         omega0 = restarts.initialize_primal_weight(self.scaled.c, self.scaled.h)
@@ -451,14 +439,13 @@ class _Loop:
         state = SolverState(
             z=z,
             z_anchor=z_anchor,
-            z_bar=None if self.average is None else IterateZ(self.average[:n], self.average[n:]),
             eta=eta0,
             eta_hat=eta0,
             omega=omega0,
         )
         self.omega_init = omega0
         self._refresh_products(state)
-        self.anchor[n + m:] = self.iterate[n + m:]
+        self.anchor[:] = self.iterate
         return state
 
     # -- scaled-problem helpers ---------------------------------------------
@@ -468,11 +455,9 @@ class _Loop:
         self.scaled.G.rmatvec(state.z.y, out=self.products.y)
 
     def _gap_metric(self, z: IterateZ, radius: float, ctx: WeightedNormContext,
-                    products: IterateZ | None = None) -> float:
+                    products: IterateZ) -> float:
         """Normalized gap of z over the ball of `radius`, from z's products
-        (G x, G^T y), formed here when None."""
-        if products is None:
-            products = IterateZ(self.scaled.G.matvec(z.x), self.scaled.G.rmatvec(z.y))
+        (G x, G^T y)."""
         return restarts.normalized_gap(restarts.GapQuery(
             x=z.x,
             y=z.y,
@@ -560,13 +545,12 @@ class _Loop:
         return code
 
     def _restart_check(self, state: SolverState) -> None:
-        """Evaluate the restart metric of the candidate `method` names, the
-        iterate or the average, and restart to it if any trigger fires.
-        A failed gap evaluation flips the rest of this inner loop to the
-        weighted-KKT fallback.  The gap takes the iterate's products,
-        refreshed for this check, and the anchor's from the loop; only the
-        average's are formed."""
-        cand = state.z if self.average is None else state.z_bar
+        """Evaluate the restart metric of the iterate and restart to it if
+        any trigger fires.  A failed gap evaluation flips the rest of this
+        inner loop to the weighted-KKT fallback.  The gap takes the
+        iterate's products, refreshed for this check, and the anchor's from
+        the loop."""
+        z = state.z
         if state.mode == "gap":
             ctx = WeightedNormContext(state.omega, state.eta)
             anchor = state.z_anchor
@@ -579,8 +563,7 @@ class _Loop:
                     state.last_restart_metric = self._gap_metric(
                         anchor, radius, ctx, self.anchor_products)
                 cand_val = self._gap_metric(
-                    cand, n_norm(cand.x - anchor.x, cand.y - anchor.y, ctx), ctx,
-                    self.products if cand is state.z else None)
+                    z, n_norm(z.x - anchor.x, z.y - anchor.y, ctx), ctx, self.products)
                 if cand_val < -1e-12 or state.last_restart_metric < -1e-12:
                     raise restarts.GapEvaluationError("negative normalized gap")
             except restarts.GapEvaluationError:
@@ -590,42 +573,33 @@ class _Loop:
             # the fallback, with its baseline at the current weight
             if state.last_restart_metric is None:
                 state.last_restart_metric = self._kkt_metric(state.z_anchor, state.omega)
-            cand_val = self._kkt_metric(cand, state.omega)
+            cand_val = self._kkt_metric(z, state.omega)
 
         if restarts.should_restart(
             cand_val, state.prev_candidate_gap, state.last_restart_metric, state.k, state.k_bar
         ):
-            self._do_restart(state, cand, cand_val)
+            self._do_restart(state, cand_val)
         else:
             state.prev_candidate_gap = cand_val
 
-    def _do_restart(self, state: SolverState, candidate: IterateZ, cand_val: float) -> None:
-        """Make `candidate` (views of the iterate or the average) the new
-        anchor and iterate, and return to gap mode.  `cand_val` is the next
-        baseline unless the inner loop fell back to the KKT metric; then
-        the next check forms a gap baseline, at the new primal weight, from
-        `state.anchor_move`, the squared distances the anchor moves, taken
-        before the anchor buffer is overwritten.  The primal-weight update
-        takes their square roots.  A restart to the iterate keeps the
-        products the check refreshed."""
-        n, m = self.scaled.n, self.scaled.m
-        dx, dy = candidate.x - state.z_anchor.x, candidate.y - state.z_anchor.y
+    def _do_restart(self, state: SolverState, cand_val: float) -> None:
+        """Make the iterate the new anchor and return to gap mode.
+        `cand_val` is the next baseline unless the inner loop fell back to
+        the KKT metric; then the next check forms a gap baseline, at the new
+        primal weight, from `state.anchor_move`, the squared distances the
+        anchor moves, taken before the anchor buffer is overwritten.  The
+        primal-weight update takes their square roots.  The one buffer copy
+        carries the products the check refreshed."""
+        dx, dy = state.z.x - state.z_anchor.x, state.z.y - state.z_anchor.y
         state.anchor_move = (float(np.dot(dx, dx)), float(np.dot(dy, dy)))
-        state.z_anchor.x[:] = candidate.x
-        state.z_anchor.y[:] = candidate.y
-        self.iterate[:n + m] = self.anchor[:n + m]
+        self.anchor[:] = self.iterate
         state.omega = restarts.update_primal_weight(
             *map(math.sqrt, state.anchor_move), state.omega, self.omega_init)
         state.t += 1
         state.k = 0
-        state.avg_weight = 0.0
         state.prev_candidate_gap = math.inf
         state.last_restart_metric = cand_val if state.mode == "gap" else None
         state.mode = "gap"
-        if candidate is not state.z:
-            # the check refreshed the iterate's products just before
-            self._refresh_products(state)
-        self.anchor[n + m:] = self.iterate[n + m:]
 
     def _run(self) -> SolveResult:
         state = self._init_state()
@@ -662,7 +636,6 @@ class _Loop:
             return code
         self._log_line(state, self._last_report)
         z_hat, products_hat = self._split(self.candidate)
-        z_part = slice(0, self.scaled.n + self.scaled.m)
         log_rows = options.verbose >= 1 or self.logfile is not None
 
         while True:
@@ -693,11 +666,6 @@ class _Loop:
 
             reflected_halpern_step(self.candidate, self.iterate, self.anchor, state.k, state.beta,
                                    out=self.iterate)
-            if self.average is not None:
-                _, state.avg_weight = update_weighted_average(
-                    self.average, state.avg_weight, self.iterate[z_part], state.eta,
-                    out=self.average, scratch=self.scratch,
-                )
             state.k += 1
             state.k_bar = k_bar
 

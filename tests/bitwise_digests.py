@@ -1,9 +1,9 @@
-"""Digests of 72 solves, for checking that a change keeps every iterate.
+"""Digests of 54 solves, for checking that a change keeps every iterate.
 
 The set is six problems (a feasible, a primal-infeasible and a
-dual-infeasible LP, and three planted soc/exp/dual-exp problems) under four
-modes (default, average, no preconditioner, no restarts) at restart
-cadences 200, 512 (the default) and 2000.  Each
+dual-infeasible LP, and three planted soc/exp/dual-exp problems) under three
+modes (default, no preconditioner, no restarts) at restart cadences 200,
+512 (the default) and 2000.  Each
 solve prints one tab-separated line:
 
     cadence  problem  mode  status  iterations  digest
@@ -24,7 +24,7 @@ tree and diff the outputs:
 weighted-KKT checks and the restarts and baselines that follow one.  A
 fall-back that restarts where the gap would have leaves the iterates as
 they were but not the restart bookkeeping, so the lines differ from the
-plain run's: at `--max-iter 3000` and N = 3, 24 of the 72 solves do.
+plain run's: at `--max-iter 3000` and N = 3, 16 of the 54 solves do.
 """
 
 import argparse

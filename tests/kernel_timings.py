@@ -16,6 +16,11 @@ kernel:
   buffers of the loop's length, 2 (n + m), for each of those instances,
   with BLAS on as many threads as a solve of the tree runs it
   (`linalg.one_blas_thread` where the tree has it);
+* `line_search_step`: one accepted line-search trial
+  (`engine.adaptive_step_pdhg` into a candidate buffer of the loop's
+  length and a `StepWorkspace`) on each of those scaled problems, from a
+  random point with its products given, at a step size that the first
+  trial accepts;
 * `project_dual_set`: the dual-set projection, on every 8th input that the
   cone-solve solves of `--seed` pass it, each with its own scaled problem
   (all 13 instances, solved through `conic_pdhg.cli.main` with the
@@ -54,7 +59,7 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 
-from conic_pdhg import cli, cones, engine, fileio, linalg, model, scaling  # noqa: E402
+from conic_pdhg import cli, cones, engine, fileio, linalg, model, restart, scaling  # noqa: E402
 
 RECORD_EVERY = 8
 PASS_SECONDS = 0.05  # shortest timed pass
@@ -96,11 +101,33 @@ def timed(kernel, repeats):
     return calls, best(run, calls, repeats)
 
 
+def line_search_step(problem, x, y):
+    """One `engine.adaptive_step_pdhg` call from (x, y) that the line
+    search accepts at its first trial, as a function of no arguments.
+    eta < 1 / ||G||_F <= 1 / ||G||_2 is always accepted: the step-size
+    bound ||dz||_w^2 / (2 |dy' G dx|) is at least 1 / ||G||_2."""
+    g, n, m = problem.G, problem.n, problem.m
+    z = engine.IterateZ(x, y)
+    gx, gty = g.matvec(x), g.rmatvec(y)
+    omega = restart.initialize_primal_weight(problem.c, problem.h)
+    eta = 0.5 / linalg.two_norm(g.data)
+    candidate, workspace = np.empty(2 * (n + m)), engine.StepWorkspace.allocate(n, m)
+
+    def step():
+        return engine.adaptive_step_pdhg(problem, z, omega, eta, 1, gty=gty, gx=gx,
+                                         out=candidate, workspace=workspace)
+
+    if step().trials != 1:
+        raise RuntimeError("the line search rejected a step below 1 / ||G||_2")
+    return step
+
+
 def loop_kernel_lines(seed, repeats, work_dir):
     for name in ("lp-large", "lp-solve", "cone-solve"):
         _, cases = workloads.build(name, seed)
         work = model.rsoc_to_soc(parsed(cases[0], work_dir))
-        g = scaling.rescale_problem(work, scaling.build_scaling(work)).G
+        scaled = scaling.rescale_problem(work, scaling.build_scaling(work))
+        g = scaled.G
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal(g.n), rng.standard_normal(g.m)
         gx, gty = np.empty(g.m), np.empty(g.n)
@@ -108,7 +135,8 @@ def loop_kernel_lines(seed, repeats, work_dir):
         halpern = engine.reflected_halpern_step
         for kernel, product in (("matvec", lambda: g.matvec(x, out=gx)),
                                 ("rmatvec", lambda: g.rmatvec(y, out=gty)),
-                                ("halpern", lambda: halpern(z_hat, z, anchor, 99, 0.5, out=z))):
+                                ("halpern", lambda: halpern(z_hat, z, anchor, 99, 0.5, out=z)),
+                                ("line_search_step", line_search_step(scaled, x, y))):
             with getattr(linalg, "one_blas_thread", contextlib.nullcontext)():
                 calls, us = timed(product, repeats)
             shape = f"len={z.size}" if kernel == "halpern" else f"{g.m}x{g.n}"

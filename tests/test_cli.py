@@ -162,12 +162,11 @@ class TestCli:
     def test_flag_plumbing(self):
         parser = build_parser()
         args = parser.parse_args([
-            "--input", "x.json", "--method", "average", "--no-preconditioner",
+            "--input", "x.json", "--no-preconditioner",
             "--no-adaptive-restart", "--gap-restart-freq", "88", "--print-freq", "99",
             "--max-iter", "123",
         ])
         opts = options_from_args(args)
-        assert opts.method == "average"
         assert not opts.use_preconditioner
         assert not opts.use_adaptive_restart
         assert opts.duality_gap_restart_freq == 88
@@ -184,6 +183,23 @@ class TestCli:
         inp = write_doc(tmp_path, random_lp_doc(np.random.default_rng(0), n=8, m=8))
         assert main(["--input", inp, *flags]) == USAGE_EXIT
         assert "error:" in capsys.readouterr().err
+
+    def test_method_flag_is_gone(self, tmp_path, capsys):
+        # the iterate is the only restart point
+        inp = write_doc(tmp_path, random_lp_doc(np.random.default_rng(0), n=8, m=8))
+        assert main(["--input", inp, "--method", "average"]) == USAGE_EXIT
+        assert "unrecognized arguments: --method average" in capsys.readouterr().err
+
+    def test_result_file_echoes_every_option_but_the_callback(self, tmp_path):
+        import dataclasses
+
+        inp = write_doc(tmp_path, one_dim_lp_doc())
+        out = str(tmp_path / "r.json")
+        assert main(["--input", inp, "--output", out]) == 0
+        echo = load_result(out)["options"]
+        names = {f.name for f in dataclasses.fields(SolverOptions)} - {"iteration_callback"}
+        assert set(echo) == names and len(echo) == 15
+        assert "method" not in echo
 
     def test_deterministic_result_files_modulo_time(self, tmp_path):
         rng = np.random.default_rng(71)

@@ -373,6 +373,30 @@ class TestSolve:
         r = solve(p, SolverOptions(time_limit=1e-9, rel_tol=1e-12, abs_tol=1e-12))
         assert r.exit_code == 6 and r.exit_status == ":time_limit"
 
+    def test_time_limit_mid_solve(self, monkeypatch):
+        # A clock that advances 1 s per reading passes the limit mid-solve.
+        # The loop reads it after every iteration's callback, so the solve
+        # must end at the first iteration after which that reading is past
+        # the limit, not one later.
+        import types
+
+        import conic_pdhg.engine as eng
+        from test_lean_iteration import random_lp
+
+        readings = []
+
+        def monotonic():
+            readings.append(float(len(readings)))
+            return readings[-1]
+
+        monkeypatch.setattr(eng, "time", types.SimpleNamespace(monotonic=monotonic))
+        seen = []  # the number of clock readings before each callback
+        r = solve(random_lp(7), SolverOptions(
+            time_limit=40.0, iteration_callback=lambda s: seen.append(len(readings))))
+        assert r.exit_status == ":time_limit"
+        past = [readings[n] - readings[0] > 40.0 for n in seen]
+        assert past.index(True) == len(seen) - 1
+
     def test_numerical_error_on_injected_nan(self, monkeypatch):
         import conic_pdhg.engine as eng
 
@@ -464,30 +488,6 @@ class TestSolve:
             np.testing.assert_allclose(recorded.x, z.x, atol=1e-9)
             np.testing.assert_allclose(recorded.y, z.y, atol=1e-9)
 
-    def test_average_candidate_matches_batch_average(self):
-        p = tiny_lp()
-        etas, zs, bars = [], [], []
-
-        def grab(s):
-            etas.append(s.eta)
-            zs.append(IterateZ(s.z.x.copy(), s.z.y.copy()))
-            bars.append(IterateZ(s.z_bar.x.copy(), s.z_bar.y.copy()))
-
-        opts = SolverOptions(
-            method="average",
-            use_adaptive_restart=False,
-            max_iter=150,
-            rel_tol=1e-14,
-            abs_tol=1e-14,
-            iteration_callback=grab,
-        )
-        solve(p, opts)
-        w = np.array(etas)
-        batch_x = sum(wi * z.x for wi, z in zip(w, zs)) / w.sum()
-        batch_y = sum(wi * z.y for wi, z in zip(w, zs)) / w.sum()
-        np.testing.assert_allclose(bars[-1].x, batch_x, atol=1e-10)
-        np.testing.assert_allclose(bars[-1].y, batch_y, atol=1e-10)
-
     def test_engine_matvec_budget_per_iteration(self):
         p = tiny_lp()
         k_bars = []
@@ -526,11 +526,14 @@ class TestSolve:
     def test_validation(self):
         p = tiny_lp()
         with pytest.raises(ValueError):
-            solve(p, SolverOptions(method="nope"))
-        with pytest.raises(ValueError):
             solve(p, SolverOptions(rel_tol=0.0))
         with pytest.raises(ValueError):
             solve(p, SolverOptions(initial_step_norm="spectral"))
+
+    def test_method_option_is_gone(self):
+        # the iterate is the only restart point
+        with pytest.raises(TypeError):
+            SolverOptions(method="halpern")
 
     def test_nan_time_limit_rejected(self):
         with pytest.raises(ValueError, match="time_limit"):
@@ -586,12 +589,6 @@ class TestSolve:
         monkeypatch.setattr(eng.restarts, "normalized_gap", boom)
         p = tiny_lp()
         r = solve(p, SolverOptions(duality_gap_restart_freq=100))
-        assert r.exit_code == 0
-        assert r.p_obj == pytest.approx(-2.0, abs=1e-5)
-
-    def test_method_average_end_to_end(self):
-        p = tiny_lp()
-        r = solve(p, SolverOptions(method="average", duality_gap_restart_freq=100))
         assert r.exit_code == 0
         assert r.p_obj == pytest.approx(-2.0, abs=1e-5)
 

@@ -7,13 +7,12 @@ every 64 iterations, and each accepted iteration updates flat
 updates with the allocating formulas in `oracles`: the average bit for
 bit, the three-pass Halpern update to a rounding bound per entry and, over
 the first iterations of a solve, along the loop's trajectory; check that
-a restart moves the anchor to the candidate `method` names and updates the
-primal weight from the anchor's move, that only `method="average"` forms
-the average, that the weighted KKT error is evaluated only as the
-fallback of a failed gap evaluation, at the check's primal weight, and that
-the restart checks' gap from the loop's products and from the anchor's
-move is the gap from fresh ones; and count the error reports a solve makes
-and check when beta is evaluated.
+a restart moves the anchor to the iterate and updates the primal weight
+from the anchor's move, that the loop forms no average, that the weighted
+KKT error is evaluated only as the fallback of a failed gap evaluation, at
+the check's primal weight, and that the restart checks' gap from the
+loop's products and from the anchor's move is the gap from fresh ones; and
+count the error reports a solve makes and check when beta is evaluated.
 """
 
 import tracemalloc
@@ -124,7 +123,7 @@ def test_weighted_average_equals_allocating_formula(draw):
         assert_same_bits(zn, flat(z_new))
 
 
-@pytest.mark.parametrize("mode", ["default", "average", "no preconditioner", "no restarts",
+@pytest.mark.parametrize("mode", ["default", "no preconditioner", "no restarts",
                                   "every gap failing"])
 @pytest.mark.parametrize("name", ["feasible lp", "primal-infeasible lp", "dual-infeasible lp",
                                   "planted conic 1", "planted conic 2", "planted conic 3"])
@@ -238,15 +237,13 @@ def random_lp(seed, n=10, m=7):
     )
 
 
-@pytest.mark.parametrize("method", ["halpern", "average"])
-def test_restart_updates_primal_weight_from_new_and_previous_anchor(method):
+def test_restart_updates_primal_weight_from_new_and_previous_anchor():
     # The loop overwrites the anchor buffer at a restart, so the anchor's
     # move must be taken before the new anchor is written; the primal-weight
     # update reads the norms of that move.
     seen = []
     opts = SolverOptions(
-        method=method, duality_gap_restart_freq=40, max_iter=3000,
-        rel_tol=1e-12, abs_tol=1e-12,
+        duality_gap_restart_freq=40, max_iter=3000, rel_tol=1e-12, abs_tol=1e-12,
         iteration_callback=lambda s: seen.append(
             (s.t, s.omega, IterateZ(s.z_anchor.x.copy(), s.z_anchor.y.copy()))
         ),
@@ -266,11 +263,9 @@ def test_restart_updates_primal_weight_from_new_and_previous_anchor(method):
     assert moved >= 3
 
 
-@pytest.mark.parametrize("method", ["halpern", "average"])
-def test_restart_point_is_the_methods_candidate(method, monkeypatch):
-    # A restart makes the candidate that `method` names the new anchor, bit
-    # for bit: the iterate the last callback saw, or under "average" the
-    # average it saw.  Only "average" keeps an average buffer and updates it.
+def test_restart_point_is_the_methods_candidate(monkeypatch):
+    # A restart makes the iterate the last callback saw the new anchor, bit
+    # for bit.  The loop forms no average.
     calls = {"n": 0}
     real = eng.update_weighted_average
 
@@ -279,54 +274,44 @@ def test_restart_point_is_the_methods_candidate(method, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(eng, "update_weighted_average", counting)
-    seen = []  # (t, candidate, anchor, z_bar, avg_weight) at every callback
+    seen = []  # (t, iterate, anchor) at every callback
 
     def record(s):
-        cand = s.z if method == "halpern" else s.z_bar
-        seen.append((s.t, np.concatenate(cand), np.concatenate(s.z_anchor), s.z_bar, s.avg_weight))
+        seen.append((s.t, np.concatenate(s.z), np.concatenate(s.z_anchor)))
 
-    loop = eng._Loop(random_lp(7), SolverOptions(
-        method=method, duality_gap_restart_freq=40, max_iter=3000,
-        rel_tol=1e-12, abs_tol=1e-12, iteration_callback=record,
+    eng.solve(random_lp(7), SolverOptions(
+        duality_gap_restart_freq=40, max_iter=3000, rel_tol=1e-12, abs_tol=1e-12,
+        iteration_callback=record,
     ))
-    loop.run()
     restarted = 0
-    for (t0, cand, _, _, _), (t1, _, anchor, _, _) in zip(seen, seen[1:]):
+    for (t0, z, _), (t1, _, anchor) in zip(seen, seen[1:]):
         if t1 != t0:
-            assert_same_bits(anchor, cand)
+            assert_same_bits(anchor, z)
             restarted += 1
-    assert restarted >= 3
-    if method == "halpern":
-        assert loop.average is None and calls["n"] == 0
-        assert all(z_bar is None and weight == 0.0 for *_, z_bar, weight in seen)
-    else:
-        # one update per accepted iteration, that is per callback
-        assert loop.average is not None and calls["n"] == len(seen)
+    assert restarted >= 3 and calls["n"] == 0
 
 
-@pytest.mark.parametrize("method", ["halpern", "average"])
-def test_products_formed_at_a_restart(method, monkeypatch):
+def test_products_formed_at_a_restart(monkeypatch):
     # The check before a restart refreshed the iterate's products, so a
-    # restart to the iterate keeps them and forms none; a restart to the
-    # average forms the new iterate's, one G x and one G^T y.  Either way
-    # the iterate's and the anchor's products are fresh ones, bit for bit.
+    # restart keeps them and forms none: the iterate's and the anchor's
+    # products are fresh ones, bit for bit.
     spent = []
     real = eng._Loop._do_restart
 
-    def counted(self, state, candidate, cand_val):
+    def counted(self, state, cand_val):
         g = self.scaled.G
         before = (g.n_matvec, g.n_rmatvec)
-        real(self, state, candidate, cand_val)
+        real(self, state, cand_val)
         spent.append((g.n_matvec - before[0], g.n_rmatvec - before[1]))
         for products in (self.products, self.anchor_products):
             assert_same_bits(products.x, g.matvec(state.z.x))
             assert_same_bits(products.y, g.rmatvec(state.z.y))
 
     monkeypatch.setattr(eng._Loop, "_do_restart", counted)
-    r = eng.solve(random_lp(7), SolverOptions(method=method, duality_gap_restart_freq=40,
-                                              max_iter=3000, rel_tol=1e-12, abs_tol=1e-12))
+    r = eng.solve(random_lp(7), SolverOptions(duality_gap_restart_freq=40, max_iter=3000,
+                                              rel_tol=1e-12, abs_tol=1e-12))
     assert r.restarts >= 3 and len(spent) == r.restarts
-    assert set(spent) == {(0, 0) if method == "halpern" else (1, 1)}
+    assert set(spent) == {(0, 0)}
 
 
 def test_step_workspace_leaves_the_bits(monkeypatch):
@@ -417,7 +402,8 @@ def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkey
     def fresh_gap(loop, z, ref, ctx):
         failing["on"] = False
         try:
-            return real_metric(loop, z, n_norm(z.x - ref.x, z.y - ref.y, ctx), ctx)
+            products = IterateZ(loop.scaled.G.matvec(z.x), loop.scaled.G.rmatvec(z.y))
+            return real_metric(loop, z, n_norm(z.x - ref.x, z.y - ref.y, ctx), ctx, products)
         finally:
             failing["on"] = True
 
@@ -435,7 +421,7 @@ def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkey
             checked["iterate"] += 1
         return real_check(self, state)
 
-    def metric_spy(self, z, radius, ctx, products=None):
+    def metric_spy(self, z, radius, ctx, products):
         value = real_metric(self, z, radius, ctx, products)
         if products is self.anchor_products:
             state = state_of["state"]
@@ -481,7 +467,7 @@ def test_kkt_fallback_weighs_at_the_checks_primal_weight(seed, monkeypatch):
             assert now["gap_metric_calls"][0] == (True, omega)
             seen["gap checks after a kkt restart"] += 1
 
-    def metric_spy(self, z, radius, ctx, products=None):
+    def metric_spy(self, z, radius, ctx, products):
         now["gap_metric_calls"].append((products is self.anchor_products, ctx.omega))
         return real_metric(self, z, radius, ctx, products)
 

@@ -401,7 +401,6 @@ TRACED_PROBLEMS = {
 
 TRACED_MODES = {
     "default": {},
-    "average": dict(method="average"),
     "failing gap": FAILING_GAP,
     "no restarts": dict(use_adaptive_restart=False),
 }

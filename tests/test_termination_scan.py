@@ -65,7 +65,6 @@ PROBLEMS = {
 
 MODES = {
     "default": {},
-    "average": dict(method="average"),
     "no preconditioner": dict(use_preconditioner=False),
     "no restarts": dict(use_adaptive_restart=False),
 }

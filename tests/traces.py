@@ -18,8 +18,7 @@ from conic_pdhg.engine import SolverOptions
 
 def digest(state):
     """(k_bar, SHA-1 of the iterate, anchor, step sizes, weights, counters,
-    restart mode and restart bookkeeping, and of the average and its weight
-    where the solve forms them).  The bookkeeping, the last restart metric,
+    restart mode and restart bookkeeping).  The bookkeeping, the last restart metric,
     the previous candidate's metric and the anchor's move, is what a gap
     evaluation that falls back to the KKT metric leaves; None hashes as
     NaN."""
@@ -28,9 +27,6 @@ def digest(state):
     scalars = [state.eta, state.eta_hat, state.omega, state.beta, state.prev_candidate_gap,
                math.nan if state.last_restart_metric is None else state.last_restart_metric,
                *(state.anchor_move or (math.nan, math.nan))]
-    if state.z_bar is not None:
-        vectors += [state.z_bar.x, state.z_bar.y]
-        scalars.append(state.avg_weight)
     for v in (*vectors, scalars + [state.k, state.k_bar, state.t]):
         h.update(np.asarray(v, dtype=np.float64).tobytes())
     h.update(state.mode.encode())
