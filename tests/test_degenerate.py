@@ -1,10 +1,11 @@
 """Degenerate instances end with an exit-table code, never an exception.
 
-Each instance is solved in four modes: the default options, every third
+Each instance is solved in five modes: the default options, every third
 gap evaluation failing (so that the restart checks also run the weighted
-KKT fallback), no preconditioner and no restarts.  Where the status is
-optimal, the objective must match the closed-form optimum; where the
-instance is infeasible, every mode must certify it.  Instances with
+KKT fallback), no preconditioner, no restarts and the initial step size
+from the induced infinity norm.  Where the status is optimal, the
+objective must match the closed-form optimum; where the instance is
+infeasible, every mode must certify it.  Instances with
 entries near the ends of the double range must end with a code too, and a
 bounded problem must not be certified dual infeasible whatever the scale
 of its cost.
@@ -86,6 +87,7 @@ MODES = {
     "failing gap": FAILING_GAP,
     "no preconditioner": dict(use_preconditioner=False),
     "no restarts": dict(use_adaptive_restart=False),
+    "induced-inf initial step": dict(initial_step_norm="induced_inf"),
 }
 
 

@@ -7,8 +7,9 @@ every 64 iterations, and each accepted iteration updates flat
 updates with the allocating formulas in `oracles`: the average bit for
 bit, the three-pass Halpern update to a rounding bound per entry and, over
 the first iterations of a solve, along the loop's trajectory; check that
-a restart moves the anchor to the iterate and updates the primal weight
-from the anchor's move, that the loop forms no average, that the weighted
+a restart, after a gap check or a KKT fallback check, moves the anchor to
+the iterate and updates the primal weight from the anchor's move, that
+the loop forms no average, that the weighted
 KKT error is evaluated only as the fallback of a failed gap evaluation, at
 the check's primal weight, and that the restart checks' gap from the
 loop's products and from the anchor's move is the gap from fresh ones; and
@@ -124,6 +125,7 @@ def test_weighted_average_equals_allocating_formula(draw):
 
 
 @pytest.mark.parametrize("mode", ["default", "no preconditioner", "no restarts",
+                                  "no preconditioner, induced-inf initial step",
                                   "every gap failing"])
 @pytest.mark.parametrize("name", ["feasible lp", "primal-infeasible lp", "dual-infeasible lp",
                                   "planted conic 1", "planted conic 2", "planted conic 3"])
@@ -140,6 +142,9 @@ def test_trajectory_follows_the_six_operation_update(name, mode, monkeypatch):
     # fallback from its first baseline and stays in it.
     from bitwise_digests import PROBLEMS
     from test_termination_scan import MODES
+
+    options = {**MODES, "no preconditioner, induced-inf initial step": dict(
+        use_preconditioner=False, initial_step_norm="induced_inf")}
 
     def six_operations(z_hat, z_old, z_anchor, k, beta, out):
         out[:] = halpern_step_allocating((z_hat,), (z_old,), (z_anchor,), k, beta)[0]
@@ -158,7 +163,7 @@ def test_trajectory_follows_the_six_operation_update(name, mode, monkeypatch):
             if mode == "every gap failing":
                 mp.setattr(restarts, "normalized_gap", failing_every(1))
             eng.solve(PROBLEMS[name](), SolverOptions(
-                max_iter=40, rel_tol=1e-14, abs_tol=1e-14, **MODES.get(mode, {}),
+                max_iter=40, rel_tol=1e-14, abs_tol=1e-14, **options.get(mode, {}),
                 iteration_callback=record))
         assert modes == ({"kkt"} if mode == "every gap failing" else {"gap"})
         return seen
@@ -237,10 +242,22 @@ def random_lp(seed, n=10, m=7):
     )
 
 
-def test_restart_updates_primal_weight_from_new_and_previous_anchor():
+RESTART_METRICS = pytest.mark.parametrize("every", [None, 1], ids=["gap", "kkt fallback"])
+
+
+def fail_gaps(monkeypatch, every):
+    """With `every` set, make every `every`-th gap evaluation fail, so that
+    the restart checks run the weighted KKT fallback."""
+    if every is not None:
+        monkeypatch.setattr(restarts, "normalized_gap", failing_every(every))
+
+
+@RESTART_METRICS
+def test_restart_updates_primal_weight_from_new_and_previous_anchor(every, monkeypatch):
     # The loop overwrites the anchor buffer at a restart, so the anchor's
     # move must be taken before the new anchor is written; the primal-weight
     # update reads the norms of that move.
+    fail_gaps(monkeypatch, every)
     seen = []
     opts = SolverOptions(
         duality_gap_restart_freq=40, max_iter=3000, rel_tol=1e-12, abs_tol=1e-12,
@@ -263,9 +280,12 @@ def test_restart_updates_primal_weight_from_new_and_previous_anchor():
     assert moved >= 3
 
 
-def test_restart_point_is_the_methods_candidate(monkeypatch):
+@RESTART_METRICS
+def test_restart_point_is_the_methods_candidate(every, monkeypatch):
     # A restart makes the iterate the last callback saw the new anchor, bit
-    # for bit.  The loop forms no average.
+    # for bit, whichever metric the check compared.  The loop forms no
+    # average.
+    fail_gaps(monkeypatch, every)
     calls = {"n": 0}
     real = eng.update_weighted_average
 
@@ -291,10 +311,13 @@ def test_restart_point_is_the_methods_candidate(monkeypatch):
     assert restarted >= 3 and calls["n"] == 0
 
 
-def test_products_formed_at_a_restart(monkeypatch):
+@RESTART_METRICS
+def test_products_formed_at_a_restart(every, monkeypatch):
     # The check before a restart refreshed the iterate's products, so a
     # restart keeps them and forms none: the iterate's and the anchor's
-    # products are fresh ones, bit for bit.
+    # products are fresh ones, bit for bit, whichever metric the check
+    # compared.
+    fail_gaps(monkeypatch, every)
     spent = []
     real = eng._Loop._do_restart
 

@@ -403,6 +403,7 @@ TRACED_MODES = {
     "default": {},
     "failing gap": FAILING_GAP,
     "no restarts": dict(use_adaptive_restart=False),
+    "induced-inf initial step": dict(initial_step_norm="induced_inf"),
 }
 
 

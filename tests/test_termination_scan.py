@@ -68,9 +68,10 @@ MODES = {
     "no preconditioner": dict(use_preconditioner=False),
     "no restarts": dict(use_adaptive_restart=False),
 }
-# MODES, which bitwise_digests.py runs, and the forced gap failures, which
-# `traced_solve` applies
-TRACED_MODES = {**MODES, "failing gap": FAILING_GAP}
+# MODES, which bitwise_digests.py runs, the forced gap failures, which
+# `traced_solve` applies, and the other initial step size
+TRACED_MODES = {**MODES, "failing gap": FAILING_GAP,
+                "induced-inf initial step": dict(initial_step_norm="induced_inf")}
 
 
 def assert_scan_schedule(r, trace, scans, scan_freq, check_freq, max_iter):
