@@ -27,9 +27,9 @@ refreshed products and the anchor's stored ones, and bisects to
 `_RESTART_GAP_TOL`.  A restart copies the iterate buffer, products
 included, onto the anchor buffer.
 
-Termination scans between restart checks run the optimality and limit
-tests on their own G x and G^T y from the unscaled iterate and write no
-loop state, so the iterates do not depend on the scan cadence.
+Termination scans and log rows read the iterate buffer's products (running
+between checks), mapped back to the unscaled problem; scans write no loop
+state, so the iterates do not depend on the scan cadence.
 
 The reflection parameter beta of the Halpern step is evaluated from the
 candidate's error report (`termination.compute_errors` on the scaled
@@ -469,8 +469,8 @@ class _Loop:
             proj_y=lambda v: cones.project_dual_set(v, self.scaled),
         ), eps_rel=_RESTART_GAP_TOL)
 
-    def _kkt_metric(self, z: IterateZ, omega: float) -> float:
-        report = term.compute_errors(self.scaled, z.x, z.y)
+    def _kkt_metric(self, z: IterateZ, products: IterateZ, omega: float) -> float:
+        report = term.compute_errors(self.scaled, z.x, z.y, products.x, products.y)
         return restarts.kkt_omega(report, omega)
 
     def _baseline_gap(self, state: SolverState) -> None:
@@ -483,14 +483,13 @@ class _Loop:
             state.last_restart_metric = self._gap_metric(state.z, radius, ctx, self.products)
         except restarts.GapEvaluationError:
             state.mode = "kkt"
-            state.last_restart_metric = self._kkt_metric(state.z, state.omega)
+            state.last_restart_metric = self._kkt_metric(state.z, self.products, state.omega)
 
     # -- original-problem report --------------------------------------------
 
-    def _original_report(self, z: IterateZ):
+    def _original_report(self, z: IterateZ, products: IterateZ):
         x, y = scalings.unscale_solution(z.x, z.y, self.scaling)
-        gx = self.work.G.matvec(x)
-        gty = self.work.G.rmatvec(y)
+        gx, gty = scalings.unscale_products(products.x, products.y, self.scaling)
         report = term.compute_errors(self.work, x, y, gx=gx, gty=gty)
         return report, x, y, gx, gty
 
@@ -522,13 +521,12 @@ class _Loop:
                 self.logfile.close()
 
     def _termination_scan(self, state: SolverState, with_infeasibility: bool) -> int | None:
-        """Evaluate the original-problem report at the current iterate and run
-        the exit tests, returning the exit code of the first that fires; a
-        non-finite iterate or report raises NumericalError.
-        Apart from `_last_report` and, at checks, the infeasibility history,
-        it writes no loop state, so scans between checks leave the iterates
-        unchanged."""
-        report, x, y, gx, gty = self._original_report(state.z)
+        """Run the exit tests on the original-problem report of the iterate,
+        from the loop's products (fresh at checks, running between them), and
+        return the code of the first that fires; a non-finite iterate or
+        report raises NumericalError.  It writes no loop state but
+        `_last_report` and, at checks, the infeasibility history."""
+        report, x, y, gx, gty = self._original_report(state.z, self.products)
         self._last_report = report
         if not (
             np.all(np.isfinite(state.z.x))
@@ -547,7 +545,7 @@ class _Loop:
     def _restart_check(self, state: SolverState) -> None:
         """Evaluate the restart metric of the iterate and restart to it if
         any trigger fires.  A failed gap evaluation flips the rest of this
-        inner loop to the weighted-KKT fallback.  The gap takes the
+        inner loop to the weighted-KKT fallback.  Both metrics take the
         iterate's products, refreshed for this check, and the anchor's from
         the loop."""
         z = state.z
@@ -572,8 +570,9 @@ class _Loop:
         if state.mode == "kkt":
             # the fallback, with its baseline at the current weight
             if state.last_restart_metric is None:
-                state.last_restart_metric = self._kkt_metric(state.z_anchor, state.omega)
-            cand_val = self._kkt_metric(z, state.omega)
+                state.last_restart_metric = self._kkt_metric(
+                    state.z_anchor, self.anchor_products, state.omega)
+            cand_val = self._kkt_metric(z, self.products, state.omega)
 
         if restarts.should_restart(
             cand_val, state.prev_candidate_gap, state.last_restart_metric, state.k, state.k_bar
@@ -687,16 +686,10 @@ class _Loop:
                     return code
             if at_print and log_rows:
                 if not at_scan:
-                    self._last_report = self._original_report(state.z)[0]
+                    self._last_report = self._original_report(state.z, self.products)[0]
                 self._log_line(state, self._last_report)
             if at_check and options.use_adaptive_restart:
-                before = state.t
                 self._restart_check(state)
-                if state.t != before:
-                    # Restart boundary: re-test termination at the new anchor.
-                    code = self._termination_scan(state, with_infeasibility=False)
-                    if code is not None:
-                        return code
 
     def _build_result(self, state: SolverState, code: int) -> SolveResult:
         """Map the iterate back to the original problem and build the result

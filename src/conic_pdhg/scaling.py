@@ -175,3 +175,8 @@ def rescale_problem(problem: ConicProblem, s: ScalingPair) -> ConicProblem:
 def unscale_solution(x_tilde: np.ndarray, y_tilde: np.ndarray, s: ScalingPair):
     """Map a rescaled-problem solution back: x = D2 x~, y = D1 y~."""
     return x_tilde * s.d2, y_tilde * s.d1
+
+
+def unscale_products(gx_tilde: np.ndarray, gty_tilde: np.ndarray, s: ScalingPair):
+    """Map rescaled products back: G x = D1^-1 (G~ x~), G^T y = D2^-1 (G~^T y~)."""
+    return gx_tilde / s.d1, gty_tilde / s.d2

@@ -10,7 +10,8 @@ Three metric families share the same residual vectors:
 `compute_errors` evaluates all three from one residual evaluation: on the
 original problem at termination scans, on the scaled one for the KKT
 fallback and for the reflection parameter (at the first iteration of
-every inner loop and every 64 iterations).
+every inner loop and every 64 iterations).  The solve loop passes the
+products it keeps for the point in each case, so none forms a product.
 
 The metrics and the infeasibility certificates read the problem's box facts
 (`ConicProblem.box`, built once per instance): the multiplier set Lambda,

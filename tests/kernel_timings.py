@@ -21,6 +21,10 @@ kernel:
   length and a `StepWorkspace`) on each of those scaled problems, from a
   random point with its products given, at a step size that the first
   trial accepts;
+* `termination_scan`: one termination scan with the infeasibility test
+  (`engine._Loop._termination_scan(state, True)`) at the loop's initial
+  state (`_Loop._init_state`) for each of those instances, with the
+  instance's options;
 * `project_dual_set`: the dual-set projection, on every 8th input that the
   cone-solve solves of `--seed` pass it, each with its own scaled problem
   (all 13 instances, solved through `conic_pdhg.cli.main` with the
@@ -122,10 +126,22 @@ def line_search_step(problem, x, y):
     return step
 
 
+def termination_scan(problem, case):
+    """One `_Loop._termination_scan` with the infeasibility test, at the
+    initial state of a loop on `problem` with `case`'s options, as a
+    function of no arguments."""
+    args = cli.build_parser().parse_args(
+        ["--input", "-", "--time-limit", str(case.time_limit), *case.options])
+    loop = engine._Loop(problem, cli.options_from_args(args))
+    state = loop._init_state()
+    return lambda: loop._termination_scan(state, True)
+
+
 def loop_kernel_lines(seed, repeats, work_dir):
     for name in ("lp-large", "lp-solve", "cone-solve"):
         _, cases = workloads.build(name, seed)
-        work = model.rsoc_to_soc(parsed(cases[0], work_dir))
+        problem = parsed(cases[0], work_dir)
+        work = model.rsoc_to_soc(problem)
         scaled = scaling.rescale_problem(work, scaling.build_scaling(work))
         g = scaled.G
         rng = np.random.default_rng(0)
@@ -136,7 +152,8 @@ def loop_kernel_lines(seed, repeats, work_dir):
         for kernel, product in (("matvec", lambda: g.matvec(x, out=gx)),
                                 ("rmatvec", lambda: g.rmatvec(y, out=gty)),
                                 ("halpern", lambda: halpern(z_hat, z, anchor, 99, 0.5, out=z)),
-                                ("line_search_step", line_search_step(scaled, x, y))):
+                                ("line_search_step", line_search_step(scaled, x, y)),
+                                ("termination_scan", termination_scan(problem, cases[0]))):
             with getattr(linalg, "one_blas_thread", contextlib.nullcontext)():
                 calls, us = timed(product, repeats)
             shape = f"len={z.size}" if kernel == "halpern" else f"{g.m}x{g.n}"

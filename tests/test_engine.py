@@ -397,6 +397,33 @@ class TestSolve:
         past = [readings[n] - readings[0] > 40.0 for n in seen]
         assert past.index(True) == len(seen) - 1
 
+    def test_time_limit_passed_in_a_restart_check(self, monkeypatch):
+        # The clock passes the limit inside a restart check that restarts.
+        # The check scanned before it restarted, so the solve runs one more
+        # iteration, whose budget check ends it.
+        import types
+
+        import conic_pdhg.engine as eng
+        from test_lean_iteration import random_lp
+
+        now = [0.0]
+        monkeypatch.setattr(eng, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+        k_bars, restarted_at = [], []
+        real = eng.restarts.update_primal_weight
+
+        def update_primal_weight(*args):
+            if not restarted_at:
+                restarted_at.append(k_bars[-1])
+                now[0] = 100.0
+            return real(*args)
+
+        monkeypatch.setattr(eng.restarts, "update_primal_weight", update_primal_weight)
+        r = solve(random_lp(7), SolverOptions(
+            time_limit=50.0, rel_tol=1e-14, abs_tol=1e-14, duality_gap_restart_freq=64,
+            iteration_callback=lambda s: k_bars.append(s.k_bar)))
+        assert r.exit_status == ":time_limit" and r.restarts == 1
+        assert k_bars[-2] == restarted_at[0] and r.iterations == k_bars[-1]
+
     def test_numerical_error_on_injected_nan(self, monkeypatch):
         import conic_pdhg.engine as eng
 
@@ -568,9 +595,9 @@ class TestSolve:
         kkt_calls = {"n": 0}
         orig_kkt = eng._Loop._kkt_metric
 
-        def spy(self, z, omega):
+        def spy(self, z, products, omega):
             kkt_calls["n"] += 1
-            return orig_kkt(self, z, omega)
+            return orig_kkt(self, z, products, omega)
 
         monkeypatch.setattr(eng._Loop, "_kkt_metric", spy)
         p = tiny_lp()

@@ -15,7 +15,13 @@ from conic_pdhg import scaling
 from conic_pdhg.engine import SolverOptions, solve
 from conic_pdhg.linalg import SparseMatrix
 from conic_pdhg.model import Cone, ConeSpec, ConicProblem
-from conic_pdhg.scaling import ScalingPair, build_scaling, rescale_problem, unscale_solution
+from conic_pdhg.scaling import (
+    ScalingPair,
+    build_scaling,
+    rescale_problem,
+    unscale_products,
+    unscale_solution,
+)
 
 
 def make_problem(G, num_box=None, primal_cones=(), dual_cones=None, l=None, u=None, rng=None):
@@ -289,6 +295,19 @@ class TestUnscale:
             x_back, y_back = unscale_solution(x_t, y_t, s)
             np.testing.assert_allclose(x_back, x, atol=1e-12)
             np.testing.assert_allclose(y_back, y, atol=1e-12)
+
+    def test_scaled_products_map_to_the_unscaled_points_products(self):
+        rng = np.random.default_rng(40)
+        g = rng.standard_normal((3, 4)) * 10.0 ** rng.uniform(-6, 6, (3, 4))
+        p = make_problem(g, dual_cones=(ConeSpec(Cone.NONNEG, 3),))
+        s = build_scaling(p)
+        q = rescale_problem(p, s)
+        x_t, y_t = rng.standard_normal(4), rng.standard_normal(3)
+        x, y = unscale_solution(x_t, y_t, s)
+        gx, gty = unscale_products(q.G.matvec(x_t), q.G.rmatvec(y_t), s)
+        # to rounding, relative to the sums of the terms' magnitudes
+        assert np.all(np.abs(gx - g @ x) <= 1e-12 * (np.abs(g) @ np.abs(x)))
+        assert np.all(np.abs(gty - g.T @ y) <= 1e-12 * (np.abs(g).T @ np.abs(y)))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,12 +2,13 @@
 
 The loop runs the optimality and limit tests at the first iteration at or
 past each multiple of `engine._TERMINATION_SCAN_FREQ`, besides every restart
-check.  A scan forms its own products on the unscaled problem and writes no
-loop state, so a run with scans follows the run without them bit for bit
-and can only stop sooner.  These tests compare runs with scans against runs
-with the cadence patched to 10**9, which scan only at checks as the loop did
-before scans existed: callback traces, exits, infeasibility certificates,
-product counters, error-report counts and log rows.
+check.  A scan reads the loop's own products of the iterate, mapped back to
+the unscaled problem, and writes no loop state, so a run with scans follows
+the run without them bit for bit and can only stop sooner.  These tests
+compare runs with scans against runs with the cadence patched to 10**9,
+which scan only at checks as the loop did before scans existed: callback
+traces, exits, infeasibility certificates, product counters, error-report
+counts and log rows.
 """
 
 import math
@@ -74,11 +75,11 @@ TRACED_MODES = {**MODES, "failing gap": FAILING_GAP,
                 "induced-inf initial step": dict(initial_step_norm="induced_inf")}
 
 
-def assert_scan_schedule(r, trace, scans, scan_freq, check_freq, max_iter):
-    """Scans run at entry, at every restart check, after every restart, and
-    at the first k_bar at or past each multiple of the scan cadence; checks
-    run at the first k_bar at or past each multiple of the check cadence
-    and at the last iteration, and only checks test infeasibility."""
+def assert_scan_schedule(trace, scans, scan_freq, check_freq, max_iter):
+    """Scans run at entry, at every restart check and at the first k_bar at
+    or past each multiple of the scan cadence; checks run at the first k_bar
+    at or past each multiple of the check cadence and at the last iteration,
+    and only checks test infeasibility."""
     checks, between, k_prev = [], [], 0
     for k, *_ in trace:
         if k // check_freq > k_prev // check_freq or k >= max_iter:
@@ -89,7 +90,7 @@ def assert_scan_schedule(r, trace, scans, scan_freq, check_freq, max_iter):
     assert scans[0] == (0, False)
     assert sorted({k for k, _ in scans[1:]}) == sorted(checks + between)
     assert [k for k, infeasibility in scans if infeasibility] == checks
-    assert len(scans) == 1 + len(checks) + len(between) + r.restarts
+    assert len(scans) == 1 + len(checks) + len(between)
     return between
 
 
@@ -102,13 +103,13 @@ def test_scans_stop_sooner_on_the_same_trace(name, mode, monkeypatch):
     r64, _, scans64, trace64 = traced_solve(PROBLEMS[name](), monkeypatch, 64, **kw)
 
     # the reference run scans only at checks
-    assert assert_scan_schedule(r_off, trace_off, scans_off, NO_SCANS, CHECK_FREQ, 1000) == []
+    assert assert_scan_schedule(trace_off, scans_off, NO_SCANS, CHECK_FREQ, 1000) == []
 
     # scans leave the iterates alone and can only move the exit forward
     assert trace64 == trace_off[:len(trace64)]
     assert r64.iterations <= r_off.iterations
     assert r64.exit_status == r_off.exit_status
-    assert assert_scan_schedule(r64, trace64, scans64, 64, CHECK_FREQ, 1000)
+    assert assert_scan_schedule(trace64, scans64, 64, CHECK_FREQ, 1000)
     if r_off.exit_status == ":optimal":
         # on these instances the tolerance is met between two checks
         assert r64.iterations < r_off.iterations
@@ -140,7 +141,7 @@ def test_scan_runs_after_a_line_search_jump_over_a_multiple(check_freq, scanned,
     k_bars = [k for k, *_ in trace]
     assert r.exit_status == ":max_iter" and 64 not in k_bars and 65 in k_bars
     assert at_65 in scans
-    assert assert_scan_schedule(r, trace, scans, 64, check_freq, 150) == scanned
+    assert assert_scan_schedule(trace, scans, 64, check_freq, 150) == scanned
 
 
 def test_restart_check_runs_after_a_line_search_jump_over_a_multiple(monkeypatch):
@@ -294,6 +295,53 @@ def test_feasible_problems_get_no_infeasibility_certificate(name, cadence, monke
 # ---------------------------------------------------------------------------
 
 
+def rsoc_exp():
+    """A nonneg, an exp and a rotated soc block (the instance of
+    `test_engine`'s rsoc-with-exp test).  Rotating the rsoc rows makes the
+    loop's unscaled problem another instance than the caller's."""
+    g = np.zeros((7, 3))
+    g[0, 0] = g[1, 2] = g[3, 1] = g[4, 0] = g[5, 1] = 1.0
+    return ConicProblem(c=np.array([1.0, 1.0, -1.0]), G=SparseMatrix(g),
+                        h=np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0]),
+                        l=np.full(3, -10.0), u=np.full(3, 10.0), num_box=3,
+                        dual_cones=(ConeSpec(Cone.NONNEG, 1), ConeSpec(Cone.EXP, 3),
+                                    ConeSpec(Cone.RSOC, 3)))
+
+
+REPORT_PROBLEMS = {**PROBLEMS, "rsoc-exp": rsoc_exp}
+REPORT_METRICS = ("rel_p1", "rel_d1", "rel_gap1", "rel_p_inf", "rel_d_inf", "rel_gap_term")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", REPORT_PROBLEMS)
+def test_scan_reports_match_fresh_unscaled_products(name, mode, monkeypatch):
+    # A scan maps the loop's scaled products back, the running ones between
+    # checks.  Its report must match the one on fresh products of the
+    # unscaled matrix, each metric to 1e-12 of its denominator: the relative
+    # metrics to 1e-12, the objectives to 1e-12 of the gap's denominator.
+    pairs = []
+    real = eng._Loop._original_report
+
+    def spy(self, z, products):
+        report, x, y, gx, gty = real(self, z, products)
+        pairs.append((report, term.compute_errors(self.work, x, y)))
+        return report, x, y, gx, gty
+
+    monkeypatch.setattr(eng._Loop, "_original_report", spy)
+    loop = eng._Loop(REPORT_PROBLEMS[name](), SolverOptions(rel_tol=1e-9, abs_tol=1e-9,
+                                                             max_iter=3000, **MODES[mode]))
+    r = loop.run()
+    assert (loop.work is not loop.original) == (name == "rsoc-exp")
+    assert len(pairs) > 10
+    assert r.exit_status in (":optimal", ":max_iter")
+    for derived, fresh in pairs:
+        for metric in REPORT_METRICS:
+            assert abs(getattr(derived, metric) - getattr(fresh, metric)) <= 1e-12, metric
+        denom = 1.0 + max(abs(fresh.primal_obj), abs(fresh.dual_obj))
+        assert derived.primal_obj == fresh.primal_obj
+        assert abs(derived.dual_obj - fresh.dual_obj) <= 1e-12 * denom
+
+
 def test_error_reports_at_entry_scans_checks_and_restarts(monkeypatch):
     monkeypatch.setattr(eng, "_TERMINATION_SCAN_FREQ", 8)
     loop = eng._Loop(tiny_lp(), SolverOptions(duality_gap_restart_freq=20, max_iter=100,
@@ -302,9 +350,9 @@ def test_error_reports_at_entry_scans_checks_and_restarts(monkeypatch):
     r = loop.run()
     assert r.exit_status == ":max_iter" and r.iterations == 100 and r.restarts == 4
     # the entry scan, scans at the ten multiples of 8 up to 100 that are not
-    # checks (all but 40 and 80), the checks at 20, 40, 60, 80 and 100, and
-    # one scan after each restart
-    assert calls["work"] == 1 + 10 + 5 + 4
+    # checks (all but 40 and 80) and the checks at 20, 40, 60, 80 and 100;
+    # a restart adds none
+    assert calls["work"] == 1 + 10 + 5
     # the reflection parameter at the first iteration of each of the five
     # inner loops and at 64; the gap-mode checks form no report
     assert calls["scaled"] == 5 + 1
@@ -321,11 +369,10 @@ def test_scan_products_land_on_the_unscaled_matrix(monkeypatch):
     assert loop64.scaled.G is not loop64.work.G
     assert trace64 == trace_off[:len(trace64)]
     assert (loop64.scaled.G.n_matvec, loop64.scaled.G.n_rmatvec) == trace64[-1][2]
-    # each scan forms one G x and one G^T y on the unscaled matrix; the
-    # result adds the slack G x and the multiplier c - G^T y
-    for loop, scans in ((loop64, scans64), (loop_off, scans_off)):
-        assert loop.work.G.n_matvec == len(scans) + 1
-        assert loop.work.G.n_rmatvec == len(scans) + 1
+    # scans read the loop's products and form none on the unscaled matrix;
+    # only the result forms the slack G x and the multiplier c - G^T y there
+    for loop in (loop64, loop_off):
+        assert (loop.work.G.n_matvec, loop.work.G.n_rmatvec) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
