@@ -6,16 +6,17 @@ modes (default, no preconditioner, no restarts) at restart cadences 200,
 512 (the default) and 2000.  Each
 solve prints one tab-separated line:
 
-    cadence  problem  mode  status  iterations  digest
+    cadence  problem  mode  status  iterations  trace digest  result digest
 
-The SHA-1 digest covers `traces.digest` of the loop state at every
-iteration callback (the iterates and scalars, and the restart bookkeeping:
-the last restart metric, the previous candidate's metric and the anchor's
-move) and every result field except `iterations` and the wall time, so two
-trees that follow the same iterates and restart decisions print the same
-lines.  A
-last line gives the total iteration count.  Run it from the root of each
-tree and diff the outputs:
+The trace digest (SHA-1) covers `traces.digest` of the loop state at every
+iteration callback: the iterates and scalars, and the restart bookkeeping
+(the last restart metric, the previous candidate's metric and the anchor's
+move).  The result digest covers every result field except `iterations`
+and the wall time.  Two trees that follow the same iterates and restart
+decisions print the same trace digests; a change to how the result is
+built from the last iterate moves only the result digests.  A last line
+gives the total iteration count.  Run it from the root of each tree and
+diff the outputs:
 
     python tests/bitwise_digests.py --max-iter 3000 > digests.txt
 
@@ -61,13 +62,14 @@ CADENCES = (200, 512, 2000)
 
 
 def solve_digest(problem, max_iter, cadence, mode, fail_gap_every=None):
-    """(status, iterations, hex digest) of one solve."""
-    h = hashlib.sha1()
+    """(status, iterations, trace digest, result digest) of one solve, the
+    digests in hex."""
+    trace = hashlib.sha1()
 
     def record(state):
         k_bar, state_digest = digest(state)
-        h.update(np.int64(k_bar).tobytes())
-        h.update(state_digest)
+        trace.update(np.int64(k_bar).tobytes())
+        trace.update(state_digest)
 
     options = SolverOptions(max_iter=max_iter, duality_gap_restart_freq=cadence,
                             iteration_callback=record, **MODES[mode])
@@ -78,10 +80,11 @@ def solve_digest(problem, max_iter, cadence, mode, fail_gap_every=None):
         r = solve(problem, options)
     finally:
         restart.normalized_gap = real
+    result = hashlib.sha1()
     for v in (r.x, r.y, r.lam, r.slack, [r.p_obj, r.d_obj, r.exit_code, r.restarts]):
-        h.update(np.asarray(v, dtype=np.float64).tobytes())
-    h.update(r.exit_status.encode())
-    return r.exit_status, r.iterations, h.hexdigest()
+        result.update(np.asarray(v, dtype=np.float64).tobytes())
+    result.update(r.exit_status.encode())
+    return r.exit_status, r.iterations, trace.hexdigest(), result.hexdigest()
 
 
 def main(argv=None):
@@ -97,10 +100,11 @@ def main(argv=None):
     for cadence in CADENCES:
         for name, make in PROBLEMS.items():
             for mode in MODES:
-                status, iterations, hexdigest = solve_digest(
+                status, iterations, trace, result = solve_digest(
                     make(), args.max_iter, cadence, mode, args.fail_gap_every)
                 total += iterations
-                print(f"{cadence}\t{name}\t{mode}\t{status}\t{iterations}\t{hexdigest}", flush=True)
+                print(f"{cadence}\t{name}\t{mode}\t{status}\t{iterations}\t{trace}\t{result}",
+                      flush=True)
     print(f"total iterations\t{total}")
 
 
