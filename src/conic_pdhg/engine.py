@@ -27,9 +27,11 @@ refreshed products and the anchor's stored ones, and bisects to
 `_RESTART_GAP_TOL`.  A restart copies the iterate buffer, products
 included, onto the anchor buffer.
 
-Termination scans and log rows read the iterate buffer's products (running
-between checks), mapped back to the unscaled problem; scans write no loop
-state, so the iterates do not depend on the scan cadence.
+Termination scans, log rows and the result read the iterate buffer's
+products (running between checks), mapped back to the unscaled problem, so
+after the preconditioner is built the solve forms products on the scaled
+matrix only; scans write no loop state, so the iterates do not depend on
+the scan cadence.
 
 The reflection parameter beta of the Halpern step is evaluated from the
 candidate's error report (`termination.compute_errors` on the scaled
@@ -154,7 +156,9 @@ class SolverState:
 @dataclass(frozen=True)
 class SolveResult:
     """The point on the original problem (lam = c - G^T y, slack = G x - h)
-    and how the solve ended.  `iterations` counts accepted PDHG steps plus
+    and how the solve ended.  `lam` and `slack` come from the loop's own
+    products of the point, mapped back, and match fresh products on the
+    caller's G to rounding.  `iterations` counts accepted PDHG steps plus
     rejected line-search trials up to the last completed iteration (0 when
     the entry scan exits); `p_obj` and `d_obj` are the returned point's."""
 
@@ -487,9 +491,16 @@ class _Loop:
 
     # -- original-problem report --------------------------------------------
 
-    def _original_report(self, z: IterateZ, products: IterateZ):
+    def _unscaled(self, z: IterateZ, products: IterateZ):
+        """x, y, G x and G^T y on the unscaled problem `work`, mapped back
+        from a point of the scaled loop and its products (`z` and
+        `products` of one [x; y; G x; G^T y] buffer)."""
         x, y = scalings.unscale_solution(z.x, z.y, self.scaling)
         gx, gty = scalings.unscale_products(products.x, products.y, self.scaling)
+        return x, y, gx, gty
+
+    def _original_report(self, z: IterateZ, products: IterateZ):
+        x, y, gx, gty = self._unscaled(z, products)
         report = term.compute_errors(self.work, x, y, gx=gx, gty=gty)
         return report, x, y, gx, gty
 
@@ -693,11 +704,14 @@ class _Loop:
 
     def _build_result(self, state: SolverState, code: int) -> SolveResult:
         """Map the iterate back to the original problem and build the result
-        for exit `code`."""
-        x_w, y_w = scalings.unscale_solution(state.z.x, state.z.y, self.scaling)
-        slack_w = self.work.G.matvec(x_w) - self.work.h
-        x, y, slack = apply_rsoc_inverse(self.original, x_w, y_w, slack_w)
-        lam = recover_dual(self.original, y)
+        for exit `code`.  The slack G x - h and the multiplier c - G^T y
+        come from the iterate buffer's products, as a scan reads them, so
+        an exit at a scan returns the vectors its tests judged; no product
+        is formed.  Only the objectives are evaluated on the caller's
+        problem."""
+        x_w, y_w, gx, gty = self._unscaled(state.z, self.products)
+        x, y, slack, lam = apply_rsoc_inverse(self.original, x_w, y_w, gx - self.work.h,
+                                              recover_dual(self.work, y_w, gty))
         return SolveResult(
             x=x, y=y, lam=lam, slack=slack, exit_code=code, iterations=state.k_bar,
             solve_time_s=time.monotonic() - self.t_start,

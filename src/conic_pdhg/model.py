@@ -346,12 +346,18 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
 
 
 def apply_rsoc_inverse(original: ConicProblem, x: np.ndarray, y: np.ndarray,
-                       slack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       slack: np.ndarray, lam: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Map a solution of the reformulated problem back to the original blocks
-    and the original row order."""
+    and the original row order: x, y, slack = G x - h and lam = c - G^T y.
+
+    With G_w = P R_r G R_c, h_w = P R_r h and c_w = R_c c (R_r, R_c the
+    involutive rotations, P the promotion's row order), x and lam are
+    rotated back by R_c alone, and y and slack are put back in row order
+    and rotated by R_r."""
     if not original.has_rsoc_blocks():
-        return x, y, slack
-    x = x.copy()
+        return x, y, slack, lam
+    x, lam = x.copy(), lam.copy()
     order = _promoted_order(original.dual_cones)
     if order is None:
         y = y.copy()
@@ -363,8 +369,9 @@ def apply_rsoc_inverse(original: ConicProblem, x: np.ndarray, y: np.ndarray,
     for sl in _rotation_blocks(original.primal_cones, original.num_box):
         i, j = sl.start, sl.start + 1
         x[i], x[j] = rotate_pair(x[i], x[j])
+        lam[i], lam[j] = rotate_pair(lam[i], lam[j])
     for sl in _rotation_blocks(original.dual_cones, 0):
         i, j = sl.start, sl.start + 1
         y[i], y[j] = rotate_pair(y[i], y[j])
         slack[i], slack[j] = rotate_pair(slack[i], slack[j])
-    return x, y, slack
+    return x, y, slack, lam

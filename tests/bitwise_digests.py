@@ -24,8 +24,9 @@ diff the outputs:
 `GapEvaluationError`, so the solves also cover the loop's fall-back to
 weighted-KKT checks and the restarts and baselines that follow one.  A
 fall-back that restarts where the gap would have leaves the iterates as
-they were but not the restart bookkeeping, so the lines differ from the
-plain run's: at `--max-iter 3000` and N = 3, 16 of the 54 solves do.
+they were but not the restart bookkeeping, so the trace digests differ
+from the plain run's: at `--max-iter 3000` and N = 3, 16 of the 54 do,
+and no result digest does.
 """
 
 import argparse

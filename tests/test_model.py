@@ -271,9 +271,14 @@ class TestRsocToSoc:
             )
             assert float(np.dot(q.c, x_tilde)) == pytest.approx(float(np.dot(p.c, x)), abs=1e-10)
             np.testing.assert_allclose(q.G.matvec(x_tilde), p.G.matvec(x), atol=1e-10)
-        # the inverse map undoes the variable transform
-        x_back, _, _ = apply_rsoc_inverse(p, x_tilde, np.zeros(2), np.zeros(2))
+        # the inverse map undoes the variable transform, and maps the
+        # multiplier c - G^T y of the reformulation to the original's
+        y = rng.standard_normal(2)
+        lam_w = q.c - q.G.rmatvec(y)
+        x_back, _, _, lam_back = apply_rsoc_inverse(p, x_tilde, y, np.zeros(2), lam_w)
         np.testing.assert_allclose(x_back, x, atol=1e-12)
+        lam = p.c - p.G.rmatvec(y)
+        assert np.max(np.abs(lam_back - lam)) <= 1e-12 * np.max(np.abs(lam))
 
     def test_promoted_blocks_join_the_soc_group(self):
         # Rotated rows follow exp rows in the input; after promotion they
@@ -300,9 +305,12 @@ class TestRsocToSoc:
             x = rng.standard_normal(n)
             r_orig = p.G.matvec(x) - p.h
             r_new = q.G.matvec(x) - q.h
-            _, y_back, slack_back = apply_rsoc_inverse(p, x, r_new, r_new)
+            _, y_back, slack_back, lam_back = apply_rsoc_inverse(
+                p, x, r_new, r_new, q.c - q.G.rmatvec(r_new))
             np.testing.assert_allclose(slack_back, r_orig, atol=1e-12)
             np.testing.assert_allclose(y_back, r_orig, atol=1e-12)
+            # no primal block rotates, so c - G^T y needs no map back
+            np.testing.assert_allclose(lam_back, p.c - p.G.rmatvec(y_back), atol=1e-12)
 
     def test_rotation_has_the_bits_of_scipys_products(self):
         # r @ g, r @ h, g @ r, r @ c and g[rows] on scipy matrices, as the

@@ -8,7 +8,8 @@ the run without them bit for bit and can only stop sooner.  These tests
 compare runs with scans against runs with the cadence patched to 10**9,
 which scan only at checks as the loop did before scans existed: callback
 traces, exits, infeasibility certificates, product counters, error-report
-counts and log rows.
+counts and log rows.  The result is built from the same products, so it
+returns the slack and multiplier that the exit scan judged.
 """
 
 import math
@@ -28,7 +29,7 @@ from conic_pdhg.cli import main
 from conic_pdhg.engine import SolverOptions, solve
 from conic_pdhg.fileio import load_result
 from conic_pdhg.linalg import SparseMatrix
-from conic_pdhg.model import Cone, ConeSpec, ConicProblem
+from conic_pdhg.model import Cone, ConeSpec, ConicProblem, apply_rsoc_inverse
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -308,7 +309,32 @@ def rsoc_exp():
                                     ConeSpec(Cone.RSOC, 3)))
 
 
-REPORT_PROBLEMS = {**PROBLEMS, "rsoc-exp": rsoc_exp}
+def rsoc_both_sides():
+    """Box variables and a rotated soc block on each side, planted like
+    `planted_conic`: x is feasible, and c = G^T y + lam with y and lam in
+    the dual cones.  The primal block rotates the multiplier c - G^T y of
+    the reformulation; the dual block follows an exp block, so promoting it
+    to soc also moves its rows ahead of the exp rows."""
+    rng = np.random.default_rng(4)
+    nb = 3
+    rsoc = np.array([1.0, 1.5, 0.8])  # 2 p q > ||w||^2, in the self-dual cone
+    exp = np.array([-1.0, 1.0, 2.0])  # in K_exp and in K_exp*
+    n, m = nb + 3, 8
+    g = rng.standard_normal((m, n))
+    g[rng.random((m, n)) < 0.4] = 0.0
+    x = np.concatenate([rng.uniform(-0.5, 0.5, nb), rsoc])
+    s = np.concatenate([rng.uniform(0.1, 1.0, 2), exp, rsoc])
+    y = np.concatenate([rng.uniform(0.1, 1.0, 2), exp, rsoc])
+    lam = np.concatenate([np.zeros(nb), rsoc])
+    return ConicProblem(c=g.T @ y + lam, G=SparseMatrix(g), h=g @ x - s,
+                        l=np.full(nb, -1.0), u=np.full(nb, 1.0), num_box=nb,
+                        primal_cones=(ConeSpec(Cone.RSOC, 3),),
+                        dual_cones=(ConeSpec(Cone.NONNEG, 2), ConeSpec(Cone.EXP, 3),
+                                    ConeSpec(Cone.RSOC, 3)))
+
+
+REPORT_PROBLEMS = {**PROBLEMS, "rsoc-exp": rsoc_exp, "rsoc both sides": rsoc_both_sides}
+RESULT_PROBLEMS = {**PROBLEMS, "rsoc both sides": rsoc_both_sides}
 REPORT_METRICS = ("rel_p1", "rel_d1", "rel_gap1", "rel_p_inf", "rel_d_inf", "rel_gap_term")
 
 
@@ -319,6 +345,9 @@ def test_scan_reports_match_fresh_unscaled_products(name, mode, monkeypatch):
     # checks.  Its report must match the one on fresh products of the
     # unscaled matrix, each metric to 1e-12 of its denominator: the relative
     # metrics to 1e-12, the objectives to 1e-12 of the gap's denominator.
+    # The result's slack and multiplier, built from the same products, must
+    # match fresh products on the caller's matrix to 1e-12 of the larger
+    # term (lam cancels to 1e-12 at the optimum of the rsoc-exp problem).
     pairs = []
     real = eng._Loop._original_report
 
@@ -331,7 +360,7 @@ def test_scan_reports_match_fresh_unscaled_products(name, mode, monkeypatch):
     loop = eng._Loop(REPORT_PROBLEMS[name](), SolverOptions(rel_tol=1e-9, abs_tol=1e-9,
                                                              max_iter=3000, **MODES[mode]))
     r = loop.run()
-    assert (loop.work is not loop.original) == (name == "rsoc-exp")
+    assert (loop.work is not loop.original) == name.startswith("rsoc")
     assert len(pairs) > 10
     assert r.exit_status in (":optimal", ":max_iter")
     for derived, fresh in pairs:
@@ -340,9 +369,42 @@ def test_scan_reports_match_fresh_unscaled_products(name, mode, monkeypatch):
         denom = 1.0 + max(abs(fresh.primal_obj), abs(fresh.dual_obj))
         assert derived.primal_obj == fresh.primal_obj
         assert abs(derived.dual_obj - fresh.dual_obj) <= 1e-12 * denom
+    p = loop.original
+    for got, (a, b) in ((r.slack, (p.G.matvec(r.x), p.h)), (r.lam, (p.c, p.G.rmatvec(r.y)))):
+        assert np.max(np.abs(got - (a - b))) <= 1e-12 * max(np.max(np.abs(a)), np.max(np.abs(b)))
 
 
-def test_error_reports_at_entry_scans_checks_and_restarts(monkeypatch):
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", RESULT_PROBLEMS)
+def test_result_returns_the_slack_and_multiplier_the_exit_judged(name, mode, monkeypatch):
+    # The exit fires at a scan, on a report of G x - h and c - G^T y from
+    # the loop's products.  The result returns those very vectors, mapped
+    # to the caller's blocks and row order, bit for bit, and forms no
+    # product on the caller's matrix or its reformulation.
+    reports = []
+    real = eng._Loop._original_report
+
+    def spy(self, z, products):
+        reports.append(real(self, z, products))
+        return reports[-1]
+
+    monkeypatch.setattr(eng._Loop, "_original_report", spy)
+    loop = eng._Loop(RESULT_PROBLEMS[name](), SolverOptions(rel_tol=1e-9, abs_tol=1e-9,
+                                                             max_iter=3000, **MODES[mode]))
+    loop.original.G.reset_counters()
+    loop.work.G.reset_counters()
+    r = loop.run()
+    assert (loop.work is not loop.original) == (name == "rsoc both sides")
+    assert r.exit_status in (":optimal", ":max_iter")
+    _, x, y, gx, gty = reports[-1]
+    expected = apply_rsoc_inverse(loop.original, x, y, gx - loop.work.h, loop.work.c - gty)
+    for got, want in zip((r.x, r.y, r.slack, r.lam), expected):
+        assert got.tobytes() == want.tobytes()
+    for g in (loop.original.G, loop.work.G):
+        assert (g.n_matvec, g.n_rmatvec) == (0, 0)
+
+
+def test_error_reports_at_entry_scans_and_checks(monkeypatch):
     monkeypatch.setattr(eng, "_TERMINATION_SCAN_FREQ", 8)
     loop = eng._Loop(tiny_lp(), SolverOptions(duality_gap_restart_freq=20, max_iter=100,
                                               rel_tol=1e-14, abs_tol=1e-14))
@@ -358,7 +420,7 @@ def test_error_reports_at_entry_scans_checks_and_restarts(monkeypatch):
     assert calls["scaled"] == 5 + 1
 
 
-def test_scan_products_land_on_the_unscaled_matrix(monkeypatch):
+def test_solve_forms_no_product_on_the_unscaled_matrix(monkeypatch):
     kw = dict(duality_gap_restart_freq=CHECK_FREQ, rel_tol=1e-4, abs_tol=1e-4)
     r64, loop64, scans64, trace64 = traced_solve(random_lp(7), monkeypatch, 64, **kw)
     r_off, loop_off, scans_off, trace_off = traced_solve(random_lp(7), monkeypatch, NO_SCANS, **kw)
@@ -369,10 +431,10 @@ def test_scan_products_land_on_the_unscaled_matrix(monkeypatch):
     assert loop64.scaled.G is not loop64.work.G
     assert trace64 == trace_off[:len(trace64)]
     assert (loop64.scaled.G.n_matvec, loop64.scaled.G.n_rmatvec) == trace64[-1][2]
-    # scans read the loop's products and form none on the unscaled matrix;
-    # only the result forms the slack G x and the multiplier c - G^T y there
+    # scans and the result read the loop's products and form none on the
+    # unscaled matrix
     for loop in (loop64, loop_off):
-        assert (loop.work.G.n_matvec, loop.work.G.n_rmatvec) == (1, 1)
+        assert (loop.work.G.n_matvec, loop.work.G.n_rmatvec) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
