@@ -564,9 +564,9 @@ def dual_cone_kind(kind: Cone) -> Cone:
     return _DUAL_KIND[kind]
 
 
-def _kernel(kind: Cone, scale: np.ndarray | None):
-    """The block kernel for (kind, scale), as `project_cone` defines them."""
-    uniform = scale is None or np.all(scale == scale[0])
+def _kernel(kind: Cone, uniform: bool):
+    """The block kernel for a block of `kind` whose scale is `uniform` (None
+    or constant), as `project_cone` defines them."""
     if kind is Cone.FREE:
         return _free
     if kind is Cone.ZERO:
@@ -589,7 +589,7 @@ def _kernel(kind: Cone, scale: np.ndarray | None):
 def project_cone(v: np.ndarray, kind: Cone, scale: np.ndarray | None = None) -> np.ndarray:
     """Project onto {z : diag(scale) z in K(kind)} (scale None or uniform = plain cone)."""
     out = np.empty_like(v)
-    _kernel(kind, scale)(v, out, 0, v.size, scale)
+    _kernel(kind, scale is None or bool(np.all(scale == scale[0])))(v, out, 0, v.size, scale)
     return out
 
 
@@ -605,18 +605,35 @@ def project_cone_dual(v: np.ndarray, kind: Cone, scale: np.ndarray | None = None
 # ---------------------------------------------------------------------------
 
 
-def _plan(specs: tuple[ConeSpec, ...], dual: bool, inverse: bool) -> tuple:
-    """One (kernel, start, stop, scale) operation per block of `specs`.
+def _plans(specs: tuple[ConeSpec, ...], dual: bool) -> tuple[tuple, tuple]:
+    """Two plans of one (kernel, start, stop, scale) operation per block of
+    `specs`: one on the stored scales, with each kind swapped for its dual
+    when `dual`, and one on their inverses (None for an all-ones scale), with
+    each kind swapped when not `dual`.
 
-    `dual` swaps each kind for its dual; `inverse` rescales by 1/scale."""
-    ops = []
-    for spec, sl in block_slices(specs):
-        kind = dual_cone_kind(spec.kind) if dual else spec.kind
-        scale = spec.scale
-        if inverse:
-            scale = None if np.all(scale == 1.0) else 1.0 / scale
-        ops.append((_kernel(kind, scale), sl.start, sl.stop, scale))
-    return tuple(ops)
+    Which blocks are uniform or all ones comes from one reduction over the
+    concatenated scales, since a scale is constant exactly where its least
+    and greatest entries are equal (the entries are positive and finite)."""
+    if not specs:
+        return (), ()
+    slices = [sl for _, sl in block_slices(specs)]
+    scales = np.concatenate([spec.scale for spec in specs])
+    inverses = 1.0 / scales
+    starts = [sl.start for sl in slices]
+    lo, hi, inv_lo, inv_hi = (
+        reduce.reduceat(v, starts).tolist()
+        for v in (scales, inverses) for reduce in (np.minimum, np.maximum))
+    direct, inverse = [], []
+    for spec, sl, lo_i, hi_i, inv_lo_i, inv_hi_i in zip(specs, slices, lo, hi, inv_lo, inv_hi):
+        kind, swapped = spec.kind, dual_cone_kind(spec.kind)
+        direct.append((_kernel(swapped if dual else kind, lo_i == hi_i), sl.start, sl.stop,
+                       spec.scale))
+        if lo_i == hi_i == 1.0:
+            inverse.append((_kernel(kind if dual else swapped, True), sl.start, sl.stop, None))
+        else:
+            inverse.append((_kernel(kind if dual else swapped, inv_lo_i == inv_hi_i),
+                            sl.start, sl.stop, inverses[sl]))
+    return tuple(direct), tuple(inverse)
 
 
 class ConeLayout:
@@ -630,10 +647,8 @@ class ConeLayout:
     """
 
     def __init__(self, problem: ConicProblem) -> None:
-        self.primal = _plan(problem.primal_cones, dual=False, inverse=False)
-        self.primal_dual = _plan(problem.primal_cones, dual=True, inverse=True)
-        self.dual = _plan(problem.dual_cones, dual=True, inverse=False)
-        self.dual_residual = _plan(problem.dual_cones, dual=False, inverse=True)
+        self.primal, self.primal_dual = _plans(problem.primal_cones, dual=False)
+        self.dual, self.dual_residual = _plans(problem.dual_cones, dual=True)
 
 
 def cone_layout(problem: ConicProblem) -> ConeLayout:

@@ -23,9 +23,10 @@ iteration at or past every multiple of their period (`_reached`), since a
 rejected line-search trial can step over one.  At the default restart
 cadence of 512 every eighth scan is also a check.  A check evaluates the
 restart candidate, the iterate: its gap takes the iterate's freshly
-refreshed products and the anchor's stored ones, and bisects to
-`_RESTART_GAP_TOL`.  A restart copies the iterate buffer, products
-included, onto the anchor buffer.
+refreshed products and the anchor's stored ones, and its search for the
+trust-region radius starts from the t where the solve's previous gap
+search ended and stops at `_RESTART_GAP_TOL`.  A restart copies the
+iterate buffer, products included, onto the anchor buffer.
 
 Termination scans, log rows and the result read the iterate buffer's
 products (running between checks), mapped back to the unscaled problem, so
@@ -68,8 +69,10 @@ _TERMINATION_SCAN_FREQ = 64
 # instances an every-iteration beta strays from the value at the start of
 # its window by a median of 0.002-0.049 per instance and by at most 0.22.
 _REFLECTION_FREQ = 64
-# Bisection tolerance of the restart checks' gap evaluations
-# (restart.normalized_gap explains why it is looser than the default).
+# Relative bracket width at which the restart checks' gap searches stop
+# (restart.normalized_gap explains why it is looser than the default).  On
+# the solves of `tests/bitwise_digests.py` and the benchmark's seed-3
+# problems it moves no restart and no iterate.
 _RESTART_GAP_TOL = 1e-4
 
 
@@ -403,6 +406,7 @@ class _Loop:
             self.scaling = scalings.ScalingPair.identity(self.work.m, self.work.n)
         self.scaled = scalings.rescale_problem(self.work, self.scaling)
         self.history = term.InfeasibilityHistory()
+        self._gap_t = 1.0
         self.logfile = None
         self._last_report: term.ErrorReport | None = None
 
@@ -461,8 +465,9 @@ class _Loop:
     def _gap_metric(self, z: IterateZ, radius: float, ctx: WeightedNormContext,
                     products: IterateZ) -> float:
         """Normalized gap of z over the ball of `radius`, from z's products
-        (G x, G^T y)."""
-        return restarts.normalized_gap(restarts.GapQuery(
+        (G x, G^T y).  The search starts from the last t of the solve's
+        previous gap evaluation (`_gap_t`), and records its own."""
+        query = restarts.GapQuery(
             x=z.x,
             y=z.y,
             b1=products.y - self.scaled.c,
@@ -471,7 +476,10 @@ class _Loop:
             ctx=ctx,
             proj_x=lambda v: cones.project_primal_set(v, self.scaled),
             proj_y=lambda v: cones.project_dual_set(v, self.scaled),
-        ), eps_rel=_RESTART_GAP_TOL)
+        )
+        value = restarts.normalized_gap(query, self._gap_t, _RESTART_GAP_TOL)
+        self._gap_t = query.t
+        return value
 
     def _kkt_metric(self, z: IterateZ, products: IterateZ, omega: float) -> float:
         report = term.compute_errors(self.scaled, z.x, z.y, products.x, products.y)
@@ -479,10 +487,15 @@ class _Loop:
 
     def _baseline_gap(self, state: SolverState) -> None:
         """Restart baseline for the first outer loop: the gap of z0 at the
-        radius of one plain PDHG step from z0."""
+        radius of one plain PDHG step from z0.  The step reads the G^T y of
+        z0 that `_init_state` left in the iterate's products, and goes
+        through the candidate buffer and the workspace, which the first
+        iteration overwrites."""
         ctx = WeightedNormContext(state.omega, state.eta_hat)
-        z_ref = one_pdhg(self.scaled, state.z, ctx.tau, ctx.sigma)
-        radius = n_norm(state.z.x - z_ref.x, state.z.y - z_ref.y, ctx)
+        grad_x = np.subtract(self.scaled.c, self.products.y, out=self.workspace.grad_x)
+        x_ref, y_ref, _ = _pdhg_candidate(self.scaled, state.z.x, state.z.y, ctx.tau, ctx.sigma,
+                                          grad_x, self.candidate, self.workspace)
+        radius = n_norm(state.z.x - x_ref, state.z.y - y_ref, ctx)
         try:
             state.last_restart_metric = self._gap_metric(state.z, radius, ctx, self.products)
         except restarts.GapEvaluationError:

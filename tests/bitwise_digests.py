@@ -6,17 +6,21 @@ modes (default, no preconditioner, no restarts) at restart cadences 200,
 512 (the default) and 2000.  Each
 solve prints one tab-separated line:
 
-    cadence  problem  mode  status  iterations  trace digest  result digest
+    cadence  problem  mode  status  iterations  iterate  bookkeeping  result
 
-The trace digest (SHA-1) covers `traces.digest` of the loop state at every
-iteration callback: the iterates and scalars, and the restart bookkeeping
-(the last restart metric, the previous candidate's metric and the anchor's
-move).  The result digest covers every result field except `iterations`
-and the wall time.  Two trees that follow the same iterates and restart
-decisions print the same trace digests; a change to how the result is
-built from the last iterate moves only the result digests.  A last line
-gives the total iteration count.  Run it from the root of each tree and
-diff the outputs:
+The three digests are SHA-1s.  The iterate digest covers, at every
+iteration callback, `traces.iterate_digest` of the loop state: the
+iterate, the anchor, the step sizes, the primal weight, the reflection
+parameter and the iteration and restart counters.  The bookkeeping digest
+covers `traces.bookkeeping_digest` at every callback: the last restart
+metric, the previous candidate's metric, the anchor's move and the restart
+mode.  The result digest covers every result field except `iterations` and
+the wall time.  Two trees that follow the same iterates and restart
+decisions print the same iterate digests, whatever their restart metrics'
+last bits; a change to how a gap is evaluated that moves no decision moves
+only bookkeeping digests, and a change to how the result is built from
+the last iterate moves only result digests.  A last line gives the total
+iteration count.  Run it from the root of each tree and diff the outputs:
 
     python tests/bitwise_digests.py --max-iter 3000 > digests.txt
 
@@ -24,9 +28,8 @@ diff the outputs:
 `GapEvaluationError`, so the solves also cover the loop's fall-back to
 weighted-KKT checks and the restarts and baselines that follow one.  A
 fall-back that restarts where the gap would have leaves the iterates as
-they were but not the restart bookkeeping, so the trace digests differ
-from the plain run's: at `--max-iter 3000` and N = 3, 16 of the 54 do,
-and no result digest does.
+they were but not the restart bookkeeping, so the bookkeeping digests
+differ from the plain run's.
 """
 
 import argparse
@@ -47,7 +50,7 @@ from test_termination_scan import (  # noqa: E402
     planted_conic,
     primal_infeasible_lp,
 )
-from traces import digest, failing_every  # noqa: E402
+from traces import bookkeeping_digest, failing_every, iterate_digest  # noqa: E402
 
 from conic_pdhg import restart  # noqa: E402
 from conic_pdhg.engine import SolverOptions, solve  # noqa: E402
@@ -63,14 +66,13 @@ CADENCES = (200, 512, 2000)
 
 
 def solve_digest(problem, max_iter, cadence, mode, fail_gap_every=None):
-    """(status, iterations, trace digest, result digest) of one solve, the
-    digests in hex."""
-    trace = hashlib.sha1()
+    """(status, iterations, iterate digest, bookkeeping digest, result
+    digest) of one solve, the digests in hex."""
+    iterates, bookkeeping = hashlib.sha1(), hashlib.sha1()
 
     def record(state):
-        k_bar, state_digest = digest(state)
-        trace.update(np.int64(k_bar).tobytes())
-        trace.update(state_digest)
+        iterates.update(iterate_digest(state))
+        bookkeeping.update(bookkeeping_digest(state))
 
     options = SolverOptions(max_iter=max_iter, duality_gap_restart_freq=cadence,
                             iteration_callback=record, **MODES[mode])
@@ -85,7 +87,8 @@ def solve_digest(problem, max_iter, cadence, mode, fail_gap_every=None):
     for v in (r.x, r.y, r.lam, r.slack, [r.p_obj, r.d_obj, r.exit_code, r.restarts]):
         result.update(np.asarray(v, dtype=np.float64).tobytes())
     result.update(r.exit_status.encode())
-    return r.exit_status, r.iterations, trace.hexdigest(), result.hexdigest()
+    return (r.exit_status, r.iterations, iterates.hexdigest(), bookkeeping.hexdigest(),
+            result.hexdigest())
 
 
 def main(argv=None):
@@ -101,10 +104,10 @@ def main(argv=None):
     for cadence in CADENCES:
         for name, make in PROBLEMS.items():
             for mode in MODES:
-                status, iterations, trace, result = solve_digest(
+                status, iterations, *digests = solve_digest(
                     make(), args.max_iter, cadence, mode, args.fail_gap_every)
                 total += iterations
-                print(f"{cadence}\t{name}\t{mode}\t{status}\t{iterations}\t{trace}\t{result}",
+                print("\t".join([str(cadence), name, mode, status, str(iterations), *digests]),
                       flush=True)
     print(f"total iterations\t{total}")
 

@@ -30,6 +30,11 @@ kernel:
   (all 13 instances, solved through `conic_pdhg.cli.main` with the
   workload's options).  The projection writes into a preallocated `out`
   where the tree's `project_dual_set` takes one;
+* `normalized_gap`: one restart check's gap evaluation
+  (`restart.normalized_gap` with the arguments the solve loop passed), the
+  middle one of the checks that the first cone-solve solve of `--seed`
+  makes after its baseline; the shape column also gives the `z_of_t`
+  calls that one evaluation makes;
 * `parse_problem` / `write_result`: reading the lp-large file, and
   writing the result that a solve of it with the workload's options
   (200 iterations) returns;
@@ -46,6 +51,7 @@ and at least one.  Run it from the root of each tree to compare them.
 
 import argparse
 import contextlib
+import dataclasses
 import inspect
 import math
 import os
@@ -202,6 +208,48 @@ def projection_line(seed, repeats, work_dir):
         best(run, len(calls), repeats)
 
 
+def recorded_gap_check(seed, work_dir):
+    """The query, with copies of its vectors, and the other arguments of the
+    middle restart-check gap evaluation of the first cone-solve solve of
+    the seed."""
+    _, cases = workloads.build("cone-solve", seed)
+    real, seen = restart.normalized_gap, []
+
+    def recording(q, *args, **kwargs):
+        copy = dataclasses.replace(q, x=q.x.copy(), y=q.y.copy(), b1=q.b1.copy(), b2=q.b2.copy())
+        seen.append((copy, args, kwargs))
+        return real(q, *args, **kwargs)
+
+    path, result = os.path.join(work_dir, "problem.json"), os.path.join(work_dir, "result.json")
+    cases[0].instance.write(path)
+    restart.normalized_gap = recording
+    try:
+        cli.main(["--input", path, "--output", result,
+                  "--time-limit", str(cases[0].time_limit), *cases[0].options])
+    finally:
+        restart.normalized_gap = real
+    checks = seen[1:]  # the first is the baseline, before the first iteration
+    return checks[len(checks) // 2]
+
+
+def gap_line(seed, repeats, work_dir):
+    q, args, kwargs = recorded_gap_check(seed, work_dir)
+    real, calls = restart.z_of_t, []
+
+    def counting(*a):
+        calls.append(a)
+        return real(*a)
+
+    restart.z_of_t = counting
+    try:
+        restart.normalized_gap(q, *args, **kwargs)
+    finally:
+        restart.z_of_t = real
+    shape = f"n={q.x.size} m={q.y.size} z_of_t={len(calls)}"
+    return ("normalized_gap", "cone-solve", shape,
+            *timed(lambda: restart.normalized_gap(q, *args, **kwargs), repeats))
+
+
 def parsed_triplets(path):
     """The parsed problem, and the arguments `parse_problem` passes to
     `SparseMatrix.from_coo`: G's triplets in the file's order."""
@@ -255,6 +303,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as work_dir:
         lines = [*loop_kernel_lines(args.seed, args.repeats, work_dir),
                  projection_line(args.seed, args.repeats, work_dir),
+                 gap_line(args.seed, args.repeats, work_dir),
                  *set_up_lines(args.seed, args.repeats, work_dir)]
     for kernel, workload, shape, calls, us in lines:
         print(f"{kernel}\t{workload}\t{shape}\t{calls}\t{us:.2f}", flush=True)

@@ -404,3 +404,57 @@ def build_scaling_matrix_algebra(problem):
     d2 = uniform(d2, problem.primal_cones, problem.num_box, False)
     d1 = uniform(d1, problem.dual_cones, 0, True)
     return np.clip(d1, 1e-8, 1e8), np.clip(d2, 1e-8, 1e8)
+
+
+# ---------------------------------------------------------------------------
+# Normalized duality gap: the exponential search and bisection that
+# `restart.normalized_gap` ran before its bracketed interpolation search
+# ---------------------------------------------------------------------------
+
+
+def normalized_gap_bisection(q, t0=1.0, eps_rel=1e-8):
+    """The gap of `restart.GapQuery` q by doubling t from t0 until the
+    distance passes r (or saturates), or bisecting [0, t0] when it already
+    does at t0, until the bracket is no wider than eps_rel * max(1, t_right);
+    the value is that of the last point evaluated."""
+    from conic_pdhg.restart import _MAX_DOUBLINGS, _TINY_RADIUS, GapEvaluationError
+    from conic_pdhg.restart import _distance, _gap_value, z_of_t
+
+    if q.r <= _TINY_RADIUS:
+        return 0.0
+    t_left, t_right = 0.0, t0
+    t_k = t0
+    zx, zy = z_of_t(q, t_k)
+    dist = _distance(q, zx, zy)
+    if not dist > q.r:
+        prev_dist, stalls = dist, 0
+        for _ in range(_MAX_DOUBLINGS):
+            t_k *= 2.0
+            zx, zy = z_of_t(q, t_k)
+            dist = _distance(q, zx, zy)
+            if dist > q.r:
+                t_left, t_right = t_k / 2.0, t_k
+                break
+            if dist <= prev_dist * (1.0 + 1e-13):
+                stalls += 1
+                if stalls >= 2:
+                    return _gap_value(q, zx, zy)
+            else:
+                stalls = 0
+            prev_dist = dist
+        else:
+            raise GapEvaluationError(f"gap search did not bracket after {_MAX_DOUBLINGS} doublings")
+
+    eps = eps_rel * max(1.0, t_right)
+    t_mid = 0.5 * (t_left + t_right)
+    zx, zy = z_of_t(q, t_mid)
+    while t_right - t_left > eps:
+        if _distance(q, zx, zy) < q.r:
+            t_left = t_mid
+        else:
+            t_right = t_mid
+        if t_right - t_left <= eps:
+            break
+        t_mid = 0.5 * (t_left + t_right)
+        zx, zy = z_of_t(q, t_mid)
+    return _gap_value(q, zx, zy)

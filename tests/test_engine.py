@@ -77,11 +77,11 @@ class TestOnePdhg:
         import conic_pdhg.engine as engine
 
         steps = []
-        one, adaptive = engine.one_pdhg, engine.adaptive_step_pdhg
+        candidate, adaptive = engine._pdhg_candidate, engine.adaptive_step_pdhg
 
-        def record_one(problem, z, tau, sigma):
+        def record_candidate(problem, x, y, tau, sigma, *args, **kwargs):
             steps.append((tau, sigma))
-            return one(problem, z, tau, sigma)
+            return candidate(problem, x, y, tau, sigma, *args, **kwargs)
 
         def record_adaptive(problem, z, omega, eta, *args, **kwargs):
             step = adaptive(problem, z, omega, eta, *args, **kwargs)
@@ -89,7 +89,7 @@ class TestOnePdhg:
                 steps.append((e / omega, e * omega))
             return step
 
-        monkeypatch.setattr(engine, "one_pdhg", record_one)
+        monkeypatch.setattr(engine, "_pdhg_candidate", record_candidate)
         monkeypatch.setattr(engine, "adaptive_step_pdhg", record_adaptive)
         solve(tiny_lp(), SolverOptions(max_iter=500))
         zero_rows = box_lp([-1.0, 1.0], np.zeros((1, 2)), [-1.0], [0.0, 0.0], [1.0, 1.0])
@@ -587,7 +587,7 @@ class TestSolve:
         assert "n=2" in out and "m=1" in out
 
     def test_kkt_fallback_on_negative_gap(self, monkeypatch):
-        # forcing negative bisection outputs switches the restart metric to
+        # forcing negative gap outputs switches the restart metric to
         # the weighted KKT error; the solver must still reach optimality
         import conic_pdhg.engine as eng
 

@@ -16,6 +16,7 @@ loop's products and from the anchor's move is the gap from fresh ones; and
 count the error reports a solve makes and check when beta is evaluated.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -401,7 +402,10 @@ def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkey
     # the ball through the previous anchor, the baseline a gap-mode check
     # forms after a KKT-mode restart.  Every third gap evaluation fails, so
     # that KKT-mode restarts happen.  Checks every 20 iterations give each
-    # seed at least 10 gap-mode checks before it converges.
+    # seed at least 10 gap-mode checks before it converges.  A gap search
+    # starts from the loop's `_gap_t`, where the previous one ended, so each
+    # evaluation here starts from the t of the loop's own, and the loop's
+    # next search from where its own ended.
     anchors = []  # the anchor of every outer loop, copied by the callback
     state_of = {}
     checked = {"iterate": 0, "anchor": 0}
@@ -422,13 +426,15 @@ def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkey
                 raise restarts.GapEvaluationError("forced")
         return real_gap(*args, **kwargs)
 
-    def fresh_gap(loop, z, ref, ctx):
+    def fresh_gap(loop, z, ref, ctx, start):
         failing["on"] = False
+        end, loop._gap_t = loop._gap_t, start
         try:
             products = IterateZ(loop.scaled.G.matvec(z.x), loop.scaled.G.rmatvec(z.y))
             return real_metric(loop, z, n_norm(z.x - ref.x, z.y - ref.y, ctx), ctx, products)
         finally:
             failing["on"] = True
+            loop._gap_t = end
 
     def check_spy(self, state):
         if state.mode == "gap":
@@ -436,15 +442,19 @@ def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkey
             z = state.z
             assert_same_bits(self.products.x, self.scaled.G.matvec(z.x))
             assert_same_bits(self.products.y, self.scaled.G.rmatvec(z.y))
+            start = self._gap_t
             cached = real_metric(
                 self, z, n_norm(z.x - state.z_anchor.x, z.y - state.z_anchor.y, ctx), ctx,
                 self.products,
             )
-            assert cached != 0.0 and same_float(cached, fresh_gap(self, z, state.z_anchor, ctx))
+            self._gap_t = start
+            assert cached != 0.0 and same_float(
+                cached, fresh_gap(self, z, state.z_anchor, ctx, start))
             checked["iterate"] += 1
         return real_check(self, state)
 
     def metric_spy(self, z, radius, ctx, products):
+        start = self._gap_t
         value = real_metric(self, z, radius, ctx, products)
         if products is self.anchor_products:
             state = state_of["state"]
@@ -452,7 +462,8 @@ def test_gap_from_the_loops_products_equals_the_gap_from_fresh_ones(seed, monkey
             assert_same_bits(self.anchor_products.y, self.scaled.G.rmatvec(z.y))
             assert_same_bits(z.x, anchors[state.t].x)
             assert_same_bits(z.y, anchors[state.t].y)
-            assert value != 0.0 and same_float(value, fresh_gap(self, z, anchors[state.t - 1], ctx))
+            assert value != 0.0 and same_float(
+                value, fresh_gap(self, z, anchors[state.t - 1], ctx, start))
             checked["anchor"] += 1
         return value
 
@@ -515,13 +526,13 @@ def test_digests_show_a_kkt_fallback_that_keeps_the_iterates():
     # On this solve every forced gap failure falls back to a KKT-mode check
     # that restarts where the gap would have, so the iterates, the status
     # and the iteration count stay those of the plain solve.  The fallback
-    # still leaves other restart bookkeeping, which the digests must show.
+    # still leaves other restart bookkeeping, which its own digest must show.
     from bitwise_digests import PROBLEMS, solve_digest
 
     plain = solve_digest(PROBLEMS["feasible lp"](), 3000, 200, "default")
     failing = solve_digest(PROBLEMS["feasible lp"](), 3000, 200, "default", fail_gap_every=3)
-    assert plain[:2] == failing[:2] == (":optimal", 576)
-    assert plain[2] != failing[2]
+    assert plain[:3] == failing[:3] and plain[:2] == (":optimal", 576)
+    assert plain[3] != failing[3]
 
 
 def counting_error_reports(loop, monkeypatch):
@@ -625,3 +636,20 @@ def test_line_search_product_budget_along_solve(monkeypatch):
     assert steps["trials"] > steps["accepted"]
     assert loop.scaled.G.n_matvec == 2 + steps["trials"]
     assert loop.scaled.G.n_rmatvec == 2 + steps["accepted"]
+
+
+def test_baseline_gap_reuses_the_initial_transpose_product(monkeypatch):
+    # A one-iteration solve with restarts forms G^T y three times: at set-up
+    # (`_init_state`), for the accepted step, and at the final check.  The
+    # baseline gap's reference PDHG step reads the set-up product.
+    callers = []
+    real = SparseMatrix.rmatvec
+
+    def spy(self, y, out=None):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(self, y, out=out)
+
+    monkeypatch.setattr(SparseMatrix, "rmatvec", spy)
+    r = eng.solve(random_lp(5, n=6, m=4), SolverOptions(max_iter=1))
+    assert r.exit_status == ":max_iter" and r.iterations == 1
+    assert callers == ["_refresh_products", "_iterate", "_refresh_products"]

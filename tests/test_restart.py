@@ -1,11 +1,17 @@
 """Unit tests for the normalized duality gap, restart rules, and primal weight."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import normalized_gap_bisection
 
+from conic_pdhg import cones
 from conic_pdhg.linalg import WeightedNormContext, n_norm
+from conic_pdhg.model import Cone
 from conic_pdhg.restart import (
     GapEvaluationError,
     GapQuery,
@@ -67,8 +73,9 @@ class TestZofT:
         assert all(b >= a - 1e-12 for a, b in zip(dists, dists[1:]))
 
     def test_normalized_gap_asks_only_for_nonnegative_t(self, monkeypatch):
-        # z_of_t trusts t >= 0: the search starts at t0 = 1, doubles, and
-        # bisects between 0 or a visited t and a larger one.
+        # z_of_t trusts t >= 0: the search starts at t0 = 1, doubles or
+        # halves, and then evaluates points between 0 or a visited t and a
+        # larger one.
         import conic_pdhg.restart as restarts
 
         ts = []
@@ -136,7 +143,7 @@ class TestNormalizedGap:
             oracle = np.max(b1[0] * (feas - x[0])) / r
             assert normalized_gap(q) == pytest.approx(oracle, abs=1e-4)
 
-    def test_bisection_evaluates_each_point_once(self, monkeypatch):
+    def test_search_evaluates_each_point_once(self, monkeypatch):
         import conic_pdhg.restart as rs
 
         points, real = [], rs.z_of_t
@@ -149,10 +156,40 @@ class TestNormalizedGap:
         x = np.array([0.3, -0.2])
         q = box_query(x, np.zeros(0), np.array([1.0, -0.5]), np.zeros(0), 0.7, -1.0, 1.0)
         value = normalized_gap(q)
-        # doublings from t = 1 until the distance passes r, then one call per
-        # bisection step; the value is that of the last point evaluated
-        assert len(points) > 10 and len(set(points)) == len(points)
+        reference = len(points)
+        points.clear()
+        bisection_value = normalized_gap_bisection(q)
+        # doublings from t = 1 until the distance passes r, then the bracket
+        # closes in fewer calls than bisection's; the value is that of the
+        # last point evaluated, which q.t records
+        assert len(points) > 10 and reference < len(points)
+        points.clear()
+        assert normalized_gap(q) == value and len(set(points)) == len(points)
+        assert q.t == points[-1]
         assert value == (float(np.dot(q.b1, real(q, points[-1])[0] - x))) / q.r
+        assert value == pytest.approx(bisection_value, abs=1e-7)
+
+    def test_warm_start_brackets_from_the_start(self, monkeypatch):
+        # From the t where an earlier search ended, the search brackets the
+        # root in two calls and closes the bracket in a few more.
+        import conic_pdhg.restart as rs
+
+        points, real = [], rs.z_of_t
+
+        def spy(q, t):
+            points.append(t)
+            return real(q, t)
+
+        monkeypatch.setattr(rs, "z_of_t", spy)
+        rng = np.random.default_rng(58)
+        for _ in range(20):
+            q = box_query(rng.uniform(-1.0, 1.0, 4), np.zeros(0), rng.standard_normal(4),
+                          np.zeros(0), float(rng.uniform(0.1, 2.0)), -2.0, 2.0)
+            cold = normalized_gap(q, eps_rel=1e-4)
+            points.clear()
+            warm = normalized_gap(q, t0=q.t, eps_rel=1e-4)
+            assert len(points) <= 6 and min(points) > 0.0
+            assert warm == pytest.approx(cold, rel=1e-3, abs=1e-9)
 
     def test_tiny_radius_returns_zero(self):
         q = free_query(np.zeros(1), np.zeros(0), np.ones(1), np.zeros(0), 1e-15)
@@ -180,6 +217,97 @@ class TestNormalizedGap:
         # constructible with a diagonal metric, so exercise the guard directly
         with pytest.raises(GapEvaluationError):
             raise GapEvaluationError("forced")
+
+
+def cone_query(x, y, b1, b2, r, omega=1.0, eta=1.0):
+    """x in a second-order cone, y in the exponential cone."""
+    return GapQuery(
+        x=x, y=y, b1=b1, b2=b2, r=r,
+        ctx=WeightedNormContext(omega, eta),
+        proj_x=lambda v: cones.project_cone(v, Cone.SOC),
+        proj_y=lambda v: cones.project_cone(v, Cone.EXP),
+    )
+
+
+def random_query(kind, seed, r, omega, eta):
+    """A query of `kind` at a point of its set, from `seed`."""
+    rng = np.random.default_rng(seed)
+    if kind == "free":
+        n, m = int(rng.integers(1, 6)), int(rng.integers(0, 5))
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        return free_query(x, y, rng.standard_normal(n), rng.standard_normal(m), r, omega, eta)
+    if kind == "box":
+        n = int(rng.integers(1, 6))
+        lo, hi = -rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+        x = np.clip(rng.standard_normal(n), lo, hi)
+        return box_query(x, np.zeros(0), rng.standard_normal(n), np.zeros(0), r, lo, hi,
+                         omega, eta)
+    n = int(rng.integers(2, 6))
+    x = cones.project_cone(rng.standard_normal(n), Cone.SOC)
+    y = cones.project_cone(rng.standard_normal(3), Cone.EXP)
+    return cone_query(x, y, rng.standard_normal(n), rng.standard_normal(3), r, omega, eta)
+
+
+class TestSearchAgainstBisection:
+    """The search against the doubling-and-bisection reference
+    (`oracles.normalized_gap_bisection`) from the same start."""
+
+    @given(st.sampled_from(["free", "box", "cone"]), st.integers(0, 2 ** 32 - 1),
+           st.floats(1e-3, 1e3), st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+           st.sampled_from([1e-8, 1e-6, 1e-4]))
+    @settings(max_examples=300, deadline=None)
+    def test_value_calls_and_points(self, kind, seed, r, omega, eta, eps_rel):
+        import conic_pdhg.restart as rs
+
+        q = random_query(kind, seed, r, omega, eta)
+        points, real = [], rs.z_of_t
+
+        def spy(q, t):
+            points.append(t)
+            return real(q, t)
+
+        with mock.patch.object(rs, "z_of_t", spy):
+            try:
+                value = normalized_gap(q, eps_rel=eps_rel)
+            except GapEvaluationError:
+                value = None
+            searched = list(points)
+            points.clear()
+            try:
+                reference = normalized_gap_bisection(q, eps_rel=eps_rel)
+            except GapEvaluationError:
+                reference = None
+        assert len(searched) <= len(points)
+        assert len(set(searched)) == len(searched) and min(searched) >= 0.0
+        assert (value is None) == (reference is None)
+        if value is None:
+            return
+        # Both last points lie within eps of the root, so t at most 2 * eps
+        # apart, where eps = eps_rel * max(1, b) for a bracket [a, b] whose
+        # b is at most twice either last point; the gap moves by at most
+        # ||b|| ||(tau b1, sigma b2)|| / r per unit of t, since projections
+        # are nonexpansive.
+        eps = eps_rel * max(1.0, 2.0 * searched[-1], 2.0 * points[-1])
+        b = math.hypot(np.linalg.norm(q.b1), np.linalg.norm(q.b2))
+        db = math.hypot(q.ctx.tau * np.linalg.norm(q.b1), q.ctx.sigma * np.linalg.norm(q.b2))
+        assert abs(value - reference) <= 2.0 * eps * b * db / q.r + 1e-12 * (1.0 + abs(reference))
+
+
+class TestNextPoint:
+    @given(st.floats(0.0, 1e3), st.floats(1e-6, 1e3), st.floats(0.0, 1.0),
+           st.floats(-1e3, -1e-9), st.floats(0.0, 1e3), st.floats(-2.0, 3.0),
+           st.floats(-1e3, 1e3), st.floats(0.0, 1.0), st.integers(0, 30))
+    @settings(max_examples=500, deadline=None)
+    def test_point_keeps_bisections_count(self, a, width, slack, fa, fb, c_at, fc, scale, left):
+        # Given a bracket that bisection closes in left + 1 more calls, the
+        # point leaves one that it closes in `left`, whatever the values.
+        import conic_pdhg.restart as rs
+
+        b = a + width
+        eps = width / 2.0 ** (left + 1) * (1.0 + slack)
+        t = rs._next_point(a, fa, b, fb, a + c_at * width, fc * scale, eps, left)
+        assert a < t < b
+        assert max(t - a, b - t) <= eps * 2.0 ** left + 4.0 * math.ulp(b)
 
 
 class TestShouldRestart:

@@ -16,21 +16,34 @@ from conic_pdhg import restart
 from conic_pdhg.engine import SolverOptions
 
 
-def digest(state):
-    """(k_bar, SHA-1 of the iterate, anchor, step sizes, weights, counters,
-    restart mode and restart bookkeeping).  The bookkeeping, the last restart metric,
-    the previous candidate's metric and the anchor's move, is what a gap
-    evaluation that falls back to the KKT metric leaves; None hashes as
-    NaN."""
+def iterate_digest(state):
+    """SHA-1 of the iterate, the anchor, the step sizes, the primal weight,
+    the reflection parameter and the counters k, k_bar and t (restarts)."""
     h = hashlib.sha1()
-    vectors = [state.z.x, state.z.y, state.z_anchor.x, state.z_anchor.y]
-    scalars = [state.eta, state.eta_hat, state.omega, state.beta, state.prev_candidate_gap,
-               math.nan if state.last_restart_metric is None else state.last_restart_metric,
-               *(state.anchor_move or (math.nan, math.nan))]
-    for v in (*vectors, scalars + [state.k, state.k_bar, state.t]):
+    for v in (state.z.x, state.z.y, state.z_anchor.x, state.z_anchor.y,
+              [state.eta, state.eta_hat, state.omega, state.beta, state.k, state.k_bar, state.t]):
         h.update(np.asarray(v, dtype=np.float64).tobytes())
+    return h.digest()
+
+
+def bookkeeping_digest(state):
+    """SHA-1 of the restart bookkeeping: the last restart metric, the
+    previous candidate's metric, the anchor's move and the restart mode.
+    None hashes as NaN."""
+    h = hashlib.sha1()
+    h.update(np.array([state.prev_candidate_gap,
+                       math.nan if state.last_restart_metric is None else state.last_restart_metric,
+                       *(state.anchor_move or (math.nan, math.nan))]).tobytes())
     h.update(state.mode.encode())
-    return state.k_bar, h.digest()
+    return h.digest()
+
+
+def digest(state):
+    """(k_bar, the iterate digest followed by the bookkeeping digest).  The
+    bookkeeping is what a gap evaluation that falls back to the KKT metric,
+    or a gap value that moves within its tolerance, leaves; the iterates
+    move only if a restart decision does."""
+    return state.k_bar, iterate_digest(state) + bookkeeping_digest(state)
 
 
 def failing_every(n):
