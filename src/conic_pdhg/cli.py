@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import termination as term
@@ -43,6 +44,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser that `main` reads its arguments with, built once per
+    process: parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def options_from_args(args) -> SolverOptions:
     return SolverOptions(
         rel_tol=args.rel_tol,
@@ -59,9 +67,8 @@ def options_from_args(args) -> SolverOptions:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
 

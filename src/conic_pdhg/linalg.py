@@ -1,13 +1,15 @@
 """Sparse matrix storage and the vector/matrix kernels used by the solver.
 
 `SparseMatrix` holds G as three canonical CSC arrays of its own and runs
-its products, and every conversion that builds it, through scipy's
+its two products, and every conversion that builds it, through scipy's
 compiled sparse kernels, called directly.  They are loaded once, from the
 `_sparsetools` extension file in scipy's package directory, so neither
 scipy.sparse nor the scipy._lib layer it imports (which loads
 numpy.testing and numpy.f2py) enters a solve process.  Each conversion runs
 the kernels that scipy.sparse runs for it, in scipy's order and with its
 index dtypes, so the arrays are the ones scipy would build, bit for bit.
+No code forms a product of two sparse matrices: set-up code that changes G
+(the rsoc rotations in `model`, the scaling) works on its entries.
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ def _compressed_transpose(major: int, minor: int, indptr, indices, data):
 
 class CSRMatrix(NamedTuple):
     """A matrix as CSR arrays, the form scipy's kernels take.  Set-up code
-    builds and combines these; a solve holds only `SparseMatrix`."""
+    builds these from triplets, summing repeats; a solve holds only
+    `SparseMatrix`."""
 
     shape: tuple[int, int]
     indptr: np.ndarray
@@ -165,47 +168,6 @@ class CSRMatrix(NamedTuple):
         nnz = int(indptr[-1])
         return CSRMatrix(self.shape, indptr, indices[:nnz], data[:nnz])
 
-    def __matmul__(self, other):
-        """`self @ other`, as scipy computes it: `csr_matmat` for a CSRMatrix,
-        `csr_matvec` for a vector.  Each entry sums its terms from 0.0 in
-        this matrix's stored order, and the product drops the entries that
-        sum to zero."""
-        m, k = self.shape
-        if not isinstance(other, CSRMatrix):
-            out = np.zeros(m)
-            csr_matvec(m, k, self.indptr, self.indices, self.data, other, out)
-            return out
-        if other.shape[0] != k:
-            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        n = other.shape[1]
-        dtype = np.promote_types(self.indices.dtype, other.indices.dtype)
-        a_ptr, a_idx, b_ptr, b_idx = (v.astype(dtype, copy=False) for v in (
-            self.indptr, self.indices, other.indptr, other.indices))
-        nnz = int(_sparsetools.csr_matmat_maxnnz(m, n, a_ptr, a_idx, b_ptr, b_idx))
-        if nnz > _INT32_MAX:
-            dtype = np.int64
-            a_ptr, a_idx, b_ptr, b_idx = (v.astype(dtype) for v in (a_ptr, a_idx, b_ptr, b_idx))
-        indptr, indices, data = np.empty(m + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
-        _sparsetools.csr_matmat(m, n, a_ptr, a_idx, self.data, b_ptr, b_idx, other.data,
-                                indptr, indices, data)
-        nnz = int(indptr[-1])
-        return CSRMatrix((m, n), indptr, indices[:nnz], data[:nnz])
-
-    def take_rows(self, rows) -> "CSRMatrix":
-        """The rows `rows` of this matrix, in that order (scipy's `a[rows]`,
-        by `csr_row_index`)."""
-        rows = np.asarray(rows, dtype=self.indptr.dtype)
-        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
-            raise ValueError(f"row indices must be in [0, {self.shape[0]})")
-        indptr = np.zeros(rows.size + 1, self.indptr.dtype)
-        np.cumsum(self.indptr[rows + 1] - self.indptr[rows], out=indptr[1:])
-        nnz = int(indptr[-1])
-        indices, data = np.empty(nnz, self.indptr.dtype), np.empty(nnz)
-        _sparsetools.csr_row_index(rows.size, rows, self.indptr,
-                                   self.indices.astype(self.indptr.dtype, copy=False),
-                                   self.data, indices, data)
-        return CSRMatrix((rows.size, self.shape[1]), indptr, indices, data)
-
 
 class SparseMatrix:
     """G stored once, as canonical CSC arrays (`indptr`, `indices`, `data`),
@@ -226,8 +188,10 @@ class SparseMatrix:
     that holds a row twice, and then the CSR matrix is made canonical first
     (`CSRMatrix.canonical`), which sums repeats in scipy's order.  Index
     arrays are int32 where the dimensions and the entry count fit, as
-    scipy's are.  Products are counted (`n_matvec` / `n_rmatvec`) so tests
-    can assert the per-iteration matvec budget of the solver loop.
+    scipy's are.  No CSR copy of G is kept or built: what reads G by rows
+    takes the positions of its entries in CSR order (`csr_order`).
+    Products are counted (`n_matvec` / `n_rmatvec`) so tests can assert the
+    per-iteration matvec budget of the solver loop.
     """
 
     def __init__(self, matrix) -> None:
@@ -319,14 +283,14 @@ class SparseMatrix:
 
     def induced_inf_norm(self) -> float:
         """Max absolute row sum (the operator infinity norm).  Each row is
-        summed in CSR order by np.add.reduceat, as scipy's `sum(axis=1)`
-        reduces a CSR matrix: a scatter over the CSC arrays sums the rows in
-        another order."""
+        summed in CSR order (`csr_order`) by np.add.reduceat, as scipy's
+        `sum(axis=1)` reduces a CSR matrix: a scatter over the CSC arrays
+        sums the rows in another order."""
         if self.nnz == 0:
             raise NumericalError("induced infinity norm undefined for an all-zero matrix")
-        csr = self.tocsr()
-        starts = csr.indptr[:-1][np.diff(csr.indptr) > 0]
-        return float(np.max(np.add.reduceat(np.abs(csr.data), starts)))
+        order = self.csr_order()
+        starts = np.flatnonzero(np.diff(self.indices[order], prepend=-1))
+        return float(np.max(np.add.reduceat(np.abs(self.data[order]), starts)))
 
     def scaled(self, d_row: np.ndarray, d_col: np.ndarray) -> "SparseMatrix":
         """Return diag(d_row) @ A @ diag(d_col) as a new matrix.
@@ -355,11 +319,6 @@ class SparseMatrix:
         out = np.zeros(self.shape, order="F")
         _sparsetools.csr_todense(self.n, self.m, self.indptr, self.indices, self.data, out.T)
         return out
-
-    def tocsr(self) -> CSRMatrix:
-        """G's CSR arrays, new ones."""
-        return CSRMatrix(self.shape, *_compressed_transpose(self.n, self.m, self.indptr,
-                                                              self.indices, self.data))
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, vals) of the entries in column-major order (by

@@ -26,6 +26,7 @@ import numpy as np
 from .linalg import CSRMatrix, SparseMatrix, one_norm
 
 _SQRT2 = math.sqrt(2.0)
+_INV_SQRT2 = 1.0 / _SQRT2
 
 
 class Cone(enum.Enum):
@@ -274,18 +275,41 @@ def rotate_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (a + b) / _SQRT2, (a - b) / _SQRT2
 
 
-def _rotation_matrix(size: int, pairs: list[tuple[int, int]]) -> CSRMatrix:
-    """Sparse orthogonal involution mixing each (i, j) pair by the rsoc map,
-    as a canonical CSR matrix: each row's columns ascend, and `csr_matmat`
-    sums a rotated entry's two terms in that order."""
-    i, j = (np.array(v, dtype=np.int64) for v in zip(*pairs))
-    vals = np.ones(size)
-    vals[i], vals[j] = 1.0 / _SQRT2, -1.0 / _SQRT2
-    inv = np.full(i.size, 1.0 / _SQRT2)
-    diagonal = np.arange(size)
-    return CSRMatrix.from_triplets(np.concatenate((diagonal, i, j)),
-                                   np.concatenate((diagonal, j, i)),
-                                   np.concatenate((vals, inv, inv)), (size, size))
+def _rotation(size: int, starts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The orthogonal involution R that mixes each pair (i, i + 1), i in
+    `starts`, by the rsoc map, as its diagonal and each index's partner in
+    its pair (the index itself outside the pairs): R[k, k] is 1, 1/sqrt(2)
+    or -1/sqrt(2), and R[k, partner[k]] = 1/sqrt(2) off the diagonal."""
+    i = np.array(starts, dtype=np.int64)
+    diagonal, partner = np.ones(size), np.arange(size)
+    diagonal[i], diagonal[i + 1] = _INV_SQRT2, -_INV_SQRT2
+    partner[i], partner[i + 1] = i + 1, i
+    return diagonal, partner
+
+
+def _rotate_vector(v: np.ndarray, diagonal: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """R v, each entry summed from 0.0 as `csr_matvec` sums it, so -0.0
+    becomes 0.0.  From 0.0 a sum of two terms does not depend on their order."""
+    out = 0.0 + diagonal * v
+    paired = np.flatnonzero(partner != np.arange(v.size))
+    out[paired] += _INV_SQRT2 * v[partner[paired]]
+    return out
+
+
+def _rotate_lines(lines, others, vals, shape, diagonal, partner):
+    """The triplets (lines, others, vals) of R M, where M is the matrix of
+    `shape` with `lines` as its row indices.  An entry of R M has at most
+    two terms; `CSRMatrix.from_triplets` adds them, and entries that sum to
+    zero are dropped.  The sparse product R M adds them from 0.0 in another
+    order, which changes only a zero sum, and drops those too."""
+    moved = partner[lines] != lines
+    csr = CSRMatrix.from_triplets(
+        np.concatenate((lines, partner[lines[moved]])),
+        np.concatenate((others, others[moved])),
+        np.concatenate((diagonal[lines] * vals, _INV_SQRT2 * vals[moved])), shape)
+    kept = csr.data != 0.0
+    lines = np.repeat(np.arange(shape[0]), np.diff(csr.indptr))
+    return lines[kept], csr.indices[kept], csr.data[kept]
 
 
 def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
@@ -297,28 +321,24 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
     of G and entries of c (primal blocks) transform by the same matrix.
     Promoted dual blocks then move into the soc group, so the rows follow
     the order zero, nonneg, soc, exp, dual-exp.  `apply_rsoc_inverse` maps
-    solutions back to the original blocks and row order.  The products and
-    the row gather run scipy's kernels on CSR arrays (`CSRMatrix`), so G, h
-    and c get the bits of scipy's `r @ g`, `r @ h`, `g @ r` and `g[rows]`.
+    solutions back to the original blocks and row order.
     """
     if not problem.has_rsoc_blocks():
         return problem
 
-    g = problem.G.tocsr()
+    m, n = problem.G.shape
+    rows, cols, vals = problem.G.triplets()
     h, c = problem.h, problem.c
-    row_pairs = [(sl.start, sl.start + 1) for sl in _rotation_blocks(problem.dual_cones, 0)]
-    col_pairs = [
-        (sl.start, sl.start + 1)
-        for sl in _rotation_blocks(problem.primal_cones, problem.num_box)
-    ]
-    if row_pairs:
-        r = _rotation_matrix(problem.m, row_pairs)
-        g = r @ g
-        h = r @ h
-    if col_pairs:
-        r = _rotation_matrix(problem.n, col_pairs)
-        g = g @ r
-        c = r @ c
+    row_starts = [sl.start for sl in _rotation_blocks(problem.dual_cones, 0)]
+    col_starts = [sl.start for sl in _rotation_blocks(problem.primal_cones, problem.num_box)]
+    if row_starts:
+        rotation = _rotation(m, row_starts)
+        rows, cols, vals = _rotate_lines(rows, cols, vals, (m, n), *rotation)
+        h = _rotate_vector(h, *rotation)
+    if col_starts:
+        rotation = _rotation(n, col_starts)
+        cols, rows, vals = _rotate_lines(cols, rows, vals, (n, m), *rotation)
+        c = _rotate_vector(c, *rotation)
 
     def promote(specs):
         return tuple(
@@ -328,14 +348,14 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
     dual_cones = promote(problem.dual_cones)
     order = _promoted_order(problem.dual_cones)
     if order is not None:
-        blocks, rows = order
-        g = g.take_rows(rows)
-        h = h[rows]
+        blocks, order_rows = order
+        rows = np.argsort(order_rows)[rows]
+        h = h[order_rows]
         dual_cones = tuple(dual_cones[i] for i in blocks)
 
     return ConicProblem(
         c=c,
-        G=SparseMatrix(g),
+        G=SparseMatrix.from_coo(rows, cols, vals, (m, n)),
         h=h,
         l=problem.l,
         u=problem.u,

@@ -221,9 +221,9 @@ def _next_point(a: float, fa: float, b: float, fb: float, c: float, fc: float,
     mid = 0.5 * (a + b)
     est = b - fb * width / (fb - fa)
     error = 0.5 * width
-    if fc != fa and fc != fb:
-        iqi = (a * fb * fc / ((fa - fb) * (fa - fc)) + b * fa * fc / ((fb - fa) * (fb - fc))
-               + c * fa * fb / ((fc - fa) * (fc - fb)))
+    da, db, dc = (fa - fb) * (fa - fc), (fb - fa) * (fb - fc), (fc - fa) * (fc - fb)
+    if da and db and dc:  # fc is neither end's value, and no product underflows to 0
+        iqi = a * fb * fc / da + b * fa * fc / db + c * fa * fb / dc
         if a <= iqi <= b:
             est, error = iqi, abs(iqi - est)
     shift = min(max(_HEDGE * error, _CLOSE_MIN * eps), abs(mid - est))

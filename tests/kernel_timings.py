@@ -40,7 +40,13 @@ kernel:
   (200 iterations) returns;
 * `from_coo` / `build_scaling`: building G from the triplets that
   `parse_problem` reads from the lp-large file, and the preconditioner's
-  scales of the parsed problem.
+  scales of the parsed problem;
+* `rsoc_to_soc`: one round of `model.rsoc_to_soc` over the cone-solve
+  problems of `--seed` that have rsoc blocks (the calls column counts
+  rounds, and the shape column the problems in one);
+* `cli_parse_args`: reading the first cone-solve command line of `--seed`
+  as `cli.main` reads it: with its once-built parser, or, in a tree whose
+  `cli.main` builds a parser per call, with a new one per call.
 
 Each figure is the fastest of `--repeats` timed passes, divided by the
 calls in a pass; the minimum is the least noisy estimate of a kernel's
@@ -291,6 +297,24 @@ def set_up_lines(seed, repeats, work_dir):
            *timed(lambda: fileio.write_result(result, options, out), repeats))
 
 
+def cone_set_up_lines(seed, repeats, work_dir):
+    _, cases = workloads.build("cone-solve", seed)
+    problems = [p for p in (parsed(case, work_dir) for case in cases) if p.has_rsoc_blocks()]
+
+    def rotate_all():
+        for problem in problems:
+            model.rsoc_to_soc(problem)
+
+    yield ("rsoc_to_soc", "cone-solve", f"problems={len(problems)}",
+           *timed(rotate_all, repeats))
+    argv = ["--input", os.path.join(work_dir, "problem.json"),
+            "--output", os.path.join(work_dir, "result.json"),
+            "--time-limit", str(cases[0].time_limit), *cases[0].options]
+    main_parser = getattr(cli, "_main_parser", cli.build_parser)
+    yield ("cli_parse_args", "cone-solve", f"args={len(argv)}",
+           *timed(lambda: main_parser().parse_args(argv), repeats))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=3)
@@ -304,7 +328,8 @@ def main(argv=None):
         lines = [*loop_kernel_lines(args.seed, args.repeats, work_dir),
                  projection_line(args.seed, args.repeats, work_dir),
                  gap_line(args.seed, args.repeats, work_dir),
-                 *set_up_lines(args.seed, args.repeats, work_dir)]
+                 *set_up_lines(args.seed, args.repeats, work_dir),
+                 *cone_set_up_lines(args.seed, args.repeats, work_dir)]
     for kernel, workload, shape, calls, us in lines:
         print(f"{kernel}\t{workload}\t{shape}\t{calls}\t{us:.2f}", flush=True)
 

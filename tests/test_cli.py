@@ -176,6 +176,28 @@ class TestCli:
     def test_defaults_are_the_solver_defaults(self):
         assert options_from_args(build_parser().parse_args(["--input", "x.json"])) == SolverOptions()
 
+    def test_two_main_calls_build_the_parser_once(self, tmp_path, monkeypatch):
+        # a build costs a few hundred microseconds of every solve's set-up;
+        # a usage error between the calls leaves the parser as it was
+        import conic_pdhg.cli as cli
+
+        builds = []
+
+        def counted_build():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        cli._main_parser.cache_clear()
+        inp = write_doc(tmp_path, one_dim_lp_doc())
+        try:
+            assert main(["--input", inp]) == 0
+            assert main(["--no-such-flag"]) == USAGE_EXIT
+            assert main(["--input", inp, "--max-iter", "1", "--verbose", "0"]) in (0, 1)
+        finally:
+            cli._main_parser.cache_clear()
+        assert len(builds) == 1
+
     @pytest.mark.parametrize("flags", [["--kkt-restart"], ["--kkt-restart-freq", "50"]])
     def test_kkt_restart_flags_are_gone(self, tmp_path, capsys, flags):
         # the gap is the only restart metric; the weighted KKT error is its

@@ -287,6 +287,23 @@ def test_induced_inf_norm_has_the_bits_of_the_csr_row_sums():
         dense = random_sparse(rng, 20, 200, 0.5) * 10.0 ** rng.uniform(-8, 8, (20, 200))
         want = float(np.max(np.abs(sp.csr_matrix(dense)).sum(axis=1)))
         assert SparseMatrix(dense).induced_inf_norm() == want
+    # empty rows, whose sums reduceat must not be given
+    for _ in range(20):
+        dense = random_sparse(rng, 20, 200, 0.5) * 10.0 ** rng.uniform(-8, 8, (20, 200))
+        dense[rng.random(20) < 0.4] = 0.0
+        dense[0] = dense[-1] = 0.0
+        want = float(np.max(np.abs(sp.csr_matrix(dense)).sum(axis=1)))
+        assert SparseMatrix(dense).induced_inf_norm() == want
+    # repeated triplets, summed (in scipy's order) before the row sums
+    for _ in range(20):
+        cells = rng.choice(20 * 200, 1500, replace=False)
+        flat = rng.permutation(np.repeat(cells, rng.integers(1, 4, cells.size)))
+        rows, cols = flat // 200, flat % 200
+        vals = rng.standard_normal(flat.size) * 10.0 ** rng.uniform(-8, 8, flat.size)
+        csr = sp.coo_matrix((vals, (rows, cols)), shape=(20, 200)).tocsr()
+        csr.sum_duplicates()
+        want = float(np.max(np.abs(csr).sum(axis=1)))
+        assert SparseMatrix.from_coo(rows, cols, vals, (20, 200)).induced_inf_norm() == want
 
 
 def test_duplicates_sum_as_the_csr_route_sums_them():

@@ -352,6 +352,15 @@ class TestRsocToSoc:
         def bits(a):
             return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
+        def check(p):
+            q = rsoc_to_soc(p)
+            g, h, c = reference(p)
+            assert q.G.indptr.dtype == g.indptr.dtype and q.G.indices.dtype == g.indices.dtype
+            np.testing.assert_array_equal(q.G.indptr, g.indptr)
+            np.testing.assert_array_equal(q.G.indices, g.indices)
+            for got, want in ((q.G.data, g.data), (q.h, h), (q.c, c)):
+                np.testing.assert_array_equal(bits(got), bits(want))
+
         rng = np.random.default_rng(12)
         for trial in range(60):
             dual = [ConeSpec(Cone.NONNEG, 2)] if trial % 2 else []
@@ -370,13 +379,37 @@ class TestRsocToSoc:
             p = ConicProblem(c=c, G=SparseMatrix.from_coo(rows, cols, vals, (m, n)), h=h,
                              l=-np.ones(nb), u=np.ones(nb), num_box=nb,
                              primal_cones=primal, dual_cones=tuple(dual))
-            q = rsoc_to_soc(p)
-            g, h, c = reference(p)
-            assert q.G.indptr.dtype == g.indptr.dtype and q.G.indices.dtype == g.indices.dtype
-            np.testing.assert_array_equal(q.G.indptr, g.indptr)
-            np.testing.assert_array_equal(q.G.indices, g.indices)
-            for got, want in ((q.G.data, g.data), (q.h, h), (q.c, c)):
-                np.testing.assert_array_equal(bits(got), bits(want))
+            check(p)
+
+        # primal blocks alone (column rotations only, at even trials) or with
+        # dual ones, rotated columns that cancel, and repeated triplets, some
+        # of which sum to explicit zeros
+        for trial in range(60):
+            dual = [ConeSpec(Cone.NONNEG, 2)] + [ConeSpec(Cone.SOC, 3), ConeSpec(Cone.EXP, 3)][
+                :trial % 3]
+            dual += [ConeSpec(Cone.RSOC, 3)] * (trial % 2)
+            primal = tuple(ConeSpec(Cone.RSOC, int(d)) for d in rng.integers(3, 5, trial % 2 + 1))
+            m, nb = sum(s.dim for s in dual), 2
+            n = nb + sum(s.dim for s in primal)
+            dense = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-300, 300, (m, n))
+            mask = rng.random((m, n)) < 0.6
+            dense[:, nb + 1], mask[:, nb + 1] = dense[:, nb], mask[:, nb]  # columns that cancel
+            rows, cols = np.nonzero(mask)
+            vals = dense[rows, cols]
+            again = rng.random(vals.size) < 0.3
+            rows = np.concatenate((rows, rows[again], rows[again]))
+            cols = np.concatenate((cols, cols[again], cols[again]))
+            twice = rng.standard_normal(again.sum()) * 10.0 ** rng.uniform(-300, 300, again.sum())
+            vals = np.concatenate((vals, twice, np.where(rng.random(twice.size) < 0.5, -twice,
+                                                         rng.standard_normal(twice.size))))
+            shuffle = rng.permutation(vals.size)
+            h, c = rng.standard_normal(m), rng.standard_normal(n)
+            h[::3], c[::3] = -0.0, -0.0
+            p = ConicProblem(c=c, G=SparseMatrix.from_coo(rows[shuffle], cols[shuffle],
+                                                          vals[shuffle], (m, n)),
+                             h=h, l=-np.ones(nb), u=np.ones(nb), num_box=nb,
+                             primal_cones=primal, dual_cones=tuple(dual))
+            check(p)
 
     def test_rotated_dim_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import normalized_gap_bisection
 
@@ -298,6 +298,8 @@ class TestNextPoint:
            st.floats(-1e3, -1e-9), st.floats(0.0, 1e3), st.floats(-2.0, 3.0),
            st.floats(-1e3, 1e3), st.floats(0.0, 1.0), st.integers(0, 30))
     @settings(max_examples=500, deadline=None)
+    # fb - fa times fb - fc underflows to 0 although fc differs from fb
+    @example(a=0.0, width=1.0, slack=0.0, fa=-0.5, fb=5e-324, c_at=0.0, fc=0.0, scale=0.0, left=0)
     def test_point_keeps_bisections_count(self, a, width, slack, fa, fb, c_at, fc, scale, left):
         # Given a bracket that bisection closes in left + 1 more calls, the
         # point leaves one that it closes in `left`, whatever the values.
