@@ -8,6 +8,7 @@ scipy.sparse nor the scipy._lib layer it imports (which loads
 numpy.testing and numpy.f2py) enters a solve process.  Each conversion runs
 the kernels that scipy.sparse runs for it, in scipy's order and with its
 index dtypes, so the arrays are the ones scipy would build, bit for bit.
+Triplets without a repeat take the kernels of a COO matrix's `tocsc`.
 No code forms a product of two sparse matrices: set-up code that changes G
 (the rsoc rotations in `model`, the scaling) works on its entries.
 """
@@ -130,9 +131,10 @@ class CSRMatrix(NamedTuple):
         return cls.coo_tocsr(rows, cols, vals, shape).canonical(copy=False)
 
     @classmethod
-    def coo_tocsr(cls, rows, cols, vals, shape) -> "CSRMatrix":
+    def coo_tocsr(cls, rows, cols, vals, shape, transpose: bool = False) -> "CSRMatrix":
         """The CSR arrays that `coo_tocsr` writes for the triplets: each row
-        holds its entries in the triplets' order, repeats included."""
+        holds its entries in the triplets' order, repeats included.  With
+        `transpose`, those of the transpose: the CSC arrays."""
         m, n = (int(d) for d in shape)
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -144,6 +146,8 @@ class CSRMatrix(NamedTuple):
         for name, idx, dim in (("row", rows, m), ("column", cols, n)):  # coo_tocsr does not check
             if nnz and (idx.min() < 0 or idx.max() >= dim):
                 raise ValueError(f"{name} indices must lie in [0, {dim})")
+        if transpose:
+            m, n, rows, cols = n, m, cols, rows
         dtype = _index_dtype(m, n, nnz)
         indptr, indices, data = np.empty(m + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
         _sparsetools.coo_tocsr(m, n, nnz, rows.astype(dtype, copy=False),
@@ -181,15 +185,15 @@ class SparseMatrix:
     call `csc_matvec` / `csr_matvec` on a zero-filled `out`: these are the
     kernels, and the zero start, that scipy's `@` runs, so the bits are
     `@`'s, without its allocation, its dispatch and the copy into the
-    caller's buffer.  The CSC arrays are the CSC conversion (`csr_tocsc`)
-    of the canonical CSR matrix, as scipy builds them.  When no entry
-    repeats, that is the conversion of any CSR arrays of the matrix, sorted
-    or not, so it is taken straight from them; a repeat shows as a column
+    caller's buffer.  The CSC arrays are G's canonical ones, as scipy
+    builds them; without a repeated entry they are unique, so `from_coo`
+    writes them from the triplets and the constructor converts any CSR
+    arrays of G, sorted or not (`csr_tocsc`).  A repeat shows as a column
     that holds a row twice, and then the CSR matrix is made canonical first
     (`CSRMatrix.canonical`), which sums repeats in scipy's order.  Index
     arrays are int32 where the dimensions and the entry count fit, as
-    scipy's are.  No CSR copy of G is kept or built: what reads G by rows
-    takes the positions of its entries in CSR order (`csr_order`).
+    scipy's are.  No CSR copy of G is kept: what reads G by rows transposes
+    its entries or their positions (`csr_order`) once.
     Products are counted (`n_matvec` / `n_rmatvec`) so tests can assert the
     per-iteration matvec budget of the solver loop.
     """
@@ -228,7 +232,20 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "SparseMatrix":
-        return cls(CSRMatrix.coo_tocsr(rows, cols, vals, shape))
+        """G from (row, col, value) triplets, duplicates summed: `coo_tocsr`
+        of the transposed triplets, each column then sorted where it is not,
+        as scipy's `tocsc` of a COO matrix runs; where an entry repeats, the
+        CSC conversion of the canonical CSR matrix instead."""
+        csc = CSRMatrix.coo_tocsr(rows, cols, vals, shape, transpose=True)
+        (n, m), arrays = csc.shape, csc[1:]
+        if not _sparsetools.csr_has_sorted_indices(n, csc.indptr, csc.indices):
+            _sparsetools.csr_sort_indices(n, *arrays)
+        if not _sparsetools.csr_has_canonical_format(n, csc.indptr, csc.indices):
+            csr = CSRMatrix.from_triplets(rows, cols, vals, shape)
+            arrays = _compressed_transpose(m, n, *csr[1:])
+        out = cls.__new__(cls)
+        out._set_arrays((m, n), *arrays)
+        return out
 
     @property
     def m(self) -> int:
@@ -301,8 +318,7 @@ class SparseMatrix:
         the result equals the products' bit for bit without forming them or
         re-sorting.  The index arrays are shared when no entry is dropped.
         """
-        rows, cols, vals = self.triplets()
-        data = d_row[rows] * vals * d_col[cols]
+        data = d_row[self.indices] * self.data * np.repeat(d_col, np.diff(self.indptr))
         indptr, indices = self.indptr, self.indices
         if not np.all(data != 0.0):
             indptr, indices = indptr.copy(), indices.copy()

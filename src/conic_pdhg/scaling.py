@@ -7,11 +7,11 @@ d1), so a block the caller scaled by s holds s * slice.  Exponential blocks
 only admit block-uniform scaling, enforced here by a geometric mean, as are
 dual-side second-order blocks.
 
-The scales come from one array of entry magnitudes |G_ij|, read once in
-the stored CSC order (by column, then row).  Each Ruiz round takes its row and column
-maxima and rescales it, instead of rebuilding the matrix.  Two orders are
-fixed so that the scales equal, bit for bit, those of the matrix
-formulation diag(r) @ A @ diag(c) reduced by scipy:
+The scales come from one array of entry magnitudes |G_ij|, in the stored
+CSC order (by column, then row).  Each Ruiz round takes its row and column
+maxima and rescales the array in place, instead of rebuilding the matrix.
+Two orders are fixed so that the scales equal, bit for bit, those of the
+matrix formulation diag(r) @ A @ diag(c) reduced by scipy:
 
 * a round multiplies each magnitude as (r_i a_ij) c_j, the order of the two
   sparse products; maxima are exact, so their order is free;
@@ -20,7 +20,9 @@ formulation diag(r) @ A @ diag(c) reduced by scipy:
   reordered or differently blocked float sum can change the last bit.
 
 Sparse products drop entries that round to zero, so the sums skip the
-magnitudes that the Ruiz rounds rounded to zero.
+magnitudes that the Ruiz rounds rounded to zero: they are compressed out
+(`csr_eliminate_zeros`), and one transposition (`csr_tocsc`) of the rest
+gives the CSR order.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _compressed_transpose, _sparsetools
 from .model import Cone, ConicProblem, block_slices
 
 _SCALE_CLAMP_LO = 1e-8
@@ -55,10 +58,7 @@ class ScalingPair:
 
 def _safe_inv_sqrt(v: np.ndarray) -> np.ndarray:
     """1/sqrt(v) with zero entries mapped to a unit (no-op) scale."""
-    out = np.ones_like(v)
-    nz = v > 0
-    out[nz] = 1.0 / np.sqrt(v[nz])
-    return out
+    return np.divide(1.0, np.sqrt(v), out=np.ones_like(v), where=v > 0)
 
 
 def _geometric_mean(v: np.ndarray) -> float:
@@ -78,32 +78,34 @@ def _enforce_block_uniformity(
     return out
 
 
-def _run_sums(values: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
-    """Sums of `values` over the runs of equal ascending `keys`, by
+def _segment_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sums of `values` over the segments of compressed arrays, by
     np.add.reduceat as scipy sums a compressed matrix along its major axis;
-    0 where a key has no entry."""
-    out = np.zeros(size)
-    if keys.size:
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        out[keys[starts]] = np.add.reduceat(values, starts)
+    0 for an empty segment."""
+    out = np.zeros(indptr.size - 1)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    out[nonempty] = np.add.reduceat(values, indptr[nonempty])
     return out
 
 
 def _ruiz_rounds(rows: np.ndarray, cols: np.ndarray, a: np.ndarray, m: int, n: int):
     """`_RUIZ_ROUNDS` Ruiz rounds on the magnitudes `a` of an m x n matrix,
-    at (rows, cols) in any order: the row scales d1, the column scales d2
-    and the rescaled magnitudes."""
-    d1 = np.ones(m)
-    d2 = np.ones(n)
+    at (rows, cols) in any order, rescaled in place: the row scales d1, the
+    column scales d2 and `a`.  The buffers are allocated once."""
+    d1, d2 = np.ones(m), np.ones(n)
+    row_max, col_max, factors = np.empty(m), np.empty(n), np.empty_like(a)
     for _ in range(_RUIZ_ROUNDS):
-        row_max, col_max = np.zeros(m), np.zeros(n)
+        row_max.fill(0.0)
+        col_max.fill(0.0)
         np.maximum.at(row_max, rows, a)
         np.maximum.at(col_max, cols, a)
         r = _safe_inv_sqrt(row_max)
         c = _safe_inv_sqrt(col_max)
         d1 *= r
         d2 *= c
-        a = r[rows] * a * c[cols]
+        # mode="clip" writes `out` directly, where "raise" buffers it
+        a *= np.take(r, rows, out=factors, mode="clip")
+        a *= np.take(c, cols, out=factors, mode="clip")
     return d1, d2, a
 
 
@@ -124,11 +126,12 @@ def build_scaling(problem: ConicProblem) -> ScalingPair:
     rows = rows.astype(np.intp)  # numpy converts other index arrays at every gather
     d1, d2, a = _ruiz_rounds(rows, cols, np.abs(vals), m, n)
 
-    kept = a > 0
-    csr = problem.G.csr_order()
-    csr = csr[kept[csr]]  # the kept entries' positions, in CSR order
-    d1 *= _safe_inv_sqrt(_run_sums(a[csr], rows[csr], m))
-    d2 *= _safe_inv_sqrt(_run_sums(a[kept], cols[kept], n))
+    indptr, indices = problem.G.indptr.copy(), problem.G.indices.copy()
+    _sparsetools.csr_eliminate_zeros(n, m, indptr, indices, a)
+    nnz = int(indptr[-1])
+    row_indptr, _, row_a = _compressed_transpose(n, m, indptr, indices[:nnz], a[:nnz])
+    d1 *= _safe_inv_sqrt(_segment_sums(row_indptr, row_a))
+    d2 *= _safe_inv_sqrt(_segment_sums(indptr, a[:nnz]))
 
     # Primal cone blocks sit after the box variables in the columns; exp and
     # dual soc blocks must stay projectable in closed/1-d form.

@@ -41,6 +41,9 @@ kernel:
 * `from_coo` / `build_scaling`: building G from the triplets that
   `parse_problem` reads from the lp-large file, and the preconditioner's
   scales of the parsed problem;
+* `cli_setup`: `cli.main` on the lp-large file with `--max-iter 1`, timed
+  from the call to its first `engine.adaptive_step_pdhg` call, as
+  perfbench/worker.py stamps a solve's set-up; the solve stops there;
 * `rsoc_to_soc`: one round of `model.rsoc_to_soc` over the cone-solve
   problems of `--seed` that have rsoc blocks (the calls column counts
   rounds, and the shape column the problems in one);
@@ -295,6 +298,38 @@ def set_up_lines(seed, repeats, work_dir):
     del problem
     yield ("write_result", "lp-large", shape,
            *timed(lambda: fileio.write_result(result, options, out), repeats))
+    del result
+    yield ("cli_setup", "lp-large", shape, 1,
+           cli_setup(["--input", path, "--output", out, "--max-iter", "1"], repeats))
+
+
+class FirstStep(BaseException):
+    """Ends a timed `cli.main` call at its first PDHG step; a BaseException,
+    so that no handler of the solver takes it."""
+
+
+def cli_setup(argv, repeats):
+    """Microseconds from calling `cli.main(argv)` to its first
+    `engine.adaptive_step_pdhg` call, the fastest of `repeats` calls after
+    a first, untimed one."""
+    real, times = engine.adaptive_step_pdhg, []
+
+    def first_step(*args, **kwargs):
+        raise FirstStep(time.perf_counter())
+
+    engine.adaptive_step_pdhg = first_step
+    try:
+        for _ in range(repeats + 1):
+            t0 = time.perf_counter()
+            try:
+                cli.main(argv)
+            except FirstStep as stamp:
+                times.append(stamp.args[0] - t0)
+            else:
+                raise RuntimeError("cli.main returned before its first PDHG step")
+    finally:
+        engine.adaptive_step_pdhg = real
+    return 1e6 * min(times[1:])
 
 
 def cone_set_up_lines(seed, repeats, work_dir):

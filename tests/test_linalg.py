@@ -449,8 +449,9 @@ def pattern_triplets(rng, index_dtype, repeated):
 @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
 def test_triplets_sort_only_when_an_entry_repeats(index_dtype, repeated, monkeypatch):
-    # the CSC conversion of unsorted CSR arrays is canonical when no entry
-    # repeats; a repeat takes scipy's canonical sequence, which sorts
+    # the CSC arrays are written straight from the triplets and are canonical
+    # once sorted when no entry repeats; a repeat takes scipy's canonical
+    # sequence on the CSR arrays, which sorts and sums, and their conversion
     import scipy.sparse as sp
     from conic_pdhg import linalg
 
@@ -464,11 +465,68 @@ def test_triplets_sort_only_when_an_entry_repeats(index_dtype, repeated, monkeyp
         got = SparseMatrix.from_coo(rows, cols, vals, shape)
         assert_same_arrays(got, scipy_path(sp.coo_matrix((vals, (rows, cols)), shape=shape)))
         assert (kernels.calls.get("csr_sum_duplicates", 0) == 1) == repeated
-        assert kernels.calls["csr_tocsc"] == 1 + repeated
+        assert kernels.calls["coo_tocsr"] == 1 + repeated
+        assert kernels.calls.get("csr_tocsc", 0) == repeated
         empty_rows += int(np.setdiff1d(np.arange(shape[0]), rows).size > 0)
         empty_cols += int(np.any(np.diff(got.indptr) == 0))
         zeros += int(np.sum(got.data == 0.0))
     assert empty_rows and empty_cols and zeros
+
+
+def triplet_orders(rows, cols, rng):
+    """The triplets' positions in column-major order (as
+    `problem_to_document` writes them), in row-major order, and shuffled."""
+    return {"column-major": np.lexsort((rows, cols)), "row-major": np.lexsort((cols, rows)),
+            "shuffled": rng.permutation(rows.size)}
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_from_coo_gives_the_arrays_of_scipys_csc_conversion(index_dtype):
+    # without a repeat, or with no entry given more than twice (a sum of two
+    # terms does not depend on their order), from_coo's arrays are those of
+    # scipy's coo_matrix(...).tocsc(), whatever the order of the triplets
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(20)
+    seen = dict(repeats=0, zeros=0, empty_rows=0, empty_cols=0)
+    for trial in range(60):
+        m, n = (int(k) for k in rng.integers(1, 20, 2))
+        cells = rng.choice(m * n, int(rng.integers(1, m * n // 2 + 2)), replace=False)
+        if trial % 2:
+            cells = np.repeat(cells, rng.integers(1, 3, cells.size))
+        rows, cols = (cells // n).astype(index_dtype), (cells % n).astype(index_dtype)
+        vals = rng.standard_normal(cells.size) * 10.0 ** rng.uniform(-8, 8, cells.size)
+        vals[rng.random(cells.size) < 0.2] = 0.0
+        for order in triplet_orders(rows, cols, rng).values():
+            r, c, v = rows[order], cols[order], vals[order]
+            got = SparseMatrix.from_coo(r, c, v, (m, n))
+            assert_same_arrays(got, sp.coo_matrix((v, (r, c)), shape=(m, n)).tocsc())
+        seen["repeats"] += cells.size > np.unique(cells).size
+        seen["zeros"] += int(np.any(got.data == 0.0))
+        seen["empty_rows"] += np.unique(rows).size < m
+        seen["empty_cols"] += np.unique(cols).size < n
+    assert all(seen.values()), seen
+
+
+def test_from_coo_matches_scipy_on_an_lp_sized_pattern():
+    # int64 triplets as the parser gives them, eight rows a column, read in
+    # each order; one run of the same triplets with a repeat sums it as the
+    # CSR route does
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(21)
+    m, n = 400, 800
+    rows = np.concatenate([rng.choice(m, 8, replace=False) for _ in range(n)]).astype(np.int64)
+    cols = np.repeat(np.arange(n, dtype=np.int64), 8)
+    vals = rng.standard_normal(rows.size)
+    for name, order in triplet_orders(rows, cols, rng).items():
+        r, c, v = rows[order], cols[order], vals[order]
+        want = sp.coo_matrix((v, (r, c)), shape=(m, n)).tocsc()
+        assert want.indices.dtype == np.int32, name
+        assert_same_arrays(SparseMatrix.from_coo(r, c, v, (m, n)), want)
+    r, c, v = (np.concatenate((x, x[:3], x[:1])) for x in (rows, cols, vals))
+    assert_same_arrays(SparseMatrix.from_coo(r, c, v, (m, n)),
+                       scipy_path(sp.coo_matrix((v, (r, c)), shape=(m, n))))
 
 
 def test_csr_order_is_the_argsort_of_the_csr_keys():
@@ -486,6 +544,18 @@ def test_triplets_out_of_range_are_rejected():
     for rows, cols in (([0, 2], [0, 0]), ([0, -1], [0, 0]), ([0, 0], [0, 3])):
         with pytest.raises(ValueError, match="must lie in"):
             SparseMatrix.from_coo(rows, cols, [1.0, 2.0], (2, 3))
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+def test_triplets_out_of_range_name_their_axis(repeated):
+    # from_coo converts the transposed triplets, but names the caller's axes
+    for rows, cols, message in (([0, 2], [0, 0], r"row indices must lie in \[0, 2\)"),
+                                ([0, -1], [0, 0], r"row indices must lie in \[0, 2\)"),
+                                ([0, 1], [0, 3], r"column indices must lie in \[0, 3\)"),
+                                ([0, 1], [-1, 0], r"column indices must lie in \[0, 3\)")):
+        rows, cols = rows + rows[:repeated], cols + cols[:repeated]
+        with pytest.raises(ValueError, match=message):
+            SparseMatrix.from_coo(rows, cols, [1.0] * len(rows), (2, 3))
 
 
 def test_vector_norms():

@@ -355,6 +355,59 @@ def test_scales_equal_the_matrix_algebra_bit_for_bit(decades):
         assert np.array_equal(got.d2, want.d2)
 
 
+def test_scales_when_rounds_leave_whole_lines_zero():
+    # row 0 holds 1e300 and 5e-324s, which round to zero in the first round;
+    # a row's largest magnitude never does, so the all-zero row 2 and column
+    # 2 hold explicit zeros only.  Their sums are empty, as the products'
+    # are, and the other rows and columns sum 9 to 14 entries around zeros,
+    # enough for numpy's pairwise sum to tell a skipped zero from a summed one
+    rng = np.random.default_rng(35)
+    for _ in range(20):
+        m, n = 12, 14
+        dense = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, (m, n))
+        dense[0] = 5e-324
+        dense[0, 0] = 1e300
+        dense[2], dense[:, 2] = 0.0, -0.0
+        rows, cols = np.nonzero(np.ones((m, n)))
+        vals = dense[rows, cols]
+        vals[(rng.random(vals.size) < 0.25) & (rows > 0)] = 0.0  # explicit zeros
+        p = replace(make_problem(np.ones((m, n)), rng=rng),
+                    G=SparseMatrix.from_coo(rows, cols, vals, (m, n)))
+        r, c, v = p.G.triplets()
+        _, _, a = scaling._ruiz_rounds(r.astype(np.intp), c, np.abs(v), m, n)
+        ruiz = np.zeros((m, n))
+        ruiz[r, c] = a
+        assert not ruiz[2].any() and not ruiz[:, 2].any()
+        assert not ruiz[0, 1:].any()
+        assert np.sum(a == 0.0) - np.sum(v == 0.0) == n - 2  # the 5e-324s
+        got, want = build_scaling(p), reference_scaling(p)
+        assert np.array_equal(got.d1, want.d1) and np.array_equal(got.d2, want.d2)
+
+
+def test_scales_when_no_magnitude_is_zero():
+    rng = np.random.default_rng(33)
+    for _ in range(10):
+        m, n = (int(k) for k in rng.integers(2, 25, 2))
+        p = make_problem(rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-20, 20, (m, n)), rng=rng)
+        r, c, v = p.G.triplets()
+        _, _, a = scaling._ruiz_rounds(r.astype(np.intp), c, np.abs(v), m, n)
+        assert a.size == m * n and np.all(a > 0)
+        got, want = build_scaling(p), reference_scaling(p)
+        assert np.array_equal(got.d1, want.d1) and np.array_equal(got.d2, want.d2)
+
+
+def test_build_scaling_leaves_the_callers_matrix_unchanged():
+    # the rounds rescale a copy of the magnitudes in place
+    rng = np.random.default_rng(34)
+    for decades in (0, 6, 200):
+        p = random_block_problem(rng, decades)
+        before = [arr.copy() for arr in (p.G.indptr, p.G.indices, p.G.data)]
+        build_scaling(p)
+        for old, new in zip(before, (p.G.indptr, p.G.indices, p.G.data)):
+            assert old.dtype == new.dtype
+            assert old.tobytes() == new.tobytes()
+
+
 def rsoc_problem():
     # min x1 + x2 s.t. x1 >= 0 and 2 x1 x2 >= 1
     g = np.zeros((4, 2))
