@@ -1,16 +1,17 @@
 """Sparse matrix storage and the vector/matrix kernels used by the solver.
 
 `SparseMatrix` holds G as three canonical CSC arrays of its own and runs
-its two products, and every conversion that builds it, through scipy's
-compiled sparse kernels, called directly.  They are loaded once, from the
-`_sparsetools` extension file in scipy's package directory, so neither
-scipy.sparse nor the scipy._lib layer it imports (which loads
-numpy.testing and numpy.f2py) enters a solve process.  Each conversion runs
-the kernels that scipy.sparse runs for it, in scipy's order and with its
-index dtypes, so the arrays are the ones scipy would build, bit for bit.
-Triplets without a repeat take the kernels of a COO matrix's `tocsc`.
-No code forms a product of two sparse matrices: set-up code that changes G
-(the rsoc rotations in `model`, the scaling) works on its entries.
+its two products through scipy's compiled sparse kernels, called directly.
+They are loaded once, from the `_sparsetools` extension file in scipy's
+package directory, so neither scipy.sparse nor the scipy._lib layer it
+imports (which loads numpy.testing and numpy.f2py) enters a solve process.
+No other module calls them: every `SparseMatrix` input is read as triplets
+and converted by one routine, `_csc_of_triplets`, and set-up code that
+changes G (the rsoc rotations in `model`, the scaling) works on its
+entries through `canonical_lines`, `drop_zeros` and `line_sums`.  Each
+conversion runs the kernels that scipy.sparse runs for it, in scipy's
+order and with its index dtypes, so the arrays are the ones scipy would
+build, bit for bit.  No code forms a product of two sparse matrices.
 """
 
 from __future__ import annotations
@@ -113,64 +114,105 @@ def _compressed_transpose(major: int, minor: int, indptr, indices, data):
     return out
 
 
-class CSRMatrix(NamedTuple):
-    """A matrix as CSR arrays, the form scipy's kernels take.  Set-up code
-    builds these from triplets, summing repeats; a solve holds only
-    `SparseMatrix`."""
+def _checked_triplets(rows, cols, vals, shape):
+    """(rows, cols, vals, (m, n)) as int64, int64 and float64 arrays and
+    ints, or ValueError where they do not describe an m x n matrix:
+    `coo_tocsr` does not check its indices."""
+    m, n = (int(d) for d in shape)
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    if m < 0 or n < 0:
+        raise ValueError(f"matrix dimensions must be nonnegative, got {(m, n)}")
+    if not (rows.ndim == cols.ndim == vals.ndim == 1 and rows.size == cols.size == vals.size):
+        raise ValueError("rows, cols and vals must be 1-D arrays of one length")
+    for name, idx, dim in (("row", rows, m), ("column", cols, n)):
+        if vals.size and (idx.min() < 0 or idx.max() >= dim):
+            raise ValueError(f"{name} indices must lie in [0, {dim})")
+    return rows, cols, vals, (m, n)
 
-    shape: tuple[int, int]
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
 
-    @classmethod
-    def from_triplets(cls, rows, cols, vals, shape) -> "CSRMatrix":
-        """The canonical CSR matrix of (row, col, value) triplets, duplicates
-        summed: `coo_tocsr`, then `canonical`, as scipy converts a COO
-        matrix to CSR."""
-        return cls.coo_tocsr(rows, cols, vals, shape).canonical(copy=False)
+def _coo_tocsr(m: int, n: int, rows, cols, vals):
+    """The CSR arrays that `coo_tocsr` writes for checked triplets of an
+    m x n matrix: each row holds its entries in the triplets' order,
+    repeats included."""
+    nnz = vals.size
+    dtype = _index_dtype(m, n, nnz)
+    indptr, indices, data = np.empty(m + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
+    _sparsetools.coo_tocsr(m, n, nnz, rows.astype(dtype, copy=False),
+                           cols.astype(dtype, copy=False), vals, indptr, indices, data)
+    return indptr, indices, data
 
-    @classmethod
-    def coo_tocsr(cls, rows, cols, vals, shape, transpose: bool = False) -> "CSRMatrix":
-        """The CSR arrays that `coo_tocsr` writes for the triplets: each row
-        holds its entries in the triplets' order, repeats included.  With
-        `transpose`, those of the transpose: the CSC arrays."""
-        m, n = (int(d) for d in shape)
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if m < 0 or n < 0:
-            raise ValueError(f"matrix dimensions must be nonnegative, got {(m, n)}")
-        if not (rows.ndim == cols.ndim == vals.ndim == 1 and rows.size == cols.size == vals.size):
-            raise ValueError("rows, cols and vals must be 1-D arrays of one length")
-        nnz = vals.size
-        for name, idx, dim in (("row", rows, m), ("column", cols, n)):  # coo_tocsr does not check
-            if nnz and (idx.min() < 0 or idx.max() >= dim):
-                raise ValueError(f"{name} indices must lie in [0, {dim})")
-        if transpose:
-            m, n, rows, cols = n, m, cols, rows
-        dtype = _index_dtype(m, n, nnz)
-        indptr, indices, data = np.empty(m + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
-        _sparsetools.coo_tocsr(m, n, nnz, rows.astype(dtype, copy=False),
-                               cols.astype(dtype, copy=False), vals, indptr, indices, data)
-        return cls((m, n), indptr, indices, data)
 
-    def canonical(self, copy: bool = True) -> "CSRMatrix":
-        """This matrix with each row's columns sorted and duplicates summed,
-        by scipy's `sum_duplicates` sequence: `csr_has_canonical_format`,
-        then `csr_sort_indices` on rows that are not sorted yet, then
-        `csr_sum_duplicates` (which keeps explicit zeros).  The sort is not
-        stable, so only this sequence sums repeated entries in scipy's
-        order.  Unless `copy` is False, the arrays of a matrix that is not
-        canonical are copied first, not sorted in place."""
-        m, n = self.shape
-        if _sparsetools.csr_has_canonical_format(m, self.indptr, self.indices):
-            return self
-        indptr, indices, data = (a.copy() for a in self[1:]) if copy else self[1:]
-        if not _sparsetools.csr_has_sorted_indices(m, indptr, indices):
-            _sparsetools.csr_sort_indices(m, indptr, indices, data)
-        _sparsetools.csr_sum_duplicates(m, n, indptr, indices, data)
-        nnz = int(indptr[-1])
-        return CSRMatrix(self.shape, indptr, indices[:nnz], data[:nnz])
+def _canonical(m: int, n: int, indptr, indices, data):
+    """CSR arrays of an m x n matrix made canonical in place, by scipy's
+    `sum_duplicates` sequence: `csr_has_canonical_format`, then
+    `csr_sort_indices` on rows that are not sorted yet, then
+    `csr_sum_duplicates` (which keeps explicit zeros).  The sort is not
+    stable, so only this sequence sums repeated entries in scipy's order."""
+    if _sparsetools.csr_has_canonical_format(m, indptr, indices):
+        return indptr, indices, data
+    if not _sparsetools.csr_has_sorted_indices(m, indptr, indices):
+        _sparsetools.csr_sort_indices(m, indptr, indices, data)
+    _sparsetools.csr_sum_duplicates(m, n, indptr, indices, data)
+    nnz = int(indptr[-1])
+    return indptr, indices[:nnz], data[:nnz]
+
+
+def canonical_lines(lines, others, vals, shape):
+    """The canonical CSR arrays (indptr, indices, data) of the matrix of
+    `shape` with the triplets (lines, others, vals) as its (row, col,
+    value) entries, repeats summed: `coo_tocsr`, then `_canonical`, as
+    scipy converts a COO matrix to CSR.  Passed the transposed triplets and
+    shape, they are the CSC arrays."""
+    rows, cols, vals, (m, n) = _checked_triplets(lines, others, vals, shape)
+    return _canonical(m, n, *_coo_tocsr(m, n, rows, cols, vals))
+
+
+def _csc_of_triplets(rows, cols, vals, shape):
+    """(shape, indptr, indices, data): the canonical CSC arrays of the
+    triplets, repeats summed.  `coo_tocsr` of the transposed triplets, each
+    column then sorted where it is not, as scipy's `tocsc` of a COO matrix
+    runs; without a repeat the canonical arrays are unique, so these are
+    scipy's.  Where an entry repeats, the CSC conversion of the canonical
+    CSR arrays instead, which sums repeats in scipy's order."""
+    rows, cols, vals, (m, n) = _checked_triplets(rows, cols, vals, shape)
+    arrays = _coo_tocsr(n, m, cols, rows, vals)
+    if not _sparsetools.csr_has_sorted_indices(n, *arrays[:2]):
+        _sparsetools.csr_sort_indices(n, *arrays)
+    if not _sparsetools.csr_has_canonical_format(n, *arrays[:2]):  # a column repeats a row
+        csr = _canonical(m, n, *_coo_tocsr(m, n, rows, cols, vals))
+        arrays = _compressed_transpose(m, n, *csr)
+    return (m, n), *arrays
+
+
+def drop_zeros(shape, indptr, indices, data):
+    """The CSC arrays of an m x n matrix without its entries that are zero,
+    compacted by `csr_eliminate_zeros`, as scipy's sparse products drop
+    them.  `data` is compacted in place; where no entry is zero the arrays
+    are returned as they are, else the index arrays are copied first."""
+    if np.all(data != 0.0):
+        return indptr, indices, data
+    m, n = shape
+    indptr, indices = indptr.copy(), indices.copy()
+    _sparsetools.csr_eliminate_zeros(n, m, indptr, indices, data)
+    nnz = int(indptr[-1])
+    return indptr, indices[:nnz].copy(), data[:nnz].copy()
+
+
+def line_sums(shape, indptr, indices, data) -> tuple[np.ndarray, np.ndarray]:
+    """The row sums and the column sums of an m x n matrix held as CSC
+    arrays, 0 for an empty line.  Each line is summed by np.add.reduceat in
+    its compressed order, as scipy's `sum(axis=...)` sums it: the columns in
+    CSC order, the rows in CSR order, which one transposition (`csr_tocsc`)
+    gives.  A reordered or differently blocked float sum can change the
+    last bit."""
+    m, n = shape
+    row_indptr, _, row_data = _compressed_transpose(n, m, indptr, indices, data)
+    sums = np.zeros(m), np.zeros(n)
+    for out, ptr, values in zip(sums, (row_indptr, indptr), (row_data, data)):
+        nonempty = np.flatnonzero(np.diff(ptr))
+        out[nonempty] = np.add.reduceat(values, ptr[nonempty])
+    return sums
 
 
 class SparseMatrix:
@@ -185,44 +227,32 @@ class SparseMatrix:
     call `csc_matvec` / `csr_matvec` on a zero-filled `out`: these are the
     kernels, and the zero start, that scipy's `@` runs, so the bits are
     `@`'s, without its allocation, its dispatch and the copy into the
-    caller's buffer.  The CSC arrays are G's canonical ones, as scipy
-    builds them; without a repeated entry they are unique, so `from_coo`
-    writes them from the triplets and the constructor converts any CSR
-    arrays of G, sorted or not (`csr_tocsc`).  A repeat shows as a column
-    that holds a row twice, and then the CSR matrix is made canonical first
-    (`CSRMatrix.canonical`), which sums repeats in scipy's order.  Index
-    arrays are int32 where the dimensions and the entry count fit, as
-    scipy's are.  No CSR copy of G is kept: what reads G by rows transposes
-    its entries or their positions (`csr_order`) once.
+    caller's buffer.  Every input is read as triplets and converted by
+    `_csc_of_triplets`, so the CSC arrays are G's canonical ones, as scipy
+    builds them.  Index arrays are int32 where the dimensions and the
+    entry count fit, as scipy's are.  No CSR copy of G is kept: what reads
+    G by rows transposes its entries once (`line_sums`).
     Products are counted (`n_matvec` / `n_rmatvec`) so tests can assert the
     per-iteration matvec budget of the solver loop.
     """
 
     def __init__(self, matrix) -> None:
         """`matrix` is a dense 2-D array, a shape (m, n) for the all-zero
-        matrix, a `CSRMatrix`, or a scipy sparse matrix, read through its own
-        `tocsr()`.  Values are float64."""
-        if hasattr(matrix, "tocsr"):
-            matrix = matrix.tocsr()
-        if isinstance(matrix, CSRMatrix):
-            csr = matrix
+        matrix, or a scipy sparse matrix, read through its own `tocoo()`.
+        Values are float64."""
+        if hasattr(matrix, "tocoo"):
+            coo = matrix.tocoo()
+            triplets = coo.row, coo.col, coo.data, coo.shape
         elif isinstance(matrix, tuple) and len(matrix) == 2 and all(
                 isinstance(d, (int, np.integer)) for d in matrix):
-            csr = CSRMatrix.from_triplets((), (), (), matrix)
-        elif hasattr(matrix, "indptr"):  # a scipy CSR matrix
-            csr = CSRMatrix(matrix.shape, matrix.indptr, matrix.indices,
-                            np.asarray(matrix.data, dtype=np.float64))
+            triplets = (), (), (), matrix
         else:
             dense = np.atleast_2d(np.asarray(matrix))
             if dense.ndim != 2:
                 raise ValueError(f"expected a 2-D array, got {dense.ndim}-D")
             rows, cols = dense.nonzero()
-            csr = CSRMatrix.from_triplets(rows, cols, dense[rows, cols], dense.shape)
-        m, n = csr.shape
-        arrays = _compressed_transpose(m, n, *csr[1:])
-        if not _sparsetools.csr_has_canonical_format(n, *arrays[:2]):  # a column repeats a row
-            arrays = _compressed_transpose(m, n, *csr.canonical()[1:])
-        self._set_arrays((m, n), *arrays)
+            triplets = rows, cols, dense[rows, cols], dense.shape
+        self._set_arrays(*_csc_of_triplets(*triplets))
 
     def _set_arrays(self, shape, indptr, indices, data) -> None:
         self.shape = shape
@@ -232,19 +262,10 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "SparseMatrix":
-        """G from (row, col, value) triplets, duplicates summed: `coo_tocsr`
-        of the transposed triplets, each column then sorted where it is not,
-        as scipy's `tocsc` of a COO matrix runs; where an entry repeats, the
-        CSC conversion of the canonical CSR matrix instead."""
-        csc = CSRMatrix.coo_tocsr(rows, cols, vals, shape, transpose=True)
-        (n, m), arrays = csc.shape, csc[1:]
-        if not _sparsetools.csr_has_sorted_indices(n, csc.indptr, csc.indices):
-            _sparsetools.csr_sort_indices(n, *arrays)
-        if not _sparsetools.csr_has_canonical_format(n, csc.indptr, csc.indices):
-            csr = CSRMatrix.from_triplets(rows, cols, vals, shape)
-            arrays = _compressed_transpose(m, n, *csr[1:])
+        """G from (row, col, value) triplets, duplicates summed
+        (`_csc_of_triplets`)."""
         out = cls.__new__(cls)
-        out._set_arrays((m, n), *arrays)
+        out._set_arrays(*_csc_of_triplets(rows, cols, vals, shape))
         return out
 
     @property
@@ -299,34 +320,27 @@ class SparseMatrix:
         return float(np.max(np.abs(self.data)))
 
     def induced_inf_norm(self) -> float:
-        """Max absolute row sum (the operator infinity norm).  Each row is
-        summed in CSR order (`csr_order`) by np.add.reduceat, as scipy's
-        `sum(axis=1)` reduces a CSR matrix: a scatter over the CSC arrays
-        sums the rows in another order."""
+        """Max absolute row sum (the operator infinity norm), each row summed
+        in CSR order (`line_sums`), as scipy's `sum(axis=1)` reduces a CSR
+        matrix: a scatter over the CSC arrays sums the rows in another
+        order."""
         if self.nnz == 0:
             raise NumericalError("induced infinity norm undefined for an all-zero matrix")
-        order = self.csr_order()
-        starts = np.flatnonzero(np.diff(self.indices[order], prepend=-1))
-        return float(np.max(np.add.reduceat(np.abs(self.data[order]), starts)))
+        return float(np.max(line_sums(self.shape, self.indptr, self.indices,
+                                      np.abs(self.data))[0]))
 
     def scaled(self, d_row: np.ndarray, d_col: np.ndarray) -> "SparseMatrix":
         """Return diag(d_row) @ A @ diag(d_col) as a new matrix.
 
         The CSC data are scaled on their own pattern as (d_row_i a_ij) d_col_j,
         the order of the two sparse products, and entries that round to zero
-        are dropped (`csr_eliminate_zeros`), as the products drop them; so
-        the result equals the products' bit for bit without forming them or
-        re-sorting.  The index arrays are shared when no entry is dropped.
+        are dropped (`drop_zeros`), as the products drop them; so the result
+        equals the products' bit for bit without forming them or re-sorting.
+        The index arrays are shared when no entry is dropped.
         """
         data = d_row[self.indices] * self.data * np.repeat(d_col, np.diff(self.indptr))
-        indptr, indices = self.indptr, self.indices
-        if not np.all(data != 0.0):
-            indptr, indices = indptr.copy(), indices.copy()
-            _sparsetools.csr_eliminate_zeros(self.n, self.m, indptr, indices, data)
-            nnz = int(indptr[-1])
-            indices, data = indices[:nnz].copy(), data[:nnz].copy()
         out = SparseMatrix.__new__(SparseMatrix)
-        out._set_arrays(self.shape, indptr, indices, data)
+        out._set_arrays(self.shape, *drop_zeros(self.shape, self.indptr, self.indices, data))
         return out
 
     def toarray(self) -> np.ndarray:
@@ -342,12 +356,6 @@ class SparseMatrix:
         copies, so callers must not write to them; `cols` is expanded from
         the column pointers."""
         return self.indices, np.repeat(np.arange(self.n), np.diff(self.indptr)), self.data
-
-    def csr_order(self) -> np.ndarray:
-        """The positions of the stored entries in CSR order (by row, then
-        column): one `csr_tocsc` pass, with the positions as its data."""
-        return _compressed_transpose(self.n, self.m, self.indptr, self.indices,
-                                     np.arange(self.nnz, dtype=np.int64))[2]
 
     def reset_counters(self) -> None:
         self.n_matvec = 0

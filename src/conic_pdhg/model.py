@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import CSRMatrix, SparseMatrix, one_norm
+from .linalg import SparseMatrix, canonical_lines, one_norm
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / _SQRT2
@@ -299,17 +299,17 @@ def _rotate_vector(v: np.ndarray, diagonal: np.ndarray, partner: np.ndarray) -> 
 def _rotate_lines(lines, others, vals, shape, diagonal, partner):
     """The triplets (lines, others, vals) of R M, where M is the matrix of
     `shape` with `lines` as its row indices.  An entry of R M has at most
-    two terms; `CSRMatrix.from_triplets` adds them, and entries that sum to
-    zero are dropped.  The sparse product R M adds them from 0.0 in another
+    two terms; `canonical_lines` adds them, and entries that sum to zero
+    are dropped.  The sparse product R M adds them from 0.0 in another
     order, which changes only a zero sum, and drops those too."""
     moved = partner[lines] != lines
-    csr = CSRMatrix.from_triplets(
+    indptr, others, vals = canonical_lines(
         np.concatenate((lines, partner[lines[moved]])),
         np.concatenate((others, others[moved])),
         np.concatenate((diagonal[lines] * vals, _INV_SQRT2 * vals[moved])), shape)
-    kept = csr.data != 0.0
-    lines = np.repeat(np.arange(shape[0]), np.diff(csr.indptr))
-    return lines[kept], csr.indices[kept], csr.data[kept]
+    kept = vals != 0.0
+    lines = np.repeat(np.arange(shape[0]), np.diff(indptr))
+    return lines[kept], others[kept], vals[kept]
 
 
 def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:

@@ -16,13 +16,10 @@ matrix formulation diag(r) @ A @ diag(c) reduced by scipy:
 * a round multiplies each magnitude as (r_i a_ij) c_j, the order of the two
   sparse products; maxima are exact, so their order is free;
 * the Pock-Chambolle sums reduce each column in CSC order and each row in
-  CSR order with `np.add.reduceat`, as scipy's `sum(axis=...)` does; a
-  reordered or differently blocked float sum can change the last bit.
+  CSR order, as scipy's `sum(axis=...)` does (`linalg.line_sums`).
 
 Sparse products drop entries that round to zero, so the sums skip the
-magnitudes that the Ruiz rounds rounded to zero: they are compressed out
-(`csr_eliminate_zeros`), and one transposition (`csr_tocsc`) of the rest
-gives the CSR order.
+magnitudes that the Ruiz rounds rounded to zero (`linalg.drop_zeros`).
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _compressed_transpose, _sparsetools
+from .linalg import drop_zeros, line_sums
 from .model import Cone, ConicProblem, block_slices
 
 _SCALE_CLAMP_LO = 1e-8
@@ -78,16 +75,6 @@ def _enforce_block_uniformity(
     return out
 
 
-def _segment_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sums of `values` over the segments of compressed arrays, by
-    np.add.reduceat as scipy sums a compressed matrix along its major axis;
-    0 for an empty segment."""
-    out = np.zeros(indptr.size - 1)
-    nonempty = np.flatnonzero(np.diff(indptr))
-    out[nonempty] = np.add.reduceat(values, indptr[nonempty])
-    return out
-
-
 def _ruiz_rounds(rows: np.ndarray, cols: np.ndarray, a: np.ndarray, m: int, n: int):
     """`_RUIZ_ROUNDS` Ruiz rounds on the magnitudes `a` of an m x n matrix,
     at (rows, cols) in any order, rescaled in place: the row scales d1, the
@@ -126,12 +113,10 @@ def build_scaling(problem: ConicProblem) -> ScalingPair:
     rows = rows.astype(np.intp)  # numpy converts other index arrays at every gather
     d1, d2, a = _ruiz_rounds(rows, cols, np.abs(vals), m, n)
 
-    indptr, indices = problem.G.indptr.copy(), problem.G.indices.copy()
-    _sparsetools.csr_eliminate_zeros(n, m, indptr, indices, a)
-    nnz = int(indptr[-1])
-    row_indptr, _, row_a = _compressed_transpose(n, m, indptr, indices[:nnz], a[:nnz])
-    d1 *= _safe_inv_sqrt(_segment_sums(row_indptr, row_a))
-    d2 *= _safe_inv_sqrt(_segment_sums(indptr, a[:nnz]))
+    nonzero = drop_zeros((m, n), problem.G.indptr, problem.G.indices, a)
+    row_sums, col_sums = line_sums((m, n), *nonzero)
+    d1 *= _safe_inv_sqrt(row_sums)
+    d2 *= _safe_inv_sqrt(col_sums)
 
     # Primal cone blocks sit after the box variables in the columns; exp and
     # dual soc blocks must stay projectable in closed/1-d form.

@@ -30,16 +30,28 @@ weighted-KKT checks and the restarts and baselines that follow one.  A
 fall-back that restarts where the gap would have leaves the iterates as
 they were but not the restart bookkeeping, so the bookkeeping digests
 differ from the plain run's.
+
+`--setup` prints, instead of the solves, one SHA-1 line per benchmark
+problem (lp-solve and cone-solve seeds 1-4, lp-large seed 3, generated by
+perfbench/workloads.py into a temporary directory) over what set-up builds
+from its file: the parsed G, the G, h and c of `rsoc_to_soc`, the scales of
+`build_scaling`, the G, c and h of `rescale_problem`, the induced infinity
+norms of the parsed and the scaled G, and `SparseMatrix` of the parsed G as
+a dense array, where it has at most 10^7 entries (all but lp-large).
+Matrices enter with their shape and index dtypes.  A change to how G is
+built or scaled that keeps every bit keeps these lines.
 """
 
 import argparse
 import hashlib
 import os
 import sys
+import tempfile
 import warnings
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
@@ -54,6 +66,10 @@ from traces import bookkeeping_digest, failing_every, iterate_digest  # noqa: E4
 
 from conic_pdhg import restart  # noqa: E402
 from conic_pdhg.engine import SolverOptions, solve  # noqa: E402
+from conic_pdhg.fileio import parse_problem  # noqa: E402
+from conic_pdhg.linalg import SparseMatrix  # noqa: E402
+from conic_pdhg.model import rsoc_to_soc  # noqa: E402
+from conic_pdhg.scaling import build_scaling, rescale_problem  # noqa: E402
 
 PROBLEMS = {
     "feasible lp": lambda: random_lp(5, n=6, m=4),
@@ -63,6 +79,10 @@ PROBLEMS = {
 }
 
 CADENCES = (200, 512, 2000)
+
+SETUP_PROBLEMS = (*((name, seed) for name in ("lp-solve", "cone-solve") for seed in (1, 2, 3, 4)),
+                  ("lp-large", 3))
+DENSE_ENTRIES = 10**7
 
 
 def solve_digest(problem, max_iter, cadence, mode, fail_gap_every=None):
@@ -91,12 +111,59 @@ def solve_digest(problem, max_iter, cadence, mode, fail_gap_every=None):
             result.hexdigest())
 
 
+def setup_digest(path):
+    """The SHA-1, in hex, of what set-up builds from the problem file."""
+    digest = hashlib.sha1()
+
+    def add(*arrays):
+        for a in map(np.asarray, arrays):
+            digest.update(f"{a.dtype.str}{a.shape}".encode())
+            digest.update(a.tobytes())
+
+    def add_matrix(g):
+        add(g.shape, g.indptr, g.indices, g.data)
+
+    problem = parse_problem(path)
+    add_matrix(problem.G)
+    work = rsoc_to_soc(problem)
+    add_matrix(work.G)
+    add(work.h, work.c)
+    scales = build_scaling(work)
+    add(scales.d1, scales.d2)
+    scaled = rescale_problem(work, scales)
+    add_matrix(scaled.G)
+    add(scaled.c, scaled.h)
+    add([problem.G.induced_inf_norm(), scaled.G.induced_inf_norm()])
+    if problem.m * problem.n <= DENSE_ENTRIES:
+        add_matrix(SparseMatrix(problem.G.toarray()))
+    return digest.hexdigest()
+
+
+def print_setup_digests():
+    """One line per benchmark problem: workload, seed, instance, digest."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as work_dir:
+        path = os.path.join(work_dir, "problem.json")
+        for name, seed in SETUP_PROBLEMS:
+            for case in workloads.build(name, seed)[1]:
+                case.instance.write(path)
+                print("\t".join([name, str(seed), case.instance.name, setup_digest(path)]),
+                      flush=True)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-iter", type=int, default=3000)
     parser.add_argument("--fail-gap-every", type=int, metavar="N",
                         help="make every N-th gap evaluation of each solve raise")
+    parser.add_argument("--setup", action="store_true",
+                        help="print the set-up digests of the benchmark's problems instead")
     args = parser.parse_args(argv)
+    if args.setup:
+        print_setup_digests()
+        return
     if args.fail_gap_every is not None and args.fail_gap_every < 1:
         parser.error("--fail-gap-every must be at least 1")
     warnings.simplefilter("ignore", RuntimeWarning)

@@ -427,6 +427,53 @@ class CountingKernels:
         return counted
 
 
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_every_input_form_is_converted_as_its_triplets(index_dtype, monkeypatch):
+    # the constructor reads each form as triplets and converts them as
+    # from_coo does; with no entry given more than twice (a sum of two terms
+    # does not depend on their order) the arrays are also those of scipy's
+    # tocsc() and sum_duplicates(), and without a repeat nothing is transposed
+    import scipy.sparse as sp
+    from conic_pdhg import linalg
+
+    kernels = CountingKernels(linalg._sparsetools)
+    monkeypatch.setattr(linalg, "_sparsetools", kernels)
+    rng = np.random.default_rng(22)
+    seen = dict(repeats=0, zeros=0, unsorted=0)
+    for trial in range(40):
+        m, n = (int(k) for k in rng.integers(1, 15, 2))
+        cells = rng.choice(m * n, int(rng.integers(1, m * n + 1)), replace=False)
+        dense = np.zeros((m, n))
+        dense.flat[cells] = rng.standard_normal(cells.size)
+        flat = rng.permutation(np.repeat(cells, rng.integers(1, 2 + trial % 2, cells.size)))
+        rows, cols = (flat // n).astype(index_dtype), (flat % n).astype(index_dtype)
+        vals = rng.standard_normal(flat.size)
+        vals[rng.random(flat.size) < 0.2] = 0.0
+        by_row, by_col = np.argsort(rows, kind="stable"), np.argsort(cols, kind="stable")
+        raw_csr = sp.csr_matrix((vals[by_row], cols[by_row], np.concatenate(
+            ([0], np.cumsum(np.bincount(rows, minlength=m))))), shape=(m, n))
+        raw_csc = sp.csc_matrix((vals[by_col], rows[by_col], np.concatenate(
+            ([0], np.cumsum(np.bincount(cols, minlength=n))))), shape=(m, n))
+        repeated = flat.size > cells.size
+        forms = [(dense, (*dense.nonzero(), dense[dense != 0.0]), False),
+                 ((m, n), ((), (), ()), False),
+                 (sp.coo_matrix((vals, (rows, cols)), shape=(m, n)), (rows, cols, vals), repeated),
+                 (raw_csr, (rows[by_row], cols[by_row], vals[by_row]), repeated),
+                 (raw_csc, (rows[by_col], cols[by_col], vals[by_col]), repeated)]
+        for form, triplets, form_repeats in forms:
+            kernels.calls.clear()
+            got = SparseMatrix(form)
+            assert kernels.calls.get("csr_tocsc", 0) == form_repeats
+            assert_same_arrays(got, SparseMatrix.from_coo(*triplets, (m, n)))
+            want = sp.csc_matrix(form, copy=True)
+            want.sum_duplicates()
+            assert_same_arrays(got, want)
+        seen["repeats"] += repeated
+        seen["zeros"] += int(np.any(vals == 0.0))
+        seen["unsorted"] += not raw_csr.has_sorted_indices
+    assert all(seen.values()), seen
+
+
 def pattern_triplets(rng, index_dtype, repeated):
     """Triplets in random order on a random pattern that leaves some rows
     and columns empty, with explicit zeros; where `repeated`, some entries
@@ -527,17 +574,6 @@ def test_from_coo_matches_scipy_on_an_lp_sized_pattern():
     r, c, v = (np.concatenate((x, x[:3], x[:1])) for x in (rows, cols, vals))
     assert_same_arrays(SparseMatrix.from_coo(r, c, v, (m, n)),
                        scipy_path(sp.coo_matrix((v, (r, c)), shape=(m, n))))
-
-
-def test_csr_order_is_the_argsort_of_the_csr_keys():
-    rng = np.random.default_rng(18)
-    for _ in range(100):
-        m, n = (int(k) for k in rng.integers(1, 30, 2))
-        g = SparseMatrix(random_sparse(rng, m, n, float(rng.uniform(0.0, 0.6))))
-        rows, cols, _ = g.triplets()
-        order = g.csr_order()
-        assert order.dtype == np.int64
-        np.testing.assert_array_equal(order, np.argsort(rows.astype(np.int64) * n + cols))
 
 
 def test_triplets_out_of_range_are_rejected():

@@ -48,6 +48,27 @@ def make_problem(G, num_box=None, primal_cones=(), dual_cones=None, l=None, u=No
     )
 
 
+def test_only_linalg_calls_the_sparse_kernels(monkeypatch):
+    # the set-up modules name no kernel and no transposition of their own,
+    # so counting linalg's kernels counts the ones build_scaling runs
+    import inspect
+
+    from test_linalg import CountingKernels
+
+    from conic_pdhg import cones, engine, fileio, linalg, model
+
+    for module in (scaling, model, fileio, engine, cones):
+        source = inspect.getsource(module)
+        for name in ("_sparsetools", "_compressed_transpose"):
+            assert name not in source, (module.__name__, name)
+    rng = np.random.default_rng(23)
+    p = make_problem(rng.standard_normal((6, 9)) * (rng.random((6, 9)) < 0.5))
+    kernels = CountingKernels(linalg._sparsetools)
+    monkeypatch.setattr(linalg, "_sparsetools", kernels)
+    build_scaling(p)
+    assert kernels.calls == {"csr_tocsc": 1}
+
+
 class TestBuildScaling:
     def test_identity_matrix_gives_unit_scales(self):
         p = make_problem(np.eye(3))
