@@ -5,7 +5,9 @@ API: n, m, nb, c, h, bl, bu, G (coordinate triplets, 0-based), mGzero,
 mGnonnegative, socG, expG, dual_expG, and the optional rsocG extension
 (rotated rows appended after the dual-exp rows).  Infinities in bl/bu are
 encoded as the strings "inf"/"-inf", never as IEEE infinities in text.
-The format only expresses box variables, so nb must equal n.
+The format only expresses box variables, so nb must equal n; it fixes the
+order of the row blocks (`_FILE_ORDER`), which no other module needs, and
+it holds no block scales.
 
 `parse_problem` reads a file as bytes and walks its top-level object, and
 the object under G, member by member.  orjson reads lists in comma-cut
@@ -41,6 +43,7 @@ _OPEN = re.compile(_SPACE + rb"\{")
 _KEY = re.compile(_SPACE + rb'"(\w*)"' + _SPACE + rb":" + _SPACE)  # a key without escapes
 _NEXT = re.compile(_SPACE + rb"([,}])")
 _SCALAR = re.compile(rb"[^,}]*")
+_FILE_ORDER = (Cone.ZERO, Cone.NONNEG, Cone.SOC, Cone.EXP, Cone.DUAL_EXP, Cone.RSOC)
 
 
 class ProblemFormatError(ValueError):
@@ -356,6 +359,12 @@ def problem_to_document(problem: ConicProblem) -> dict:
             "the file format only expresses box variables (nb == n); "
             f"got num_box={problem.num_box}, n={problem.n}"
         )
+    ranks = [_FILE_ORDER.index(spec.kind) for spec in problem.dual_cones]
+    if ranks != sorted(ranks):
+        raise ProblemFormatError(
+            "the file format holds row blocks in the order zero, nonneg, soc, exp, dual-exp, rsoc")
+    if any(np.any(spec.scale != 1.0) for spec in problem.dual_cones):
+        raise ProblemFormatError("the file format holds no block scales; every scale must be all ones")
     dims = {kind: [spec.dim for spec in problem.dual_cones if spec.kind is kind] for kind in Cone}
     rows, cols, vals = problem.G.triplets()  # column-major; the reader takes any order
     doc = {
@@ -460,8 +469,9 @@ def _assemble(members: dict) -> ConicProblem:
 
 
 def serialize_problem(problem: ConicProblem, path: str) -> None:
+    doc = problem_to_document(problem)  # before the file exists, so a refusal leaves none
     with open(path, "w") as f:
-        json.dump(problem_to_document(problem), f, indent=1, sort_keys=True, allow_nan=False)
+        json.dump(doc, f, indent=1, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

@@ -6,9 +6,10 @@ The problem solved is
 
 where x = (x_1, x_2) splits into num_box box-bounded variables and cone
 variables.  `dual_cones` describes the constraint-residual cone K_d* block
-by block in the fixed layout zero -> nonneg -> soc -> exp -> dual-exp
-(-> rsoc, transient until presolve); the dual iterate y lives in K_d, the
-blockwise dual of that product, so equality-row duals are sign-free.
+by block, in any order and with any number of blocks of each kind (rsoc
+blocks only until presolve promotes them in place to soc); the dual iterate
+y lives in K_d, the blockwise dual of that product, so equality-row duals
+are sign-free.  Only the problem file fixes an order of blocks (`fileio`).
 
 Which of l_i and u_i are finite fixes the box, the multiplier set Lambda and
 the box's recession cone as intervals; each ConicProblem builds them once,
@@ -39,11 +40,6 @@ class Cone(enum.Enum):
     # FREE is a projection-dispatch target (the dual of ZERO); it is not a
     # valid block kind in a ConeSpec.
     FREE = "free"
-
-
-# Fixed ordering of dual residual-cone groups (rsoc last: extension blocks
-# must not shift the positions of the standard groups).
-_DUAL_GROUP_ORDER = (Cone.ZERO, Cone.NONNEG, Cone.SOC, Cone.EXP, Cone.DUAL_EXP, Cone.RSOC)
 
 
 @dataclass(frozen=True)
@@ -93,18 +89,13 @@ class ConeSpec:
         return replace(self, scale=np.asarray(scale, dtype=np.float64))
 
 
-def _check_cone_order(specs: tuple[ConeSpec, ...], where: str) -> None:
-    ranks = [_DUAL_GROUP_ORDER.index(s.kind) for s in specs]
-    if any(b < a for a, b in zip(ranks, ranks[1:])):
-        raise ValueError(f"{where} blocks must follow the order zero, nonneg, soc, exp, dual-exp, rsoc")
-    for kind in (Cone.ZERO, Cone.NONNEG):
-        if sum(1 for s in specs if s.kind is kind) > 1:
-            raise ValueError(f"{where} may contain at most one {kind.value} block")
-
-
 @dataclass(frozen=True)
 class ConicProblem:
-    """Immutable instance data; all operations on it are pure functions."""
+    """Immutable instance data; all operations on it are pure functions.
+
+    The blocks of `primal_cones` and `dual_cones` may come in any order,
+    and any kind may repeat: every projection, scale and exit test works
+    block by block."""
 
     c: np.ndarray
     G: SparseMatrix
@@ -154,7 +145,6 @@ class ConicProblem:
             raise ValueError(
                 f"dual cone dims sum to {sum(s.dim for s in self.dual_cones)}, expected m = {m}"
             )
-        _check_cone_order(self.dual_cones, "dual_cones")
 
     @property
     def n(self) -> int:
@@ -257,19 +247,6 @@ def _rotation_blocks(specs, offset):
     return [sl for spec, sl in block_slices(specs, offset) if spec.kind is Cone.RSOC]
 
 
-def _promoted_order(specs: tuple[ConeSpec, ...]) -> tuple[list[int], np.ndarray] | None:
-    """Block order, and the row order it induces, that moves rotated blocks,
-    once promoted to soc, into the soc group ahead of any exp and dual-exp
-    blocks; None when nothing moves."""
-    rank = [_DUAL_GROUP_ORDER.index(Cone.SOC if s.kind is Cone.RSOC else s.kind) for s in specs]
-    if rank == sorted(rank):
-        return None
-    blocks = sorted(range(len(specs)), key=rank.__getitem__)
-    slices = block_slices(specs)
-    rows = np.concatenate([np.arange(slices[i][1].start, slices[i][1].stop) for i in blocks])
-    return blocks, rows
-
-
 def rotate_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The symmetric involutive map (p, q) -> ((p+q)/sqrt(2), (p-q)/sqrt(2))."""
     return (a + b) / _SQRT2, (a - b) / _SQRT2
@@ -319,9 +296,8 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
     (t, s, w) in K_soc via t = (p+q)/sqrt(2), s = (p-q)/sqrt(2); the map is
     orthogonal and involutive, so rows of G and h (dual blocks) or columns
     of G and entries of c (primal blocks) transform by the same matrix.
-    Promoted dual blocks then move into the soc group, so the rows follow
-    the order zero, nonneg, soc, exp, dual-exp.  `apply_rsoc_inverse` maps
-    solutions back to the original blocks and row order.
+    Each promoted block keeps its place, so no row or column moves.
+    `apply_rsoc_inverse` maps solutions back to the original blocks.
     """
     if not problem.has_rsoc_blocks():
         return problem
@@ -345,14 +321,6 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
             ConeSpec(Cone.SOC, s.dim, s.scale) if s.kind is Cone.RSOC else s for s in specs
         )
 
-    dual_cones = promote(problem.dual_cones)
-    order = _promoted_order(problem.dual_cones)
-    if order is not None:
-        blocks, order_rows = order
-        rows = np.argsort(order_rows)[rows]
-        h = h[order_rows]
-        dual_cones = tuple(dual_cones[i] for i in blocks)
-
     return ConicProblem(
         c=c,
         G=SparseMatrix.from_coo(rows, cols, vals, (m, n)),
@@ -361,31 +329,22 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
         u=problem.u,
         num_box=problem.num_box,
         primal_cones=promote(problem.primal_cones),
-        dual_cones=dual_cones,
+        dual_cones=promote(problem.dual_cones),
     )
 
 
 def apply_rsoc_inverse(original: ConicProblem, x: np.ndarray, y: np.ndarray,
                        slack: np.ndarray, lam: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Map a solution of the reformulated problem back to the original blocks
-    and the original row order: x, y, slack = G x - h and lam = c - G^T y.
+    """Map a solution of the reformulated problem back to the original
+    blocks: x, y, slack = G x - h and lam = c - G^T y.
 
-    With G_w = P R_r G R_c, h_w = P R_r h and c_w = R_c c (R_r, R_c the
-    involutive rotations, P the promotion's row order), x and lam are
-    rotated back by R_c alone, and y and slack are put back in row order
-    and rotated by R_r."""
+    With G_w = R_r G R_c, h_w = R_r h and c_w = R_c c (R_r, R_c the
+    involutive rotations), x and lam are rotated back by R_c, and y and
+    slack by R_r."""
     if not original.has_rsoc_blocks():
         return x, y, slack, lam
-    x, lam = x.copy(), lam.copy()
-    order = _promoted_order(original.dual_cones)
-    if order is None:
-        y = y.copy()
-        slack = slack.copy()
-    else:
-        back = np.argsort(order[1])
-        y = y[back]
-        slack = slack[back]
+    x, y, slack, lam = x.copy(), y.copy(), slack.copy(), lam.copy()
     for sl in _rotation_blocks(original.primal_cones, original.num_box):
         i, j = sl.start, sl.start + 1
         x[i], x[j] = rotate_pair(x[i], x[j])

@@ -40,6 +40,14 @@ reorders floating-point operations is neutral when its unpermuted totals
 lie inside the parent's bands.
 
     python tests/iteration_suite.py --permute 5 > band.txt
+
+`--tol T` solves every instance to relative and absolute tolerance T in
+place of its workload's `--rel-tol` and `--abs-tol`, and `--max-iter N`
+stops every solve after N iterations; without them the run uses the
+workloads' options alone.  At 1e-6 and 1e-8, caps of 50000 and 60000 keep
+every instance that converges:
+
+    python tests/iteration_suite.py --tol 1e-6 --max-iter 50000 > tol6.txt
 """
 
 import argparse
@@ -132,9 +140,10 @@ def solve(instance, options, work_dir):
     return status, doc["iterations"], verdict
 
 
-def run(work_dir, permutation=0):
-    """Solve the suite, the instances permuted by `permutation` unless it is
-    0, printing one line per instance; returns the per-group totals
+def run(work_dir, extra=(), permutation=0):
+    """Solve the suite with the CLI options `extra` after each workload's,
+    the instances permuted by `permutation` unless it is 0, printing one
+    line per instance; returns the per-group totals
     [instances, iterations, definitive, objectives ok, planted], with a
     "total" row."""
     totals = {}
@@ -142,7 +151,7 @@ def run(work_dir, permutation=0):
     for index, (group, instance, options) in enumerate(suite()):
         if permutation:
             instance = permute_columns(instance, rng([permutation, index]))
-        status, iterations, verdict = solve(instance, options, work_dir)
+        status, iterations, verdict = solve(instance, (*options, *extra), work_dir)
         print(f"{prefix}{group}\t{instance.name}\t{status}\t{iterations}\t{verdict}", flush=True)
         t = totals.setdefault(group, [0, 0, 0, 0, 0])
         t[0] += 1
@@ -158,13 +167,26 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--permute", type=int, default=0, metavar="K",
                         help="also solve every instance under K column permutations")
+    parser.add_argument("--tol", type=float, metavar="T",
+                        help="relative and absolute tolerance of every solve")
+    parser.add_argument("--max-iter", type=int, metavar="N",
+                        help="iteration limit of every solve")
     args = parser.parse_args(argv)
     if args.permute < 0:
         parser.error("--permute must be nonnegative")
+    extra = ()
+    if args.tol is not None:
+        if not args.tol > 0:
+            parser.error("--tol must be positive")
+        extra += ("--rel-tol", repr(args.tol), "--abs-tol", repr(args.tol))
+    if args.max_iter is not None:
+        if args.max_iter < 1:
+            parser.error("--max-iter must be at least 1")
+        extra += ("--max-iter", str(args.max_iter))
     warnings.simplefilter("ignore", RuntimeWarning)
     with tempfile.TemporaryDirectory() as work_dir:
-        totals = run(work_dir)
-        permuted = [run(work_dir, p) for p in range(1, args.permute + 1)]
+        totals = run(work_dir, extra)
+        permuted = [run(work_dir, extra, p) for p in range(1, args.permute + 1)]
     print("group\tinstances\titerations\tdefinitive\tobjective ok")
     for group, (count, iterations, definitive, ok, planted) in totals.items():
         print(f"{group}\t{count}\t{iterations}\t{definitive}\t{ok}/{planted}")

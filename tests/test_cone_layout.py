@@ -113,9 +113,9 @@ def _scale(rng, kind, dim, uniform):
     return scale
 
 
-def _blocks(rng, count, uniform, allow_zero):
+def _blocks(rng, count, uniform):
     specs = []
-    kinds = [Cone.NONNEG, Cone.SOC, Cone.EXP, Cone.DUAL_EXP] + ([Cone.ZERO] if allow_zero else [])
+    kinds = [Cone.NONNEG, Cone.SOC, Cone.EXP, Cone.DUAL_EXP, Cone.ZERO]
     for _ in range(count):
         kind = kinds[rng.integers(len(kinds))]
         dim = {Cone.ZERO: int(rng.integers(1, 4)), Cone.NONNEG: int(rng.integers(1, 4)),
@@ -125,13 +125,9 @@ def _blocks(rng, count, uniform, allow_zero):
 
 
 def random_problem(rng, uniform):
-    """Primal blocks in any order; dual blocks in the fixed group order."""
-    primal = _blocks(rng, int(rng.integers(0, 6)), uniform, allow_zero=True)
-    dual = _blocks(rng, int(rng.integers(1, 9)), uniform, allow_zero=False)
-    dual = [s for s in dual if s.kind is not Cone.NONNEG]
-    dual = sorted(dual, key=lambda s: [Cone.SOC, Cone.EXP, Cone.DUAL_EXP].index(s.kind))
-    head = [ConeSpec(Cone.ZERO, int(rng.integers(1, 3))), ConeSpec(Cone.NONNEG, int(rng.integers(1, 4)))]
-    dual = [s for s, keep in zip(head, rng.random(2) < 0.7) if keep] + dual
+    """Primal and dual blocks of random kinds, in any order."""
+    primal = _blocks(rng, int(rng.integers(0, 6)), uniform)
+    dual = _blocks(rng, int(rng.integers(1, 9)), uniform)
     n1 = int(rng.integers(0, 3))
     n = n1 + sum(s.dim for s in primal)
     m = sum(s.dim for s in dual)

@@ -8,7 +8,7 @@ objective must match the closed-form optimum; where the instance is
 infeasible, every mode must certify it.  Instances with
 entries near the ends of the double range must end with a code too, and a
 bounded problem must not be certified dual infeasible whatever the scale
-of its cost.
+of its cost, nor a row of subnormal coefficients be read as satisfied.
 """
 
 import math
@@ -163,3 +163,15 @@ def test_bounded_problem_is_not_dual_infeasible_at_any_cost_scale(s):
     assert r.exit_code not in (term.EXIT_DUAL_INFEASIBLE_LOW, term.EXIT_DUAL_INFEASIBLE_HIGH)
     if r.exit_code == term.EXIT_OPTIMAL:
         assert r.p_obj == pytest.approx(-s * math.sqrt(2), rel=1e-4)
+
+
+@pytest.mark.xfail(strict=True, reason="ends :optimal at x = 0 (CHANGES.md FOUND:, the row "
+                                       "1e-310 (x1 + x2) >= 1e-310)")
+def test_subnormal_row_is_not_solved_at_zero():
+    # x1 + x2 >= 1 written with subnormal coefficients has optimum 1; the
+    # exit tests read the row's violation of x = 0 as 1e-310
+    p = problem([1, 1], [[1e-310, 1e-310]], [1e-310], [0, 0], [5, 5], (ConeSpec(Cone.NONNEG, 1),))
+    for precondition in (True, False):
+        r = solve(p, SolverOptions(use_preconditioner=precondition))
+        if r.exit_code == term.EXIT_OPTIMAL:
+            assert r.p_obj == pytest.approx(1.0, abs=1e-4)

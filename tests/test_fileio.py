@@ -304,6 +304,56 @@ class TestResultFile:
         with pytest.raises(ProblemFormatError, match="nb == n"):
             problem_to_document(p)
 
+    @staticmethod
+    def box_problem(dual_cones):
+        m = sum(s.dim for s in dual_cones)
+        return ConicProblem(c=np.ones(2), G=SparseMatrix(np.ones((m, 2))), h=np.zeros(m),
+                            l=-np.ones(2), u=np.ones(2), num_box=2, dual_cones=dual_cones)
+
+    @pytest.mark.parametrize("dual_cones", [
+        (ConeSpec(Cone.NONNEG, 1), ConeSpec(Cone.ZERO, 1)),
+        (ConeSpec(Cone.ZERO, 1), ConeSpec(Cone.NONNEG, 1), ConeSpec(Cone.ZERO, 1)),
+        (ConeSpec(Cone.EXP, 3), ConeSpec(Cone.SOC, 3)),
+        (ConeSpec(Cone.DUAL_EXP, 3), ConeSpec(Cone.EXP, 3)),
+        (ConeSpec(Cone.RSOC, 3), ConeSpec(Cone.DUAL_EXP, 3)),
+    ])
+    def test_blocks_out_of_file_order_not_serializable(self, dual_cones, tmp_path):
+        # a ConicProblem takes its blocks in any order; the file holds them
+        # grouped in its own, so another order would be read back as
+        # another problem
+        path = tmp_path / "p.json"
+        with pytest.raises(ProblemFormatError, match="order zero, nonneg, soc, exp"):
+            serialize_problem(self.box_problem(dual_cones), str(path))
+        assert not path.exists()
+
+    def test_adjacent_blocks_of_one_kind_are_written_as_their_group(self):
+        dual_cones = (ConeSpec(Cone.ZERO, 1), ConeSpec(Cone.ZERO, 2), ConeSpec(Cone.NONNEG, 2),
+                      ConeSpec(Cone.NONNEG, 1), ConeSpec(Cone.SOC, 3), ConeSpec(Cone.SOC, 4),
+                      ConeSpec(Cone.EXP, 3), ConeSpec(Cone.EXP, 3), ConeSpec(Cone.DUAL_EXP, 3),
+                      ConeSpec(Cone.RSOC, 3), ConeSpec(Cone.RSOC, 5))
+        doc = problem_to_document(self.box_problem(dual_cones))
+        assert (doc["mGzero"], doc["mGnonnegative"], doc["socG"], doc["expG"],
+                doc["dual_expG"], doc["rsocG"]) == (3, 3, [3, 4], 2, 1, [3, 5])
+        assert [(s.kind, s.dim) for s in document_to_problem(doc).dual_cones] == [
+            (Cone.ZERO, 3), (Cone.NONNEG, 3), (Cone.SOC, 3), (Cone.SOC, 4), (Cone.EXP, 3),
+            (Cone.EXP, 3), (Cone.DUAL_EXP, 3), (Cone.RSOC, 3), (Cone.RSOC, 5)]
+
+    def test_scaled_blocks_not_serializable(self, tmp_path):
+        # the README's scaled example: x1^2/4 + x2^2/9 <= 1 with optimum -2;
+        # the file has no scales, so it would be read back as
+        # ||(x1, x2)|| <= 1, with optimum -1
+        G = np.zeros((3, 2))
+        G[1, 0] = G[2, 1] = 1.0
+        p = ConicProblem(c=np.array([1.0, 0.0]), G=SparseMatrix(G), h=np.array([-1.0, 0.0, 0.0]),
+                         l=np.array([-5.0, -5.0]), u=np.array([5.0, 5.0]), num_box=2,
+                         dual_cones=(ConeSpec(Cone.SOC, 3, scale=(1, 2, 3)),))
+        r = solve(p)
+        assert r.exit_status == ":optimal" and r.p_obj == pytest.approx(-2.0, abs=1e-4)
+        path = tmp_path / "p.json"
+        with pytest.raises(ProblemFormatError, match="block scales"):
+            serialize_problem(p, str(path))
+        assert not path.exists()
+
 
 class TestBounds:
     """bl and bu are decoded in bulk with the per-entry decoder's results."""

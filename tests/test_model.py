@@ -52,13 +52,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="dual cone dims"):
             box_lp([1.0], np.zeros((2, 1)), [0.0, 0.0], [0.0], [1.0], (ConeSpec(Cone.NONNEG, 1),))
 
-    def test_dual_cone_order(self):
-        with pytest.raises(ValueError, match="order"):
-            box_lp(
-                [1.0], np.zeros((2, 1)), [0.0, 0.0], [0.0], [1.0],
-                (ConeSpec(Cone.NONNEG, 1), ConeSpec(Cone.ZERO, 1)),
-            )
-
     def test_cone_spec_constraints(self):
         with pytest.raises(ValueError):
             ConeSpec(Cone.EXP, 4)
@@ -280,9 +273,9 @@ class TestRsocToSoc:
         lam = p.c - p.G.rmatvec(y)
         assert np.max(np.abs(lam_back - lam)) <= 1e-12 * np.max(np.abs(lam))
 
-    def test_promoted_blocks_join_the_soc_group(self):
-        # Rotated rows follow exp rows in the input; after promotion they
-        # must precede them, and the inverse map restores the input order.
+    def test_promoted_blocks_stay_in_place(self):
+        # Rotated rows follow exp rows in the input; each promoted block
+        # keeps its rows, and the inverse map rotates them back in place.
         rng = np.random.default_rng(11)
         dual = (ConeSpec(Cone.NONNEG, 2), ConeSpec(Cone.SOC, 3), ConeSpec(Cone.EXP, 3),
                 ConeSpec(Cone.DUAL_EXP, 3), ConeSpec(Cone.RSOC, 4), ConeSpec(Cone.RSOC, 3))
@@ -298,9 +291,13 @@ class TestRsocToSoc:
         )
         q = rsoc_to_soc(p)
         assert [(s.kind, s.dim) for s in q.dual_cones] == [
-            (Cone.NONNEG, 2), (Cone.SOC, 3), (Cone.SOC, 4), (Cone.SOC, 3),
-            (Cone.EXP, 3), (Cone.DUAL_EXP, 3),
+            (Cone.NONNEG, 2), (Cone.SOC, 3), (Cone.EXP, 3), (Cone.DUAL_EXP, 3),
+            (Cone.SOC, 4), (Cone.SOC, 3),
         ]
+        # rows outside the rotated pairs are the input's, bit for bit
+        fixed = np.r_[0:11, 13:15, 17]
+        np.testing.assert_array_equal(q.h[fixed], p.h[fixed])
+        np.testing.assert_array_equal(q.G.toarray()[fixed], p.G.toarray()[fixed])
         for _ in range(20):
             x = rng.standard_normal(n)
             r_orig = p.G.matvec(x) - p.h
@@ -319,7 +316,7 @@ class TestRsocToSoc:
         # in h and c becomes 0.0
         import scipy.sparse as sp
 
-        from conic_pdhg.model import _promoted_order, _rotation_blocks
+        from conic_pdhg.model import _rotation_blocks
 
         def rotation(size, pairs):
             r = sp.lil_matrix(sp.identity(size))
@@ -340,9 +337,6 @@ class TestRsocToSoc:
             if cols:
                 r = rotation(p.n, cols)
                 g, c = g @ r, r @ c
-            order = _promoted_order(p.dual_cones)
-            if order is not None:
-                g, h = g[order[1]], h[order[1]]
             g = sp.csr_matrix(g)
             if not g.has_canonical_format:
                 g = g.copy()
@@ -442,3 +436,80 @@ class TestRsocToSoc:
         # be solved as another problem (x1 >= 1 is what both scales mean)
         with pytest.raises(ValueError, match="equal first two scale entries"):
             self._scaled_rsoc_problem(scale)
+
+
+class TestBlockOrder:
+    """No projection, scale or exit test depends on the order of the dual
+    blocks.  A problem with its blocks shuffled, and the rows of G and h
+    moved along with them, solves to the point of the problem in file
+    order, and each solve returns y, slack and lam in its caller's rows."""
+
+    # (slack, dual) on the boundaries of each cone and of its dual, with
+    # <slack, dual> = 0, so that the planted point is optimal with every
+    # block active
+    PAIRS = {Cone.SOC: ([1.0, 0.6, 0.8], [1.0, -0.6, -0.8]),
+             Cone.RSOC: ([1.0, 0.5, 0.6, 0.8], [0.5, 1.0, -0.6, -0.8]),
+             Cone.EXP: ([0.0, 1.0, 1.0], [-1.0, -1.0, 1.0]),
+             Cone.DUAL_EXP: ([-1.0, -1.0, 1.0], [0.0, 1.0, 1.0])}
+    FILE_ORDER = (ConeSpec(Cone.ZERO, 2), ConeSpec(Cone.NONNEG, 2), ConeSpec(Cone.NONNEG, 3),
+                  ConeSpec(Cone.SOC, 3), ConeSpec(Cone.EXP, 3), ConeSpec(Cone.DUAL_EXP, 3),
+                  ConeSpec(Cone.RSOC, 4))
+    SHUFFLE = (6, 4, 2, 3, 0, 5, 1)  # rsoc, exp, nonneg, soc, zero, dual-exp, nonneg
+
+    @classmethod
+    def problems(cls):
+        """The planted problem in file order and shuffled, and its optimum:
+        x inside [-1, 1]^5 has slack s, and c = G^T y with y complementary
+        to s."""
+        rng = np.random.default_rng(13)
+        slack, dual = [], []
+        for spec in cls.FILE_ORDER:
+            if spec.kind is Cone.ZERO:
+                slack.append(np.zeros(spec.dim))
+                dual.append(rng.standard_normal(spec.dim))
+            elif spec.kind is Cone.NONNEG:
+                value, active = rng.uniform(0.1, 1.0, spec.dim), np.arange(spec.dim) % 2 == 0
+                slack.append(np.where(active, 0.0, value))
+                dual.append(np.where(active, value, 0.0))
+            else:
+                slack.append(np.array(cls.PAIRS[spec.kind][0]))
+                dual.append(np.array(cls.PAIRS[spec.kind][1]))
+        m, n = sum(s.dim for s in cls.FILE_ORDER), 5
+        g = rng.standard_normal((m, n))
+        g[rng.random((m, n)) < 0.3] = 0.0
+        x = rng.uniform(-0.5, 0.5, n)
+        h = g @ x - np.concatenate(slack)
+        c = g.T @ np.concatenate(dual)
+        return [ConicProblem(c=c, G=SparseMatrix(g[order]), h=h[order], l=-np.ones(n),
+                             u=np.ones(n), num_box=n, dual_cones=cones)
+                for order, cones in ((slice(None), cls.FILE_ORDER),
+                                     (cls.shuffled_rows(),
+                                      tuple(cls.FILE_ORDER[i] for i in cls.SHUFFLE)))], c @ x
+
+    @classmethod
+    def shuffled_rows(cls):
+        """The file-order row of each shuffled row."""
+        starts = np.cumsum([0] + [s.dim for s in cls.FILE_ORDER])
+        return np.concatenate([np.arange(starts[i], starts[i + 1]) for i in cls.SHUFFLE])
+
+    def test_shuffled_blocks_solve_to_the_same_point(self):
+        problems, optimum = self.problems()
+        in_order, shuffled = (solve(p) for p in problems)
+        assert in_order.exit_status == shuffled.exit_status == ":optimal"
+        for r in (in_order, shuffled):
+            assert r.p_obj == pytest.approx(optimum, rel=1e-4, abs=1e-4)
+            assert r.d_obj == pytest.approx(optimum, rel=1e-4, abs=1e-4)
+        # only the order of the floating-point sums differs between the two
+        rows = self.shuffled_rows()
+        np.testing.assert_allclose(shuffled.x, in_order.x, atol=1e-3)
+        np.testing.assert_allclose(shuffled.y, in_order.y[rows], atol=1e-3)
+        np.testing.assert_allclose(shuffled.slack, in_order.slack[rows], atol=1e-3)
+        np.testing.assert_allclose(shuffled.lam, in_order.lam, atol=1e-3)
+
+    @pytest.mark.parametrize("which", ["file order", "shuffled"])
+    def test_results_come_back_in_the_callers_rows(self, which):
+        p = self.problems()[0][which == "shuffled"]
+        r = solve(p)
+        g = p.G.toarray()
+        np.testing.assert_allclose(r.slack, g @ r.x - p.h, atol=1e-9)
+        np.testing.assert_allclose(r.lam, p.c - g.T @ r.y, atol=1e-9)

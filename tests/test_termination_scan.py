@@ -313,8 +313,8 @@ def rsoc_both_sides():
     """Box variables and a rotated soc block on each side, planted like
     `planted_conic`: x is feasible, and c = G^T y + lam with y and lam in
     the dual cones.  The primal block rotates the multiplier c - G^T y of
-    the reformulation; the dual block follows an exp block, so promoting it
-    to soc also moves its rows ahead of the exp rows."""
+    the reformulation; the dual block follows an exp block, and promoting
+    it to soc leaves its rows there."""
     rng = np.random.default_rng(4)
     nb = 3
     rsoc = np.array([1.0, 1.5, 0.8])  # 2 p q > ||w||^2, in the self-dual cone
