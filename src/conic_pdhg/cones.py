@@ -8,16 +8,17 @@ Diagonally rescaled second-order cones reduce to a scalar root in the KKT
 multiplier mu.  Dual/polar projections come from the Moreau identity
 proj_{K*}(v) = v + proj_K(-v).
 
-The whole-vector set projections run a `ConeLayout`, built once per
-ConicProblem instance and cached on it: for each of the four block
-sequences (primal cone, its dual, dual iterate, constraint residual) a
-tuple of (kernel, start, stop, scale) operations in which the dual-kind
-mapping, the uniform-scale test and the 1/scale inversion are already
-decided.  One kernel per cone kind serves both the layout and
-`project_cone`.  A kernel reads its block of the input by index and writes
-the same block of `out`, so no block view is made that it does not need,
-and each set projection writes into an `out` the caller may pass (the
-solve loop passes its candidate buffer).  The box part of the primal set
+One table, `_KERNELS`, maps each block kind to the kernel of its cone and
+the kernel of its dual cone; `project_cone`, `project_cone_dual` and the
+layout read only it.  The whole-vector set projections run a `ConeLayout`,
+built once per ConicProblem instance and cached on it: for each of the four
+block sequences (primal cone, its dual, dual iterate, constraint residual)
+a tuple of (kernel, start, stop) operations in which the kernel, the
+uniform-scale test and a non-uniform soc block's scale (or its inverse)
+are already decided.  A kernel reads its block of the input by index and
+writes the same block of `out`, so no block view is made that it does not
+need, and each set projection writes into an `out` the caller may pass
+(the solve loop passes its candidate buffer).  The box part of the primal set
 is one clamp onto the problem's bounds, which ConicProblem has already
 checked.
 
@@ -88,11 +89,11 @@ def project_box(v: np.ndarray, l: np.ndarray, u: np.ndarray) -> np.ndarray:
 def project_soc(v: np.ndarray) -> np.ndarray:
     """Project (t, xbar) onto {t >= ||xbar||}."""
     out = np.empty_like(v)
-    _soc(v, out, 0, v.size, None)
+    _soc(v, out, 0, v.size)
     return out
 
 
-def _soc(v, out, start, stop, scale):
+def _soc(v, out, start, stop):
     # np.linalg.norm evaluates a contiguous 1-d float64 vector as sqrt(x.x),
     # so this is bit-identical to it without its per-call overhead.  An nx
     # in range is accurate, and then a large |t| takes an exact branch.  t is
@@ -105,7 +106,7 @@ def _soc(v, out, start, stop, scale):
         e = _rescale_exponent(float(np.max(np.abs(block))))
         if e is not None:
             target = out[start:stop]
-            _soc(np.ldexp(block, -e), target, 0, stop - start, None)
+            _soc(np.ldexp(block, -e), target, 0, stop - start)
             np.ldexp(target, e, out=target)
             return
     if nx <= t:
@@ -404,14 +405,14 @@ def _exp_point(r0: float, s0: float, t0: float) -> tuple[float, float, float]:
 def project_exp(v: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection onto the exponential cone."""
     out = np.empty(3)
-    _exp(np.asarray(v, dtype=np.float64), out, 0, 3, None)
+    _exp(np.asarray(v, dtype=np.float64), out, 0, 3)
     return out
 
 
 def project_dual_exp(v: np.ndarray) -> np.ndarray:
     """Moreau identity: proj_{K*}(v) = v + proj_K(-v)."""
     out = np.empty(3)
-    _dual_exp(np.asarray(v, dtype=np.float64), out, 0, 3, None)
+    _dual_exp(np.asarray(v, dtype=np.float64), out, 0, 3)
     return out
 
 
@@ -517,87 +518,84 @@ def project_rescaled_soc(v: np.ndarray, d: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # A kernel writes the projection of the block v[start:stop] into
-# out[start:stop].  All kernels take (v, out, start, stop, scale) so that
-# one loop can run any mix of them; only the rescaled-soc kernel uses the
-# scale.
+# out[start:stop], and all take (v, out, start, stop), so that one loop can
+# run any mix of them.  _KERNELS maps each block kind to the kernel of its
+# cone and the kernel of its dual cone.  The zero cone's dual is all of R^d,
+# which `_free` projects onto; it is a kernel, not a block kind.
 
 
-def _free(v, out, start, stop, scale):
+def _free(v, out, start, stop):
     out[start:stop] = v[start:stop]
 
 
-def _zero(v, out, start, stop, scale):
+def _zero(v, out, start, stop):
     out[start:stop] = 0.0
 
 
-def _nonneg(v, out, start, stop, scale):
+def _nonneg(v, out, start, stop):
     np.maximum(v[start:stop], 0.0, out=out[start:stop])
 
 
-def _rescaled_soc(v, out, start, stop, scale):
-    out[start:stop] = project_rescaled_soc(v[start:stop], scale)
-
-
-def _exp(v, out, start, stop, scale):
+def _exp(v, out, start, stop):
     out[start], out[start + 1], out[start + 2] = _exp_point(*v[start:stop].tolist())
 
 
-def _dual_exp(v, out, start, stop, scale):
+def _dual_exp(v, out, start, stop):
     r0, s0, t0 = v[start:stop].tolist()
     a, b, c = _exp_point(-r0, -s0, -t0)
     out[start], out[start + 1], out[start + 2] = r0 + a, s0 + b, t0 + c
 
 
-_DUAL_KIND = {
-    Cone.ZERO: Cone.FREE,
-    Cone.FREE: Cone.ZERO,
-    Cone.NONNEG: Cone.NONNEG,
-    Cone.SOC: Cone.SOC,
-    Cone.EXP: Cone.DUAL_EXP,
-    Cone.DUAL_EXP: Cone.EXP,
+_KERNELS = {
+    Cone.ZERO: (_zero, _free),
+    Cone.NONNEG: (_nonneg, _nonneg),
+    Cone.SOC: (_soc, _soc),
+    Cone.EXP: (_exp, _dual_exp),
+    Cone.DUAL_EXP: (_dual_exp, _exp),
 }
 
 
-def dual_cone_kind(kind: Cone) -> Cone:
-    if kind not in _DUAL_KIND:
-        raise ValueError(f"no dual-cone mapping for {kind}")
-    return _DUAL_KIND[kind]
+def _rescaled_soc(d: np.ndarray):
+    """The kernel of the rescaled cone {z : diag(d) z in K_soc}, with d bound."""
+
+    def kernel(v, out, start, stop):
+        out[start:stop] = project_rescaled_soc(v[start:stop], d)
+
+    return kernel
 
 
-def _kernel(kind: Cone, uniform: bool):
-    """The block kernel for a block of `kind` whose scale is `uniform` (None
-    or constant), as `project_cone` defines them."""
-    if kind is Cone.FREE:
-        return _free
-    if kind is Cone.ZERO:
-        return _zero
-    if kind is Cone.NONNEG:
-        return _nonneg
-    if kind is Cone.SOC:
-        return _soc if uniform else _rescaled_soc
-    if kind is Cone.EXP or kind is Cone.DUAL_EXP:
-        if not uniform:
-            raise ValueError(
-                f"{kind.value} blocks support only block-uniform scaling; rebuild the scaling"
-            )
-        return _exp if kind is Cone.EXP else _dual_exp
+def _kernel(kind: Cone, dual: bool, scale: np.ndarray | None):
+    """The kernel that projects a block of `kind` onto {z : diag(scale) z in
+    K}, K its cone or, when `dual`, its dual cone; `scale` is None where it
+    is uniform.  Zero and nonneg blocks ignore the scale, which leaves their
+    cones unchanged."""
     if kind is Cone.RSOC:
         raise ValueError("rotated blocks must be reformulated (rsoc_to_soc) before projection")
-    raise ValueError(f"unknown cone kind {kind}")
+    kernel = _KERNELS[kind][dual]
+    if scale is None or kind in (Cone.ZERO, Cone.NONNEG):
+        return kernel
+    if kind is Cone.SOC:
+        return _rescaled_soc(scale)
+    raise ValueError(f"{kind.value} blocks support only block-uniform scaling; rebuild the scaling")
+
+
+def _varies(scale: np.ndarray | None) -> bool:
+    return scale is not None and not bool(np.all(scale == scale[0]))
 
 
 def project_cone(v: np.ndarray, kind: Cone, scale: np.ndarray | None = None) -> np.ndarray:
     """Project onto {z : diag(scale) z in K(kind)} (scale None or uniform = plain cone)."""
     out = np.empty_like(v)
-    _kernel(kind, scale is None or bool(np.all(scale == scale[0])))(v, out, 0, v.size, scale)
+    _kernel(kind, False, scale if _varies(scale) else None)(v, out, 0, v.size)
     return out
 
 
 def project_cone_dual(v: np.ndarray, kind: Cone, scale: np.ndarray | None = None) -> np.ndarray:
     """Project onto the dual of {z : diag(scale) z in K(kind)}, i.e.
     {w : diag(1/scale) w in K(kind)*}."""
-    inv = None if scale is None else 1.0 / scale
-    return project_cone(v, dual_cone_kind(kind), inv)
+    out = np.empty_like(v)
+    _kernel(kind, True, 1.0 / scale if _varies(scale) else None)(v, out, 0, v.size)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -606,33 +604,28 @@ def project_cone_dual(v: np.ndarray, kind: Cone, scale: np.ndarray | None = None
 
 
 def _plans(specs: tuple[ConeSpec, ...], dual: bool) -> tuple[tuple, tuple]:
-    """Two plans of one (kernel, start, stop, scale) operation per block of
-    `specs`: one on the stored scales, with each kind swapped for its dual
-    when `dual`, and one on their inverses (None for an all-ones scale), with
-    each kind swapped when not `dual`.
+    """Two plans of one (kernel, start, stop) operation per block of
+    `specs`: one onto the sets of the stored scales, each block's cone (its
+    dual cone when `dual`), and one onto the sets of their inverses, each
+    block's dual cone (its cone when `dual`).
 
-    Which blocks are uniform or all ones comes from one reduction over the
-    concatenated scales, since a scale is constant exactly where its least
-    and greatest entries are equal (the entries are positive and finite)."""
+    Which blocks are uniform comes from one reduction over the concatenated
+    scales, since a scale is constant exactly where its least and greatest
+    entries are equal (the entries are positive and finite).  A constant
+    scale has a constant inverse, and where a non-uniform scale's inverse
+    rounds to a constant, `project_rescaled_soc` projects as `project_soc`
+    does, so the uniform test on the inverses would give the same bits."""
     if not specs:
         return (), ()
     slices = [sl for _, sl in block_slices(specs)]
     scales = np.concatenate([spec.scale for spec in specs])
-    inverses = 1.0 / scales
     starts = [sl.start for sl in slices]
-    lo, hi, inv_lo, inv_hi = (
-        reduce.reduceat(v, starts).tolist()
-        for v in (scales, inverses) for reduce in (np.minimum, np.maximum))
+    lo, hi = (reduce.reduceat(scales, starts).tolist() for reduce in (np.minimum, np.maximum))
     direct, inverse = [], []
-    for spec, sl, lo_i, hi_i, inv_lo_i, inv_hi_i in zip(specs, slices, lo, hi, inv_lo, inv_hi):
-        kind, swapped = spec.kind, dual_cone_kind(spec.kind)
-        direct.append((_kernel(swapped if dual else kind, lo_i == hi_i), sl.start, sl.stop,
-                       spec.scale))
-        if lo_i == hi_i == 1.0:
-            inverse.append((_kernel(kind if dual else swapped, True), sl.start, sl.stop, None))
-        else:
-            inverse.append((_kernel(kind if dual else swapped, inv_lo_i == inv_hi_i),
-                            sl.start, sl.stop, inverses[sl]))
+    for spec, sl, lo_i, hi_i in zip(specs, slices, lo, hi):
+        scale, inv = (None, None) if lo_i == hi_i else (spec.scale, 1.0 / spec.scale)
+        direct.append((_kernel(spec.kind, dual, scale), sl.start, sl.stop))
+        inverse.append((_kernel(spec.kind, not dual, inv), sl.start, sl.stop))
     return tuple(direct), tuple(inverse)
 
 
@@ -661,8 +654,8 @@ def cone_layout(problem: ConicProblem) -> ConeLayout:
 
 
 def _project(ops: tuple, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    for kernel, start, stop, scale in ops:
-        kernel(v, out, start, stop, scale)
+    for kernel, start, stop in ops:
+        kernel(v, out, start, stop)
     return out
 
 

@@ -26,20 +26,19 @@ import numpy as np
 
 from .linalg import SparseMatrix, canonical_lines, one_norm
 
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT2 = 1.0 / _SQRT2
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class Cone(enum.Enum):
+    """The kinds of cone block.  The dual of the zero cone, all of R^d, is
+    not a kind: `cones._KERNELS` pairs each kind with the kernel of its dual."""
+
     ZERO = "zero"
     NONNEG = "nonneg"
     SOC = "soc"
     RSOC = "rsoc"
     EXP = "exp"
     DUAL_EXP = "dual_exp"
-    # FREE is a projection-dispatch target (the dual of ZERO); it is not a
-    # valid block kind in a ConeSpec.
-    FREE = "free"
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,6 @@ class ConeSpec:
     scale: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.kind is Cone.FREE:
-            raise ValueError("free blocks are implicit; they cannot appear in a ConeSpec")
         if self.dim < 1:
             raise ValueError(f"cone block dimension must be positive, got {self.dim}")
         if self.kind in (Cone.EXP, Cone.DUAL_EXP) and self.dim != 3:
@@ -154,10 +151,6 @@ class ConicProblem:
     def m(self) -> int:
         return int(self.h.shape[0])
 
-    @property
-    def num_cone_vars(self) -> int:
-        return self.n - self.num_box
-
     def has_rsoc_blocks(self) -> bool:
         return any(s.kind is Cone.RSOC for s in self.primal_cones + self.dual_cones)
 
@@ -242,16 +235,6 @@ def dual_objective(problem: ConicProblem, y: np.ndarray, lam: np.ndarray) -> flo
     return problem.box.support(lam[: problem.num_box], float(np.dot(y, problem.h)))
 
 
-def _rotation_blocks(specs, offset):
-    """Slices of rsoc blocks whose first two coordinates get the orthogonal map."""
-    return [sl for spec, sl in block_slices(specs, offset) if spec.kind is Cone.RSOC]
-
-
-def rotate_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric involutive map (p, q) -> ((p+q)/sqrt(2), (p-q)/sqrt(2))."""
-    return (a + b) / _SQRT2, (a - b) / _SQRT2
-
-
 def _rotation(size: int, starts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The orthogonal involution R that mixes each pair (i, i + 1), i in
     `starts`, by the rsoc map, as its diagonal and each index's partner in
@@ -262,6 +245,14 @@ def _rotation(size: int, starts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     diagonal[i], diagonal[i + 1] = _INV_SQRT2, -_INV_SQRT2
     partner[i], partner[i + 1] = i + 1, i
     return diagonal, partner
+
+
+def _block_rotation(specs: tuple[ConeSpec, ...], size: int, offset: int = 0
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+    """`_rotation(size, starts)` for the rsoc blocks of `specs`, laid out
+    from `offset`, or None when `specs` holds no rsoc block."""
+    starts = [sl.start for spec, sl in block_slices(specs, offset) if spec.kind is Cone.RSOC]
+    return _rotation(size, starts) if starts else None
 
 
 def _rotate_vector(v: np.ndarray, diagonal: np.ndarray, partner: np.ndarray) -> np.ndarray:
@@ -296,8 +287,9 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
     (t, s, w) in K_soc via t = (p+q)/sqrt(2), s = (p-q)/sqrt(2); the map is
     orthogonal and involutive, so rows of G and h (dual blocks) or columns
     of G and entries of c (primal blocks) transform by the same matrix.
-    Each promoted block keeps its place, so no row or column moves.
-    `apply_rsoc_inverse` maps solutions back to the original blocks.
+    Each promoted block keeps its place, so no row or column moves.  The
+    row and column rotations come from `_block_rotation`, which
+    `apply_rsoc_inverse` uses to map solutions back to the original blocks.
     """
     if not problem.has_rsoc_blocks():
         return problem
@@ -305,16 +297,14 @@ def rsoc_to_soc(problem: ConicProblem) -> ConicProblem:
     m, n = problem.G.shape
     rows, cols, vals = problem.G.triplets()
     h, c = problem.h, problem.c
-    row_starts = [sl.start for sl in _rotation_blocks(problem.dual_cones, 0)]
-    col_starts = [sl.start for sl in _rotation_blocks(problem.primal_cones, problem.num_box)]
-    if row_starts:
-        rotation = _rotation(m, row_starts)
-        rows, cols, vals = _rotate_lines(rows, cols, vals, (m, n), *rotation)
-        h = _rotate_vector(h, *rotation)
-    if col_starts:
-        rotation = _rotation(n, col_starts)
-        cols, rows, vals = _rotate_lines(cols, rows, vals, (n, m), *rotation)
-        c = _rotate_vector(c, *rotation)
+    row_rotation = _block_rotation(problem.dual_cones, m)
+    col_rotation = _block_rotation(problem.primal_cones, n, problem.num_box)
+    if row_rotation is not None:
+        rows, cols, vals = _rotate_lines(rows, cols, vals, (m, n), *row_rotation)
+        h = _rotate_vector(h, *row_rotation)
+    if col_rotation is not None:
+        cols, rows, vals = _rotate_lines(cols, rows, vals, (n, m), *col_rotation)
+        c = _rotate_vector(c, *col_rotation)
 
     def promote(specs):
         return tuple(
@@ -339,18 +329,14 @@ def apply_rsoc_inverse(original: ConicProblem, x: np.ndarray, y: np.ndarray,
     """Map a solution of the reformulated problem back to the original
     blocks: x, y, slack = G x - h and lam = c - G^T y.
 
-    With G_w = R_r G R_c, h_w = R_r h and c_w = R_c c (R_r, R_c the
-    involutive rotations), x and lam are rotated back by R_c, and y and
-    slack by R_r."""
-    if not original.has_rsoc_blocks():
-        return x, y, slack, lam
-    x, y, slack, lam = x.copy(), y.copy(), slack.copy(), lam.copy()
-    for sl in _rotation_blocks(original.primal_cones, original.num_box):
-        i, j = sl.start, sl.start + 1
-        x[i], x[j] = rotate_pair(x[i], x[j])
-        lam[i], lam[j] = rotate_pair(lam[i], lam[j])
-    for sl in _rotation_blocks(original.dual_cones, 0):
-        i, j = sl.start, sl.start + 1
-        y[i], y[j] = rotate_pair(y[i], y[j])
-        slack[i], slack[j] = rotate_pair(slack[i], slack[j])
+    With G_w = R_r G R_c, h_w = R_r h and c_w = R_c c, where R_r and R_c
+    are the row and column rotations that `rsoc_to_soc` applied, x and lam
+    are rotated back by R_c, and y and slack by R_r: each rotation is its
+    own inverse.  A vector that no rotation touches is returned as it is."""
+    col_rotation = _block_rotation(original.primal_cones, original.n, original.num_box)
+    row_rotation = _block_rotation(original.dual_cones, original.m)
+    if col_rotation is not None:
+        x, lam = _rotate_vector(x, *col_rotation), _rotate_vector(lam, *col_rotation)
+    if row_rotation is not None:
+        y, slack = _rotate_vector(y, *row_rotation), _rotate_vector(slack, *row_rotation)
     return x, y, slack, lam

@@ -52,8 +52,6 @@ EXIT_STATUS = {
     EXIT_NUMERICAL_ERROR: ":numerical_error",
 }
 
-EXIT_CODE_FOR_STATUS = {status: code for code, status in EXIT_STATUS.items()}
-
 
 @dataclass(frozen=True)
 class ErrorReport:

@@ -1,10 +1,13 @@
 """Differential tests of the cone layout against per-block projections.
 
 The whole-vector set projections run precomputed per-block plans.  Each is
-compared bit for bit with a loop that dispatches every block through
-`project_cone` / `project_cone_dual`, kept here as the reference, over
-random block mixes, scales up to the scaling clamps, magnitudes from 1e-300
-to 1e300, and points on the cone boundaries.
+compared bit for bit with a loop that projects every block through the
+public per-cone projections (`project_soc`, `project_rescaled_soc`,
+`project_exp`, `project_dual_exp`), mapping each kind to its dual cone
+itself, over random block mixes, scales up to the scaling clamps,
+magnitudes from 1e-300 to 1e300, and points on the cone boundaries.
+`project_cone` and `project_cone_dual` are compared with the same per-block
+reference.
 """
 
 import dataclasses
@@ -15,15 +18,17 @@ import pytest
 
 from conic_pdhg import cones
 from conic_pdhg.cones import (
-    dual_cone_kind,
     project_box,
     project_cone,
     project_cone_dual,
+    project_dual_exp,
     project_dual_residual_set,
     project_dual_set,
+    project_exp,
     project_primal_cone_dual,
     project_primal_cone_part,
     project_primal_set,
+    project_rescaled_soc,
     project_soc,
 )
 from conic_pdhg.engine import SolverOptions, solve
@@ -31,20 +36,37 @@ from conic_pdhg.linalg import NumericalError, SparseMatrix
 from conic_pdhg.model import Cone, ConeSpec, ConicProblem, block_slices
 
 # ---------------------------------------------------------------------------
-# Reference: one project_cone call per block, as the set projections did
-# before the layout existed.
+# Reference: one projection per block, with each kind's dual cone named here
 # ---------------------------------------------------------------------------
 
 
-def _inverse(scale):
-    return None if np.all(scale == 1.0) else 1.0 / scale
+def ref_block(v, kind, scale, dual):
+    """The projection of one block onto {z : diag(scale) z in K}, K the cone
+    of `kind` or, when `dual`, its dual cone.  Zero and nonneg cones are
+    unchanged by a positive diagonal scale, an exp block's scale is uniform,
+    and `project_rescaled_soc` projects as `project_soc` does where its
+    scale is uniform."""
+    if kind is Cone.ZERO:
+        return v.copy() if dual else np.zeros_like(v)
+    if kind is Cone.NONNEG:
+        return np.maximum(v, 0.0)
+    if kind is Cone.SOC:
+        return project_rescaled_soc(v, scale)
+    return project_dual_exp(v) if (kind is Cone.DUAL_EXP) != dual else project_exp(v)
+
+
+def _ref_blocks(v, specs, dual, inverse):
+    """Each block of `v` onto its set: the stored scale's, or its inverse's
+    when `inverse`."""
+    out = np.empty_like(v)
+    for spec, sl in block_slices(specs):
+        scale = 1.0 / spec.scale if inverse else spec.scale
+        out[sl] = ref_block(v[sl], spec.kind, scale, dual)
+    return out
 
 
 def ref_primal_cone_part(v, p):
-    out = np.empty_like(v)
-    for spec, sl in block_slices(p.primal_cones):
-        out[sl] = project_cone(v[sl], spec.kind, spec.scale)
-    return out
+    return _ref_blocks(v, p.primal_cones, dual=False, inverse=False)
 
 
 def ref_primal_set(x, p):
@@ -53,24 +75,15 @@ def ref_primal_set(x, p):
 
 
 def ref_primal_cone_dual(lam, p):
-    out = np.empty_like(lam)
-    for spec, sl in block_slices(p.primal_cones):
-        out[sl] = project_cone_dual(lam[sl], spec.kind, spec.scale)
-    return out
+    return _ref_blocks(lam, p.primal_cones, dual=True, inverse=True)
 
 
 def ref_dual_set(y, p):
-    out = np.empty_like(y)
-    for spec, sl in block_slices(p.dual_cones):
-        out[sl] = project_cone(y[sl], dual_cone_kind(spec.kind), spec.scale)
-    return out
+    return _ref_blocks(y, p.dual_cones, dual=True, inverse=False)
 
 
 def ref_dual_residual_set(r, p):
-    out = np.empty_like(r)
-    for spec, sl in block_slices(p.dual_cones):
-        out[sl] = project_cone(r[sl], spec.kind, _inverse(spec.scale))
-    return out
+    return _ref_blocks(r, p.dual_cones, dual=False, inverse=True)
 
 
 PAIRS = (
@@ -196,8 +209,23 @@ def test_set_projections_match_per_block_reference_bitwise(uniform):
                 elif length == "n":
                     v = random_point(rng, p.n, p.primal_cones, p.num_box)
                 else:
-                    v = random_point(rng, p.num_cone_vars, p.primal_cones)
+                    v = random_point(rng, p.n - p.num_box, p.primal_cones)
                 assert _outcome(fn, v, p) == _outcome(ref, v, p), (fn.__name__, p)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+def test_project_cone_and_its_dual_match_per_block_reference_bitwise(uniform):
+    # project_cone_dual(v, kind, d) projects onto the dual cone rescaled by
+    # 1/d, which the reference is given as computed, never as 1/(1/d)
+    rng = np.random.default_rng(45 if uniform else 46)
+    for _ in range(300):
+        spec = _blocks(rng, 1, uniform)[0]
+        v = random_point(rng, spec.dim, (spec,))
+        for fn, scale, dual in ((project_cone, spec.scale, False),
+                                (project_cone_dual, 1.0 / spec.scale, True)):
+            got = _outcome(lambda w, _: fn(w, spec.kind, spec.scale), v, None)
+            want = _outcome(lambda w, _: ref_block(w, spec.kind, scale, dual), v, None)
+            assert got == want, (fn.__name__, spec, v)
 
 
 def test_soc_kernel_matches_linalg_norm_bitwise():
@@ -246,7 +274,7 @@ def test_layout_is_built_once_per_problem_instance(monkeypatch):
     rng = np.random.default_rng(44)
     p = random_problem(rng, uniform=True)
     for fn, _, length in PAIRS:
-        size = {"m": p.m, "n": p.n, "cone": p.num_cone_vars}[length]
+        size = {"m": p.m, "n": p.n, "cone": p.n - p.num_box}[length]
         for _ in range(3):
             with np.errstate(all="ignore"):
                 fn(rng.standard_normal(size), p)

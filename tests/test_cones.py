@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Verbosity, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -21,7 +21,6 @@ from oracles import (
 from conic_pdhg import cones
 
 from conic_pdhg.cones import (
-    dual_cone_kind,
     in_dual_exp,
     in_exp,
     project_box,
@@ -37,6 +36,7 @@ from conic_pdhg.cones import (
 )
 from conic_pdhg.linalg import NumericalError, SparseMatrix
 from conic_pdhg.model import Cone, ConeSpec, ConicProblem
+from conic_pdhg.scaling import _SCALE_CLAMP_HI, _SCALE_CLAMP_LO
 
 
 class TestBox:
@@ -280,7 +280,7 @@ def exp_kernel_outputs(v):
     for kernel, project in ((cones._exp, project_exp), (cones._dual_exp, project_dual_exp)):
         buf, src = np.full(7, np.nan), np.zeros(7)
         src[2:5] = v
-        kernel(src, buf, 2, 5, None)
+        kernel(src, buf, 2, 5)
         assert np.isnan(buf[:2]).all() and np.isnan(buf[5:]).all()
         outs.append((buf[2:5].copy(), project(np.array(v))))
     return outs
@@ -353,7 +353,7 @@ class TestExpKernelsAgainstReference:
                 project(np.array(v))
         for kernel in (cones._exp, cones._dual_exp):
             with pytest.raises(NumericalError):
-                kernel(np.array(v), np.empty(3), 0, 3, None)
+                kernel(np.array(v), np.empty(3), 0, 3)
 
 
 class TestRescaledSoc:
@@ -451,15 +451,87 @@ def test_soc_contracts_from_1e_minus_300_to_1e300(scaled):
             assert abs(np.dot(p / s, polar / s)) <= 1e-9, (exponent, v)
 
 
-class TestDispatch:
-    def test_dual_kind_mapping(self):
-        assert dual_cone_kind(Cone.ZERO) is Cone.FREE
-        assert dual_cone_kind(Cone.FREE) is Cone.ZERO
-        assert dual_cone_kind(Cone.NONNEG) is Cone.NONNEG
-        assert dual_cone_kind(Cone.SOC) is Cone.SOC
-        assert dual_cone_kind(Cone.EXP) is Cone.DUAL_EXP
-        assert dual_cone_kind(Cone.DUAL_EXP) is Cone.EXP
+def assert_rescaled_soc_contracts(v, d):
+    """The contracts of `test_soc_contracts_from_1e_minus_300_to_1e300` for
+    `project_rescaled_soc`, relative to the block's magnitude.  The set of d
+    is that of d / max(d), on which membership is judged, so that the
+    tolerance does not grow with the scale.  A `NumericalError` fails too."""
+    s = float(np.max(np.abs(v)))
+    p = project_rescaled_soc(v, d)
+    if s == 0.0:
+        np.testing.assert_array_equal(p, v)
+        return
+    polar = -project_rescaled_soc(-v, 1.0 / d)
+    w = d / np.max(d) * p / s
+    assert w[0] >= np.linalg.norm(w[1:]) - 1e-9
+    assert np.linalg.norm((project_rescaled_soc(p, d) - p) / s) <= 1e-9
+    assert np.linalg.norm((p + polar - v) / s) <= 1e-9
+    assert abs(np.dot(p / s, polar / s)) <= 1e-9
 
+
+_CLAMP_SCALES = st.one_of(
+    st.sampled_from([_SCALE_CLAMP_LO, _SCALE_CLAMP_HI]),
+    st.floats(math.log10(_SCALE_CLAMP_LO), math.log10(_SCALE_CLAMP_HI)).map(lambda u: 10.0 ** u))
+
+
+@st.composite
+def rescaled_soc_points(draw):
+    """A block of dim 2-7, scales log-uniform between the scaling clamps (so
+    their ratios reach 1e16) and the clamps themselves, and a point of
+    largest magnitude 1e-300 to 1e300: any, or one on the boundary of the
+    cone or of its polar."""
+    dim = draw(st.integers(2, 7))
+    d = np.array(draw(st.lists(_CLAMP_SCALES, min_size=dim, max_size=dim)))
+    m = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    a = d[1:] / d[0]
+    where = draw(st.sampled_from(["any", "cone boundary", "polar boundary"]))
+    if where == "cone boundary":
+        m[0] = np.linalg.norm(a * m[1:])
+    elif where == "polar boundary":
+        m[0] = -np.linalg.norm(m[1:] / a)
+    big = float(np.max(np.abs(m)))
+    return (m if big == 0.0 else m / big * 10.0 ** draw(st.integers(-300, 300))), d
+
+
+# Cases the property below found, each failing one of its contracts.  The
+# multiplier mu is resolved in absolute terms: the candidates for a bracket
+# stop 2^-53 from 1/2, the doublings at 2^80, and brentq's xtol is 1e-16.
+_RESCALED_SOC_FAILURES = {
+    "leading entry 1e-17 of the block: 1 - 2 mu is below 2^-53, no bracket":
+        ((1e-17, 1.0), (1.0, 2.0)),
+    "leading entry 1e-15 of the block: 1 - 2 mu 2% off, orthogonality off by 0.008":
+        ((1e-15, 1.0), (1.0, 2.0)),
+    "cone boundary point: -v within rounding of the polar set, no bracket":
+        ((0.304138126514911, 0.1, 0.2), (2.0, 1.0, 3.0)),
+    "scale ratio 1e16: mu about 5e30, beyond the 2^80 doublings":
+        ((-1.0, 1e-15), (1e8, 1e-8)),
+    "scale ratio 1e8: mu about 5e-17 under xtol 1e-16, membership off by 1.06e-9":
+        ((1.0, 2e-8), (1e-8, 1.0)),
+}
+
+
+@pytest.mark.parametrize("v, d", [
+    pytest.param(np.array(v), np.array(d), id=name,
+                 marks=pytest.mark.xfail(strict=True, raises=(AssertionError, NumericalError),
+                                         reason=name))
+    for name, (v, d) in _RESCALED_SOC_FAILURES.items()])
+def test_rescaled_soc_fails_its_contracts_where_mu_is_not_resolved(v, d):
+    assert_rescaled_soc_contracts(v, d)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.xfail(strict=True, raises=(AssertionError, NumericalError),
+                   reason="fails on the cases of _RESCALED_SOC_FAILURES")
+@given(rescaled_soc_points())
+# one failure is raised, not a group of them, and, quiet, it writes no
+# @example patch into .hypothesis/
+@settings(max_examples=300, deadline=None, report_multiple_bugs=False, verbosity=Verbosity.quiet)
+def test_rescaled_soc_contracts_at_the_scaling_clamps(case):
+    v, d = case
+    assert_rescaled_soc_contracts(v, d)
+
+
+class TestDispatch:
     def test_rsoc_projection_rejected(self):
         with pytest.raises(ValueError, match="reformulated"):
             project_cone(np.zeros(3), Cone.RSOC)
