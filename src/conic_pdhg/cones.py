@@ -701,3 +701,71 @@ def project_primal_cone_dual(lam: np.ndarray, problem: ConicProblem,
     """Projection of the cone part of the multiplier lambda_2 onto K_p*."""
     return _project(cone_layout(problem).primal_dual, lam,
                     np.empty_like(lam) if out is None else out)
+
+
+# ---------------------------------------------------------------------------
+# The set projections restricted to one shard's range
+# ---------------------------------------------------------------------------
+#
+# A blockwise projection computes each entry from its own block only, so a
+# sharded solve projects contiguous ranges of a vector on different threads
+# and gets the whole projection's bits.  The kernels below are separable
+# (entry by entry), so a range may cut their blocks; any other block lies
+# wholly inside one range.
+
+_SEPARABLE = (_zero, _free, _nonneg)
+
+
+def _plan(problem: ConicProblem, dual: bool) -> tuple[tuple, int]:
+    """The plan of the primal set's cone part, or with `dual` of the dual
+    iterate's set, and the plan's offset in the projected vector."""
+    layout = cone_layout(problem)
+    return (layout.dual, 0) if dual else (layout.primal, problem.num_box)
+
+
+def unsplit_blocks(problem: ConicProblem, dual: bool) -> np.ndarray:
+    """(start, stop) rows, ascending, of the blocks of the primal set's
+    vector (with `dual`, the dual iterate's) that a range must hold whole:
+    those whose kernel is not separable."""
+    ops, offset = _plan(problem, dual)
+    return np.array([(start + offset, stop + offset) for kernel, start, stop in ops
+                     if kernel not in _SEPARABLE], dtype=np.int64).reshape(-1, 2)
+
+
+class RangeProjection:
+    """`project_primal_set`, or with `dual` `project_dual_set`, on the
+    entries [lo, hi) of the vector alone: the box clamp of the box entries
+    in the range and the layout's operations on its blocks, a separable
+    block that crosses an end clipped to the range.  A range end inside any
+    other block raises ValueError (`unsplit_blocks` lists them).  Called
+    with the whole input and output vectors, it writes out[lo:hi] only,
+    with the bits of the whole projection."""
+
+    __slots__ = ("_box", "_offset", "_ops")
+
+    def __init__(self, problem: ConicProblem, dual: bool, lo: int, hi: int) -> None:
+        ops, offset = _plan(problem, dual)
+        self._box = None
+        if offset:
+            b0, b1 = min(lo, offset), min(hi, offset)
+            if b0 < b1:
+                self._box = slice(b0, b1), problem.l[b0:b1], problem.u[b0:b1]
+        clipped = []
+        for kernel, start, stop in ops:
+            a, b = max(start + offset, lo) - offset, min(stop + offset, hi) - offset
+            if a >= b:
+                continue
+            if (a, b) != (start, stop) and kernel not in _SEPARABLE:
+                raise ValueError(f"the range [{lo}, {hi}) splits the block "
+                                 f"[{start + offset}, {stop + offset})")
+            clipped.append((kernel, a, b))
+        self._offset, self._ops = offset, tuple(clipped)
+
+    def __call__(self, v: np.ndarray, out: np.ndarray) -> None:
+        if self._box is not None:
+            part, l, u = self._box
+            box = out[part]
+            np.minimum(np.maximum(v[part], l, out=box), u, out=box)
+        if self._ops:
+            offset = self._offset
+            _project(self._ops, v[offset:], out[offset:])

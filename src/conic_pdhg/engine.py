@@ -16,7 +16,14 @@ compiled kernels on `linalg.SparseMatrix`'s own CSC arrays, so a solve
 imports neither scipy.linalg nor scipy.sparse.
 A solve runs that OpenBLAS on one thread (`linalg.one_blas_thread`): a
 threaded `ddot` splits its sum by thread, so the bits would otherwise
-depend on the thread count.
+depend on the thread count.  A large solve (`_SHARD_NNZ` entries of G or
+more) splits its iterations instead, by `StepPhases`: the step's
+elementwise passes, projections and products and the Halpern update run
+over contiguous shards, one on the calling thread and one on a helper
+(`linalg.Sharder`, at most `_MAX_SHARDS`, no more than the CPUs the
+process may use), while the dots stay whole on the calling thread.  Each
+entry is computed as on one shard, so the iterates have the same bits at
+any shard count.
 
 Restart checks, termination scans and log rows each run at the first
 iteration at or past every multiple of their period (`_reached`), since a
@@ -44,6 +51,7 @@ in between reuse `state.beta`.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -188,53 +196,279 @@ class SolveResult:
 
 class StepWorkspace(NamedTuple):
     """Scratch vectors of a PDHG step, overwritten by every line-search
-    trial: two of length n and two of length m."""
+    trial: three of length n and two of length m."""
 
     grad_x: np.ndarray  # c - G^T y
-    vx: np.ndarray  # x - tau grad_x, then 2 x_hat - x, then dx
+    vx: np.ndarray  # x - tau grad_x, then 2 x_hat - x
     vy: np.ndarray  # y + sigma (h - w), then dy
     dw: np.ndarray  # w - G x
+    dx: np.ndarray  # x_hat - x
 
     @classmethod
     def allocate(cls, n: int, m: int) -> "StepWorkspace":
-        return cls(np.empty(n), np.empty(n), np.empty(m), np.empty(m))
+        return cls(np.empty(n), np.empty(n), np.empty(m), np.empty(m), np.empty(n))
 
 
-def _pdhg_candidate(problem, x, y, tau, sigma, grad_x, out, workspace=None):
-    """One PDHG update given grad_x = c - G^T y, written into the flat buffer
-    `out` as [x_hat; y_hat; w] with the extrapolated product w = G(2 x_hat - x);
-    returns views of the three parts.  The terms go through `workspace`
-    (allocated when None) in the operation order of the formulas."""
-    n, m = x.size, y.size
-    if workspace is None:
-        workspace = StepWorkspace.allocate(n, m)
-    vx, vy = workspace.vx, workspace.vy
-    x_hat, y_hat, w = out[:n], out[n:n + m], out[n + m:n + 2 * m]
-    np.multiply(grad_x, tau, out=vx)
-    np.subtract(x, vx, out=vx)
-    # a projection replaced by another function may return a fresh array
-    px = cones.project_primal_set(vx, problem, x_hat)
-    if px is not x_hat:
-        x_hat[:] = px
-    np.multiply(x_hat, 2.0, out=vx)
-    np.subtract(vx, x, out=vx)
-    problem.G.matvec(vx, out=w)
-    np.subtract(problem.h, w, out=vy)
-    np.multiply(vy, sigma, out=vy)
-    np.add(y, vy, out=vy)
-    py = cones.project_dual_set(vy, problem, y_hat)
-    if py is not y_hat:
-        y_hat[:] = py
-    return x_hat, y_hat, w
+# ---------------------------------------------------------------------------
+# The phases of an iteration, on one shard or on several
+# ---------------------------------------------------------------------------
+
+# Entries of the scaled G from which a solve splits its iterations into
+# shards: below it the three hand-offs of an iteration (about 25-115 us
+# each on a 2-vCPU VM) cost more than the second shard saves.  Planted LPs of
+# perfbench/generate.py (8 entries per column, m = n/2), medians of three
+# alternating runs of 5 solves of 200 iterations, ms per iteration on one
+# -> two shards: 2000x4000 (nnz 32000, lp-solve's size) 0.120-0.170 ->
+# 0.450-0.483; 7000x14000 (112000) 0.58-0.92 -> 0.77-0.96; 14000x28000
+# (224000) 0.97-1.08 -> 1.01-1.17; 17000x34000 (272000) 1.15-1.47 ->
+# 1.09-1.38; 20000x40000 (320000) 1.36-1.78 -> 1.56-1.69.
+_SHARD_NNZ = 300_000
+# Shards of a solve above _SHARD_NNZ, where the process may run on as many
+# CPUs (`taskset` pins a solve to one).
+_MAX_SHARDS = 2
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def _shard_count(nnz: int) -> int:
+    """The shards of a solve whose scaled G has `nnz` entries.  Without
+    numpy's OpenBLAS (`linalg.BLAS`) there is no GIL-releasing Halpern
+    pass, and a solve runs one shard."""
+    if nnz < _SHARD_NNZ or linalg.BLAS is None:
+        return 1
+    return min(_MAX_SHARDS, _cpu_count())
+
+
+class _Shard:
+    """One shard's views of the step's vectors, built once: entries
+    [c0, c1) of those of length n (the x side) and [r0, r1) of those of
+    length m (the y side), and the whole vectors its operations take.
+
+    This class is the shard of a one-shard step, whose views are the whole
+    vectors.  It projects, multiplies and updates through the functions
+    the tracer and the tests patch (`cones.project_primal_set` and
+    `project_dual_set`, `SparseMatrix.matvec` and `rmatvec`,
+    `reflected_halpern_step`), looked up at each call."""
+
+    def __init__(self, step: "StepPhases", cols: tuple[int, int], rows: tuple[int, int]) -> None:
+        p, ws = step.problem, step.workspace
+        self.problem, self.cols, self.rows = p, cols, rows
+        self.loop_buffers = step.loop_buffers
+        # the whole vectors, which the products and projections take
+        self._vx, self._x_hat, self._vy, self._y_hat = ws.vx, step.x_hat, ws.vy, step.y_hat
+        self._w, self._gty_hat = step.w, step.gty_hat
+        c, r = slice(*cols), slice(*rows)
+        self.c, self.gty, self.grad_x, self.vx, self.x, self.x_hat, self.dx = (
+            v[c] for v in (p.c, step.gty, ws.grad_x, ws.vx, step.z.x, step.x_hat, ws.dx))
+        self.h, self.w, self.vy, self.y, self.y_hat, self.gx, self.dw = (
+            v[r] for v in (p.h, step.w, ws.vy, step.z.y, step.y_hat, step.gx, ws.dw))
+
+    def project_x(self) -> None:
+        # a projection replaced by another function may return a fresh array
+        px = cones.project_primal_set(self._vx, self.problem, self._x_hat)
+        if px is not self._x_hat:
+            self._x_hat[:] = px
+
+    def project_y(self) -> None:
+        py = cones.project_dual_set(self._vy, self.problem, self._y_hat)
+        if py is not self._y_hat:
+            self._y_hat[:] = py
+
+    def extrapolated_product(self) -> None:
+        """w = G(2 x_hat - x), from the workspace's vx."""
+        self.problem.G.matvec(self._vx, out=self._w)
+
+    def dual_product(self) -> None:
+        """G^T y_hat into the candidate's products."""
+        self.problem.G.rmatvec(self._y_hat, out=self._gty_hat)
+
+    def halpern(self, k: int, beta: float) -> None:
+        candidate, iterate, anchor = self.loop_buffers
+        reflected_halpern_step(candidate, iterate, anchor, k, beta, out=iterate)
+
+
+class _RangeShard(_Shard):
+    """A shard of a sharded step, which runs on its own thread: it projects
+    and multiplies on its ranges alone (`cones.RangeProjection`,
+    `SparseMatrix.matvec_rows` and `rmatvec_cols`), and updates its four
+    regions of the loop's flat [x; y; G x; G^T y] buffers by GIL-releasing
+    BLAS passes.  Every entry gets the whole operation's bits."""
+
+    def __init__(self, step: "StepPhases", cols: tuple[int, int], rows: tuple[int, int]) -> None:
+        super().__init__(step, cols, rows)
+        p = self.problem
+        self._project_x = cones.RangeProjection(p, False, *cols)
+        self._project_y = cones.RangeProjection(p, True, *rows)
+        self._regions = []
+        if self.loop_buffers is not None:
+            n, m = p.n, p.m
+            (c0, c1), (r0, r1) = cols, rows
+            candidate, iterate, anchor = self.loop_buffers
+            for lo, hi in ((c0, c1), (n + r0, n + r1), (n + m + r0, n + m + r1),
+                           (n + 2 * m + c0, n + 2 * m + c1)):
+                part = iterate[lo:hi]
+                # the views are held here: a BoundUpdate keeps weak references
+                views = candidate[lo:hi], anchor[lo:hi]
+                self._regions.append(
+                    (part, linalg.BoundUpdate(views[0], views[1], part, nogil=True), views))
+
+    def project_x(self) -> None:
+        self._project_x(self._vx, self._x_hat)
+
+    def project_y(self) -> None:
+        self._project_y(self._vy, self._y_hat)
+
+    def extrapolated_product(self) -> None:
+        self.problem.G.matvec_rows(self._vx, *self.rows, self._w)
+
+    def dual_product(self) -> None:
+        self.problem.G.rmatvec_cols(self._y_hat, *self.cols, self._gty_hat)
+
+    def halpern(self, k: int, beta: float) -> None:
+        a, b = _halpern_weights(k)
+        for part, update, _ in self._regions:
+            _halpern_in_place(update, part, a, b, beta)
+
+
+class StepPhases:
+    """The body of a PDHG iteration on fixed buffers, as phases over the
+    shards of `sharder`; without one, or with one shard, the phases run on
+    the whole vectors, on the calling thread.
+
+    The buffers are the iterate z with its products gx = G x and gty =
+    G^T y, the candidate `out` ([x_hat; y_hat; w] with w = G(2 x_hat - x),
+    then the candidate's G^T product in a loop's [x; y; G x; G^T y]
+    candidate) and the `workspace`.  `loop_buffers`, the loop's flat
+    (candidate, iterate, anchor), enables the Halpern phase.
+
+    A trial (`candidate`) runs two phases: the x side (c - G^T y on the
+    first trial, the prox step, the box clamp and the cone part, 2 x_hat -
+    x and dx) over column ranges, then the y side (its rows of G(2 x_hat -
+    x), the dual step and projection, dy and w - G x) over row ranges.
+    After acceptance, `candidate_products` forms the candidate's products
+    (G x_hat from the average of w and G x, the columns of G^T y_hat) and
+    `halpern` runs the Halpern update on each shard's regions of the flat
+    buffers, both in one phase where no reflection parameter is evaluated
+    between them.  Range ends are balanced by the entries of G and lie on
+    the ends of the cone blocks a kernel projects whole
+    (`linalg.shard_cuts`).  Every entry is computed as the one-shard step
+    computes it, and the dots stay on the calling thread, so the bits do
+    not depend on the shard count.  A product made of ranges counts as one
+    (`n_matvec`, `n_rmatvec`), on the calling thread.
+    """
+
+    def __init__(self, problem: ConicProblem, z: IterateZ, gx: np.ndarray, gty: np.ndarray,
+                 out: np.ndarray, workspace: StepWorkspace, sharder: linalg.Sharder | None = None,
+                 loop_buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> None:
+        n, m = problem.n, problem.m
+        self.problem, self.z, self.gx, self.gty = problem, z, gx, gty
+        self.workspace, self.loop_buffers = workspace, loop_buffers
+        self.x_hat, self.y_hat = out[:n], out[n:n + m]
+        self.w, self.gty_hat = out[n + m:n + 2 * m], out[n + 2 * m:]
+        self._tau = self._sigma = 0.0
+        self._first_trial = True
+        self._k, self._beta = 0, 0.0
+        self._sharder = sharder
+        count = 1 if sharder is None else sharder.count
+        self.sharded = count > 1
+        if not self.sharded:
+            self.shards = (_Shard(self, (0, n), (0, m)),)
+            return
+        g = problem.G
+        cols = linalg.shard_cuts(g.indptr, count, cones.unsplit_blocks(problem, dual=False))
+        rows = linalg.shard_cuts(g.rows()[0], count, cones.unsplit_blocks(problem, dual=True))
+        self.shards = tuple(_RangeShard(self, (cols[i], cols[i + 1]), (rows[i], rows[i + 1]))
+                            for i in range(count))
+
+    # -- the phases, each a function of the shard index ----------------------
+
+    def _x_side(self, i: int) -> None:
+        s = self.shards[i]
+        if self._first_trial:
+            np.subtract(s.c, s.gty, out=s.grad_x)
+        np.multiply(s.grad_x, self._tau, out=s.vx)
+        np.subtract(s.x, s.vx, out=s.vx)
+        s.project_x()
+        np.multiply(s.x_hat, 2.0, out=s.vx)
+        np.subtract(s.vx, s.x, out=s.vx)
+        np.subtract(s.x_hat, s.x, out=s.dx)
+
+    def _y_side(self, i: int) -> None:
+        s = self.shards[i]
+        s.extrapolated_product()
+        np.subtract(s.h, s.w, out=s.vy)
+        np.multiply(s.vy, self._sigma, out=s.vy)
+        np.add(s.y, s.vy, out=s.vy)
+        s.project_y()
+        np.subtract(s.y_hat, s.y, out=s.vy)
+        np.subtract(s.w, s.gx, out=s.dw)
+
+    def _products(self, i: int) -> None:
+        s = self.shards[i]
+        # G x_hat = (G(2 x_hat - x) + G x) / 2, in place
+        np.add(s.w, s.gx, out=s.w)
+        np.multiply(s.w, 0.5, out=s.w)
+        s.dual_product()
+
+    def _halpern(self, i: int) -> None:
+        self.shards[i].halpern(self._k, self._beta)
+
+    def _products_and_halpern(self, i: int) -> None:
+        self._products(i)
+        self.shards[i].halpern(self._k, self._beta)
+
+    # -- what the step and the loop call; one shard runs its phases with no
+    # -- hand-off, so a small solve makes the calls of the one-thread loop
+
+    def candidate(self, tau: float, sigma: float, first_trial: bool) -> None:
+        """One trial: x_hat and y_hat, w = G(2 x_hat - x) into `out`, and
+        dx, dy (in vy) and dw = w - G x into the workspace.  The first
+        trial of a step also forms c - G^T y, which the others reuse."""
+        self._tau, self._sigma, self._first_trial = tau, sigma, first_trial
+        if self.sharded:
+            self._sharder.run(self._x_side)
+            self._sharder.run(self._y_side)
+            self.problem.G.n_matvec += 1
+        else:
+            self._x_side(0)
+            self._y_side(0)
+
+    def candidate_products(self) -> None:
+        """G x_hat and G^T y_hat of the accepted candidate, into the loop's
+        candidate buffer."""
+        if self.sharded:
+            self._sharder.run(self._products)
+            self.problem.G.n_rmatvec += 1
+        else:
+            self._products(0)
+
+    def halpern(self, k: int, beta: float, with_products: bool = False) -> None:
+        """`reflected_halpern_step` of the loop's buffers, the iterate
+        overwritten; with `with_products`, each shard first forms its part
+        of `candidate_products`, in the same phase."""
+        self._k, self._beta = k, beta
+        phase = self._products_and_halpern if with_products else self._halpern
+        if self.sharded:
+            self._sharder.run(phase)
+            self.problem.G.n_rmatvec += with_products
+        else:
+            phase(0)
 
 
 def one_pdhg(problem: ConicProblem, z: IterateZ, tau: float, sigma: float) -> IterateZ:
     """x+ = proj_X(x - tau(c - G'y)); y+ = proj_Y(y + sigma(h - G(2x+ - x)))."""
-    grad_x = problem.c - problem.G.rmatvec(z.y)
-    x_hat, y_hat, _ = _pdhg_candidate(
-        problem, z.x, z.y, tau, sigma, grad_x, np.empty(problem.n + 2 * problem.m)
-    )
-    return IterateZ(x_hat, y_hat)
+    n, m = problem.n, problem.m
+    out = np.empty(n + 2 * m)
+    # the step's interaction term is not read, so no G x is formed for it
+    StepPhases(problem, z, np.zeros(m), problem.G.rmatvec(z.y), out,
+               StepWorkspace.allocate(n, m)).candidate(tau, sigma, first_trial=True)
+    return IterateZ(out[:n], out[n:n + m])
 
 
 class StepResult(NamedTuple):
@@ -255,6 +489,7 @@ def adaptive_step_pdhg(
     gx: np.ndarray | None = None,
     out: np.ndarray | None = None,
     workspace: StepWorkspace | None = None,
+    phases: StepPhases | None = None,
 ) -> StepResult:
     """Line search accepting the first candidate with eta < eta_bar, where
     eta_bar = ||dz||_w^2 / (2 |dy' G dx|).
@@ -262,20 +497,26 @@ def adaptive_step_pdhg(
     Every trial writes [x_hat; y_hat; G(2 x_hat - x)] into `out` (a fresh
     buffer when None), so on return it holds the accepted candidate and
     `z_hat` views it; its other vectors go through `workspace`, allocated
-    when None.  A zero interaction term makes the curvature condition
-    vacuous, so the candidate is accepted with eta_bar = +inf.  Rejections
-    shrink/grow eta by the (k_bar+1)^-0.3 / (k_bar+1)^-0.6 factors and
-    advance k_bar; the returned proposal is floored at 1e-12.
+    when None.  The trials run as `phases` (a solve's `StepPhases`, built
+    on z, its products, `out` and `workspace`, which are then not passed),
+    or on one shard of those buffers.  A zero interaction term makes the
+    curvature condition vacuous, so the candidate is accepted with eta_bar =
+    +inf.  Rejections shrink/grow eta by the (k_bar+1)^-0.3 /
+    (k_bar+1)^-0.6 factors and advance k_bar; the returned proposal is
+    floored at 1e-12.
     """
-    if gty is None:
-        gty = problem.G.rmatvec(z.y)
-    if gx is None:
-        gx = problem.G.matvec(z.x)
-    if out is None:
-        out = np.empty(problem.n + 2 * problem.m)
-    if workspace is None:
-        workspace = StepWorkspace.allocate(problem.n, problem.m)
-    grad_x = np.subtract(problem.c, gty, out=workspace.grad_x)
+    if phases is None:
+        if gty is None:
+            gty = problem.G.rmatvec(z.y)
+        if gx is None:
+            gx = problem.G.matvec(z.x)
+        if out is None:
+            out = np.empty(problem.n + 2 * problem.m)
+        if workspace is None:
+            workspace = StepWorkspace.allocate(problem.n, problem.m)
+        phases = StepPhases(problem, z, gx, gty, out, workspace)
+    workspace = phases.workspace
+    dx, dy, dw = workspace.dx, workspace.vy, workspace.dw
     # below this movement the candidate is a numerical fixed point and the
     # curvature quotient is quantization noise
     noise_floor = 1e-14 * (1.0 + omega_norm(z.x, z.y, omega))
@@ -283,12 +524,11 @@ def adaptive_step_pdhg(
     for trial in range(_MAX_LINE_SEARCH_TRIALS):
         tau = eta / omega
         sigma = eta * omega
-        x_hat, y_hat, w = _pdhg_candidate(problem, z.x, z.y, tau, sigma, grad_x, out, workspace)
-        dx = np.subtract(x_hat, z.x, out=workspace.vx)
-        dy = np.subtract(y_hat, z.y, out=workspace.vy)
+        phases.candidate(tau, sigma, trial == 0)
         movement = omega * float(dx.dot(dx)) + float(dy.dot(dy)) / omega
-        # G dx = G x_hat - G x reuses the extrapolated product: G x_hat = (w + gx)/2
-        interaction = abs(float(dy.dot(np.subtract(w, gx, out=workspace.dw)))) / 2.0
+        # dw = w - G x reuses the extrapolated product: G x_hat = (w + G x)/2,
+        # so G dx = dw/2
+        interaction = abs(float(dy.dot(dw))) / 2.0
         if math.isnan(movement) or math.isnan(interaction):
             raise NumericalError("non-finite quantities in the step-size line search")
         if interaction == 0.0 or math.sqrt(movement) <= noise_floor:
@@ -307,7 +547,8 @@ def adaptive_step_pdhg(
         eta_next = min(max(_ETA_FLOOR, min(cand, fac_grow * eta)), _ETA_CEIL)
 
         if eta < eta_bar:
-            return StepResult(IterateZ(x_hat, y_hat), eta, eta_next, k_bar, trial + 1)
+            return StepResult(IterateZ(phases.x_hat, phases.y_hat), eta, eta_next, k_bar,
+                              trial + 1)
         eta = eta_next
         k_bar += 1
     raise NumericalError(f"step-size line search exceeded {_MAX_LINE_SEARCH_TRIALS} trials")
@@ -332,19 +573,35 @@ def reflected_halpern_step(z_hat: np.ndarray, z_old: np.ndarray, z_anchor: np.nd
     the three passes run on `scipy.linalg.blas.daxpy`, imported on first
     use.  Returns `out`.
     """
-    a = (k + 1.0) / (k + 2.0)
-    b = 1.0 / (k + 2.0)
+    a, b = _halpern_weights(k)
     if linalg.BLAS is None:
         return _halpern_on_scipy_blas(z_hat, z_old, z_anchor, a, b, beta, out)
     update = linalg.bound_update(z_hat, z_anchor, out)
-    if z_old is out and beta != 0.0:
-        update.axpby_axpy(a * (1.0 + beta), -a * beta, b)
+    if z_old is out:
+        _halpern_in_place(update, out, a, b, beta)
         return out
     if z_old.shape != out.shape:
         raise ValueError(f"z_old must have shape {out.shape}, got {z_old.shape}")
     np.multiply(z_old, -a * beta, out=out)
     update.axpy_axpy(a * (1.0 + beta), b)
     return out
+
+
+def _halpern_weights(k: int) -> tuple[float, float]:
+    """a = (k+1)/(k+2) and b = 1/(k+2) of the Halpern step at inner iteration k."""
+    return (k + 1.0) / (k + 2.0), 1.0 / (k + 2.0)
+
+
+def _halpern_in_place(update: linalg.BoundUpdate, out: np.ndarray, a: float, b: float,
+                      beta: float) -> None:
+    """The Halpern step with z_old = out, through `update`, bound on
+    (z_hat, z_anchor, out): one `daxpby` and one `daxpy`, or at beta = 0,
+    where `daxpby` would not read out, the scaling and two `daxpy`."""
+    if beta != 0.0:
+        update.axpby_axpy(a * (1.0 + beta), -a * beta, b)
+    else:
+        np.multiply(out, -a * beta, out=out)
+        update.axpy_axpy(a * (1.0 + beta), b)
 
 
 def _halpern_on_scipy_blas(z_hat, z_old, z_anchor, a, b, beta, out):
@@ -487,14 +744,13 @@ class _Loop:
 
     def _baseline_gap(self, state: SolverState) -> None:
         """Restart baseline for the first outer loop: the gap of z0 at the
-        radius of one plain PDHG step from z0.  The step reads the G^T y of
-        z0 that `_init_state` left in the iterate's products, and goes
-        through the candidate buffer and the workspace, which the first
-        iteration overwrites."""
+        radius of one plain PDHG step from z0, a line-search trial of the
+        solve's phases.  The step reads the G^T y of z0 that `_init_state`
+        left in the iterate's products, and goes through the candidate
+        buffer and the workspace, which the first iteration overwrites."""
         ctx = WeightedNormContext(state.omega, state.eta_hat)
-        grad_x = np.subtract(self.scaled.c, self.products.y, out=self.workspace.grad_x)
-        x_ref, y_ref, _ = _pdhg_candidate(self.scaled, state.z.x, state.z.y, ctx.tau, ctx.sigma,
-                                          grad_x, self.candidate, self.workspace)
+        self.phases.candidate(ctx.tau, ctx.sigma, first_trial=True)
+        x_ref, y_ref = self.phases.x_hat, self.phases.y_hat
         radius = n_norm(state.z.x - x_ref, state.z.y - y_ref, ctx)
         try:
             state.last_restart_metric = self._gap_metric(state.z, radius, ctx, self.products)
@@ -626,11 +882,16 @@ class _Loop:
 
     def _run(self) -> SolveResult:
         state = self._init_state()
-        try:
-            code = self._iterate(state)
-        except NumericalError:
-            # the one numerical-failure exit, wherever after set-up it arises
-            code = term.EXIT_NUMERICAL_ERROR
+        # the helper threads are joined however the loop ends
+        with linalg.Sharder(_shard_count(self.scaled.G.nnz)) as sharder:
+            self.phases = StepPhases(self.scaled, state.z, *self.products, self.candidate,
+                                     self.workspace, sharder,
+                                     (self.candidate, self.iterate, self.anchor))
+            try:
+                code = self._iterate(state)
+            except NumericalError:
+                # the one numerical-failure exit, wherever after set-up it arises
+                code = term.EXIT_NUMERICAL_ERROR
 
         if self.options.verbose >= 1 or self.logfile is not None:
             self._log_line(state, self._last_report)
@@ -660,6 +921,7 @@ class _Loop:
         self._log_line(state, self._last_report)
         z_hat, products_hat = self._split(self.candidate)
         log_rows = options.verbose >= 1 or self.logfile is not None
+        phases = self.phases
 
         while True:
             k_prev = state.k_bar
@@ -668,27 +930,23 @@ class _Loop:
             # degenerate value 0 after the solve starts.  It reaches `state`
             # only once the iteration completes.
             k_bar = k_prev + 1
-            gx, gty = self.products
             # writes [x_hat; y_hat; G(2 x_hat - x)] into the candidate
-            step = adaptive_step_pdhg(
-                self.scaled, state.z, state.omega, state.eta_hat, k_bar,
-                gty=gty, gx=gx, out=self.candidate, workspace=self.workspace,
-            )
+            step = adaptive_step_pdhg(self.scaled, state.z, state.omega, state.eta_hat, k_bar,
+                                      phases=phases)
             state.eta = step.eta_used
             state.eta_hat = step.eta_next
             k_bar = step.k_bar  # rejected trials also advance the count
 
-            # G x_hat = (G(2 x_hat - x) + G x) / 2, in place
-            np.add(products_hat.x, gx, out=products_hat.x)
-            np.multiply(products_hat.x, 0.5, out=products_hat.x)
-            self.scaled.G.rmatvec(z_hat.y, out=products_hat.y)
+            # the candidate's products, then the Halpern step on the iterate
+            # buffer: one phase, or two around a reflection parameter
             if state.k == 0 or _reached(k_prev, k_bar, _REFLECTION_FREQ):
+                phases.candidate_products()
                 state.beta = term.adaptive_reflection_parameter(term.compute_errors(
                     self.scaled, z_hat.x, z_hat.y, products_hat.x, products_hat.y
                 ))
-
-            reflected_halpern_step(self.candidate, self.iterate, self.anchor, state.k, state.beta,
-                                   out=self.iterate)
+                phases.halpern(state.k, state.beta)
+            else:
+                phases.halpern(state.k, state.beta, with_products=True)
             state.k += 1
             state.k_bar = k_bar
 

@@ -12,6 +12,13 @@ entries through `canonical_lines`, `drop_zeros` and `line_sums`.  Each
 conversion runs the kernels that scipy.sparse runs for it, in scipy's
 order and with its index dtypes, so the arrays are the ones scipy would
 build, bit for bit.  No code forms a product of two sparse matrices.
+
+A sharded solve runs its phases on helper threads (`Sharder`), over
+contiguous line ranges (`shard_cuts`): row ranges of G x on the CSR copy
+(`SparseMatrix.rows`, `matvec_rows`), column ranges of G^T y
+(`rmatvec_cols`), and BLAS passes on the GIL-releasing binding
+(`BoundUpdate` with `nogil`).  Each kernel computes an entry as the whole
+call does, so the bits do not depend on the ranges.
 """
 
 from __future__ import annotations
@@ -230,8 +237,10 @@ class SparseMatrix:
     caller's buffer.  Every input is read as triplets and converted by
     `_csc_of_triplets`, so the CSC arrays are G's canonical ones, as scipy
     builds them.  Index arrays are int32 where the dimensions and the
-    entry count fit, as scipy's are.  No CSR copy of G is kept: what reads
-    G by rows transposes its entries once (`line_sums`).
+    entry count fit, as scipy's are.  A CSR copy of G, the row arrays, is
+    built only on request (`rows`), for the row-range products of a sharded
+    solve (`matvec_rows`); other code that reads G by rows transposes its
+    entries once (`line_sums`).
     Products are counted (`n_matvec` / `n_rmatvec`) so tests can assert the
     per-iteration matvec budget of the solver loop.
     """
@@ -257,6 +266,7 @@ class SparseMatrix:
     def _set_arrays(self, shape, indptr, indices, data) -> None:
         self.shape = shape
         self.indptr, self.indices, self.data = indptr, indices, data
+        self._rows = None
         self.n_matvec = 0
         self.n_rmatvec = 0
 
@@ -311,6 +321,40 @@ class SparseMatrix:
             raise ValueError(f"out must have length {n}, got {out.shape}")
         csr_matvec(n, m, self.indptr, self.indices, self.data, y, out)
         return out
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """G's CSR arrays (indptr, indices, data), built on first use by one
+        transposition (`csr_tocsc`) and kept: each row holds its entries in
+        ascending column order, the order in which the CSC scatter of
+        `matvec` sums them."""
+        if self._rows is None:
+            self._rows = _compressed_transpose(self.n, self.m, self.indptr, self.indices,
+                                               self.data)
+        return self._rows
+
+    def matvec_rows(self, x: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+        """Rows [lo, hi) of G x into out[lo:hi], from the row arrays
+        (`rows`, built on first use): `csr_matvec` sums each row in
+        ascending column order from 0.0, so the entries have `matvec`'s
+        bits.  Not counted: the caller counts the whole product that its
+        ranges make up."""
+        indptr, indices, data = self.rows()
+        if x.shape != (self.n,) or out.shape != (self.m,) or not 0 <= lo <= hi <= self.m:
+            raise ValueError("matvec_rows expects x of length n, out of length m "
+                             "and 0 <= lo <= hi <= m")
+        part = out[lo:hi]
+        part.fill(0.0)
+        csr_matvec(hi - lo, self.n, indptr[lo:hi + 1], indices, data, x, part)
+
+    def rmatvec_cols(self, y: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+        """Entries [lo, hi) of G^T y into out[lo:hi], the `rmatvec` kernel
+        on columns lo to hi - 1, with its bits.  Not counted."""
+        if y.shape != (self.m,) or out.shape != (self.n,) or not 0 <= lo <= hi <= self.n:
+            raise ValueError("rmatvec_cols expects y of length m, out of length n "
+                             "and 0 <= lo <= hi <= n")
+        part = out[lo:hi]
+        part.fill(0.0)
+        csr_matvec(hi - lo, self.m, self.indptr[lo:hi + 1], self.indices, self.data, y, part)
 
     def max_abs(self) -> float:
         """Largest absolute entry; errors on an all-zero matrix because the
@@ -405,13 +449,18 @@ def n_norm(x: np.ndarray, y: np.ndarray, ctx: WeightedNormContext) -> float:
 class OpenBLAS(NamedTuple):
     """The routines of the OpenBLAS that numpy has loaded; `index` is the C
     type of the vector routines' lengths and strides, 64-bit in an ILP64
-    build."""
+    build.  `daxpby_nogil` and `daxpy_nogil` are the same two symbols bound
+    a second time, through `ctypes.CDLL`, which releases the GIL for the
+    call, so that the shards of a sharded solve (`Sharder`) run them at
+    once."""
 
     daxpby: Callable[..., None]
     daxpy: Callable[..., None]
     get_num_threads: Callable[[], int]
     set_num_threads: Callable[[int], None]
     index: type
+    daxpby_nogil: Callable[..., None]
+    daxpy_nogil: Callable[..., None]
 
 
 def _bind_openblas() -> OpenBLAS | None:
@@ -431,7 +480,7 @@ def _bind_openblas() -> OpenBLAS | None:
             from numpy.core import _multiarray_umath as umath
         # PyDLL keeps the GIL through a call, as scipy's BLAS wrappers do:
         # releasing and taking it back costs more than a short pass
-        lib = ctypes.PyDLL(umath.__file__)
+        lib, released = ctypes.PyDLL(umath.__file__), ctypes.CDLL(umath.__file__)
     except (ImportError, OSError):
         return None
     for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
@@ -440,17 +489,21 @@ def _bind_openblas() -> OpenBLAS | None:
                 getattr(lib, f"{prefix}{name}{suffix}") for name in (
                     "openblas_get_config", "cblas_daxpby", "cblas_daxpy",
                     "openblas_get_num_threads", "openblas_set_num_threads"))
+            daxpby_nogil, daxpy_nogil = (getattr(released, f"{prefix}{name}{suffix}")
+                                         for name in ("cblas_daxpby", "cblas_daxpy"))
         except AttributeError:
             continue
         config.restype = ctypes.c_char_p
         index = ctypes.c_int64 if b"USE64BITINT" in (config() or b"") else ctypes.c_int
         double, pointer = ctypes.c_double, ctypes.c_void_p
-        daxpby.argtypes = (index, double, pointer, index, double, pointer, index)
-        daxpy.argtypes = (index, double, pointer, index, pointer, index)
-        daxpby.restype = daxpy.restype = set_threads.restype = None
+        for f in (daxpby, daxpby_nogil):
+            f.argtypes, f.restype = (index, double, pointer, index, double, pointer, index), None
+        for f in (daxpy, daxpy_nogil):
+            f.argtypes, f.restype = (index, double, pointer, index, pointer, index), None
+        set_threads.restype = None
         get_threads.argtypes, get_threads.restype = (), ctypes.c_int
         set_threads.argtypes = (ctypes.c_int,)
-        return OpenBLAS(daxpby, daxpy, get_threads, set_threads, index)
+        return OpenBLAS(daxpby, daxpy, get_threads, set_threads, index, daxpby_nogil, daxpy_nogil)
     return None
 
 
@@ -480,12 +533,14 @@ class BoundUpdate:
     types, and a call only sets the coefficients: converting Python numbers
     costs more than a pass at the loop's shorter lengths.  The object holds
     weak references only, so it keeps no buffer alive; its caller holds the
-    arrays through a call.  Needs `BLAS`.
+    arrays through a call.  Needs `BLAS`.  With `nogil` the updates call
+    the GIL-releasing binding (`OpenBLAS.daxpby_nogil`), for a shard that
+    another thread's shard runs beside.
     """
 
-    __slots__ = ("refs", "_coef", "_axpby", "_axpy_x", "_axpy_w")
+    __slots__ = ("refs", "_coef", "_axpby", "_axpy_x", "_axpy_w", "_daxpby", "_daxpy")
 
-    def __init__(self, x: np.ndarray, w: np.ndarray, y: np.ndarray) -> None:
+    def __init__(self, x: np.ndarray, w: np.ndarray, y: np.ndarray, nogil: bool = False) -> None:
         px, pw, py = _pointer(x, "x"), _pointer(w, "w"), _pointer(y, "y", writeable=True)
         if not x.size == w.size == y.size:
             raise ValueError(f"operands must have one length, got {x.size}, {w.size} and {y.size}")
@@ -497,21 +552,24 @@ class BoundUpdate:
         self._axpby = (n, alpha, px, one, beta, py, one)
         self._axpy_x = (n, alpha, px, one, py, one)
         self._axpy_w = (n, gamma, pw, one, py, one)
+        self._daxpby, self._daxpy = ((BLAS.daxpby_nogil, BLAS.daxpy_nogil) if nogil
+                                     else (BLAS.daxpby, BLAS.daxpy))
 
     def axpby_axpy(self, alpha: float, beta: float, gamma: float) -> None:
         """y = alpha x + beta y (`daxpby`), then y += gamma w (`daxpy`).  As
         in BLAS, beta = 0 sets alpha x without reading y."""
         a, b, g = self._coef
         a.value, b.value, g.value = alpha, beta, gamma
-        BLAS.daxpby(*self._axpby)
-        BLAS.daxpy(*self._axpy_w)
+        self._daxpby(*self._axpby)
+        self._daxpy(*self._axpy_w)
 
     def axpy_axpy(self, alpha: float, gamma: float) -> None:
         """y += alpha x, then y += gamma w (two `daxpy`)."""
         a, _, g = self._coef
         a.value, g.value = alpha, gamma
-        BLAS.daxpy(*self._axpy_x)
-        BLAS.daxpy(*self._axpy_w)
+        daxpy = self._daxpy
+        daxpy(*self._axpy_x)
+        daxpy(*self._axpy_w)
 
 
 _last_update: BoundUpdate | None = None
@@ -564,3 +622,115 @@ def one_blas_thread():
             _pins -= 1
             if _pins == 0:
                 BLAS.set_num_threads(_caller_threads)
+
+
+# ---------------------------------------------------------------------------
+# Shards: contiguous ranges of a solve's vectors, run on helper threads
+# ---------------------------------------------------------------------------
+
+
+def shard_cuts(indptr: np.ndarray, count: int, whole: np.ndarray | None = None) -> list[int]:
+    """`count` + 1 line indices 0 = cut_0 <= ... <= cut_count = lines that
+    split the lines of compressed arrays (`indptr`, lines + 1 pointers) into
+    `count` contiguous ranges of about equal entry counts: cut i is the
+    first line whose entries start at or past i/count of them.  `whole`
+    holds (start, stop) rows of line blocks, ascending and disjoint, that a
+    range must hold whole; a cut inside one moves to the nearer of its two
+    ends (to the start at the middle)."""
+    lines, nnz = indptr.size - 1, int(indptr[-1])
+    targets = [nnz * i / count for i in range(1, count)]
+    cuts = [0, *np.searchsorted(indptr, targets, side="left").tolist(), lines]
+    if whole is not None and len(whole):
+        starts = whole[:, 0]
+        for i in range(1, count):
+            j = int(np.searchsorted(starts, cuts[i], side="right")) - 1
+            if j >= 0:
+                start, stop = int(whole[j, 0]), int(whole[j, 1])
+                if start < cuts[i] < stop:
+                    cuts[i] = start if cuts[i] - start <= stop - cuts[i] else stop
+    for i in range(1, count + 1):  # a snap may pass the cut after it
+        cuts[i] = max(cuts[i], cuts[i - 1])
+    return cuts
+
+
+class Sharder:
+    """Runs a phase of a sharded solve, a function of the shard index, on
+    `count` shards at once: shard 0 on the calling thread and shard i >= 1
+    on helper thread i, started here and stopped by `close`.
+
+    `run` hands the phase to the helpers, runs shard 0, and returns once
+    every shard has finished, so no helper is left writing into a buffer;
+    it then raises the first exception of any shard, the caller's first.
+    A helper waits on a lock between phases, so one phase costs one wake-up
+    per helper.  The phases do their work in numpy, scipy `_sparsetools`
+    and GIL-releasing BLAS calls (`BoundUpdate` with `nogil`), which run in
+    parallel.  With one shard no thread is started and `run` calls the
+    phase with index 0.  Use as a context manager, or call `close`.
+    """
+
+    def __init__(self, count: int) -> None:
+        if count < 1:
+            raise ValueError(f"a sharder needs at least one shard, got {count}")
+        self.count = count
+        self._phase = None
+        self._errors: list[BaseException | None] = [None] * count
+        self._go = [threading.Lock() for _ in range(count - 1)]
+        self._done = [threading.Lock() for _ in range(count - 1)]
+        for lock in self._go + self._done:
+            lock.acquire()
+        self._threads = []
+        try:
+            for i in range(1, count):
+                thread = threading.Thread(target=self._serve, args=(i,), daemon=True,
+                                          name=f"conic-pdhg shard {i}")
+                thread.start()
+                self._threads.append(thread)
+        except BaseException:
+            self.close()
+            raise
+
+    def _serve(self, i: int) -> None:
+        go, done = self._go[i - 1], self._done[i - 1]
+        while True:
+            go.acquire()
+            phase = self._phase
+            if phase is None:
+                return
+            try:
+                phase(i)
+            except BaseException as exc:  # raised on the calling thread by `run`
+                self._errors[i] = exc
+            finally:
+                done.release()
+
+    def run(self, phase: Callable[[int], None]) -> None:
+        if self.count == 1:
+            phase(0)
+            return
+        self._phase = phase
+        for go in self._go:
+            go.release()
+        try:
+            phase(0)
+        finally:
+            for done in self._done:
+                done.acquire()
+            errors, self._errors = self._errors, [None] * self.count
+        error = next((e for e in errors if e is not None), None)
+        if error is not None:
+            raise error
+
+    def close(self) -> None:
+        """Stop and join the helpers; a second call does nothing."""
+        self._phase = None
+        threads, self._threads = self._threads, []
+        for go, _ in zip(self._go, threads):  # thread i - 1 waits on go lock i - 1
+            go.release()
+        for thread in threads:
+            thread.join()
+
+    def __enter__(self) -> "Sharder":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -31,6 +31,11 @@ fall-back that restarts where the gap would have leaves the iterates as
 they were but not the restart bookkeeping, so the bookkeeping digests
 differ from the plain run's.
 
+`--shards K` runs every solve on K shards (`traces.forced_shards`), the
+threshold below which a solve runs one shard set aside.  Every entry of
+a sharded iteration is computed as on one shard, so the output is the
+same at every K.
+
 `--setup` prints, instead of the solves, one SHA-1 line per benchmark
 problem (lp-solve and cone-solve seeds 1-4, lp-large seed 3, generated by
 perfbench/workloads.py into a temporary directory) over what set-up builds
@@ -43,6 +48,7 @@ built or scaled that keeps every bit keeps these lines.
 """
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -62,7 +68,7 @@ from test_termination_scan import (  # noqa: E402
     planted_conic,
     primal_infeasible_lp,
 )
-from traces import bookkeeping_digest, failing_every, iterate_digest  # noqa: E402
+from traces import bookkeeping_digest, failing_every, forced_shards, iterate_digest  # noqa: E402
 
 from conic_pdhg import restart  # noqa: E402
 from conic_pdhg.engine import SolverOptions, solve  # noqa: E402
@@ -158,6 +164,8 @@ def main(argv=None):
     parser.add_argument("--max-iter", type=int, default=3000)
     parser.add_argument("--fail-gap-every", type=int, metavar="N",
                         help="make every N-th gap evaluation of each solve raise")
+    parser.add_argument("--shards", type=int, metavar="K",
+                        help="run every solve on K shards, whatever its size")
     parser.add_argument("--setup", action="store_true",
                         help="print the set-up digests of the benchmark's problems instead")
     args = parser.parse_args(argv)
@@ -166,16 +174,19 @@ def main(argv=None):
         return
     if args.fail_gap_every is not None and args.fail_gap_every < 1:
         parser.error("--fail-gap-every must be at least 1")
+    if args.shards is not None and args.shards < 1:
+        parser.error("--shards must be at least 1")
     warnings.simplefilter("ignore", RuntimeWarning)
     total = 0
-    for cadence in CADENCES:
-        for name, make in PROBLEMS.items():
-            for mode in MODES:
-                status, iterations, *digests = solve_digest(
-                    make(), args.max_iter, cadence, mode, args.fail_gap_every)
-                total += iterations
-                print("\t".join([str(cadence), name, mode, status, str(iterations), *digests]),
-                      flush=True)
+    with forced_shards(args.shards) if args.shards else contextlib.nullcontext():
+        for cadence in CADENCES:
+            for name, make in PROBLEMS.items():
+                for mode in MODES:
+                    status, iterations, *digests = solve_digest(
+                        make(), args.max_iter, cadence, mode, args.fail_gap_every)
+                    total += iterations
+                    print("\t".join([str(cadence), name, mode, status, str(iterations),
+                                      *digests]), flush=True)
     print(f"total iterations\t{total}")
 
 

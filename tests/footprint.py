@@ -15,7 +15,10 @@ prints six tab-separated lines:
             does not see the buffers that orjson allocates
     matrix  bytes of the index and data arrays that the parsed G and its
             rescaled copy (`scaling.rescale_problem`) hold, each on its own
-            and both together, an array shared by the two counted once
+            and both together, an array shared by the two counted once;
+            the rescaled copy with the row arrays that a sharded solve
+            builds (`SparseMatrix.rows`, where the tree has it), which the
+            last figure gives on their own
     cli     VmHWM after `cli.main` solves that file with the lp-large
             options (200 iterations) and writes its result
 
@@ -70,13 +73,17 @@ def arrays(*mats):
     held = {}
     for mat in mats:
         for v in vars(mat).values():
-            if isinstance(v, np.ndarray):
-                held[v.__array_interface__["data"][0], v.nbytes] = v.nbytes
+            for a in v if isinstance(v, tuple) else (v,):
+                if isinstance(a, np.ndarray):
+                    held[a.__array_interface__["data"][0], a.nbytes] = a.nbytes
     return sum(held.values())
 
 p = parse_problem(sys.argv[1])
 g, g_scaled = p.G, rescale_problem(p, build_scaling(p)).G
-print(arrays(g), arrays(g_scaled), arrays(g, g_scaled))
+without_rows = arrays(g_scaled)
+if hasattr(g_scaled, "rows"):
+    g_scaled.rows()
+print(arrays(g), arrays(g_scaled), arrays(g, g_scaled), arrays(g_scaled) - without_rows)
 """
 CLI = """
 import sys
@@ -117,8 +124,9 @@ def main(argv=None):
               f"the {size / 2**20:.1f} MB file")
         (kb,) = child(PARSE_HWM, problem)
         print(f"parse\tVmHWM\t{kb / 1024:.1f} MB")
-        parsed, scaled, both = child(MATRIX, problem)
-        print(f"matrix\tbytes held\tparsed {parsed}\tscaled {scaled}\ttogether {both}")
+        parsed, scaled, both, rows = child(MATRIX, problem)
+        print(f"matrix\tbytes held\tparsed {parsed}\tscaled {scaled}\ttogether {both}"
+              f"\trow arrays {rows}")
         (kb,) = child(CLI, "--input", problem, "--output", os.path.join(work_dir, "result.json"),
                    *workloads.LARGE_OPTIONS)
         print(f"cli\tVmHWM\t{kb / 1024:.1f} MB")

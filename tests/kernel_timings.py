@@ -21,6 +21,14 @@ kernel:
   length and a `StepWorkspace`) on each of those scaled problems, from a
   random point with its products given, at a step size that the first
   trial accepts;
+* `iteration`: one accepted iteration of an lp-large solve (the line-search
+  step, the candidate's two products and the Halpern update), one row per
+  shard count, 1 and 2 (`traces.forced_shards`; a tree that does not shard
+  its iterations prints the row of 1).  A pass is one solve of
+  `ITERATION_PASS` iterations with the workload's tolerances, timed from
+  each iteration callback to the next where the line search accepted its
+  first trial, from the second callback on; the calls column counts those
+  iterations;
 * `termination_scan`: one termination scan with the infeasibility test
   (`engine._Loop._termination_scan(state, True)`) at the loop's initial
   state (`_Loop._init_state`) for each of those instances, with the
@@ -81,6 +89,7 @@ import workloads  # noqa: E402
 from conic_pdhg import cli, cones, engine, fileio, linalg, model, restart, scaling  # noqa: E402
 
 RECORD_EVERY = 8
+ITERATION_PASS = 40  # iterations of an `iteration` pass
 PASS_SECONDS = 0.05  # shortest timed pass
 WARM_CALLS = 5  # timed calls whose median sets the calls per pass
 
@@ -173,6 +182,31 @@ def loop_kernel_lines(seed, repeats, work_dir):
                 calls, us = timed(product, repeats)
             shape = f"len={z.size}" if kernel == "halpern" else f"{g.m}x{g.n}"
             yield kernel, name, shape, calls, us
+
+
+def iteration_lines(seed, repeats, work_dir):
+    _, cases = workloads.build("lp-large", seed)
+    problem = parsed(cases[0], work_dir)
+    args = cli.build_parser().parse_args(["--input", "-", *cases[0].options,
+                                          "--max-iter", str(ITERATION_PASS)])
+    shard_counts = (1, 2) if hasattr(engine, "_SHARD_NNZ") else (None,)
+    for shards in shard_counts:
+        passes = []
+        for _ in range(repeats):
+            stamps = []
+            options = cli.options_from_args(args)
+            options.iteration_callback = lambda s: stamps.append((time.perf_counter(), s.k_bar))
+            if shards is None:
+                engine.solve(problem, options)
+            else:
+                from traces import forced_shards
+
+                with forced_shards(shards):
+                    engine.solve(problem, options)
+            spans = [t1 - t0 for (t0, k0), (t1, k1) in zip(stamps[1:], stamps[2:]) if k1 == k0 + 1]
+            passes.append((sum(spans), len(spans)))
+        total, calls = min(passes, key=lambda p: p[0] / p[1])
+        yield "iteration", "lp-large", f"shards={shards or 1}", calls, 1e6 * total / calls
 
 
 def recorded_dual_inputs(seed, work_dir):
@@ -361,6 +395,7 @@ def main(argv=None):
     print("kernel\tworkload\tshape\tcalls\tus_per_call")
     with tempfile.TemporaryDirectory() as work_dir:
         lines = [*loop_kernel_lines(args.seed, args.repeats, work_dir),
+                 *iteration_lines(args.seed, args.repeats, work_dir),
                  projection_line(args.seed, args.repeats, work_dir),
                  gap_line(args.seed, args.repeats, work_dir),
                  *set_up_lines(args.seed, args.repeats, work_dir),

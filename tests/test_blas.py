@@ -2,6 +2,7 @@
 the Halpern update that runs on it, checked bit for bit against scipy's
 BLAS, which only the tests import."""
 
+import ctypes
 import gc
 import math
 import weakref
@@ -108,6 +109,41 @@ class TestBinding:
         with pytest.raises(ValueError, match="writeable"):
             linalg.BoundUpdate(x, x, readonly)
         assert np.array_equal(buf, np.arange(8.0)) and not readonly.any()
+
+
+@bound
+class TestGilReleasingBinding:
+    """The GIL-releasing binding that a sharded solve's helper threads run:
+    the same two symbols, with the bits of the whole-vector calls."""
+
+    def test_same_symbols_bound_twice(self):
+        blas = linalg.BLAS
+        assert blas.daxpby._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+        for released, held in ((blas.daxpby_nogil, blas.daxpby), (blas.daxpy_nogil, blas.daxpy)):
+            assert not released._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+            assert released.__name__ == held.__name__
+            assert released.argtypes == held.argtypes and released.restype is None
+            assert (ctypes.cast(released, ctypes.c_void_p).value
+                    == ctypes.cast(held, ctypes.c_void_p).value)
+
+    def test_split_calls_have_the_bits_of_the_whole_call(self):
+        # 400 draws: lengths 1-5000, a cut anywhere, each side a view into
+        # the whole buffers at an arbitrary alignment
+        rng = np.random.default_rng(400)
+        for _ in range(400):
+            n = int(rng.integers(1, 5001))
+            cut = int(rng.integers(0, n + 1))
+            x, w, y = vectors(rng, n, 3)
+            alpha, beta, gamma = (float(v) for v in rng.uniform(-2.0, 2.0, 3))
+            for method, coef in (("axpby_axpy", (alpha, beta, gamma)),
+                                 ("axpy_axpy", (alpha, gamma))):
+                whole = y.copy()
+                getattr(linalg.BoundUpdate(x, w, whole), method)(*coef)
+                split = y.copy()
+                for part in (slice(0, cut), slice(cut, n)):
+                    getattr(linalg.BoundUpdate(x[part], w[part], split[part], nogil=True),
+                            method)(*coef)
+                assert same_bits(split, whole), (n, cut, method)
 
 
 class TestHalpernStep:

@@ -301,3 +301,57 @@ def test_layout_is_built_once_per_problem_instance(monkeypatch):
     result = solve(lp, SolverOptions(max_iter=300, duality_gap_restart_freq=50))
     assert result.iterations > 0
     assert len(built) == 2
+
+
+def _legal_cuts(rng, size, blocks, count):
+    """`count` - 1 random ascending cuts of [0, size) outside the interiors
+    of `blocks`, some of them equal, so that some ranges are empty."""
+    inside = np.zeros(size + 1, bool)
+    for start, stop in blocks:
+        inside[start + 1:stop] = True
+    allowed = np.flatnonzero(~inside)
+    return [0, *sorted(rng.choice(allowed, count - 1).tolist()), size]
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+def test_range_projections_make_up_the_set_projections_bitwise(uniform):
+    # a sharded step projects each shard's range on its own thread; the
+    # ranges together must write the whole projection's bits
+    rng = np.random.default_rng(47 if uniform else 48)
+    for _ in range(60):
+        p = random_problem(rng, uniform)
+        for dual, whole, size, specs, offset in (
+                (False, cones.project_primal_set, p.n, p.primal_cones, p.num_box),
+                (True, cones.project_dual_set, p.m, p.dual_cones, 0)):
+            blocks = cones.unsplit_blocks(p, dual)
+            expect = [[sl.start, sl.stop] for spec, sl in block_slices(specs, offset)
+                      if spec.kind not in (Cone.ZERO, Cone.NONNEG)]
+            assert blocks.tolist() == expect
+            for _ in range(5):
+                v = random_point(rng, size, specs, offset)
+                want = _outcome(whole, v, p)
+                if not isinstance(want, bytes):
+                    continue
+                cuts = _legal_cuts(rng, size, blocks, int(rng.integers(1, 5)))
+                out = np.full(size, math.nan)
+                with np.errstate(all="ignore"):
+                    for lo, hi in zip(cuts, cuts[1:]):
+                        cones.RangeProjection(p, dual, lo, hi)(v, out)
+                assert out.tobytes() == want, (dual, cuts, p)
+
+
+def test_a_range_that_splits_a_block_is_rejected():
+    p = ConicProblem(c=np.zeros(8), G=SparseMatrix((6, 8)), h=np.zeros(6),
+                     l=-np.ones(2), u=np.ones(2), num_box=2,
+                     primal_cones=(ConeSpec(Cone.NONNEG, 3), ConeSpec(Cone.SOC, 3)),
+                     dual_cones=(ConeSpec(Cone.EXP, 3), ConeSpec(Cone.ZERO, 3)))
+    assert cones.unsplit_blocks(p, False).tolist() == [[5, 8]]
+    assert cones.unsplit_blocks(p, True).tolist() == [[0, 3]]
+    for lo, hi in ((1, 4), (0, 5), (3, 8), (8, 8)):  # box and nonneg entries split freely
+        cones.RangeProjection(p, False, lo, hi)
+    for lo, hi in ((0, 6), (6, 8), (2, 7)):
+        with pytest.raises(ValueError, match="splits the block"):
+            cones.RangeProjection(p, False, lo, hi)
+    cones.RangeProjection(p, True, 4, 5)
+    with pytest.raises(ValueError, match="splits the block"):
+        cones.RangeProjection(p, True, 1, 6)

@@ -77,11 +77,11 @@ class TestOnePdhg:
         import conic_pdhg.engine as engine
 
         steps = []
-        candidate, adaptive = engine._pdhg_candidate, engine.adaptive_step_pdhg
+        candidate, adaptive = engine.StepPhases.candidate, engine.adaptive_step_pdhg
 
-        def record_candidate(problem, x, y, tau, sigma, *args, **kwargs):
+        def record_candidate(phases, tau, sigma, *args, **kwargs):
             steps.append((tau, sigma))
-            return candidate(problem, x, y, tau, sigma, *args, **kwargs)
+            return candidate(phases, tau, sigma, *args, **kwargs)
 
         def record_adaptive(problem, z, omega, eta, *args, **kwargs):
             step = adaptive(problem, z, omega, eta, *args, **kwargs)
@@ -89,7 +89,7 @@ class TestOnePdhg:
                 steps.append((e / omega, e * omega))
             return step
 
-        monkeypatch.setattr(engine, "_pdhg_candidate", record_candidate)
+        monkeypatch.setattr(engine.StepPhases, "candidate", record_candidate)
         monkeypatch.setattr(engine, "adaptive_step_pdhg", record_adaptive)
         solve(tiny_lp(), SolverOptions(max_iter=500))
         zero_rows = box_lp([-1.0, 1.0], np.zeros((1, 2)), [-1.0], [0.0, 0.0], [1.0, 1.0])

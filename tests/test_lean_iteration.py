@@ -652,4 +652,5 @@ def test_baseline_gap_reuses_the_initial_transpose_product(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "rmatvec", spy)
     r = eng.solve(random_lp(5, n=6, m=4), SolverOptions(max_iter=1))
     assert r.exit_status == ":max_iter" and r.iterations == 1
-    assert callers == ["_refresh_products", "_iterate", "_refresh_products"]
+    # the accepted step's product is the candidate-products phase's
+    assert callers == ["_refresh_products", "dual_product", "_refresh_products"]

@@ -13,6 +13,7 @@ from conic_pdhg.linalg import (
     n_norm,
     omega_norm,
     one_norm,
+    shard_cuts,
     two_norm,
 )
 
@@ -215,6 +216,80 @@ def test_products_into_nan_filled_out_have_the_bits_of_scipy(dtype, shape, densi
         np.testing.assert_array_equal(bits(a.matvec(x)), bits(out_x))
         np.testing.assert_array_equal(bits(a.rmatvec(y)), bits(out_y))
         a.reset_counters()
+
+
+def random_cuts(rng, lines, count):
+    """count + 1 ascending cuts of [0, lines], repeats (empty ranges) included."""
+    return [0, *sorted(rng.integers(0, lines + 1, count - 1).tolist()), lines]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("shape, density", [((37, 53), 0.2), ((9, 23), 0.0), ((6, 0), 0.3),
+                                            ((0, 5), 0.3), ((1, 1), 1.0), ((300, 200), 0.05)],
+                         ids=["random", "nnz 0", "n 0", "m 0", "1x1", "300x200"])
+def test_range_products_make_up_the_whole_products_bitwise(dtype, shape, density):
+    # a sharded step forms G x by row ranges and G^T y by column ranges on
+    # its threads; the ranges together must give the whole products' bits
+    rng = np.random.default_rng(31)
+    m, n = shape
+    for _ in range(10):
+        dense = random_sparse(rng, m, n, density) * 10.0 ** rng.uniform(-30, 30, (m, n))
+        a = with_index_dtype(SparseMatrix(dense), dtype)
+        indptr, indices, data = a.rows()
+        assert a.rows()[0] is indptr  # built once
+        # the transposition narrows indices that fit to int32, as scipy's
+        assert indptr.dtype == indices.dtype == np.int32
+        a._rows = indptr.astype(dtype), indices.astype(dtype), data
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        whole_x, whole_y = a.matvec(x), a.rmatvec(y)
+        a.reset_counters()
+        for count in (1, 2, 3, 5):
+            out_x, out_y = np.full(m, np.nan), np.full(n, np.nan)
+            rows, cols = random_cuts(rng, m, count), random_cuts(rng, n, count)
+            for lo, hi in zip(rows, rows[1:]):
+                a.matvec_rows(x, lo, hi, out_x)
+            for lo, hi in zip(cols, cols[1:]):
+                a.rmatvec_cols(y, lo, hi, out_y)
+            np.testing.assert_array_equal(bits(out_x), bits(whole_x))
+            np.testing.assert_array_equal(bits(out_y), bits(whole_y))
+        assert (a.n_matvec, a.n_rmatvec) == (0, 0)  # the caller counts
+
+
+def test_range_products_check_their_operands():
+    a = SparseMatrix(np.arange(12.0).reshape(3, 4))
+    x, y = np.ones(4), np.ones(3)
+    for args in ((np.ones(3), 0, 3, np.zeros(3)), (x, 0, 3, np.zeros(4)), (x, 2, 1, np.zeros(3)),
+                 (x, 0, 4, np.zeros(3)), (x, -1, 2, np.zeros(3))):
+        with pytest.raises(ValueError):
+            a.matvec_rows(*args)
+    for args in ((np.ones(4), 0, 4, np.zeros(4)), (y, 0, 4, np.zeros(3)), (y, 3, 5, np.zeros(4))):
+        with pytest.raises(ValueError):
+            a.rmatvec_cols(*args)
+
+
+def test_shard_cuts_balance_entries_and_keep_blocks_whole():
+    indptr = np.array([0, 4, 4, 8, 9, 10, 16])  # 6 lines, 16 entries
+    assert shard_cuts(indptr, 1) == [0, 6]
+    assert shard_cuts(indptr, 2) == [0, 3, 6]  # lines 0-2 hold 8 entries
+    assert shard_cuts(indptr, 4) == [0, 1, 3, 6, 6]
+    # a cut inside a block moves to the nearer end, to the start at the middle
+    assert shard_cuts(indptr, 2, np.array([[1, 4]])) == [0, 4, 6]
+    assert shard_cuts(indptr, 2, np.array([[2, 4]])) == [0, 2, 6]
+    assert shard_cuts(indptr, 2, np.array([[0, 3]])) == [0, 3, 6]
+    assert shard_cuts(indptr, 4, np.array([[0, 6]])) == [0, 0, 0, 6, 6]
+    assert shard_cuts(indptr, 2, np.zeros((0, 2), np.int64)) == [0, 3, 6]
+    # no entries: every range but the last is empty
+    assert shard_cuts(np.zeros(4, np.int32), 3) == [0, 0, 0, 3]
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        lines, count = int(rng.integers(0, 40)), int(rng.integers(1, 6))
+        indptr = np.concatenate([[0], np.cumsum(rng.integers(0, 5, lines))])
+        ends = np.unique(rng.integers(0, lines + 1, 8))
+        whole = np.array([(a, b) for a, b in zip(ends[:-1:2], ends[1::2])], np.int64).reshape(-1, 2)
+        cuts = shard_cuts(indptr, count, whole)
+        assert len(cuts) == count + 1 and cuts[0] == 0 and cuts[-1] == lines
+        assert all(a <= b for a, b in zip(cuts, cuts[1:]))
+        assert not any(start < cut < stop for cut in cuts for start, stop in whole)
 
 
 def products_reference(a, d_row, d_col):

@@ -6,6 +6,7 @@ product counters.  Two solves that follow the same iterates give equal
 traces; a change in the last bit of any state vector or scalar shows.
 """
 
+import contextlib
 import hashlib
 import math
 
@@ -44,6 +45,19 @@ def digest(state):
     or a gap value that moves within its tolerance, leaves; the iterates
     move only if a restart decision does."""
     return state.k_bar, iterate_digest(state) + bookkeeping_digest(state)
+
+
+@contextlib.contextmanager
+def forced_shards(count):
+    """Make the solves inside run their iterations on `count` shards,
+    whatever the size of their G and the CPUs the process may use: the
+    engine's private threshold and shard limit, set and restored."""
+    saved = eng._SHARD_NNZ, eng._MAX_SHARDS, eng._cpu_count
+    eng._SHARD_NNZ, eng._MAX_SHARDS, eng._cpu_count = 0, count, lambda: count
+    try:
+        yield
+    finally:
+        eng._SHARD_NNZ, eng._MAX_SHARDS, eng._cpu_count = saved
 
 
 def failing_every(n):
