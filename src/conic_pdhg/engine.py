@@ -17,7 +17,8 @@ imports neither scipy.linalg nor scipy.sparse.
 A solve runs that OpenBLAS on one thread (`linalg.one_blas_thread`): a
 threaded `ddot` splits its sum by thread, so the bits would otherwise
 depend on the thread count.  A large solve (`_SHARD_NNZ` entries of G or
-more) splits its iterations instead, by `StepPhases`: the step's
+more, and no more than `_SHARD_KERNEL_BLOCKS` soc or exp blocks) splits
+its iterations instead, by `StepPhases`: the step's
 elementwise passes, projections and products and the Halpern update run
 over contiguous shards, one on the calling thread and one on a helper
 (`linalg.Sharder`, at most `_MAX_SHARDS`, no more than the CPUs the
@@ -223,8 +224,24 @@ class StepWorkspace(NamedTuple):
 # (224000) 0.97-1.08 -> 1.01-1.17; 17000x34000 (272000) 1.15-1.47 ->
 # 1.09-1.38; 20000x40000 (320000) 1.36-1.78 -> 1.56-1.69.
 _SHARD_NNZ = 300_000
-# Shards of a solve above _SHARD_NNZ, where the process may run on as many
-# CPUs (`taskset` pins a solve to one).
+# Cone blocks projected by a Python kernel (soc, exp and dual-exp blocks,
+# rescaled or not: those `cones.unsplit_blocks` lists) above which a solve
+# runs one shard whatever its size.  Such a kernel holds the GIL, so the
+# shards' projections of these blocks run one after the other, and two
+# threads contending for the GIL run them slower than one.  Planted problems
+# of perfbench/generate.py with 80000 variables, 5 entries per column and
+# about 40000 rows (nnz 400000), soc blocks of 3-7 rows, exp blocks of 3;
+# medians of 3 solves of 100 iterations in each of 3 alternating rounds, ms
+# per iteration on one -> two shards: 8000 soc blocks 20.5-24.0 ->
+# 43.2-47.1; 13333 exp blocks (one solve of 20 iterations a round)
+# 142-169 -> 208-251; nonneg rows and 1333 exp blocks 18.3-25.7 ->
+# 22.0-27.3; nonneg rows and 800 soc blocks 4.6-7.7 -> 4.8-5.9; nonneg rows
+# and 80 soc blocks 3.2-3.8 -> 2.5-3.3.  The break-even depends on the
+# blocks' kinds as well as their count; only a problem with none of them
+# is sure to gain.
+_SHARD_KERNEL_BLOCKS = 0
+# Shards of a solve above these thresholds, where the process may run on as
+# many CPUs (`taskset` pins a solve to one).
 _MAX_SHARDS = 2
 
 
@@ -236,11 +253,15 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _shard_count(nnz: int) -> int:
-    """The shards of a solve whose scaled G has `nnz` entries.  Without
-    numpy's OpenBLAS (`linalg.BLAS`) there is no GIL-releasing Halpern
-    pass, and a solve runs one shard."""
-    if nnz < _SHARD_NNZ or linalg.BLAS is None:
+def _shard_count(problem: ConicProblem) -> int:
+    """The shards of a solve of the scaled `problem`: one below
+    `_SHARD_NNZ` entries of G or above `_SHARD_KERNEL_BLOCKS` blocks with a
+    Python kernel.  Without numpy's OpenBLAS (`linalg.BLAS`) there is no
+    GIL-releasing Halpern pass, and a solve runs one shard."""
+    if problem.G.nnz < _SHARD_NNZ or linalg.BLAS is None:
+        return 1
+    kernel_blocks = sum(len(cones.unsplit_blocks(problem, dual)) for dual in (False, True))
+    if kernel_blocks > _SHARD_KERNEL_BLOCKS:
         return 1
     return min(_MAX_SHARDS, _cpu_count())
 
@@ -485,36 +506,28 @@ def adaptive_step_pdhg(
     omega: float,
     eta: float,
     k_bar: int,
-    gty: np.ndarray | None = None,
-    gx: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    workspace: StepWorkspace | None = None,
     phases: StepPhases | None = None,
 ) -> StepResult:
     """Line search accepting the first candidate with eta < eta_bar, where
     eta_bar = ||dz||_w^2 / (2 |dy' G dx|).
 
-    Every trial writes [x_hat; y_hat; G(2 x_hat - x)] into `out` (a fresh
-    buffer when None), so on return it holds the accepted candidate and
-    `z_hat` views it; its other vectors go through `workspace`, allocated
-    when None.  The trials run as `phases` (a solve's `StepPhases`, built
-    on z, its products, `out` and `workspace`, which are then not passed),
-    or on one shard of those buffers.  A zero interaction term makes the
+    The trials run as `phases`, a `StepPhases` of `problem` built on z, its
+    products and the buffers the step writes (when None, one on fresh
+    buffers, with z's products formed here).  Every trial writes [x_hat;
+    y_hat; G(2 x_hat - x)] into the candidate buffer, so on return it holds
+    the accepted candidate and `z_hat` views it.  Phases of another problem
+    or iterate raise ValueError.  A zero interaction term makes the
     curvature condition vacuous, so the candidate is accepted with eta_bar =
     +inf.  Rejections shrink/grow eta by the (k_bar+1)^-0.3 /
     (k_bar+1)^-0.6 factors and advance k_bar; the returned proposal is
     floored at 1e-12.
     """
     if phases is None:
-        if gty is None:
-            gty = problem.G.rmatvec(z.y)
-        if gx is None:
-            gx = problem.G.matvec(z.x)
-        if out is None:
-            out = np.empty(problem.n + 2 * problem.m)
-        if workspace is None:
-            workspace = StepWorkspace.allocate(problem.n, problem.m)
-        phases = StepPhases(problem, z, gx, gty, out, workspace)
+        n, m = problem.n, problem.m
+        phases = StepPhases(problem, z, problem.G.matvec(z.x), problem.G.rmatvec(z.y),
+                            np.empty(n + 2 * m), StepWorkspace.allocate(n, m))
+    elif phases.problem is not problem or phases.z.x is not z.x or phases.z.y is not z.y:
+        raise ValueError("the step's phases are built on another problem or iterate")
     workspace = phases.workspace
     dx, dy, dw = workspace.dx, workspace.vy, workspace.dw
     # below this movement the candidate is a numerical fixed point and the
@@ -883,7 +896,7 @@ class _Loop:
     def _run(self) -> SolveResult:
         state = self._init_state()
         # the helper threads are joined however the loop ends
-        with linalg.Sharder(_shard_count(self.scaled.G.nnz)) as sharder:
+        with linalg.Sharder(_shard_count(self.scaled)) as sharder:
             self.phases = StepPhases(self.scaled, state.z, *self.products, self.candidate,
                                      self.workspace, sharder,
                                      (self.candidate, self.iterate, self.anchor))

@@ -32,7 +32,7 @@ they were but not the restart bookkeeping, so the bookkeeping digests
 differ from the plain run's.
 
 `--shards K` runs every solve on K shards (`traces.forced_shards`), the
-threshold below which a solve runs one shard set aside.  Every entry of
+thresholds under which a solve runs one shard set aside.  Every entry of
 a sharded iteration is computed as on one shard, so the output is the
 same at every K.
 

@@ -139,11 +139,11 @@ def line_search_step(problem, x, y):
     gx, gty = g.matvec(x), g.rmatvec(y)
     omega = restart.initialize_primal_weight(problem.c, problem.h)
     eta = 0.5 / linalg.two_norm(g.data)
-    candidate, workspace = np.empty(2 * (n + m)), engine.StepWorkspace.allocate(n, m)
+    phases = engine.StepPhases(problem, z, gx, gty, np.empty(2 * (n + m)),
+                               engine.StepWorkspace.allocate(n, m))
 
     def step():
-        return engine.adaptive_step_pdhg(problem, z, omega, eta, 1, gty=gty, gx=gx,
-                                         out=candidate, workspace=workspace)
+        return engine.adaptive_step_pdhg(problem, z, omega, eta, 1, phases=phases)
 
     if step().trials != 1:
         raise RuntimeError("the line search rejected a step below 1 / ||G||_2")

@@ -10,6 +10,8 @@ from oracles import lp_vertex_enumeration
 from conic_pdhg.engine import (
     IterateZ,
     SolverOptions,
+    StepPhases,
+    StepWorkspace,
     adaptive_step_pdhg,
     one_pdhg,
     reflected_halpern_step,
@@ -152,9 +154,24 @@ class TestAdaptiveStep:
         gty = p.G.rmatvec(z.y)
         gx = p.G.matvec(z.x)
         p.G.reset_counters()
-        res = adaptive_step_pdhg(p, z, omega=1.0, eta=1.0, k_bar=3, gty=gty, gx=gx)
+        phases = StepPhases(p, z, gx, gty, np.empty(p.n + 2 * p.m),
+                            StepWorkspace.allocate(p.n, p.m))
+        res = adaptive_step_pdhg(p, z, omega=1.0, eta=1.0, k_bar=3, phases=phases)
         assert p.G.n_matvec == res.trials
         assert p.G.n_rmatvec == 0
+
+    def test_phases_of_another_problem_or_iterate_raise(self):
+        # the noise floor and the movement read z, the candidate the
+        # phases' iterate: a step may not mix two
+        p = tiny_lp()
+        z = IterateZ(np.zeros(2), np.zeros(1))
+        phases = StepPhases(p, z, np.zeros(1), np.zeros(2), np.empty(p.n + 2 * p.m),
+                            StepWorkspace.allocate(p.n, p.m))
+        for args in ((p, IterateZ(z.x.copy(), z.y)), (p, IterateZ(z.x, z.y.copy())),
+                     (tiny_lp(), z)):
+            with pytest.raises(ValueError, match="another problem or iterate"):
+                adaptive_step_pdhg(*args, 1.0, 1.0, 3, phases=phases)
+        assert adaptive_step_pdhg(p, IterateZ(z.x, z.y), 1.0, 1.0, 3, phases=phases).trials >= 1
 
     def test_nan_raises_numerical_error(self):
         p = tiny_lp()

@@ -214,11 +214,11 @@ def test_step_with_buffers_allocates_no_vectors():
     z = IterateZ(np.zeros(n), np.zeros(m))
     gx, gty = p.G.matvec(z.x), p.G.rmatvec(z.y)
     out, workspace = np.empty(n + 2 * m), eng.StepWorkspace.allocate(n, m)
-    step = eng.adaptive_step_pdhg(p, z, 1.0, 1.0, 1, gty=gty, gx=gx, out=out, workspace=workspace)
+    phases = eng.StepPhases(p, z, gx, gty, out, workspace)
+    step = eng.adaptive_step_pdhg(p, z, 1.0, 1.0, 1, phases=phases)
     tracemalloc.start()
     try:
-        step = eng.adaptive_step_pdhg(p, z, 1.0, step.eta_next, 2, gty=gty, gx=gx,
-                                      out=out, workspace=workspace)
+        step = eng.adaptive_step_pdhg(p, z, 1.0, step.eta_next, 2, phases=phases)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,7 +351,8 @@ def test_step_workspace_leaves_the_bits(monkeypatch):
         eta, k_bar = float(10.0 ** rng.uniform(-2, 1)), int(rng.integers(1, 100))
         fresh = eng.adaptive_step_pdhg(p, z, 1.3, eta, k_bar)
         out = np.full(p.n + 2 * p.m, np.nan)
-        reused = eng.adaptive_step_pdhg(p, z, 1.3, eta, k_bar, out=out, workspace=workspace)
+        phases = eng.StepPhases(p, z, p.G.matvec(z.x), p.G.rmatvec(z.y), out, workspace)
+        reused = eng.adaptive_step_pdhg(p, z, 1.3, eta, k_bar, phases=phases)
         assert reused[1:] == fresh[1:]
         assert_same_bits(np.concatenate(reused.z_hat), np.concatenate(fresh.z_hat))
         assert_same_bits(reused.z_hat.x, out[:p.n])

@@ -2,8 +2,9 @@
 the iterates of the one-shard solve bit for bit, and leaves no thread
 behind however it ends.
 
-`traces.forced_shards` sets aside the engine's private nnz threshold, so
-these small problems run 1, 2 and 3 shards (at most two helper threads)."""
+`traces.forced_shards` sets aside the engine's private thresholds, so
+these small problems, the planted one with soc and exp blocks too, run 1,
+2 and 3 shards (at most two helper threads)."""
 
 import math
 import sys
@@ -228,14 +229,26 @@ def test_sharder_runs_every_shard_and_raises_on_the_caller():
         linalg.Sharder(0)
 
 
-def test_shard_count_follows_the_threshold_and_the_cpus(monkeypatch):
+def test_shard_count_follows_the_thresholds_and_the_cpus(monkeypatch):
+    lp, conic = box_lp_with_equalities(), planted_conic(2)
+    kernel_blocks = sum(len(cones.unsplit_blocks(conic, dual)) for dual in (False, True))
+    assert kernel_blocks > 0 and not any(len(cones.unsplit_blocks(lp, d)) for d in (False, True))
     monkeypatch.setattr(eng, "_cpu_count", lambda: 2)
-    assert eng._shard_count(eng._SHARD_NNZ - 1) == 1
-    assert eng._shard_count(eng._SHARD_NNZ) == 2
+    monkeypatch.setattr(eng, "_SHARD_NNZ", lp.G.nnz + 1)
+    assert eng._shard_count(lp) == 1
+    monkeypatch.setattr(eng, "_SHARD_NNZ", lp.G.nnz)
+    assert eng._shard_count(lp) == 2
     monkeypatch.setattr(eng, "_cpu_count", lambda: 1)  # as under `taskset -c 0`
-    assert eng._shard_count(10 * eng._SHARD_NNZ) == 1
+    assert eng._shard_count(lp) == 1
     monkeypatch.setattr(eng, "_cpu_count", lambda: 8)
-    assert eng._shard_count(10 * eng._SHARD_NNZ) == eng._MAX_SHARDS == 2
+    assert eng._shard_count(lp) == eng._MAX_SHARDS == 2
+    # soc and exp blocks, projected by kernels that hold the GIL, keep a
+    # solve above the entry threshold on one shard
+    monkeypatch.setattr(eng, "_SHARD_NNZ", 0)
+    monkeypatch.setattr(eng, "_SHARD_KERNEL_BLOCKS", kernel_blocks - 1)
+    assert eng._shard_count(conic) == 1
+    monkeypatch.setattr(eng, "_SHARD_KERNEL_BLOCKS", kernel_blocks)
+    assert eng._shard_count(conic) == 2
 
 
 def test_sharder_hands_off_every_phase_under_a_short_switch_interval():

@@ -50,14 +50,18 @@ def digest(state):
 @contextlib.contextmanager
 def forced_shards(count):
     """Make the solves inside run their iterations on `count` shards,
-    whatever the size of their G and the CPUs the process may use: the
-    engine's private threshold and shard limit, set and restored."""
-    saved = eng._SHARD_NNZ, eng._MAX_SHARDS, eng._cpu_count
-    eng._SHARD_NNZ, eng._MAX_SHARDS, eng._cpu_count = 0, count, lambda: count
+    whatever the size of their G, their cone blocks and the CPUs the
+    process may use: the engine's private thresholds and shard limit, set
+    and restored."""
+    names = "_SHARD_NNZ", "_SHARD_KERNEL_BLOCKS", "_MAX_SHARDS", "_cpu_count"
+    saved = [getattr(eng, name) for name in names]
+    for name, value in zip(names, (0, math.inf, count, lambda: count)):
+        setattr(eng, name, value)
     try:
         yield
     finally:
-        eng._SHARD_NNZ, eng._MAX_SHARDS, eng._cpu_count = saved
+        for name, value in zip(names, saved):
+            setattr(eng, name, value)
 
 
 def failing_every(n):
