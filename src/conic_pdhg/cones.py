@@ -4,8 +4,9 @@ Closed forms cover the box, zero, nonnegative, and second-order cones.  The
 exponential cone is projected by reducing the KKT conditions to a univariate
 root-finding problem in the exponent multiplier rho (heuristic candidates,
 a bracketing step, then safeguarded damped Newton with bisection fallback).
-Diagonally rescaled second-order cones reduce to a scalar root in the KKT
-multiplier mu.  Dual/polar projections come from the Moreau identity
+Diagonally rescaled second-order cones reduce to a scalar root in the
+projected t, which Newton's method finds on a concave secular equation.
+Dual/polar projections come from the Moreau identity
 proj_{K*}(v) = v + proj_K(-v).
 
 One table, `_KERNELS`, maps each block kind to the kernel of its cone and
@@ -41,11 +42,13 @@ from .linalg import NumericalError
 from .model import Cone, ConeSpec, ConicProblem, block_slices, finite_bounds
 
 # Root finding in the exp and rescaled-soc projections: relative bracket
-# width at which exp bisection stops, and the iteration cap of each root
-# finder (the first _NEWTON_ITERS exp iterations are Newton steps).
+# width at which exp bisection stops, the iteration cap of each root finder
+# (the first _NEWTON_ITERS exp iterations are Newton steps), and the
+# relative accuracy at which the rescaled-soc Newton stops.
 _ROOT_TOL = 1e-12
 _MAX_ROOT_ITERS = 100
 _NEWTON_ITERS = 20
+_EPS = 2.0 ** -53
 
 _UNSCALED_MIN = 2.0 ** -500
 _UNSCALED_MAX = 2.0 ** 500
@@ -421,96 +424,62 @@ def project_dual_exp(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # The set is {z : diag(d) z in K_soc} = {(t, y) : t >= ||a o y||} with
-# a = d[1:]/d[0].  Stationarity of 0.5||z - v||^2 with multiplier mu on the
-# boundary ||a o y||^2 - t^2 = 0 gives
-#     y_i(mu) = v_i / (1 + 2 mu a_i^2),   t(mu) = v_0 / (1 - 2 mu),
-# and mu solves phi(mu) = ||a o y(mu)||^2 - t(mu)^2 = 0.  For v_0 > 0 the
-# root lies in (0, 1/2); for v_0 < 0 in (1/2, inf); v_0 = 0 degenerates to
-# mu = 1/2 with t recovered from the boundary equation.
-
-
-def _rescaled_soc_residual(mu, t0, ay2_over, a2):
-    z = ay2_over / (1.0 + 2.0 * mu * a2) ** 2
-    t = t0 / (1.0 - 2.0 * mu)
-    return float(np.sum(z) - t * t)
+# a = d[1:]/d[0].  Outside the cone and its polar, the projection lies on the
+# boundary, and stationarity of 0.5||z - v||^2 there gives, in terms of the
+# projected t alone,
+#     y_i(t) = v_i t / den_i(t),   den_i(t) = t + a_i^2 (t - v_0),
+# with t the root of ||a o y(t)|| = t, i.e. of sum_i (a_i v_i / den_i)^2 = 1.
+# The point is first scaled by the power of two that puts its largest
+# magnitude in [0.5, 1), so the projection is positively homogeneous bit for
+# bit wherever that scaling is exact.  With low = max(v_0, 0) and
+# t = low + u, every den_i = (low + u) + a_i^2 (u + low - v_0) is a sum of
+# nonnegative terms, free of cancellation, and
+#     h(u) = (sum_i (a_i v_i / den_i)^2)^(-1/2) - 1
+# is concave and increasing on u >= 0 (Moré and Sorensen, "Computing a trust
+# region step", 1983), so Newton's method climbs to its root from below.  It
+# starts at the largest of the roots of the single terms, from which on no
+# ratio |a_i v_i| / den_i exceeds 1, so nothing overflows.
 
 
 def project_rescaled_soc(v: np.ndarray, d: np.ndarray) -> np.ndarray:
     if np.all(d == d[0]):
         # A uniform positive scaling leaves the cone unchanged.
         return project_soc(v)
-    e = _rescale_exponent(float(np.max(np.abs(v))))
-    if e is not None:
-        return np.ldexp(project_rescaled_soc(np.ldexp(v, -e), d), e)
-
-    a = d[1:] / d[0]
-    t0 = float(v[0])
-    y = v[1:]
-    a2 = a * a
-    ay2 = a2 * y * y
-    # Membership tests share phi's squared arithmetic so a boundary point
-    # cannot fall between the fast path and the root bracket.
-    if t0 >= 0.0 and t0 * t0 >= float(np.sum(ay2)):
+    big = float(np.max(np.abs(v)))
+    if not 0.0 < big < math.inf:
         return v.copy()
-    if t0 <= 0.0 and t0 * t0 >= float(np.sum((y / a) ** 2)):
+    e = math.frexp(big)[1]
+    w = np.ldexp(v, -e)
+    a = d[1:] / d[0]
+    t0, y = float(w[0]), w[1:]
+    ay = a * y
+    if t0 >= math.sqrt(ay.dot(ay)):
+        return v.copy()
+    y_a = y / a
+    if -t0 >= math.sqrt(y_a.dot(y_a)):
         return np.zeros_like(v)
-
-    if t0 == 0.0:
-        zbar = y / (1.0 + a2)
-        out = np.empty_like(v)
-        out[1:] = zbar
-        out[0] = np.linalg.norm(a * zbar)
-        return out
-
-    def phi(mu):
-        return _rescaled_soc_residual(mu, t0, ay2, a2)
-
-    if t0 > 0.0:
-        lo = 0.0
-        hi = None
-        for j in range(1, 53):
-            cand = 0.5 * (1.0 - 2.0 ** (-j))
-            if phi(cand) < 0.0:
-                hi = cand
-                break
-        if hi is None:
-            raise NumericalError("rescaled-soc projection failed to bracket the multiplier")
-    else:
-        lo = None
-        for j in range(1, 53):
-            cand = 0.5 * (1.0 + 2.0 ** (-j))
-            if phi(cand) < 0.0:
-                lo = cand
-                break
-        if lo is None:
-            raise NumericalError("rescaled-soc projection failed to bracket the multiplier")
-        hi = 1.0
-        for _ in range(80):
-            if phi(hi) > 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise NumericalError("rescaled-soc projection failed to bracket the multiplier")
-
-    # imported here: scipy.optimize costs about 20 MB, and only this branch needs it
-    from scipy.optimize import brentq
-
-    try:
-        mu = brentq(
-            phi,
-            lo,
-            hi,
-            xtol=1e-16,
-            rtol=8.9e-16,
-            maxiter=_MAX_ROOT_ITERS,
-        )
-    except (ValueError, RuntimeError) as exc:  # pragma: no cover - defensive
-        raise NumericalError(f"rescaled-soc root finding failed: {exc}") from exc
-
+    low = max(t0, 0.0)
+    gap = low - t0
+    a2 = a * a
+    slope = 1.0 + a2
+    u = max(0.0, float(np.max((np.abs(ay) - low - a2 * gap) / slope)))
+    for _ in range(_MAX_ROOT_ITERS):
+        den = (low + u) + a2 * (u + gap)
+        r = ay / den
+        g = float(r.dot(r))
+        q = math.sqrt(g)
+        if 1.0 / q - 1.0 >= -_EPS:
+            break
+        # -h / h', with h' = sum_i r_i^2 (1 + a_i^2) / den_i / g^(3/2)
+        step = (q - 1.0) * g / float(np.dot(r * r, slope / den))
+        if step <= _EPS * u:
+            break
+        u += step
+    t = low + u
     out = np.empty_like(v)
-    out[1:] = y / (1.0 + 2.0 * mu * a2)
-    out[0] = t0 / (1.0 - 2.0 * mu)
-    return out
+    out[0] = t
+    np.multiply(y, t / den, out=out[1:])
+    return np.ldexp(out, e, out=out)
 
 
 # ---------------------------------------------------------------------------

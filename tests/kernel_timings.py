@@ -1,6 +1,6 @@
 """Minimum-over-repeats timings of the loop's kernels on the benchmark's problems.
 
-    python tests/kernel_timings.py [--seed 3] [--repeats 7]
+    python tests/kernel_timings.py [--seed 3] [--repeats 7] [--only GROUP ...]
 
 builds the benchmark's instances (perfbench/workloads.py and
 perfbench/generate.py, imported, not changed), writes each to a temporary
@@ -57,7 +57,21 @@ kernel:
   rounds, and the shape column the problems in one);
 * `cli_parse_args`: reading the first cone-solve command line of `--seed`
   as `cli.main` reads it: with its once-built parser, or, in a tree whose
-  `cli.main` builds a parser per call, with a new one per call.
+  `cli.main` builds a parser per call, with a new one per call;
+* `rescaled_soc`: `cones.project_rescaled_soc` on `RESCALED_BLOCKS` fixed
+  draws of a block of dim 3, 7, 100 and 1000 (standard normal points,
+  scales 10^U(-1.5, 1.5)), in us per block;
+* `primal_soc_solve`: one solve of each of the 8 library problems of
+  `primal_soc_problem` (seeds 0-7) at tolerance 1e-4; the shape column
+  gives their total iterations and seconds, the last column the
+  microseconds per solve.  Every solve must end `:optimal`.  It is the one
+  row that reaches the rescaled projection through a solve: the
+  preconditioner leaves primal soc blocks' column scales non-uniform.
+
+`--only` runs the named groups alone (loop, iteration, project_dual_set,
+normalized_gap, set_up, cone_set_up, rescaled_soc, primal_soc_solve), so
+that, say, `python tests/kernel_timings.py --only rescaled_soc
+primal_soc_solve` compares the rescaled projection of two trees.
 
 Each figure is the fastest of `--repeats` timed passes, divided by the
 calls in a pass; the minimum is the least noisy estimate of a kernel's
@@ -89,6 +103,7 @@ import workloads  # noqa: E402
 from conic_pdhg import cli, cones, engine, fileio, linalg, model, restart, scaling  # noqa: E402
 
 RECORD_EVERY = 8
+RESCALED_BLOCKS = 50  # fixed draws per dim of a `rescaled_soc` pass
 ITERATION_PASS = 40  # iterations of an `iteration` pass
 PASS_SECONDS = 0.05  # shortest timed pass
 WARM_CALLS = 5  # timed calls whose median sets the calls per pass
@@ -384,22 +399,84 @@ def cone_set_up_lines(seed, repeats, work_dir):
            *timed(lambda: main_parser().parse_args(argv), repeats))
 
 
+def rescaled_soc_lines(repeats):
+    for dim in (3, 7, 100, 1000):
+        rng = np.random.default_rng(dim)
+        blocks = [(rng.standard_normal(dim), 10.0 ** rng.uniform(-1.5, 1.5, dim))
+                  for _ in range(RESCALED_BLOCKS)]
+
+        def run():
+            for v, d in blocks:
+                cones.project_rescaled_soc(v, d)
+
+        yield "rescaled_soc", "random", f"dim={dim}", len(blocks), best(run, len(blocks), repeats)
+
+
+def primal_soc_problem(seed):
+    """A planted problem with 40 box columns in [-1, 1], 20 primal soc blocks
+    of dim 5 and 60 nonneg rows: G of density 0.2 with column scales
+    10^U(-1.5, 1.5) and row scales 10^U(-1, 1), h = G x0 - s with x0
+    strictly feasible and s > 0, and c = G^T y + lambda with y > 0 and the
+    cone part of lambda inside the soc blocks, so that an optimum exists."""
+    rng = np.random.default_rng(seed)
+    n1, blocks, dim, m = 40, 20, 5, 60
+    n = n1 + blocks * dim
+    g = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.2)
+    g *= 10.0 ** rng.uniform(-1.0, 1.0, (m, 1)) * 10.0 ** rng.uniform(-1.5, 1.5, n)
+
+    def soc_interior():
+        v = rng.standard_normal((blocks, dim))
+        v[:, 0] = np.linalg.norm(v[:, 1:], axis=1) + rng.uniform(0.5, 1.5, blocks)
+        return v.ravel()
+
+    x0 = np.concatenate([rng.uniform(-0.5, 0.5, n1), soc_interior()])
+    h = g @ x0 - rng.uniform(0.1, 1.0, m)
+    lam = np.concatenate([rng.standard_normal(n1), soc_interior()])
+    c = g.T @ rng.uniform(0.1, 1.0, m) + lam
+    return model.ConicProblem(
+        c=c, G=linalg.SparseMatrix(g), h=h, l=-np.ones(n1), u=np.ones(n1), num_box=n1,
+        primal_cones=tuple(model.ConeSpec(model.Cone.SOC, dim) for _ in range(blocks)),
+        dual_cones=(model.ConeSpec(model.Cone.NONNEG, m),))
+
+
+def primal_soc_solve_line():
+    iterations, seconds = 0, 0.0
+    for seed in range(8):
+        problem = primal_soc_problem(seed)
+        t0 = time.perf_counter()
+        result = engine.solve(problem, engine.SolverOptions(rel_tol=1e-4, abs_tol=1e-4))
+        seconds += time.perf_counter() - t0
+        if result.exit_status != ":optimal":
+            raise RuntimeError(f"primal soc problem {seed} ended {result.exit_status}")
+        iterations += result.iterations
+    return ("primal_soc_solve", "library", f"iterations={iterations} s={seconds:.2f}", 8,
+            1e6 * seconds / 8)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--repeats", type=int, default=7)
+    groups = {
+        "loop": lambda a, w: loop_kernel_lines(a.seed, a.repeats, w),
+        "iteration": lambda a, w: iteration_lines(a.seed, a.repeats, w),
+        "project_dual_set": lambda a, w: [projection_line(a.seed, a.repeats, w)],
+        "normalized_gap": lambda a, w: [gap_line(a.seed, a.repeats, w)],
+        "set_up": lambda a, w: set_up_lines(a.seed, a.repeats, w),
+        "cone_set_up": lambda a, w: cone_set_up_lines(a.seed, a.repeats, w),
+        "rescaled_soc": lambda a, w: rescaled_soc_lines(a.repeats),
+        "primal_soc_solve": lambda a, w: [primal_soc_solve_line()],
+    }
+    parser.add_argument("--only", nargs="+", choices=list(groups), default=list(groups),
+                        help="the groups of rows to run (default: all)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be positive")
     warnings.simplefilter("ignore", RuntimeWarning)
     print("kernel\tworkload\tshape\tcalls\tus_per_call")
     with tempfile.TemporaryDirectory() as work_dir:
-        lines = [*loop_kernel_lines(args.seed, args.repeats, work_dir),
-                 *iteration_lines(args.seed, args.repeats, work_dir),
-                 projection_line(args.seed, args.repeats, work_dir),
-                 gap_line(args.seed, args.repeats, work_dir),
-                 *set_up_lines(args.seed, args.repeats, work_dir),
-                 *cone_set_up_lines(args.seed, args.repeats, work_dir)]
+        lines = [line for name in groups if name in args.only
+                 for line in groups[name](args, work_dir)]
     for kernel, workload, shape, calls, us in lines:
         print(f"{kernel}\t{workload}\t{shape}\t{calls}\t{us:.2f}", flush=True)
 

@@ -262,10 +262,13 @@ class TestCli:
 
 
 def test_import_leaves_scipy_optimize_out():
-    # scipy.optimize costs about 20 MB of every solve process; only the
-    # rescaled-soc root finder uses it, and imports it when it runs
+    # scipy.optimize costs about 20 MB of every solve process, and no
+    # projection uses it, the rescaled-soc one included
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, conic_pdhg, conic_pdhg.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, numpy, conic_pdhg, conic_pdhg.cli; "
+            "from conic_pdhg.cones import project_rescaled_soc; "
+            "project_rescaled_soc(numpy.array([0.5, 1.0, -2.0]), numpy.array([1.0, 2.0, 3.0])); "
+            "print('scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src))).stdout
     assert out.split() == ["False"]

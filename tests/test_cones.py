@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Verbosity, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -475,11 +475,11 @@ _CLAMP_SCALES = st.one_of(
 
 
 @st.composite
-def rescaled_soc_points(draw):
+def soc_blocks(draw):
     """A block of dim 2-7, scales log-uniform between the scaling clamps (so
     their ratios reach 1e16) and the clamps themselves, and a point of
-    largest magnitude 1e-300 to 1e300: any, or one on the boundary of the
-    cone or of its polar."""
+    largest magnitude 1: any, or one on the boundary of the cone or of its
+    polar."""
     dim = draw(st.integers(2, 7))
     d = np.array(draw(st.lists(_CLAMP_SCALES, min_size=dim, max_size=dim)))
     m = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
@@ -490,12 +490,20 @@ def rescaled_soc_points(draw):
     elif where == "polar boundary":
         m[0] = -np.linalg.norm(m[1:] / a)
     big = float(np.max(np.abs(m)))
-    return (m if big == 0.0 else m / big * 10.0 ** draw(st.integers(-300, 300))), d
+    return (m if big == 0.0 else m / big), d
 
 
-# Cases the property below found, each failing one of its contracts.  The
-# multiplier mu is resolved in absolute terms: the candidates for a bracket
-# stop 2^-53 from 1/2, the doublings at 2^80, and brentq's xtol is 1e-16.
+@st.composite
+def rescaled_soc_points(draw):
+    """A `soc_blocks` point scaled to a largest magnitude of 1e-300 to 1e300."""
+    m, d = draw(soc_blocks())
+    return m * 10.0 ** draw(st.integers(-300, 300)), d
+
+
+# Cases the property below found, each failing one of its contracts in the
+# kernel that solved for the multiplier mu of the boundary constraint, in
+# absolute terms: its candidates for a bracket stopped 2^-53 from 1/2, its
+# doublings at 2^80, and brentq's xtol was 1e-16.
 _RESCALED_SOC_FAILURES = {
     "leading entry 1e-17 of the block: 1 - 2 mu is below 2^-53, no bracket":
         ((1e-17, 1.0), (1.0, 2.0)),
@@ -511,24 +519,67 @@ _RESCALED_SOC_FAILURES = {
 
 
 @pytest.mark.parametrize("v, d", [
-    pytest.param(np.array(v), np.array(d), id=name,
-                 marks=pytest.mark.xfail(strict=True, raises=(AssertionError, NumericalError),
-                                         reason=name))
+    pytest.param(np.array(v), np.array(d), id=name)
     for name, (v, d) in _RESCALED_SOC_FAILURES.items()])
-def test_rescaled_soc_fails_its_contracts_where_mu_is_not_resolved(v, d):
+def test_rescaled_soc_contracts_where_mu_was_not_resolved(v, d):
     assert_rescaled_soc_contracts(v, d)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.xfail(strict=True, raises=(AssertionError, NumericalError),
-                   reason="fails on the cases of _RESCALED_SOC_FAILURES")
 @given(rescaled_soc_points())
-# one failure is raised, not a group of them, and, quiet, it writes no
-# @example patch into .hypothesis/
-@settings(max_examples=300, deadline=None, report_multiple_bugs=False, verbosity=Verbosity.quiet)
+@settings(max_examples=300, deadline=None)
 def test_rescaled_soc_contracts_at_the_scaling_clamps(case):
     v, d = case
     assert_rescaled_soc_contracts(v, d)
+
+
+@pytest.mark.parametrize("dim", [50, 200, 1000])
+def test_rescaled_soc_contracts_on_large_blocks(dim):
+    """The contracts on blocks of many entries, with scales log-uniform
+    between the scaling clamps, at magnitudes from 1e-300 to 1e300."""
+    rng = np.random.default_rng(dim)
+    for exponent in range(-300, 301, 50):
+        for _ in range(3):
+            d = 10.0 ** rng.uniform(math.log10(_SCALE_CLAMP_LO), math.log10(_SCALE_CLAMP_HI), dim)
+            assert_rescaled_soc_contracts(rng.standard_normal(dim) * 10.0 ** exponent, d)
+
+
+def test_rescaled_soc_matches_the_fista_oracle_at_dim_50():
+    rng = np.random.default_rng(50)
+    for _ in range(10):
+        v = rng.standard_normal(50) * 3.0
+        d = 10.0 ** rng.uniform(-0.5, 0.5, 50)
+        ref = rescaled_soc_projection_fista(v, d)
+        assert np.linalg.norm(project_rescaled_soc(v, d) - ref) <= 1e-6 * np.linalg.norm(v)
+
+
+def _normal_or_zero(*arrays):
+    return all(np.all((x == 0.0) | ((np.abs(x) >= np.finfo(float).tiny) & np.isfinite(x)))
+               for x in arrays)
+
+
+@st.composite
+def homogeneity_cases(draw):
+    m, d = draw(soc_blocks())
+    return m, d, draw(st.integers(-900, 900))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scaled", [False, True], ids=["project_soc", "project_rescaled_soc"])
+@given(case=homogeneity_cases())
+@settings(max_examples=300, deadline=None)
+def test_soc_projections_are_positively_homogeneous_bit_for_bit(scaled, case):
+    """P(2^e v) == 2^e P(v) exactly, wherever no entry of either side, or of
+    the two inputs, is subnormal or overflows, so that each ldexp is exact."""
+    v, d, e = case
+
+    def project(w):
+        return project_rescaled_soc(w, d) if scaled else project_soc(w)
+
+    w = np.ldexp(v, e)
+    lhs, rhs = project(w), np.ldexp(project(v), e)
+    if _normal_or_zero(v, w, lhs, rhs, project(v)):
+        np.testing.assert_array_equal(lhs, rhs)
 
 
 class TestDispatch:
