@@ -446,7 +446,9 @@ def project_rescaled_soc(v: np.ndarray, d: np.ndarray) -> np.ndarray:
         # A uniform positive scaling leaves the cone unchanged.
         return project_soc(v)
     big = float(np.max(np.abs(v)))
-    if not 0.0 < big < math.inf:
+    if not big < math.inf:
+        raise NumericalError("rescaled-soc projection of a non-finite point")
+    if big == 0.0:
         return v.copy()
     e = math.frexp(big)[1]
     w = np.ldexp(v, -e)
@@ -475,6 +477,8 @@ def project_rescaled_soc(v: np.ndarray, d: np.ndarray) -> np.ndarray:
         if step <= _EPS * u:
             break
         u += step
+    else:
+        raise NumericalError("rescaled-soc Newton did not converge")
     t = low + u
     out = np.empty_like(v)
     out[0] = t

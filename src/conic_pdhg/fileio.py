@@ -12,11 +12,9 @@ it holds no block scales.
 `parse_problem` reads a file as bytes and walks its top-level object, and
 the object under G, member by member.  orjson reads lists in comma-cut
 pieces, turned into arrays a few thousand entries at a time, and
-`np.fromstring` reads index lists of plain digits, and a top-level key
-outside the format is skipped where its value is an ASCII scalar or flat
-list that orjson reads.  Whatever the walk cannot vouch for (escaped keys,
-other unknown members, values orjson rejects or may read otherwise, any
-error) takes one fallback: `json.loads` of the text.
+`np.fromstring` reads index lists of plain digits.  Whatever the walk
+cannot vouch for (unknown or escaped keys, values orjson rejects or may
+read otherwise, any error) takes one fallback: `json.loads` of the text.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ _OPEN = re.compile(_SPACE + rb"\{")
 _KEY = re.compile(_SPACE + rb'"(\w*)"' + _SPACE + rb":" + _SPACE)  # a key without escapes
 _NEXT = re.compile(_SPACE + rb"([,}])")
 _SCALAR = re.compile(rb"[^,}]*")
-_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"')  # a string, its escapes left to orjson
 _FILE_ORDER = (Cone.ZERO, Cone.NONNEG, Cone.SOC, Cone.EXP, Cone.DUAL_EXP, Cone.RSOC)
 
 
@@ -224,28 +221,23 @@ def _object_members(data: bytes, pos: int, rules: dict, prefix: str):
     """The converted members of the object at data[pos] (after whitespace),
     and the index after its `}`.
 
-    Keys must be spelt without escapes, and in `rules` below the top level;
-    a top-level key outside them is a member of value None, as the fallback
-    converts it, where `_skipped` can skip its value.  A table's value must
-    be a nonempty object, walked alike.  A list goes to `_read_list`, any
-    other value to orjson, cut at the next `,` or `}` (a string or object
-    cut there is rejected).  The rest is the fallback's: other unknown
-    members, and errors, which it reports."""
+    Keys must be in `rules`, spelt without escapes; a table's value must be
+    a nonempty object, walked alike.  A list goes to `_read_list`, any other
+    value to orjson, cut at the next `,` or `}` (a string or object cut
+    there is rejected).  The rest is the fallback's: unknown keys, which it
+    warns of, and errors, which it reports."""
     members, start = {}, _OPEN.match(data, pos)
     if not start:
         raise _Fallback
     pos = start.end()
     while True:
         key = _KEY.match(data, pos)
-        if key is None:
-            raise _Fallback
-        name, pos = key.group(1).decode(), key.end()
+        name = key.group(1).decode() if key else ""
         rule = rules.get(name)
         if rule is None:
-            if prefix:
-                raise _Fallback
-            members[name], pos = None, _skipped(data, pos)
-        elif isinstance(rule, dict):
+            raise _Fallback
+        pos = key.end()
+        if isinstance(rule, dict):
             members[name], pos = _object_members(data, pos, rule, f"{prefix}{name}.")
         elif data[pos:pos + 1] == b"[":
             members[name], pos = _read_list(data, pos, rule, prefix + name)
@@ -258,26 +250,6 @@ def _object_members(data: bytes, pos: int, rules: dict, prefix: str):
         pos = sep.end()
         if sep.group(1) == b"}":
             return members, pos
-
-
-def _skipped(data: bytes, pos: int) -> int:
-    """The index after the value at data[pos] of a key outside the format: a
-    scalar, or a list up to its first `]` with no object in it, in ASCII
-    (which every decoding of the fallback reads alike), that orjson reads.
-    An object or nested list, so cut, leaves text that orjson rejects."""
-    if data[pos:pos + 1] == b"[":
-        end = data.find(b"]", pos) + 1
-        if not end:
-            raise _Fallback
-    else:
-        end = (_STRING.match(data, pos) or _SCALAR.match(data, pos)).end()
-    value = data[pos:end]
-    if not value.isascii():
-        raise _Fallback
-    read = orjson.loads(value)
-    if isinstance(read, list) and any(isinstance(x, dict) for x in read):
-        raise _Fallback
-    return end
 
 
 def _vouched(rule, value, key: str):

@@ -1,6 +1,6 @@
 """Minimum-over-repeats timings of the loop's kernels on the benchmark's problems.
 
-    python tests/kernel_timings.py [--seed 3] [--repeats 7] [--only GROUP ...]
+    python tests/kernel_timings.py [--seed 3] [--repeats 7]
 
 builds the benchmark's instances (perfbench/workloads.py and
 perfbench/generate.py, imported, not changed), writes each to a temporary
@@ -67,11 +67,6 @@ kernel:
   microseconds per solve.  Every solve must end `:optimal`.  It is the one
   row that reaches the rescaled projection through a solve: the
   preconditioner leaves primal soc blocks' column scales non-uniform.
-
-`--only` runs the named groups alone (loop, iteration, project_dual_set,
-normalized_gap, set_up, cone_set_up, rescaled_soc, primal_soc_solve), so
-that, say, `python tests/kernel_timings.py --only rescaled_soc
-primal_soc_solve` compares the rescaled projection of two trees.
 
 Each figure is the fastest of `--repeats` timed passes, divided by the
 calls in a pass; the minimum is the least noisy estimate of a kernel's
@@ -457,26 +452,20 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--repeats", type=int, default=7)
-    groups = {
-        "loop": lambda a, w: loop_kernel_lines(a.seed, a.repeats, w),
-        "iteration": lambda a, w: iteration_lines(a.seed, a.repeats, w),
-        "project_dual_set": lambda a, w: [projection_line(a.seed, a.repeats, w)],
-        "normalized_gap": lambda a, w: [gap_line(a.seed, a.repeats, w)],
-        "set_up": lambda a, w: set_up_lines(a.seed, a.repeats, w),
-        "cone_set_up": lambda a, w: cone_set_up_lines(a.seed, a.repeats, w),
-        "rescaled_soc": lambda a, w: rescaled_soc_lines(a.repeats),
-        "primal_soc_solve": lambda a, w: [primal_soc_solve_line()],
-    }
-    parser.add_argument("--only", nargs="+", choices=list(groups), default=list(groups),
-                        help="the groups of rows to run (default: all)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be positive")
     warnings.simplefilter("ignore", RuntimeWarning)
     print("kernel\tworkload\tshape\tcalls\tus_per_call")
     with tempfile.TemporaryDirectory() as work_dir:
-        lines = [line for name in groups if name in args.only
-                 for line in groups[name](args, work_dir)]
+        lines = [*loop_kernel_lines(args.seed, args.repeats, work_dir),
+                 *iteration_lines(args.seed, args.repeats, work_dir),
+                 projection_line(args.seed, args.repeats, work_dir),
+                 gap_line(args.seed, args.repeats, work_dir),
+                 *set_up_lines(args.seed, args.repeats, work_dir),
+                 *cone_set_up_lines(args.seed, args.repeats, work_dir),
+                 *rescaled_soc_lines(args.repeats),
+                 primal_soc_solve_line()]
     for kernel, workload, shape, calls, us in lines:
         print(f"{kernel}\t{workload}\t{shape}\t{calls}\t{us:.2f}", flush=True)
 

@@ -414,6 +414,19 @@ class TestRescaledSoc:
         ref = rescaled_soc_projection_fista(v, d)
         assert np.linalg.norm(p - ref) <= 1e-6
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_non_finite_point_raises(self, bad, at):
+        v = np.array([1.0, 1.0, 1.0])
+        v[at] = bad
+        with pytest.raises(NumericalError):
+            project_rescaled_soc(v, np.array([1.0, 2.0, 3.0]))
+
+    def test_newton_that_does_not_converge_raises(self, monkeypatch):
+        monkeypatch.setattr(cones, "_MAX_ROOT_ITERS", 1)
+        with pytest.raises(NumericalError):
+            project_rescaled_soc(np.array([0.5, 1.0, -2.0]), np.array([1.0, 2.0, 3.0]))
+
     def test_scale_validation(self):
         # project_rescaled_soc trusts d: the scales it is given are those of
         # a ConeSpec, or their inverses, and a spec rejects nonpositive or
@@ -424,38 +437,12 @@ class TestRescaledSoc:
             ConeSpec(Cone.SOC, 3, scale=np.ones(2))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
-@pytest.mark.parametrize("scaled", [False, True], ids=["project_soc", "project_rescaled_soc"])
-def test_soc_contracts_from_1e_minus_300_to_1e300(scaled):
-    """Membership, idempotence and Moreau (v = P_K(v) - P_K*(-v) with
-    orthogonal parts), relative to the block's magnitude, in bands from
-    1e-300 to 1e300: squares leave the float range below about 1e-154 and
-    above 1e154, the norms must not."""
-
-    def project(w, d):
-        return project_rescaled_soc(w, d) if scaled else project_soc(w)
-
-    rng = np.random.default_rng(25)
-    for exponent in range(-300, 301, 20):
-        for _ in range(20):
-            dim = int(rng.integers(2, 8))
-            d = rng.uniform(0.5, 2.0, dim) if scaled else np.ones(dim)
-            v = rng.standard_normal(dim) * 10.0 ** exponent
-            s = float(np.max(np.abs(v)))
-            p = project(v, d)
-            polar = -project(-v, 1.0 / d)
-            w = d * p / s
-            assert w[0] >= np.linalg.norm(w[1:]) - 1e-9, (exponent, v)
-            assert np.linalg.norm((project(p, d) - p) / s) <= 1e-9, (exponent, v)
-            assert np.linalg.norm((p + polar - v) / s) <= 1e-9, (exponent, v)
-            assert abs(np.dot(p / s, polar / s)) <= 1e-9, (exponent, v)
-
-
 def assert_rescaled_soc_contracts(v, d):
-    """The contracts of `test_soc_contracts_from_1e_minus_300_to_1e300` for
-    `project_rescaled_soc`, relative to the block's magnitude.  The set of d
-    is that of d / max(d), on which membership is judged, so that the
-    tolerance does not grow with the scale.  A `NumericalError` fails too."""
+    """Membership, idempotence and Moreau (v = P_K(v) - P_K*(-v) with
+    orthogonal parts) of `project_rescaled_soc`, relative to the block's
+    magnitude.  The set of d is that of d / max(d), on which membership is
+    judged, so that the tolerance does not grow with the scale.  A
+    `NumericalError` fails too."""
     s = float(np.max(np.abs(v)))
     p = project_rescaled_soc(v, d)
     if s == 0.0:
@@ -467,6 +454,27 @@ def assert_rescaled_soc_contracts(v, d):
     assert np.linalg.norm((project_rescaled_soc(p, d) - p) / s) <= 1e-9
     assert np.linalg.norm((p + polar - v) / s) <= 1e-9
     assert abs(np.dot(p / s, polar / s)) <= 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.parametrize("dims, scales", [
+    pytest.param((2, 8), (1.0, 1.0), id="project_soc"),
+    pytest.param((2, 8), (0.5, 2.0), id="project_rescaled_soc"),
+    *(pytest.param((dim, dim + 1), (_SCALE_CLAMP_LO, _SCALE_CLAMP_HI),
+                   id=f"project_rescaled_soc-dim{dim}") for dim in (50, 200, 1000)),
+])
+def test_soc_contracts_from_1e_minus_300_to_1e300(dims, scales):
+    """`assert_rescaled_soc_contracts` in bands from 1e-300 to 1e300, where
+    squares leave the float range below about 1e-154 and above 1e154 and the
+    norms must not, with scales log-uniform in `scales` (equal scales take
+    `project_soc`)."""
+    rng = np.random.default_rng(25)
+    lo, hi = np.log10(scales)
+    for exponent in range(-300, 301, 20):
+        for _ in range(20):
+            dim = int(rng.integers(*dims))
+            d = 10.0 ** rng.uniform(lo, hi, dim)
+            assert_rescaled_soc_contracts(rng.standard_normal(dim) * 10.0 ** exponent, d)
 
 
 _CLAMP_SCALES = st.one_of(
@@ -531,17 +539,6 @@ def test_rescaled_soc_contracts_where_mu_was_not_resolved(v, d):
 def test_rescaled_soc_contracts_at_the_scaling_clamps(case):
     v, d = case
     assert_rescaled_soc_contracts(v, d)
-
-
-@pytest.mark.parametrize("dim", [50, 200, 1000])
-def test_rescaled_soc_contracts_on_large_blocks(dim):
-    """The contracts on blocks of many entries, with scales log-uniform
-    between the scaling clamps, at magnitudes from 1e-300 to 1e300."""
-    rng = np.random.default_rng(dim)
-    for exponent in range(-300, 301, 50):
-        for _ in range(3):
-            d = 10.0 ** rng.uniform(math.log10(_SCALE_CLAMP_LO), math.log10(_SCALE_CLAMP_HI), dim)
-            assert_rescaled_soc_contracts(rng.standard_normal(dim) * 10.0 ** exponent, d)
 
 
 def test_rescaled_soc_matches_the_fista_oracle_at_dim_50():

@@ -420,11 +420,6 @@ def outcome(parse, path):
             p = parse(path)
         except ValueError as exc:
             return type(exc), str(exc)
-    return bits(p)
-
-
-def bits(p):
-    """The bits of every array of a problem, its blocks and sizes."""
     arrays = (p.c, p.h, p.l, p.u, p.G.toarray())
     return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
             [(s.kind, s.dim) for s in p.dual_cones], p.n, p.m, p.num_box)
@@ -717,64 +712,6 @@ class TestListsReadByOrjson:
             assert read(piece) in [None, (json.loads(text), len(text))]
         assert read(1 << 16) == (json.loads(text), len(text))  # read whole
         assert read(1) is None
-
-
-def parse_with_warnings(parse, path):
-    """The bits of the problem `parse` reads from `path`, and the messages of
-    the warnings it raised."""
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        problem = parse(path)
-    return bits(problem), [str(w.message) for w in seen]
-
-
-class TestUnknownKeys:
-    """A top-level key outside the format, spelt without escapes, whose value
-    is a scalar or a flat list, is skipped by the bytes walk; any other
-    unknown member takes the whole-document parse."""
-
-    @pytest.mark.parametrize("raw", [
-        "7", "-2.5e300", "null", "true", f"{BIG}", '"text, with a comma"',
-        '"a \\" quote, a comma and a } brace\\\\"', "[]", '[1, 2.5, "a", null, false]',
-        '["\\u00e9", "}"]', " [ 1 ,\n 2 ] ",
-    ])
-    def test_scalar_and_flat_list_values_skip_the_fallback(self, raw, tmp_path, monkeypatch):
-        def no_fallback(*args, **kwargs):
-            raise AssertionError("the whole-document parse ran")
-
-        path = str(tmp_path / "p.json")
-        Path(path).write_text(with_raw(frobnicate=raw))
-        want = parse_with_warnings(reference_parse, path)
-        assert want[1] == ["ignoring unknown problem-file keys: ['frobnicate']"]
-        monkeypatch.setattr(json, "loads", no_fallback)
-        assert parse_with_warnings(parse_problem, path) == want
-
-    @pytest.mark.parametrize("text", [
-        pytest.param(with_raw(frobnicate='{"a": 1}'), id="object"),
-        pytest.param(with_raw(frobnicate="{}"), id="empty object"),
-        pytest.param(with_raw(frobnicate="1e400"), id="number orjson rejects"),
-        pytest.param(with_raw(frobnicate="[[1], 2]"), id="nested list"),
-        pytest.param(with_raw(frobnicate='[{"a": 1}]'), id="object in a list"),
-        pytest.param(with_raw(frobnicate='"caf\u00e9"'), id="non-ascii string"),
-        pytest.param(with_raw(frobnicate="1").replace('"frobnicate"', '"fr\\u006fbnicate"'),
-                     id="escaped key"),
-        pytest.param(with_raw(frobnicate="1").replace('"frobnicate"', '"frob-nicate"'),
-                     id="key with a non-word character"),
-        pytest.param(with_raw(G_extra="1"), id="unknown key in G"),
-    ])
-    def test_other_unknown_members_take_the_fallback(self, text, tmp_path, monkeypatch):
-        path = tmp_path / "p.json"
-        path.write_bytes(text.encode())
-        want = parse_with_warnings(reference_parse, str(path))
-        real, calls = json.loads, []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(json, "loads", counted)
-        assert parse_with_warnings(parse_problem, str(path)) == want
-        assert len(calls) == 1
 
 
 def as_objects(values, key):
